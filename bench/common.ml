@@ -71,12 +71,7 @@ let with_platform ?(seed = 42) ?daemon_config ?(horizon = 100_000.0) spec main =
                     Env.stop (Controller.env (Platform.controller p)))))
            (fun () -> result := Some (main p))));
   ignore (Engine.run ~until:horizon (Platform.engine p));
-  (match Engine.crashed (Platform.engine p) with
-  | [] -> ()
-  | (proc, e) :: _ ->
-      failwith
-        (Printf.sprintf "experiment process %s crashed: %s" (Engine.proc_name proc)
-           (Printexc.to_string e)));
+  Engine.check_crashed (Platform.engine p);
   match !result with Some r -> r | None -> failwith "experiment did not finish"
 
 (* Deploy a Pastry overlay and wait for it to converge. *)
@@ -94,11 +89,9 @@ let wait_convergence ~n ~join_delay ~rounds ~interval =
 
 (* Issue [count] random lookups from random live origins, collecting
    delays (seconds), hop counts, and failures into streaming sinks.
-   [mk_sink] picks the storage policy: figure runs keep the default exact
-   backend (a few thousand samples), large-scale runs pass
-   [Sink.sketch ~seed] to stay in bounded memory. *)
-let measure_pastry_lookups ?(mk_sink = fun () -> Sink.exact ()) ~rng ~keyspace ~count nodes =
-  let delays = mk_sink () and hops = mk_sink () in
+   Figure runs hold a few thousand samples, so the sinks are exact. *)
+let measure_pastry_lookups ~rng ~keyspace ~count nodes =
+  let delays = Sink.exact () and hops = Sink.exact () in
   let failures = ref 0 in
   let eng = Engine.engine () in
   let live () = List.filter (fun x -> not (Apps.Pastry.is_stopped x)) nodes in

@@ -29,12 +29,7 @@ let run_deployment ~seed spec main =
                     Env.stop (Controller.env ctl))))
            (fun () -> main p)));
   let stats = Engine.run ~until:100_000.0 (Platform.engine p) in
-  (match Engine.crashed (Platform.engine p) with
-  | [] -> ()
-  | (proc, e) :: _ ->
-      failwith
-        (Printf.sprintf "macro process %s crashed: %s" (Engine.proc_name proc)
-           (Printexc.to_string e)));
+  Engine.check_crashed (Platform.engine p);
   stats.Engine.events_fired
 
 (* Chord: staggered join, stabilization, then [per_node] lookups from

@@ -67,6 +67,9 @@ let run_parallel ~nodes ~seed ~domains =
   let t0 = Unix.gettimeofday () in
   let info = Fabric.run ~domains fab in
   let wall = Unix.gettimeofday () -. t0 in
+  for i = 0 to parts - 1 do
+    Engine.check_crashed (Fabric.engine fab i)
+  done;
   let covered = ref 0 in
   Array.iter
     (function Some x when Apps.Epidemic.has_received x "r0" -> incr covered | _ -> ())

@@ -131,9 +131,5 @@ module Platform = struct
   let run ?until t main =
     ignore (Env.thread (Controller.env t.controller) ~name:"experiment-main" (fun () -> main t));
     ignore (Engine.run ?until t.engine);
-    match Engine.crashed t.engine with
-    | [] -> ()
-    | (p, e) :: _ ->
-        failwith
-          (Printf.sprintf "process %s crashed: %s" (Engine.proc_name p) (Printexc.to_string e))
+    Engine.check_crashed t.engine
 end

@@ -1,4 +1,5 @@
 module Report = Splay_stats.Report
+module Hdr = Splay_stats.Hdr
 
 (* The master switch stays a plain process-global flag: it is only ever
    toggled by a front end (Obs_flags) outside parallel sections, and
@@ -24,71 +25,6 @@ let set_trace_cap n = trace_cap := max 0 n
 
 (* Rollup window width in virtual seconds; applies to every domain. *)
 let rollup_window = ref 10.0
-
-(* {1 Rollup bucket scheme}
-
-   HDR-style log-linear buckets: 8 linear sub-buckets per power of two,
-   so any positive sample lands in a bucket whose bounds are within
-   1/16th of each other — a fixed ~6% worst-case relative error on
-   reported quantiles, from a fixed 513-slot table (~4 KB per touched
-   histogram per window) no matter how many samples stream through.
-   frexp gives the octave exactly; exponents outside [-19, 44]
-   (≈ 9.5e-7 .. 1.8e13 — far beyond any virtual duration, byte count or
-   queue depth we record) clamp to the end buckets. Bucket 0 is reserved
-   for zero/negative samples, which simulated same-instant waits produce
-   in bulk. *)
-
-let sub_buckets = 8
-let e_min = -19
-let e_max = 44
-let n_buckets = 1 + ((e_max - e_min + 1) * sub_buckets)
-
-(* Exactly frexp's octave and sub-bucket, read straight from the IEEE 754
-   fields (no tuple allocation on the hot path): for a normal double,
-   frexp's e is the raw exponent - 1022, and the linear sub-bucket — the
-   first [log2 sub_buckets] bits of frexp's fraction past 0.5 — is the
-   mantissa's top three bits. Subnormals read e = -1022 and clamp below
-   [e_min] like frexp's would. *)
-let bucket_index v =
-  if v <= 0.0 then 0
-  else begin
-    let bits = Int64.to_int (Int64.bits_of_float v) in
-    let e = ((bits lsr 52) land 0x7ff) - 1022 in
-    if e < e_min then 1
-    else if e > e_max then n_buckets - 1
-    else 1 + ((e - e_min) * sub_buckets) + ((bits lsr 49) land 0x7)
-  end
-
-(* Midpoint of a bucket's bounds: the representative a quantile reports. *)
-let bucket_mid i =
-  if i = 0 then 0.0
-  else begin
-    let k = i - 1 in
-    let e = (k / sub_buckets) + e_min and j = k mod sub_buckets in
-    let lo = Float.ldexp (0.5 +. (Float.of_int j /. Float.of_int (2 * sub_buckets))) e in
-    let hi = Float.ldexp (0.5 +. (Float.of_int (j + 1) /. Float.of_int (2 * sub_buckets))) e in
-    0.5 *. (lo +. hi)
-  end
-
-(* q-quantile by cumulative walk; the exact min/max clamp the end buckets
-   so p0/p100 are exact and a one-sample histogram reports that sample's
-   bucket, never a bound outside the observed range. *)
-let bucket_quantile ~n ~bmin ~bmax buckets q =
-  if n = 0 then 0.0
-  else begin
-    let rank =
-      let r = int_of_float (Float.ceil (q *. Float.of_int n)) in
-      if r < 1 then 1 else if r > n then n else r
-    in
-    let i = ref 0 and cum = ref 0 in
-    let len = Array.length buckets in
-    while !cum < rank && !i < len do
-      cum := !cum + buckets.(!i);
-      incr i
-    done;
-    let v = bucket_mid (!i - 1) in
-    if v < bmin then bmin else if v > bmax then bmax else v
-  end
 
 (* {1 Trace context}
 
@@ -165,27 +101,28 @@ let blank_cell c =
 
    A window cell is one metric's aggregate over one virtual-time window:
    count (counter value / histogram count), sum/min/max, gauge last, and
-   the log-linear bucket table — allocated lazily, so counters and gauges
-   never pay for 513 slots. The ring holds the [ring_width] most recent
-   windows; advancing past a window renders its touched cells to the
-   domain's rollup buffer (one JSON line per metric) and recycles the
-   slot. Memory is therefore O(metrics × ring_width + rendered rows),
-   independent of run length only in the cell tables — the rendered rows
-   grow one line per touched metric per window, which at a 10-second
-   window is ~5 orders of magnitude lighter than a trace. *)
+   the {!Hdr} log-bucket table, whose slots are allocated on the first
+   sample, so counters and gauges never pay for them. The ring holds the
+   [ring_width] most recent windows; advancing past a window renders its
+   touched cells to the domain's rollup buffer (one JSON line per metric)
+   and recycles the slot. Memory is therefore O(metrics × ring_width +
+   rendered rows), independent of run length only in the cell tables —
+   the rendered rows grow one line per touched metric per window, which
+   at a 10-second window is ~5 orders of magnitude lighter than a
+   trace. *)
 
 type wcell = {
   mutable w_n : int;
   wf : float array; (* sum / min / max / last, unboxed *)
   mutable w_gauge : bool; (* gauge touched this window *)
-  mutable w_buckets : int array; (* [||] until the first histogram sample *)
+  w_hist : Hdr.t; (* histogram samples; empty for counters and gauges *)
 }
 
 let w_sum w = w.wf.(f_sum)
 let w_min w = w.wf.(f_min)
 let w_max w = w.wf.(f_max)
 let w_last w = w.wf.(f_last)
-let fresh_wcell () = { w_n = 0; wf = [| 0.0; infinity; neg_infinity; 0.0 |]; w_gauge = false; w_buckets = [||] }
+let fresh_wcell () = { w_n = 0; wf = [| 0.0; infinity; neg_infinity; 0.0 |]; w_gauge = false; w_hist = Hdr.create () }
 
 let blank_wcell w =
   w.w_n <- 0;
@@ -194,9 +131,9 @@ let blank_wcell w =
   w.wf.(f_max) <- neg_infinity;
   w.wf.(f_last) <- 0.0;
   w.w_gauge <- false;
-  if Array.length w.w_buckets > 0 then Array.fill w.w_buckets 0 n_buckets 0
+  Hdr.clear w.w_hist
 
-(* [i] is [bucket_index v], computed once by callers feeding the same
+(* [i] is [Hdr.index v], computed once by callers feeding the same
    sample to both the window and the cumulative cell. *)
 let wobserve_at w v i =
   w.w_n <- w.w_n + 1;
@@ -204,8 +141,7 @@ let wobserve_at w v i =
   wf.(f_sum) <- wf.(f_sum) +. v;
   if v < wf.(f_min) then wf.(f_min) <- v;
   if v > wf.(f_max) then wf.(f_max) <- v;
-  if Array.length w.w_buckets = 0 then w.w_buckets <- Array.make n_buckets 0;
-  w.w_buckets.(i) <- w.w_buckets.(i) + 1
+  Hdr.add_index w.w_hist i
 
 let ring_width = 4
 
@@ -417,9 +353,9 @@ let hist_fields ~with_quantiles (w : wcell) =
       ("max", fmt_float (w_max w));
     ]
   in
-  if not with_quantiles || Array.length w.w_buckets = 0 then base
+  if not with_quantiles || Hdr.count w.w_hist = 0 then base
   else
-    let q p = fmt_float (bucket_quantile ~n:w.w_n ~bmin:(w_min w) ~bmax:(w_max w) w.w_buckets p) in
+    let q p = fmt_float (Hdr.quantile w.w_hist ~min:(w_min w) ~max:(w_max w) p) in
     base @ [ ("p50", q 0.5); ("p90", q 0.9); ("p99", q 0.99); ("p999", q 0.999) ]
 
 let wcell_row b (h : handle) ~wid (w : wcell) =
@@ -678,7 +614,7 @@ let observe h v =
     if v > cf.(f_max) then cf.(f_max) <- v;
     if !metrics_enabled then begin
       let r = get_ru s in
-      let i = bucket_index v in
+      let i = Hdr.index v in
       wobserve_at (ru_slot_cell s r h) v i;
       wobserve_at (ru_cum_wcell r h) v i
     end
@@ -819,12 +755,7 @@ let absorb snap =
           dst.wf.(f_sum) <- dst.wf.(f_sum) +. w.wf.(f_sum);
           if w.wf.(f_min) < dst.wf.(f_min) then dst.wf.(f_min) <- w.wf.(f_min);
           if w.wf.(f_max) > dst.wf.(f_max) then dst.wf.(f_max) <- w.wf.(f_max);
-          if Array.length w.w_buckets > 0 then begin
-            if Array.length dst.w_buckets = 0 then dst.w_buckets <- Array.make n_buckets 0;
-            for i = 0 to n_buckets - 1 do
-              dst.w_buckets.(i) <- dst.w_buckets.(i) + w.w_buckets.(i)
-            done
-          end)
+          Hdr.merge_into ~into:dst.w_hist w.w_hist)
         snap.snap_cum
     end
   end
@@ -951,8 +882,7 @@ module Rollup = struct
         if h.h_id >= Array.length r.ru_cum then 0.0
         else
           let w = r.ru_cum.(h.h_id) in
-          if w.w_n = 0 then 0.0
-          else bucket_quantile ~n:w.w_n ~bmin:(w_min w) ~bmax:(w_max w) w.w_buckets q
+          Hdr.quantile w.w_hist ~min:(w_min w) ~max:(w_max w) q
 
   let count (h : handle) =
     let s = st () in

@@ -230,10 +230,11 @@ val histogram_mean : histogram -> float
     window [w = floor(t / window)] of a small ring; advancing past a
     window renders one compact JSON line per touched metric (counters
     gain a windowed rate, gauges a windowed last/max, histograms
-    count/sum/min/max plus p50/p90/p99/p999 from HDR-style log-linear
-    buckets — 8 sub-buckets per octave, ≤ ~6% relative error, O(1)
-    memory per histogram). Histograms additionally keep run-cumulative
-    buckets, so whole-run quantiles are available at any point
+    count/sum/min/max plus p50/p90/p99/p999 from a {!Splay_stats.Hdr}
+    log-bucket table — the one {!Splay_stats.Sink.sketch} uses, with the
+    same quantile rule, O(1) memory per histogram). Histograms
+    additionally keep a run-cumulative table, merged exactly across
+    trials, so whole-run quantiles are available at any point
     ({!Rollup.quantile}). Domain-local like the rest of the recording
     state and merged through {!capture}/{!absorb} in trial order, so
     multi-domain dumps are byte-identical to single-domain ones. *)
@@ -253,8 +254,9 @@ module Rollup : sig
 
   val quantile : histogram -> float -> float
   (** Run-cumulative q-quantile from the log-bucket table (0.0 when the
-      histogram has no samples or the metrics plane never ran). Within
-      ~6% relative error; exact min/max clamp the extremes. *)
+      histogram has no samples or the metrics plane never ran), by
+      {!Splay_stats.Hdr.quantile}: within one bucket of the true value,
+      exact at q = 0 and q = 1. *)
 
   val count : histogram -> int
   (** Samples in the run-cumulative bucket table. *)

@@ -314,12 +314,4 @@ let payload_of_value v =
       Reply { rid = Codec.to_int (Codec.member "rid" v); result }
   | k -> raise (Codec.Parse_error (Printf.sprintf "unknown rpc payload kind %S" k))
 
-(* Deprecated aliases for the pre-unification names. *)
-
-let a_call_opt env dst ?options proc args = a_call env dst ?options proc args
-
-let call_opt env dst ?options proc args = call env dst ?options proc args
-
-let ping_opt env ?options dst = ping env ?options dst
-
 let calls_issued env = env.Env.rpc_next_rid

@@ -99,20 +99,6 @@ val notify : Env.t -> Addr.t -> string -> Codec.value list -> unit
     a partition or a dead callee is silent. Use it where the protocol has
     its own redundancy (gossip, heartbeats). *)
 
-val a_call_opt :
-  Env.t -> Addr.t -> ?options:options -> string -> Codec.value list -> (Codec.value, error) result
-[@@ocaml.deprecated "use a_call (its ?options parameter subsumes this)"]
-(** @deprecated Alias of {!a_call}, kept so pre-unification examples still
-    build. *)
-
-val call_opt : Env.t -> Addr.t -> ?options:options -> string -> Codec.value list -> Codec.value
-[@@ocaml.deprecated "use call (its ?options parameter subsumes this)"]
-(** @deprecated Alias of {!call}. *)
-
-val ping_opt : Env.t -> ?options:options -> Addr.t -> bool
-[@@ocaml.deprecated "use ping (its ?options parameter subsumes this)"]
-(** @deprecated Alias of {!ping}. *)
-
 val calls_issued : Env.t -> int
 (** Number of outgoing calls this instance has made (monitoring). *)
 

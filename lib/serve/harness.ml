@@ -217,32 +217,21 @@ let run ?(mode = Seq) scenario ~seed ~rate =
   let windows, workers =
     match fab with
     | None ->
-        ignore (Engine.run (Option.get eng));
+        let eng = Option.get eng in
+        ignore (Engine.run eng);
+        Engine.check_crashed eng;
         (0, 1)
     | Some f ->
         let info = Fabric.run ~domains f in
+        for i = 0 to parts - 1 do
+          Engine.check_crashed (Fabric.engine f i)
+        done;
         (info.Par.windows, Dpool.effective (min domains parts))
   in
   let sum f = List.fold_left (fun a s -> a + f s) 0 stats in
-  let sumf f = List.fold_left (fun a s -> a +. f s) 0.0 stats in
-  let lat_n = sum (fun s -> Sink.count s.Load.lat) in
-  (* multi-partition quantiles: count-weighted mean of per-partition
-     sketch quantiles (same aggregation the metrics plane uses for
-     windowed histograms) *)
-  let q qq =
-    if lat_n = 0 then 0.0
-    else
-      sumf (fun s ->
-          if Sink.is_empty s.Load.lat then 0.0
-          else Float.of_int (Sink.count s.Load.lat) *. Sink.quantile s.Load.lat qq)
-      /. Float.of_int lat_n
-  in
-  let mean_lat =
-    if lat_n = 0 then 0.0
-    else
-      sumf (fun s -> Float.of_int (Sink.count s.Load.lat) *. Sink.mean s.Load.lat)
-      /. Float.of_int lat_n
-  in
+  (* one latency distribution: the partitions' sketches merge exactly *)
+  let lat = List.fold_left (fun acc s -> Sink.merge acc s.Load.lat) (Sink.sketch ()) stats in
+  let q qq = if Sink.is_empty lat then 0.0 else Sink.quantile lat qq in
   let served, server_shed, batched, origin, stale =
     match backend with
     | Bdht stores ->
@@ -270,7 +259,7 @@ let run ?(mode = Seq) scenario ~seed ~rate =
     p50 = q 0.5;
     p99 = q 0.99;
     p999 = q 0.999;
-    mean_lat;
+    mean_lat = Sink.mean lat;
     served;
     server_shed;
     batched;

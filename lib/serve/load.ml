@@ -18,7 +18,6 @@ type config = {
   inflight : int;
   diurnal_amplitude : float;
   diurnal_period : float;
-  sketch_capacity : int;
 }
 
 let default =
@@ -33,7 +32,6 @@ let default =
     inflight = 8;
     diurnal_amplitude = 0.15;
     diurnal_period = 60.0;
-    sketch_capacity = 4096;
   }
 
 type stats = {
@@ -81,7 +79,7 @@ let run config ~seed ~part ~parts ~gateways ~issue =
       misses = 0;
       shed = 0;
       failed = 0;
-      lat = Sink.sketch ~capacity:config.sketch_capacity ~seed:(seed + (31 * part)) ();
+      lat = Sink.sketch ();
       (* the WHOLE per-client state: one word of request count per virtual
          client. No fiber, no buffer, no timer per idle client — a million
          clients is a million-word array. *)

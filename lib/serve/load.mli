@@ -30,7 +30,6 @@ type config = {
   inflight : int; (** max concurrent requests per gateway *)
   diurnal_amplitude : float; (** arrival-wave amplitude (default 0.15) *)
   diurnal_period : float; (** seconds per arrival-wave cycle *)
-  sketch_capacity : int; (** latency-sketch reservoir slots *)
 }
 
 val default : config
@@ -42,14 +41,16 @@ type stats = {
   mutable shed : int; (** admission-control fast rejects observed *)
   mutable failed : int;
   lat : Splay_stats.Sink.t;
-      (** completion - intended arrival, bounded-memory sketch *)
+      (** completion - intended arrival, every sample counted in a
+          {!Splay_stats.Sink.sketch}, so partitions merge exactly *)
   client_requests : int array;
       (** requests issued per local virtual client — also the whole
           per-client state *)
   mutable setup_words : int;
       (** heap words allocated for generator state (client ledger, Zipf
-          table, sketch); divide by clients for the words-per-idle-client
-          figure the bench records *)
+          table; the sketch's table is allocated at the first sample);
+          divide by clients for the words-per-idle-client figure the
+          bench records *)
 }
 
 val completed : stats -> int

@@ -448,6 +448,12 @@ let on_exit p h = if p.state = Dead then h () else p.exit_hooks <- h :: p.exit_h
 
 let crashed t = t.crashed_list
 
+let check_crashed t =
+  match t.crashed_list with
+  | [] -> ()
+  | (p, e) :: _ ->
+      failwith (Printf.sprintf "process %s crashed: %s" (proc_name p) (Printexc.to_string e))
+
 (* [Fun.protect]-free current-process bracket: the restore cannot raise, so
    a plain re-raise is equivalent and allocates nothing. *)
 let with_current t p f =

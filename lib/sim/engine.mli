@@ -145,7 +145,12 @@ val on_exit : proc -> (unit -> unit) -> unit
 
 val crashed : t -> (proc * exn) list
 (** Processes that terminated with an unexpected exception, most recent
-    first. Experiments assert this is empty. *)
+    first. Experiments assert this is empty (see {!check_crashed}). *)
+
+val check_crashed : t -> unit
+(** Raise [Failure "process NAME crashed: EXN"] naming the most recent
+    crash, if any process crashed. Every harness calls this after a run:
+    an experiment with a dying process is not a result. *)
 
 (** {1 Blocking operations — valid only inside a process} *)
 

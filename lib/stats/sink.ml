@@ -1,36 +1,4 @@
-(* Private splitmix64 for reservoir replacement decisions. The stats
-   library sits below the simulator in the dependency order, so it cannot
-   use Splay_sim.Rng; this is the same generator, reduced to the one
-   operation the reservoir needs. *)
-module Sm64 = struct
-  type t = { mutable state : int64 }
-
-  let create seed = { state = Int64.of_int seed }
-
-  let next t =
-    let open Int64 in
-    t.state <- add t.state 0x9e3779b97f4a7c15L;
-    let z = t.state in
-    let z = mul (logxor z (shift_right_logical z 30)) 0xbf58476d1ce4e5b9L in
-    let z = mul (logxor z (shift_right_logical z 27)) 0x94d049bb133111ebL in
-    logxor z (shift_right_logical z 31)
-
-  (* Uniform in [0, n) by reducing 63 random bits; the modulo bias at
-     reservoir sizes (n well below 2^32) is negligible. *)
-  let int t n =
-    if n <= 0 then invalid_arg "Sink.Sm64.int";
-    Int64.to_int (Int64.rem (Int64.shift_right_logical (next t) 1) (Int64.of_int n))
-end
-
-type sketch = {
-  cap : int;
-  res : float array; (* reservoir; slots [0, filled) are valid *)
-  mutable filled : int;
-  mutable sk_sorted : bool; (* slots [0, filled) currently sorted? *)
-  moments : Summary.t;
-  rng : Sm64.t;
-  seed : int;
-}
+type sketch = { hdr : Hdr.t; moments : Summary.t }
 
 type backend = Exact of Dist.t | Sketch of sketch
 
@@ -38,43 +6,13 @@ type t = { backend : backend }
 
 let exact () = { backend = Exact (Dist.create ()) }
 
-let default_capacity = 1024
-
-let sketch ?(capacity = default_capacity) ~seed () =
-  if capacity < 2 then invalid_arg "Sink.sketch: capacity < 2";
-  {
-    backend =
-      Sketch
-        {
-          cap = capacity;
-          res = Array.make capacity 0.0;
-          filled = 0;
-          sk_sorted = true;
-          moments = Summary.create ();
-          rng = Sm64.create seed;
-          seed;
-        };
-  }
+let sketch () = { backend = Sketch { hdr = Hdr.create (); moments = Summary.create () } }
 
 let name t = match t.backend with Exact _ -> "exact" | Sketch _ -> "sketch"
 
 let sk_add s x =
   Summary.add s.moments x;
-  let n = Summary.count s.moments in
-  if s.filled < s.cap then begin
-    s.res.(s.filled) <- x;
-    s.filled <- s.filled + 1;
-    s.sk_sorted <- false
-  end
-  else begin
-    (* Algorithm R: the n-th sample replaces a random slot with
-       probability cap/n, keeping every prefix a uniform sample. *)
-    let j = Sm64.int s.rng n in
-    if j < s.cap then begin
-      s.res.(j) <- x;
-      s.sk_sorted <- false
-    end
-  end
+  Hdr.add s.hdr x
 
 let add t x =
   match t.backend with Exact d -> Dist.add d x | Sketch s -> sk_add s x
@@ -104,53 +42,17 @@ let max_value t =
       if Summary.count s.moments = 0 then invalid_arg "Sink.max_value: empty"
       else Summary.max_value s.moments
 
-let sk_sort s =
-  if not s.sk_sorted then begin
-    (* sort only the live prefix in place *)
-    let live = Array.sub s.res 0 s.filled in
-    Array.sort Float.compare live;
-    Array.blit live 0 s.res 0 s.filled;
-    s.sk_sorted <- true
-  end
-
-(* Reservoir quantile: interpolate order statistics of the sample, but pin
-   the extremes to the exact min/max the moments tracked — the reservoir
-   may well have evicted them, and a latency figure's p0/p100 should never
-   be approximate. *)
-let sk_quantile s q =
-  sk_sort s;
-  if q <= 0.0 then Summary.min_value s.moments
-  else if q >= 1.0 then Summary.max_value s.moments
-  else begin
-    let rank = q *. Float.of_int (s.filled - 1) in
-    let lo = int_of_float (Float.floor rank) in
-    let hi = int_of_float (Float.ceil rank) in
-    if lo = hi then s.res.(lo)
-    else begin
-      let frac = rank -. Float.of_int lo in
-      (s.res.(lo) *. (1.0 -. frac)) +. (s.res.(hi) *. frac)
-    end
-  end
-
 let quantile t q =
   if q < 0.0 || q > 1.0 then invalid_arg "Sink.quantile: q out of range";
   if is_empty t then invalid_arg "Sink.quantile: empty";
   match t.backend with
   | Exact d -> Dist.percentile d (q *. 100.0)
-  | Sketch s -> sk_quantile s q
+  | Sketch s ->
+      Hdr.quantile s.hdr ~min:(Summary.min_value s.moments) ~max:(Summary.max_value s.moments) q
 
 let percentile t p = quantile t (p /. 100.0)
 
 let percentiles t ps = List.map (percentile t) ps
-
-let sk_fraction_le s x =
-  sk_sort s;
-  let lo = ref 0 and hi = ref s.filled in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if s.res.(mid) <= x then lo := mid + 1 else hi := mid
-  done;
-  Float.of_int !lo /. Float.of_int (max 1 s.filled)
 
 let cdf_curve t ?(steps = 50) () =
   if is_empty t then []
@@ -164,64 +66,36 @@ let cdf_curve t ?(steps = 50) () =
         else
           List.init (steps + 1) (fun i ->
               let x = lo +. (span *. Float.of_int i /. Float.of_int steps) in
-              (x, sk_fraction_le s x))
+              (x, Hdr.fraction_le s.hdr ~min:lo ~max:hi x))
 
-(* Merging with a sketch on either side: moments merge exactly (Chan's
-   formula via Summary.merge); the merged reservoir draws each slot from
-   side A with probability count_a/(count_a + count_b), then uniformly
-   within that side's retained samples — each side is itself a uniform
-   sample of its stream, so the composition approximates a uniform sample
-   of the concatenation. Deterministic: the merged sketch's private
-   stream is seeded from both inputs' seeds. *)
-let retained t =
+(* An exact sink's samples absorbed into a fresh sketch. *)
+let as_sketch t =
   match t.backend with
-  | Exact d -> Dist.values d
-  | Sketch s ->
-      sk_sort s;
-      Array.sub s.res 0 s.filled
-
-let seed_of t = match t.backend with Exact _ -> 0 | Sketch s -> s.seed
-
-let cap_of t = match t.backend with Exact _ -> default_capacity | Sketch s -> s.cap
+  | Sketch s -> s
+  | Exact d ->
+      let s = { hdr = Hdr.create (); moments = Summary.create () } in
+      Array.iter (sk_add s) (Dist.values d);
+      s
 
 let merge a b =
   match (a.backend, b.backend) with
   | Exact da, Exact db -> { backend = Exact (Dist.merge da db) }
   | _ ->
-      let na = count a and nb = count b in
-      let cap = max (cap_of a) (cap_of b) in
-      let seed = (seed_of a * 0x1000193) lxor seed_of b lxor 0x5eed in
-      let rng = Sm64.create seed in
-      let ra = retained a and rb = retained b in
-      (* moments, min/max and count merge exactly whatever the backends *)
-      let summarize t' =
-        match t'.backend with
-        | Sketch s' -> s'.moments
-        | Exact d ->
-            let sm = Summary.create () in
-            Array.iter (Summary.add sm) (Dist.values d);
-            sm
-      in
-      let moments = Summary.merge (summarize a) (summarize b) in
-      let res = Array.make cap 0.0 in
-      let filled = ref 0 in
-      if Array.length ra > 0 || Array.length rb > 0 then begin
-        let slots = min cap (na + nb) in
-        for _ = 1 to slots do
-          let from_a =
-            Array.length rb = 0 || (Array.length ra > 0 && Sm64.int rng (na + nb) < na)
-          in
-          let src = if from_a then ra else rb in
-          res.(!filled) <- src.(Sm64.int rng (Array.length src));
-          incr filled
-        done
-      end;
-      {
-        backend =
-          Sketch { cap; res; filled = !filled; sk_sorted = false; moments; rng; seed };
-      }
+      let sa = as_sketch a and sb = as_sketch b in
+      let hdr = Hdr.create () in
+      Hdr.merge_into ~into:hdr sa.hdr;
+      Hdr.merge_into ~into:hdr sb.hdr;
+      { backend = Sketch { hdr; moments = Summary.merge sa.moments sb.moments } }
 
 let to_dist t =
   let d = Dist.create () in
-  Array.iter (Dist.add d) (retained t);
+  (match t.backend with
+  | Exact e -> Array.iter (Dist.add d) (Dist.values e)
+  | Sketch s ->
+      if Summary.count s.moments > 0 then
+        Hdr.iter s.hdr ~min:(Summary.min_value s.moments) ~max:(Summary.max_value s.moments)
+          (fun v c ->
+            for _ = 1 to c do
+              Dist.add d v
+            done));
   d

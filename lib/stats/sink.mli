@@ -7,32 +7,28 @@
 
     - {!exact} keeps every sample (a {!Dist} underneath). Quantiles are
       exact order statistics; memory grows linearly with the stream.
-    - {!sketch} keeps a bounded reservoir plus exact running moments
-      (Welford) and exact min/max. Memory is O(capacity) regardless of
-      stream length; quantiles are approximate with rank error on the
-      order of 1/sqrt(capacity).
+    - {!sketch} counts samples in the {!Hdr} log-bucket table, the same
+      one the metrics plane's histograms use, plus exact running moments
+      (Welford) and exact min/max. Memory is the fixed 513-slot table
+      regardless of stream length; a quantile lies in the same bucket as
+      the true one, so its error is at most one bucket width (1/8 of the
+      value at worst).
 
     The sketch is what lets a million-node run record per-operation
-    latency without holding a million floats per metric: at the default
-    capacity a sink costs ~1k words no matter how many samples pass
-    through it. [count], [mean], [stddev], [min_value] and [max_value]
-    are exact on both backends — only interior quantiles are
-    approximated by the sketch.
-
-    Sketch determinism: reservoir replacement draws from a private
-    splitmix64 stream derived from [seed], so the same stream into the
-    same-seeded sketch yields the same quantile answers — sketch-backed
-    figures are as reproducible as exact ones. *)
+    latency without holding a million floats per metric. [count],
+    [mean], [stddev], [min_value] and [max_value] are exact on both
+    backends — only interior quantiles are approximated by the sketch.
+    Sketches merge exactly and deterministically: the quantiles of
+    {!merge} are those of one sketch fed both streams. *)
 
 type t
 
 val exact : unit -> t
 (** Keep every sample; exact quantiles. *)
 
-val sketch : ?capacity:int -> seed:int -> unit -> t
-(** Bounded memory: a [capacity]-slot uniform reservoir (Vitter's
-    algorithm R, default capacity 1024) plus exact moments and min/max.
-    Raises [Invalid_argument] if [capacity < 2]. *)
+val sketch : unit -> t
+(** Bounded memory: a {!Hdr} bucket table plus exact moments and
+    min/max. *)
 
 val name : t -> string
 (** ["exact"] or ["sketch"] — for report labels. *)
@@ -40,7 +36,7 @@ val name : t -> string
 val add : t -> float -> unit
 
 val count : t -> int
-(** Number of samples offered (not retained) — exact on both backends. *)
+(** Number of samples added — exact on both backends. *)
 
 val is_empty : t -> bool
 
@@ -57,9 +53,9 @@ val max_value : t -> float
 
 val quantile : t -> float -> float
 (** [quantile t q] with [q] in [\[0,1\]]; linear interpolation between
-    order statistics (of all samples, or of the reservoir). [q = 0] and
-    [q = 1] return the exact min/max on both backends. Raises
-    [Invalid_argument] if empty or [q] out of range. *)
+    order statistics (exact), or by rank inside a bucket ({!Hdr.quantile},
+    sketch). [q = 0] and [q = 1] return the exact min/max on both
+    backends. Raises [Invalid_argument] if empty or [q] out of range. *)
 
 val percentile : t -> float -> float
 (** [percentile t p] = [quantile t (p /. 100.)]. *)
@@ -73,10 +69,12 @@ val cdf_curve : t -> ?steps:int -> unit -> (float * float) list
 val merge : t -> t -> t
 (** A new sink summarizing both streams. Moments, min/max and count
     merge exactly on every backend combination; exact+exact keeps every
-    sample, any combination involving a sketch yields a sketch whose
-    reservoir subsamples each side proportionally to its stream length. *)
+    sample, and any combination involving a sketch yields a sketch whose
+    bucket counts are the sum of both sides' (an exact side's samples are
+    bucketed first). *)
 
 val to_dist : t -> Dist.t
-(** The retained samples as a {!Dist} — every sample for an exact sink,
-    the reservoir for a sketch — for handing to histogram/PDF helpers
-    that need raw data. *)
+(** The samples as a {!Dist}, for handing to histogram/PDF helpers that
+    need raw data: every sample for an exact sink, each sample's bucket
+    midpoint for a sketch ({!Hdr.iter}). Either way
+    [Dist.count (to_dist t) = count t]. *)

@@ -25,10 +25,7 @@ let with_platform ?(hosts = 10) ?(seed = 31) ?(until = 36000.0) f =
              ignore (Engine.schedule eng ~delay:0.0 (fun () -> Env.stop (Controller.env ctl))))
            (fun () -> f eng net ctl)));
   ignore (Engine.run ~until eng);
-  match Engine.crashed eng with
-  | [] -> ()
-  | (p, e) :: _ ->
-      Alcotest.failf "process %s crashed: %s" (Engine.proc_name p) (Printexc.to_string e)
+  Engine.check_crashed eng
 
 (* The node with the smallest id >= key (cyclically) among [ids] — ground
    truth for "who is responsible for key". *)
@@ -898,10 +895,7 @@ let test_vivaldi_predicts_rtts () =
                (Printf.sprintf "median relative error %.0f%% below 40%%" (100.0 *. median))
                true (median < 0.40))));
   ignore (Engine.run ~until:100_000.0 eng);
-  match Engine.crashed eng with
-  | [] -> ()
-  | (p, e) :: _ ->
-      Alcotest.failf "process %s crashed: %s" (Engine.proc_name p) (Printexc.to_string e)
+  Engine.check_crashed eng
 
 
 (* {2 DHT storage (replicated key-value on Pastry)} *)

@@ -174,10 +174,7 @@ let with_platform ?(hosts = 10) f =
              ignore (Engine.schedule eng ~delay:0.0 (fun () -> Env.stop (Controller.env ctl))))
            (fun () -> f eng net ctl)));
   ignore (Engine.run ~until:36000.0 eng);
-  match Engine.crashed eng with
-  | [] -> ()
-  | (p, e) :: _ ->
-      Alcotest.failf "process %s crashed: %s" (Engine.proc_name p) (Printexc.to_string e)
+  Engine.check_crashed eng
 
 let noop_app (_ : Env.t) = ()
 

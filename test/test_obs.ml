@@ -50,10 +50,7 @@ let run_chord_deployment ~seed =
              Env.sleep 40.0;
              Controller.undeploy dep)));
   let stats = Engine.run ~until:10_000.0 eng in
-  (match Engine.crashed eng with
-  | [] -> ()
-  | (p, e) :: _ ->
-      Alcotest.failf "process %s crashed: %s" (Engine.proc_name p) (Printexc.to_string e));
+  Engine.check_crashed eng;
   stats
 
 (* {2 Determinism} *)
@@ -198,9 +195,26 @@ let test_rollup_quantile_accuracy () =
       check_q 0.99 9.9;
       check_q 0.999 9.99;
       check_q 0.0 0.001;
-      (* the top bucket's midpoint overshoots the observed range, so the
-         exact max clamps it: q1 is exact *)
+      (* the exact max clamps the top bucket: q1 is exact *)
       Alcotest.(check (float 1e-9)) "q1 is the exact max" 10.0 (Obs.Rollup.quantile h 1.0))
+
+(* One histogram: the metrics plane and Sink.sketch share the bucket table
+   and its quantile rule, so the same stream reads the same everywhere. *)
+let test_rollup_matches_sink_sketch () =
+  with_metrics (fun () ->
+      let h = Obs.histogram "test.ru.sink" in
+      let k = Splay_stats.Sink.sketch () in
+      for i = 1 to 5_000 do
+        let v = Float.of_int ((i * 7919) mod 4001) /. 997.0 in
+        Obs.observe h v;
+        Splay_stats.Sink.add k v
+      done;
+      List.iter
+        (fun q ->
+          Alcotest.(check (float 0.0))
+            (Printf.sprintf "q=%g" q)
+            (Splay_stats.Sink.quantile k q) (Obs.Rollup.quantile h q))
+        [ 0.5; 0.9; 0.99; 0.999 ])
 
 let test_rollup_zero_bucket () =
   with_metrics (fun () ->
@@ -662,10 +676,7 @@ let with_ctl_platform f =
              ignore (Engine.schedule eng ~delay:0.0 (fun () -> Env.stop (Controller.env ctl))))
            (fun () -> f ctl)));
   ignore (Engine.run ~until:1000.0 eng);
-  match Engine.crashed eng with
-  | [] -> ()
-  | (p, e) :: _ ->
-      Alcotest.failf "process %s crashed: %s" (Engine.proc_name p) (Printexc.to_string e)
+  Engine.check_crashed eng
 
 (* {2 Controller log collection} *)
 
@@ -751,6 +762,7 @@ let () =
       ( "rollup",
         [
           Alcotest.test_case "quantile accuracy" `Quick test_rollup_quantile_accuracy;
+          Alcotest.test_case "same quantiles as Sink.sketch" `Quick test_rollup_matches_sink_sketch;
           Alcotest.test_case "zero bucket" `Quick test_rollup_zero_bucket;
           Alcotest.test_case "capture merge" `Quick test_rollup_capture_merge;
           Alcotest.test_case "window rotation" `Quick test_rollup_window_rotation;

@@ -485,6 +485,17 @@ let test_proc_crash_recorded () =
   | [ (_, Failure m) ] -> Alcotest.(check string) "msg" "boom" m
   | _ -> Alcotest.fail "expected one crash"
 
+let test_check_crashed () =
+  let e = Engine.create () in
+  ignore (Engine.spawn e ~name:"quiet" (fun () -> Engine.sleep 1.0));
+  ignore (Engine.run e);
+  Engine.check_crashed e;
+  ignore (Engine.spawn e ~name:"doomed" (fun () -> failwith "boom"));
+  ignore (Engine.run e);
+  Alcotest.check_raises "names the fiber and its exception"
+    (Failure "process doomed crashed: Failure(\"boom\")")
+    (fun () -> Engine.check_crashed e)
+
 let test_suspend_resolve_once () =
   let e = Engine.create () in
   let resolver = ref None in
@@ -719,6 +730,7 @@ let () =
           Alcotest.test_case "self kill" `Quick test_proc_self_kill;
           Alcotest.test_case "exit hooks order" `Quick test_proc_exit_hooks_order;
           Alcotest.test_case "crash recorded" `Quick test_proc_crash_recorded;
+          Alcotest.test_case "check crashed" `Quick test_check_crashed;
           Alcotest.test_case "resolve once" `Quick test_suspend_resolve_once;
           Alcotest.test_case "suspend error" `Quick test_suspend_error;
           Alcotest.test_case "determinism" `Quick test_determinism;
