@@ -40,10 +40,6 @@ let bench_macro_out = ref "BENCH_macro.json"
    (--bench-scale-out=PATH); same smoke-test redirection story. *)
 let bench_scale_out = ref "BENCH_scale.json"
 
-(* Where the parallel-engine section writes its sequential-vs-parallel
-   pair (--bench-par-out=PATH); same smoke-test redirection story. *)
-let bench_par_out = ref "BENCH_par.json"
-
 (* Where the open-loop serving section writes its offered-load sweep
    (--bench-serve-out=PATH); same smoke-test redirection story. *)
 let bench_serve_out = ref "BENCH_serve.json"

@@ -31,7 +31,6 @@ let experiments : (string * string * (unit -> unit)) list =
     ("micro", "Micro    framework hot paths (Bechamel)", Micro.run);
     ("macro", "Macro    message-plane workloads (Chord, epidemic, RPC)", Macro.run);
     ("scale", "Scale    single-run node-count curve (epidemic flood, Chord lookups)", Scale.run);
-    ("par", "Par      parallel single-run engine vs sequential (100k epidemic)", Par_bench.run);
     ("serve", "Serve    open-loop serving fast path (offered-load sweep, Dht/Web)", Serve.run);
   ]
 
@@ -59,56 +58,45 @@ let () =
     else None
   in
   (* --jobs N / --jobs=N: trial fan-out width for the experiments;
-     --bench-out=PATH / --bench-macro-out=PATH: where micro and macro
-     write their machine-readable baselines. A bare or empty output flag
+     --domains N / --domains=N: partitions of the parallel single runs;
+     --bench-out=PATH and the other output flags: where each section
+     writes its machine-readable baseline. A bare or empty output flag
      is an error — silently falling through to the committed default path
      would overwrite the baseline the caller meant to redirect. *)
-  let out_path ~flag v =
+  let out_path flag v =
     match v with
     | "" ->
         Printf.eprintf "%s expects a path (%s=PATH)\n" flag flag;
         exit 2
     | path -> path
   in
+  let int_flags = [ ("--jobs", Common.jobs); ("--domains", Common.domains) ] in
+  let out_flags =
+    [
+      ("--bench-out", Common.bench_out);
+      ("--bench-macro-out", Common.bench_macro_out);
+      ("--bench-scale-out", Common.bench_scale_out);
+      ("--bench-serve-out", Common.bench_serve_out);
+    ]
+  in
   let rec scan_flags = function
     | [] -> ()
-    | [ "--jobs" ] -> ignore (jobs_of_string "--jobs" "" : int)
-    | "--jobs" :: n :: rest ->
-        Common.jobs := jobs_of_string "--jobs" n;
+    | [ flag ] when List.mem_assoc flag int_flags -> ignore (jobs_of_string flag "" : int)
+    | flag :: n :: rest when List.mem_assoc flag int_flags ->
+        List.assoc flag int_flags := jobs_of_string flag n;
         scan_flags rest
-    | [ "--domains" ] -> ignore (jobs_of_string "--domains" "" : int)
-    | "--domains" :: n :: rest ->
-        Common.domains := jobs_of_string "--domains" n;
-        scan_flags rest
-    | ( "--bench-out" | "--bench-macro-out" | "--bench-scale-out" | "--bench-par-out"
-      | "--bench-serve-out" )
-      :: _ ->
-        Printf.eprintf
-          "output flags take inline values: --bench-out=PATH / --bench-macro-out=PATH / --bench-scale-out=PATH / --bench-par-out=PATH / --bench-serve-out=PATH\n";
+    | flag :: _ when List.mem_assoc flag out_flags ->
+        Printf.eprintf "output flags take inline values: %s\n"
+          (String.concat " / " (List.map (fun (f, _) -> f ^ "=PATH") out_flags));
         exit 2
     | a :: rest ->
-        (match value_of ~pfx:"--jobs=" a with
-        | Some v -> Common.jobs := jobs_of_string "--jobs" v
-        | None -> (
-            match value_of ~pfx:"--domains=" a with
-            | Some v -> Common.domains := jobs_of_string "--domains" v
-            | None -> (
-                match value_of ~pfx:"--bench-out=" a with
-                | Some v -> Common.bench_out := out_path ~flag:"--bench-out" v
-                | None -> (
-                    match value_of ~pfx:"--bench-macro-out=" a with
-                    | Some v -> Common.bench_macro_out := out_path ~flag:"--bench-macro-out" v
-                    | None -> (
-                        match value_of ~pfx:"--bench-scale-out=" a with
-                        | Some v -> Common.bench_scale_out := out_path ~flag:"--bench-scale-out" v
-                        | None -> (
-                            match value_of ~pfx:"--bench-par-out=" a with
-                            | Some v -> Common.bench_par_out := out_path ~flag:"--bench-par-out" v
-                            | None -> (
-                                match value_of ~pfx:"--bench-serve-out=" a with
-                                | Some v ->
-                                    Common.bench_serve_out := out_path ~flag:"--bench-serve-out" v
-                                | None -> ())))))));
+        let inline flags parse =
+          List.iter
+            (fun (flag, r) -> Option.iter (fun v -> r := parse flag v) (value_of ~pfx:(flag ^ "=") a))
+            flags
+        in
+        inline int_flags jobs_of_string;
+        inline out_flags out_path;
         scan_flags rest
   in
   scan_flags args;

@@ -296,7 +296,20 @@ let print_rows rows =
 
 let run () =
   Report.section "Scale — single-run node-count curve (one core)";
-  let ep_sizes = Common.pick ~quick:[ 1_000; 10_000 ] ~full:[ 1_000; 10_000; 100_000; 1_000_000 ] in
+  let min_row (a : row) b = if b.seconds < a.seconds then b else a in
+  (* The speedup floor's pair at every scale: the 100k flood sequential
+     and over --domains partitions, best-of-2 wall clocks (the runs are
+     deterministic). The par row's speedup_x sits beside workers and
+     cores: the floor is gated only where >= 2 workers were granted. *)
+  let pair_n = 100_000 and domains = !Common.domains in
+  let seq () = epidemic_run ~n:pair_n ~seed:11 ()
+  and par () = epidemic_par_run ~domains ~parts:domains ~n:pair_n ~seed:11 () in
+  let seq_pair = min_row (seq ()) (seq ()) in
+  let par_pair =
+    let r = min_row (par ()) (par ()) in
+    { r with extras = r.extras @ [ ("speedup_x", ops_per_sec r /. ops_per_sec seq_pair) ] }
+  in
+  let ep_sizes = Common.pick ~quick:[ 1_000; 10_000 ] ~full:[ 1_000; 10_000; 1_000_000 ] in
   let ch_sizes = Common.pick ~quick:[ 1_000; 10_000 ] ~full:[ 1_000; 10_000; 100_000 ] in
   (* metrics-plane twins: 10k everywhere (the guarded smoke size), plus
      the full-scale flagships so the committed baseline records the
@@ -308,7 +321,6 @@ let run () =
      slot from landing the penalty on either side of the ratio. *)
   let ep_obs_sizes = Common.pick ~quick:[ 10_000 ] ~full:[ 10_000; 1_000_000 ] in
   let ch_obs_sizes = Common.pick ~quick:[ 10_000 ] ~full:[ 10_000; 100_000 ] in
-  let min_row (a : row) b = if b.seconds < a.seconds then b else a in
   let paired ~repeats plain obs =
     let rec go i (bp, bo) =
       if i >= repeats then [ bp; bo ] else go (i + 1) (min_row bp (plain ()), min_row bo (obs ()))
@@ -326,12 +338,9 @@ let run () =
             (fun () -> epidemic_run ~obs:true ~n ~seed:11 ())
         else [ plain () ])
       ep_sizes
-    @ (* parallel-engine twins of the epidemic rows: same workload, same
-         seed, one deployment over [domains] partitions *)
-    List.map
-      (fun n ->
-        epidemic_par_run ~domains:!Common.domains ~parts:!Common.domains ~n ~seed:11 ())
-      (Common.pick ~quick:[ 10_000 ] ~full:[ 10_000; 100_000 ])
+    @ (* the speedup pair, and the parallel-engine twin of the 10k row:
+         same workload, same seed, one deployment over [domains] partitions *)
+    [ seq_pair; epidemic_par_run ~domains ~parts:domains ~n:10_000 ~seed:11 (); par_pair ]
     @ List.concat_map
         (fun n ->
           let lookups = min 2_000 (n * 2) in

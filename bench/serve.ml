@@ -95,10 +95,7 @@ let scenario ~target ~nodes ~clients ~duration =
     H.default with
     H.nodes;
     target;
-    gateways = 64;
-    serve_cost = 0.002;
-    load =
-      { L.default with L.clients; keys = 1_000; duration; inflight = 64 };
+    load = { L.default with L.clients; duration };
   }
 
 let rate_tag rate = Printf.sprintf "r%.0f" rate

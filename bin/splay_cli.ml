@@ -616,7 +616,7 @@ let serve_term =
   let nodes = Arg.(value & opt int 1_000 & info [ "n"; "nodes" ] ~docv:"N" ~doc:"Overlay size.") in
   let gateways =
     Arg.(
-      value & opt int 32
+      value & opt int Serve_h.default.Serve_h.gateways
       & info [ "gateways" ] ~docv:"N" ~doc:"Nodes accepting client requests.")
   in
   let serve_cost =
@@ -725,8 +725,9 @@ let live_deploy app nodes daemons lookups m descriptor_file out_dir duration dea
     desc.Descriptor.nb_splayd app daemons out_dir;
   let o = Live.Ctl.run cfg in
   let sel = o.Live.Ctl.r_select in
-  Printf.printf "select: need %d instances; %d daemons alive, %d dead\n" sel.Live.Ctl.sel_need
-    sel.Live.Ctl.sel_alive sel.Live.Ctl.sel_dead;
+  Printf.printf "select: need %d instances; %d daemons alive, %d dead; sent %s\n"
+    desc.Descriptor.nb_splayd sel.Deploy.sel_alive sel.Deploy.sel_dead
+    (String.concat ", " (List.map (fun (v, n) -> Printf.sprintf "%d %s" n v) o.Live.Ctl.r_sent));
   Printf.printf "collected: %d log records, %d contract reports\n" o.Live.Ctl.r_log_records
     (List.length o.Live.Ctl.r_reports);
   (match o.Live.Ctl.r_trace_file with

@@ -143,8 +143,6 @@ let shrink_candidates t =
 
 (* {2 Application} *)
 
-let rec take n = function [] -> [] | x :: tl -> if n <= 0 then [] else x :: take (n - 1) tl
-
 let run ~rng ~dep t =
   let ctl = Controller.deployment_ctl dep in
   let net = Controller.net ctl in
@@ -171,7 +169,7 @@ let run ~rng ~dep t =
                 (Rng.sample rng count (live_addrs ())))
       | Restart { at; count } ->
           add at (fun () ->
-              let back = take count !stopped in
+              let back = Misc.take count !stopped in
               stopped := List.filter (fun a -> not (List.mem a back)) !stopped;
               List.iter (Controller.restart_node dep) back)
       | Join { at; count } ->

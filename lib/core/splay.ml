@@ -69,6 +69,7 @@ module Locks = Splay_runtime.Locks
 (* Controller side *)
 module Descriptor = Splay_ctl.Descriptor
 module Daemon = Splay_ctl.Daemon
+module Deploy = Splay_ctl.Deploy
 module Controller = Splay_ctl.Controller
 
 (* Churn management *)

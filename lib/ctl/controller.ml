@@ -1,38 +1,25 @@
 module Engine = Splay_sim.Engine
 module Rng = Splay_sim.Rng
-module Ivar = Splay_sim.Ivar
 module Env = Splay_runtime.Env
 module Rpc = Splay_runtime.Rpc
 module Codec = Splay_runtime.Codec
 module Log = Splay_runtime.Log
 module Obs = Splay_obs.Obs
 
-(* Observability sites for the REGISTER / LIST / START / FREE machinery. *)
+(* Observability sites of the daemon database; the REGISTER / LIST / START
+   / FREE conversation itself lives in [Deploy]. *)
 let c_heartbeats = Obs.counter "ctl.heartbeats"
-let c_registers = Obs.counter "ctl.registers_sent"
-let c_register_acks = Obs.counter "ctl.register_acks"
 let c_blacklist = Obs.counter "ctl.blacklist_pushes"
 let h_heartbeat_age = Obs.histogram "ctl.heartbeat_age"
 
 type drec = { dr_daemon : Daemon.t; mutable dr_last_seen : float }
-
-type log_record = {
-  lr_time : float;
-  lr_node : string;
-  lr_level : Log.level;
-  lr_msg : string;
-}
 
 type job = {
   j_id : int;
   j_desc : Descriptor.t;
   mutable j_members : (Daemon.t * Addr.t * int) list; (* newest first *)
   mutable j_next_position : int;
-  mutable j_log_lines : int;
-  mutable j_log_bytes : int;
-  j_log : log_record Queue.t; (* arrival order = deterministic delivery order *)
-  j_log_cap : int;
-  mutable j_log_dropped : int;
+  j_log : Deploy.logs;
 }
 
 type t = {
@@ -118,86 +105,14 @@ let heartbeat_age t d =
 
 (* {1 Selection} *)
 
-type criterion =
-  | Min_bandwidth of float
-  | Near of (float * float) * float
-  | On_testbed of Testbed.kind
-  | Custom of (Testbed.host -> bool)
-
-let matches tb crit d =
-  let h = Testbed.host tb (Daemon.host d) in
-  match crit with
-  | Min_bandwidth bw -> h.Testbed.bw_up >= bw
-  | Near ((x, y), dmax) ->
-      let cx, cy = h.Testbed.coord in
-      let dx = cx -. x and dy = cy -. y in
-      sqrt ((dx *. dx) +. (dy *. dy)) <= dmax
-  | On_testbed k -> h.Testbed.kind = k
-  | Custom f -> f h
-
-let criterion_label = function
-  | Min_bandwidth _ -> "min_bandwidth"
-  | Near _ -> "near"
-  | On_testbed _ -> "on_testbed"
-  | Custom _ -> "custom"
-
-type selection_report = {
-  sel_alive : int;
-  sel_dead : int;
-  sel_matched : int;
-  sel_rejected : (string * int) list;
-}
-
-(* A daemon is charged to the *first* criterion that rejects it, in the
-   order the caller listed them — "12 hosts failed min_bandwidth" is the
-   diagnosis the deployer needs when a job comes up short. *)
-let select_report t ?(criteria = []) n =
+let select_report t ?criteria n =
   let tb = Net.testbed t.c_net in
-  let rejected = List.map (fun c -> (criterion_label c, ref 0)) criteria in
-  let dead = ref 0 in
-  let all = List.rev t.c_daemons in
-  let pool =
-    List.filter_map
-      (fun dr ->
-        if not (daemon_alive t dr) then begin
-          incr dead;
-          None
-        end
-        else
-          let d = dr.dr_daemon in
-          let rec check crits counts =
-            match (crits, counts) with
-            | [], _ -> Some d
-            | c :: crits', (_, r) :: counts' ->
-                if matches tb c d then check crits' counts'
-                else begin
-                  incr r;
-                  None
-                end
-            | _ :: _, [] -> assert false
-          in
-          check criteria rejected)
-      all
+  let chosen, report =
+    Deploy.select t.c_rng ?criteria ~alive:(daemon_alive t)
+      ~host:(fun dr -> Testbed.host tb (Daemon.host dr.dr_daemon))
+      (List.rev t.c_daemons) n
   in
-  let report =
-    {
-      sel_alive = List.length all - !dead;
-      sel_dead = !dead;
-      sel_matched = List.length pool;
-      sel_rejected = List.map (fun (l, r) -> (l, !r)) rejected;
-    }
-  in
-  let chosen =
-    match pool with
-    | [] -> []
-    | _ ->
-        let arr = Array.of_list pool in
-        Rng.shuffle t.c_rng arr;
-        List.init n (fun i -> arr.(i mod Array.length arr))
-  in
-  (chosen, report)
-
-let select t ?criteria n = fst (select_report t ?criteria n)
+  (List.map (fun dr -> dr.dr_daemon) chosen, report)
 
 (* {1 Probing} *)
 
@@ -223,26 +138,8 @@ let new_job t ~log_cap ~log_level name main desc =
       j_desc = desc;
       j_members = [];
       j_next_position = 1;
-      j_log_lines = 0;
-      j_log_bytes = 0;
-      j_log = Queue.create ();
-      j_log_cap = log_cap;
-      j_log_dropped = 0;
+      j_log = Deploy.logs ~cap:log_cap;
     }
-  in
-  (* Per-job collector: every instance of the job forwards its records
-     here. Bounded — the paper's log service caps per-job storage; beyond
-     the cap we keep counting (lines/bytes) but drop the text. *)
-  let sink =
-    Log.Forward
-      (fun ~time ~level ~node msg ->
-        job.j_log_lines <- job.j_log_lines + 1;
-        job.j_log_bytes <- job.j_log_bytes + String.length msg;
-        if Queue.length job.j_log < job.j_log_cap then
-          Queue.add
-            { lr_time = time; lr_node = node; lr_level = level; lr_msg = msg }
-            job.j_log
-        else job.j_log_dropped <- job.j_log_dropped + 1)
   in
   Hashtbl.replace t.c_jobs id job;
   Hashtbl.replace t.c_specs id
@@ -250,7 +147,8 @@ let new_job t ~log_cap ~log_level name main desc =
       Daemon.js_name = name;
       js_main = main;
       js_limits = desc.Descriptor.limits;
-      js_log_sink = sink;
+      (* every instance of the job forwards its records to the collector *)
+      js_log_sink = Deploy.log_sink job.j_log;
       js_log_level = log_level;
       js_loss = desc.Descriptor.loss;
     };
@@ -262,147 +160,41 @@ let new_job t ~log_cap ~log_level name main desc =
    the same superset ratio (Fig. 12). *)
 let dispatch_interval = 0.002
 
-(* Register a batch of candidate slots in parallel; return the first [need]
-   acknowledgements (in arrival order) and FREE the stragglers. *)
-let register_round t job ~timeout candidates ~need =
-  Obs.add c_registers (List.length candidates);
-  let winners = ref [] and n_winners = ref 0 in
-  let remaining = ref (List.length candidates) in
-  let done_iv = Ivar.create () in
-  List.iter
-    (fun d ->
-      ignore
-        (Env.thread t.c_env (fun () ->
-             let res =
-               Rpc.a_call t.c_env (Daemon.addr d) ~timeout Daemon.proc_register
-                 [ Codec.Int job.j_id ]
-             in
-             (match res with
-             | Ok port_v ->
-                 Obs.incr c_register_acks;
-                 let a = Addr.make (Daemon.host d) (Codec.to_int port_v) in
-                 if !n_winners < need then begin
-                   winners := (d, a) :: !winners;
-                   incr n_winners
-                 end
-                 else
-                   (* supernumerary: free it, asynchronously *)
-                   ignore
-                     (Env.thread t.c_env (fun () ->
-                          ignore
-                            (Rpc.a_call t.c_env (Daemon.addr d) ~timeout:30.0 Daemon.proc_free
-                               [ Codec.Int a.Addr.port ])))
-             | Error _ -> ());
-             decr remaining;
-             if !n_winners >= need || !remaining = 0 then Ivar.try_fill done_iv () |> ignore));
-      Engine.sleep dispatch_interval)
-    candidates;
-  if candidates <> [] then Ivar.read done_iv;
-  List.rev !winners
+let spawn t f = ignore (Env.thread t.c_env f)
 
-let bootstrap_nodes t desc ~all_members ~for_position:_ =
-  match desc.Descriptor.bootstrap with
-  | Descriptor.Head k -> Misc.take k all_members
-  | Descriptor.All -> all_members
-  | Descriptor.Random_subset k -> Rng.sample t.c_rng k all_members
+(* The simulated backend of the deploy conversation: the daemons' RPC
+   procedures over the modelled network, processes on the controller's
+   env. *)
+let transport ?(register_timeout = 10.0) t job =
+  let call d ~timeout proc args = Rpc.a_call t.c_env (Daemon.addr d) ~timeout proc args in
+  {
+    Deploy.spawn = spawn t;
+    pace = (fun () -> Engine.sleep dispatch_interval);
+    register =
+      (fun d ->
+        match call d ~timeout:register_timeout Daemon.proc_register [ Codec.Int job.j_id ] with
+        | Ok port_v -> Some (Addr.make (Daemon.host d) (Codec.to_int port_v))
+        | Error _ -> None);
+    start =
+      (fun d a ~position ~nodes ->
+        let port = Codec.Int a.Addr.port in
+        Result.is_ok
+          (call d ~timeout:30.0 Daemon.proc_list [ port; Codec.Int position; Wire.addrs_to_value nodes ])
+        && Result.is_ok (call d ~timeout:30.0 Daemon.proc_start [ Codec.Int job.j_id; port ]));
+    free =
+      (fun d a -> ignore (call d ~timeout:30.0 Daemon.proc_free [ Codec.Int a.Addr.port ]));
+  }
 
-(* Push LIST then START to one member; true on success. *)
-let start_member t job ~position ~nodes (d, a) =
-  let ok_list =
-    Rpc.a_call t.c_env (Daemon.addr d) ~timeout:30.0 Daemon.proc_list
-      [ Codec.Int a.Addr.port; Codec.Int position; Wire.addrs_to_value nodes ]
-  in
-  match ok_list with
-  | Error _ -> false
-  | Ok _ -> (
-      match
-        Rpc.a_call t.c_env (Daemon.addr d) ~timeout:30.0 Daemon.proc_start
-          [ Codec.Int job.j_id; Codec.Int a.Addr.port ]
-      with
-      | Ok _ -> true
-      | Error _ -> false)
-
-let parallel_all ?(paced = false) t thunks =
-  let remaining = ref (List.length thunks) in
-  let done_iv = Ivar.create () in
-  List.iter
-    (fun f ->
-      ignore
-        (Env.thread t.c_env (fun () ->
-             f ();
-             decr remaining;
-             if !remaining = 0 then Ivar.try_fill done_iv () |> ignore));
-      if paced then Engine.sleep dispatch_interval)
-    thunks;
-  if thunks <> [] then Ivar.read done_iv
-
-let deploy t ?(superset = 1.25) ?(register_timeout = 10.0) ?(criteria = [])
-    ?(log_cap = 100_000) ?(log_level = Log.Info) ~name ~main desc =
+let deploy t ?superset ?register_timeout ?(criteria = []) ?(log_cap = 100_000)
+    ?(log_level = Log.Info) ~name ~main desc =
   let job = new_job t ~log_cap ~log_level name main desc in
-  let need = desc.Descriptor.nb_splayd in
-  let sp_deploy =
-    if !Obs.enabled then
-      Obs.span
-        ~attrs:[ ("job", string_of_int job.j_id); ("name", name); ("need", string_of_int need) ]
-        "ctl.deploy"
-    else Obs.null_span
-  in
-  (* the initial superset, then up to two refill rounds for shortfalls *)
-  let rec gather acc round =
-    let missing = need - List.length acc in
-    if missing <= 0 || round > 3 then acc
-    else begin
-      let factor = if round = 1 then superset else superset +. 0.25 in
-      let want = int_of_float (Float.ceil (Float.of_int missing *. factor)) in
-      let cands, sel = select_report t ~criteria want in
-      if List.length cands < want && !Obs.enabled then
-        Obs.event
-          ~attrs:
-            (( "round", string_of_int round )
-             :: ("want", string_of_int want)
-             :: ("matched", string_of_int sel.sel_matched)
-             :: ("dead", string_of_int sel.sel_dead)
-             :: List.map (fun (l, n) -> ("rejected_" ^ l, string_of_int n)) sel.sel_rejected)
-          "ctl.select_short";
-      let sp_round =
-        if !Obs.enabled then
-          Obs.span
-            ~attrs:[ ("round", string_of_int round); ("candidates", string_of_int (List.length cands)) ]
-            "ctl.register_round"
-        else Obs.null_span
-      in
-      let won = register_round t job ~timeout:register_timeout cands ~need:missing in
-      if !Obs.enabled then
-        Obs.finish ~attrs:[ ("won", string_of_int (List.length won)) ] sp_round;
-      gather (acc @ won) (round + 1)
-    end
-  in
-  let winners = gather [] 1 in
-  let all_addrs = List.map snd winners in
-  let members =
-    List.mapi
-      (fun i (d, a) ->
-        let position = i + 1 in
-        (d, a, position))
-      winners
+  let members, _ =
+    Deploy.deploy
+      (transport ?register_timeout t job)
+      t.c_rng ~select:(select_report t ~criteria) ?superset ~job:job.j_id ~name desc
   in
   job.j_next_position <- List.length members + 1;
-  let sp_start =
-    if !Obs.enabled then
-      Obs.span ~attrs:[ ("members", string_of_int (List.length members)) ] "ctl.start_phase"
-    else Obs.null_span
-  in
-  parallel_all ~paced:true t
-    (List.map
-       (fun (d, a, position) ->
-         fun () ->
-          let nodes = bootstrap_nodes t desc ~all_members:all_addrs ~for_position:position in
-          ignore (start_member t job ~position ~nodes (d, a)))
-       members);
-  Obs.finish sp_start;
   job.j_members <- List.rev members;
-  if !Obs.enabled then
-    Obs.finish ~attrs:[ ("members", string_of_int (List.length members)) ] sp_deploy;
   { dep_ctl = t; dep_job = job }
 
 let deployment_job dep = dep.dep_job
@@ -482,7 +274,6 @@ let job_status ?(top = 3) dep =
       (fun (a1, m1) (a2, m2) -> if m1 <> m2 then compare m2 m1 else compare a1 a2)
       (List.rev !per)
   in
-  let rec take n = function x :: tl when n > 0 -> x :: take (n - 1) tl | _ -> [] in
   {
     st_name = job_name dep;
     st_members = List.length ms;
@@ -492,7 +283,7 @@ let job_status ?(top = 3) dep =
     st_fibers = !fibers;
     st_inflight = !inflight;
     st_mem_bytes = !mem;
-    st_worst = take top worst;
+    st_worst = Misc.take top worst;
   }
 
 let worst_cell st =
@@ -548,17 +339,18 @@ let monitor ?interval ?(top = 3) dep =
 
 let add_node dep =
   let t = dep.dep_ctl and job = dep.dep_job in
-  match select t 1 with
+  let tr = transport t job in
+  match fst (select_report t 1) with
   | [] -> None
   | d :: _ -> (
-      match register_round t job ~timeout:10.0 [ d ] ~need:1 with
+      match Deploy.register_round tr [ d ] ~need:1 with
       | [] -> None
       | (d, a) :: _ ->
           let position = job.j_next_position in
           job.j_next_position <- position + 1;
           let live = List.map (fun (_, a, _) -> a) (live_members dep) in
-          let nodes = bootstrap_nodes t job.j_desc ~all_members:live ~for_position:position in
-          if start_member t job ~position ~nodes (d, a) then begin
+          let nodes = Deploy.bootstrap t.c_rng job.j_desc live in
+          if tr.Deploy.start d a ~position ~nodes then begin
             job.j_members <- (d, a, position) :: job.j_members;
             Some a
           end
@@ -580,60 +372,30 @@ let stop_node dep a =
 
 let restart_node dep a =
   let t = dep.dep_ctl and job = dep.dep_job in
+  let tr = transport t job in
   List.iter
-    (fun ((d, ma, position) as m) ->
+    (fun (d, ma, position) ->
       if Addr.equal ma a then begin
         let live = List.map (fun (_, x, _) -> x) (live_members dep) in
-        let nodes = bootstrap_nodes t job.j_desc ~all_members:live ~for_position:position in
-        ignore (start_member t job ~position ~nodes (d, a));
-        ignore m
+        let nodes = Deploy.bootstrap t.c_rng job.j_desc live in
+        ignore (tr.Deploy.start d a ~position ~nodes)
       end)
     dep.dep_job.j_members
 
 let free_node dep a =
-  List.iter
-    (fun (d, ma, _) ->
-      if Addr.equal ma a then
-        ignore
-          (Rpc.a_call dep.dep_ctl.c_env (Daemon.addr d) ~timeout:30.0 Daemon.proc_free
-             [ Codec.Int a.Addr.port ]))
-    dep.dep_job.j_members
+  let tr = transport dep.dep_ctl dep.dep_job in
+  List.iter (fun (d, ma, _) -> if Addr.equal ma a then tr.Deploy.free d a) dep.dep_job.j_members
 
 let undeploy dep =
-  let t = dep.dep_ctl in
-  parallel_all t
+  Deploy.fan_out ~spawn:(spawn dep.dep_ctl)
     (List.map (fun (_, a, _) -> fun () -> free_node dep a) (live_members dep))
 
-let log_lines dep = dep.dep_job.j_log_lines
-let log_bytes dep = dep.dep_job.j_log_bytes
-let job_log dep = List.of_seq (Queue.to_seq dep.dep_job.j_log)
-let job_log_dropped dep = dep.dep_job.j_log_dropped
-
-(* L records share the trace's JSONL framing so one file (or a cat of the
-   two) replays the run: sort by "t" and logs interleave with spans. *)
-let logs_jsonl dep =
-  let buf = Buffer.create 4096 in
-  Queue.iter
-    (fun r ->
-      Buffer.add_string buf
-        (Printf.sprintf {|{"t":%.6f,"ev":"L","node":%s,"level":"%s","msg":%s}|} r.lr_time
-           (Obs.json_string r.lr_node)
-           (Log.level_to_string r.lr_level)
-           (Obs.json_string r.lr_msg));
-      Buffer.add_char buf '\n')
-    dep.dep_job.j_log;
-  Buffer.contents buf
-
-let dump_logs dep ~path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (logs_jsonl dep))
+let job_logs dep = dep.dep_job.j_log
 
 let push_blacklist t h =
   Obs.incr c_blacklist;
   if !Obs.enabled then Obs.event ~attrs:[ ("host", string_of_int h) ] "ctl.blacklist_push";
-  parallel_all t
+  Deploy.fan_out ~spawn:(spawn t)
     (List.map
        (fun d ->
          fun () ->

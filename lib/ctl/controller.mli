@@ -7,6 +7,10 @@
     blacklists, and tracks daemon sessions ([unseen]). The churn manager
     drives {!add_node} / {!crash_node} to reshape a running deployment.
 
+    The conversation itself is {!Deploy}, shared with the live controller;
+    this module is its simulated transport: the daemons' RPC procedures,
+    processes on the controller's env, 2 ms of dispatch per command.
+
     Control traffic flows over the same simulated network as applications,
     so deployment timings inherit the testbed's latency, bandwidth and host
     responsiveness models.
@@ -41,35 +45,12 @@ val heartbeat_age : t -> Daemon.t -> float
 
 (** {1 Selection} *)
 
-type criterion =
-  | Min_bandwidth of float (** bytes/second on the uplink *)
-  | Near of (float * float) * float (** within given delay of virtual coordinates *)
-  | On_testbed of Testbed.kind
-  | Custom of (Testbed.host -> bool)
-
-val criterion_label : criterion -> string
-(** Stable label used in {!selection_report} and in trace attributes. *)
-
-type selection_report = {
-  sel_alive : int;  (** alive daemons considered *)
-  sel_dead : int;  (** daemons skipped: host down or session stale *)
-  sel_matched : int;  (** daemons satisfying every criterion *)
-  sel_rejected : (string * int) list;
-      (** per-criterion rejection counts, in the caller's criteria order; a
-          daemon is charged to the first criterion that rejects it *)
-}
-(** Why a selection came up short — the paper's deployments silently get
-    fewer daemons than asked; this makes the failure diagnosable. *)
-
-val select_report : t -> ?criteria:criterion list -> int -> Daemon.t list * selection_report
-(** Like {!select}, also returning where the candidate pool was lost.
-    Consumes the same RNG stream as {!select}, so the chosen daemons are
-    identical for a given engine state. *)
-
-val select : t -> ?criteria:criterion list -> int -> Daemon.t list
-(** [select t n] returns up to [n] instance slots over the alive daemons
-    matching all criteria — cycling over daemons when [n] exceeds the host
-    population, since many instances may share a host. *)
+val select_report :
+  t -> ?criteria:Deploy.criterion list -> int -> Daemon.t list * Deploy.selection_report
+(** [select_report t n] returns up to [n] instance slots over the alive
+    daemons matching all criteria — cycling over daemons when [n] exceeds
+    the host population, since many instances may share a host — and
+    where the candidate pool was lost ({!Deploy.select}). *)
 
 (** {1 Probing} *)
 
@@ -88,7 +69,7 @@ val deploy :
   t ->
   ?superset:float ->
   ?register_timeout:float ->
-  ?criteria:criterion list ->
+  ?criteria:Deploy.criterion list ->
   ?log_cap:int ->
   ?log_level:Log.level ->
   name:string ->
@@ -104,8 +85,8 @@ val deploy :
     [log_level] (default [Info]) is the per-node severity threshold pushed
     to every instance of the job; records below it are filtered at the
     node. [log_cap] (default 100_000) bounds the records the controller
-    retains for the job — beyond it, {!log_lines}/{!log_bytes} keep
-    counting but the text is dropped (see {!job_log_dropped}). *)
+    retains for the job — beyond it, {!job_logs} keeps counting lines
+    and bytes but drops the text. *)
 
 val deployment_job : deployment -> job
 val deployment_ctl : deployment -> t
@@ -180,36 +161,9 @@ val free_node : deployment -> Addr.t -> unit
 val undeploy : deployment -> unit
 (** FREE every live instance. Blocking. *)
 
-val log_lines : deployment -> int
-val log_bytes : deployment -> int
-(** Volume received by this job's log collector. *)
-
-(** {1 Log collection}
-
-    Every instance of a job forwards its enabled log records to the
-    controller, which aggregates them per job on the virtual clock. *)
-
-type log_record = {
-  lr_time : float;  (** virtual time at the emitting node *)
-  lr_node : string;  (** emitting instance (its address string) *)
-  lr_level : Log.level;
-  lr_msg : string;
-}
-
-val job_log : deployment -> log_record list
-(** Collected records in arrival order (deterministic: delivery order on
-    the virtual clock). *)
-
-val job_log_dropped : deployment -> int
-(** Records lost to the per-job cap ([log_cap] at {!deploy}). *)
-
-val logs_jsonl : deployment -> string
-(** The collected records as JSONL
-    [{"t":…,"ev":"L","node":…,"level":…,"msg":…}] lines — same framing as
-    {!Splay_obs.Obs.trace_jsonl}, so the two files interleave by ["t"]. *)
-
-val dump_logs : deployment -> path:string -> unit
-(** Write {!logs_jsonl} to [path]. *)
+val job_logs : deployment -> Deploy.logs
+(** The job's log collector: every instance forwards its enabled records
+    here, in delivery order on the virtual clock (deterministic). *)
 
 (** {1 Blacklist} *)
 

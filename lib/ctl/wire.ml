@@ -5,9 +5,11 @@
    *simulated* control plane. The frame layer is the live control plane's
    transport: a versioned, length-prefixed binary framing over
    [Splay_runtime.Codec] payloads, plus the typed message set exchanged
-   between the live controller and real [splayd] processes — deployment
-   verbs, daemon heartbeats with sandbox resource reports, streamed log /
-   trace records, and tunnelled application traffic.
+   between the live controller and real [splayd] processes — the
+   REGISTER / START / FREE verbs of the deploy conversation, each
+   carrying a request id its Ack echoes, daemon heartbeats with sandbox
+   resource reports, streamed log / trace records, and tunnelled
+   application traffic.
 
    Framing format (version 1):
 
@@ -130,21 +132,19 @@ let next_value d =
 type msg =
   | Hello of { host : int; pid : int; data_port : int }
   | Peers of { epoch : float; peers : (int * int) list }
-  | Deploy of {
+  | Register of {
+      rid : int;
       job : int;
       app : string;
       name : string;
-      port : int;
-      position : int;
-      nodes : Addr.t list;
       limits : Sandbox.limits;
       log_level : Log.level;
       params : (string * string) list;
     }
-  | Start of { job : int; port : int }
-  | Stop of { job : int; port : int }
+  | Start of { rid : int; job : int; port : int; position : int; nodes : Addr.t list }
+  | Free of { rid : int; job : int; port : int }
   | Shutdown
-  | Ack of { re : string; ok : bool; detail : string }
+  | Ack of { rid : int; ok : bool; detail : string }
   | Heartbeat of {
       host : int;
       rss : int;
@@ -196,25 +196,32 @@ let msg_to_value = function
           ( "peers",
             Codec.List (List.map (fun (h, p) -> Codec.List [ Codec.Int h; Codec.Int p ]) peers) );
         ]
-  | Deploy { job; app; name; port; position; nodes; limits; log_level; params } ->
-      tagged "deploy"
+  | Register { rid; job; app; name; limits; log_level; params } ->
+      tagged "register"
         [
+          ("rid", Codec.Int rid);
           ("job", Codec.Int job);
           ("app", Codec.String app);
           ("name", Codec.String name);
-          ("port", Codec.Int port);
-          ("position", Codec.Int position);
-          ("nodes", addrs_to_value nodes);
           ("limits", limits_to_value limits);
           ("log_level", Codec.String (Log.level_to_string log_level));
           ("params", Codec.Assoc (List.map (fun (k, v) -> (k, Codec.String v)) params));
         ]
-  | Start { job; port } -> tagged "start" [ ("job", Codec.Int job); ("port", Codec.Int port) ]
-  | Stop { job; port } -> tagged "stop" [ ("job", Codec.Int job); ("port", Codec.Int port) ]
+  | Start { rid; job; port; position; nodes } ->
+      tagged "start"
+        [
+          ("rid", Codec.Int rid);
+          ("job", Codec.Int job);
+          ("port", Codec.Int port);
+          ("position", Codec.Int position);
+          ("nodes", addrs_to_value nodes);
+        ]
+  | Free { rid; job; port } ->
+      tagged "free" [ ("rid", Codec.Int rid); ("job", Codec.Int job); ("port", Codec.Int port) ]
   | Shutdown -> tagged "shutdown" []
-  | Ack { re; ok; detail } ->
+  | Ack { rid; ok; detail } ->
       tagged "ack"
-        [ ("re", Codec.String re); ("ok", Codec.Bool ok); ("detail", Codec.String detail) ]
+        [ ("rid", Codec.Int rid); ("ok", Codec.Bool ok); ("detail", Codec.String detail) ]
   | Heartbeat { host; rss; mem; sockets; fs; fibers; inflight } ->
       tagged "hb"
         [
@@ -269,15 +276,13 @@ let msg_of_value v =
                 | _ -> raise (Codec.Parse_error "bad peer entry"))
               (Codec.to_list (Codec.member "peers" v));
         }
-  | "deploy" ->
-      Deploy
+  | "register" ->
+      Register
         {
+          rid = int "rid";
           job = int "job";
           app = str "app";
           name = str "name";
-          port = int "port";
-          position = int "position";
-          nodes = addrs_of_value (Codec.member "nodes" v);
           limits = limits_of_value (Codec.member "limits" v);
           log_level = level_of_value (Codec.member "log_level" v);
           params =
@@ -285,10 +290,18 @@ let msg_of_value v =
             | Codec.Assoc kvs -> List.map (fun (k, pv) -> (k, Codec.to_string pv)) kvs
             | _ -> raise (Codec.Parse_error "bad params"));
         }
-  | "start" -> Start { job = int "job"; port = int "port" }
-  | "stop" -> Stop { job = int "job"; port = int "port" }
+  | "start" ->
+      Start
+        {
+          rid = int "rid";
+          job = int "job";
+          port = int "port";
+          position = int "position";
+          nodes = addrs_of_value (Codec.member "nodes" v);
+        }
+  | "free" -> Free { rid = int "rid"; job = int "job"; port = int "port" }
   | "shutdown" -> Shutdown
-  | "ack" -> Ack { re = str "re"; ok = Codec.to_bool (Codec.member "ok" v); detail = str "detail" }
+  | "ack" -> Ack { rid = int "rid"; ok = Codec.to_bool (Codec.member "ok" v); detail = str "detail" }
   | "hb" ->
       Heartbeat
         {

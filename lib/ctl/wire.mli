@@ -4,9 +4,9 @@
     RPC arguments of the simulated control plane. The frame layer is the
     {e live} control plane's transport: a versioned, length-prefixed binary
     framing over {!Splay_runtime.Codec} payloads, and the typed message set
-    the live controller and real [splayd] processes exchange — deployment
-    verbs, heartbeats with sandbox resource reports, streamed log / trace
-    records, and tunnelled application traffic.
+    the live controller and real [splayd] processes exchange — the deploy
+    conversation's verbs, heartbeats with sandbox resource reports,
+    streamed log / trace records, and tunnelled application traffic.
 
     Frame format (version 1): 3-byte magic ["SPW"], 1 version byte, 4-byte
     big-endian payload length, then [Codec.encode] of the payload value.
@@ -54,9 +54,12 @@ val next_value : decoder -> Splay_runtime.Codec.value option
 
     The live control protocol. [Hello] / [Peers] is the bootstrap
     handshake (the daemon announces its data port; the controller answers
-    with the shared wall-clock epoch and the peer table). [Deploy] /
-    [Start] / [Stop] / [Shutdown] are the job verbs, acknowledged by
-    [Ack]. [Heartbeat] carries the daemon's sandbox resource report;
+    with the shared wall-clock epoch and the peer table). [Register] /
+    [Start] / [Free] are the {!Deploy} conversation's verbs; each carries
+    a request id [rid] that its [Ack] echoes. [Register] creates an
+    instance on a port the daemon picks (the ack's [detail]); [Start]
+    carries the LIST step (position, bootstrap nodes) and launches it;
+    [Free] discards it. [Shutdown] ends the daemon. [Heartbeat] carries the daemon's sandbox resource report;
     [Logline] streams application log records; [Chunk] streams the
     daemon's trace / metrics JSONL dump at shutdown; [App] tunnels one
     application message between daemons over the data connections. *)
@@ -64,21 +67,25 @@ val next_value : decoder -> Splay_runtime.Codec.value option
 type msg =
   | Hello of { host : int; pid : int; data_port : int }
   | Peers of { epoch : float; peers : (int * int) list }
-  | Deploy of {
+  | Register of {
+      rid : int;
       job : int;
       app : string;  (** registry name of the application to run *)
       name : string;
-      port : int;
-      position : int;
-      nodes : Addr.t list;  (** bootstrap membership handed to the instance *)
       limits : Sandbox.limits;
       log_level : Log.level;
       params : (string * string) list;  (** application parameters *)
     }
-  | Start of { job : int; port : int }
-  | Stop of { job : int; port : int }
+  | Start of {
+      rid : int;
+      job : int;
+      port : int;
+      position : int;
+      nodes : Addr.t list;  (** bootstrap membership handed to the instance *)
+    }
+  | Free of { rid : int; job : int; port : int }
   | Shutdown
-  | Ack of { re : string; ok : bool; detail : string }
+  | Ack of { rid : int; ok : bool; detail : string }
   | Heartbeat of {
       host : int;
       rss : int;  (** process resident set, bytes (self-polled) *)

@@ -1,16 +1,18 @@
 module Wire = Splay_ctl.Wire
 module Descriptor = Splay_ctl.Descriptor
+module Deploy = Splay_ctl.Deploy
+module Engine = Splay_sim.Engine
+module Ivar = Splay_sim.Ivar
 module Rng = Splay_sim.Rng
 
 (* The live controller (the paper's splayctl): forks real splayd
-   processes, runs the Hello/Peers bootstrap, performs the two-phase
-   deploy (Deploy all, ack; Start all, ack — the live mirror of the sim
-   controller's REGISTER/LIST/START conversation), then collects
-   heartbeats, streamed log records and shutdown-time trace/metrics
-   chunks until the run completes. Job accounting mirrors
-   [Controller.select_report]: which daemons answered the bootstrap,
-   which were selected to host instances, and why a deployment was
-   rejected.
+   processes, runs the Hello/Peers bootstrap, then runs the simulated
+   controller's deploy conversation ([Deploy]: superset REGISTER, first
+   acks win, stragglers FREEd, refill rounds, LIST+START) in a process on
+   its loop's engine, over Register/Start/Free frames whose request ids
+   the daemons' Acks echo. It then collects heartbeats, streamed log
+   records and shutdown-time trace/metrics chunks until the run
+   completes.
 
    Hygiene: children are reaped on every exit path — SIGINT/SIGTERM
    handlers and an [at_exit] hook SIGKILL any daemon still alive, and the
@@ -53,25 +55,16 @@ type daemon = {
   d_log : string;
   mutable d_conn : Conn.t option;
   mutable d_data_port : int;
-  mutable d_last_hb : float;
-  mutable d_rss : int;
-  mutable d_fibers : int;
   mutable d_bye : bool;
   mutable d_status : Unix.process_status option;
-}
-
-type select_report = {
-  sel_need : int;
-  sel_alive : int;
-  sel_dead : int;
-  sel_matched : int list;  (* hosts selected to run instances *)
 }
 
 type outcome = {
   r_ok : bool;
   r_failures : string list;
   r_reports : (string * string) list;  (* (node, REPORT line), arrival order *)
-  r_select : select_report;
+  r_select : Deploy.selection_report;
+  r_sent : (string * int) list;  (* deploy frames sent, per verb *)
   r_log_records : int;
   r_trace_file : string option;
   r_metrics_file : string option;
@@ -83,8 +76,6 @@ let rec mkdir_p dir =
     mkdir_p (Filename.dirname dir);
     try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
   end
-
-let json_string s = Codec.encode (Codec.String s)
 
 let state_file dir = Filename.concat dir "daemons.json"
 
@@ -110,17 +101,6 @@ let write_state dir daemons =
   output_string oc (Codec.encode v);
   output_char oc '\n';
   close_out oc
-
-let kill_survivors daemons =
-  List.iter
-    (fun d ->
-      if d.d_status = None then begin
-        (try Unix.kill d.d_pid Sys.sigkill with Unix.Unix_error _ -> ());
-        match Unix.waitpid [ Unix.WNOHANG ] d.d_pid with
-        | _, st -> d.d_status <- Some st
-        | exception Unix.Unix_error _ -> ()
-      end)
-    daemons
 
 let reap daemons ~grace =
   let deadline = Unix.gettimeofday () +. grace in
@@ -174,21 +154,9 @@ let spawn_daemon cfg ~cport ~host =
     d_log = log;
     d_conn = None;
     d_data_port = 0;
-    d_last_hb = 0.0;
-    d_rss = 0;
-    d_fibers = 0;
     d_bye = false;
     d_status = None;
   }
-
-let bootstrap_nodes desc ~seed all =
-  match desc.Descriptor.bootstrap with
-  | Descriptor.All -> all
-  | Descriptor.Head k -> List.filteri (fun i _ -> i < k) all
-  | Descriptor.Random_subset k ->
-      let arr = Array.of_list all in
-      Rng.shuffle (Rng.create seed) arr;
-      List.filteri (fun i _ -> i < k) (Array.to_list arr)
 
 let run cfg =
   Live_apps.init ();
@@ -206,37 +174,30 @@ let run cfg =
   write_state cfg.c_out_dir daemons;
   (* Reap on every exit path; the daemons' orphan watch covers SIGKILL. *)
   let fatal_signal code _ =
-    kill_survivors daemons;
+    reap daemons ~grace:0.0;
     Stdlib.exit code
   in
   let old_int = Sys.signal Sys.sigint (Sys.Signal_handle (fatal_signal 130)) in
   let old_term = Sys.signal Sys.sigterm (Sys.Signal_handle (fatal_signal 143)) in
-  at_exit (fun () -> kill_survivors daemons);
+  at_exit (fun () -> reap daemons ~grace:0.0);
   let loop = Loop.create ~hosts:1 () in
+  let eng = Loop.engine loop in
   let failures = ref [] in
   let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
   let reports = ref [] in
-  let log_records = ref [] in
-  let n_logs = ref 0 in
+  let logs = Deploy.logs ~cap:100_000 in
   let done_seen = ref false in
-  let acks_ok : (string, int) Hashtbl.t = Hashtbl.create 4 in
+  let pending : (int, (bool * string) Ivar.t) Hashtbl.t = Hashtbl.create 16 in
   let chunks : (int * string, Buffer.t) Hashtbl.t = Hashtbl.create 8 in
   let find_daemon h = List.find_opt (fun d -> d.d_host = h) daemons in
   let on_msg _conn msg =
     match msg with
-    | Wire.Ack { re; ok; detail } ->
-        if ok then Hashtbl.replace acks_ok re (1 + Option.value ~default:0 (Hashtbl.find_opt acks_ok re))
-        else fail "%s rejected: %s" re detail
-    | Wire.Heartbeat { host; rss; fibers; _ } -> (
-        match find_daemon host with
-        | Some d ->
-            d.d_last_hb <- Unix.gettimeofday ();
-            d.d_rss <- rss;
-            d.d_fibers <- fibers
-        | None -> ())
+    | Wire.Ack { rid; ok; detail } -> (
+        match Hashtbl.find_opt pending rid with
+        | Some iv -> ignore (Ivar.try_fill iv (ok, detail))
+        | None -> () (* answer to a request that already timed out *))
     | Wire.Logline { time; node; level; text } ->
-        incr n_logs;
-        log_records := (time, node, level, text) :: !log_records;
+        Deploy.log_add logs ~time ~level ~node text;
         if Contract.is_report text then begin
           reports := (node, text) :: !reports;
           if String.length text >= 11 && String.sub text 0 11 = "REPORT done" then
@@ -303,79 +264,89 @@ let run cfg =
     phase "daemon bootstrap" ~timeout:30.0 (fun () -> List.for_all connected daemons)
   in
   let alive = List.filter connected daemons in
-  let select =
+  (* One request of the conversation: send the frame, then block this
+     process until the Ack echoing its rid arrives — [Some detail] if the
+     daemon agreed — or [timeout]. *)
+  let next_rid = ref 0 and sent = Hashtbl.create 4 and refusals = ref [] in
+  let request d verb ~timeout frame =
+    match d.d_conn with
+    | None -> None
+    | Some c -> (
+        incr next_rid;
+        let rid = !next_rid and iv = Ivar.create () in
+        Hashtbl.replace pending rid iv;
+        Hashtbl.replace sent verb (1 + Option.value ~default:0 (Hashtbl.find_opt sent verb));
+        Conn.send c (frame rid);
+        let r = Ivar.read_timeout iv timeout in
+        Hashtbl.remove pending rid;
+        match r with
+        | Some (true, detail) -> Some detail
+        | Some (false, why) ->
+            refusals := Printf.sprintf "%s on daemon %d: %s" verb d.d_host why :: !refusals;
+            None
+        | None -> None)
+  in
+  let job = 1 in
+  let register_frame rid =
+    Wire.Register
+      { rid; job; app = cfg.c_app; name = cfg.c_app; limits = cfg.c_desc.Descriptor.limits;
+        log_level = cfg.c_log_level; params = cfg.c_params }
+  in
+  let tr =
     {
-      sel_need = need;
-      sel_alive = List.length alive;
-      sel_dead = cfg.c_daemons - List.length alive;
-      sel_matched =
-        List.filteri (fun i _ -> i < need) alive |> List.map (fun d -> d.d_host);
+      Deploy.spawn = (fun f -> ignore (Engine.spawn eng f));
+      pace = ignore;
+      register =
+        (fun d ->
+          Option.bind (request d "register" ~timeout:10.0 register_frame) (fun port ->
+              Option.map (Addr.make d.d_host) (int_of_string_opt port)));
+      start =
+        (fun d a ~position ~nodes ->
+          let frame rid = Wire.Start { rid; job; port = a.Addr.port; position; nodes } in
+          let ok = request d "start" ~timeout:30.0 frame <> None in
+          if not ok then fail "start of %s failed" (Addr.to_string a);
+          ok);
+      free =
+        (fun d a ->
+          let frame rid = Wire.Free { rid; job; port = a.Addr.port } in
+          ignore (request d "free" ~timeout:30.0 frame));
     }
   in
+  (* Live daemons carry no testbed host records, so no criteria apply. *)
+  let rng = Rng.create cfg.c_seed in
+  let select n =
+    Deploy.select rng ~alive:connected
+      ~host:(fun _ -> invalid_arg "live daemons have no testbed host")
+      daemons n
+  in
+  let result = ref None in
+  if boot_ok then begin
+    (* Shared epoch: every daemon's virtual clock counts from here, so
+       log timestamps and merged traces align across processes. *)
+    let epoch = Unix.gettimeofday () in
+    let peers = List.map (fun d -> (d.d_host, d.d_data_port)) alive in
+    List.iter
+      (fun d ->
+        match d.d_conn with
+        | Some c -> Conn.send c (Wire.Peers { epoch; peers })
+        | None -> ())
+      alive;
+    ignore
+      (Engine.spawn ~name:"deploy" eng (fun () ->
+           result :=
+             Some (Deploy.deploy tr rng ~select ~job ~name:cfg.c_app cfg.c_desc)));
+    ignore
+      (phase "deploy" ~timeout:60.0 (fun () -> !result <> None || Engine.crashed eng <> []))
+  end;
   let deployed =
-    if not boot_ok then false
-    else if List.length alive < 1 || List.length alive < min need cfg.c_daemons then begin
-      fail "selection failed: need %d daemons, %d alive" need (List.length alive);
-      false
-    end
-    else begin
-      (* Shared epoch: every daemon's virtual clock counts from here, so
-         log timestamps and merged traces align across processes. *)
-      let epoch = Unix.gettimeofday () in
-      let peers = List.map (fun d -> (d.d_host, d.d_data_port)) alive in
-      List.iter
-        (fun d ->
-          match d.d_conn with
-          | Some c -> Conn.send c (Wire.Peers { epoch; peers })
-          | None -> ())
-        alive;
-      (* Instance placement: round-robin over the selected daemons; the
-         port distinguishes multiple instances on one daemon. *)
-      let matched = Array.of_list (List.filter (fun d -> List.mem d.d_host select.sel_matched) alive) in
-      let nm = Array.length matched in
-      let placement =
-        List.init need (fun k ->
-            let d = matched.(k mod nm) in
-            (k, d, Addr.make d.d_host (9000 + (k / nm))))
-      in
-      let all_addrs = List.map (fun (_, _, a) -> a) placement in
-      let nodes = bootstrap_nodes cfg.c_desc ~seed:cfg.c_seed all_addrs in
-      List.iter
-        (fun (k, d, addr) ->
-          match d.d_conn with
-          | Some c ->
-              Conn.send c
-                (Wire.Deploy
-                   {
-                     job = 1;
-                     app = cfg.c_app;
-                     name = Printf.sprintf "%s.%d" cfg.c_app (k + 1);
-                     port = addr.Addr.port;
-                     position = k + 1;
-                     nodes;
-                     limits = cfg.c_desc.Descriptor.limits;
-                     log_level = cfg.c_log_level;
-                     params = cfg.c_params;
-                   })
-          | None -> ())
-        placement;
-      let acked re n = Option.value ~default:0 (Hashtbl.find_opt acks_ok re) >= n in
-      let dep_ok =
-        phase "deploy" ~timeout:30.0 (fun () -> acked "deploy" need || !failures <> [])
-        && !failures = []
-      in
-      if dep_ok then begin
-        List.iter
-          (fun (_, d, addr) ->
-            match d.d_conn with
-            | Some c -> Conn.send c (Wire.Start { job = 1; port = addr.Addr.port })
-            | None -> ())
-          placement;
-        phase "start" ~timeout:30.0 (fun () -> acked "start" need || !failures <> [])
-        && !failures = []
-      end
-      else false
-    end
+    match !result with
+    | Some (members, _) when List.length members < need ->
+        fail "deploy: %d of %d instances registered (%d daemons alive; refused: %s)"
+          (List.length members) need (List.length alive)
+          (String.concat "; " (List.rev !refusals));
+        false
+    | Some _ -> !failures = []
+    | None -> false
   in
   if deployed then begin
     (* Main phase: wait for the app's done report, or run the requested
@@ -414,15 +385,7 @@ let run cfg =
   (* Artifacts. Logs use the sim controller's JSONL schema; trace/metrics
      are the concatenated per-daemon dumps (id namespaces are disjoint by
      construction, and the metrics loader is line-oriented). *)
-  let logs_path = Filename.concat cfg.c_out_dir "logs.jsonl" in
-  let oc = open_out logs_path in
-  List.iter
-    (fun (time, node, level, text) ->
-      Printf.fprintf oc {|{"t":%.6f,"ev":"L","node":%s,"level":"%s","msg":%s}|} time
-        (json_string node) (Log.level_to_string level) (json_string text);
-      output_char oc '\n')
-    (List.rev !log_records);
-  close_out oc;
+  Deploy.dump_logs logs ~path:(Filename.concat cfg.c_out_dir "logs.jsonl");
   let collect kind file =
     let parts =
       List.filter_map
@@ -445,12 +408,16 @@ let run cfg =
   let trace_file = if cfg.c_trace then collect "trace" "trace.jsonl" else None in
   let metrics_file = if cfg.c_metrics then collect "metrics" "metrics.jsonl" else None in
   (if cfg.c_trace && trace_file = None then fail "no trace chunks collected");
+  List.iter
+    (fun (p, e) -> fail "controller process %s crashed: %s" (Engine.proc_name p) (Printexc.to_string e))
+    (Engine.crashed eng);
   {
     r_ok = !failures = [];
     r_failures = List.rev !failures;
     r_reports = List.rev !reports;
-    r_select = select;
-    r_log_records = !n_logs;
+    r_select = (match !result with Some (_, report) -> report | None -> snd (select 0));
+    r_sent = List.sort compare (List.of_seq (Hashtbl.to_seq sent));
+    r_log_records = Deploy.log_lines logs;
     r_trace_file = trace_file;
     r_metrics_file = metrics_file;
     r_out_dir = cfg.c_out_dir;

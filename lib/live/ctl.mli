@@ -1,13 +1,15 @@
 (** The live controller — the paper's [splayctl] over real processes.
 
     {!run} forks real [splayd] daemons, bootstraps them (Hello/Peers with
-    a shared wall-clock epoch), performs the two-phase deploy (Deploy
-    all + ack, Start all + ack — the live mirror of the simulated
-    controller's REGISTER/LIST/START conversation), collects heartbeats,
-    streamed log records and shutdown-time trace/metrics chunks, then
-    shuts the deployment down and reaps every child. SIGINT/SIGTERM
-    handlers and an [at_exit] hook kill surviving daemons on abnormal
-    exits; the daemons' own orphan watch covers SIGKILL. *)
+    a shared wall-clock epoch), then deploys with the simulated
+    controller's own conversation ({!Splay_ctl.Deploy}: a superset of
+    Register requests, the first [nb_splayd] acks win and the rest are
+    freed, shortfalls refill, then Start with each member's position and
+    bootstrap list), so instance placement follows ack order. It collects
+    heartbeats, streamed log records and shutdown-time trace/metrics
+    chunks, then shuts the deployment down and reaps every child.
+    SIGINT/SIGTERM handlers and an [at_exit] hook kill surviving daemons
+    on abnormal exits; the daemons' own orphan watch covers SIGKILL. *)
 
 type cfg = {
   c_app : string;  (** registry name of the application *)
@@ -28,20 +30,14 @@ type cfg = {
 
 val default_cfg : cfg
 
-type select_report = {
-  sel_need : int;  (** instances requested ([nb_splayd]) *)
-  sel_alive : int;  (** daemons that completed the bootstrap *)
-  sel_dead : int;
-  sel_matched : int list;  (** hosts selected to run instances *)
-}
-
 type outcome = {
   r_ok : bool;
   r_failures : string list;  (** what went wrong, in occurrence order *)
   r_reports : (string * string) list;
       (** [(node, text)] contract REPORT lines, arrival order — feed to
           {!Contract.summary_of_reports} *)
-  r_select : select_report;
+  r_select : Splay_ctl.Deploy.selection_report;  (** the deploy's last selection round *)
+  r_sent : (string * int) list;  (** deploy frames sent per verb, e.g. [("free", 1)] *)
   r_log_records : int;
   r_trace_file : string option;  (** merged live trace, [splay trace]-ready *)
   r_metrics_file : string option;  (** merged metrics dump, [splay top]-ready *)

@@ -5,8 +5,9 @@ module Wire = Splay_ctl.Wire
 (* The real splayd: one OS process hosting application instances over the
    live loop. It connects to the controller, announces itself (Hello),
    learns the shared epoch and the peer table (Peers), then serves the
-   job verbs. Application instances run on the unmodified runtime
-   ([Env] / [Rpc] / [Sb_socket]); only the cross-host leg of a send
+   Register / Start / Free verbs of the deploy conversation. Application
+   instances run on the unmodified runtime ([Env] / [Rpc] /
+   [Sb_socket]); only the cross-host leg of a send
    changes — [Net.set_remote] tunnels it through a framed TCP connection
    to the destination daemon, where it re-enters via
    [Net.deliver_remote].
@@ -30,8 +31,6 @@ type config = {
 let ids_stride = 10_000_000
 
 type inst = {
-  i_job : int;
-  i_port : int;
   i_name : string;
   i_env : Env.t;
   i_main : Registry.main;
@@ -46,6 +45,7 @@ type t = {
   peers : (int, int) Hashtbl.t;  (* host -> data port *)
   peer_conns : (int, Conn.t) Hashtbl.t;
   insts : (int * int, inst) Hashtbl.t;  (* (job, port) *)
+  mutable next_port : int;  (* instance ports are the daemon's to pick *)
   mutable shutting_down : bool;
 }
 
@@ -117,59 +117,59 @@ let route t ~src ~dst ~size ~arrival:_ ~up_wait:_ ~ctx:_ payload =
 
 (* {1 Control verbs} *)
 
-let ack conn re ok detail = Conn.send conn (Wire.Ack { re; ok; detail })
+let ack conn rid ok detail = Conn.send conn (Wire.Ack { rid; ok; detail })
 
-let handle_deploy t conn ~job ~app ~name ~port ~position ~nodes ~limits ~log_level ~params =
-  let key = (job, port) in
-  if Hashtbl.mem t.insts key then ack conn "deploy" false "instance already deployed"
-  else
-    match Registry.find app with
-    | None -> ack conn "deploy" false (Printf.sprintf "unknown application %S" app)
-    | Some main ->
-        let env =
-          Env.create (Loop.net t.loop) ~me:(Addr.make t.cfg.host port) ~position ~nodes ~limits
-            ~log_level
-        in
-        (* Stream every log record to the controller; the sandbox's own
-           kill message travels the same way, so a resource death is
-           visible in the collected logs exactly as in simulation. *)
-        Log.set_sink env.Env.log
-          (Log.Forward
-             (fun ~time ~level ~node text ->
-               match t.ctl with
-               | Some c -> Conn.send c (Wire.Logline { time; node; level; text })
-               | None -> ()));
-        (* Real-resource leg of the sandbox: poll the process RSS and
-           enforce the memory cap with the same fatal path as simulated
-           accounting. The Violation raise is swallowed — on_kill has
-           already stopped the instance, which kills this monitor too. *)
-        if limits.Sandbox.max_memory < max_int then
-          ignore
-            (Env.periodic env 0.25 (fun () ->
-                 try Sandbox.check_rss env.Env.sandbox (Rss.sample ())
-                 with Sandbox.Violation _ -> ()));
-        Hashtbl.replace t.insts key
-          { i_job = job; i_port = port; i_name = name; i_env = env; i_main = main;
-            i_params = params; i_started = false };
-        ack conn "deploy" true name
+(* REGISTER: create the instance on a fresh port and ack with that port;
+   its position and bootstrap nodes arrive with Start. *)
+let handle_register t conn ~rid ~job ~app ~name ~limits ~log_level ~params =
+  match Registry.find app with
+  | None -> ack conn rid false (Printf.sprintf "unknown application %S" app)
+  | Some main ->
+      let port = t.next_port in
+      t.next_port <- port + 1;
+      let env = Env.create (Loop.net t.loop) ~me:(Addr.make t.cfg.host port) ~limits ~log_level in
+      (* Stream every log record to the controller; the sandbox's own
+         kill message travels the same way, so a resource death is
+         visible in the collected logs exactly as in simulation. *)
+      Log.set_sink env.Env.log
+        (Log.Forward
+           (fun ~time ~level ~node text ->
+             match t.ctl with
+             | Some c -> Conn.send c (Wire.Logline { time; node; level; text })
+             | None -> ()));
+      (* Real-resource leg of the sandbox: poll the process RSS and
+         enforce the memory cap with the same fatal path as simulated
+         accounting. The Violation raise is swallowed — on_kill has
+         already stopped the instance, which kills this monitor too. *)
+      if limits.Sandbox.max_memory < max_int then
+        ignore
+          (Env.periodic env 0.25 (fun () ->
+               try Sandbox.check_rss env.Env.sandbox (Rss.sample ())
+               with Sandbox.Violation _ -> ()));
+      Hashtbl.replace t.insts (job, port)
+        { i_name = name; i_env = env; i_main = main; i_params = params; i_started = false };
+      ack conn rid true (string_of_int port)
 
-let handle_start t conn ~job ~port =
+let handle_start t conn ~rid ~job ~port ~position ~nodes =
   match Hashtbl.find_opt t.insts (job, port) with
-  | None -> ack conn "start" false "no such instance"
-  | Some i when i.i_started -> ack conn "start" false "already started"
+  | None -> ack conn rid false "no such instance"
+  | Some i when i.i_started -> ack conn rid false "already started"
   | Some i ->
       i.i_started <- true;
+      i.i_env.Env.position <- position;
+      i.i_env.Env.nodes <- nodes;
       ignore
         (Env.thread i.i_env ~name:(Printf.sprintf "%s@%d" i.i_name t.cfg.host) (fun () ->
              i.i_main ~params:i.i_params i.i_env));
-      ack conn "start" true i.i_name
+      ack conn rid true i.i_name
 
-let handle_stop t conn ~job ~port =
+let handle_free t conn ~rid ~job ~port =
   match Hashtbl.find_opt t.insts (job, port) with
-  | None -> ack conn "stop" false "no such instance"
+  | None -> ack conn rid false "no such instance"
   | Some i ->
       Env.stop i.i_env;
-      ack conn "stop" true i.i_name
+      Hashtbl.remove t.insts (job, port);
+      ack conn rid true i.i_name
 
 let begin_shutdown t =
   if not t.shutting_down then begin
@@ -179,10 +179,11 @@ let begin_shutdown t =
 
 let handle_ctl_msg t conn msg =
   match msg with
-  | Wire.Deploy { job; app; name; port; position; nodes; limits; log_level; params } ->
-      handle_deploy t conn ~job ~app ~name ~port ~position ~nodes ~limits ~log_level ~params
-  | Wire.Start { job; port } -> handle_start t conn ~job ~port
-  | Wire.Stop { job; port } -> handle_stop t conn ~job ~port
+  | Wire.Register { rid; job; app; name; limits; log_level; params } ->
+      handle_register t conn ~rid ~job ~app ~name ~limits ~log_level ~params
+  | Wire.Start { rid; job; port; position; nodes } ->
+      handle_start t conn ~rid ~job ~port ~position ~nodes
+  | Wire.Free { rid; job; port } -> handle_free t conn ~rid ~job ~port
   | Wire.Shutdown -> begin_shutdown t
   | Wire.App _ -> handle_data_msg t conn msg
   | _ -> ()
@@ -279,6 +280,7 @@ let run cfg =
       peers = Hashtbl.create 32;
       peer_conns = Hashtbl.create 32;
       insts = Hashtbl.create 8;
+      next_port = 2000;
       shutting_down = false;
     }
   in

@@ -3,8 +3,9 @@
 
     Bootstrap: connect to the controller, send [Hello] (announcing the
     data port peers dial), receive [Peers] (the shared wall-clock epoch
-    and peer table), then serve [Deploy]/[Start]/[Stop]/[Shutdown] verbs
-    over the framed control connection while streaming heartbeats and log
+    and peer table), then serve [Register]/[Start]/[Free]/[Shutdown] verbs
+    (acked by request id; instance ports are the daemon's to pick) over
+    the framed control connection while streaming heartbeats and log
     records back. Cross-daemon application traffic leaves through
     [Net.set_remote] routes onto framed TCP data connections and
     re-enters the destination daemon via [Net.deliver_remote].

@@ -146,7 +146,7 @@ let delay t a b =
   | Synthetic { seed64; dist; intra_host } ->
       if a = b then intra_host else 0.5 *. rtt_of_u dist (pair_u seed64 a b)
   | Matrix { topo; stub_of } ->
-      (Topology.delay [@ocaml.warning "-3"]) topo (stub_of a) (stub_of b)
+      Topology.delay topo (stub_of a) (stub_of b)
   | Fn { fn; _ } -> fn a b
 
 (* {2 Lookahead} *)
@@ -176,7 +176,7 @@ let min_rtt t =
          hop is always reachable; the scan catches topologies where some
          router pair is even cheaper. Router counts are small (hundreds),
          and this runs once at partitioning time, not on the hot path. *)
-      let d = (Topology.delay [@ocaml.warning "-3"]) topo in
+      let d = Topology.delay topo in
       let n = Topology.router_count topo in
       let m = ref (Topology.intra_stub_delay topo) in
       for a = 0 to n - 1 do

@@ -66,7 +66,7 @@ val synthetic : ?dist:rtt_dist -> ?intra_host:float -> seed:int -> unit -> t
 val matrix : Topology.t -> stub_of:(Addr.host_id -> Topology.router) -> t
 (** The precomputed transit-stub matrix as a [Latency.t]: [delay] is
     [Topology] shortest-path delay between the hosts' attachment routers.
-    This is the migration target for direct [Topology.delay] callers. *)
+    [Topology.delay] is its router-level primitive. *)
 
 (** {1 Escape hatch} *)
 

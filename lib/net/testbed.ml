@@ -266,9 +266,9 @@ let base_delay_h t ha hb =
     match (ha.kind, hb.kind) with
     | Planetlab, Planetlab -> 0.005 +. euclid ha.coord hb.coord
     | Modelnet, Modelnet -> (
-        (* through the Latency signature (the matrix backend over this
-           testbed's topology): same arithmetic, same floats as the old
-           direct Topology.delay call, so fixed-seed traces do not move *)
+        (* through the Latency signature: the matrix backend over this
+           testbed's topology, whose primitive is Topology.delay, so the
+           floats are that call's and fixed-seed traces do not move *)
         match t.lat with
         | Some lat -> Latency.delay lat ha.id hb.id
         | None -> 0.015)

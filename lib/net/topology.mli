@@ -31,19 +31,15 @@ val stub_routers : t -> router array
 val random_stub : t -> Splay_sim.Rng.t -> router
 
 val delay : t -> router -> router -> float
-  [@@ocaml.deprecated
-    "direct matrix access is being retired; query delays through \
-     Latency.matrix (or Testbed.base_delay) so precomputed and synthetic \
-     backends stay interchangeable"]
 (** One-way latency in seconds along the shortest path. Stub routers are
     leaves, so delays reduce to the two uplink weights plus a precomputed
     transit-to-transit distance matrix — O(1) per query, no Dijkstra
     re-runs. Within the same stub router, the intra-stub delay applies.
 
-    @deprecated Use {!Latency.matrix} over this topology (or
-    {!Testbed.base_delay} on a testbed that embeds it): the [Latency]
-    signature is the one interface both the precomputed-matrix and the
-    hash-seeded synthetic backends implement. *)
+    This is {!Latency.matrix}'s primitive. Hosts should query delays
+    through that backend (or {!Testbed.base_delay} on a testbed that
+    embeds it), so precomputed and synthetic models stay
+    interchangeable. *)
 
 val intra_stub_delay : t -> float
 (** One-way delay between two hosts attached to the same stub router. *)

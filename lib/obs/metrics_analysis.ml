@@ -225,9 +225,8 @@ let render ?metric ?(k = 5) ?slo t =
   if notes <> [] then begin
     Printf.bprintf b "\nstatus rows (last %d)\n" k;
     let last =
-      let rev = List.rev notes in
-      let rec take n = function x :: tl when n > 0 -> x :: take (n - 1) tl | _ -> [] in
-      List.rev (take k rev)
+      let skip = List.length notes - k in
+      List.filteri (fun i _ -> i >= skip) notes
     in
     List.iter
       (fun r ->

@@ -29,7 +29,7 @@ type scenario = {
 let default =
   {
     nodes = 200;
-    gateways = 32;
+    gateways = 64;
     target = Dht;
     serve_cost = 0.002;
     batching = false;

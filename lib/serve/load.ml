@@ -29,7 +29,7 @@ let default =
     keys = 1_000;
     zipf_s = 1.0;
     value_size = 64;
-    inflight = 8;
+    inflight = 64;
     diurnal_amplitude = 0.15;
     diurnal_period = 60.0;
   }

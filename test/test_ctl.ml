@@ -105,8 +105,8 @@ let test_deploy_app_really_runs () =
       let dep = Controller.deploy ctl ~name:"counter" ~main (Descriptor.make 8) in
       Env.sleep 1.0;
       Alcotest.(check int) "all instances executed" 8 !ran;
-      Alcotest.(check int) "log collector got the lines" 8 (Controller.log_lines dep);
-      Alcotest.(check bool) "log bytes counted" true (Controller.log_bytes dep > 0))
+      Alcotest.(check int) "log collector got the lines" 8 (Deploy.log_lines (Controller.job_logs dep));
+      Alcotest.(check bool) "log bytes counted" true (Deploy.log_bytes (Controller.job_logs dep) > 0))
 
 let test_deploy_bootstrap_head () =
   with_platform (fun _ _ ctl _ ->
@@ -199,6 +199,78 @@ let test_undeploy () =
       Alcotest.(check int) "no live members" 0 (Controller.live_count dep);
       let total = List.fold_left (fun acc d -> acc + Daemon.instance_count d) 0 daemons in
       Alcotest.(check int) "daemons emptied" 0 total)
+
+(* {2 The deploy core over a fake transport} *)
+
+(* Registration outcomes follow call order, so the scenario does not
+   depend on how selection shuffles the pool: round 1 (5 slots for 4
+   instances) meets a daemon that never answers, a refusal, two acks and
+   another silent daemon; the refill round (3 slots for the 2 missing)
+   gets three acks, the slowest of which arrives after the quota is full
+   and must be FREEd. Host 5 is dead and host 6 fails the criterion. *)
+let test_core_fake_transport () =
+  let eng = Engine.create ~seed:3 () in
+  let tb = Testbed.cluster ~n:7 (Engine.rng eng) in
+  let outcomes =
+    [| `Silent; `Refuse; `Ack 0.3; `Ack 0.1; `Silent; `Ack 0.2; `Ack 0.1; `Ack 0.5 |]
+  in
+  let calls = ref 0 and starts = ref [] and frees = ref [] in
+  let tr =
+    {
+      Deploy.spawn = (fun f -> ignore (Engine.spawn eng f));
+      pace = ignore;
+      register =
+        (fun d ->
+          let k = !calls in
+          incr calls;
+          match outcomes.(k) with
+          | `Silent ->
+              Engine.sleep 10.0;
+              None
+          | `Refuse ->
+              Engine.sleep 0.05;
+              None
+          | `Ack dt ->
+              Engine.sleep dt;
+              Some (Addr.make d (2000 + k)));
+      start =
+        (fun _ a ~position ~nodes ->
+          starts := (a, position, List.length nodes) :: !starts;
+          true);
+      free = (fun _ a -> frees := a.Addr.port - 2000 :: !frees);
+    }
+  in
+  let rng = Rng.create 1 in
+  let select n =
+    Deploy.select rng
+      ~criteria:[ Deploy.Custom (fun h -> h.Testbed.id <> 6) ]
+      ~alive:(fun d -> d <> 5) ~host:(Testbed.host tb) (List.init 7 Fun.id) n
+  in
+  let result = ref None in
+  ignore
+    (Engine.spawn eng (fun () ->
+         result :=
+           Some
+             (Deploy.deploy tr rng ~select ~superset:1.25 ~job:0 ~name:"fake"
+                (Descriptor.make ~bootstrap:Descriptor.All 4))));
+  ignore (Engine.run eng);
+  Alcotest.(check int) "no crashed process" 0 (List.length (Engine.crashed eng));
+  match !result with
+  | None -> Alcotest.fail "deploy never returned"
+  | Some (members, report) ->
+      Alcotest.(check (list (pair int int)))
+        "need reached; positions follow ack order across rounds"
+        [ (3, 1); (2, 2); (6, 3); (5, 4) ]
+        (List.map (fun (_, a, pos) -> (a.Addr.port - 2000, pos)) members);
+      Alcotest.(check int) "5 REGISTERs, then a refill round of 3" 8 !calls;
+      Alcotest.(check (list int)) "exactly the late ack is FREEd" [ 7 ] !frees;
+      Alcotest.(check int) "every member STARTed once" 4 (List.length !starts);
+      List.iter
+        (fun (_, _, n) -> Alcotest.(check int) "bootstrap All lists every member" 4 n)
+        !starts;
+      Alcotest.(check bool) "report charges the dead host and the criterion" true
+        (report
+        = { Deploy.sel_alive = 6; sel_dead = 1; sel_matched = 5; sel_rejected = [ ("custom", 1) ] })
 
 let test_sessions_mark_dead_daemons () =
   let eng = Engine.create ~seed:3 () in
@@ -434,6 +506,7 @@ let () =
           Alcotest.test_case "survives dead candidates" `Quick test_deploy_survives_dead_candidates;
           Alcotest.test_case "sandbox restrictions" `Quick test_sandbox_restrictions_applied;
           Alcotest.test_case "undeploy" `Quick test_undeploy;
+          Alcotest.test_case "core over a fake transport" `Quick test_core_fake_transport;
         ] );
       ( "control",
         [

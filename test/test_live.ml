@@ -15,22 +15,22 @@ let sample_msgs =
   [
     Wire.Hello { host = 3; pid = 1234; data_port = 45678 };
     Wire.Peers { epoch = 1723111.25; peers = [ (0, 1111); (1, 2222); (2, 3333) ] };
-    Wire.Deploy
+    Wire.Register
       {
+        rid = 1;
         job = 1;
         app = "chord";
-        name = "app.1";
-        port = 9000;
-        position = 1;
-        nodes = [ Addr.make 0 9000; Addr.make 1 9000 ];
+        name = "chord";
         limits = { Sandbox.default with Sandbox.max_memory = 1 lsl 20 };
         log_level = Log.Info;
         params = [ ("m", "16"); ("lookups", "5") ];
       };
-    Wire.Start { job = 1; port = 9000 };
-    Wire.Stop { job = 1; port = 9000 };
+    Wire.Start
+      { rid = 2; job = 1; port = 2000; position = 1; nodes = [ Addr.make 0 2000; Addr.make 1 2001 ] };
+    Wire.Free { rid = 3; job = 1; port = 2001 };
     Wire.Shutdown;
-    Wire.Ack { re = "deploy"; ok = false; detail = "unknown app" };
+    Wire.Ack { rid = 1; ok = true; detail = "2000" };
+    Wire.Ack { rid = 3; ok = false; detail = "no such instance" };
     Wire.Heartbeat
       { host = 2; rss = 4096 * 1000; mem = 100; sockets = 3; fs = 0; fibers = 7; inflight = 1 };
     Wire.Logline
@@ -74,7 +74,7 @@ let test_wire_truncated () =
   (* A frame torn at every possible byte boundary is incomplete — never
      an error, never a desync: completing it always yields the
      message. *)
-  let m = List.nth sample_msgs 2 (* Deploy: the largest *) in
+  let m = List.nth sample_msgs 2 (* Register: the largest *) in
   let s = Wire.frame_msg m in
   for cut = 0 to String.length s - 1 do
     let d = Wire.decoder () in
@@ -280,7 +280,15 @@ let test_live_e2e () =
   let o = Live.Ctl.run cfg in
   List.iter (fun f -> Printf.printf "live failure: %s\n" f) o.Live.Ctl.r_failures;
   Alcotest.(check bool) "live run ok" true o.Live.Ctl.r_ok;
-  Alcotest.(check int) "all daemons bootstrapped" 3 o.Live.Ctl.r_select.Live.Ctl.sel_alive;
+  (* the shared deploy conversation: a x1.25 superset of 4 REGISTERs over
+     3 daemons, the first 3 acks START, the straggler is FREEd *)
+  Alcotest.(check bool) "r_select is the shared report" true
+    (o.Live.Ctl.r_select
+    = { Deploy.sel_alive = 3; sel_dead = 0; sel_matched = 3; sel_rejected = [] });
+  Alcotest.(check (list (pair string int)))
+    "4 registers, 3 starts, 1 free"
+    [ ("free", 1); ("register", 4); ("start", 3) ]
+    o.Live.Ctl.r_sent;
   Alcotest.(check bool) "trace collected" true (o.Live.Ctl.r_trace_file <> None);
   (* the contract: live invariants match the simulated twin's *)
   let live = Live.Contract.summary_of_reports o.Live.Ctl.r_reports in

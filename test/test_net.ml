@@ -221,14 +221,6 @@ let test_net_rtt_estimate () =
 
 (* {2 Latency} *)
 
-(* the retired direct matrix entry point, kept callable here to pin the
-   Latency.matrix backend byte-identical to it *)
-module Topology_direct = struct
-  [@@@ocaml.alert "-deprecated"]
-
-  let delay = Topology.delay
-end
-
 let prop_latency_symmetric_deterministic =
   QCheck.Test.make ~name:"synthetic latency is symmetric and seed-deterministic" ~count:500
     QCheck.(triple (int_bound 10_000) (int_bound 1_000_000) (int_bound 1_000_000))
@@ -300,7 +292,7 @@ let test_latency_matrix_equals_topology () =
         (fun s2 ->
           Alcotest.(check (float 0.0))
             "matrix backend byte-identical to direct access"
-            (Topology_direct.delay topo s1 s2) (Latency.delay lat s1 s2))
+            (Topology.delay topo s1 s2) (Latency.delay lat s1 s2))
         stubs)
     stubs
 

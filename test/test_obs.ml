@@ -692,8 +692,8 @@ let test_log_collection () =
           (Descriptor.make ~bootstrap:(Descriptor.Head 1) 4)
       in
       Env.sleep 5.0;
-      records :=
-        Some (Controller.job_log dep, Controller.logs_jsonl dep, Controller.job_log_dropped dep);
+      let logs = Controller.job_logs dep in
+      records := Some (Deploy.log_records logs, Deploy.logs_jsonl logs, Deploy.log_dropped logs);
       (* a second job deployed at Warn collects nothing: Info records are
          filtered at the emitting node, not at the collector *)
       let dep2 =
@@ -701,7 +701,7 @@ let test_log_collection () =
           (Descriptor.make ~bootstrap:(Descriptor.Head 1) 4)
       in
       Env.sleep 5.0;
-      records_quiet := Some (Controller.job_log dep2);
+      records_quiet := Some (Deploy.log_records (Controller.job_logs dep2));
       Controller.undeploy dep;
       Controller.undeploy dep2);
   (match !records with
@@ -709,15 +709,15 @@ let test_log_collection () =
   | Some (recs, jsonl, dropped) ->
       Alcotest.(check int) "one Info record per instance" 4 (List.length recs);
       Alcotest.(check int) "nothing dropped" 0 dropped;
-      let nodes = List.sort_uniq compare (List.map (fun r -> r.Controller.lr_node) recs) in
+      let nodes = List.sort_uniq compare (List.map (fun r -> r.Deploy.lr_node) recs) in
       Alcotest.(check int) "records tagged with distinct nodes" 4 (List.length nodes);
       List.iter
         (fun r ->
-          (match r.Controller.lr_level with
+          (match r.Deploy.lr_level with
           | Log.Info -> ()
           | l -> Alcotest.failf "unexpected level %s" (Log.level_to_string l));
           Alcotest.(check bool) "formatted message" true
-            (contains r.Controller.lr_msg "up at position"))
+            (contains r.Deploy.lr_msg "up at position"))
         recs;
       Alcotest.(check bool) "jsonl carries L records" true (contains jsonl "\"ev\":\"L\"");
       Alcotest.(check bool) "jsonl carries the level" true (contains jsonl "\"level\":\"info\""));
@@ -730,22 +730,18 @@ let test_select_report () =
       (* no criteria: everything alive matches *)
       let chosen, rep = Controller.select_report ctl 4 in
       Alcotest.(check int) "four chosen" 4 (List.length chosen);
-      Alcotest.(check int) "all alive" 6 rep.Controller.sel_alive;
-      Alcotest.(check int) "all matched" 6 rep.Controller.sel_matched;
-      Alcotest.(check int) "none dead" 0 rep.Controller.sel_dead;
+      Alcotest.(check int) "all alive" 6 rep.Deploy.sel_alive;
+      Alcotest.(check int) "all matched" 6 rep.Deploy.sel_matched;
+      Alcotest.(check int) "none dead" 0 rep.Deploy.sel_dead;
       (* an unsatisfiable criterion: the report says which one rejected *)
       let chosen, rep =
-        Controller.select_report ctl ~criteria:[ Controller.Min_bandwidth infinity ] 4
+        Controller.select_report ctl ~criteria:[ Deploy.Min_bandwidth infinity ] 4
       in
       Alcotest.(check int) "nothing selectable" 0 (List.length chosen);
-      Alcotest.(check int) "nothing matched" 0 rep.Controller.sel_matched;
-      (match rep.Controller.sel_rejected with
+      Alcotest.(check int) "nothing matched" 0 rep.Deploy.sel_matched;
+      match rep.Deploy.sel_rejected with
       | [ ("min_bandwidth", n) ] -> Alcotest.(check int) "all charged to min_bandwidth" 6 n
-      | other ->
-          Alcotest.failf "unexpected rejection report (%d entries)" (List.length other));
-      (* plain select agrees with the report variant *)
-      Alcotest.(check int) "select returns none" 0
-        (List.length (Controller.select ctl ~criteria:[ Controller.Min_bandwidth infinity ] 4)))
+      | other -> Alcotest.failf "unexpected rejection report (%d entries)" (List.length other))
 
 let () =
   Alcotest.run "splay_obs"
