@@ -26,7 +26,13 @@
    floors and the bounded words-per-idle-client ceiling at a million
    clients. One row repeats the all-on step on the parallel single-run
    engine (4 partitions) so the baseline records windows/workers/cores
-   for the degenerate-aware speedup annotation. *)
+   for the degenerate-aware speedup annotation.
+
+   Two off-knee guard rows (the [_uni_] rows) run base and p2c with
+   uniform keys at 1k req/s, where every owner idles: no toggle has
+   anything to win there, and the floors hold p2c's p50 within 1.1x of
+   the baseline's, so an optimization that costs latency away from the
+   scenario it was tuned for shows up in CI. *)
 
 open Splay
 module H = Splay_serve.Harness
@@ -151,7 +157,19 @@ let run () =
         fun () -> serve_row ~name s ~seed ~rate:web_rate)
       [ ("base", false); ("coal", true) ]
   in
-  let measured = Common.par_map (fun step -> step ()) (steps @ web_steps) in
+  let guard_rate = 1_000.0 in
+  let guard_steps =
+    List.map
+      (fun (vname, vf) ->
+        let name = Printf.sprintf "serve_dht_10k_uni_%s_%s" vname (rate_tag guard_rate) in
+        let s = vf (scenario ~target:H.Dht ~nodes:10_000 ~clients ~duration) in
+        let s = { s with H.load = { s.H.load with L.zipf_s = 0.0 } } in
+        fun () -> serve_row ~name s ~seed ~rate:guard_rate)
+      (List.filter (fun (v, _) -> v = "base" || v = "p2c") variants)
+  in
+  let measured =
+    Common.par_map (fun step -> step ()) (steps @ guard_steps @ web_steps)
+  in
   (* The parallel-engine row runs outside the trial pool: Fabric brings
      up its own worker domains and must not nest inside Pool's. *)
   let par_rate = 4_000.0 in
@@ -190,6 +208,10 @@ let run () =
       Common.shape_check "baseline is past its knee (p99 over SLO budget)"
         (b.H.p99 > 0.05)
   | _ -> Common.shape_check "knee endpoints measured" false);
+  (match (find "serve_dht_10k_uni_base_r1000", find "serve_dht_10k_uni_p2c_r1000") with
+  | Some (_, b), Some (_, p) ->
+      Common.shape_check "p2c holds the baseline p50 off the knee" (p.H.p50 <= 1.1 *. b.H.p50)
+  | _ -> Common.shape_check "off-knee guard rows measured" false);
   (match find "serve_dht_10k_adm_r8000" with
   | Some (_, r) -> Common.shape_check "admission sheds under overload" (r.H.server_shed > 0)
   | None -> ());

@@ -58,6 +58,9 @@ type t = {
   (* client-side replica selection state *)
   ewma : (int, float) Hashtbl.t;
   mutable rtt_hint : (Addr.t -> float option) option;
+  mutable owners : (string, Node.t option array) Hashtbl.t option;
+      (* read-path owner memo: key -> the owner a route last named for each
+         replica; created on the first route, so pure owners allocate none *)
   c_rng : Rng.t;
   (* serving counters (observability) *)
   mutable n_served : int;
@@ -211,11 +214,41 @@ let queue_store t ~key ~value =
 
 (* {2 Client-side operations} *)
 
-(* Route to the owner of one replica and run an operation there. *)
-let with_owner t ~key i f =
-  match Pastry.lookup t.p (replica_id t ~key i) with
+(* {3 Owner memo}
+
+   Routing a replica id costs a multi-hop [Pastry.lookup]; the owner it
+   names changes only when the ring does. Every route's answer is kept per
+   (key, replica), keyed by the key string so a hit skips the SHA-1 of
+   [replica_id] too. Reads trust the memo and repair it on a miss or an
+   error; writes always route, so data lands at the current owner under
+   churn, and refresh the memo with what they find. *)
+
+let memoized t ~key i =
+  match t.owners with
   | None -> None
-  | Some (owner, _) -> f owner
+  | Some m -> ( match Hashtbl.find_opt m key with Some a -> a.(i) | None -> None)
+
+let rec remember t ~key i owner =
+  match t.owners with
+  | None ->
+      if Option.is_some owner then begin
+        t.owners <- Some (Hashtbl.create 64);
+        remember t ~key i owner
+      end
+  | Some m -> (
+      match Hashtbl.find_opt m key with
+      | Some a -> a.(i) <- owner
+      | None when Option.is_some owner ->
+          let a = Array.make t.cfg.replicas None in
+          a.(i) <- owner;
+          Hashtbl.add m key a
+      | None -> ())
+
+(* Route to the owner of one replica and remember (or forget) it. *)
+let route t ~key i =
+  let owner = Option.map fst (Pastry.lookup t.p (replica_id t ~key i)) in
+  remember t ~key i owner;
+  owner
 
 (* EWMA of observed fetch round-trips per host — the fallback latency
    estimate for power-of-two-choices when no coordinate hook is set. An
@@ -237,29 +270,24 @@ let estimate t addr =
 let put_r t ~key ~value =
   let acks = ref 0 and sheds = ref 0 in
   for i = 0 to t.cfg.replicas - 1 do
-    ignore
-      (with_owner t ~key i (fun owner ->
-           if Node.equal owner (Pastry.self_node t.p) then begin
-             store_local t ~key ~value;
-             incr acks;
-             Some ()
-           end
-           else
-             match
-               Rpc.a_call t.env owner.Node.addr ~timeout:t.cfg.rpc_timeout "kv.store"
-                 [ Codec.String key; Codec.String value ]
-             with
-             | Ok (Codec.Bool false) ->
-                 (* shed by admission control: no ack, but the owner is
-                    healthy — do not feed the failure detector *)
-                 incr sheds;
-                 None
-             | Ok _ ->
-                 incr acks;
-                 Some ()
-             | Error _ ->
-                 Pastry.report_failure t.p owner;
-                 None))
+    Option.iter
+      (fun owner ->
+        if Node.equal owner (Pastry.self_node t.p) then begin
+          store_local t ~key ~value;
+          incr acks
+        end
+        else
+          match
+            Rpc.a_call t.env owner.Node.addr ~timeout:t.cfg.rpc_timeout "kv.store"
+              [ Codec.String key; Codec.String value ]
+          with
+          | Ok (Codec.Bool false) ->
+              (* shed by admission control: no ack, but the owner is
+                 healthy — do not feed the failure detector *)
+              incr sheds
+          | Ok _ -> incr acks
+          | Error _ -> Pastry.report_failure t.p owner)
+      (route t ~key i)
   done;
   (!acks, !sheds)
 
@@ -267,7 +295,8 @@ let put t ~key ~value = fst (put_r t ~key ~value)
 
 (* Fetch from one resolved owner. A shed reply arrives fast but signals
    overload: it is penalized in the EWMA by a full SLO budget so
-   power-of-two-choices steers the next draws away from the hot node. *)
+   power-of-two-choices steers the next draws away from the hot node. An
+   RPC error reports the owner to Pastry and reads as a miss. *)
 let fetch_from_r t ~key owner =
   if Node.equal owner (Pastry.self_node t.p) then
     match fetch_local t ~key with Some v -> `Value v | None -> `Miss
@@ -291,81 +320,87 @@ let fetch_from_r t ~key owner =
         `Miss
   end
 
+(* Replica [i]'s owner: [(owner, true)] from the memo, else routed. *)
+let resolve t ~key i =
+  match memoized t ~key i with
+  | Some o -> Some (o, true)
+  | None -> Option.map (fun o -> (o, false)) (route t ~key i)
+
+(* Read replica [i] at its resolved owner. A memoized owner that misses or
+   fails is re-resolved with one route, which replaces its entry; when the
+   route names the same owner again it already answered, so it is not
+   asked twice. A shed leaves the entry: that owner is healthy. *)
+let fetch_replica t ~key i (owner, memo_hit) =
+  match fetch_from_r t ~key owner with
+  | `Miss when memo_hit -> (
+      match route t ~key i with
+      | Some o when not (Node.equal o owner) -> fetch_from_r t ~key o
+      | _ -> `Miss)
+  | r -> r
+
 let get_r t ~key =
   let r = t.cfg.replicas in
   (* a shed anywhere along the fallback chain marks the final verdict:
      "no value" because of overload reads differently from a clean miss *)
   let shed = ref false in
-  let fetch_from t ~key owner =
-    match fetch_from_r t ~key owner with
+  let read i c =
+    match fetch_replica t ~key i c with
     | `Value v -> Some v
     | `Shed ->
         shed := true;
         None
     | `Miss -> None
   in
-  (* sequential fallback over replicas not yet tried *)
-  let rec scan i tried =
-    if i >= r then None
-    else if List.mem i tried then scan (i + 1) tried
-    else
-      match with_owner t ~key i (fun owner -> fetch_from t ~key owner) with
-      | Some v -> Some v
-      | None -> scan (i + 1) tried
+  (* p2c samples two distinct replicas but routes at most the first: the
+     second is a candidate only when the memo already names its owner, so
+     a p2c get never routes more than a baseline get. Candidates are read
+     estimated-closer / less-loaded first. *)
+  let tried, picks =
+    if t.cfg.p2c && r >= 2 then begin
+      let i = Rng.int t.c_rng r in
+      let j = (i + 1 + Rng.int t.c_rng (r - 1)) mod r in
+      let est (n, _) =
+        if Node.equal n (Pastry.self_node t.p) then 0.0 else estimate t n.Node.addr
+      in
+      let a = Option.map (fun c -> (i, c)) (resolve t ~key i) in
+      let b = Option.map (fun o -> (j, (o, true))) (memoized t ~key j) in
+      let picks =
+        match (a, b) with
+        | Some ((_, ca) as a), Some ((_, cb) as b) when est cb < est ca -> [ b; a ]
+        | a, b -> Option.to_list a @ Option.to_list b
+      in
+      (i :: List.map fst picks, picks)
+    end
+    else ([], [])
   in
-  let verdict = function
-    | Some v -> `Value v
-    | None -> if !shed then `Shed else `Miss
-  in
-  verdict
-  @@
-  if t.cfg.p2c && r >= 2 then begin
-    (* sample two distinct replicas, resolve their owners, fetch from the
-       estimated-closer / less-loaded one first *)
-    let i = Rng.int t.c_rng r in
-    let j = (i + 1 + Rng.int t.c_rng (r - 1)) mod r in
-    let resolve i = with_owner t ~key i (fun o -> Some o) in
-    match (resolve i, resolve j) with
-    | Some a, Some b -> (
-        let est n =
-          if Node.equal n (Pastry.self_node t.p) then 0.0 else estimate t n.Node.addr
-        in
-        let first, second = if est b < est a then (b, a) else (a, b) in
-        match fetch_from t ~key first with
-        | Some v -> Some v
-        | None -> (
-            match fetch_from t ~key second with
-            | Some v -> Some v
-            | None -> scan 0 [ i; j ]))
-    | Some a, None -> (
-        match fetch_from t ~key a with Some v -> Some v | None -> scan 0 [ i ])
-    | None, Some b -> (
-        match fetch_from t ~key b with Some v -> Some v | None -> scan 0 [ j ])
-    | None, None -> scan 0 [ i; j ]
-  end
-  else scan 0 []
+  (* then a sequential fallback over the replicas not yet tried *)
+  let fallback i = if List.mem i tried then None else Option.bind (resolve t ~key i) (read i) in
+  match List.find_map (fun (i, c) -> read i c) picks with
+  | Some v -> `Value v
+  | None -> (
+      match List.find_map fallback (List.init r Fun.id) with
+      | Some v -> `Value v
+      | None -> if !shed then `Shed else `Miss)
 
 let get t ~key = match get_r t ~key with `Value v -> Some v | `Shed | `Miss -> None
 
 let delete t ~key =
   let acks = ref 0 in
   for i = 0 to t.cfg.replicas - 1 do
-    ignore
-      (with_owner t ~key i (fun owner ->
-           if Node.equal owner (Pastry.self_node t.p) then begin
-             delete_local t ~key;
-             incr acks;
-             Some ()
-           end
-           else
-             match
-               Rpc.a_call t.env owner.Node.addr ~timeout:t.cfg.rpc_timeout "kv.delete"
-                 [ Codec.String key ]
-             with
-             | Ok _ ->
-                 incr acks;
-                 Some ()
-             | Error _ -> None))
+    Option.iter
+      (fun owner ->
+        if Node.equal owner (Pastry.self_node t.p) then begin
+          delete_local t ~key;
+          incr acks
+        end
+        else
+          match
+            Rpc.a_call t.env owner.Node.addr ~timeout:t.cfg.rpc_timeout "kv.delete"
+              [ Codec.String key ]
+          with
+          | Ok _ -> incr acks
+          | Error _ -> ())
+      (route t ~key i)
   done;
   !acks
 
@@ -396,6 +431,7 @@ let create ?(config = default_config) p =
       refilled_at = 0.0;
       ewma = Hashtbl.create 16;
       rtt_hint = None;
+      owners = None;
       (* private stream derived from the node id, not split from env_rng:
          enabling p2c must not perturb any other component's draws *)
       c_rng = Rng.create ((Pastry.self_node p).Node.id lxor 0x2C00B5);

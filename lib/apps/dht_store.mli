@@ -8,6 +8,18 @@
     periodically, so data migrates to new owners as the ring churns and
     expires when every holder is gone longer than the republish TTL.
 
+    {2 Owner memo}
+
+    Each node remembers, per key and replica, the owner its last route
+    named (created at the first route, so a node that only serves holds
+    none). Reads go through it: a hit costs one fetch RPC and no
+    multi-hop route. A memoized owner that answers with a miss or fails
+    the RPC (which is still reported to Pastry) is re-resolved with one
+    route; a shed reply leaves it in place, since that owner is healthy.
+    Writes ({!put_r}, {!delete}, republish) route every replica so data
+    lands at the current owner under churn, and refresh the memo with
+    what the routes return.
+
     {2 Serving fast path}
 
     With [serve_cost > 0] each owner-side store/fetch occupies the node
@@ -18,18 +30,21 @@
 
     - [batching]: concurrent gets for the same key coalesce into one
       service slot, with the reply fanned out to every waiter;
-    - [p2c]: {!get} samples two of the replica owners and reads from the
-      estimated-closer / less-loaded one (a coordinate hook via
+    - [p2c]: {!get} samples two replicas and reads from the
+      estimated-closer / less-loaded owner first (a coordinate hook via
       {!set_rtt_estimator} when available, else an EWMA of observed fetch
-      round-trips, with shed replies penalized by a full SLO budget);
+      round-trips, with shed replies penalized by a full SLO budget). It
+      routes at most the first sample; the second is a candidate only
+      when the owner memo already names its owner, so a p2c get never
+      routes more than a baseline get;
     - [admission]: owners shed at enqueue time — a token bucket caps the
       sustained accept rate and requests whose queueing delay would
       already exceed [slo_budget] get a distinguished fast-reject reply,
       which clients treat as a miss-at-replica (not a failure), so
       overload degrades instead of collapsing.
 
-    All toggles default off and [serve_cost] defaults to 0, which is the
-    original direct-call behaviour, bit for bit. *)
+    All toggles default off and [serve_cost] defaults to 0: owners then
+    answer directly, with no queue. *)
 
 type config = {
   replicas : int; (** copies kept (default 3) *)
@@ -64,7 +79,8 @@ val put_r : t -> key:string -> value:string -> int * int
     control (healthy-but-overloaded, distinct from failed). *)
 
 val get : t -> key:string -> string option
-(** Read, falling back across replicas. Blocking. *)
+(** Read, falling back across replicas, through the owner memo.
+    Blocking. *)
 
 val get_r : t -> key:string -> [ `Value of string | `Miss | `Shed ]
 (** {!get} with the overload verdict: [`Shed] when no replica returned a

@@ -900,16 +900,18 @@ let test_vivaldi_predicts_rtts () =
 
 (* {2 DHT storage (replicated key-value on Pastry)} *)
 
-let dht_platform n f =
+let dht_kv_config =
+  { Apps.Dht_store.default_config with republish_interval = 10.0; entry_ttl = 3600.0; rpc_timeout = 3.0 }
+
+(* [f] gets the deployment's (pastry, store) pairs as a ref: nodes that
+   join later are prepended to it. *)
+let dht_nodes ?(kv_config = dht_kv_config) n f =
   with_platform ~hosts:12 (fun eng net ctl ->
-      let stores = ref [] in
+      let nodes = ref [] in
       let config = { pastry_test_config with bits = 16 } in
-      let kv_config =
-        { Apps.Dht_store.default_config with republish_interval = 10.0; entry_ttl = 3600.0; rpc_timeout = 3.0 }
-      in
       let main env =
         Apps.Pastry.app ~config
-          ~register:(fun p -> stores := Apps.Dht_store.create ~config:kv_config p :: !stores)
+          ~register:(fun p -> nodes := (p, Apps.Dht_store.create ~config:kv_config p) :: !nodes)
           env
       in
       let dep =
@@ -917,7 +919,10 @@ let dht_platform n f =
           (Descriptor.make ~bootstrap:(Descriptor.Head 1) n)
       in
       Env.sleep (Float.of_int n *. 0.3 +. 120.0);
-      f eng net ctl dep !stores)
+      f eng net ctl dep nodes)
+
+let dht_platform n f =
+  dht_nodes n (fun eng net ctl dep nodes -> f eng net ctl dep (List.map snd !nodes))
 
 let test_dht_put_get_roundtrip () =
   dht_platform 16 (fun _ _ _ _ stores ->
@@ -985,6 +990,98 @@ let test_dht_data_migrates_on_join () =
       done;
       Alcotest.(check int) "all keys readable after joins" 10 !ok)
 
+(* {3 The read-path owner memo} *)
+
+let ring_dist a b =
+  let d = Misc.ring_distance a b ~modulus:(1 lsl 16) in
+  min d ((1 lsl 16) - d)
+
+(* RPCs issued by the whole deployment: route hops plus fetches *)
+let rpcs nodes = List.fold_left (fun a (p, _) -> a + Rpc.calls_issued (Apps.Pastry.node_env p)) 0 nodes
+
+let owner_of (p, s) ~key i =
+  fst (Option.get (Apps.Pastry.lookup p (Apps.Dht_store.replica_id s ~key i)))
+
+(* The node farthest on the ring from replica 0 of [key], other than
+   [writer]: it owns no replica 0 before or after a neighbour fails. *)
+let far_reader nodes ~writer ~key =
+  let rid = Apps.Dht_store.replica_id (snd writer) ~key 0 in
+  let d (p, _) = ring_dist (Apps.Pastry.id p) rid in
+  let others = List.filter (fun (_, s) -> s != snd writer) nodes in
+  List.fold_left (fun best n -> if d n > d best then n else best) (List.hd others) others
+
+let test_dht_memo_repeat_get () =
+  dht_nodes 16 (fun _ _ _ _ nodes ->
+      let nodes = !nodes in
+      let writer = List.hd nodes in
+      Alcotest.(check int) "stored" 3 (Apps.Dht_store.put (snd writer) ~key:"alpha" ~value:"42");
+      let ((rp, reader) as r) = far_reader nodes ~writer ~key:"alpha" in
+      let hops = snd (Option.get (Apps.Pastry.lookup rp (Apps.Dht_store.replica_id reader ~key:"alpha" 0))) in
+      Alcotest.(check bool) "reader is not the owner" false
+        (Apps.Node.equal (owner_of r ~key:"alpha" 0) (Apps.Pastry.self_node rp));
+      let c0 = rpcs nodes in
+      Alcotest.(check (option string)) "first get" (Some "42") (Apps.Dht_store.get reader ~key:"alpha");
+      let c1 = rpcs nodes in
+      Alcotest.(check int) "first get routes: hops + 1 fetch" (hops + 1) (c1 - c0);
+      Alcotest.(check (option string)) "repeat get" (Some "42") (Apps.Dht_store.get reader ~key:"alpha");
+      Alcotest.(check int) "repeat get: one fetch, no route" 1 (rpcs nodes - c1))
+
+let test_dht_memo_owner_stopped () =
+  dht_nodes 16 (fun _ _ _ dep nodes ->
+      let nodes = !nodes in
+      let writer = List.hd nodes in
+      ignore (Apps.Dht_store.put (snd writer) ~key:"beta" ~value:"7");
+      let ((_, reader) as r) = far_reader nodes ~writer ~key:"beta" in
+      Alcotest.(check (option string)) "warm the memo" (Some "7") (Apps.Dht_store.get reader ~key:"beta");
+      let dead = owner_of r ~key:"beta" 0 in
+      Controller.crash_node dep dead.Apps.Node.addr;
+      (* republish moves replica 0 to the next-closest live node *)
+      Env.sleep 60.0;
+      let timed () =
+        let t0 = Env.now (Apps.Pastry.node_env (fst r)) and c0 = rpcs nodes in
+        let v = Apps.Dht_store.get reader ~key:"beta" in
+        (v, Env.now (Apps.Pastry.node_env (fst r)) -. t0, rpcs nodes - c0)
+      in
+      let v1, dt1, _ = timed () in
+      Alcotest.(check (option string)) "get survives the stopped owner" (Some "7") v1;
+      Alcotest.(check bool)
+        (Printf.sprintf "the memo named the stopped owner (waited %.2f s)" dt1)
+        true
+        (dt1 >= dht_kv_config.Apps.Dht_store.rpc_timeout);
+      let v2, dt2, calls2 = timed () in
+      Alcotest.(check (option string)) "next get" (Some "7") v2;
+      Alcotest.(check bool)
+        (Printf.sprintf "the stopped owner's entry was replaced (%.2f s)" dt2)
+        true
+        (dt2 < dht_kv_config.Apps.Dht_store.rpc_timeout);
+      Alcotest.(check int) "re-resolved owner serves in one RPC" 1 calls2)
+
+let test_dht_memo_put_routes () =
+  let kv_config = { dht_kv_config with Apps.Dht_store.republish_interval = 0.0 } in
+  dht_nodes ~kv_config 10 (fun _ _ _ dep nodes ->
+      let writer = List.hd !nodes in
+      let keys = List.init 100 (Printf.sprintf "j%d") in
+      (* every replica owner of every key is now in the writer's memo *)
+      List.iter (fun key -> ignore (Apps.Dht_store.put (snd writer) ~key ~value:"old")) keys;
+      ignore (Controller.add_node dep);
+      Env.sleep 30.0;
+      let np, ns = List.hd !nodes in
+      let others = List.tl !nodes in
+      (* a replica the newcomer is strictly closest to: before the join
+         the memo named another owner *)
+      let closer key i =
+        let rid = Apps.Dht_store.replica_id ns ~key i in
+        List.for_all
+          (fun (p, _) -> ring_dist (Apps.Pastry.id p) rid > ring_dist (Apps.Pastry.id np) rid)
+          others
+      in
+      let key =
+        List.find (fun key -> List.exists (closer key) [ 0; 1; 2 ]) keys
+      in
+      Alcotest.(check int) "newcomer holds nothing yet" 0 (Apps.Dht_store.stored_entries ns);
+      Alcotest.(check int) "put acknowledged" 3 (Apps.Dht_store.put (snd writer) ~key ~value:"new");
+      Alcotest.(check int) "the put landed at the new owner" 1 (Apps.Dht_store.stored_entries ns))
+
 let () =
   Alcotest.run "splay_apps"
     [
@@ -1037,5 +1134,8 @@ let () =
           Alcotest.test_case "survives owner crashes" `Quick test_dht_survives_owner_crashes;
           Alcotest.test_case "delete" `Quick test_dht_delete;
           Alcotest.test_case "data migrates on join" `Quick test_dht_data_migrates_on_join;
+          Alcotest.test_case "memo: repeat get is one rpc" `Quick test_dht_memo_repeat_get;
+          Alcotest.test_case "memo: stopped owner re-resolved" `Quick test_dht_memo_owner_stopped;
+          Alcotest.test_case "memo: puts always route" `Quick test_dht_memo_put_routes;
         ] );
     ]

@@ -153,6 +153,35 @@ let test_p2c_runs_clean () =
   Alcotest.(check bool) "hit rate preserved" true
     (abs (rp.Harness.ok - r0.Harness.ok) < r0.Harness.offered / 20)
 
+(* Off the knee: uniform keys at light load leave every owner idle, so
+   no optimization has anything to win — and none may cost latency
+   either. Each toggle, on the same seed and arrival schedule, must hold
+   p50 within 10% of the baseline's (a p2c that routes both of its
+   candidates before fetching doubles the median here). *)
+let test_off_knee_guard () =
+  let uniform =
+    {
+      Harness.default with
+      Harness.nodes = 2_000;
+      load = { Harness.default.Harness.load with Load.keys = 1_000; zipf_s = 0.0; duration = 10.0 };
+    }
+  in
+  let p50 s = (Harness.run s ~seed:3 ~rate:500.0).Harness.p50 in
+  let base = p50 uniform in
+  List.iter
+    (fun (name, s) ->
+      let p = p50 s in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s p50 %.3f s <= 1.1x baseline %.3f s" name p base)
+        true
+        (p <= 1.1 *. base))
+    [
+      ("batching", { uniform with Harness.batching = true });
+      ("p2c", { uniform with Harness.p2c = true });
+      ("admission", { uniform with Harness.admission = true });
+      ("all_on", Harness.all_on uniform);
+    ]
+
 (* {2 Determinism pins} *)
 
 (* Same (seed, scenario, rate) → the same bytes, run after run. *)
@@ -217,6 +246,7 @@ let () =
           Alcotest.test_case "admission" `Quick test_admission_sheds_and_bounds_tail;
           Alcotest.test_case "all-on" `Quick test_all_on_beats_baseline;
           Alcotest.test_case "p2c clean" `Quick test_p2c_runs_clean;
+          Alcotest.test_case "off-knee guard" `Quick test_off_knee_guard;
         ] );
       ( "determinism",
         [
