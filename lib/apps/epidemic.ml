@@ -11,17 +11,24 @@ type node = {
   cfg : config;
   env : Env.t;
   mutable seen : string list;
-  seen_set : (string, unit) Hashtbl.t;
+      (* every rumour seen, newest first; membership scans it — a node
+         holds a handful of rumours, and a table would cost 22 words per
+         node before the first one arrives *)
   mutable forwarded : int;
   e_rng : Rng.t;
 }
 
 let received t = t.seen
-let has_received t rumor = Hashtbl.mem t.seen_set rumor
+let has_received t rumor = List.mem rumor t.seen
 let messages_forwarded t = t.forwarded
 let is_stopped t = Env.is_stopped t.env
 
-let peers t = List.filter (fun a -> not (Addr.equal a t.env.Env.me)) t.env.Env.nodes
+(* The bootstrap list without this node; shared as is when it does not
+   name this node (the common case), instead of copied per forward. *)
+let peers t =
+  let me = t.env.Env.me and nodes = t.env.Env.nodes in
+  if List.exists (Addr.equal me) nodes then List.filter (fun a -> not (Addr.equal a me)) nodes
+  else nodes
 
 (* Two forwarding modes. The acknowledged mode ([oneway = false]) spawns
    a fiber per target that blocks on the RPC reply — observable outcomes,
@@ -32,11 +39,13 @@ let peers t = List.filter (fun a -> not (Addr.equal a t.env.Env.me)) t.env.Env.n
    acks anyway: redundancy is the protocol's own reliability mechanism. *)
 let forward t rumor =
   let targets = Rng.sample t.e_rng t.cfg.fanout (peers t) in
+  (* payloads are immutable: every target's request shares one argument list *)
+  let args = [ Codec.String rumor ] in
   if t.cfg.oneway then
     List.iter
       (fun a ->
         t.forwarded <- t.forwarded + 1;
-        Rpc.notify t.env a "epidemic.rumor" [ Codec.String rumor ])
+        Rpc.notify t.env a "epidemic.rumor" args)
       targets
   else
     List.iter
@@ -45,13 +54,11 @@ let forward t rumor =
         ignore
           (Env.thread t.env (fun () ->
                ignore
-                 (Rpc.a_call t.env a ~timeout:t.cfg.rpc_timeout "epidemic.rumor"
-                    [ Codec.String rumor ]))))
+                 (Rpc.a_call t.env a ~timeout:t.cfg.rpc_timeout "epidemic.rumor" args))))
       targets
 
 let receive t rumor =
-  if not (Hashtbl.mem t.seen_set rumor) then begin
-    Hashtbl.replace t.seen_set rumor ();
+  if not (has_received t rumor) then begin
     t.seen <- rumor :: t.seen;
     forward t rumor
   end
@@ -64,7 +71,6 @@ let app ?(config = default_config) ~register env =
       cfg = config;
       env;
       seen = [];
-      seen_set = Hashtbl.create 16;
       forwarded = 0;
       e_rng = Rng.split env.Env.env_rng;
     }

@@ -94,14 +94,13 @@ let learn t n =
   if (not (Node.equal n t.self)) && n.Node.id <> t.self.Node.id && not (certified_dead t n)
   then begin
     let half = t.cfg.leaf_size / 2 in
+    (* each half is kept sorted by distance, so the newcomer is inserted
+       in place *)
     let insert lst ~d =
-      if List.exists (Node.equal n) lst then lst
-      else
-        List.sort (fun a b -> Int.compare (d a.Node.id) (d b.Node.id)) (n :: lst)
-        |> Misc.take half
+      if List.exists (Node.equal n) lst then lst else Misc.insert_bounded ~cap:half d n lst
     in
-    t.right <- insert t.right ~d:(fun i -> dist_cw t t.self.Node.id i);
-    t.left <- insert t.left ~d:(fun i -> dist_cw t i t.self.Node.id);
+    t.right <- insert t.right ~d:(fun x -> dist_cw t t.self.Node.id x.Node.id);
+    t.left <- insert t.left ~d:(fun x -> dist_cw t x.Node.id t.self.Node.id);
     let row = shared_prefix t t.self.Node.id n.Node.id in
     if row < digits t.cfg then begin
       let col = digit t n.Node.id row in
@@ -158,8 +157,13 @@ let leafset_covers t key =
   match (t.left, t.right) with
   | [], [] -> true
   | _ ->
-      let leftmost = match List.rev t.left with l :: _ -> l.Node.id | [] -> t.self.Node.id in
-      let rightmost = match List.rev t.right with r :: _ -> r.Node.id | [] -> t.self.Node.id in
+      let rec farthest = function
+        | [ x ] -> x.Node.id
+        | _ :: rest -> farthest rest
+        | [] -> t.self.Node.id
+      in
+      let leftmost = farthest t.left in
+      let rightmost = farthest t.right in
       Misc.between key leftmost rightmost ~modulus:(modulus t) ~incl_lo:true ~incl_hi:true
 
 let closest_among t key nodes =
@@ -175,7 +179,12 @@ type decision = Deliver | Forward of Node.t
 let decide ?(excluded = []) t key =
   let usable n = not (List.exists (Node.equal n) excluded) in
   if leafset_covers t key then begin
-    let owner = closest_among t key (List.filter usable (leafset t)) in
+    (* [closest_among] over the usable leafset, left half then right,
+       without building the filtered list *)
+    let closer best n =
+      if usable n && dist t n.Node.id key < dist t best.Node.id key then n else best
+    in
+    let owner = List.fold_left closer (List.fold_left closer t.self t.left) t.right in
     if Node.equal owner t.self then Deliver else Forward owner
   end
   else begin

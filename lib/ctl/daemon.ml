@@ -129,10 +129,10 @@ let fresh_env t spec ~port =
   let env = Env.create t.net ~me:(Addr.make t.d_host port) ~limits ~nodes:[] in
   Sandbox.blacklist env.Env.sandbox t.controller.Addr.host;
   List.iter (Sandbox.blacklist env.Env.sandbox) t.banned;
-  Log.set_sink env.Env.log spec.js_log_sink;
+  Log.set_sink (Env.log env) spec.js_log_sink;
   (* the job's log threshold filters at the emitting node, before any
      forwarding cost is paid — the paper's log.set_level at init *)
-  Log.set_level env.Env.log spec.js_log_level;
+  Log.set_level (Env.log env) spec.js_log_level;
   env.Env.loss_rate <- spec.js_loss;
   env
 

@@ -69,7 +69,7 @@ let run_sim ?(seed = 7) ?(until = 600.0) ~n ~app ~params () =
       List.iteri
         (fun i me ->
           let env = Env.create net ~me ~position:(i + 1) ~nodes:addrs in
-          Log.set_sink env.Env.log sink;
+          Log.set_sink (Env.log env) sink;
           main ~params env)
         addrs;
       ignore (Engine.run ~until eng);

@@ -25,7 +25,7 @@ let chord ~params env =
   let seed = Registry.param_int params "seed" 42 in
   let nodes = env.Env.nodes in
   let n = List.length nodes in
-  if n = 0 then Log.error env.Env.log "chord: empty membership"
+  if n = 0 then Log.error (Env.log env) "chord: empty membership"
   else begin
     let md = 1 lsl m in
     let spacing = max 1 (md / n) in
@@ -33,7 +33,8 @@ let chord ~params env =
     let ring = Array.mapi (fun i a -> Node.make ~id:(i * spacing) ~addr:a) arr in
     let index = ref (-1) in
     Array.iteri (fun i a -> if Addr.equal a env.Env.me then index := i) arr;
-    if !index < 0 then Log.error env.Env.log "chord: %s not in membership" (Addr.to_string env.Env.me)
+    if !index < 0 then
+      Log.error (Env.log env) "chord: %s not in membership" (Addr.to_string env.Env.me)
     else begin
       let index = !index in
       let self = ref None in
@@ -42,12 +43,12 @@ let chord ~params env =
         ~register:(fun c -> self := Some c)
         ~ring ~index env;
       match !self with
-      | None -> Log.error env.Env.log "chord: assemble did not register"
+      | None -> Log.error (Env.log env) "chord: assemble did not register"
       | Some c ->
           let sid = Chord.id c in
           let succ = match Chord.successor c with Some s -> s.Node.id | None -> sid in
           let pred = match Chord.predecessor c with Some p -> p.Node.id | None -> sid in
-          Log.info env.Env.log "REPORT ring id=%d succ=%d pred=%d" sid succ pred;
+          Log.info (Env.log env) "REPORT ring id=%d succ=%d pred=%d" sid succ pred;
           if index = 0 && lookups > 0 then
             ignore
               (Env.thread env ~name:"chord-driver" (fun () ->
@@ -68,12 +69,12 @@ let chord ~params env =
                      match Chord.lookup c key with
                      | Some (owner, hops) ->
                          incr ok;
-                         Log.info env.Env.log "REPORT lookup key=%d owner=%d hops=%d" key
+                         Log.info (Env.log env) "REPORT lookup key=%d owner=%d hops=%d" key
                            owner.Node.id hops
-                     | None -> Log.warn env.Env.log "REPORT lookup key=%d failed" key
+                     | None -> Log.warn (Env.log env) "REPORT lookup key=%d failed" key
                    done;
-                   Log.info env.Env.log "REPORT msgs calls=%d" (Rpc.calls_issued env);
-                   Log.info env.Env.log "REPORT done lookups=%d ok=%d" lookups !ok))
+                   Log.info (Env.log env) "REPORT msgs calls=%d" (Rpc.calls_issued env);
+                   Log.info (Env.log env) "REPORT done lookups=%d ok=%d" lookups !ok))
     end
   end
 

@@ -131,7 +131,7 @@ let handle_register t conn ~rid ~job ~app ~name ~limits ~log_level ~params =
       (* Stream every log record to the controller; the sandbox's own
          kill message travels the same way, so a resource death is
          visible in the collected logs exactly as in simulation. *)
-      Log.set_sink env.Env.log
+      Log.set_sink (Env.log env)
         (Log.Forward
            (fun ~time ~level ~node text ->
              match t.ctl with

@@ -20,8 +20,11 @@ let seed t = t.seed
 (* splitmix64 finalizer (Steele et al.): a bijective avalanche mix. The
    per-pair draw is [mix (seed64 + gamma * pair_key)] — the same stream
    construction Rng uses, but stateless: the pair key addresses directly
-   into the sequence, so no generator state is kept per pair. *)
-let mix64 z =
+   into the sequence, so no generator state is kept per pair. The draw
+   runs once per delivered message, so it is inlined down to unboxed
+   arithmetic: as calls, the int64 and float steps would box ~28 words
+   per message. *)
+let[@inline] mix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xbf58476d1ce4e5b9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94d049bb133111ebL in
   Int64.logxor z (Int64.shift_right_logical z 31)
@@ -29,7 +32,7 @@ let mix64 z =
 let gamma = 0x9e3779b97f4a7c15L
 
 (* Uniform draw in [0,1) from the pair hash: top 53 bits, as Rng.float. *)
-let pair_u seed64 a b =
+let[@inline] pair_u seed64 a b =
   let lo = if a < b then a else b and hi = if a < b then b else a in
   (* host ids stay far below 2^31 even at million-host scale, so the pair
      packs injectively into one 62-bit key *)
@@ -91,23 +94,32 @@ let inv_normal_cdf p =
 
 (* Quantile function of the configured RTT distribution: u in [0,1) to a
    round-trip time in seconds. *)
-let rtt_of_u dist u =
+let[@inline] rtt_of_u dist u =
   match dist with
   | Constant rtt -> rtt
   | Uniform { lo; hi } -> lo +. ((hi -. lo) *. u)
   | Lognormal { median; sigma } -> median *. exp (sigma *. inv_normal_cdf u)
   | Classes classes ->
-      let total = Array.fold_left (fun acc (w, _) -> acc +. w) 0.0 classes in
-      let target = u *. total in
+      (* loops over local float refs (kept unboxed), summing in array
+         order: the same additions, so the same bits, as a fold *)
       let n = Array.length classes in
-      let rec pick i acc =
-        if i >= n - 1 then snd classes.(n - 1)
-        else begin
-          let acc = acc +. fst classes.(i) in
-          if target < acc then snd classes.(i) else pick (i + 1) acc
+      let total = ref 0.0 in
+      for i = 0 to n - 1 do
+        total := !total +. fst classes.(i)
+      done;
+      let target = u *. !total in
+      (* the first class whose cumulative weight exceeds the target; the
+         last class takes the rest *)
+      let acc = ref 0.0 and i = ref 0 and found = ref (n - 1) in
+      while !i < n - 1 do
+        acc := !acc +. fst classes.(!i);
+        if target < !acc then begin
+          found := !i;
+          i := n
         end
-      in
-      pick 0 0.0
+        else incr i
+      done;
+      snd classes.(!found)
 
 let transit_stub_classes =
   (* same-stub / stub-stub / transit-crossing mix, weighted roughly as a

@@ -109,6 +109,34 @@ let count_drop t =
   t.n_dropped <- t.n_dropped + 1;
   Obs.incr c_drops
 
+(* Delivery at the receiver: liveness at delivery time, then the bound
+   handler. *)
+let deliver t ~up ~src ~dst payload =
+  if not up then count_drop t
+  else
+    match AddrTbl.find_opt t.handlers dst with
+    | None -> count_drop t
+    | Some h -> h ~src payload
+
+let deliver_compact t c ~src ~dst payload =
+  let up = Bytes.unsafe_get c.Testbed.Compact.up_bits dst.Addr.host <> '\000' in
+  deliver t ~up ~src ~dst payload
+
+(* One scheduled delivery per message. The [deliver] closure is what an
+   in-flight message holds in the event queue, so callers capture only
+   what delivery reads. When traced, the sender's trace context rides
+   along (the wire-level counterpart of the RPC envelope's ctx field):
+   delivery runs under it, so receiver-side spans join the sender's
+   causal trace for any payload, not just RPC. With tracing off the
+   context is pinned to [null_ctx], so there is nothing to propagate. *)
+let schedule_delivery t ~traced ~ctx ~at deliver =
+  if traced then
+    ignore
+      (Engine.schedule_at t.eng ~at (fun () ->
+           Obs.set_current ctx;
+           deliver ()))
+  else ignore (Engine.schedule_at t.eng ~at deliver)
+
 (* The compact (struct-of-arrays) variant of the send path below: same
    store-and-forward model, same counter/observability behavior, but every
    per-host load is an unboxed array index instead of a record field, and
@@ -154,15 +182,9 @@ let send_compact t c ?(size = 256) ?loss ~src ~dst payload =
           in
           if traced || !Obs.metrics_enabled then
             Obs.observe h_link_wait ((start_up -. now) +. (start_down -. arrival));
-          let mctx = if traced then Obs.current () else Obs.null_ctx in
-          ignore
-            (Engine.schedule_at t.eng ~at:deliver_at (fun () ->
-                 if traced then Obs.set_current mctx;
-                 if Bytes.unsafe_get c.Testbed.Compact.up_bits dh = '\000' then count_drop t
-                 else
-                   match AddrTbl.find_opt t.handlers dst with
-                   | None -> count_drop t
-                   | Some h -> h ~src payload))
+          let ctx = if traced then Obs.current () else Obs.null_ctx in
+          schedule_delivery t ~traced ~ctx ~at:deliver_at (fun () ->
+              deliver_compact t c ~src ~dst payload)
     end
   end
 
@@ -200,21 +222,9 @@ let send_classic t ?(size = 256) ?loss ~src ~dst payload =
       let deliver_at = if t.extra_delay > 0.0 then deliver_at +. t.extra_delay else deliver_at in
       if traced || !Obs.metrics_enabled then
         Obs.observe h_link_wait ((start_up -. now) +. (start_down -. arrival));
-      (* The sender's trace context travels with the message (the
-         wire-level counterpart of the RPC envelope's ctx field): delivery
-         runs under it, so receiver-side spans join the sender's causal
-         trace for any payload, not just RPC. With tracing off, skip both
-         the capture and the receiver-side restore — the context is pinned
-         to [null_ctx] then, so there is nothing to propagate. *)
-      let mctx = if traced then Obs.current () else Obs.null_ctx in
-      ignore
-        (Engine.schedule_at t.eng ~at:deliver_at (fun () ->
-             if traced then Obs.set_current mctx;
-             if not hd.Testbed.up then count_drop t
-             else
-               match AddrTbl.find_opt t.handlers dst with
-               | None -> count_drop t
-               | Some h -> h ~src payload))
+      let ctx = if traced then Obs.current () else Obs.null_ctx in
+      schedule_delivery t ~traced ~ctx ~at:deliver_at (fun () ->
+          deliver t ~up:hd.Testbed.up ~src ~dst payload)
     end
   end
 
@@ -247,14 +257,8 @@ let deliver_remote t ?(size = 256) ~src ~dst ~up_wait ~ctx payload =
       let traced = !Obs.enabled in
       if traced || !Obs.metrics_enabled then
         Obs.observe h_link_wait (up_wait +. (start_down -. arrival));
-      ignore
-        (Engine.schedule_at t.eng ~at:deliver_at (fun () ->
-             if traced then Obs.set_current ctx;
-             if Bytes.unsafe_get c.Testbed.Compact.up_bits dh = '\000' then count_drop t
-             else
-               match AddrTbl.find_opt t.handlers dst with
-               | None -> count_drop t
-               | Some h -> h ~src payload))
+      schedule_delivery t ~traced ~ctx ~at:deliver_at (fun () ->
+          deliver_compact t c ~src ~dst payload)
 
 let messages_sent t = t.n_sent
 let bytes_sent t = t.n_bytes

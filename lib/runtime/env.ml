@@ -14,7 +14,8 @@ type t = {
   mutable position : int;
   mutable nodes : Addr.t list;
   sandbox : Sandbox.t;
-  log : Log.t;
+  log_level : Log.level;
+  mutable log_t : Log.t option;
   env_rng : Splay_sim.Rng.t;
   mutable procs : proc_slot array;
   mutable procs_len : int;
@@ -25,7 +26,7 @@ type t = {
   mutable stop_hooks : (unit -> unit) list;
   mutable rpc_pending_tbl : (int, (Codec.value, string) result -> unit) Hashtbl.t option;
   mutable rpc_next_rid : int;
-  mutable rpc_handlers_tbl : (string, Codec.value list -> Codec.value) Hashtbl.t option;
+  mutable rpc_handlers : (string * (Codec.value list -> Codec.value)) list;
   mutable rpc_bound : bool;
   mutable rpc_rng : Splay_sim.Rng.t option;
 }
@@ -69,7 +70,11 @@ let track t p =
 let stop t =
   if not t.stopped then begin
     t.stopped <- true;
-    List.iter (Net.unbind t.net) t.ports;
+    List.iter
+      (fun a ->
+        Net.unbind t.net a;
+        Sandbox.socket_closed t.sandbox)
+      t.ports;
     t.ports <- [];
     List.iter (fun h -> h ()) (List.rev t.stop_hooks);
     t.stop_hooks <- [];
@@ -99,9 +104,18 @@ let stop t =
       match self with Some sp -> Engine.kill eng sp | None -> ()
   end
 
+(* Materialized on first use: most simulated instances never log, and a
+   logger plus its rendered name cost ~10 words per instance. *)
+let log t =
+  match t.log_t with
+  | Some l -> l
+  | None ->
+      let l = Log.create ~level:t.log_level ~name:(Addr.to_string t.me) (Net.engine t.net) in
+      t.log_t <- Some l;
+      l
+
 let create ?(position = 1) ?(nodes = []) ?limits ?(log_level = Log.Info) net ~me =
   let sandbox = Sandbox.create ?limits () in
-  let log = Log.create ~level:log_level ~name:(Addr.to_string me) (Net.engine net) in
   let t =
     {
       net;
@@ -109,7 +123,8 @@ let create ?(position = 1) ?(nodes = []) ?limits ?(log_level = Log.Info) net ~me
       position;
       nodes;
       sandbox;
-      log;
+      log_level;
+      log_t = None;
       env_rng = Splay_sim.Rng.split (Engine.rng (Net.engine net));
       procs = [||];
       procs_len = 0;
@@ -120,13 +135,13 @@ let create ?(position = 1) ?(nodes = []) ?limits ?(log_level = Log.Info) net ~me
       stop_hooks = [];
       rpc_pending_tbl = None;
       rpc_next_rid = 0;
-      rpc_handlers_tbl = None;
+      rpc_handlers = [];
       rpc_bound = false;
       rpc_rng = None;
     }
   in
   Sandbox.set_on_kill sandbox (fun reason ->
-      Log.error log "killed by sandbox: %s" reason;
+      Log.error (log t) "killed by sandbox: %s" reason;
       stop t);
   t
 
@@ -163,16 +178,6 @@ let rpc_pending t =
       h
 
 let rpc_pending_opt t = t.rpc_pending_tbl
-
-let rpc_handlers t =
-  match t.rpc_handlers_tbl with
-  | Some h -> h
-  | None ->
-      let h = Hashtbl.create 16 in
-      t.rpc_handlers_tbl <- Some h;
-      h
-
-let rpc_handlers_opt t = t.rpc_handlers_tbl
 
 let sleep = Engine.sleep
 

@@ -23,7 +23,8 @@ type t = {
   mutable position : int; (* 1-based rank in the deployment sequence *)
   mutable nodes : Addr.t list; (* rendez-vous peers from the controller *)
   sandbox : Sandbox.t;
-  log : Log.t;
+  log_level : Log.level; (* the level {!log} starts at *)
+  mutable log_t : Log.t option; (* lazy; use {!log} *)
   env_rng : Splay_sim.Rng.t;
   mutable procs : proc_slot array; (* dense prefix of length [procs_len] *)
   mutable procs_len : int;
@@ -36,14 +37,14 @@ type t = {
   mutable stopped : bool;
   mutable stop_hooks : (unit -> unit) list;
   (* RPC plumbing (owned here so client and server share the endpoint).
-     Both tables materialize on first use: a pure server never allocates
-     the pending table, a pure client never allocates the handler table —
-     at million-node scale each empty-but-allocated Hashtbl would cost
-     ~26 words per node. Access through {!rpc_pending} / {!rpc_handlers}. *)
+     The pending table materializes on first use (access through
+     {!rpc_pending}): a pure server never allocates it — at million-node
+     scale an empty-but-allocated Hashtbl would cost ~22 words per node. *)
   mutable rpc_pending_tbl : (int, (Codec.value, string) result -> unit) Hashtbl.t option;
   mutable rpc_next_rid : int;
-  mutable rpc_handlers_tbl : (string, Codec.value list -> Codec.value) Hashtbl.t option;
-      (** procedure name -> handler; {!Rpc.add_handler} replaces on
+  mutable rpc_handlers : (string * (Codec.value list -> Codec.value)) list;
+      (** procedure name -> handler, one binding per name (an instance
+          registers a handful); {!Rpc.add_handler} replaces on
           re-registration (last registration wins) *)
   mutable rpc_bound : bool;
   mutable rpc_rng : Splay_sim.Rng.t option; (* lazy; use {!rpc_rng} *)
@@ -62,6 +63,10 @@ val create :
 
 val engine : t -> Splay_sim.Engine.t
 
+val log : t -> Log.t
+(** The instance's logger, named after its address, created on first use
+    at [log_level]. *)
+
 val rpc_rng : t -> Splay_sim.Rng.t
 (** The instance's RPC jitter stream, split from [env_rng] on first use —
     lazily, so instances that never draw jitter (the default policy)
@@ -73,11 +78,6 @@ val rpc_pending : t -> (int, (Codec.value, string) result -> unit) Hashtbl.t
 val rpc_pending_opt : t -> (int, (Codec.value, string) result -> unit) Hashtbl.t option
 (** The table if any call ever ran — reply dispatch uses this so a stray
     reply to a node that never called costs no allocation. *)
-
-val rpc_handlers : t -> (string, Codec.value list -> Codec.value) Hashtbl.t
-(** The procedure table, materialized on first use. *)
-
-val rpc_handlers_opt : t -> (string, Codec.value list -> Codec.value) Hashtbl.t option
 
 val live_procs : t -> int
 (** Number of currently-tracked (live) processes of this instance. *)
@@ -104,4 +104,5 @@ val stop : t -> unit
 val is_stopped : t -> bool
 
 val register_port : t -> Addr.t -> unit
-(** Record a port for cleanup at {!stop} (called by the socket layer). *)
+(** Record a bound port for cleanup at {!stop}, which unbinds it and
+    returns its socket to the sandbox (called by the socket layer). *)

@@ -25,12 +25,13 @@ type t = {
   eng : Splay_sim.Engine.t;
   mutable level : level;
   mutable sink : sink;
-  entries : (float * level * string) Queue.t;
+  (* created on the first retained entry: most instances never log *)
+  mutable entries : (float * level * string) Queue.t option;
   mutable emitted : int;
 }
 
 let create ?(level = Info) ?(sink = Memory 10_000) ~name eng =
-  { name; eng; level; sink; entries = Queue.create (); emitted = 0 }
+  { name; eng; level; sink; entries = None; emitted = 0 }
 
 let set_level t l = t.level <- l
 let set_sink t s = t.sink <- s
@@ -43,8 +44,16 @@ let emit t l msg =
     match t.sink with
     | Discard -> ()
     | Memory cap ->
-        Queue.add (now, l, msg) t.entries;
-        if Queue.length t.entries > cap then ignore (Queue.take t.entries)
+        let q =
+          match t.entries with
+          | Some q -> q
+          | None ->
+              let q = Queue.create () in
+              t.entries <- Some q;
+              q
+        in
+        Queue.add (now, l, msg) q;
+        if Queue.length q > cap then ignore (Queue.take q)
     | Forward f -> f ~time:now ~level:l ~node:t.name msg
   end
 
@@ -57,5 +66,5 @@ let info t fmt = log t Info fmt
 let warn t fmt = log t Warn fmt
 let error t fmt = log t Error fmt
 
-let entries t = List.of_seq (Queue.to_seq t.entries)
+let entries t = match t.entries with Some q -> List.of_seq (Queue.to_seq q) | None -> []
 let count t = t.emitted

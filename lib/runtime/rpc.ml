@@ -46,10 +46,23 @@ let reply_size = function
   | Ok v -> 32 + Codec.encoded_size v
   | Error m -> 32 + String.length m
 
-(* Last registration wins: [Hashtbl.replace] drops any previous binding
-   for [name], so a handler can be re-registered (e.g. on reconfiguration)
-   without leaking the old one or shadowing it non-deterministically. *)
-let add_handler env name h = Hashtbl.replace (Env.rpc_handlers env) name h
+(* Last registration wins: any previous binding for [name] is dropped, so
+   a handler can be re-registered (e.g. on reconfiguration) without
+   leaking the old one or shadowing it. An instance registers 1-10
+   procedures, so a list scan beats hashing and costs no table. *)
+let add_handler env name h =
+  let hs = env.Env.rpc_handlers in
+  env.Env.rpc_handlers <-
+    (name, h) :: (if List.mem_assoc name hs then List.remove_assoc name hs else hs)
+
+(* Every bound endpoint answers [__ping] ({!ping}) unless the app binds
+   that name itself: an implicit last binding rather than a list entry
+   per instance. *)
+let ping_handler = Some (fun _ -> Codec.Null)
+
+let rec find_handler proc = function
+  | [] -> if String.equal proc "__ping" then ping_handler else None
+  | (name, h) :: rest -> if String.equal name proc then Some h else find_handler proc rest
 
 let send_reply env ~dst rid result =
   try Sb_socket.send env ~dst ~size:(reply_size result) (Reply { rid; result })
@@ -74,7 +87,7 @@ let dispatch env ~src payload =
                else Obs.null_span
              in
              let result =
-               match Hashtbl.find_opt (Env.rpc_handlers env) proc with
+               match find_handler proc env.Env.rpc_handlers with
                | None -> Error (Printf.sprintf "unknown procedure %S" proc)
                | Some h -> (
                    try Ok (h args) with
@@ -106,7 +119,6 @@ let dispatch env ~src payload =
 let ensure_bound env =
   if not env.Env.rpc_bound then begin
     env.Env.rpc_bound <- true;
-    add_handler env "__ping" (fun _ -> Codec.Null);
     ignore (Sb_socket.udp env ~port:env.Env.me.Addr.port (dispatch env))
   end
 

@@ -6,7 +6,8 @@ let c_opened = Obs.counter "sock.opened"
 let c_denied = Obs.counter "sock.send_denied"
 
 let udp env ~port handler =
-  let addr = Addr.make env.Env.me.Addr.host port in
+  let me = env.Env.me in
+  let addr = if port = me.Addr.port then me else Addr.make me.Addr.host port in
   (try Sandbox.socket_opened env.Env.sandbox
    with Sandbox.Violation m -> raise (Network_error m));
   (try Net.bind env.Env.net addr handler
@@ -14,7 +15,6 @@ let udp env ~port handler =
      Sandbox.socket_closed env.Env.sandbox;
      raise (Network_error m));
   Env.register_port env addr;
-  Env.on_stop env (fun () -> Sandbox.socket_closed env.Env.sandbox);
   Obs.incr c_opened;
   addr
 

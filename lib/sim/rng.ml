@@ -1,23 +1,35 @@
-type t = { mutable state : int64 }
+(* The 64-bit state lives unboxed in an 8-byte buffer: a [mutable int64]
+   field would point at a boxed Int64 (a second block per generator, and a
+   fresh box plus a write barrier on every draw). The compiler reads and
+   writes the buffer as an unboxed int64, so a draw allocates nothing
+   until its result escapes. *)
+type t = Bytes.t
+
+external get_state : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set_state : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let golden = 0x9E3779B97F4A7C15L
 
-let mix z =
+let[@inline] mix z =
   let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
   let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
   Int64.(logxor z (shift_right_logical z 31))
 
-let create seed = { state = mix (Int64.of_int (seed lxor 0x1F2E3D4C)) }
+let of_state s =
+  let t = Bytes.create 8 in
+  set_state t 0 s;
+  t
 
-let bits64 t =
-  t.state <- Int64.add t.state golden;
-  mix t.state
+let create seed = of_state (mix (Int64.of_int (seed lxor 0x1F2E3D4C)))
 
-let split t =
-  let s = bits64 t in
-  { state = mix s }
+let[@inline] bits64 t =
+  let s = Int64.add (get_state t 0) golden in
+  set_state t 0 s;
+  mix s
 
-let copy t = { state = t.state }
+let split t = of_state (mix (bits64 t))
+
+let copy = Bytes.copy
 
 let int t n =
   if n <= 0 then invalid_arg "Rng.int";

@@ -584,6 +584,34 @@ let test_epidemic_oneway_coverage () =
     true
     (delivered <= n * config.fanout)
 
+(* Footprint pin: what one deployed one-way epidemic instance keeps live
+   before any rumour moves — its Env (sandbox, logger, RNG, RPC plumbing)
+   plus the app (node record, handlers, bound port). This is the
+   per-instance cost that bounds how many nodes one run can hold. The
+   peer lists are built before the baseline; every instance stays
+   reachable through the network's port table. *)
+let test_epidemic_footprint () =
+  let n = 10_000 in
+  let eng = Engine.create ~seed:17 () in
+  let tb = Testbed.synthetic ~hosts:n (Engine.rng eng) in
+  let net = Net.create eng tb in
+  let addrs = Array.init n (fun i -> Addr.make i 9000) in
+  let peers = Array.init n (fun i -> List.map (fun s -> addrs.((i + s) mod n)) [ 1; 7; 29; 113 ]) in
+  let config = { Apps.Epidemic.fanout = 6; rpc_timeout = 5.0; oneway = true } in
+  let live () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let base = live () in
+  for i = 0 to n - 1 do
+    Apps.Epidemic.app ~config ~register:ignore (Env.create net ~me:addrs.(i) ~nodes:peers.(i))
+  done;
+  let per_node = Float.of_int (live () - base) /. Float.of_int n in
+  ignore (Sys.opaque_identity (net, peers));
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f live words per instance (bound 90)" per_node)
+    true (per_node < 90.0)
+
 (* {2 Distribution trees} *)
 
 let test_trees_structure_and_completion () =
@@ -1113,6 +1141,7 @@ let () =
         [
           Alcotest.test_case "coverage" `Quick test_epidemic_coverage;
           Alcotest.test_case "one-way coverage" `Quick test_epidemic_oneway_coverage;
+          Alcotest.test_case "footprint per instance" `Quick test_epidemic_footprint;
         ] );
       ("trees", [ Alcotest.test_case "structure and completion" `Quick test_trees_structure_and_completion ]);
       ( "scribe",

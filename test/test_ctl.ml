@@ -100,7 +100,7 @@ let test_deploy_app_really_runs () =
       let ran = ref 0 in
       let main env =
         incr ran;
-        Log.info env.Env.log "instance %d up" env.Env.position
+        Log.info (Env.log env) "instance %d up" env.Env.position
       in
       let dep = Controller.deploy ctl ~name:"counter" ~main (Descriptor.make 8) in
       Env.sleep 1.0;

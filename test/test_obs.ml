@@ -684,8 +684,8 @@ let test_log_collection () =
   let records = ref None and records_quiet = ref None in
   with_ctl_platform (fun ctl ->
       let main env =
-        Log.info env.Env.log "up at position %d" env.Env.position;
-        Log.debug env.Env.log "below the default threshold"
+        Log.info (Env.log env) "up at position %d" env.Env.position;
+        Log.debug (Env.log env) "below the default threshold"
       in
       let dep =
         Controller.deploy ctl ~name:"logger" ~main

@@ -55,6 +55,22 @@ let prop_between_exclusive_split =
       let in_ba = Misc.between x b a ~modulus ~incl_lo:false ~incl_hi:false in
       in_ab <> in_ba)
 
+(* Pastry's leafset insertion: one walk over an already-sorted half must
+   equal the old sort-then-truncate, ties included (small keys make equal
+   distances common; tags tell tied elements apart). When the newcomer
+   falls past the cap, the half comes back unchanged and uncopied. *)
+let prop_insert_bounded =
+  QCheck.Test.make ~name:"insert_bounded = take cap (stable_sort (x :: l))" ~count:2000
+    QCheck.(triple (int_range 1 8) (int_bound 6) (small_list (int_bound 6)))
+    (fun (cap, kx, keys) ->
+      let l = List.mapi (fun i k -> (k, i)) (List.sort Int.compare keys) in
+      let l = Misc.take (cap + 2) l in
+      let x = (kx, -1) in
+      let got = Misc.insert_bounded ~cap fst x l in
+      let by_key a b = Int.compare (fst a) (fst b) in
+      let want = Misc.take cap (List.stable_sort by_key (x :: l)) in
+      got = want && ((List.mem x got || List.length l > cap) || got == l))
+
 let test_ring_ops () =
   Alcotest.(check int) "add wraps" 1 (Misc.ring_add 15 2 ~modulus:16);
   Alcotest.(check int) "distance forward" 3 (Misc.ring_distance 14 1 ~modulus:16);
@@ -79,6 +95,19 @@ let test_sha1_block_boundaries () =
   check (String.make 56 'a') "c2db330f6083854c99d4b5bfb6e8f29f201be699";
   check (String.make 64 'a') "0098ba824b5c16427bd7a1122a5a442a25ec644d";
   check (String.make 65 'a') "11655326c708d70319be2610e8a57d9a5b959d3b"
+
+(* Native-int rounds: a replica id or node id hash must not allocate per
+   round (boxed Int32 arithmetic cost ~650 words per hash). *)
+let test_sha1_allocation () =
+  let key = "0123456789abcdef" in
+  let n = 1000 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    ignore (Sys.opaque_identity (Crypto.sha1 key))
+  done;
+  let per_hash = (Gc.minor_words () -. w0) /. Float.of_int n in
+  if per_hash >= 50.0 then
+    Alcotest.failf "sha1 of a 16-byte key allocates %.1f minor words" per_hash
 
 let test_hash_to_id_range () =
   for i = 0 to 200 do
@@ -621,7 +650,7 @@ let test_rpc_reregistration_last_wins () =
       ignore (Engine.run eng);
       Alcotest.(check int) "last registration wins" 3 !got;
       Alcotest.(check int) "single binding, not a shadow stack" 1
-        (List.length (Hashtbl.find_all (Env.rpc_handlers server_env) "ver")))
+        (List.length (List.filter (fun (name, _) -> name = "ver") server_env.Env.rpc_handlers)))
 
 let test_rpc_notify_one_way () =
   with_cluster (fun eng net ->
@@ -761,6 +790,7 @@ let qsuite =
       prop_codec_roundtrip;
       prop_framing_roundtrip;
       prop_encoded_size;
+      prop_insert_bounded;
     ]
 
 
@@ -949,6 +979,7 @@ let () =
         [
           Alcotest.test_case "sha1 vectors" `Quick test_sha1_vectors;
           Alcotest.test_case "sha1 block boundaries" `Quick test_sha1_block_boundaries;
+          Alcotest.test_case "sha1 allocation" `Quick test_sha1_allocation;
           Alcotest.test_case "hash_to_id range" `Quick test_hash_to_id_range;
           Alcotest.test_case "hash_to_id deterministic" `Quick test_hash_to_id_deterministic;
         ] );
