@@ -2,10 +2,15 @@ all:
 	dune build @all
 
 check:
-	dune build @all && dune runtest && $(MAKE) trace-demo && $(MAKE) bench-smoke && $(MAKE) bench-scale-smoke && $(MAKE) bench-obs-smoke && $(MAKE) bench-serve-smoke && $(MAKE) check-smoke && $(MAKE) live-smoke
+	dune build @all && dune runtest && $(MAKE) unused-exports && $(MAKE) trace-demo && $(MAKE) bench-smoke && $(MAKE) bench-scale-smoke && $(MAKE) bench-obs-smoke && $(MAKE) bench-serve-smoke && $(MAKE) check-smoke && $(MAKE) live-smoke
 
 test:
 	dune runtest
+
+# Dead-API guard: every `val` in lib/*/*.mli must be mentioned by some .ml
+# outside its own module (lib, bin, bench, test, examples, perfbench).
+unused-exports:
+	scripts/check_unused_exports.sh
 
 bench:
 	dune exec bench/main.exe
@@ -96,4 +101,4 @@ trace-demo:
 	  | tee /dev/stderr | grep -q "rpc\."
 	@echo "trace-demo: OK (critical path extracted)"
 
-.PHONY: all check test bench bench-smoke bench-scale-smoke bench-obs-smoke bench-serve-smoke bench-baseline trace-demo check-smoke check-fuzz live-smoke
+.PHONY: all check test unused-exports bench bench-smoke bench-scale-smoke bench-obs-smoke bench-serve-smoke bench-baseline trace-demo check-smoke check-fuzz live-smoke

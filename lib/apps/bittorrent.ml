@@ -53,7 +53,6 @@ type node = {
   tracker : Addr.t option; (* None when we are the tracker *)
   mutable swarm : Addr.t list; (* tracker-side peer registry *)
   mutable up_bytes : int;
-  mutable down_bytes : int;
   b_rng : Rng.t;
 }
 
@@ -63,12 +62,7 @@ let complete t = t.n_have = t.npieces
 let completion_time t = t.completed_at
 let is_initial_seed t = t.seed
 let uploaded_bytes t = t.up_bytes
-let downloaded_bytes t = t.down_bytes
-let known_peers t = Hashtbl.length t.peers
 let is_stopped t = Env.is_stopped t.env
-
-let unchoked_peers t =
-  Hashtbl.fold (fun a p acc -> if not p.we_choke then a :: acc else acc) t.peers []
 
 let piece_path i = Printf.sprintf "chunks/%06d" i
 
@@ -253,7 +247,6 @@ let request_piece t i =
                 | _ -> (
                     match Codec.member "data" v with
                     | Codec.String data ->
-                        t.down_bytes <- t.down_bytes + String.length data;
                         p.bytes_from <- p.bytes_from + String.length data;
                         store_piece t i;
                         true
@@ -338,7 +331,6 @@ let app ?(config = default_config) ~file_size ~register env =
          initial seed of the swarm *)
       swarm = (if tracker = None then [ env.Env.me ] else []);
       up_bytes = 0;
-      down_bytes = 0;
       b_rng = Rng.split env.Env.env_rng;
     }
   in

@@ -34,9 +34,6 @@ val complete : node -> bool
 val completion_time : node -> float option
 val is_initial_seed : node -> bool
 val uploaded_bytes : node -> int
-val downloaded_bytes : node -> int
-val known_peers : node -> int
-val unchoked_peers : node -> Addr.t list
 val file_on_disk : node -> bool
 (** All pieces present in the sandboxed filesystem. *)
 

@@ -28,7 +28,6 @@ val app : ?config:config -> register:(node -> unit) -> Env.t -> unit
 val id : node -> int
 val addr : node -> Addr.t
 val successors : node -> Node.t list
-val predecessors : node -> Node.t list
 
 (** Head of the successor leafset — the node's best current guess, the
     counterpart of base Chord's single pointer. *)

@@ -27,7 +27,6 @@ type node = {
 
 let self t = t.me
 let neighbors t = List.map (fun e -> e.node) t.cache
-let neighbor_ages t = List.map (fun e -> (e.node, e.age)) t.cache
 let shuffles_done t = t.n_shuffles
 let is_stopped t = Env.is_stopped t.env
 

@@ -20,6 +20,5 @@ val app : ?config:config -> register:(node -> unit) -> Env.t -> unit
 
 val self : node -> Node.t
 val neighbors : node -> Node.t list
-val neighbor_ages : node -> (Node.t * int) list
 val shuffles_done : node -> int
 val is_stopped : node -> bool

@@ -57,7 +57,6 @@ type t = {
   mutable refilled_at : float;
   (* client-side replica selection state *)
   ewma : (int, float) Hashtbl.t;
-  mutable rtt_hint : (Addr.t -> float option) option;
   mutable owners : (string, Node.t option array) Hashtbl.t option;
       (* read-path owner memo: key -> the owner a route last named for each
          replica; created on the first route, so pure owners allocate none *)
@@ -69,12 +68,10 @@ type t = {
 }
 
 let stored_entries t = Hashtbl.length t.store
-let stored_bytes t = Hashtbl.fold (fun _ e acc -> acc + String.length e.value) t.store 0
 let served_count t = t.n_served
 let shed_count t = t.n_shed
 let batched_count t = t.n_batched
 let queue_depth t = Queue.length t.queue
-let set_rtt_estimator t f = t.rtt_hint <- Some f
 
 let now t = Env.now t.env
 
@@ -250,9 +247,9 @@ let route t ~key i =
   remember t ~key i owner;
   owner
 
-(* EWMA of observed fetch round-trips per host — the fallback latency
-   estimate for power-of-two-choices when no coordinate hook is set. An
-   unknown host estimates 0 so fresh replicas get explored. *)
+(* EWMA of observed fetch round-trips per host — the latency estimate for
+   power-of-two-choices. An unknown host estimates 0 so fresh replicas get
+   explored. *)
 let observe_rtt t addr dt =
   let v =
     match Hashtbl.find_opt t.ewma addr.Addr.host with
@@ -261,11 +258,7 @@ let observe_rtt t addr dt =
   in
   Hashtbl.replace t.ewma addr.Addr.host v
 
-let estimate t addr =
-  let ewma () = Option.value ~default:0.0 (Hashtbl.find_opt t.ewma addr.Addr.host) in
-  match t.rtt_hint with
-  | Some f -> ( match f addr with Some r -> r | None -> ewma ())
-  | None -> ewma ()
+let estimate t addr = Option.value ~default:0.0 (Hashtbl.find_opt t.ewma addr.Addr.host)
 
 let put_r t ~key ~value =
   let acks = ref 0 and sheds = ref 0 in
@@ -430,7 +423,6 @@ let create ?(config = default_config) p =
       tokens = config.token_burst;
       refilled_at = 0.0;
       ewma = Hashtbl.create 16;
-      rtt_hint = None;
       owners = None;
       (* private stream derived from the node id, not split from env_rng:
          enabling p2c must not perturb any other component's draws *)

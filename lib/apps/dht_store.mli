@@ -31,9 +31,8 @@
     - [batching]: concurrent gets for the same key coalesce into one
       service slot, with the reply fanned out to every waiter;
     - [p2c]: {!get} samples two replicas and reads from the
-      estimated-closer / less-loaded owner first (a coordinate hook via
-      {!set_rtt_estimator} when available, else an EWMA of observed fetch
-      round-trips, with shed replies penalized by a full SLO budget). It
+      estimated-closer / less-loaded owner first (an EWMA of observed
+      fetch round-trips, with shed replies penalized by a full SLO budget). It
       routes at most the first sample; the second is a candidate only
       when the owner memo already names its owner, so a p2c get never
       routes more than a baseline get;
@@ -100,13 +99,6 @@ val preload : t -> key:string -> value:string -> unit
 
 val stored_entries : t -> int
 (** Entries this node currently holds (observability). *)
-
-val stored_bytes : t -> int
-
-val set_rtt_estimator : t -> (Addr.t -> float option) -> unit
-(** Install a latency-estimate hook for p2c replica selection (e.g. a
-    Vivaldi coordinate distance). [None] for a peer falls back to the
-    built-in EWMA. *)
 
 val served_count : t -> int
 (** Requests this owner completed through the serving queue. *)

@@ -14,13 +14,11 @@ type node = {
       (* every rumour seen, newest first; membership scans it — a node
          holds a handful of rumours, and a table would cost 22 words per
          node before the first one arrives *)
-  mutable forwarded : int;
   e_rng : Rng.t;
 }
 
 let received t = t.seen
 let has_received t rumor = List.mem rumor t.seen
-let messages_forwarded t = t.forwarded
 let is_stopped t = Env.is_stopped t.env
 
 (* The bootstrap list without this node; shared as is when it does not
@@ -42,15 +40,10 @@ let forward t rumor =
   (* payloads are immutable: every target's request shares one argument list *)
   let args = [ Codec.String rumor ] in
   if t.cfg.oneway then
-    List.iter
-      (fun a ->
-        t.forwarded <- t.forwarded + 1;
-        Rpc.notify t.env a "epidemic.rumor" args)
-      targets
+    List.iter (fun a -> Rpc.notify t.env a "epidemic.rumor" args) targets
   else
     List.iter
       (fun a ->
-        t.forwarded <- t.forwarded + 1;
         ignore
           (Env.thread t.env (fun () ->
                ignore
@@ -71,7 +64,6 @@ let app ?(config = default_config) ~register env =
       cfg = config;
       env;
       seen = [];
-      forwarded = 0;
       e_rng = Rng.split env.Env.env_rng;
     }
   in

@@ -32,5 +32,4 @@ val received : node -> string list
 (** Rumors seen by this node, most recent first. *)
 
 val has_received : node -> string -> bool
-val messages_forwarded : node -> int
 val is_stopped : node -> bool

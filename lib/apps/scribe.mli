@@ -36,5 +36,3 @@ val delivered : t -> (int * string) list
 val children : t -> topic:int -> Node.t list
 (** This node's children in the topic tree (observability). *)
 
-val is_forwarder : t -> topic:int -> bool
-val is_subscribed : t -> topic:int -> bool

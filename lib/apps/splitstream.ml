@@ -39,7 +39,6 @@ let create scribe ~stripes ~name =
       end);
   t
 
-let stripe_topics t = Array.to_list t.topics
 
 let subscribe_all t = Array.iter (fun topic -> Scribe.subscribe t.scribe ~topic) t.topics
 
@@ -54,7 +53,6 @@ let send t ~content ~block_size =
     Scribe.publish t.scribe ~topic:t.topics.(idx mod t.stripes) ~payload
   done
 
-let received_blocks t = Hashtbl.length t.blocks
 let total_blocks t = t.total
 
 let complete t = match t.total with Some n -> Hashtbl.length t.blocks = n | None -> false

@@ -12,7 +12,6 @@ type t
 val create : Scribe.t -> stripes:int -> name:string -> t
 (** [name] identifies the content; stripe topics derive from it. *)
 
-val stripe_topics : t -> int list
 
 val subscribe_all : t -> unit
 (** Join every stripe tree. Blocking. *)
@@ -21,7 +20,6 @@ val send : t -> content:string -> block_size:int -> unit
 (** Publisher side: split and publish all blocks. Blocking per block
     hand-off to the rendezvous. *)
 
-val received_blocks : t -> int
 val total_blocks : t -> int option
 (** [None] until the first block (carrying the total) arrives. *)
 

@@ -40,8 +40,6 @@ let distance a b =
     a;
   sqrt !acc
 
-let estimate_rtt t ~coord = distance t.coord coord
-
 let coord_to_value c = Codec.List (Array.to_list (Array.map (fun x -> Codec.Float x) c))
 
 let coord_of_value v = Array.of_list (List.map Codec.to_float (Codec.to_list v))

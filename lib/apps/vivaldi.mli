@@ -47,9 +47,3 @@ val samples : node -> int
 val distance : float array -> float array -> float
 (** Euclidean distance between two coordinates = predicted RTT seconds. *)
 
-val estimate_rtt : node -> coord:float array -> float
-(** Predicted RTT from this node to a peer's published coordinate. *)
-
-val probe_once : node -> Addr.t -> (float, string) result
-(** Probe one peer immediately (measure RTT, exchange coordinates, update).
-    Returns the measured RTT. Blocking. *)

@@ -41,9 +41,7 @@ type t = {
   env : Env.t;
   cache : (string, entry) Hashtbl.t;
   mutable served : int;
-  mutable hits : int;
   mutable misses : int;
-  mutable evicted : int;
   mutable origin : int;
   mutable stale : int;
   mutable shed : int;
@@ -56,10 +54,8 @@ type t = {
 }
 
 let requests_served t = t.served
-let home_hits t = t.hits
 let home_misses t = t.misses
 let cached_entries t = Hashtbl.length t.cache
-let evictions t = t.evicted
 let origin_fetches t = t.origin
 let stale_served t = t.stale
 let shed_count t = t.shed
@@ -84,8 +80,7 @@ let evict_lru t =
   match !victim with
   | Some (url, e) ->
       Hashtbl.remove t.cache url;
-      Sandbox.free t.env.Env.sandbox (String.length e.value);
-      t.evicted <- t.evicted + 1
+      Sandbox.free t.env.Env.sandbox (String.length e.value)
   | None -> ()
 
 let insert t url value =
@@ -126,7 +121,6 @@ let serve t url =
   match Hashtbl.find_opt t.cache url with
   | Some e when now t -. e.fetched_at <= t.cfg.ttl ->
       e.last_used <- now t;
-      t.hits <- t.hits + 1;
       (* the freshness guard above is the invariant; the counter exists so
          the check suite can observe it never fired *)
       if now t -. e.fetched_at > t.cfg.ttl then t.stale <- t.stale + 1;
@@ -210,9 +204,7 @@ let create ?(config = default_config) p =
       env;
       cache = Hashtbl.create 64;
       served = 0;
-      hits = 0;
       misses = 0;
-      evicted = 0;
       origin = 0;
       stale = 0;
       shed = 0;

@@ -41,10 +41,8 @@ val get : t -> string -> (string * [ `Hit | `Miss | `Failed | `Shed ] * float)
 val requests_served : t -> int
 (** Requests this node served as a home node. *)
 
-val home_hits : t -> int
 val home_misses : t -> int
 val cached_entries : t -> int
-val evictions : t -> int
 
 val origin_fetches : t -> int
 (** Actual origin-server fetches (with [coalesce] this stays at or below

@@ -50,9 +50,6 @@ type op =
 
 type t = op list
 
-val op_time : op -> float
-(** Start time of the op. *)
-
 val duration : t -> float
 (** Time of the last effect, heals and churn tails included — how long
     {!run} keeps acting after it starts. *)

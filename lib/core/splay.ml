@@ -58,7 +58,6 @@ module Codec = Splay_runtime.Codec
 module Sandbox = Splay_runtime.Sandbox
 module Log = Splay_runtime.Log
 module Env = Splay_runtime.Env
-module Events = Splay_runtime.Events
 module Sb_socket = Splay_runtime.Sb_socket
 module Sb_stream = Splay_runtime.Sb_stream
 module Sb_fs = Splay_runtime.Sb_fs

@@ -26,7 +26,6 @@ type t = {
   c_net : Net.t;
   c_env : Env.t;
   mutable c_daemons : drec list;
-  c_jobs : (int, job) Hashtbl.t;
   c_specs : (int, Daemon.job_spec) Hashtbl.t;
   mutable c_next_job : int;
   c_unseen : float;
@@ -46,7 +45,6 @@ let create ?(unseen_timeout = 3600.0) net ~host =
       c_net = net;
       c_env;
       c_daemons = [];
-      c_jobs = Hashtbl.create 16;
       c_specs = Hashtbl.create 16;
       c_next_job = 0;
       c_unseen = unseen_timeout;
@@ -75,9 +73,6 @@ let create ?(unseen_timeout = 3600.0) net ~host =
 
 let now t = Engine.now (Net.engine t.c_net)
 
-let attach_daemon t d =
-  t.c_daemons <- { dr_daemon = d; dr_last_seen = now t } :: t.c_daemons
-
 let boot_daemons ?config t hosts =
   List.map
     (fun h ->
@@ -86,22 +81,15 @@ let boot_daemons ?config t hosts =
           ~lookup_job:(fun id -> Hashtbl.find_opt t.c_specs id)
           ()
       in
-      attach_daemon t d;
+      t.c_daemons <- { dr_daemon = d; dr_last_seen = now t } :: t.c_daemons;
       d)
     hosts
-
-let daemons t = List.rev_map (fun d -> d.dr_daemon) t.c_daemons
 
 let daemon_alive t d =
   Net.host_up t.c_net (Daemon.host d.dr_daemon) && now t -. d.dr_last_seen < t.c_unseen
 
 let alive_daemons t =
   List.rev_map (fun d -> d.dr_daemon) (List.filter (daemon_alive t) t.c_daemons)
-
-let heartbeat_age t d =
-  match List.find_opt (fun r -> r.dr_daemon == d) t.c_daemons with
-  | Some r -> now t -. r.dr_last_seen
-  | None -> infinity
 
 (* {1 Selection} *)
 
@@ -127,8 +115,6 @@ let probe t ?(payload = 20 * 1024) d =
 
 (* {1 Deployment} *)
 
-let job_id j = j.j_id
-
 let new_job t ~log_cap ~log_level name main desc =
   let id = t.c_next_job in
   t.c_next_job <- id + 1;
@@ -141,7 +127,6 @@ let new_job t ~log_cap ~log_level name main desc =
       j_log = Deploy.logs ~cap:log_cap;
     }
   in
-  Hashtbl.replace t.c_jobs id job;
   Hashtbl.replace t.c_specs id
     {
       Daemon.js_name = name;
@@ -197,28 +182,22 @@ let deploy t ?superset ?register_timeout ?(criteria = []) ?(log_cap = 100_000)
   job.j_members <- List.rev members;
   { dep_ctl = t; dep_job = job }
 
-let deployment_job dep = dep.dep_job
 let deployment_ctl dep = dep.dep_ctl
 
 let members dep = List.rev dep.dep_job.j_members
 
-let member_instance (d, a, _) =
-  List.find_opt (fun i -> Addr.equal (Daemon.instance_addr i) a) (Daemon.instances d)
+(* The member's instance while it runs: started, not stopped, host up. *)
+let running dep (d, a, _) =
+  if not (Net.host_up dep.dep_ctl.c_net (Daemon.host d)) then None
+  else
+    match List.find_opt (fun i -> Addr.equal i.Instances.env.Env.me a) (Daemon.instances d) with
+    | Some i as found when i.started && not (Env.is_stopped i.env) -> found
+    | _ -> None
 
-let live_members dep =
-  List.filter
-    (fun ((d, _, _) as m) ->
-      Net.host_up dep.dep_ctl.c_net (Daemon.host d)
-      &&
-      match member_instance m with
-      | Some i -> Daemon.instance_started i && not (Env.is_stopped (Daemon.instance_env i))
-      | None -> false)
-    (members dep)
+let live_members dep = List.filter (fun m -> Option.is_some (running dep m)) (members dep)
 
 let live_envs dep =
-  List.filter_map
-    (fun m -> Option.map Daemon.instance_env (member_instance m))
-    (live_members dep)
+  List.filter_map (fun m -> Option.map (fun i -> i.Instances.env) (running dep m)) (members dep)
 
 let live_count dep = List.length (live_members dep)
 
@@ -253,21 +232,15 @@ let job_status ?(top = 3) dep =
   let ms = members dep in
   let hosts = List.sort_uniq compare (List.map (fun (d, _, _) -> Daemon.host d) ms) in
   let up, down = List.partition (Net.host_up t.c_net) hosts in
-  let live = ref 0 and fibers = ref 0 and inflight = ref 0 and mem = ref 0 in
-  let per = ref [] in
+  let u = Instances.zero () and per = ref [] in
   List.iter
-    (fun ((d, a, _) as m) ->
-      if Net.host_up t.c_net (Daemon.host d) then
-        match member_instance m with
-        | Some i when Daemon.instance_started i && not (Env.is_stopped (Daemon.instance_env i)) ->
-            let env = Daemon.instance_env i in
-            incr live;
-            fibers := !fibers + Env.live_procs env;
-            inflight := !inflight + Telemetry.inflight_rpcs env;
-            let used = Sandbox.memory_used env.Env.sandbox in
-            mem := !mem + used;
-            per := (a, used) :: !per
-        | _ -> ())
+    (fun ((_, a, _) as m) ->
+      match running dep m with
+      | Some i ->
+          let before = u.mem in
+          Instances.add u i.env;
+          per := (a, u.mem - before) :: !per
+      | None -> ())
     ms;
   let worst =
     List.sort
@@ -277,33 +250,18 @@ let job_status ?(top = 3) dep =
   {
     st_name = job_name dep;
     st_members = List.length ms;
-    st_live = !live;
+    st_live = List.length !per;
     st_hosts_up = List.length up;
     st_hosts_down = List.length down;
-    st_fibers = !fibers;
-    st_inflight = !inflight;
-    st_mem_bytes = !mem;
+    st_fibers = u.fibers;
+    st_inflight = u.inflight;
+    st_mem_bytes = u.mem;
     st_worst = Misc.take top worst;
   }
 
 let worst_cell st =
   String.concat " "
     (List.map (fun (a, m) -> Printf.sprintf "%s:%d" (Addr.to_string a) m) st.st_worst)
-
-let deployments t =
-  let all = Hashtbl.fold (fun _ job acc -> { dep_ctl = t; dep_job = job } :: acc) t.c_jobs [] in
-  List.sort (fun a b -> compare a.dep_job.j_id b.dep_job.j_id) all
-
-let print_status t =
-  Printf.printf "  %-12s %8s %6s %9s %11s %8s %10s %10s  %s\n" "job" "members" "live"
-    "hosts-up" "hosts-down" "fibers" "inflight" "mem-bytes" "worst";
-  List.iter
-    (fun dep ->
-      let st = job_status dep in
-      Printf.printf "  %-12s %8d %6d %9d %11d %8d %10d %10d  %s\n" st.st_name st.st_members
-        st.st_live st.st_hosts_up st.st_hosts_down st.st_fibers st.st_inflight st.st_mem_bytes
-        (worst_cell st))
-    (deployments t)
 
 (* Periodic status sampling into the metrics plane: per-job [ctl.job_status]
    note rows (the splayd status report of the paper, one row per window)

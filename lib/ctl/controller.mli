@@ -29,19 +29,12 @@ val net : t -> Net.t
 
 (** {1 Daemon database} *)
 
-val attach_daemon : t -> Daemon.t -> unit
-(** Record a daemon that connected. (The [Daemon.start] convenience
-    {!boot_daemons} does this for you.) *)
-
 val boot_daemons : ?config:Daemon.config -> t -> Addr.host_id list -> Daemon.t list
-(** Start a daemon on each host and attach it. *)
+(** Start a daemon on each host and record it in the database. *)
 
-val daemons : t -> Daemon.t list
 val alive_daemons : t -> Daemon.t list
 (** Daemons whose host is up and whose session is fresh (heartbeat within
     the unseen timeout). *)
-
-val heartbeat_age : t -> Daemon.t -> float
 
 (** {1 Selection} *)
 
@@ -60,10 +53,7 @@ val probe : t -> ?payload:int -> Daemon.t -> float option
 
 (** {1 Jobs} *)
 
-type job
 type deployment
-
-val job_id : job -> int
 
 val deploy :
   t ->
@@ -88,7 +78,6 @@ val deploy :
     retains for the job — beyond it, {!job_logs} keeps counting lines
     and bytes but drops the text. *)
 
-val deployment_job : deployment -> job
 val deployment_ctl : deployment -> t
 
 val members : deployment -> (Daemon.t * Addr.t * int) list
@@ -123,14 +112,6 @@ type job_status = {
 val job_status : ?top:int -> deployment -> job_status
 (** Current status; [top] bounds {!job_status.st_worst} (default 3). *)
 
-val job_name : deployment -> string
-
-val deployments : t -> deployment list
-(** Every job this controller runs, in deployment order. *)
-
-val print_status : t -> unit
-(** One status line per job on stdout. *)
-
 val monitor : ?interval:float -> ?top:int -> deployment -> unit
 (** Start the periodic status sampler on the controller's env (default
     interval: the rollup window width). It stops when the controller's
@@ -154,9 +135,6 @@ val stop_node : deployment -> Addr.t -> unit
 val restart_node : deployment -> Addr.t -> unit
 (** Re-START a stopped instance: new LIST (bootstrapped against current
     live members) + START. Blocking. *)
-
-val free_node : deployment -> Addr.t -> unit
-(** Graceful removal through the FREE command. Blocking. *)
 
 val undeploy : deployment -> unit
 (** FREE every live instance. Blocking. *)

@@ -43,14 +43,6 @@ type job_spec = {
   js_loss : float;
 }
 
-type instance = {
-  inst_job : int;
-  mutable inst_env : Env.t;
-  mutable inst_started : bool;
-  mutable inst_nodes : Addr.t list;
-  inst_position : int;
-}
-
 type t = {
   d_host : Addr.host_id;
   net : Net.t;
@@ -58,8 +50,7 @@ type t = {
   cfg : config;
   controller : Addr.t;
   lookup_job : int -> job_spec option;
-  mutable insts : instance list;
-  mutable next_port : int;
+  tbl : Instances.t;
   mutable banned : Addr.host_id list; (* controller-pushed blacklist *)
 }
 
@@ -73,16 +64,11 @@ let proc_stop = "splayd.stop"
 let addr t = t.d_env.Env.me
 let host t = t.d_host
 
-let instances t = t.insts
-let instances_of_job t job = List.filter (fun i -> i.inst_job = job) t.insts
-let instance_env i = i.inst_env
-let instance_addr i = i.inst_env.Env.me
-let instance_count t = List.length t.insts
+let instances t = Instances.all t.tbl
+let instance_count t = Instances.count t.tbl
 
 let memory_used t =
-  List.fold_left
-    (fun acc i -> acc + t.cfg.base_footprint + Sandbox.memory_used i.inst_env.Env.sandbox)
-    0 t.insts
+  (instance_count t * t.cfg.base_footprint) + (Instances.usage t.tbl).Instances.mem
 
 (* Contention model: instances cost a sliver of CPU each; once resident
    memory exceeds the host's RAM, swapping multiplies every service time.
@@ -105,16 +91,13 @@ let load t =
   let base = n *. t.cfg.cpu_per_instance in
   if h.Testbed.service_mult > 1.5 then base +. (n *. 0.002) else base
 
-let find_inst t port = List.find_opt (fun i -> i.inst_env.Env.me.Addr.port = port) t.insts
-
 let remove_instance t inst =
-  Env.stop inst.inst_env;
-  t.insts <- List.filter (fun i -> i != inst) t.insts;
+  Instances.remove t.tbl inst;
   refresh_host_model t
 
 let stop_instance t a =
-  match find_inst t a.Addr.port with
-  | Some i when Addr.equal (instance_addr i) a -> remove_instance t i
+  match Instances.find t.tbl a.Addr.port with
+  | Some i when Addr.equal i.Instances.env.Env.me a -> remove_instance t i
   | _ -> ()
 
 (* A control command pays the host's service time before answering: on a
@@ -152,46 +135,31 @@ let handle_register t args =
           Obs.finish ~attrs:[ ("outcome", "unknown_job") ] sp;
           failwith "unknown job"
       | Some spec ->
-          let port = t.next_port in
-          t.next_port <- t.next_port + 1;
-          let env = fresh_env t spec ~port in
-          let inst =
-            { inst_job = job; inst_env = env; inst_started = false; inst_nodes = []; inst_position = 0 }
+          let port =
+            Instances.register t.tbl ~job ~name:spec.js_name ~main:spec.js_main (fun port ->
+                fresh_env t spec ~port)
           in
-          t.insts <- inst :: t.insts;
           refresh_host_model t;
           if !Obs.enabled then Obs.finish ~attrs:[ ("port", string_of_int port) ] sp;
           Codec.Int port)
   | _ -> failwith "register: bad arguments"
 
+let ok_or_fail verb = function Ok () -> Codec.Null | Error e -> failwith (verb ^ ": " ^ e)
+
 let handle_list t args =
   Obs.incr c_list;
   match args with
-  | [ port_v; position_v; nodes_v ] -> (
-      let port = Codec.to_int port_v in
-      match find_inst t port with
-      | None -> failwith "list: no such instance"
-      | Some inst ->
-          inst.inst_env.Env.position <- Codec.to_int position_v;
-          inst.inst_nodes <- Wire.addrs_of_value nodes_v;
-          Codec.Null)
+  | [ port_v; position_v; nodes_v ] ->
+      ok_or_fail "list"
+        (Instances.list t.tbl ~port:(Codec.to_int port_v) ~position:(Codec.to_int position_v)
+           ~nodes:(Wire.addrs_of_value nodes_v))
   | _ -> failwith "list: bad arguments"
 
 let handle_start t args =
   Obs.incr c_start;
   match args with
-  | [ job_v; port_v ] -> (
-      let job = Codec.to_int job_v and port = Codec.to_int port_v in
-      match (t.lookup_job job, find_inst t port) with
-      | Some spec, Some inst when (not inst.inst_started) && inst.inst_job = job ->
-          inst.inst_started <- true;
-          inst.inst_env.Env.nodes <- inst.inst_nodes;
-          ignore
-            (Env.thread inst.inst_env ~name:(Printf.sprintf "%s@%d" spec.js_name t.d_host)
-               (fun () -> spec.js_main inst.inst_env));
-          Codec.Null
-      | _, None -> failwith "start: no such instance"
-      | _ -> failwith "start: bad state")
+  | [ job_v; port_v ] ->
+      ok_or_fail "start" (Instances.start t.tbl ~job:(Codec.to_int job_v) ~port:(Codec.to_int port_v))
   | _ -> failwith "start: bad arguments"
 
 (* STOP: terminate the application but keep the registration — the job goes
@@ -202,17 +170,17 @@ let handle_stop t args =
   match args with
   | [ port_v ] -> (
       let port = Codec.to_int port_v in
-      match find_inst t port with
+      match Instances.find t.tbl port with
       | None -> failwith "stop: no such instance"
       | Some inst -> (
-          match t.lookup_job inst.inst_job with
+          match t.lookup_job inst.Instances.job with
           | None -> failwith "stop: unknown job"
           | Some spec ->
-              Env.stop inst.inst_env;
+              Env.stop inst.env;
               let env = fresh_env t spec ~port in
-              env.Env.position <- inst.inst_env.Env.position;
-              inst.inst_env <- env;
-              inst.inst_started <- false;
+              env.Env.position <- inst.env.Env.position;
+              inst.env <- env;
+              inst.started <- false;
               refresh_host_model t;
               Codec.Null))
   | _ -> failwith "stop: bad arguments"
@@ -221,8 +189,7 @@ let handle_free t args =
   Obs.incr c_free;
   match args with
   | [ port_v ] ->
-      let port = Codec.to_int port_v in
-      (match find_inst t port with Some inst -> remove_instance t inst | None -> ());
+      if Instances.free t.tbl ~port:(Codec.to_int port_v) then refresh_host_model t;
       Codec.Null
   | _ -> failwith "free: bad arguments"
 
@@ -236,8 +203,7 @@ let start net ~host ~controller ?(config = splay_config) ~lookup_job () =
       cfg = config;
       controller;
       lookup_job;
-      insts = [];
-      next_port = 2000;
+      tbl = Instances.create ~host;
       banned = [];
     }
   in
@@ -258,7 +224,7 @@ let start net ~host ~controller ?(config = splay_config) ~lookup_job () =
           | [ h ] ->
               let h = Codec.to_int h in
               if not (List.mem h t.banned) then t.banned <- h :: t.banned;
-              List.iter (fun i -> Sandbox.blacklist i.inst_env.Env.sandbox h) t.insts
+              List.iter (fun i -> Sandbox.blacklist i.Instances.env.Env.sandbox h) (instances t)
           | _ -> failwith "blacklist: bad arguments");
           Codec.Null );
     ];
@@ -270,10 +236,7 @@ let start net ~host ~controller ?(config = splay_config) ~lookup_job () =
               [ Codec.Int t.d_host ])));
   t
 
-let instance_started i = i.inst_started
-
 let shutdown t =
-  List.iter (fun i -> Env.stop i.inst_env) t.insts;
-  t.insts <- [];
+  Instances.shutdown t.tbl;
   refresh_host_model t;
   Env.stop t.d_env

@@ -23,12 +23,7 @@ type config = {
           their comfortable density (GC pressure); 0 for SPLAY *)
 }
 
-val splay_config : config
-(** Defaults reproducing the paper's SPLAY measurements. *)
-
 type t
-
-type instance
 
 type job_spec = {
   js_name : string;
@@ -57,11 +52,9 @@ val start :
 val addr : t -> Addr.t
 val host : t -> Addr.host_id
 
-val instances : t -> instance list
-val instances_of_job : t -> int -> instance list
-val instance_env : instance -> Env.t
-val instance_addr : instance -> Addr.t
-val instance_started : instance -> bool
+val instances : t -> Instances.inst list
+(** The daemon's instance table ({!Instances}), newest first. *)
+
 val instance_count : t -> int
 
 val memory_used : t -> int

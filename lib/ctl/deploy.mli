@@ -14,9 +14,6 @@ type criterion =
   | On_testbed of Testbed.kind
   | Custom of (Testbed.host -> bool)
 
-val criterion_label : criterion -> string
-(** Stable label used in {!selection_report} and in trace attributes. *)
-
 type selection_report = {
   sel_alive : int;  (** alive daemons considered *)
   sel_dead : int;  (** daemons skipped: host down or session stale *)

@@ -142,7 +142,7 @@ type msg =
       params : (string * string) list;
     }
   | Start of { rid : int; job : int; port : int; position : int; nodes : Addr.t list }
-  | Free of { rid : int; job : int; port : int }
+  | Free of { rid : int; port : int }
   | Shutdown
   | Ack of { rid : int; ok : bool; detail : string }
   | Heartbeat of {
@@ -216,8 +216,7 @@ let msg_to_value = function
           ("position", Codec.Int position);
           ("nodes", addrs_to_value nodes);
         ]
-  | Free { rid; job; port } ->
-      tagged "free" [ ("rid", Codec.Int rid); ("job", Codec.Int job); ("port", Codec.Int port) ]
+  | Free { rid; port } -> tagged "free" [ ("rid", Codec.Int rid); ("port", Codec.Int port) ]
   | Shutdown -> tagged "shutdown" []
   | Ack { rid; ok; detail } ->
       tagged "ack"
@@ -299,7 +298,7 @@ let msg_of_value v =
           position = int "position";
           nodes = addrs_of_value (Codec.member "nodes" v);
         }
-  | "free" -> Free { rid = int "rid"; job = int "job"; port = int "port" }
+  | "free" -> Free { rid = int "rid"; port = int "port" }
   | "shutdown" -> Shutdown
   | "ack" -> Ack { rid = int "rid"; ok = Codec.to_bool (Codec.member "ok" v); detail = str "detail" }
   | "hb" ->

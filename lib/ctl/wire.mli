@@ -10,30 +10,23 @@
 
     Frame format (version 1): 3-byte magic ["SPW"], 1 version byte, 4-byte
     big-endian payload length, then [Codec.encode] of the payload value.
+    Payloads over 16 MB are refused on encode ([Invalid_argument]) and on
+    decode ({!Splay_runtime.Codec.Parse_error}).
     The streaming {!decoder} tolerates arbitrary read-chunk boundaries: a
     frame torn across reads is incomplete, never desynchronizing. Corrupt
     input raises {!Codec.Parse_error} — close the connection. *)
 
-val addr_to_value : Addr.t -> Splay_runtime.Codec.value
-val addr_of_value : Splay_runtime.Codec.value -> Addr.t
 val addrs_to_value : Addr.t list -> Splay_runtime.Codec.value
 val addrs_of_value : Splay_runtime.Codec.value -> Addr.t list
 
 (** {1 Framing} *)
-
-val version : int
-(** Protocol version carried in every frame header. *)
-
-val max_frame : int
-(** Upper bound on a frame's payload size; larger frames are refused on
-    both encode ([Invalid_argument]) and decode ({!Splay_runtime.Codec.Parse_error}). *)
 
 val frame_value : Splay_runtime.Codec.value -> string
 (** One complete frame: header + encoded payload, ready to write. *)
 
 type decoder
 (** Streaming frame parser. Feed it read chunks as they arrive; pull
-    complete frames with {!next_value}/{!next_msg}. *)
+    complete frames with {!next_msg}. *)
 
 val decoder : unit -> decoder
 
@@ -44,11 +37,6 @@ val feed_string : decoder -> string -> unit
 
 val buffered : decoder -> int
 (** Bytes fed but not yet consumed by a completed frame. *)
-
-val next_value : decoder -> Splay_runtime.Codec.value option
-(** The next complete frame's payload, or [None] if the buffered data ends
-    mid-frame. Raises {!Splay_runtime.Codec.Parse_error} on corrupt input
-    (bad magic, unsupported version, absurd length, malformed payload). *)
 
 (** {1 Typed control messages}
 
@@ -83,7 +71,7 @@ type msg =
       position : int;
       nodes : Addr.t list;  (** bootstrap membership handed to the instance *)
     }
-  | Free of { rid : int; job : int; port : int }
+  | Free of { rid : int; port : int }
   | Shutdown
   | Ack of { rid : int; ok : bool; detail : string }
   | Heartbeat of {
@@ -107,6 +95,7 @@ val msg_of_value : Splay_runtime.Codec.value -> msg
 
 val frame_msg : msg -> string
 val next_msg : decoder -> msg option
-
-val limits_to_value : Sandbox.limits -> Splay_runtime.Codec.value
-val limits_of_value : Splay_runtime.Codec.value -> Sandbox.limits
+(** The next complete frame's message, or [None] if the buffered data ends
+    mid-frame. Raises {!Splay_runtime.Codec.Parse_error} on corrupt input
+    (bad magic, unsupported version, absurd length, malformed payload,
+    unknown tag). *)

@@ -19,7 +19,6 @@ type t = {
 }
 
 let closed t = t.closed
-let fd t = t.fd
 let pending t = Buffer.length t.outq - t.opos
 
 let close t reason =

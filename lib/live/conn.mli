@@ -28,10 +28,6 @@ val close : t -> string -> unit
 (** Idempotent teardown: unwatch, close the fd, fire [on_close]. *)
 
 val closed : t -> bool
-val fd : t -> Unix.file_descr
-
-val pending : t -> int
-(** Bytes queued but not yet written. *)
 
 val flush_blocking : ?timeout:float -> t -> unit
 (** Synchronously drain the out queue (shutdown path: final trace chunks

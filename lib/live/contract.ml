@@ -1,4 +1,5 @@
 module Engine = Splay_sim.Engine
+module Instances = Splay_ctl.Instances
 
 (* The sim-vs-live contract: one deployment, two execution backends, and
    a structural diff over the evidence both emit. Applications report
@@ -48,10 +49,11 @@ let summary_of_reports reports =
     done_ok = !done_ok;
   }
 
-(* The simulated twin: same app main, same membership shape (n instances
-   at position-deterministic addresses), same parameters — under the
-   virtual engine and a synthetic wide-area testbed. Returns the REPORT
-   stream in emission order. *)
+(* The simulated twin: same app main, same membership shape (one instance
+   per host, registered, listed and started through the daemon core like
+   a live splayd's), same parameters — under the virtual engine and a
+   synthetic wide-area testbed. Returns the REPORT stream in emission
+   order. *)
 let run_sim ?(seed = 7) ?(until = 600.0) ~n ~app ~params () =
   match Registry.find app with
   | None -> Error (Printf.sprintf "unknown application %S" app)
@@ -59,19 +61,30 @@ let run_sim ?(seed = 7) ?(until = 600.0) ~n ~app ~params () =
       let eng = Engine.create ~seed () in
       let tb = Testbed.synthetic ~hosts:n (Engine.rng eng) in
       let net = Net.create eng tb in
-      let addrs = List.init n (fun i -> Addr.make i 9000) in
       let reports = ref [] in
       let sink =
         Log.Forward
           (fun ~time:_ ~level:_ ~node text ->
             if is_report text then reports := (node, text) :: !reports)
       in
+      let make_env host port =
+        let env = Env.create net ~me:(Addr.make host port) in
+        Log.set_sink (Env.log env) sink;
+        env
+      in
+      let tbls = List.init n (fun host -> Instances.create ~host) in
+      let nodes =
+        List.mapi
+          (fun host tbl ->
+            Addr.make host (Instances.register tbl ~job:0 ~name:app ~main:(main ~params) (make_env host)))
+          tbls
+      in
       List.iteri
-        (fun i me ->
-          let env = Env.create net ~me ~position:(i + 1) ~nodes:addrs in
-          Log.set_sink (Env.log env) sink;
-          main ~params env)
-        addrs;
+        (fun i (tbl, a) ->
+          let port = a.Addr.port in
+          ignore (Instances.list tbl ~port ~position:(i + 1) ~nodes);
+          ignore (Instances.start tbl ~job:0 ~port))
+        (List.combine tbls nodes);
       ignore (Engine.run ~until eng);
       (match Engine.crashed eng with
       | [] -> Ok (List.rev !reports)

@@ -254,9 +254,6 @@ let run cfg =
     | `Deadline ->
         fail "%s timed out" name;
         false
-    | `Stopped ->
-        fail "%s aborted" name;
-        false
   in
   let connected d = d.d_conn <> None in
   let need = cfg.c_desc.Descriptor.nb_splayd in
@@ -308,7 +305,7 @@ let run cfg =
           ok);
       free =
         (fun d a ->
-          let frame rid = Wire.Free { rid; job; port = a.Addr.port } in
+          let frame rid = Wire.Free { rid; port = a.Addr.port } in
           ignore (request d "free" ~timeout:30.0 frame));
     }
   in

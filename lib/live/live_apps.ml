@@ -80,6 +80,6 @@ let chord ~params env =
 
 let registered =
   lazy
-    (Registry.register "chord" ~doc:"warm-started Chord ring; driver runs seeded lookups" chord)
+    (Registry.register "chord" chord)
 
 let init () = Lazy.force registered

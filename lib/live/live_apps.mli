@@ -4,11 +4,9 @@
     invariant evidence is emitted as structured ["REPORT ..."] log lines
     (see {!Contract}). *)
 
-val chord : Registry.main
-(** Warm-started Chord ring over the deployment membership; the
+val init : unit -> unit
+(** Register the built-in applications (idempotent): ["chord"], a
+    warm-started Chord ring over the deployment membership whose
     lowest-position instance drives [lookups] seeded lookups. Parameters:
     [m] (id bits, default 16), [lookups] (default 0), [seed]
     (default 42). *)
-
-val init : unit -> unit
-(** Register the built-in applications (idempotent). *)

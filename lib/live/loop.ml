@@ -30,7 +30,6 @@ type t = {
   net : Net.t;
   epoch : float;
   mutable watches : watch list;
-  mutable stopped : bool;
 }
 
 let create ?(seed = 42) ?(hosts = 64) ?epoch () =
@@ -44,13 +43,11 @@ let create ?(seed = 42) ?(hosts = 64) ?epoch () =
   in
   let net = Net.create eng tb in
   let epoch = match epoch with Some e -> e | None -> Unix.gettimeofday () in
-  { eng; net; epoch; watches = []; stopped = false }
+  { eng; net; epoch; watches = [] }
 
 let engine t = t.eng
 let net t = t.net
-let epoch t = t.epoch
 let elapsed t = Unix.gettimeofday () -. t.epoch
-let stop t = t.stopped <- true
 
 let watch t fd ~on_read ~on_write =
   let w = { w_fd = fd; w_want_write = false; w_on_read = on_read; w_on_write = on_write; w_dead = false } in
@@ -71,15 +68,13 @@ let catch_up t =
 
 let run ?deadline ?(max_idle = 0.05) t ~until =
   let rec go () =
-    if t.stopped then `Stopped
-    else if until () then `Done
+    if until () then `Done
     else
       match deadline with
       | Some d when Unix.gettimeofday () >= d -> `Deadline
       | _ ->
           catch_up t;
-          if t.stopped then `Stopped
-          else if until () then `Done
+          if until () then `Done
           else begin
             let next = Engine.next_at t.eng in
             let now = elapsed t in

@@ -26,7 +26,6 @@ val create : ?seed:int -> ?hosts:int -> ?epoch:float -> unit -> t
 
 val engine : t -> Engine.t
 val net : t -> Net.t
-val epoch : t -> float
 
 val elapsed : t -> float
 (** Wall seconds since [epoch] — the loop's target virtual time. *)
@@ -38,19 +37,12 @@ val watch : t -> Unix.file_descr -> on_read:(unit -> unit) -> on_write:(unit -> 
 val unwatch : t -> watch -> unit
 val want_write : watch -> bool -> unit
 
-val catch_up : t -> unit
-(** Advance the virtual clock to wall elapsed, firing everything due. *)
-
-val stop : t -> unit
-(** Make {!run} return [`Stopped] at the next iteration. *)
-
 val run :
   ?deadline:float ->
   ?max_idle:float ->
   t ->
   until:(unit -> bool) ->
-  [ `Done | `Deadline | `Stopped ]
-(** Drive engine and sockets until [until ()] holds ([`Done]), the
-    absolute wall-clock [deadline] passes ([`Deadline]), or {!stop} is
-    called. [max_idle] (default 50 ms) bounds each select wait so
+  [ `Done | `Deadline ]
+(** Drive engine and sockets until [until ()] holds ([`Done]) or the
+    absolute wall-clock [deadline] passes ([`Deadline]). [max_idle] (default 50 ms) bounds each select wait so
     condition changes are noticed promptly. *)

@@ -6,18 +6,9 @@
 
 type main = params:(string * string) list -> Env.t -> unit
 
-let apps : (string, string * main) Hashtbl.t = Hashtbl.create 8
-
-let register name ~doc main = Hashtbl.replace apps name (doc, main)
-
-let find name = Option.map snd (Hashtbl.find_opt apps name)
-
-let names () = List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) apps [])
-
-let doc name = Option.map fst (Hashtbl.find_opt apps name)
-
-let param params key default =
-  match List.assoc_opt key params with Some v -> v | None -> default
+let apps : (string, main) Hashtbl.t = Hashtbl.create 8
+let register name main = Hashtbl.replace apps name main
+let find name = Hashtbl.find_opt apps name
 
 let param_int params key default =
   match List.assoc_opt key params with

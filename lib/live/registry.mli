@@ -6,10 +6,7 @@
 
 type main = params:(string * string) list -> Env.t -> unit
 
-val register : string -> doc:string -> main -> unit
+val register : string -> main -> unit
 val find : string -> main option
-val names : unit -> string list
-val doc : string -> string option
 
-val param : (string * string) list -> string -> string -> string
 val param_int : (string * string) list -> string -> int -> int

@@ -1,11 +1,13 @@
 module Engine = Splay_sim.Engine
 module Obs = Splay_obs.Obs
 module Wire = Splay_ctl.Wire
+module Instances = Splay_ctl.Instances
 
 (* The real splayd: one OS process hosting application instances over the
    live loop. It connects to the controller, announces itself (Hello),
    learns the shared epoch and the peer table (Peers), then serves the
-   Register / Start / Free verbs of the deploy conversation. Application
+   Register / Start / Free verbs of the deploy conversation over the
+   daemon core ([Instances], shared with the simulated daemon). Application
    instances run on the unmodified runtime ([Env] / [Rpc] /
    [Sb_socket]); only the cross-host leg of a send
    changes — [Net.set_remote] tunnels it through a framed TCP connection
@@ -30,22 +32,13 @@ type config = {
    merged live trace collision-free across processes. *)
 let ids_stride = 10_000_000
 
-type inst = {
-  i_name : string;
-  i_env : Env.t;
-  i_main : Registry.main;
-  i_params : (string * string) list;
-  mutable i_started : bool;
-}
-
 type t = {
   cfg : config;
   loop : Loop.t;
   mutable ctl : Conn.t option;
   peers : (int, int) Hashtbl.t;  (* host -> data port *)
   peer_conns : (int, Conn.t) Hashtbl.t;
-  insts : (int * int, inst) Hashtbl.t;  (* (job, port) *)
-  mutable next_port : int;  (* instance ports are the daemon's to pick *)
+  insts : Instances.t;
   mutable shutting_down : bool;
 }
 
@@ -119,72 +112,54 @@ let route t ~src ~dst ~size ~arrival:_ ~up_wait:_ ~ctx:_ payload =
 
 let ack conn rid ok detail = Conn.send conn (Wire.Ack { rid; ok; detail })
 
-(* REGISTER: create the instance on a fresh port and ack with that port;
-   its position and bootstrap nodes arrive with Start. *)
-let handle_register t conn ~rid ~job ~app ~name ~limits ~log_level ~params =
-  match Registry.find app with
-  | None -> ack conn rid false (Printf.sprintf "unknown application %S" app)
-  | Some main ->
-      let port = t.next_port in
-      t.next_port <- port + 1;
-      let env = Env.create (Loop.net t.loop) ~me:(Addr.make t.cfg.host port) ~limits ~log_level in
-      (* Stream every log record to the controller; the sandbox's own
-         kill message travels the same way, so a resource death is
-         visible in the collected logs exactly as in simulation. *)
-      Log.set_sink (Env.log env)
-        (Log.Forward
-           (fun ~time ~level ~node text ->
-             match t.ctl with
-             | Some c -> Conn.send c (Wire.Logline { time; node; level; text })
-             | None -> ()));
-      (* Real-resource leg of the sandbox: poll the process RSS and
-         enforce the memory cap with the same fatal path as simulated
-         accounting. The Violation raise is swallowed — on_kill has
-         already stopped the instance, which kills this monitor too. *)
-      if limits.Sandbox.max_memory < max_int then
-        ignore
-          (Env.periodic env 0.25 (fun () ->
-               try Sandbox.check_rss env.Env.sandbox (Rss.sample ())
-               with Sandbox.Violation _ -> ()));
-      Hashtbl.replace t.insts (job, port)
-        { i_name = name; i_env = env; i_main = main; i_params = params; i_started = false };
-      ack conn rid true (string_of_int port)
-
-let handle_start t conn ~rid ~job ~port ~position ~nodes =
-  match Hashtbl.find_opt t.insts (job, port) with
-  | None -> ack conn rid false "no such instance"
-  | Some i when i.i_started -> ack conn rid false "already started"
-  | Some i ->
-      i.i_started <- true;
-      i.i_env.Env.position <- position;
-      i.i_env.Env.nodes <- nodes;
-      ignore
-        (Env.thread i.i_env ~name:(Printf.sprintf "%s@%d" i.i_name t.cfg.host) (fun () ->
-             i.i_main ~params:i.i_params i.i_env));
-      ack conn rid true i.i_name
-
-let handle_free t conn ~rid ~job ~port =
-  match Hashtbl.find_opt t.insts (job, port) with
-  | None -> ack conn rid false "no such instance"
-  | Some i ->
-      Env.stop i.i_env;
-      Hashtbl.remove t.insts (job, port);
-      ack conn rid true i.i_name
-
-let begin_shutdown t =
-  if not t.shutting_down then begin
-    t.shutting_down <- true;
-    Hashtbl.iter (fun _ i -> Env.stop i.i_env) t.insts
-  end
+(* The env of a freshly registered instance. *)
+let make_env t ~limits ~log_level port =
+  let env = Env.create (Loop.net t.loop) ~me:(Addr.make t.cfg.host port) ~limits ~log_level in
+  (* Stream every log record to the controller; the sandbox's own kill
+     message travels the same way, so a resource death is visible in the
+     collected logs exactly as in simulation. *)
+  Log.set_sink (Env.log env)
+    (Log.Forward
+       (fun ~time ~level ~node text ->
+         match t.ctl with
+         | Some c -> Conn.send c (Wire.Logline { time; node; level; text })
+         | None -> ()));
+  (* Real-resource leg of the sandbox: poll the process RSS and enforce
+     the memory cap with the same fatal path as simulated accounting. The
+     Violation raise is swallowed — on_kill has already stopped the
+     instance, which kills this monitor too. *)
+  if limits.Sandbox.max_memory < max_int then
+    ignore
+      (Env.periodic env 0.25 (fun () ->
+           try Sandbox.check_rss env.Env.sandbox (Rss.sample ()) with Sandbox.Violation _ -> ()));
+  env
 
 let handle_ctl_msg t conn msg =
   match msg with
-  | Wire.Register { rid; job; app; name; limits; log_level; params } ->
-      handle_register t conn ~rid ~job ~app ~name ~limits ~log_level ~params
-  | Wire.Start { rid; job; port; position; nodes } ->
-      handle_start t conn ~rid ~job ~port ~position ~nodes
-  | Wire.Free { rid; job; port } -> handle_free t conn ~rid ~job ~port
-  | Wire.Shutdown -> begin_shutdown t
+  | Wire.Register { rid; job; app; name; limits; log_level; params } -> (
+      match Registry.find app with
+      | None -> ack conn rid false (Printf.sprintf "unknown application %S" app)
+      | Some main ->
+          let port =
+            Instances.register t.insts ~job ~name ~main:(main ~params)
+              (make_env t ~limits ~log_level)
+          in
+          ack conn rid true (string_of_int port))
+  | Wire.Start { rid; job; port; position; nodes } -> (
+      match
+        Result.bind (Instances.list t.insts ~port ~position ~nodes) (fun () ->
+            Instances.start t.insts ~job ~port)
+      with
+      | Ok () -> ack conn rid true ""
+      | Error why -> ack conn rid false why)
+  | Wire.Free { rid; port } ->
+      ignore (Instances.free t.insts ~port);
+      ack conn rid true ""
+  | Wire.Shutdown ->
+      if not t.shutting_down then begin
+        t.shutting_down <- true;
+        Instances.shutdown t.insts
+      end
   | Wire.App _ -> handle_data_msg t conn msg
   | _ -> ()
 
@@ -194,26 +169,17 @@ let heartbeat t =
   match t.ctl with
   | None -> ()
   | Some c ->
-      let mem = ref 0 and sockets = ref 0 and fs = ref 0 and fibers = ref 0 and inflight = ref 0 in
-      Hashtbl.iter
-        (fun _ i ->
-          let sb = i.i_env.Env.sandbox in
-          mem := !mem + Sandbox.memory_used sb;
-          sockets := !sockets + Sandbox.sockets_open sb;
-          fs := !fs + Sandbox.fs_used sb;
-          fibers := !fibers + Env.live_procs i.i_env;
-          inflight := !inflight + Telemetry.inflight_rpcs i.i_env)
-        t.insts;
+      let u = Instances.usage t.insts in
       Conn.send c
         (Wire.Heartbeat
            {
              host = t.cfg.host;
              rss = Rss.sample ();
-             mem = !mem;
-             sockets = !sockets;
-             fs = !fs;
-             fibers = !fibers;
-             inflight = !inflight;
+             mem = u.mem;
+             sockets = u.sockets;
+             fs = u.fs;
+             fibers = u.fibers;
+             inflight = u.inflight;
            })
 
 let send_chunks t ~kind data =
@@ -279,8 +245,7 @@ let run cfg =
       ctl = None;
       peers = Hashtbl.create 32;
       peer_conns = Hashtbl.create 32;
-      insts = Hashtbl.create 8;
-      next_port = 2000;
+      insts = Instances.create ~host:cfg.host;
       shutting_down = false;
     }
   in
@@ -316,7 +281,7 @@ let run cfg =
              if Unix.getppid () <> cfg.parent then hard_exit 1
            done));
   (match Loop.run loop ~until:(fun () -> t.shutting_down) with
-  | `Done | `Stopped | `Deadline -> ());
+  | `Done | `Deadline -> ());
   (* Let the Env.stop kill events scheduled by the shutdown verb fire. *)
   ignore (Engine.run ~until:(Loop.elapsed loop +. 0.001) eng);
   (* Graceful exit: stream the observability dump, say goodbye, drain. *)

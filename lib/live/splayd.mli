@@ -23,11 +23,6 @@ type config = {
   metrics : bool;
 }
 
-val ids_stride : int
-(** Trace/span id namespace stride: daemon [h] numbers its observability
-    records from [h * ids_stride], keeping merged live traces
-    collision-free. *)
-
 val run : config -> int
 (** Run the daemon to completion; returns the process exit code (0 after
     a graceful shutdown). Exits the process directly on orphaning or

@@ -23,4 +23,3 @@ let to_string a =
   Bytes.blit_string p 0 b (lh + 1) lp;
   Bytes.unsafe_to_string b
 
-let pp fmt a = Format.pp_print_string fmt (to_string a)

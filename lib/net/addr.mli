@@ -12,4 +12,3 @@ val compare : t -> t -> int
 val equal : t -> t -> bool
 val hash : t -> int
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit

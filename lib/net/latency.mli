@@ -49,13 +49,9 @@ type rtt_dist =
           transit-stub flavor: 10 ms intra-stub, 30 ms stub-stub, 100 ms
           crossing transits *)
 
-val transit_stub_classes : rtt_dist
-(** The ModelNet family as a mixture: mostly 30/100 ms pairs with a small
-    10 ms same-stub fraction — the synthetic stand-in for {!matrix} when
-    the host population outgrows a materialized router graph. *)
-
 val synthetic : ?dist:rtt_dist -> ?intra_host:float -> seed:int -> unit -> t
-(** O(1) hash-seeded model. [dist] defaults to {!transit_stub_classes};
+(** O(1) hash-seeded model. [dist] defaults to the ModelNet family as a
+    mixture (mostly 30/100 ms pairs, a small 10 ms same-stub fraction);
     [intra_host] (default [5e-5], the LAN loopback figure used elsewhere)
     is the delay a host sees to itself. Each unordered pair hashes to a
     uniform draw in [\[0,1)] which the distribution's quantile function

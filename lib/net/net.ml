@@ -89,7 +89,6 @@ let is_bound t addr = AddrTbl.mem t.handlers addr
 let set_loss t p = t.loss <- p
 
 let set_extra_delay t d = t.extra_delay <- if d < 0.0 then 0.0 else d
-let extra_delay t = t.extra_delay
 
 let set_partition t f = t.partition <- Some f
 let clear_partition t = t.partition <- None

@@ -37,8 +37,6 @@ val set_extra_delay : t -> float -> unit
     subsequent delivery, after the bandwidth queues — the delay-burst
     nemesis of [splay check]. Messages already in flight are unaffected. *)
 
-val extra_delay : t -> float
-
 val send : t -> ?size:int -> ?loss:float -> src:Addr.t -> dst:Addr.t -> payload -> unit
 (** Fire-and-forget datagram. [size] in bytes (default 256, a small control
     message) governs transmission time through the bandwidth queues; [loss]

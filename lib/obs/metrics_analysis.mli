@@ -40,9 +40,6 @@ val rows_of : t -> w:int -> string -> row list
 (** Non-note rows of one metric in one window (several for multi-trial
     dumps); [w = -1] selects the cumulative rows. *)
 
-val metrics_of_kind : t -> string -> string list
-(** Sorted distinct metric names of the given kind with windowed rows. *)
-
 type hist_agg = {
   ha_n : int;
   ha_sum : float;

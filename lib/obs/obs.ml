@@ -205,12 +205,6 @@ let now () = (st ()).clock ()
 let current () = (st ()).cur
 let set_current c = (st ()).cur <- c
 
-let with_ctx c f =
-  let s = st () in
-  let saved = s.cur in
-  s.cur <- c;
-  Fun.protect ~finally:(fun () -> s.cur <- saved) f
-
 (* A span remembers its own context (for envelopes) and the context that
    was current when it started (restored on finish, so a finished span
    stops labelling subsequent work — even when start and finish happen in
@@ -218,7 +212,6 @@ let with_ctx c f =
 type span = { sp_ctx : ctx; sp_prev : ctx }
 
 let null_span = { sp_ctx = null_ctx; sp_prev = null_ctx }
-let span_ctx s = s.sp_ctx
 
 let add_json_string b s =
   Buffer.add_char b '"';
@@ -600,9 +593,6 @@ let gauge_set g v =
     end
   end
 
-let gauge_value g = cl_last (cell_of (st ()) g)
-let gauge_max g = cl_max (cell_of (st ()) g)
-
 let observe h v =
   if !enabled || !metrics_enabled then begin
     let s = st () in
@@ -621,11 +611,6 @@ let observe h v =
   end
 
 let histogram_count h = (cell_of (st ()) h).cl_n
-let histogram_sum h = cl_sum (cell_of (st ()) h)
-
-let histogram_mean h =
-  let cl = cell_of (st ()) h in
-  if cl.cl_n = 0 then 0.0 else (cl_sum cl) /. Float.of_int cl.cl_n
 
 let reset () =
   let s = st () in

@@ -152,9 +152,6 @@ val set_current : ctx -> unit
 (** Install a context (schedulers and transports use this to propagate;
     instrumentation sites normally just start spans). *)
 
-val with_ctx : ctx -> (unit -> 'a) -> 'a
-(** Run a thunk under a context, restoring the previous one after. *)
-
 (** {1 Spans}
 
     A span is a named interval of virtual time with string attributes and
@@ -164,10 +161,6 @@ val with_ctx : ctx -> (unit -> 'a) -> 'a
 type span
 
 val null_span : span
-
-val span_ctx : span -> ctx
-(** The context naming this span — what travels in message envelopes so
-    remote work becomes its child ({!null_ctx} for {!null_span}). *)
 
 val span : ?attrs:(string * string) list -> ?parent:ctx -> string -> span
 (** Begin a span at the current virtual instant, as a child of [parent]
@@ -211,8 +204,6 @@ val gauge : string -> gauge
 (** Find-or-create a last-value gauge; the high-water mark is kept too. *)
 
 val gauge_set : gauge -> float -> unit
-val gauge_value : gauge -> float
-val gauge_max : gauge -> float
 
 type histogram
 
@@ -221,8 +212,6 @@ val histogram : string -> histogram
 
 val observe : histogram -> float -> unit
 val histogram_count : histogram -> int
-val histogram_sum : histogram -> float
-val histogram_mean : histogram -> float
 
 (** {1 Rollup — time-windowed metrics on the virtual clock}
 

@@ -23,7 +23,6 @@ val trace_path : string option ref
 val critical_path : bool ref
 val metrics_path : string option ref
 val metrics_window : float option ref
-val obs_trace_cap : int option ref
 
 val parse_arg : string -> bool
 (** [parse_arg a] consumes [a] if it is one of the flags above (setting the

@@ -9,10 +9,6 @@
 
 type level = Debug | Info | Warn | Error
 
-val severity : level -> int
-(** Numeric severity, [Debug = 0] … [Error = 3]; records at or above the
-    logger's threshold are kept. *)
-
 val level_to_string : level -> string
 
 val level_of_string : string -> level option

@@ -251,8 +251,6 @@ let resolve ~base ?timeout ?options () =
   | Some t, None -> { base with timeout = t }
   | Some t, Some o -> { o with timeout = t }
 
-let with_timeout timeout = { default_options with timeout }
-
 let a_call env dst ?timeout ?options proc args =
   a_call_core env dst ~options:(resolve ~base:default_options ?timeout ?options ()) proc args
 

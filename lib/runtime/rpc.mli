@@ -41,14 +41,6 @@ val default_options : options
 (** [{ timeout = 120.0; retries = 0; backoff = 0.; backoff_jitter = 0. }] —
     the "standard 2 minutes" default. *)
 
-val ping_options : options
-(** [{ timeout = 5.0; retries = 0; backoff = 0.; backoff_jitter = 0. }] —
-    liveness-probe policy. *)
-
-val with_timeout : float -> options
-(** [{ default_options with timeout }] — the one-field policy most call
-    sites want, without spelling out a record update. *)
-
 val server : Env.t -> (string * handler) list -> unit
 (** Start the RPC server on the instance's endpoint ([rpc.server(n.port)]).
     Also enables this instance to issue calls (replies share the socket).
@@ -88,7 +80,7 @@ val call :
 (** [rpc.call]: like {!a_call} but raises {!Rpc_error} on failure. *)
 
 val ping : Env.t -> ?timeout:float -> ?options:options -> Addr.t -> bool
-(** Liveness probe; default policy {!ping_options} (5 s timeout). *)
+(** Liveness probe; default policy {!default_options} with a 5 s timeout. *)
 
 val notify : Env.t -> Addr.t -> string -> Codec.value list -> unit
 (** One-way call: send the request and return immediately. The handler

@@ -35,4 +35,3 @@ let send env ~dst ?(size = 256) payload =
     Net.send env.Env.net ~size ~loss:env.Env.loss_rate ~src:env.Env.me ~dst payload
   else Net.send env.Env.net ~size ~src:env.Env.me ~dst payload
 
-let sent_bytes env = Sandbox.bytes_sent env.Env.sandbox

@@ -20,4 +20,3 @@ val send : Env.t -> dst:Addr.t -> ?size:int -> Net.payload -> unit
     destination host is blacklisted or the traffic budget is exhausted.
     Never blocks; delivery (or loss) is the network's business. *)
 
-val sent_bytes : Env.t -> int

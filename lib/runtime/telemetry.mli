@@ -15,9 +15,6 @@
 val inflight_rpcs : Env.t -> int
 (** Outstanding RPC calls of this instance (0 when it never called). *)
 
-val sample_env : Env.t -> unit
-(** One observation of each per-host histogram for this instance. *)
-
 val sample_envs : ?max:int -> Env.t array -> unit
 (** Sample a deterministic strided subset of at most [max] (default 1024)
     non-stopped instances — bounded sampler cost at million-instance

@@ -171,7 +171,6 @@ let proc_name p =
 let now t = t.now.v
 let rng t = t.root_rng
 
-let clear_perturbation t = t.perturb <- None
 let perturbation_active t = t.perturb <> None
 
 (* Placeholder parked in vacated ring slots so popped events do not stay
@@ -437,7 +436,6 @@ let run_to t ~stop =
 (* {2 Processes} *)
 
 let alive p = p.state <> Dead
-let proc_id p = p.pid
 
 let run_exit_hooks p =
   let hooks = p.exit_hooks in
@@ -795,4 +793,3 @@ let engine () = (perform Self).eng
 let suspend register = perform (Suspend register)
 let suspend_ register = suspend (fun resolve -> register resolve; fun () -> ())
 let sleep d = perform (Sleep d)
-let yield () = sleep 0.0

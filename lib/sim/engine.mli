@@ -65,10 +65,6 @@ val set_perturbation : ?tie_shuffle:bool -> ?max_extra_delay:float -> t -> unit
     two per {!schedule}, independent of queue state — so the explored
     schedule is exactly reproducible from [(seed, policy)]. *)
 
-val clear_perturbation : t -> unit
-(** Return to the default FIFO schedule (from now on; already-queued
-    events keep their perturbed times and keys). *)
-
 val perturbation_active : t -> bool
 
 val schedule : t -> delay:float -> (unit -> unit) -> event_id
@@ -136,7 +132,6 @@ val kill : t -> proc -> unit
     not started, it never starts. Idempotent. *)
 
 val alive : proc -> bool
-val proc_id : proc -> int
 val proc_name : proc -> string
 
 val on_exit : proc -> (unit -> unit) -> unit
@@ -177,6 +172,3 @@ val self : unit -> proc
 
 val engine : unit -> t
 (** The engine hosting the calling process. *)
-
-val yield : unit -> unit
-(** Let other events at the current instant run. *)

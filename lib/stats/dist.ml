@@ -89,18 +89,6 @@ let fraction_le t x =
 
 let cdf t ~points = List.map (fun x -> (x, fraction_le t x)) points
 
-let cdf_curve t ?(steps = 50) () =
-  if t.size = 0 then []
-  else begin
-    let lo = min_value t and hi = max_value t in
-    let span = hi -. lo in
-    if span <= 0.0 then [ (lo, 1.0) ]
-    else
-      List.init (steps + 1) (fun i ->
-          let x = lo +. (span *. Float.of_int i /. Float.of_int steps) in
-          (x, fraction_le t x))
-  end
-
 let histogram t ~bins ~lo ~hi =
   if bins <= 0 then invalid_arg "Dist.histogram: bins";
   if hi <= lo then invalid_arg "Dist.histogram: empty range";

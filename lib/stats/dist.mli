@@ -34,10 +34,6 @@ val cdf : t -> points:float list -> (float * float) list
 (** [(x, fraction of samples <= x)] for each requested point, fractions in
     [\[0,1\]]. *)
 
-val cdf_curve : t -> ?steps:int -> unit -> (float * float) list
-(** Evenly spaced CDF curve over the sample range, suitable for printing a
-    figure series. *)
-
 val histogram : t -> bins:int -> lo:float -> hi:float -> (float * int) array
 (** Fixed-width bins over [\[lo, hi\]]; each entry is (bin left edge, count).
     Samples outside the range are clamped into the edge bins. *)

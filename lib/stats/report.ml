@@ -27,26 +27,6 @@ let table ~header rows =
 
 let float_cell ?(decimals = 2) v = Printf.sprintf "%.*f" decimals v
 
-let downsample n xs =
-  let len = List.length xs in
-  if len <= n then xs
-  else begin
-    let arr = Array.of_list xs in
-    List.init n (fun i -> arr.(i * (len - 1) / (n - 1)))
-  end
-
-let cdf_table ~title ~xlabel curves =
-  Printf.printf "  -- %s --\n" title;
-  List.iter
-    (fun (name, points) ->
-      Printf.printf "  [%s]\n" name;
-      table
-        ~header:[ xlabel; "CDF(%)" ]
-        (List.map
-           (fun (x, f) -> [ float_cell ~decimals:3 x; float_cell ~decimals:1 (100.0 *. f) ])
-           (downsample 12 points)))
-    curves
-
 let percentile_header ps = List.map (fun p -> Printf.sprintf "p%g" p) ps
 
 (* Sink-based figure helpers: identical rendering whatever storage policy
@@ -55,16 +35,6 @@ let percentile_header ps = List.map (fun p -> Printf.sprintf "p%g" p) ps
 let sink_pct_cells ?(decimals = 3) s ps =
   if Sink.is_empty s then List.map (fun _ -> "-") ps
   else List.map (fun p -> float_cell ~decimals (Sink.percentile s p)) ps
-
-let sink_cdf_table ~title ~xlabel sinks =
-  cdf_table ~title ~xlabel (List.map (fun (name, s) -> (name, Sink.cdf_curve s ())) sinks)
-
-let sink_summary ?(unit_label = "") name s =
-  if Sink.is_empty s then kv name "(no samples)"
-  else
-    kvf name "n=%d mean=%.4g p50=%.4g p99=%.4g max=%.4g%s" (Sink.count s) (Sink.mean s)
-      (Sink.quantile s 0.5) (Sink.quantile s 0.99) (Sink.max_value s)
-      (if unit_label = "" then "" else " " ^ unit_label)
 
 let bar v ~max ~width =
   let n =

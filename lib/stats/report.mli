@@ -19,22 +19,12 @@ val table : header:string list -> string list list -> unit
 val float_cell : ?decimals:int -> float -> string
 (** Fixed-point rendering, default 2 decimals. *)
 
-val cdf_table : title:string -> xlabel:string -> (string * (float * float) list) list -> unit
-(** Print several named CDF curves sampled at their own points, one table
-    per curve: [x  fraction%]. Curves are downsampled to at most 12 rows. *)
-
 val percentile_header : float list -> string list
 (** ["p5"; "p25"; ...] labels for a percentile table. *)
 
 val sink_pct_cells : ?decimals:int -> Sink.t -> float list -> string list
 (** Percentile cells straight from a {!Sink} (either backend); a row of
     ["-"] when the sink is empty. *)
-
-val sink_cdf_table : title:string -> xlabel:string -> (string * Sink.t) list -> unit
-(** {!cdf_table} over named sinks' {!Sink.cdf_curve} shapes. *)
-
-val sink_summary : ?unit_label:string -> string -> Sink.t -> unit
-(** One {!kv} line with count, mean, p50, p99 and max of a sink. *)
 
 val bar : float -> max:float -> width:int -> string
 (** ASCII bar of length proportional to [v/max], for histogram rows. *)

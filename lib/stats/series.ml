@@ -28,8 +28,6 @@ let bin_at t time = Hashtbl.find_opt t.table (key t time)
 
 let percentile_series t p = List.map (fun (edge, d) -> (edge, Dist.percentile d p)) (bins t)
 
-let mean_series t = List.map (fun (edge, d) -> (edge, Dist.mean d)) (bins t)
-
 let count_series t = List.map (fun (edge, d) -> (edge, Dist.count d)) (bins t)
 
 let span t =

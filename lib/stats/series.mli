@@ -24,8 +24,6 @@ val bin_at : t -> float -> Dist.t option
 val percentile_series : t -> float -> (float * float) list
 (** [(bin start, percentile-p of bin)] for each non-empty bin. *)
 
-val mean_series : t -> (float * float) list
-
 val count_series : t -> (float * int) list
 
 val span : t -> (float * float) option

@@ -54,21 +54,6 @@ let percentile t p = quantile t (p /. 100.0)
 
 let percentiles t ps = List.map (percentile t) ps
 
-let cdf_curve t ?(steps = 50) () =
-  if is_empty t then []
-  else
-    match t.backend with
-    | Exact d -> Dist.cdf_curve d ~steps ()
-    | Sketch s ->
-        let lo = Summary.min_value s.moments and hi = Summary.max_value s.moments in
-        let span = hi -. lo in
-        if span <= 0.0 then [ (lo, 1.0) ]
-        else
-          List.init (steps + 1) (fun i ->
-              let x = lo +. (span *. Float.of_int i /. Float.of_int steps) in
-              (x, Hdr.fraction_le s.hdr ~min:lo ~max:hi x))
-
-(* An exact sink's samples absorbed into a fresh sketch. *)
 let as_sketch t =
   match t.backend with
   | Sketch s -> s

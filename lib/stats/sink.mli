@@ -62,10 +62,6 @@ val percentile : t -> float -> float
 
 val percentiles : t -> float list -> float list
 
-val cdf_curve : t -> ?steps:int -> unit -> (float * float) list
-(** Evenly spaced [(x, fraction <= x)] curve over the sample range, the
-    shape {!Report.cdf_table} prints. Empty list when empty. *)
-
 val merge : t -> t -> t
 (** A new sink summarizing both streams. Moments, min/max and count
     merge exactly on every backend combination; exact+exact keeps every

@@ -58,6 +58,65 @@ let test_descriptor_roundtrip () =
   | _ -> Alcotest.fail "bootstrap");
   Alcotest.(check int) "mem" (1 lsl 20) d'.Descriptor.limits.Sandbox.max_memory
 
+(* {2 Daemon core} *)
+
+(* The instance lifecycle every daemon shares, driven directly: ports,
+   LIST, the START refusals, FREE of an unknown port, and the usage fold. *)
+let test_instances_lifecycle () =
+  let eng = Engine.create ~seed:3 () in
+  let net = Net.create eng (Testbed.cluster ~n:2 (Engine.rng eng)) in
+  let tbl = Instances.create ~host:1 in
+  let started = ref [] in
+  let main env =
+    started := Engine.proc_name (Engine.self ()) :: !started;
+    let sb = env.Env.sandbox in
+    Sandbox.alloc sb (1000 * env.Env.position);
+    Sandbox.socket_opened sb;
+    Sandbox.fs_grow sb 10;
+    (* one outstanding call to a silent port keeps a fiber and an RPC live *)
+    ignore (Rpc.a_call env (Addr.make 0 99) ~timeout:50.0 "nobody.home" [])
+  in
+  let register job =
+    Instances.register tbl ~job ~name:"app" ~main (fun port -> Env.create net ~me:(Addr.make 1 port))
+  in
+  let ports = List.map register [ 7; 7; 8 ] in
+  Alcotest.(check (list int)) "ports from 2000" [ 2000; 2001; 2002 ] ports;
+  let port i = i.Instances.env.Env.me.Addr.port in
+  Alcotest.(check (list int)) "newest first" [ 2002; 2001; 2000 ] (List.map port (Instances.all tbl));
+  let ok = Alcotest.(result unit string) in
+  let is_error r = Alcotest.(check bool) "refused" true (Result.is_error r) in
+  let nodes = [ Addr.make 0 2000; Addr.make 1 2000 ] in
+  Alcotest.check ok "list" (Ok ()) (Instances.list tbl ~port:2000 ~position:3 ~nodes);
+  Alcotest.check ok "list" (Ok ()) (Instances.list tbl ~port:2002 ~position:4 ~nodes);
+  let env0 = (Option.get (Instances.find tbl 2000)).env in
+  Alcotest.(check int) "list sets the position" 3 env0.Env.position;
+  Alcotest.(check bool) "list sets the nodes" true (env0.Env.nodes = nodes);
+  is_error (Instances.list tbl ~port:1234 ~position:1 ~nodes);
+  Alcotest.check ok "start" (Ok ()) (Instances.start tbl ~job:7 ~port:2000);
+  is_error (Instances.start tbl ~job:7 ~port:2000);
+  is_error (Instances.start tbl ~job:7 ~port:2002);
+  Alcotest.check ok "start" (Ok ()) (Instances.start tbl ~job:8 ~port:2002);
+  Alcotest.(check bool) "free of an unknown port" false (Instances.free tbl ~port:1234);
+  Alcotest.(check int) "no-op" 3 (Instances.count tbl);
+  Alcotest.(check bool) "free" true (Instances.free tbl ~port:2001);
+  is_error (Instances.start tbl ~job:7 ~port:2001);
+  Alcotest.(check int) "freed" 2 (Instances.count tbl);
+  ignore (Engine.run ~until:1.0 eng);
+  Alcotest.(check (list string)) "main runs in NAME@HOST" [ "app@1"; "app@1" ] !started;
+  let u = Instances.usage tbl in
+  let sum f = List.fold_left (fun acc i -> acc + f i.Instances.env) 0 (Instances.all tbl) in
+  let sb f env = f env.Env.sandbox in
+  Alcotest.(check int) "mem" (sum (sb Sandbox.memory_used)) u.mem;
+  Alcotest.(check int) "mem is the allocations" 7000 u.mem;
+  Alcotest.(check int) "sockets" (sum (sb Sandbox.sockets_open)) u.sockets;
+  Alcotest.(check int) "fs" (sum (sb Sandbox.fs_used)) u.fs;
+  Alcotest.(check int) "fibers" (sum Env.live_procs) u.fibers;
+  Alcotest.(check int) "inflight" (sum Telemetry.inflight_rpcs) u.inflight;
+  Alcotest.(check int) "both calls outstanding" 2 u.inflight;
+  Instances.shutdown tbl;
+  Alcotest.(check int) "shutdown empties the table" 0 (Instances.count tbl);
+  Alcotest.(check bool) "and stops the instances" true (Env.is_stopped env0)
+
 (* {2 Deployment fixtures} *)
 
 let with_platform ?(hosts = 10) ?daemon_config f =
@@ -508,6 +567,8 @@ let () =
           Alcotest.test_case "undeploy" `Quick test_undeploy;
           Alcotest.test_case "core over a fake transport" `Quick test_core_fake_transport;
         ] );
+      ( "daemon core",
+        [ Alcotest.test_case "instance lifecycle" `Quick test_instances_lifecycle ] );
       ( "control",
         [
           Alcotest.test_case "controller blacklisted" `Quick test_controller_blacklisted_for_apps;

@@ -27,7 +27,7 @@ let sample_msgs =
       };
     Wire.Start
       { rid = 2; job = 1; port = 2000; position = 1; nodes = [ Addr.make 0 2000; Addr.make 1 2001 ] };
-    Wire.Free { rid = 3; job = 1; port = 2001 };
+    Wire.Free { rid = 3; port = 2001 };
     Wire.Shutdown;
     Wire.Ack { rid = 1; ok = true; detail = "2000" };
     Wire.Ack { rid = 3; ok = false; detail = "no such instance" };

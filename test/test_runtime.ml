@@ -735,17 +735,17 @@ let test_log_forward_sink () =
       Alcotest.(check string) "raw message, no prefix" "hello" msg
   | _ -> Alcotest.fail "expected one forwarded entry"
 
-(* {2 Events (paper-named aliases)} *)
+(* {2 Events: the paper's events.thread / periodic / sleep} *)
 
 let test_events_aliases () =
   with_cluster (fun eng net ->
       let env = mk_env net 0 in
       let ticks = ref 0 and ran = ref false in
-      ignore (Events.thread env (fun () -> ran := true));
-      ignore (Events.periodic env (fun () -> incr ticks) 2.0);
+      ignore (Env.thread env (fun () -> ran := true));
+      ignore (Env.periodic env 2.0 (fun () -> incr ticks));
       ignore
         (Engine.spawn eng (fun () ->
-             Events.sleep 7.0;
+             Engine.sleep 7.0;
              Env.stop env));
       ignore (Engine.run eng);
       Alcotest.(check bool) "thread ran" true !ran;
