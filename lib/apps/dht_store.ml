@@ -44,19 +44,22 @@ type job =
   | Store of { key : string; value : string; done_ : unit Ivar.t }
   | Fetch of { key : string; waiters : string option Ivar.t list ref }
 
+(* [store], [inflight] and [ewma] are created at their first insert, at
+   the initial size they always had: most nodes of a large ring never
+   coalesce a read or estimate an RTT. *)
 type t = {
   cfg : config;
   p : Pastry.node;
   env : Env.t;
-  store : (string, entry) Hashtbl.t;
+  mutable store : (string, entry) Hashtbl.t option;
   (* owner-side serving state (active only when [serve_cost > 0]) *)
   queue : job Queue.t;
   mutable worker : bool;
-  inflight : (string, string option Ivar.t list ref) Hashtbl.t;
+  mutable inflight : (string, string option Ivar.t list ref) Hashtbl.t option;
   mutable tokens : float;
   mutable refilled_at : float;
   (* client-side replica selection state *)
-  ewma : (int, float) Hashtbl.t;
+  mutable ewma : (int, float) Hashtbl.t option;
   mutable owners : (string, Node.t option array) Hashtbl.t option;
       (* read-path owner memo: key -> the owner a route last named for each
          replica; created on the first route, so pure owners allocate none *)
@@ -67,7 +70,20 @@ type t = {
   mutable n_batched : int;
 }
 
-let stored_entries t = Hashtbl.length t.store
+let find tbl k = match tbl with Some h -> Hashtbl.find_opt h k | None -> None
+let remove tbl k = Option.iter (fun h -> Hashtbl.remove h k) tbl
+
+(* [tbl], created by [set t] at its first insert. [set] is a closed
+   function, so the call allocates nothing once the table exists. *)
+let created t tbl ~size set =
+  match tbl with
+  | Some h -> h
+  | None ->
+      let h = Hashtbl.create size in
+      set t (Some h);
+      h
+
+let stored_entries t = match t.store with Some h -> Hashtbl.length h | None -> 0
 let served_count t = t.n_served
 let shed_count t = t.n_shed
 let batched_count t = t.n_batched
@@ -81,14 +97,17 @@ let replica_id t ~key i =
 (* Local (owner-side) operations, exposed over RPC. *)
 
 let store_local t ~key ~value =
-  (match Hashtbl.find_opt t.store key with
+  (match find t.store key with
   | Some old ->
       Sandbox.free t.env.Env.sandbox (String.length old.value);
-      Hashtbl.remove t.store key
+      remove t.store key
   | None -> ());
   (try Sandbox.alloc t.env.Env.sandbox (String.length value)
    with Sandbox.Violation _ -> ());
-  Hashtbl.replace t.store key { value; refreshed_at = now t }
+  Hashtbl.replace
+    (created t t.store ~size:32 (fun t s -> t.store <- s))
+    key
+    { value; refreshed_at = now t }
 
 (* Warm-start insertion for benches that place replicas directly from the
    full membership instead of routing [replicas * keys] puts through the
@@ -96,18 +115,18 @@ let store_local t ~key ~value =
 let preload t ~key ~value = store_local t ~key ~value
 
 let fetch_local t ~key =
-  match Hashtbl.find_opt t.store key with
+  match find t.store key with
   | Some e when now t -. e.refreshed_at <= t.cfg.entry_ttl -> Some e.value
   | Some e ->
-      Hashtbl.remove t.store key;
+      remove t.store key;
       Sandbox.free t.env.Env.sandbox (String.length e.value);
       None
   | None -> None
 
 let delete_local t ~key =
-  match Hashtbl.find_opt t.store key with
+  match find t.store key with
   | Some e ->
-      Hashtbl.remove t.store key;
+      remove t.store key;
       Sandbox.free t.env.Env.sandbox (String.length e.value)
   | None -> ()
 
@@ -159,7 +178,7 @@ let rec drain t =
           (* unhook before the service pause: gets arriving while this one
              is in service start the next batch rather than missing the
              reply fan-out *)
-          Hashtbl.remove t.inflight key;
+          remove t.inflight key;
           service_pause t;
           let v = fetch_local t ~key in
           let ws = !waiters in
@@ -182,7 +201,7 @@ let kick t =
 
 (* Blocking enqueue of a fetch; [`Shed] is the fast-reject path. *)
 let queue_fetch t ~key =
-  match (if t.cfg.batching then Hashtbl.find_opt t.inflight key else None) with
+  match (if t.cfg.batching then find t.inflight key else None) with
   | Some ws ->
       (* coalesce: ride the already-queued service slot for this key *)
       let iv = Ivar.create () in
@@ -193,7 +212,8 @@ let queue_fetch t ~key =
       else begin
         let iv = Ivar.create () in
         let ws = ref [ iv ] in
-        if t.cfg.batching then Hashtbl.replace t.inflight key ws;
+        if t.cfg.batching then
+          Hashtbl.replace (created t t.inflight ~size:16 (fun t s -> t.inflight <- s)) key ws;
         Queue.push (Fetch { key; waiters = ws }) t.queue;
         kick t;
         `Value (Ivar.read iv)
@@ -252,13 +272,13 @@ let route t ~key i =
    explored. *)
 let observe_rtt t addr dt =
   let v =
-    match Hashtbl.find_opt t.ewma addr.Addr.host with
+    match find t.ewma addr.Addr.host with
     | None -> dt
     | Some p -> (0.8 *. p) +. (0.2 *. dt)
   in
-  Hashtbl.replace t.ewma addr.Addr.host v
+  Hashtbl.replace (created t t.ewma ~size:16 (fun t s -> t.ewma <- s)) addr.Addr.host v
 
-let estimate t addr = Option.value ~default:0.0 (Hashtbl.find_opt t.ewma addr.Addr.host)
+let estimate t addr = Option.value ~default:0.0 (find t.ewma addr.Addr.host)
 
 let put_r t ~key ~value =
   let acks = ref 0 and sheds = ref 0 in
@@ -401,7 +421,9 @@ let delete t ~key =
    replicas; drop entries nobody has refreshed within the TTL. The churned
    ring converges to holding each value at its live owners. *)
 let republish t =
-  let entries = Hashtbl.fold (fun k e acc -> (k, e) :: acc) t.store [] in
+  let entries =
+    match t.store with Some h -> Hashtbl.fold (fun k e acc -> (k, e) :: acc) h [] | None -> []
+  in
   List.iter
     (fun (key, e) ->
       if now t -. e.refreshed_at > t.cfg.entry_ttl then delete_local t ~key
@@ -416,13 +438,13 @@ let create ?(config = default_config) p =
       cfg = config;
       p;
       env;
-      store = Hashtbl.create 32;
+      store = None;
       queue = Queue.create ();
       worker = false;
-      inflight = Hashtbl.create 16;
+      inflight = None;
       tokens = config.token_burst;
       refilled_at = 0.0;
-      ewma = Hashtbl.create 16;
+      ewma = None;
       owners = None;
       (* private stream derived from the node id, not split from env_rng:
          enabling p2c must not perturb any other component's draws *)

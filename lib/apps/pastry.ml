@@ -33,22 +33,42 @@ let default_config =
 
 let digits cfg = cfg.bits / cfg.b
 
+(* Failure-detector state, created at the first suspicion: most nodes of
+   a failure-free ring never suspect anyone. *)
+type suspicion = {
+  misses : (int, int) Hashtbl.t;
+  (* death certificates: recently pruned ids are not re-learned from
+     gossip until the certificate expires, or stale leafset exchanges
+     would reinject them forever *)
+  dead : (int, float) Hashtbl.t;
+}
+
 type node = {
   cfg : config;
   env : Env.t;
   self : Node.t;
   mutable left : Node.t list; (* counter-clockwise, nearest first *)
   mutable right : Node.t list; (* clockwise, nearest first *)
-  table : Node.t option array array; (* rows x 2^b *)
-  misses : (int, int) Hashtbl.t;
-  (* death certificates: recently pruned ids are not re-learned from
-     gossip until the certificate expires, or stale leafset exchanges
-     would reinject them forever *)
-  dead : (int, float) Hashtbl.t;
+  table : Node.t array array;
+      (* rows x 2^b; a row is the shared [||] until its first entry, and an
+         empty slot holds [vacant] *)
+  mutable suspicion : suspicion option;
   mutable n_suspected : int;
   mutable bootstrap : Addr.t option;
   p_rng : Rng.t;
 }
+
+(* The empty routing-table slot: no member has a negative id, so it never
+   equals a real node. *)
+let vacant = Node.make ~id:(-1) ~addr:(Addr.make (-1) 0)
+
+let slot t row col =
+  let r = t.table.(row) in
+  if Array.length r = 0 then vacant else r.(col)
+
+let set_slot t row col n =
+  if Array.length t.table.(row) = 0 then t.table.(row) <- Array.make (1 lsl t.cfg.b) vacant;
+  t.table.(row).(col) <- n
 
 let id t = t.self.Node.id
 let addr t = t.self.Node.addr
@@ -56,9 +76,10 @@ let leafset t = t.left @ t.right
 let is_stopped t = Env.is_stopped t.env
 let suspected_count t = t.n_suspected
 
-let table_entries t =
-  Array.to_list t.table
-  |> List.concat_map (fun row -> Array.to_list row |> List.filter_map Fun.id)
+let row_entries row acc =
+  Array.fold_right (fun n acc -> if n == vacant then acc else n :: acc) row acc
+
+let table_entries t = Array.fold_right row_entries t.table []
 
 let modulus t = Misc.pow2 t.cfg.bits
 let dist_cw t a b = Misc.ring_distance a b ~modulus:(modulus t)
@@ -83,12 +104,15 @@ let all_known t =
 let now t = Splay_sim.Engine.now (Env.engine t.env)
 
 let certified_dead t n =
-  match Hashtbl.find_opt t.dead n.Node.id with
-  | Some expiry when now t < expiry -> true
-  | Some _ ->
-      Hashtbl.remove t.dead n.Node.id;
-      false
+  match t.suspicion with
   | None -> false
+  | Some s -> (
+      match Hashtbl.find_opt s.dead n.Node.id with
+      | Some expiry when now t < expiry -> true
+      | Some _ ->
+          Hashtbl.remove s.dead n.Node.id;
+          false
+      | None -> false)
 
 let learn t n =
   if (not (Node.equal n t.self)) && n.Node.id <> t.self.Node.id && not (certified_dead t n)
@@ -104,15 +128,15 @@ let learn t n =
     let row = shared_prefix t t.self.Node.id n.Node.id in
     if row < digits t.cfg then begin
       let col = digit t n.Node.id row in
-      match t.table.(row).(col) with
-      | None ->
-          (* routing state costs real memory; Fig. 8's slight growth *)
-          (try Splay_runtime.Sandbox.alloc t.env.Env.sandbox 2048
-           with Splay_runtime.Sandbox.Violation _ -> ());
-          t.table.(row).(col) <- Some n
-      | Some cur ->
-          if (not (Node.equal cur n)) && t.cfg.proximity && rtt t n < rtt t cur then
-            t.table.(row).(col) <- Some n
+      let cur = slot t row col in
+      if cur == vacant then begin
+        (* routing state costs real memory; Fig. 8's slight growth *)
+        (try Splay_runtime.Sandbox.alloc t.env.Env.sandbox 2048
+         with Splay_runtime.Sandbox.Violation _ -> ());
+        set_slot t row col n
+      end
+      else if (not (Node.equal cur n)) && t.cfg.proximity && rtt t n < rtt t cur then
+        set_slot t row col n
     end
   end
 
@@ -123,29 +147,36 @@ let prune t n =
   Array.iter
     (fun row ->
       Array.iteri
-        (fun i e ->
-          match e with
-          | Some x when Node.equal x n ->
-              row.(i) <- None;
-              Splay_runtime.Sandbox.free t.env.Env.sandbox 2048
-          | _ -> ())
+        (fun i x ->
+          if Node.equal x n then begin
+            row.(i) <- vacant;
+            Splay_runtime.Sandbox.free t.env.Env.sandbox 2048
+          end)
         row)
     t.table
 
 let suspect t n =
-  let k = 1 + Option.value ~default:0 (Hashtbl.find_opt t.misses n.Node.id) in
+  let s =
+    match t.suspicion with
+    | Some s -> s
+    | None ->
+        let s = { misses = Hashtbl.create 16; dead = Hashtbl.create 16 } in
+        t.suspicion <- Some s;
+        s
+  in
+  let k = 1 + Option.value ~default:0 (Hashtbl.find_opt s.misses n.Node.id) in
   if k >= t.cfg.suspect_threshold then begin
-    Hashtbl.remove t.misses n.Node.id;
-    Hashtbl.replace t.dead n.Node.id (now t +. (10.0 *. t.cfg.stabilize_interval));
+    Hashtbl.remove s.misses n.Node.id;
+    Hashtbl.replace s.dead n.Node.id (now t +. (10.0 *. t.cfg.stabilize_interval));
     t.n_suspected <- t.n_suspected + 1;
     prune t n
   end
-  else Hashtbl.replace t.misses n.Node.id k
+  else Hashtbl.replace s.misses n.Node.id k
 
 let acall t n proc args =
   match Rpc.a_call t.env n.Node.addr ~timeout:t.cfg.rpc_timeout proc args with
   | Ok v ->
-      Hashtbl.remove t.misses n.Node.id;
+      Option.iter (fun s -> Hashtbl.remove s.misses n.Node.id) t.suspicion;
       Ok v
   | Error _ ->
       suspect t n;
@@ -189,26 +220,22 @@ let decide ?(excluded = []) t key =
   end
   else begin
     let l = shared_prefix t t.self.Node.id key in
-    let slot =
-      match if l < digits t.cfg then t.table.(l).(digit t key l) else None with
-      | Some n when usable n -> Some n
-      | _ -> None
-    in
-    match slot with
-    | Some n -> Forward n
-    | None ->
-        (* rare case: any known node with at least as long a prefix and
-           numerically closer to the key *)
-        let my_d = dist t t.self.Node.id key in
-        let better n =
-          usable n
-          && (not (Node.equal n t.self))
-          && shared_prefix t n.Node.id key >= l
-          && dist t n.Node.id key < my_d
-        in
-        (match List.filter better (all_known t) with
-        | [] -> Deliver (* best effort: nobody better is known *)
-        | cands -> Forward (closest_among t key cands))
+    let n = if l < digits t.cfg then slot t l (digit t key l) else vacant in
+    if n != vacant && usable n then Forward n
+    else begin
+      (* rare case: any known node with at least as long a prefix and
+         numerically closer to the key *)
+      let my_d = dist t t.self.Node.id key in
+      let better n =
+        usable n
+        && (not (Node.equal n t.self))
+        && shared_prefix t n.Node.id key >= l
+        && dist t n.Node.id key < my_d
+      in
+      match List.filter better (all_known t) with
+      | [] -> Deliver (* best effort: nobody better is known *)
+      | cands -> Forward (closest_among t key cands)
+    end
   end
 
 let max_hops = 64
@@ -254,9 +281,7 @@ let lookup t key = route t key ~hops:0
 let join_payload t xid =
   let l = shared_prefix t t.self.Node.id xid in
   let rows =
-    List.concat
-      (List.init (min (l + 1) (digits t.cfg)) (fun r ->
-           Array.to_list t.table.(r) |> List.filter_map Fun.id))
+    List.concat (List.init (min (l + 1) (digits t.cfg)) (fun r -> row_entries t.table.(r) []))
   in
   t.self :: (rows @ leafset t)
 
@@ -355,9 +380,8 @@ let app ?(config = default_config) ~register env =
       self;
       left = [];
       right = [];
-      table = Array.make_matrix (digits config) (1 lsl config.b) None;
-      misses = Hashtbl.create 16;
-      dead = Hashtbl.create 16;
+      table = Array.make (digits config) [||];
+      suspicion = None;
       n_suspected = 0;
       bootstrap = (match env.Env.nodes with b :: _ -> Some b | [] -> None);
       p_rng = Rng.split env.Env.env_rng;
@@ -409,13 +433,20 @@ let assemble ?(config = default_config) ~register ~ring ~index env =
         let span = config.bits - (config.b * (r + 1)) in
         let prefix = self.Node.id lsr (span + config.b) in
         let own = (self.Node.id lsr span) land (cols - 1) in
-        Array.init cols (fun c ->
-            if c = own then None
-            else
-              let base = ((prefix lsl config.b) lor c) lsl span in
-              match first_at_or_after base with
-              | Some m when m.Node.id < base + (1 lsl span) -> Some m
-              | Some _ | None -> None))
+        (* deep rows of a large ring are nearly all empty: a row is
+           allocated only when a member falls in one of its ranges *)
+        let row = ref [||] in
+        for c = 0 to cols - 1 do
+          if c <> own then begin
+            let base = ((prefix lsl config.b) lor c) lsl span in
+            match first_at_or_after base with
+            | Some m when m.Node.id < base + (1 lsl span) ->
+                if Array.length !row = 0 then row := Array.make cols vacant;
+                !row.(c) <- m
+            | Some _ | None -> ()
+          end
+        done;
+        !row)
   in
   let t =
     {
@@ -425,8 +456,7 @@ let assemble ?(config = default_config) ~register ~ring ~index env =
       left;
       right;
       table;
-      misses = Hashtbl.create 16;
-      dead = Hashtbl.create 16;
+      suspicion = None;
       n_suspected = 0;
       bootstrap = None;
       (* private stream derived from the id, not split from [env_rng]:

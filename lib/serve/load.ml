@@ -47,10 +47,6 @@ type stats = {
 
 let completed s = s.ok + s.misses + s.shed + s.failed
 
-let live_words () =
-  Gc.full_major ();
-  (Gc.stat ()).Gc.live_words
-
 (* This partition's share of the client population: clients are split
    contiguously so every id is owned by exactly one partition and the
    split is a pure function of (clients, parts). *)
@@ -67,7 +63,6 @@ let run config ~seed ~part ~parts ~gateways ~issue =
   if Array.length gateways = 0 then invalid_arg "Load.run: no gateways";
   if parts < 1 || part < 0 || part >= parts then invalid_arg "Load.run: bad partition";
   let n_gw = Array.length gateways in
-  let base_words = live_words () in
   let lo, local_clients = client_span ~clients:config.clients ~part ~parts in
   let local_rate =
     config.rate *. Float.of_int local_clients /. Float.of_int (max 1 config.clients)
@@ -92,7 +87,9 @@ let run config ~seed ~part ~parts ~gateways ~issue =
      function of the partition layout, never of worker scheduling *)
   let arr_rng = Rng.create (0x0A11D lxor (seed * 0x9E3779B9) lxor (part * 0x85EB)) in
   let value = String.make config.value_size 'v' in
-  stats.setup_words <- live_words () - base_words;
+  (* counted by reachability, not by live-words deltas: a forced major
+     collection here would stall the automatic major GC for the whole run *)
+  stats.setup_words <- Obj.reachable_words (Obj.repr (stats, zipf, arr_rng, value));
   let queues = Array.init n_gw (fun _ -> Queue.create ()) in
   let active = Array.make n_gw 0 in
   let record p res t_done =

@@ -47,8 +47,10 @@ type stats = {
       (** requests issued per local virtual client — also the whole
           per-client state *)
   mutable setup_words : int;
-      (** heap words allocated for generator state (client ledger, Zipf
-          table; the sketch's table is allocated at the first sample);
+      (** heap words the generator's state reaches (this record with its
+          client ledger, the Zipf table, the arrival RNG and the value
+          string; the sketch's table is allocated at the first sample),
+          counted by [Obj.reachable_words] — no collection is forced;
           divide by clients for the words-per-idle-client figure the
           bench records *)
 }

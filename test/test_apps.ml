@@ -612,6 +612,47 @@ let test_epidemic_footprint () =
     (Printf.sprintf "%.1f live words per instance (bound 90)" per_node)
     true (per_node < 90.0)
 
+(* Footprint pin: what one assembled Pastry + Dht_store node keeps live
+   in a 10k ring before any request — its Env, the leafset, the routing
+   rows it fills and the store's record, configured as a serve step
+   configures it. Tables a node has not used yet (suspicion, store,
+   in-flight, RTT estimates) and routing rows with no entry are not
+   allocated. The ring is built before the baseline; every node stays
+   reachable through the network's port table. *)
+let test_pastry_dht_footprint () =
+  let n = 10_000 in
+  let eng = Engine.create ~seed:17 () in
+  let tb = Testbed.synthetic ~hosts:n (Engine.rng eng) in
+  let net = Net.create eng tb in
+  let pcfg = Apps.Pastry.default_config in
+  let spacing = Misc.pow2 pcfg.Apps.Pastry.bits / n in
+  let ring = Array.init n (fun i -> Apps.Node.make ~id:(i * spacing) ~addr:(Addr.make i 9000)) in
+  let config =
+    {
+      Apps.Dht_store.default_config with
+      republish_interval = 0.0;
+      serve_cost = 0.002;
+      batching = true;
+      p2c = true;
+      admission = true;
+    }
+  in
+  let live () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let base = live () in
+  for i = 0 to n - 1 do
+    Apps.Pastry.assemble ~config:pcfg ~ring ~index:i
+      ~register:(fun p -> ignore (Apps.Dht_store.create ~config p))
+      (Env.create net ~me:ring.(i).Apps.Node.addr)
+  done;
+  let per_node = Float.of_int (live () - base) /. Float.of_int n in
+  ignore (Sys.opaque_identity (net, ring));
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f live words per assembled node (bound 430)" per_node)
+    true (per_node < 430.0)
+
 (* {2 Distribution trees} *)
 
 let test_trees_structure_and_completion () =
@@ -1166,5 +1207,6 @@ let () =
           Alcotest.test_case "memo: repeat get is one rpc" `Quick test_dht_memo_repeat_get;
           Alcotest.test_case "memo: stopped owner re-resolved" `Quick test_dht_memo_owner_stopped;
           Alcotest.test_case "memo: puts always route" `Quick test_dht_memo_put_routes;
+          Alcotest.test_case "footprint per assembled node" `Quick test_pastry_dht_footprint;
         ] );
     ]

@@ -95,11 +95,16 @@ let test_client_words_bounded () =
         { small.Harness.load with Load.clients = 200_000; duration = 2.0 };
     }
   in
+  let forced () = (Gc.quick_stat ()).Gc.forced_major_collections in
+  let forced0 = forced () in
   let r = Harness.run s ~seed:11 ~rate:200.0 in
   Alcotest.(check bool)
     (Printf.sprintf "words per idle client bounded (got %.2f)" r.Harness.client_words)
     true
-    (r.Harness.client_words < 8.0)
+    (r.Harness.client_words < 8.0);
+  (* the figure is counted by reachability: a forced major collection
+     would leave the automatic major GC idle for the rest of the run *)
+  Alcotest.(check int) "no forced major collection" 0 (forced () - forced0)
 
 (* {2 The optimizations move the needle} *)
 
