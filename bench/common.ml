@@ -27,22 +27,10 @@ let par_map f xs = Pool.map ~jobs:!jobs f xs
    only across different *worker* counts for the same partitioning. *)
 let domains = ref 4
 
-(* Where the micro workload section writes its machine-readable baseline
-   (--bench-out=PATH). bench-smoke points this at an untracked path so
-   routine `make check` runs never dirty the committed BENCH_engine.json. *)
-let bench_out = ref "BENCH_engine.json"
-
-(* Where the macro workload section writes its baseline
-   (--bench-macro-out=PATH); same smoke-test redirection story. *)
-let bench_macro_out = ref "BENCH_macro.json"
-
-(* Where the scale workload section writes its node-count curve
-   (--bench-scale-out=PATH); same smoke-test redirection story. *)
-let bench_scale_out = ref "BENCH_scale.json"
-
-(* Where the open-loop serving section writes its offered-load sweep
-   (--bench-serve-out=PATH); same smoke-test redirection story. *)
-let bench_serve_out = ref "BENCH_serve.json"
+(* Where every section writes its BENCH_*.json baseline (--out-dir DIR).
+   The smoke targets point this at an untracked directory so routine
+   `make check` runs never dirty the committed baselines. *)
+let out_dir = ref "."
 
 (* Observability: --obs / --obs-trace=FILE / --critical-path, parsed and
    acted on by the shared Obs_flags helper (same flags as splay_cli). *)

@@ -7,9 +7,9 @@
    measures the spawn→send→deliver→serve→reply cycle end to end, so a
    regression anywhere in the message plane moves these numbers.
 
-   Results are recorded for --jobs 1 and for the requested fan-out, so the
-   committed baseline documents both the single-domain cost and the
-   multicore scaling of the same workloads. *)
+   Results are recorded for jobs=1 and for a two-domain fan-out (the
+   [_j2] rows), so the committed baseline documents both the single-domain
+   cost and the multicore scaling of the same workloads. *)
 
 open Splay
 module Apps = Splay_apps
@@ -106,43 +106,23 @@ let rpc_trial ~calls seed =
     failwith (Printf.sprintf "rpc_roundtrip: %d of %d calls completed" !ok calls);
   calls
 
-type row = {
-  name : string;
-  jobs : int;
-  ops : int;
-  seconds : float;
-  rate : float;
-  extras : (string * float) list; (* workload-specific numeric fields *)
-}
-
-(* Best-of-N wall clock: the batches are deterministic, so reruns only
-   differ by scheduler/GC noise and the minimum is the honest figure.
-   Single-shot numbers on a shared box swing +/-20%, enough to make the
-   jobs=2 >= jobs=1 floor flap for reasons that have nothing to do with
-   the pool. *)
-let reps = 3
-
+(* Every row here feeds a gated ratio (the [_obs] twin against its plain
+   row, the [_j2] fan-out against its jobs=1 row), so each takes the
+   median of {!Row.gated_reps} runs of its trial batch. *)
 let measure ~jobs name seeds trial =
-  let ops = ref 0 and best = ref infinity in
-  for _ = 1 to reps do
-    let t0 = Unix.gettimeofday () in
-    let o = List.fold_left ( + ) 0 (Pool.map ~jobs trial seeds) in
-    let dt = Unix.gettimeofday () -. t0 in
-    ops := o;
-    if dt < !best then best := dt
-  done;
-  let ops = !ops and dt = !best in
-  let rate = Float.of_int ops /. dt in
-  Printf.printf "  %-18s jobs=%d %12.0f ops/s  (%d ops in %.3f s)\n%!" name jobs rate ops dt;
-  { name; jobs; ops; seconds = dt; rate; extras = [] }
+  Row.time ~reps:Row.gated_reps
+    (if jobs = 1 then name else Printf.sprintf "%s_j%d" name jobs)
+    (fun () ->
+      Row.timed (fun () ->
+          (List.fold_left ( + ) 0 (Pool.map ~jobs trial seeds), [ ("jobs", Float.of_int jobs) ])))
 
 (* Metrics-plane variants: the same workloads re-run with windowed rollups
    enabled ([Obs.metrics_enabled], no trace plane). The committed baseline
    then documents the metrics overhead — the `_obs` rate against its plain
-   twin is the ratio check_bench_floors.sh guards — and the rollup
-   histograms supply end-to-end RPC latency percentiles that the plain
-   rows (which only count ops) cannot see. Worker-domain rollups merge
-   through Pool's capture/absorb in trial order, so the percentiles are
+   twin is a ratio the floors file guards — and the rollup histograms
+   supply end-to-end RPC latency percentiles that the plain rows (which
+   only count ops) cannot see. Worker-domain rollups merge through Pool's
+   capture/absorb in trial order, so the percentiles are
    jobs-independent. *)
 let h_rpc_latency = Obs.histogram "rpc.latency"
 
@@ -155,29 +135,13 @@ let measure_obs ~jobs name seeds trial =
     (fun () ->
       let row = measure ~jobs name seeds trial in
       let q p = Obs.Rollup.quantile h_rpc_latency p in
-      let extras =
-        if Obs.Rollup.count h_rpc_latency = 0 then []
-        else [ ("p50_rpc_s", q 0.5); ("p99_rpc_s", q 0.99); ("p999_rpc_s", q 0.999) ]
-      in
-      { row with extras })
-
-let write_bench_json path rows =
-  let oc = open_out path in
-  Printf.fprintf oc "{\n  \"schema\": \"splay-bench-macro/1\",\n  \"workloads\": [\n";
-  List.iteri
-    (fun i r ->
-      let extras =
-        String.concat ""
-          (List.map (fun (k, v) -> Printf.sprintf ", \"%s\": %.6f" k v) r.extras)
-      in
-      Printf.fprintf oc
-        "    {\"name\": \"%s\", \"jobs\": %d, \"ops\": %d, \"seconds\": %.6f, \"ops_per_sec\": %.0f%s}%s\n"
-        r.name r.jobs r.ops r.seconds r.rate extras
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc;
-  Printf.printf "  wrote %s\n%!" path
+      if Obs.Rollup.count h_rpc_latency = 0 then row
+      else
+        {
+          row with
+          Row.fields =
+            row.Row.fields @ [ ("p50_rpc_s", q 0.5); ("p99_rpc_s", q 0.99); ("p999_rpc_s", q 0.999) ];
+        })
 
 let run () =
   Report.section "Macro benchmarks — message-plane workloads";
@@ -188,7 +152,6 @@ let run () =
   let calls = Common.pick ~quick:25_000 ~full:50_000 in
   let trials = 4 in
   let seeds base = List.init trials (fun i -> base + i) in
-  let jobs_list = List.sort_uniq compare [ 1; !Common.jobs ] in
   let rows =
     List.concat_map
       (fun jobs ->
@@ -205,6 +168,6 @@ let run () =
         in
         let rpc_o = measure_obs ~jobs "rpc_roundtrips_obs" (seeds 300) (rpc_trial ~calls) in
         [ chord; epi; rpc; chord_o; epi_o; rpc_o ])
-      jobs_list
+      [ 1; 2 ]
   in
-  write_bench_json !Common.bench_macro_out rows
+  Row.write ~dir:!Common.out_dir "BENCH_macro.json" rows

@@ -47,71 +47,54 @@ let jobs_of_string ctx s =
       Printf.eprintf "%s expects a positive integer, got %S\n" ctx s;
       exit 2
 
+(* A bare or empty --out-dir is an error: silently falling back to the
+   default would overwrite the committed baselines the caller meant to
+   redirect. *)
+let dir_of_string ctx s =
+  if s = "" || String.starts_with ~prefix:"--" s then begin
+    Printf.eprintf "%s expects a directory, got %S\n" ctx s;
+    exit 2
+  end;
+  s
+
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
   let full = List.mem "--full" args in
   let listing = List.mem "--list" args in
-  let value_of ~pfx a =
-    let lp = String.length pfx in
-    if String.length a >= lp && String.sub a 0 lp = pfx then
-      Some (String.sub a lp (String.length a - lp))
-    else None
-  in
-  (* --jobs N / --jobs=N: trial fan-out width for the experiments;
-     --domains N / --domains=N: partitions of the parallel single runs;
-     --bench-out=PATH and the other output flags: where each section
-     writes its machine-readable baseline. A bare or empty output flag
-     is an error — silently falling through to the committed default path
-     would overwrite the baseline the caller meant to redirect. *)
-  let out_path flag v =
-    match v with
-    | "" ->
-        Printf.eprintf "%s expects a path (%s=PATH)\n" flag flag;
-        exit 2
-    | path -> path
-  in
-  let int_flags = [ ("--jobs", Common.jobs); ("--domains", Common.domains) ] in
-  let out_flags =
+  (* --jobs N: trial fan-out width for the experiments; --domains N:
+     partitions of the parallel single runs; --out-dir DIR: where the
+     BENCH_*.json baselines go. Each also takes the --flag=VALUE form. *)
+  let flags =
     [
-      ("--bench-out", Common.bench_out);
-      ("--bench-macro-out", Common.bench_macro_out);
-      ("--bench-scale-out", Common.bench_scale_out);
-      ("--bench-serve-out", Common.bench_serve_out);
+      ("--jobs", fun f v -> Common.jobs := jobs_of_string f v);
+      ("--domains", fun f v -> Common.domains := jobs_of_string f v);
+      ("--out-dir", fun f v -> Common.out_dir := dir_of_string f v);
     ]
   in
-  let rec scan_flags = function
-    | [] -> ()
-    | [ flag ] when List.mem_assoc flag int_flags -> ignore (jobs_of_string flag "" : int)
-    | flag :: n :: rest when List.mem_assoc flag int_flags ->
-        List.assoc flag int_flags := jobs_of_string flag n;
-        scan_flags rest
-    | flag :: _ when List.mem_assoc flag out_flags ->
-        Printf.eprintf "output flags take inline values: %s\n"
-          (String.concat " / " (List.map (fun (f, _) -> f ^ "=PATH") out_flags));
-        exit 2
-    | a :: rest ->
-        let inline flags parse =
-          List.iter
-            (fun (flag, r) -> Option.iter (fun v -> r := parse flag v) (value_of ~pfx:(flag ^ "=") a))
-            flags
-        in
-        inline int_flags jobs_of_string;
-        inline out_flags out_path;
-        scan_flags rest
+  let set flag v = List.assoc flag flags flag v in
+  (* Flags apply as they are scanned; what remains are experiment names.
+     An unknown flag is an error, like a bare one. *)
+  let rec scan = function
+    | [] -> []
+    | [ flag ] when List.mem_assoc flag flags ->
+        set flag "";
+        []
+    | flag :: v :: rest when List.mem_assoc flag flags ->
+        set flag v;
+        scan rest
+    | a :: rest when String.starts_with ~prefix:"--" a ->
+        (match String.index_opt a '=' with
+        | Some i when List.mem_assoc (String.sub a 0 i) flags ->
+            set (String.sub a 0 i) (String.sub a (i + 1) (String.length a - i - 1))
+        | _ ->
+            if not (a = "--full" || a = "--list" || Splay.Obs_flags.parse_arg a) then begin
+              Printf.eprintf "unknown flag %s\n" a;
+              exit 2
+            end);
+        scan rest
+    | a :: rest -> (match List.assoc_opt a aliases with Some target -> target | None -> a) :: scan rest
   in
-  scan_flags args;
-  List.iter (fun a -> ignore (Splay.Obs_flags.parse_arg a : bool)) args;
-  let selected =
-    let rec keep = function
-      | [] -> []
-      | ("--jobs" | "--domains") :: _ :: rest -> keep rest
-      | a :: rest ->
-          if String.length a >= 2 && String.sub a 0 2 = "--" then keep rest
-          else
-            (match List.assoc_opt a aliases with Some target -> target | None -> a) :: keep rest
-    in
-    keep args
-  in
+  let selected = scan args in
   if listing then list_experiments ()
   else begin
     Common.scale := (if full then Common.Full else Common.Quick);
@@ -138,5 +121,9 @@ let () =
         run ();
         Common.obs_end ();
         Printf.printf "  (%s took %.1f s of CPU)\n%!" id (Sys.time () -. t0))
-      to_run
+      to_run;
+    if !Row.violations > 0 then begin
+      Printf.eprintf "%d bench bound(s) violated\n" !Row.violations;
+      exit 1
+    end
   end

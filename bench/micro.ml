@@ -197,29 +197,6 @@ let spawn_suspend_hot n () =
   done;
   rounds * 100 * 9
 
-let time_workload (name, f) =
-  let t0 = Unix.gettimeofday () in
-  let ops = f () in
-  let dt = Unix.gettimeofday () -. t0 in
-  let rate = Float.of_int ops /. dt in
-  Printf.printf "  %-24s %12.0f ops/s  (%d ops in %.3f s)\n%!" name rate ops dt;
-  (name, ops, dt, rate)
-
-let json_escape s = String.concat "\\\"" (String.split_on_char '"' s)
-
-let write_bench_json path rows =
-  let oc = open_out path in
-  Printf.fprintf oc "{\n  \"schema\": \"splay-bench-engine/1\",\n  \"workloads\": [\n";
-  List.iteri
-    (fun i (name, ops, dt, rate) ->
-      Printf.fprintf oc "    {\"name\": \"%s\", \"ops\": %d, \"seconds\": %.6f, \"ops_per_sec\": %.0f}%s\n"
-        (json_escape name) ops dt rate
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc;
-  Printf.printf "  wrote %s\n%!" path
-
 let run () =
   Report.section "Microbenchmarks — framework hot paths (Bechamel)";
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:None () in
@@ -250,8 +227,9 @@ let run () =
   let churn = Common.pick ~quick:500_000 ~full:2_000_000 in
   let chain = Common.pick ~quick:200_000 ~full:1_000_000 in
   let procs = Common.pick ~quick:20_000 ~full:100_000 in
-  let recorded =
-    List.map time_workload
+  let rows =
+    List.map
+      (fun (name, f) -> Row.time ~reps:1 name (fun () -> Row.timed (fun () -> (f (), []))))
       [
         ("schedule_cancel_churn", sched_cancel churn);
         ("schedule_pop_chain", sched_pop chain);
@@ -259,4 +237,4 @@ let run () =
         ("spawn_suspend_hot", spawn_suspend_hot procs);
       ]
   in
-  write_bench_json !Common.bench_out recorded
+  Row.write ~dir:!Common.out_dir "BENCH_engine.json" rows

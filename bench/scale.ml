@@ -17,29 +17,15 @@
    Every run uses the compact testbed (Testbed.synthetic): hash-seeded
    O(1) latency, struct-of-arrays per-host state, no host records. The
    rows land in BENCH_scale.json; the 10k rows carry CI floors
-   (ops/sec) and ceilings (resident words per node) checked by
-   scripts/check_bench_floors.sh, so a memory regression that would push
-   the million-node run out of budget trips the smoke test long before
-   anyone runs a million nodes. *)
+   (ops/sec) and ceilings (resident words per node) from
+   BENCH_scale.floors.json, so a memory regression that would push the
+   million-node run out of budget trips the smoke test long before
+   anyone runs a million nodes. Resident words are an
+   [Obj.reachable_words] delta over the deployment: measuring a
+   footprint never forces a collection. *)
 
 open Splay
 module Apps = Splay_apps
-
-let live_words () =
-  Gc.full_major ();
-  (Gc.stat ()).Gc.live_words
-
-type row = {
-  name : string;
-  nodes : int;
-  ops : int;
-  seconds : float;
-  resident_words : int; (* live words after setup, before the run *)
-  words_per_node : float;
-  extras : (string * float) list; (* workload-specific numeric fields *)
-}
-
-let ops_per_sec r = if r.seconds > 0.0 then Float.of_int r.ops /. r.seconds else 0.0
 
 (* Metrics-plane variants ([_obs] rows): the same single runs with
    windowed rollups and per-host telemetry sampling enabled. The paired
@@ -60,13 +46,13 @@ let with_metrics ~obs f =
 
 (* ---------- epidemic flood ---------- *)
 
-let epidemic_run ?(obs = false) ~n ~seed () =
-  with_metrics ~obs @@ fun () ->
-  let engine = Engine.create ~seed () in
-  let tb = Testbed.synthetic ~hosts:n (Engine.rng engine) in
-  let net = Net.create engine tb in
-  let graph_rng = Rng.split (Engine.rng engine) in
-  let base = live_words () in
+(* The flood's deployment: n one-way epidemic instances over a random
+   circulant peer graph, host i on network [net_of i] (one [Net.t], or a
+   [Fabric] partition's). Returns the nodes, their envs and the words the
+   deployment added to what [world] already reached; the rumor is injected
+   at node 0 once that is measured. *)
+let flood ~n ~graph_rng ~world net_of =
+  let base = Obj.reachable_words world in
   let addrs = Array.init n (fun i -> Addr.make i 9000) in
   (* Peer graph: a fixed set of random ring strides shared by every node
      (a random circulant digraph — an expander with high probability).
@@ -76,111 +62,81 @@ let epidemic_run ?(obs = false) ~n ~seed () =
   let strides = Array.init degree (fun _ -> 1 + Rng.int graph_rng (max 1 (n - 1))) in
   let config = { Apps.Epidemic.fanout = 6; rpc_timeout = 5.0; oneway = true } in
   let nodes = Array.make n None in
-  let env0 = ref None in
-  let env_acc = ref [] in
-  for i = 0 to n - 1 do
-    let peers = Array.to_list (Array.map (fun s -> addrs.((i + s) mod n)) strides) in
-    let env = Env.create net ~me:addrs.(i) ~nodes:peers in
-    if i = 0 then env0 := Some env;
-    if obs then env_acc := env :: !env_acc;
-    Apps.Epidemic.app ~config ~register:(fun x -> nodes.(i) <- Some x) env
-  done;
-  let envs = if obs then Array.of_list (List.rev !env_acc) else [||] in
-  env_acc := [];
-  let resident = live_words () - base in
-  let origin = match nodes.(0) with Some x -> x | None -> assert false in
-  let env0 = match !env0 with Some e -> e | None -> assert false in
-  ignore (Env.thread env0 ~name:"rumor-origin" (fun () -> Apps.Epidemic.broadcast origin "r0"));
+  let envs =
+    Array.init n (fun i ->
+        let peers = Array.to_list (Array.map (fun s -> addrs.((i + s) mod n)) strides) in
+        let env = Env.create (net_of i) ~me:addrs.(i) ~nodes:peers in
+        Apps.Epidemic.app ~config ~register:(fun x -> nodes.(i) <- Some x) env;
+        env)
+  in
+  let resident = Obj.reachable_words (Obj.repr (world, nodes)) - base in
+  let origin = Option.get nodes.(0) in
+  ignore (Env.thread envs.(0) ~name:"rumor-origin" (fun () -> Apps.Epidemic.broadcast origin "r0"));
+  (nodes, envs, resident)
+
+let footprint ~n resident =
+  [
+    ("nodes", Float.of_int n);
+    ("resident_words", Float.of_int resident);
+    ("words_per_node", Float.of_int resident /. Float.of_int n);
+  ]
+
+let coverage ~n nodes =
+  let covered =
+    Array.fold_left
+      (fun c -> function Some x when Apps.Epidemic.has_received x "r0" -> c + 1 | _ -> c)
+      0 nodes
+  in
+  ("coverage", Float.of_int covered /. Float.of_int n)
+
+let epidemic_run ?(obs = false) ~n ~seed () =
+  with_metrics ~obs @@ fun () ->
+  let engine = Engine.create ~seed () in
+  let tb = Testbed.synthetic ~hosts:n (Engine.rng engine) in
+  let net = Net.create engine tb in
+  let graph_rng = Rng.split (Engine.rng engine) in
+  let nodes, envs, resident = flood ~n ~graph_rng ~world:(Obj.repr net) (fun _ -> net) in
   if obs then Telemetry.monitor engine (fun () -> Telemetry.sample_envs envs);
-  let t0 = Unix.gettimeofday () in
-  ignore (Engine.run engine);
-  let wall = Unix.gettimeofday () -. t0 in
+  let _, wall = Row.timed (fun () -> Engine.run engine) in
   Engine.check_crashed engine;
-  let covered = ref 0 in
-  Array.iter
-    (function
-      | Some x when Apps.Epidemic.has_received x "r0" -> incr covered
-      | _ -> ())
-    nodes;
-  let delivered = Net.messages_sent net - Net.messages_dropped net in
-  {
-    name = Printf.sprintf "epidemic_%s%s" (Common.size_tag n) (if obs then "_obs" else "");
-    nodes = n;
-    ops = delivered;
-    seconds = wall;
-    resident_words = resident;
-    words_per_node = Float.of_int resident /. Float.of_int n;
-    extras =
-      ("coverage", Float.of_int !covered /. Float.of_int n)
-      ::
-      (if obs then
-         [
-           ("p50_link_wait_s", Obs.Rollup.quantile h_link_wait 0.5);
-           ("p99_link_wait_s", Obs.Rollup.quantile h_link_wait 0.99);
-         ]
-       else []);
-  }
+  ( ( Net.messages_sent net - Net.messages_dropped net,
+      footprint ~n resident
+      @ coverage ~n nodes
+        ::
+        (if obs then
+           [
+             ("p50_link_wait_s", Obs.Rollup.quantile h_link_wait 0.5);
+             ("p99_link_wait_s", Obs.Rollup.quantile h_link_wait 0.99);
+           ]
+         else []) ),
+    wall )
 
-(* ---------- epidemic flood, parallel engine ---------- *)
-
-(* The same flood as {!epidemic_run}, but as ONE deployment spread over
-   [parts] engine partitions (Fabric) and executed on up to [domains]
-   worker domains. Plain rows only: the run itself is deterministic in
-   (seed, parts), but bench-side telemetry sampling would read host
-   state across partitions mid-window, so the metrics twins stay
-   sequential. Extras record what the speedup floor needs: the partition
-   count, how many workers the machine actually granted, the cores it
-   could have granted, and the window count (virtual span / lookahead —
-   the barrier overhead driver). *)
+(* The same flood as ONE deployment spread over [parts] engine partitions
+   (Fabric) and executed on up to [domains] worker domains. Plain rows
+   only: the run itself is deterministic in (seed, parts), but bench-side
+   telemetry sampling would read host state across partitions
+   mid-window, so the metrics twins stay sequential. The fields record
+   what the speedup floor needs: how many workers the machine actually
+   granted, the cores it could have granted, and the window count
+   (virtual span / lookahead — the barrier overhead driver). *)
 let epidemic_par_run ~domains ~parts ~n ~seed () =
   let fab = Fabric.create ~seed ~hosts:n ~parts () in
   let graph_rng = Rng.split (Engine.rng (Fabric.engine fab 0)) in
-  let base = live_words () in
-  let addrs = Array.init n (fun i -> Addr.make i 9000) in
-  let degree = 8 in
-  let strides = Array.init degree (fun _ -> 1 + Rng.int graph_rng (max 1 (n - 1))) in
-  let config = { Apps.Epidemic.fanout = 6; rpc_timeout = 5.0; oneway = true } in
-  let nodes = Array.make n None in
-  let env0 = ref None in
-  for i = 0 to n - 1 do
-    let peers = Array.to_list (Array.map (fun s -> addrs.((i + s) mod n)) strides) in
-    let env = Env.create (Fabric.net_of_host fab i) ~me:addrs.(i) ~nodes:peers in
-    if i = 0 then env0 := Some env;
-    Apps.Epidemic.app ~config ~register:(fun x -> nodes.(i) <- Some x) env
-  done;
-  let resident = live_words () - base in
-  let origin = match nodes.(0) with Some x -> x | None -> assert false in
-  let env0 = match !env0 with Some e -> e | None -> assert false in
-  ignore (Env.thread env0 ~name:"rumor-origin" (fun () -> Apps.Epidemic.broadcast origin "r0"));
-  let t0 = Unix.gettimeofday () in
-  let info = Fabric.run ~domains fab in
-  let wall = Unix.gettimeofday () -. t0 in
+  let nodes, _, resident = flood ~n ~graph_rng ~world:(Obj.repr fab) (Fabric.net_of_host fab) in
+  let info, wall = Row.timed (fun () -> Fabric.run ~domains fab) in
   for i = 0 to Fabric.parts fab - 1 do
     Engine.check_crashed (Fabric.engine fab i)
   done;
-  let covered = ref 0 in
-  Array.iter
-    (function
-      | Some x when Apps.Epidemic.has_received x "r0" -> incr covered
-      | _ -> ())
-    nodes;
-  let delivered = Fabric.messages_sent fab - Fabric.messages_dropped fab in
-  {
-    name = Printf.sprintf "epidemic_par_%s" (Common.size_tag n);
-    nodes = n;
-    ops = delivered;
-    seconds = wall;
-    resident_words = resident;
-    words_per_node = Float.of_int resident /. Float.of_int n;
-    extras =
-      [
-        ("coverage", Float.of_int !covered /. Float.of_int n);
-        ("domains", Float.of_int domains);
-        ("workers", Float.of_int (Dpool.effective (min domains parts)));
-        ("cores", Float.of_int (Pool.default_jobs ()));
-        ("windows", Float.of_int info.Par.windows);
-      ];
-  }
+  ( ( Fabric.messages_sent fab - Fabric.messages_dropped fab,
+      footprint ~n resident
+      @ [
+          coverage ~n nodes;
+          ("domains", Float.of_int domains);
+          ("workers", Float.of_int (Dpool.effective (min domains parts)));
+          ("cores", Float.of_int (Pool.default_jobs ()));
+          ("windows", Float.of_int info.Par.windows);
+        ] ),
+    wall )
 
 (* ---------- chord lookups ---------- *)
 
@@ -191,7 +147,7 @@ let chord_run ?(obs = false) ~n ~seed ~lookups () =
   let net = Net.create engine tb in
   let config = Apps.Chord.default_config in
   let md = Splay_runtime.Misc.pow2 config.Apps.Chord.m in
-  let base = live_words () in
+  let base = Obj.reachable_words (Obj.repr net) in
   (* evenly spaced ids: unique, sorted, and the ring array is shared
      read-only by every instance's fingers *)
   let spacing = max 1 (md / n) in
@@ -201,7 +157,7 @@ let chord_run ?(obs = false) ~n ~seed ~lookups () =
     let env = Env.create net ~me:ring.(i).Apps.Node.addr in
     Apps.Chord.assemble ~config ~ring ~index:i ~register:(fun c -> nodes.(i) <- Some c) env
   done;
-  let resident = live_words () - base in
+  let resident = Obj.reachable_words (Obj.repr (net, nodes)) - base in
   let rng = Rng.split (Engine.rng engine) in
   (* bounded-memory stats: a 100k-node run records every lookup without
      holding every sample *)
@@ -233,129 +189,93 @@ let chord_run ?(obs = false) ~n ~seed ~lookups () =
              | None -> ()
            done))
   done;
-  let t0 = Unix.gettimeofday () in
-  ignore (Engine.run engine);
-  let wall = Unix.gettimeofday () -. t0 in
+  let _, wall = Row.timed (fun () -> Engine.run engine) in
   Engine.check_crashed engine;
   Common.shape_check
     (Printf.sprintf "chord %d: all %d lookups correct" n !completed)
     (!wrong = 0 && !completed > 0);
-  {
-    name = Printf.sprintf "chord_%s%s" (Common.size_tag n) (if obs then "_obs" else "");
-    nodes = n;
-    ops = !completed;
-    seconds = wall;
-    resident_words = resident;
-    words_per_node = Float.of_int resident /. Float.of_int n;
-    extras =
-      [
-        ("mean_hops", Sink.mean hops);
-        ("p99_hops", if Sink.is_empty hops then 0.0 else Sink.quantile hops 0.99);
-        ("p50_lookup_s", if Sink.is_empty lat then 0.0 else Sink.quantile lat 0.5);
-        ("p99_lookup_s", if Sink.is_empty lat then 0.0 else Sink.quantile lat 0.99);
-        (* the sketch counts every lookup, so the tail is there too *)
-        ("p999_lookup_s", if Sink.is_empty lat then 0.0 else Sink.quantile lat 0.999);
-      ];
-  }
+  let q s p = if Sink.is_empty s then 0.0 else Sink.quantile s p in
+  ( ( !completed,
+      footprint ~n resident
+      @ [
+          ("mean_hops", Sink.mean hops);
+          ("p99_hops", q hops 0.99);
+          ("p50_lookup_s", q lat 0.5);
+          ("p99_lookup_s", q lat 0.99);
+          (* the sketch counts every lookup, so the tail is there too *)
+          ("p999_lookup_s", q lat 0.999);
+        ] ),
+    wall )
 
 (* ---------- harness ---------- *)
 
-let write_json path rows =
-  let oc = open_out path in
-  output_string oc "{\n  \"schema\": \"splay-bench-scale/1\",\n  \"workloads\": [\n";
-  List.iteri
-    (fun i r ->
-      let extras =
-        String.concat ""
-          (List.map (fun (k, v) -> Printf.sprintf ", \"%s\": %.6f" k v) r.extras)
-      in
-      Printf.fprintf oc
-        "    {\"name\": \"%s\", \"nodes\": %d, \"ops\": %d, \"seconds\": %.6f, \"ops_per_sec\": %.0f, \"resident_words\": %d, \"words_per_node\": %.1f%s}%s\n"
-        r.name r.nodes r.ops r.seconds (ops_per_sec r) r.resident_words r.words_per_node extras
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  output_string oc "  ]\n}\n";
-  close_out oc
-
-let print_rows rows =
-  Report.table
-    ~header:[ "workload"; "nodes"; "ops"; "wall s"; "ops/s"; "words/node"; "detail" ]
-    (List.map
-       (fun r ->
-         [
-           r.name;
-           string_of_int r.nodes;
-           string_of_int r.ops;
-           Report.float_cell ~decimals:2 r.seconds;
-           Report.float_cell ~decimals:0 (ops_per_sec r);
-           Report.float_cell ~decimals:0 r.words_per_node;
-           String.concat " "
-             (List.map (fun (k, v) -> Printf.sprintf "%s=%.4g" k v) r.extras);
-         ])
-       rows)
-
 let run () =
   Report.section "Scale — single-run node-count curve (one core)";
-  let min_row (a : row) b = if b.seconds < a.seconds then b else a in
-  (* The speedup floor's pair at every scale: the 100k flood sequential
-     and over --domains partitions, best-of-2 wall clocks (the runs are
-     deterministic). The par row's speedup_x sits beside workers and
-     cores: the floor is gated only where >= 2 workers were granted. *)
-  let pair_n = 100_000 and domains = !Common.domains in
-  let seq () = epidemic_run ~n:pair_n ~seed:11 ()
-  and par () = epidemic_par_run ~domains ~parts:domains ~n:pair_n ~seed:11 () in
-  let seq_pair = min_row (seq ()) (seq ()) in
-  let par_pair =
-    let r = min_row (par ()) (par ()) in
-    { r with extras = r.extras @ [ ("speedup_x", ops_per_sec r /. ops_per_sec seq_pair) ] }
-  in
   let ep_sizes = Common.pick ~quick:[ 1_000; 10_000 ] ~full:[ 1_000; 10_000; 1_000_000 ] in
   let ch_sizes = Common.pick ~quick:[ 1_000; 10_000 ] ~full:[ 1_000; 10_000; 100_000 ] in
   (* metrics-plane twins: 10k everywhere (the guarded smoke size), plus
      the full-scale flagships so the committed baseline records the
-     metrics overhead where it hurts most. A twin runs interleaved with
-     its plain row — plain, obs, plain, obs — keeping each variant's best
-     wall clock: consecutive million-node runs in one process see heap
-     and machine states that differ by tens of percent (far more than
-     the overhead being measured), and min-of-interleaved keeps a slow
-     slot from landing the penalty on either side of the ratio. *)
+     metrics overhead where it hurts most. The floors file reads the 10k
+     twins' wall time against their plain rows, so those four rows take
+     the median of {!Row.gated_reps} runs. *)
   let ep_obs_sizes = Common.pick ~quick:[ 10_000 ] ~full:[ 10_000; 1_000_000 ] in
   let ch_obs_sizes = Common.pick ~quick:[ 10_000 ] ~full:[ 10_000; 100_000 ] in
-  let paired ~repeats plain obs =
-    let rec go i (bp, bo) =
-      if i >= repeats then [ bp; bo ] else go (i + 1) (min_row bp (plain ()), min_row bo (obs ()))
+  let with_twin twins tag run n =
+    let reps = if n = 10_000 then Row.gated_reps else 1 in
+    let row obs =
+      Row.time ~reps
+        (Printf.sprintf "%s_%s%s" tag (Common.size_tag n) (if obs then "_obs" else ""))
+        (run ~obs ~n)
     in
-    go 1 (plain (), obs ())
+    let plain = row false in
+    if List.mem n twins then [ plain; row true ] else [ plain ]
   in
-  let rows =
+  let floods =
     List.concat_map
-      (fun n ->
-        let plain () = epidemic_run ~n ~seed:11 () in
-        if List.mem n ep_obs_sizes then
-          paired
-            ~repeats:(if n >= 1_000_000 then 2 else 1)
-            plain
-            (fun () -> epidemic_run ~obs:true ~n ~seed:11 ())
-        else [ plain () ])
+      (with_twin ep_obs_sizes "epidemic" (fun ~obs ~n -> epidemic_run ~obs ~n ~seed:11))
       ep_sizes
-    @ (* the speedup pair, and the parallel-engine twin of the 10k row:
-         same workload, same seed, one deployment over [domains] partitions *)
-    [ seq_pair; epidemic_par_run ~domains ~parts:domains ~n:10_000 ~seed:11 (); par_pair ]
-    @ List.concat_map
-        (fun n ->
-          let lookups = min 2_000 (n * 2) in
-          chord_run ~n ~seed:23 ~lookups ()
-          :: (if List.mem n ch_obs_sizes then [ chord_run ~obs:true ~n ~seed:23 ~lookups () ] else []))
-        ch_sizes
   in
-  print_rows rows;
+  let chords =
+    List.concat_map
+      (with_twin ch_obs_sizes "chord" (fun ~obs ~n ->
+           chord_run ~obs ~n ~seed:23 ~lookups:(min 2_000 (n * 2))))
+      ch_sizes
+  in
+  (* The speedup floor's pair at every scale: the 100k flood sequential
+     and over --domains partitions. Every sequential row runs before the
+     first worker domain starts (a process that has started domains runs
+     later sequential work slower and less steadily, which would flatter
+     the ratio), and the two sides run back to back. The par row's
+     speedup_x sits beside workers and cores: the floor is gated only
+     where >= 2 workers were granted. *)
+  let pair_n = 100_000 and domains = !Common.domains in
+  let seq =
+    Row.time ~reps:Row.gated_reps
+      (Printf.sprintf "epidemic_%s" (Common.size_tag pair_n))
+      (epidemic_run ~n:pair_n ~seed:11)
+  in
+  let par =
+    Row.time ~reps:Row.gated_reps
+      (Printf.sprintf "epidemic_par_%s" (Common.size_tag pair_n))
+      (epidemic_par_run ~domains ~parts:domains ~n:pair_n ~seed:11)
+  in
+  let par =
+    let speedup = Row.ops_per_sec par /. Row.ops_per_sec seq in
+    { par with Row.fields = par.Row.fields @ [ ("speedup_x", speedup) ] }
+  in
+  (* the parallel-engine twin of the 10k row: same workload, same seed,
+     one deployment over [domains] partitions *)
+  let par_10k =
+    Row.time ~reps:1 "epidemic_par_10k" (epidemic_par_run ~domains ~parts:domains ~n:10_000 ~seed:11)
+  in
+  let rows = floods @ chords @ [ seq; par; par_10k ] in
   List.iter
     (fun r ->
-      match List.assoc_opt "coverage" r.extras with
+      match List.assoc_opt "coverage" r.Row.fields with
       | Some c ->
-          Common.shape_check (Printf.sprintf "%s: flood covers the graph (%.1f%%)" r.name (100.0 *. c))
+          Common.shape_check
+            (Printf.sprintf "%s: flood covers the graph (%.1f%%)" r.Row.name (100.0 *. c))
             (c > 0.9)
       | None -> ())
     rows;
-  write_json !Common.bench_scale_out rows;
-  Report.kv "baseline written" !Common.bench_scale_out
+  Row.write ~dir:!Common.out_dir "BENCH_scale.json" rows

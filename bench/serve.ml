@@ -24,9 +24,10 @@
    tentpole claim — all-on p99 must stay well under baseline p99 past
    the baseline knee (ceiling_ratio_p99_s) — plus absolute collapse
    floors and the bounded words-per-idle-client ceiling at a million
-   clients. One row repeats the all-on step on the parallel single-run
-   engine (4 partitions) so the baseline records windows/workers/cores
-   for the degenerate-aware speedup annotation.
+   clients. One row repeats the all-on step at the knee on the parallel
+   single-run engine (4 partitions) so the baseline records
+   windows/workers/cores and the speedup the floors gate wherever the
+   machine grants two workers or more.
 
    Two off-knee guard rows (the [_uni_] rows) run base and p2c with
    uniform keys at 1k req/s, where every owner idles: no toggle has
@@ -38,54 +39,45 @@ open Splay
 module H = Splay_serve.Harness
 module L = Splay_serve.Load
 
-let serve_row ~name ?mode scenario ~seed ~rate =
-  let t0 = Unix.gettimeofday () in
-  let r = H.run ?mode scenario ~seed ~rate in
-  let wall = Unix.gettimeofday () -. t0 in
-  let f = Float.of_int in
-  let base =
-    [
-      ("rate", rate);
-      ("clients", f scenario.H.load.L.clients);
-      ("ok", f r.H.ok);
-      ("miss", f r.H.misses);
-      ("shed", f r.H.shed);
-      ("failed", f r.H.failed);
-      ("p50_s", r.H.p50);
-      ("p99_s", r.H.p99);
-      ("p999_s", r.H.p999);
-      ("mean_s", r.H.mean_lat);
-      ("served", f r.H.served);
-      ("server_shed", f r.H.server_shed);
-      ("batched", f r.H.batched);
-      ("client_words", r.H.client_words);
-      ("workers", f r.H.workers);
-      ("cores", f (Pool.default_jobs ()));
-    ]
-  in
-  let web =
-    match scenario.H.target with
-    | H.Web -> [ ("origin", f r.H.origin); ("stale_served", f r.H.stale) ]
-    | H.Dht -> []
-  in
-  let par =
-    match mode with
-    | Some (H.Fab { parts; domains }) ->
-        [ ("parts", f parts); ("domains", f domains); ("windows", f r.H.windows) ]
-    | _ -> []
-  in
-  ( {
-      Scale.name;
-      nodes = scenario.H.nodes;
-      ops = r.H.offered;
+let serve_row ?(reps = 1) ~name ?mode scenario ~seed ~rate =
+  Row.time ~reps name (fun () ->
       (* wall includes overlay assembly + preload: the floors are about
          collapse, not peak request throughput *)
-      seconds = wall;
-      resident_words = 0;
-      words_per_node = 0.0;
-      extras = base @ web @ par;
-    },
-    r )
+      let r, wall = Row.timed (fun () -> H.run ?mode scenario ~seed ~rate) in
+      let f = Float.of_int in
+      let web =
+        match scenario.H.target with
+        | H.Web -> [ ("origin", f r.H.origin); ("stale_served", f r.H.stale) ]
+        | H.Dht -> []
+      in
+      let par =
+        match mode with
+        | Some (H.Fab { parts; domains }) ->
+            [ ("parts", f parts); ("domains", f domains); ("windows", f r.H.windows) ]
+        | _ -> []
+      in
+      ( ( r.H.offered,
+          [
+            ("nodes", f scenario.H.nodes);
+            ("rate", rate);
+            ("clients", f scenario.H.load.L.clients);
+            ("ok", f r.H.ok);
+            ("miss", f r.H.misses);
+            ("shed", f r.H.shed);
+            ("failed", f r.H.failed);
+            ("p50_s", r.H.p50);
+            ("p99_s", r.H.p99);
+            ("p999_s", r.H.p999);
+            ("mean_s", r.H.mean_lat);
+            ("served", f r.H.served);
+            ("server_shed", f r.H.server_shed);
+            ("batched", f r.H.batched);
+            ("client_words", r.H.client_words);
+            ("workers", f r.H.workers);
+            ("cores", f (Pool.default_jobs ()));
+          ]
+          @ web @ par ),
+        wall ))
 
 let variants =
   [
@@ -130,12 +122,9 @@ let run () =
           (fun (vname, vf) ->
             List.map
               (fun rate ->
-                let name =
-                  Printf.sprintf "serve_dht_%s_%s_%s" (Common.size_tag nodes)
-                    vname (rate_tag rate)
-                in
-                let s = vf (scenario ~target:H.Dht ~nodes ~clients ~duration) in
-                fun () -> serve_row ~name s ~seed ~rate)
+                ( Printf.sprintf "serve_dht_%s_%s_%s" (Common.size_tag nodes) vname (rate_tag rate),
+                  vf (scenario ~target:H.Dht ~nodes ~clients ~duration),
+                  rate ))
               rs)
           vs)
       sizes
@@ -148,80 +137,66 @@ let run () =
   let web_steps =
     List.map
       (fun (vname, batching) ->
-        let name =
-          Printf.sprintf "serve_web_10k_%s_%s" vname (rate_tag web_rate)
-        in
-        let s =
-          { (scenario ~target:H.Web ~nodes:10_000 ~clients ~duration) with H.batching }
-        in
-        fun () -> serve_row ~name s ~seed ~rate:web_rate)
+        ( Printf.sprintf "serve_web_10k_%s_%s" vname (rate_tag web_rate),
+          { (scenario ~target:H.Web ~nodes:10_000 ~clients ~duration) with H.batching },
+          web_rate ))
       [ ("base", false); ("coal", true) ]
   in
   let guard_rate = 1_000.0 in
   let guard_steps =
     List.map
       (fun (vname, vf) ->
-        let name = Printf.sprintf "serve_dht_10k_uni_%s_%s" vname (rate_tag guard_rate) in
         let s = vf (scenario ~target:H.Dht ~nodes:10_000 ~clients ~duration) in
-        let s = { s with H.load = { s.H.load with L.zipf_s = 0.0 } } in
-        fun () -> serve_row ~name s ~seed ~rate:guard_rate)
+        ( Printf.sprintf "serve_dht_10k_uni_%s_%s" vname (rate_tag guard_rate),
+          { s with H.load = { s.H.load with L.zipf_s = 0.0 } },
+          guard_rate ))
       (List.filter (fun (v, _) -> v = "base" || v = "p2c") variants)
   in
-  let measured =
-    Common.par_map (fun step -> step ()) (steps @ guard_steps @ web_steps)
-  in
-  (* The parallel-engine row runs outside the trial pool: Fabric brings
-     up its own worker domains and must not nest inside Pool's. *)
+  (* The speedup pair runs first and back to back: the all-on step at the
+     knee sequentially, then on the parallel single-run engine (4
+     partitions), each the median of {!Row.gated_reps} runs. Its
+     sequential side thus finishes before the process starts its first
+     worker domain, which would slow later sequential runs and flatter
+     the ratio. The parallel row runs outside the trial pool: Fabric
+     brings up its own worker domains and must not nest inside Pool's. *)
   let par_rate = 4_000.0 in
-  let par_row, _ =
-    serve_row
+  let twin = Printf.sprintf "serve_dht_10k_allon_%s" (rate_tag par_rate) in
+  let allon = H.all_on (scenario ~target:H.Dht ~nodes:10_000 ~clients ~duration) in
+  let seq = serve_row ~reps:Row.gated_reps ~name:twin allon ~seed ~rate:par_rate in
+  let par =
+    serve_row ~reps:Row.gated_reps
       ~name:(Printf.sprintf "serve_dht_10k_allon_par_%s" (rate_tag par_rate))
       ~mode:(H.Fab { parts = 4; domains = !Common.domains })
-      (H.all_on (scenario ~target:H.Dht ~nodes:10_000 ~clients ~duration))
-      ~seed ~rate:par_rate
+      allon ~seed ~rate:par_rate
   in
-  let find nm =
-    List.find_opt (fun (row, _) -> row.Scale.name = nm) measured
+  (* speedup vs the sequential all-on twin at the same offered rate, for
+     the floors file's workers-aware gate/annotation *)
+  let par =
+    let speedup = Row.ops_per_sec par /. Row.ops_per_sec seq in
+    { par with Row.fields = par.Row.fields @ [ ("speedup_x", speedup) ] }
   in
-  (* speedup vs the sequential all-on twin at the same offered rate —
-     recorded for the floors script's workers-aware gate/annotation *)
-  let par_row =
-    match find (Printf.sprintf "serve_dht_10k_allon_%s" (rate_tag par_rate)) with
-    | Some (seq_row, _) when Scale.ops_per_sec seq_row > 0.0 ->
-        {
-          par_row with
-          Scale.extras =
-            par_row.Scale.extras
-            @ [ ("speedup_x", Scale.ops_per_sec par_row /. Scale.ops_per_sec seq_row) ];
-        }
-    | _ -> par_row
+  let rows =
+    Common.par_map
+      (fun (name, s, rate) -> if name = twin then seq else serve_row ~name s ~seed ~rate)
+      (steps @ guard_steps @ web_steps)
+    @ [ par ]
   in
-  let rows = List.map fst measured @ [ par_row ] in
-  Scale.print_rows rows;
-  Scale.write_json !Common.bench_serve_out rows;
-  Printf.printf "  wrote %d serving workloads to %s\n" (List.length rows)
-    !Common.bench_serve_out;
+  Row.write ~dir:!Common.out_dir "BENCH_serve.json" rows;
   (* shape: the tentpole claims, eyeballable straight from the run *)
-  (match (find "serve_dht_10k_base_r8000", find "serve_dht_10k_allon_r8000") with
-  | Some (_, b), Some (_, a) ->
-      Common.shape_check "all-on beats baseline p99 past the knee" (a.H.p99 < b.H.p99);
-      Common.shape_check "baseline is past its knee (p99 over SLO budget)"
-        (b.H.p99 > 0.05)
-  | _ -> Common.shape_check "knee endpoints measured" false);
-  (match (find "serve_dht_10k_uni_base_r1000", find "serve_dht_10k_uni_p2c_r1000") with
-  | Some (_, b), Some (_, p) ->
-      Common.shape_check "p2c holds the baseline p50 off the knee" (p.H.p50 <= 1.1 *. b.H.p50)
-  | _ -> Common.shape_check "off-knee guard rows measured" false);
-  (match find "serve_dht_10k_adm_r8000" with
-  | Some (_, r) -> Common.shape_check "admission sheds under overload" (r.H.server_shed > 0)
-  | None -> ());
-  (match (find "serve_web_10k_base_r3000", find "serve_web_10k_coal_r3000") with
-  | Some (_, b), Some (_, c) ->
-      Common.shape_check "coalescing saves origin fetches" (c.H.origin < b.H.origin);
-      Common.shape_check "no stale-beyond-TTL serves" (b.H.stale = 0 && c.H.stale = 0)
-  | _ -> ());
-  match find "serve_dht_10k_base_r2000" with
-  | Some (_, r) ->
-      Common.shape_check "a million clients at O(1) words each"
-        (r.H.client_words < 8.0)
-  | None -> ()
+  let get name k = List.assoc k (List.find (fun r -> r.Row.name = name) rows).Row.fields in
+  Common.shape_check "all-on beats baseline p99 past the knee"
+    (get "serve_dht_10k_allon_r8000" "p99_s" < get "serve_dht_10k_base_r8000" "p99_s");
+  Common.shape_check "baseline is past its knee (p99 over SLO budget)"
+    (get "serve_dht_10k_base_r8000" "p99_s" > 0.05);
+  Common.shape_check "p2c holds the baseline p50 off the knee"
+    (get "serve_dht_10k_uni_p2c_r1000" "p50_s"
+    <= 1.1 *. get "serve_dht_10k_uni_base_r1000" "p50_s");
+  Common.shape_check "admission sheds under overload"
+    (get "serve_dht_10k_adm_r8000" "server_shed" > 0.0);
+  Common.shape_check "coalescing saves origin fetches"
+    (get "serve_web_10k_coal_r3000" "origin" < get "serve_web_10k_base_r3000" "origin");
+  Common.shape_check "no stale-beyond-TTL serves"
+    (get "serve_web_10k_base_r3000" "stale_served" = 0.0
+    && get "serve_web_10k_coal_r3000" "stale_served" = 0.0);
+  Common.shape_check "a million clients at O(1) words each"
+    (get "serve_dht_10k_base_r2000" "client_words" < 8.0)

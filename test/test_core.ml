@@ -189,15 +189,15 @@ let test_crcp_slower_on_thin_links () =
 
 (* {2 Bench harness CLI} *)
 
-(* The bench output flags must fail loudly on a bare or empty value —
-   silently keeping the default would overwrite the committed baseline the
-   caller meant to redirect. The exe is a declared test dep; flag errors
-   exit before any experiment runs, so these are fast. *)
+(* --out-dir must fail loudly on a bare or empty value — silently
+   keeping the default would overwrite the committed baselines the caller
+   meant to redirect. The exe is a declared test dep; flag errors exit
+   before any experiment runs, so these are fast. *)
 let bench_exe () =
   let local = "../bench/main.exe" in
   if Sys.file_exists local then Some local else None
 
-let test_bench_out_flag_errors () =
+let test_out_dir_flag_errors () =
   match bench_exe () with
   | None -> () (* run outside the dune sandbox; nothing to exercise *)
   | Some exe ->
@@ -208,21 +208,75 @@ let test_bench_out_flag_errors () =
             (String.concat " " ("exit 2 for" :: args))
             2 (run args))
         [
-          [ "--bench-out=" ];
-          [ "--bench-out" ];
-          [ "--bench-macro-out=" ];
-          [ "--bench-macro-out" ];
-          [ "--bench-out"; "somewhere.json" ];
+          [ "--out-dir=" ];
+          [ "--out-dir" ];
+          [ "--out-dir"; "" ];
+          [ "--out-dir"; "--list" ];
+          [ "--bench-out=somewhere.json"; "--list" ];
         ];
       (* a well-formed output flag still reaches normal argument handling *)
-      Alcotest.(check int) "exit 0 for valid flag + --list" 0
-        (run [ "--bench-out=_bench_flag_test.json"; "--list" ])
+      Alcotest.(check int) "exit 0 for --out-dir=DIR + --list" 0
+        (run [ "--out-dir=_bench_flag_test"; "--list" ]);
+      Alcotest.(check int) "exit 0 for --out-dir DIR + --list" 0
+        (run [ "--out-dir"; "_bench_flag_test"; "--list" ])
+
+(* The floors checker on inline texts: each bound kind passing and
+   failing, a missing row and a missing field (both fail), and a speedup
+   row on one worker (annotated, not gated). *)
+let test_floors_checker () =
+  let bench =
+    {|{
+  "schema": "splay-bench/2",
+  "rows": [
+    {"name": "a", "ops": 10, "ops_per_sec": 100, "p99_s": 0.5},
+    {"name": "b", "ops": 10, "ops_per_sec": 200, "p99_s": 1.0},
+    {"name": "par", "ops": 10, "speedup_x": 1.5, "workers": 2, "cores": 2},
+    {"name": "par1", "ops": 10, "speedup_x": 0.8, "workers": 1, "cores": 1}
+  ]
+}|}
+  in
+  let check name floors expected =
+    Alcotest.(check (list bool)) name expected (List.map fst (Row.check ~bench ~floors))
+  in
+  check "floor" {|{"name": "a", "floor_ops_per_sec": 100}|} [ true ];
+  check "floor violated" {|{"name": "a", "floor_ops_per_sec": 101}|} [ false ];
+  check "ceiling" {|{"name": "a", "ceiling_p99_s": 0.5}|} [ true ];
+  check "ceiling violated" {|{"name": "a", "ceiling_p99_s": 0.4}|} [ false ];
+  check "floor ratio" {|{"name": "a", "floor_ratio_ops_per_sec": 0.5, "baseline": "b"}|} [ true ];
+  check "floor ratio violated" {|{"name": "a", "floor_ratio_ops_per_sec": 0.6, "baseline": "b"}|}
+    [ false ];
+  check "ceiling ratio" {|{"name": "a", "ceiling_ratio_p99_s": 0.5, "baseline": "b"}|} [ true ];
+  check "ceiling ratio violated" {|{"name": "a", "ceiling_ratio_p99_s": 0.4, "baseline": "b"}|}
+    [ false ];
+  check "speedup" {|{"name": "par", "floor_speedup_x_per_worker": 0.75}|} [ true ];
+  check "speedup violated" {|{"name": "par", "floor_speedup_x_per_worker": 0.8}|} [ false ];
+  check "missing row" {|{"name": "c", "floor_ops_per_sec": 1}|} [ false ];
+  check "missing field" {|{"name": "a", "floor_windows": 1}|} [ false ];
+  check "missing baseline row" {|{"name": "a", "floor_ratio_ops_per_sec": 0.5, "baseline": "c"}|}
+    [ false ];
+  check "ratio without baseline" {|{"name": "a", "floor_ratio_ops_per_sec": 0.5}|} [ false ];
+  check "bounds of several rows, in order"
+    {|{"name": "a", "floor_ops_per_sec": 100, "ceiling_p99_s": 0.4},
+    {"name": "b", "floor_ops_per_sec": 100}|}
+    [ true; false; true ];
+  match Row.check ~bench ~floors:{|{"name": "par1", "floor_speedup_x_per_worker": 0.5}|} with
+  | [ (true, msg) ] ->
+      let has sub =
+        let n = String.length sub in
+        let rec go i = i + n <= String.length msg && (String.sub msg i n = sub || go (i + 1)) in
+        go 0
+      in
+      Alcotest.(check bool) ("one worker is annotated: " ^ msg) true (has "not gated")
+  | _ -> Alcotest.fail "a one-worker speedup row must pass with one annotation"
 
 let () =
   Alcotest.run "splay_core"
     [
       ( "bench-cli",
-        [ Alcotest.test_case "bench-out flag errors" `Quick test_bench_out_flag_errors ] );
+        [
+          Alcotest.test_case "out-dir flag errors" `Quick test_out_dir_flag_errors;
+          Alcotest.test_case "floors checker" `Quick test_floors_checker;
+        ] );
       ( "platform",
         [
           Alcotest.test_case "specs" `Quick test_platform_specs;
