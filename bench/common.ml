@@ -111,4 +111,11 @@ let size_tag n =
   else if n >= 1_000 && n mod 1_000 = 0 then Printf.sprintf "%dk" (n / 1_000)
   else string_of_int n
 
-let shape_check name ok = Printf.printf "  [shape %s] %s\n" (if ok then "OK" else "MISS") name
+(* A shape check is one of the paper's own claims about a figure. A MISS
+   is counted, and [main] exits 1 if any occurred: a reproduction that
+   loses a figure's shape is a failed run, not a log line. *)
+let shape_misses = ref 0
+
+let shape_check name ok =
+  if not ok then incr shape_misses;
+  Printf.printf "  [shape %s] %s\n" (if ok then "OK" else "MISS") name

@@ -122,8 +122,9 @@ let () =
         Common.obs_end ();
         Printf.printf "  (%s took %.1f s of CPU)\n%!" id (Sys.time () -. t0))
       to_run;
-    if !Row.violations > 0 then begin
+    if !Common.shape_misses > 0 then
+      Printf.eprintf "%d shape check(s) missed\n" !Common.shape_misses;
+    if !Row.violations > 0 then
       Printf.eprintf "%d bench bound(s) violated\n" !Row.violations;
-      exit 1
-    end
+    if !Common.shape_misses > 0 || !Row.violations > 0 then exit 1
   end

@@ -13,7 +13,7 @@ open Toolkit
 open Splay
 
 let bench_eheap () =
-  let h = Eheap.create () in
+  let h = Eheap.create ~dummy:0 in
   for i = 0 to 63 do
     Eheap.push h ~at:(Float.of_int (i * 7 mod 64)) ~seq:i i
   done;

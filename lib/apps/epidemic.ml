@@ -37,10 +37,11 @@ let peers t =
    acks anyway: redundancy is the protocol's own reliability mechanism. *)
 let forward t rumor =
   let targets = Rng.sample t.e_rng t.cfg.fanout (peers t) in
-  (* payloads are immutable: every target's request shares one argument list *)
+  (* payloads are immutable: every target shares one argument list, and
+     the one-way fan-out one request *)
   let args = [ Codec.String rumor ] in
   if t.cfg.oneway then
-    List.iter (fun a -> Rpc.notify t.env a "epidemic.rumor" args) targets
+    Rpc.notify t.env targets "epidemic.rumor" args
   else
     List.iter
       (fun a ->

@@ -117,24 +117,19 @@ let deliver t ~up ~src ~dst payload =
     | None -> count_drop t
     | Some h -> h ~src payload
 
-let deliver_compact t c ~src ~dst payload =
-  let up = Bytes.unsafe_get c.Testbed.Compact.up_bits dst.Addr.host <> '\000' in
-  deliver t ~up ~src ~dst payload
-
-(* One scheduled delivery per message. The [deliver] closure is what an
-   in-flight message holds in the event queue, so callers capture only
-   what delivery reads. When traced, the sender's trace context rides
-   along (the wire-level counterpart of the RPC envelope's ctx field):
-   delivery runs under it, so receiver-side spans join the sender's
-   causal trace for any payload, not just RPC. With tracing off the
-   context is pinned to [null_ctx], so there is nothing to propagate. *)
-let schedule_delivery t ~traced ~ctx ~at deliver =
-  if traced then
-    ignore
-      (Engine.schedule_at t.eng ~at (fun () ->
-           Obs.set_current ctx;
-           deliver ()))
-  else ignore (Engine.schedule_at t.eng ~at deliver)
+(* The delivery action of a compact testbed. The closure that calls it is
+   what an in-flight message holds in the event queue, so it captures
+   only (net, src, dst, payload): the compact state is read back from
+   [t.cmp] here. When traced, the sender's trace context rides along in
+   the engine's event wrapper (the wire-level counterpart of the RPC
+   envelope's ctx field): delivery runs under it, so receiver-side spans
+   join the sender's causal trace for any payload, not just RPC. *)
+let deliver_compact t ~src ~dst payload =
+  match t.cmp with
+  | Some c ->
+      let up = Bytes.unsafe_get c.Testbed.Compact.up_bits dst.Addr.host <> '\000' in
+      deliver t ~up ~src ~dst payload
+  | None -> assert false (* only compact sends schedule this *)
 
 (* The compact (struct-of-arrays) variant of the send path below: same
    store-and-forward model, same counter/observability behavior, but every
@@ -181,9 +176,8 @@ let send_compact t c ?(size = 256) ?loss ~src ~dst payload =
           in
           if traced || !Obs.metrics_enabled then
             Obs.observe h_link_wait ((start_up -. now) +. (start_down -. arrival));
-          let ctx = if traced then Obs.current () else Obs.null_ctx in
-          schedule_delivery t ~traced ~ctx ~at:deliver_at (fun () ->
-              deliver_compact t c ~src ~dst payload)
+          ignore
+            (Engine.schedule_at t.eng ~at:deliver_at (fun () -> deliver_compact t ~src ~dst payload))
     end
   end
 
@@ -221,9 +215,9 @@ let send_classic t ?(size = 256) ?loss ~src ~dst payload =
       let deliver_at = if t.extra_delay > 0.0 then deliver_at +. t.extra_delay else deliver_at in
       if traced || !Obs.metrics_enabled then
         Obs.observe h_link_wait ((start_up -. now) +. (start_down -. arrival));
-      let ctx = if traced then Obs.current () else Obs.null_ctx in
-      schedule_delivery t ~traced ~ctx ~at:deliver_at (fun () ->
-          deliver t ~up:hd.Testbed.up ~src ~dst payload)
+      ignore
+        (Engine.schedule_at t.eng ~at:deliver_at (fun () ->
+             deliver t ~up:hd.Testbed.up ~src ~dst payload))
     end
   end
 
@@ -239,7 +233,9 @@ let set_remote t ~local ~route =
 (* Receiver-side half of a routed send: runs on the destination
    partition's engine at the message's arrival time. Mirrors the tail of
    [send_compact] — downlink queueing against THIS net's busy array,
-   processing cost, then liveness/handler checks at delivery. *)
+   processing cost, then liveness/handler checks at delivery. The
+   message's context is the sender's, not the one current here when the
+   mailbox drains, so the traced delivery restores it itself. *)
 let deliver_remote t ?(size = 256) ~src ~dst ~up_wait ~ctx payload =
   match t.cmp with
   | None -> invalid_arg "Net.deliver_remote: synthetic (compact) testbed required"
@@ -256,8 +252,13 @@ let deliver_remote t ?(size = 256) ~src ~dst ~up_wait ~ctx payload =
       let traced = !Obs.enabled in
       if traced || !Obs.metrics_enabled then
         Obs.observe h_link_wait (up_wait +. (start_down -. arrival));
-      schedule_delivery t ~traced ~ctx ~at:deliver_at (fun () ->
-          deliver_compact t c ~src ~dst payload)
+      let deliver () = deliver_compact t ~src ~dst payload in
+      ignore
+        (Engine.schedule_at t.eng ~at:deliver_at
+           (if traced then fun () ->
+              Obs.set_current ctx;
+              deliver ()
+            else deliver))
 
 let messages_sent t = t.n_sent
 let bytes_sent t = t.n_bytes

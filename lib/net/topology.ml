@@ -23,7 +23,7 @@ type t = {
 let dijkstra ~n adj src =
   let dist = Array.make n infinity in
   dist.(src) <- 0.0;
-  let heap = Splay_sim.Eheap.create () in
+  let heap = Splay_sim.Eheap.create ~dummy:0 in
   Splay_sim.Eheap.push heap ~at:0.0 ~seq:src src;
   let rec loop () =
     match Splay_sim.Eheap.pop heap with

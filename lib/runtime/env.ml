@@ -24,11 +24,18 @@ type t = {
   mutable loss_rate : float;
   mutable stopped : bool;
   mutable stop_hooks : (unit -> unit) list;
-  mutable rpc_pending_tbl : (int, (Codec.value, string) result -> unit) Hashtbl.t option;
+  mutable rpc_pending_tbl : (int, rpc_call) Hashtbl.t option;
   mutable rpc_next_rid : int;
   mutable rpc_handlers : (string * (Codec.value list -> Codec.value)) list;
   mutable rpc_bound : bool;
   mutable rpc_rng : Splay_sim.Rng.t option;
+}
+
+and rpc_call = {
+  call_env : t;
+  call_rid : int;
+  call_resolve : ((Codec.value, string) result, exn) result -> unit;
+  mutable call_timer : Engine.event_id;
 }
 
 let engine t = Net.engine t.net

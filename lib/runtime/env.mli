@@ -40,7 +40,7 @@ type t = {
      The pending table materializes on first use (access through
      {!rpc_pending}): a pure server never allocates it — at million-node
      scale an empty-but-allocated Hashtbl would cost ~22 words per node. *)
-  mutable rpc_pending_tbl : (int, (Codec.value, string) result -> unit) Hashtbl.t option;
+  mutable rpc_pending_tbl : (int, rpc_call) Hashtbl.t option;
   mutable rpc_next_rid : int;
   mutable rpc_handlers : (string * (Codec.value list -> Codec.value)) list;
       (** procedure name -> handler, one binding per name (an instance
@@ -48,6 +48,18 @@ type t = {
           re-registration (last registration wins) *)
   mutable rpc_bound : bool;
   mutable rpc_rng : Splay_sim.Rng.t option; (* lazy; use {!rpc_rng} *)
+}
+
+(** One outstanding RPC attempt. The pending-table entry is the record
+    itself, and the attempt's timeout timer and cleanup are closures over
+    it alone, so a parked caller holds no per-call copy of the table, the
+    engine or the rid. *)
+and rpc_call = {
+  call_env : t;
+  call_rid : int;
+  call_resolve : ((Codec.value, string) result, exn) result -> unit;
+      (** the suspended caller's one-shot resolve *)
+  mutable call_timer : Splay_sim.Engine.event_id;
 }
 
 val create :
@@ -72,10 +84,10 @@ val rpc_rng : t -> Splay_sim.Rng.t
     lazily, so instances that never draw jitter (the default policy)
     consume exactly the streams they did before this stream existed. *)
 
-val rpc_pending : t -> (int, (Codec.value, string) result -> unit) Hashtbl.t
+val rpc_pending : t -> (int, rpc_call) Hashtbl.t
 (** The outstanding-call table, materialized on first use. *)
 
-val rpc_pending_opt : t -> (int, (Codec.value, string) result -> unit) Hashtbl.t option
+val rpc_pending_opt : t -> (int, rpc_call) Hashtbl.t option
 (** The table if any call ever ran — reply dispatch uses this so a stray
     reply to a node that never called costs no allocation. *)
 

@@ -111,9 +111,9 @@ let dispatch env ~src payload =
       | Some pending -> (
           match Hashtbl.find_opt pending rid with
           | None -> () (* reply after timeout: dropped, as with a late TCP answer *)
-          | Some resolve ->
+          | Some c ->
               Hashtbl.remove pending rid;
-              resolve result))
+              c.Env.call_resolve (Ok result)))
   | _ -> () (* not RPC traffic; other layers may share the port *)
 
 let ensure_bound env =
@@ -136,34 +136,39 @@ let decode_error m =
   | _ when m = "timeout" -> Timeout
   | _ -> Remote m
 
+(* The timer and the cleanup of one attempt: each closure captures only
+   the call record. *)
+let call_timeout (c : Env.rpc_call) =
+  let pending = Env.rpc_pending c.call_env in
+  if Hashtbl.mem pending c.call_rid then begin
+    Hashtbl.remove pending c.call_rid;
+    c.call_resolve (Ok (Error "timeout"))
+  end
+
+let call_release (c : Env.rpc_call) =
+  Engine.cancel (Env.engine c.call_env) c.call_timer;
+  Hashtbl.remove (Env.rpc_pending c.call_env) c.call_rid
+
 (* One wire attempt: send the request, resolve on reply, timeout or local
    send failure. *)
 let attempt env dst ~timeout ~size proc args =
   let rid = env.Env.rpc_next_rid in
   env.Env.rpc_next_rid <- rid + 1;
-  let eng = Env.engine env in
   let pending = Env.rpc_pending env in
   let outcome =
     Engine.suspend (fun resolve ->
-        Hashtbl.replace pending rid (fun r -> resolve (Ok r));
+        let c =
+          { Env.call_env = env; call_rid = rid; call_resolve = resolve; call_timer = Engine.null_event }
+        in
+        Hashtbl.replace pending rid c;
         (try Sb_socket.send env ~dst ~size (Request { rid; proc; args; ctx = Obs.current () })
          with Sb_socket.Network_error m ->
-           (match Hashtbl.find_opt pending rid with
-           | Some r ->
-               Hashtbl.remove pending rid;
-               r (Error ("net:" ^ m))
-           | None -> ()));
-        let timer =
-          Engine.schedule eng ~delay:timeout (fun () ->
-              match Hashtbl.find_opt pending rid with
-              | Some r ->
-                  Hashtbl.remove pending rid;
-                  r (Error "timeout")
-              | None -> ())
-        in
-        fun () ->
-          Engine.cancel eng timer;
-          Hashtbl.remove pending rid)
+           if Hashtbl.mem pending rid then begin
+             Hashtbl.remove pending rid;
+             resolve (Ok (Error ("net:" ^ m)))
+           end);
+        c.call_timer <- Engine.schedule (Env.engine env) ~delay:timeout (fun () -> call_timeout c);
+        fun () -> call_release c)
   in
   match outcome with Ok v -> Ok v | Error m -> Error (decode_error m)
 
@@ -269,13 +274,20 @@ let ping env ?timeout ?options dst =
    A blocked [a_call] caller costs ~1.3 kB of stack until the reply; a
    million-node flood with six outstanding forwards per node would hold
    gigabytes in parked fibers. Delivery inherits exactly the network's
-   guarantees (loss, partitions, dead hosts): fire-and-forget. *)
-let notify env dst proc args =
-  ensure_bound env;
-  Obs.incr c_notifies;
-  let size = request_size proc args in
-  try Sb_socket.send env ~dst ~size (Request { rid = -1; proc; args; ctx = Obs.current () })
-  with Sb_socket.Network_error _ -> ()
+   guarantees (loss, partitions, dead hosts): fire-and-forget. A fan-out
+   builds one immutable request, sized once, that every in-flight copy
+   shares. *)
+let notify env dsts proc args =
+  if dsts <> [] then begin
+    ensure_bound env;
+    let size = request_size proc args in
+    let req = Request { rid = -1; proc; args; ctx = Obs.current () } in
+    List.iter
+      (fun dst ->
+        Obs.incr c_notifies;
+        try Sb_socket.send env ~dst ~size req with Sb_socket.Network_error _ -> ())
+      dsts
+  end
 
 (* Wire serialization of the RPC envelope, for transports that leave the
    process (the live backend's inter-daemon TCP tunnels). The trace

@@ -82,8 +82,9 @@ val call :
 val ping : Env.t -> ?timeout:float -> ?options:options -> Addr.t -> bool
 (** Liveness probe; default policy {!default_options} with a 5 s timeout. *)
 
-val notify : Env.t -> Addr.t -> string -> Codec.value list -> unit
-(** One-way call: send the request and return immediately. The handler
+val notify : Env.t -> Addr.t list -> string -> Codec.value list -> unit
+(** One-way call to each destination in turn: send the request and return
+    immediately. All destinations share one request value. The handler
     runs on the callee exactly as for {!a_call}, but no reply is sent and
     nothing waits — no timer, no pending-table entry and, decisively for
     very large fan-outs, no fiber parked on the answer. Delivery is

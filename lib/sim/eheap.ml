@@ -23,20 +23,21 @@ type 'a t = {
   mutable data : 'a array;
   mutable size : int;
   popped_at : fcell;
+  dummy : 'a; (* fills every slot at or past [size] *)
 }
 
-let create () = { ats = [||]; seqs = [||]; data = [||]; size = 0; popped_at = { v = nan } }
+let create ~dummy = { ats = [||]; seqs = [||]; data = [||]; size = 0; popped_at = { v = nan }; dummy }
 
 let size t = t.size
 let is_empty t = t.size = 0
 
-let ensure_capacity t x =
+let ensure_capacity t =
   let cap = Array.length t.data in
   if t.size = cap then begin
     let ncap = if cap = 0 then 16 else cap * 2 in
     let nats = Array.make ncap 0.0 in
     let nseqs = Array.make ncap 0 in
-    let ndata = Array.make ncap x in
+    let ndata = Array.make ncap t.dummy in
     Array.blit t.ats 0 nats 0 t.size;
     Array.blit t.seqs 0 nseqs 0 t.size;
     Array.blit t.data 0 ndata 0 t.size;
@@ -46,7 +47,7 @@ let ensure_capacity t x =
   end
 
 let push t ~at ~seq x =
-  ensure_capacity t x;
+  ensure_capacity t;
   (* sift the hole up, then drop the new entry in *)
   let i = ref t.size in
   t.size <- t.size + 1;
@@ -98,10 +99,11 @@ let sift_down t start ~at ~seq x =
   t.data.(!i) <- x
 
 let min_at t = if t.size = 0 then infinity else t.ats.(0)
+let keys t = t.ats
 
 let peek t = if t.size = 0 then None else Some t.data.(0)
 
-let popped_at t = t.popped_at.v
+let popped_cell t = t.popped_at
 
 (* precondition: t.size > 0 *)
 let pop_nonempty t =
@@ -111,13 +113,13 @@ let pop_nonempty t =
   t.size <- n;
   if n > 0 then begin
     let at = t.ats.(n) and seq = t.seqs.(n) and x = t.data.(n) in
-    sift_down t 0 ~at ~seq x;
-    (* sift_down left live elements in [0, n); parking a duplicate of
-       the new root in the vacated slot keeps the popped payload from
-       staying reachable through the array. (When the heap empties,
-       slot 0 retains the last payload until the next push.) *)
-    t.data.(n) <- t.data.(0)
+    sift_down t 0 ~at ~seq x
   end;
+  (* sift_down left live elements in [0, n). The vacated slot gets the
+     dummy, not a live entry: a live entry parked there stays reachable
+     through the slot after it is popped in turn, so a queue that shrank
+     from its high-water mark would keep that many popped payloads. *)
+  t.data.(n) <- t.dummy;
   top
 
 let pop t = if t.size = 0 then None else Some (pop_nonempty t)
@@ -137,11 +139,10 @@ let filter_in_place t pred =
     end
   done;
   let kept = !j in
-  (* overwrite dropped slots with a live duplicate so they are collectable *)
-  if kept > 0 then
-    for i = kept to t.size - 1 do
-      t.data.(i) <- t.data.(0)
-    done;
+  (* overwrite dropped slots so they are collectable *)
+  for i = kept to t.size - 1 do
+    t.data.(i) <- t.dummy
+  done;
   t.size <- kept;
   if kept = 0 then begin
     t.ats <- [||];
@@ -159,10 +160,3 @@ let clear t =
   t.seqs <- [||];
   t.data <- [||];
   t.size <- 0
-
-let to_list t =
-  let acc = ref [] in
-  for i = t.size - 1 downto 0 do
-    acc := t.data.(i) :: !acc
-  done;
-  !acc

@@ -19,7 +19,14 @@
 
 type 'a t
 
-val create : unit -> 'a t
+type fcell = { mutable v : float }
+(** A flat float cell: reading [v] through a known record type loads an
+    unboxed double, where a float-returning call across modules boxes its
+    result. *)
+
+val create : dummy:'a -> 'a t
+(** An empty heap. [dummy] fills the unused slots of the payload array,
+    so no popped or dropped payload stays reachable through it. *)
 
 val size : 'a t -> int
 val is_empty : 'a t -> bool
@@ -28,8 +35,15 @@ val push : 'a t -> at:float -> seq:int -> 'a -> unit
 (** Insert [x] keyed on [(at, seq)]. *)
 
 val min_at : 'a t -> float
-(** The [at] key of the minimum entry, or [infinity] when empty —
-    allocation-free peeking for run loops. *)
+(** The [at] key of the minimum entry, or [infinity] when empty. The
+    result is a float returned across a module boundary, so it is boxed
+    (2 words) per call; hot loops read {!keys} instead. *)
+
+val keys : 'a t -> float array
+(** The [at] keys in heap order: when [size t > 0], index 0 is the
+    minimum key. Valid until the next {!push}, {!filter_in_place} or
+    {!clear} (which may replace the array); an unboxed read for the
+    engine's run loops. *)
 
 val peek : 'a t -> 'a option
 (** Payload of the minimum entry without removing it. *)
@@ -46,10 +60,12 @@ val top_or : 'a t -> 'a -> 'a
 (** Payload of the minimum entry without removing it, or [dflt] when
     empty — allocation-free alternative to {!peek}. *)
 
-val popped_at : 'a t -> float
-(** The [at] key of the last entry removed by {!pop} ([nan] before the
-    first pop). Lets callers keep keys out of their payloads: the engine's
-    event records carry no [at] field and read the clock value from here. *)
+val popped_cell : 'a t -> fcell
+(** The cell holding the [at] key of the last entry removed by {!pop} or
+    {!pop_or} ([nan] before the first pop); the same cell for the heap's
+    whole life. Lets callers keep keys out of their payloads: the engine's
+    event records carry no [at] field and read the clock value from here,
+    unboxed. *)
 
 val filter_in_place : 'a t -> ('a -> bool) -> unit
 (** Drop every entry whose payload fails the predicate, then re-heapify
@@ -57,6 +73,3 @@ val filter_in_place : 'a t -> ('a -> bool) -> unit
     queue. *)
 
 val clear : 'a t -> unit
-
-val to_list : 'a t -> 'a list
-(** All payloads in unspecified order (for inspection in tests). *)

@@ -13,17 +13,17 @@ let c_crashes = Obs.counter "engine.crashes"
 let h_event_wait = Obs.histogram "engine.event_wait"
 let g_queue_depth = Obs.gauge "engine.queue_depth"
 
-(* [ctx] is the scheduler's trace context captured when the event was
-   scheduled and restored when it fires — causality follows control flow
+(* An event is three words: header, [info] and [fn]. Everything the
+   traced path needs lives in [fn]: an event scheduled while tracing is on
+   gets a wrapper closure ({!traced_fn}) that carries the scheduler's trace
+   context and the scheduling instant, records [engine.event_wait] and
+   restores the context when it fires — causality follows control flow
    through timers, spawns and suspensions without any help from call
-   sites. When tracing is off it is always [Obs.null_ctx] (a shared
-   immutable record: capturing it allocates nothing).
+   sites, and the untraced path carries neither.
 
-   The record is kept deliberately small — five words plus the one boxed
-   float ([sched], read only by the traced path; the untraced path parks
-   the shared constant [0.0] there and never boxes). The [at] key is not
-   stored at all: heap entries read it back from {!Eheap.popped_at}, ring
-   entries are at the current instant by construction. [info] packs
+   The [at] key is not stored at all: heap entries read it back from the
+   heap's popped-key cell, ring entries are at the current instant by
+   construction. [info] packs
    (seq lsl 3) lor (popped lsl 2) lor (in_ring lsl 1) lor dead into one
    word: dead means fired-or-cancelled — cancellation is one store on the
    record, no hashing, no allocation, and cancelling an event that
@@ -39,8 +39,6 @@ let g_queue_depth = Obs.gauge "engine.queue_depth"
 type event = {
   mutable info : int; (* bit 0: dead; bit 1: in ring; bit 2: popped; bits 3..: seq *)
   mutable fn : unit -> unit;
-  ctx : Obs.ctx;
-  sched : float;
 }
 
 let[@inline] ev_dead ev = ev.info land 1 <> 0
@@ -64,8 +62,9 @@ type perturbation = {
 }
 
 (* Flat mutable float cell: a plain mutable float field in the mixed
-   engine record would be boxed on every store. *)
-type fcell = { mutable v : float }
+   engine record would be boxed on every store. The heap's own cell type,
+   so the popped key is read without a boxing call. *)
+type fcell = Eheap.fcell = { mutable v : float }
 
 type t = {
   (* flat cell, not [mutable now : float]: a mutable float field of this
@@ -73,6 +72,7 @@ type t = {
      i.e. on every heap pop *)
   now : fcell;
   queue : event Eheap.t;
+  popped : fcell; (* [Eheap.popped_cell queue]: the key of the last pop *)
   (* Same-instant ring: events scheduled for [at = now] while no
      perturbation policy is installed. Such an event must fire after every
      event already queued (all have smaller seq) and before anything at a
@@ -104,11 +104,16 @@ type t = {
   (* Preallocated effc results: [effc] would otherwise allocate a [Some]
      and a closure on every perform. The GADT match refines the
      continuation type, so one shared value per effect suffices; [Sleep]'s
-     float argument travels through [sleep_arg] (set under the same
-     non-reentrant dispatch that reads it). *)
+     float argument travels through [sleep_arg] and [Suspend]'s register
+     function through [susp_register] (each set under the same
+     non-reentrant dispatch that reads it). [Suspend] is polymorphic in
+     its result, so its shared value is stored at [Obj.t] and cast back
+     at dispatch: [handle_suspend] is parametric in that type. *)
   mutable eff_self : ((proc, unit) continuation -> unit) option;
   mutable eff_sleep : ((unit, unit) continuation -> unit) option;
+  mutable eff_suspend : ((Obj.t, unit) continuation -> unit) option;
   sleep_arg : fcell;
+  mutable susp_register : Obj.t;
 }
 
 and proc = {
@@ -122,8 +127,9 @@ and proc = {
   mutable state : proc_state;
   mutable killed : bool;
   (* Cooperative processes have at most one outstanding suspension; this
-     thunk discontinues it with Process_killed. *)
-  mutable cancel_pending : (unit -> unit) option;
+     thunk discontinues it with Process_killed. [noop] (compared
+     physically) stands for "none", so storing a thunk boxes no option. *)
+  mutable cancel_pending : unit -> unit;
   mutable exit_hooks : (unit -> unit) list;
   (* [Some p], allocated once at spawn: every [t.current <- Some p] store
      on the resume paths reuses it instead of boxing a fresh option. *)
@@ -142,7 +148,7 @@ and proc = {
   mutable sleep_ev : event; (* the in-flight timer (then resume) record *)
   mutable sleep_timer_fn : unit -> unit;
   mutable sleep_resume_fn : unit -> unit;
-  mutable sleep_cancel : (unit -> unit) option; (* preallocated [Some] *)
+  mutable sleep_kill_fn : unit -> unit; (* [noop] until the first sleep *)
 }
 
 type event_id = event
@@ -176,7 +182,11 @@ let perturbation_active t = t.perturb <> None
 (* Placeholder parked in vacated ring slots so popped events do not stay
    reachable through the buffer. [info = 1] is dead-but-not-popped, so the
    sleep fast path can never mistake it for a recyclable record. *)
-let dummy_event = { info = 1; fn = ignore; ctx = Obs.null_ctx; sched = 0.0 }
+let dummy_event = { info = 1; fn = ignore }
+
+let null_event = dummy_event
+
+let noop () = ()
 
 (* "No continuation" sentinel for [proc.sleep_k]: an immediate value is
    GC-safe in a pointer-typed field, and [sleep_state] guarantees the
@@ -235,28 +245,36 @@ let set_perturbation ?(tie_shuffle = true) ?(max_extra_delay = 0.0) t =
         p_max_extra_delay = max_extra_delay;
       }
 
-let schedule_at t ~at fn =
+(* The traced event action: the trace context and instant of scheduling
+   ride in the closure, not in every event record. The wait histogram
+   thus only ever sees events scheduled while tracing was on, and both
+   sites stay quiet if tracing was switched off before the event fired. *)
+let traced_fn t fn =
+  let ctx = Obs.current () and sched = t.now.v in
+  fun () ->
+    if !Obs.enabled then begin
+      Obs.observe h_event_wait (t.now.v -. sched);
+      Obs.set_current ctx
+    end;
+    fn ()
+
+let[@inline] schedule_at t ~at fn =
   let at = if at < t.now.v then t.now.v else at in
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
+  let fn = if !Obs.enabled then traced_fn t fn else fn in
   match t.perturb with
   | None ->
-      (* context capture is a domain-local read and [sched] a float box;
-         skip both when tracing is off — contexts are all null then, and
-         [sched] is only ever read by the traced wait histogram *)
-      let traced = !Obs.enabled in
-      let ctx = if traced then Obs.current () else Obs.null_ctx in
-      let sched = if traced then t.now.v else 0.0 in
       if at = t.now.v then begin
         (* same-instant: FIFO ring, O(1) and no heap traffic *)
-        let ev = { info = (seq lsl 3) lor 2; fn; ctx; sched } in
+        let ev = { info = (seq lsl 3) lor 2; fn } in
         ring_push t ev;
         t.live_events <- t.live_events + 1;
         note_depth t;
         ev
       end
       else begin
-        let ev = { info = seq lsl 3; fn; ctx; sched } in
+        let ev = { info = seq lsl 3; fn } in
         Eheap.push t.queue ~at ~seq ev;
         t.live_events <- t.live_events + 1;
         note_depth t;
@@ -270,9 +288,7 @@ let schedule_at t ~at fn =
         if p.p_tie_shuffle then (Rng.int p.p_rng 0x40000000 lsl 31) lor (seq land 0x7FFFFFFF)
         else seq
       in
-      let ctx = if !Obs.enabled then Obs.current () else Obs.null_ctx in
-      let sched = if !Obs.enabled then t.now.v else 0.0 in
-      let ev = { info = seq lsl 3; fn; ctx; sched } in
+      let ev = { info = seq lsl 3; fn } in
       Eheap.push t.queue ~at ~seq:key ev;
       t.live_events <- t.live_events + 1;
       note_depth t;
@@ -291,6 +307,10 @@ let schedule t ~delay fn =
 let cancel t ev =
   if not (ev_dead ev) then begin
     ev_mark_dead ev;
+    (* a tombstone keeps nothing its action captured: an RPC timer's
+       closure would otherwise hold its caller's state until the
+       tombstone surfaces, a full timeout later *)
+    ev.fn <- noop;
     t.live_events <- t.live_events - 1;
     if ev_in_ring ev then t.ring_dead <- t.ring_dead + 1
     else t.heap_dead <- t.heap_dead + 1;
@@ -323,13 +343,19 @@ let cancel t ev =
 
 let pending_events t = t.live_events
 
+(* The heap's minimum key, read through its key array: [Eheap.min_at]
+   returns a float across a module boundary, which boxes it on every
+   call of the run loops. *)
+let[@inline] heap_min t =
+  if Eheap.size t.queue = 0 then infinity else Array.unsafe_get (Eheap.keys t.queue) 0
+
 (* Next event in exact (at, seq) order, or [dummy_event] when both queues
    are empty (an allocation-free "none"). A heap entry with [at = now]
    precedes every ring entry (it was queued before the clock reached [now],
    so its seq is smaller); otherwise a non-empty ring holds the next event
    (its head is at [now], the heap minimum is later). *)
 let rec pop_live t =
-  if t.ring_len > 0 && Eheap.min_at t.queue <> t.now.v then begin
+  if t.ring_len > 0 && heap_min t <> t.now.v then begin
     let ev = ring_pop t in
     if ev_dead ev then begin
       t.ring_dead <- t.ring_dead - 1;
@@ -353,20 +379,17 @@ let step t =
   else begin
     (* ring events are at the current instant; heap events carry the
        clock forward via the key of the pop that surfaced them *)
-    if not (ev_in_ring ev) then t.now.v <- Eheap.popped_at t.queue;
+    if not (ev_in_ring ev) then t.now.v <- t.popped.v;
     ev_mark_fired ev (* fired: a late cancel must not touch the accounting *);
     t.live_events <- t.live_events - 1;
     t.events_fired <- t.events_fired + 1;
     if !Obs.enabled then begin
       Obs.incr c_events;
-      Obs.observe h_event_wait (t.now.v -. ev.sched);
-      Obs.set_current ev.ctx
+      (* an event scheduled untraced carries no context and runs under
+         none; a traced one restores its own in {!traced_fn} *)
+      Obs.set_current Obs.null_ctx
     end
-    else if !Obs.metrics_enabled then
-      (* metrics-only: windowed event rate, but no wait histogram — [sched]
-         is only stamped (and timer records never recycled) when tracing,
-         and that licence is what keeps this path allocation-lean *)
-      Obs.incr c_events;
+    else if !Obs.metrics_enabled then Obs.incr c_events;
     ev.fn ();
     true
   end
@@ -385,7 +408,7 @@ let stats (t : t) =
    sitting behind a live entry are removed no earlier than the single-heap
    engine removed them (the queue-depth gauge sees identical values). *)
 let rec drain_dead_head t =
-  if t.ring_len > 0 && Eheap.min_at t.queue <> t.now.v then begin
+  if t.ring_len > 0 && heap_min t <> t.now.v then begin
     if ev_dead t.ring.(t.ring_head) then begin
       ignore (ring_pop t);
       t.ring_dead <- t.ring_dead - 1;
@@ -409,7 +432,7 @@ let run ?until t =
       while !continue_run do
         drain_dead_head t;
         (* a live ring entry is at the current instant by construction *)
-        let at = if t.ring_len > 0 then t.now.v else Eheap.min_at t.queue in
+        let at = if t.ring_len > 0 then t.now.v else heap_min t in
         if at > limit then continue_run := false else ignore (step t)
       done;
       if t.now.v < limit then t.now.v <- limit);
@@ -423,13 +446,13 @@ let run ?until t =
 
 let next_at t =
   drain_dead_head t;
-  if t.ring_len > 0 then t.now.v else Eheap.min_at t.queue
+  if t.ring_len > 0 then t.now.v else heap_min t
 
 let run_to t ~stop =
   let continue_run = ref true in
   while !continue_run do
     drain_dead_head t;
-    let at = if t.ring_len > 0 then t.now.v else Eheap.min_at t.queue in
+    let at = if t.ring_len > 0 then t.now.v else heap_min t in
     if at >= stop then continue_run := false else ignore (step t)
   done
 
@@ -473,67 +496,90 @@ let cur t = match t.current with Some p -> p | None -> assert false
 let finish p =
   if p.state <> Dead then begin
     p.state <- Dead;
-    p.cancel_pending <- None;
+    p.cancel_pending <- noop;
     run_exit_hooks p
   end
 
 (* Generic suspension (the [Suspend] effect): capture the continuation,
    hand user code a one-shot [resolve], arrange for kill to discontinue.
-   All one-shot coordination lives in one small mutable record instead of
-   the former pair of refs plus a shared settle closure. *)
-type susp = { mutable settled : bool; mutable cleanup : unit -> unit }
+   One record per suspension holds everything that resolve, the kill
+   thunk and the resume event read, and each of those closures captures
+   only the record. [s_res] is both the settled flag and the result:
+   [unsettled] until the first resolve (or kill) stores what the resume
+   event delivers. *)
+exception Unsettled
 
-let noop () = ()
+type 'a susp = {
+  s_proc : proc;
+  s_k : ('a, unit) continuation;
+  (* the process's own trace context, restored on resume while tracing
+     is on (as [sleep] does): the resume event would otherwise run under
+     the resolver's (e.g. a reply delivery), misattributing everything
+     the process does next *)
+  s_ctx : Obs.ctx;
+  mutable s_res : ('a, exn) result;
+  mutable s_cleanup : unit -> unit;
+}
+
+let unsettled = Error Unsettled
+let killed_res = Error Process_killed
+
+let settle s =
+  s.s_proc.cancel_pending <- noop;
+  let c = s.s_cleanup in
+  s.s_cleanup <- noop;
+  c ()
+
+let susp_resume s =
+  let p = s.s_proc in
+  if p.state = Dead then ()
+  else begin
+    let t = p.eng in
+    let saved = t.current in
+    t.current <- p.self_opt;
+    if !Obs.enabled then Obs.set_current s.s_ctx;
+    match
+      if p.killed then discontinue s.s_k Process_killed
+      else match s.s_res with Ok v -> continue s.s_k v | Error e -> discontinue s.s_k e
+    with
+    | () -> t.current <- saved
+    | exception e ->
+        t.current <- saved;
+        raise e
+  end
+
+let susp_resolve s r =
+  if s.s_res == unsettled then begin
+    s.s_res <- r;
+    settle s;
+    ignore (schedule s.s_proc.eng ~delay:0.0 (fun () -> susp_resume s))
+  end
+
+let susp_kill s =
+  if s.s_res == unsettled then begin
+    s.s_res <- killed_res;
+    settle s;
+    let p = s.s_proc in
+    with_current p.eng p (fun () ->
+        if !Obs.enabled then Obs.set_current s.s_ctx;
+        discontinue s.s_k Process_killed)
+  end
 
 let handle_suspend : type a.
-    t -> proc -> (((a, exn) result -> unit) -> unit -> unit) -> (a, unit) continuation -> unit =
- fun t p register k ->
-  (* A process keeps its own trace context across a suspension: the resume
-     event would otherwise inherit the resolver's context (e.g. a reply
-     delivery), misattributing everything the process does next. Gated so
-     the disabled path does not even read domain-local state. *)
-  let traced = !Obs.enabled in
-  let susp_ctx = if traced then Obs.current () else Obs.null_ctx in
-  let s = { settled = false; cleanup = noop } in
-  let settle () =
-    s.settled <- true;
-    p.cancel_pending <- None;
-    let c = s.cleanup in
-    s.cleanup <- noop;
-    c ()
+    proc -> (((a, exn) result -> unit) -> unit -> unit) -> (a, unit) continuation -> unit =
+ fun p register k ->
+  let s =
+    {
+      s_proc = p;
+      s_k = k;
+      s_ctx = (if !Obs.enabled then Obs.current () else Obs.null_ctx);
+      s_res = unsettled;
+      s_cleanup = noop;
+    }
   in
-  p.cancel_pending <-
-    Some
-      (fun () ->
-        if not s.settled then begin
-          settle ();
-          with_current t p (fun () ->
-              if traced then Obs.set_current susp_ctx;
-              discontinue k Process_killed)
-        end);
-  let resolve r =
-    if not s.settled then begin
-      settle ();
-      ignore
-        (schedule t ~delay:0.0 (fun () ->
-             if p.state = Dead then ()
-             else begin
-               let saved = t.current in
-               t.current <- p.self_opt;
-               if traced then Obs.set_current susp_ctx;
-               match
-                 if p.killed then discontinue k Process_killed
-                 else match r with Ok v -> continue k v | Error e -> discontinue k e
-               with
-               | () -> t.current <- saved
-               | exception e ->
-                   t.current <- saved;
-                   raise e
-             end))
-    end
-  in
-  let c = register resolve in
-  if s.settled then c () else s.cleanup <- c
+  p.cancel_pending <- (fun () -> susp_kill s);
+  let c = register (fun r -> susp_resolve s r) in
+  if s.s_res != unsettled then c () else s.s_cleanup <- c
 
 (* Sleep fast path. Event-for-event identical to routing a timer through
    [handle_suspend] — one timer event now, one resume event when it fires,
@@ -562,13 +608,13 @@ let sleep_resume t p () =
   end
 
 let sleep_timer t p () =
-  p.cancel_pending <- None;
+  p.cancel_pending <- noop;
   p.sleep_state <- 2;
   if (not !Obs.enabled) && t.perturb == None then begin
     (* resurrect the fired timer record as the resume event: this is
        exactly [schedule ~delay:0.0] — fresh seq, same-instant ring entry —
-       minus the allocation (and minus the ctx/sched refresh, which only
-       the traced path reads) *)
+       minus the allocation (a record is resurrected only untraced, so
+       there is no trace context to wrap in) *)
     let ev = p.sleep_ev in
     let seq = t.next_seq in
     t.next_seq <- seq + 1;
@@ -587,7 +633,7 @@ let sleep_kill t p () =
   if p.sleep_state = 1 then begin
     p.sleep_state <- 0;
     cancel t p.sleep_ev;
-    p.cancel_pending <- None;
+    p.cancel_pending <- noop;
     let k = p.sleep_k in
     p.sleep_k <- null_k;
     let saved = t.current in
@@ -605,10 +651,10 @@ let sleep_kill t p () =
    cross-module inlining a float argument is boxed at every call. *)
 let handle_sleep t p (k : (unit, unit) continuation) =
   let d = t.sleep_arg.v in
-  if p.sleep_cancel == None then begin
+  if p.sleep_kill_fn == noop then begin
     p.sleep_timer_fn <- sleep_timer t p;
     p.sleep_resume_fn <- sleep_resume t p;
-    p.sleep_cancel <- Some (sleep_kill t p)
+    p.sleep_kill_fn <- sleep_kill t p
   end;
   p.sleep_k <- k;
   p.sleep_ctx <- (if !Obs.enabled then Obs.current () else Obs.null_ctx);
@@ -623,9 +669,8 @@ let handle_sleep t p (k : (unit, unit) continuation) =
        only holder of a fired record, so in the steady state one event
        record serves a proc for its whole life and a sleep allocates
        nothing but the stored continuation. Exactly [schedule ~delay:d]
-       minus the allocation; ctx/sched refresh is skipped — stale values
-       are only ever read by the traced path, and a record is never
-       recycled while tracing is on. *)
+       minus the allocation; a record is never recycled while tracing is
+       on, so there is no trace wrapper to build. *)
     let d = if d < 0.0 then 0.0 else d in
     let at = t.now.v +. d in
     let seq = t.next_seq in
@@ -643,7 +688,7 @@ let handle_sleep t p (k : (unit, unit) continuation) =
     note_depth t
   end
   else p.sleep_ev <- schedule t ~delay:d p.sleep_timer_fn;
-  p.cancel_pending <- p.sleep_cancel
+  p.cancel_pending <- p.sleep_kill_fn
 
 let make_handler t : (unit, unit) Effect.Deep.handler =
   {
@@ -672,15 +717,18 @@ let make_handler t : (unit, unit) Effect.Deep.handler =
             let r : ((b, unit) continuation -> unit) option = t.eff_sleep in
             r
         | Suspend register ->
-            Some (fun (k : (b, unit) continuation) -> handle_suspend t (cur t) register k)
+            t.susp_register <- Obj.repr register;
+            (Obj.magic t.eff_suspend : ((b, unit) continuation -> unit) option)
         | _ -> None);
   }
 
 let create ?(seed = 42) () =
+  let queue = Eheap.create ~dummy:dummy_event in
   let t =
     {
       now = { v = 0.0 };
-      queue = Eheap.create ();
+      queue;
+      popped = Eheap.popped_cell queue;
       ring = [||];
       ring_head = 0;
       ring_len = 0;
@@ -698,12 +746,20 @@ let create ?(seed = 42) () =
       handler = { retc = ignore; exnc = raise; effc = (fun _ -> None) };
       eff_self = None;
       eff_sleep = None;
+      eff_suspend = None;
       sleep_arg = { v = 0.0 };
+      susp_register = Obj.repr 0;
     }
   in
   t.handler <- make_handler t;
   t.eff_self <- Some (fun (k : (proc, unit) continuation) -> continue k (cur t));
   t.eff_sleep <- Some (fun (k : (unit, unit) continuation) -> handle_sleep t (cur t) k);
+  t.eff_suspend <-
+    Some
+      (fun (k : (Obj.t, unit) continuation) ->
+        let register : ((Obj.t, exn) result -> unit) -> unit -> unit = Obj.obj t.susp_register in
+        t.susp_register <- Obj.repr 0;
+        handle_suspend (cur t) register k);
   (* The trace is stamped with virtual time: the most recently created
      engine on this domain owns the observability clock. *)
   Obs.set_clock (fun () -> t.now.v);
@@ -719,7 +775,7 @@ let spawn ?name t f =
       eng = t;
       state = Pending;
       killed = false;
-      cancel_pending = None;
+      cancel_pending = noop;
       exit_hooks = [];
       self_opt = Some p;
       sleep_state = 0;
@@ -728,7 +784,7 @@ let spawn ?name t f =
       sleep_ev = dummy_event;
       sleep_timer_fn = noop;
       sleep_resume_fn = noop;
-      sleep_cancel = None;
+      sleep_kill_fn = noop;
     }
   in
   Obs.incr c_spawns;
@@ -771,19 +827,20 @@ let kill t p =
       if not p.killed then begin
         p.killed <- true;
         note_kill p;
-        match p.cancel_pending with
-        | Some thunk ->
-            p.cancel_pending <- None;
-            ignore (schedule t ~delay:0.0 thunk)
-        | None ->
-            (match t.current with
-            | Some q when q == p ->
-                (* self-kill while running: unwind immediately *)
-                raise Process_killed
-            | _ ->
-                (* a resume is already scheduled; it will observe [killed]
-                   and discontinue *)
-                ())
+        let thunk = p.cancel_pending in
+        if thunk != noop then begin
+          p.cancel_pending <- noop;
+          ignore (schedule t ~delay:0.0 thunk)
+        end
+        else
+          match t.current with
+          | Some q when q == p ->
+              (* self-kill while running: unwind immediately *)
+              raise Process_killed
+          | _ ->
+              (* a resume is already scheduled; it will observe [killed]
+                 and discontinue *)
+              ()
       end
 
 (* {2 Blocking operations} *)

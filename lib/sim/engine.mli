@@ -74,6 +74,10 @@ val schedule : t -> delay:float -> (unit -> unit) -> event_id
 val schedule_at : t -> at:float -> (unit -> unit) -> event_id
 (** Absolute-time variant; times in the past are clamped to [now]. *)
 
+val null_event : event_id
+(** A handle that was never scheduled, for records that learn their
+    event later: cancelling it is a no-op. *)
+
 val cancel : t -> event_id -> unit
 (** Cancel a pending event in O(1). Cancelling an already-fired or
     already-cancelled event is a no-op (and does not disturb

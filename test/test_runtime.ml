@@ -667,8 +667,8 @@ let test_rpc_notify_one_way () =
       let sent_before = Net.messages_sent net in
       ignore
         (Env.thread client_env (fun () ->
-             Rpc.notify client_env server_env.Env.me "event" [ Codec.Int 1 ];
-             Rpc.notify client_env server_env.Env.me "event" [ Codec.Int 2 ]));
+             Rpc.notify client_env [ server_env.Env.me ] "event" [ Codec.Int 1 ];
+             Rpc.notify client_env [ server_env.Env.me ] "event" [ Codec.Int 2 ]));
       ignore (Engine.run eng);
       Alcotest.(check (list int)) "both delivered in order" [ 1; 2 ] (List.rev !got);
       (* fire-and-forget: two requests on the wire and nothing coming back *)
@@ -676,9 +676,61 @@ let test_rpc_notify_one_way () =
       (* a notify to an unbound/unknown destination is silently dropped *)
       ignore
         (Env.thread client_env (fun () ->
-             Rpc.notify client_env (Addr.make 3 2000) "event" [ Codec.Int 9 ]));
+             Rpc.notify client_env [ Addr.make 3 2000 ] "event" [ Codec.Int 9 ]));
       ignore (Engine.run eng);
       Alcotest.(check (list int)) "drop left state untouched" [ 1; 2 ] (List.rev !got))
+
+(* Footprint pins for the message plane, in words reachable from the
+   simulation's roots ([Obj.reachable_words] deltas; no collection is
+   forced). A queued one-way message is its event record, its delivery
+   closure, its request and its three heap slots; a parked RPC caller is
+   its process, its suspension and its call record with the timer that
+   backs it. Both are multiplied by every message and every caller a
+   large run holds at once. *)
+let footprint_n = 10_000
+
+let test_notify_footprint () =
+  let n = footprint_n in
+  let eng = Engine.create ~seed:17 () in
+  let tb = Testbed.synthetic ~hosts:(n + 1) (Engine.rng eng) in
+  let net = Net.create eng tb in
+  let envs = Array.init (n + 1) (fun i -> Env.create net ~me:(Addr.make i 2000)) in
+  Array.iter (fun env -> Rpc.server env [ ("event", fun _ -> Codec.Null) ]) envs;
+  let args = [ Codec.Int 1 ] in
+  let root () = Obj.reachable_words (Obj.repr (eng, net, envs)) in
+  let base = root () in
+  for i = 1 to n do
+    Rpc.notify envs.(0) [ envs.(i).Env.me ] "event" args
+  done;
+  let per_msg = Float.of_int (root () - base) /. Float.of_int n in
+  Alcotest.(check int) "every message queued" n (Engine.pending_events eng);
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f words per queued one-way message (bound 22)" per_msg)
+    true (per_msg < 22.0)
+
+let test_parked_caller_footprint () =
+  let n = footprint_n in
+  let eng = Engine.create ~seed:17 () in
+  let tb = Testbed.synthetic ~hosts:2 (Engine.rng eng) in
+  let net = Net.create eng tb in
+  let env = Env.create net ~me:(Addr.make 0 2000) in
+  Rpc.client env;
+  (* nothing is bound at [dst]: every request is dropped on delivery and
+     every caller stays parked until its 120 s timeout, so at 110 s only
+     the callers' timers are queued *)
+  let dst = Addr.make 1 2000 in
+  let root () = Obj.reachable_words (Obj.repr (eng, env)) in
+  let base = root () in
+  for _ = 1 to n do
+    ignore (Env.thread env (fun () -> ignore (Rpc.a_call env dst "event" [])))
+  done;
+  ignore (Engine.run ~until:110.0 eng);
+  let per_caller = Float.of_int (root () - base) /. Float.of_int n in
+  Alcotest.(check int) "every caller parked" n (Hashtbl.length (Env.rpc_pending env));
+  Alcotest.(check int) "no message in flight" n (Engine.pending_events eng);
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f words per parked RPC caller (bound 82)" per_caller)
+    true (per_caller < 82.0)
 
 let test_message_loss_forces_timeout () =
   with_cluster (fun eng net ->
@@ -1036,6 +1088,8 @@ let () =
           Alcotest.test_case "concurrent calls" `Quick test_rpc_concurrent_calls;
           Alcotest.test_case "re-registration last wins" `Quick test_rpc_reregistration_last_wins;
           Alcotest.test_case "notify one-way" `Quick test_rpc_notify_one_way;
+          Alcotest.test_case "footprint per queued notify" `Quick test_notify_footprint;
+          Alcotest.test_case "footprint per parked caller" `Quick test_parked_caller_footprint;
           Alcotest.test_case "loss forces timeout" `Quick test_message_loss_forces_timeout;
         ] );
       ( "log",

@@ -11,7 +11,7 @@ let drain_eheap h =
   go []
 
 let test_eheap_order () =
-  let h = Eheap.create () in
+  let h = Eheap.create ~dummy:0 in
   List.iteri (fun i x -> Eheap.push h ~at:(Float.of_int x) ~seq:i x) [ 5; 3; 8; 1; 9; 2; 7 ];
   Alcotest.(check int) "size" 7 (Eheap.size h);
   check_float "min_at" 1.0 (Eheap.min_at h);
@@ -20,7 +20,7 @@ let test_eheap_order () =
   Alcotest.(check (option int)) "empty pop" None (Eheap.pop h)
 
 let test_eheap_empty () =
-  let h = Eheap.create () in
+  let h = Eheap.create ~dummy:0 in
   Alcotest.(check bool) "is_empty" true (Eheap.is_empty h);
   Alcotest.(check bool) "min_at empty" true (Eheap.min_at h = infinity);
   Alcotest.(check (option int)) "peek" None (Eheap.peek h);
@@ -30,7 +30,7 @@ let test_eheap_empty () =
 
 let test_eheap_fifo_ties () =
   (* entries sharing [at] must come out in seq (= insertion) order *)
-  let h = Eheap.create () in
+  let h = Eheap.create ~dummy:0 in
   for i = 0 to 9 do
     Eheap.push h ~at:1.0 ~seq:i i
   done;
@@ -38,7 +38,7 @@ let test_eheap_fifo_ties () =
   Alcotest.(check (list int)) "fifo among ties" (100 :: List.init 10 Fun.id) (drain_eheap h)
 
 let test_eheap_filter () =
-  let h = Eheap.create () in
+  let h = Eheap.create ~dummy:0 in
   (* i * 7 mod 100 is a bijection on 0..99, so every key is unique *)
   for i = 0 to 99 do
     Eheap.push h ~at:(Float.of_int (i * 7 mod 100)) ~seq:i i
@@ -53,11 +53,34 @@ let test_eheap_filter () =
   Eheap.filter_in_place h (fun _ -> false);
   Alcotest.(check bool) "filter to empty" true (Eheap.is_empty h)
 
+(* A popped or filtered-out payload must not stay reachable through the
+   heap's unused slots: a queue that shrank from its high-water mark would
+   otherwise keep that many dead payloads alive. *)
+let test_eheap_no_retention () =
+  let h = Eheap.create ~dummy:Bytes.empty in
+  for i = 0 to 99 do
+    Eheap.push h ~at:(Float.of_int i) ~seq:i (Bytes.create 1000)
+  done;
+  for _ = 1 to 99 do
+    ignore (Eheap.pop h)
+  done;
+  (* one live payload (126 words) plus three 128-slot arrays *)
+  let words = Obj.reachable_words (Obj.repr h) in
+  Alcotest.(check bool) (Printf.sprintf "%d words after popping 99 of 100" words) true (words < 1000);
+  let keep = Bytes.create 1000 in
+  Eheap.push h ~at:200.0 ~seq:200 keep;
+  for i = 1 to 50 do
+    Eheap.push h ~at:(200.0 +. Float.of_int i) ~seq:(200 + i) (Bytes.create 1000)
+  done;
+  Eheap.filter_in_place h (fun b -> b == keep);
+  let words = Obj.reachable_words (Obj.repr h) in
+  Alcotest.(check bool) (Printf.sprintf "%d words after filtering 51 of 52 out" words) true (words < 1000)
+
 let prop_eheap_sorted =
   QCheck.Test.make ~name:"event heap pops in (at, seq) order" ~count:200
     QCheck.(list (float_range 0.0 100.0))
     (fun ats ->
-      let h = Eheap.create () in
+      let h = Eheap.create ~dummy:0 in
       List.iteri (fun i at -> Eheap.push h ~at ~seq:i i) ats;
       let keyed = List.mapi (fun i at -> (at, i)) ats in
       drain_eheap h = List.map snd (List.sort compare keyed))
@@ -281,6 +304,33 @@ let test_engine_cancel_churn () =
   ignore (Engine.run e);
   Alcotest.(check int) "survivor fired" 1 !fired;
   check_float "clock stops at survivor" 1.0 (Engine.now e)
+
+(* [engine.event_wait] is the time an event spent queued. An event
+   scheduled while tracing was off has no scheduling instant: switching
+   tracing on before it fires must not record [now - 0.0], the absolute
+   time, as its wait. An event scheduled traced records exactly one. *)
+let test_engine_event_wait_untraced () =
+  let module Obs = Splay_obs.Obs in
+  let h = Obs.histogram "engine.event_wait" in
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.enabled := false;
+      Obs.reset ())
+    (fun () ->
+      Obs.reset ();
+      let eng = Engine.create () in
+      ignore (Engine.run ~until:50.0 eng);
+      let fired = ref 0 in
+      for _ = 1 to 3 do
+        ignore (Engine.schedule eng ~delay:1.0 (fun () -> incr fired))
+      done;
+      Obs.enabled := true;
+      ignore (Engine.run eng);
+      Alcotest.(check int) "untraced events fired" 3 !fired;
+      Alcotest.(check int) "no wait recorded for them" 0 (Obs.histogram_count h);
+      ignore (Engine.schedule eng ~delay:1.0 (fun () -> incr fired));
+      ignore (Engine.run eng);
+      Alcotest.(check int) "a traced event records its wait" 1 (Obs.histogram_count h))
 
 let test_engine_run_until () =
   let e = Engine.create () in
@@ -691,6 +741,7 @@ let () =
           Alcotest.test_case "empty" `Quick test_eheap_empty;
           Alcotest.test_case "fifo ties" `Quick test_eheap_fifo_ties;
           Alcotest.test_case "filter_in_place" `Quick test_eheap_filter;
+          Alcotest.test_case "no retention" `Quick test_eheap_no_retention;
         ] );
       ( "rng",
         [
@@ -714,6 +765,7 @@ let () =
           Alcotest.test_case "cancel after fire" `Quick test_engine_cancel_after_fire;
           Alcotest.test_case "cancel churn" `Quick test_engine_cancel_churn;
           Alcotest.test_case "run until" `Quick test_engine_run_until;
+          Alcotest.test_case "event wait only when traced" `Quick test_engine_event_wait_untraced;
           Alcotest.test_case "run until with cancelled head" `Quick
             test_engine_run_until_cancelled_head;
           Alcotest.test_case "nested schedule" `Quick test_engine_nested_schedule;
