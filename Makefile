@@ -2,7 +2,7 @@ all:
 	dune build @all
 
 check:
-	dune build @all && dune runtest && $(MAKE) unused-exports && $(MAKE) no-forced-gc && $(MAKE) trace-demo && $(MAKE) bench-smoke && $(MAKE) bench-scale-smoke && $(MAKE) bench-obs-smoke && $(MAKE) bench-serve-smoke && $(MAKE) check-smoke && $(MAKE) live-smoke
+	dune build @all && dune runtest && $(MAKE) unused-exports && $(MAKE) no-forced-gc && $(MAKE) trace-demo && $(MAKE) bench-smoke && $(MAKE) figures-smoke && $(MAKE) bench-scale-smoke && $(MAKE) bench-obs-smoke && $(MAKE) bench-serve-smoke && $(MAKE) check-smoke && $(MAKE) live-smoke
 
 test:
 	dune runtest
@@ -33,6 +33,19 @@ bench:
 bench-smoke:
 	dune exec bench/main.exe -- fig7a micro macro --jobs 2 --out-dir _build/bench-smoke
 	@echo "bench-smoke: OK"
+
+# The paper's figures as a golden: every table, figure and ablation of
+# Section 5 at quick scale (tab-loc aside: it counts lib/apps source
+# lines, not simulator output), fanned over two domains, with the
+# per-experiment CPU-time lines stripped, must match
+# test/golden/figures_quick.txt byte for byte. A change that moves a
+# figure number regenerates the golden and says why.
+FIGURES = fig3 fig4 fig6a fig6c fig7a fig7b fig7c fig8 fig9 fig10 fig11 fig12 fig13 fig14 abl
+figures-smoke:
+	dune exec bench/main.exe -- $(FIGURES) --jobs 2 > _build/figures_quick.raw
+	grep -vE '^  \([a-z0-9]+ took [0-9.]+ s of CPU\)$$' _build/figures_quick.raw > _build/figures_quick.txt
+	diff -u test/golden/figures_quick.txt _build/figures_quick.txt
+	@echo "figures-smoke: OK"
 
 # Scale smoke test: the 10k-node single-run workloads (quick scale covers
 # 1k and 10k), guarded by ops/sec floors AND resident-words-per-node
@@ -107,4 +120,4 @@ trace-demo:
 	  | tee /dev/stderr | grep -q "rpc\."
 	@echo "trace-demo: OK (critical path extracted)"
 
-.PHONY: all check test unused-exports no-forced-gc bench bench-smoke bench-scale-smoke bench-obs-smoke bench-serve-smoke bench-baseline trace-demo check-smoke check-fuzz live-smoke
+.PHONY: all check test unused-exports no-forced-gc bench bench-smoke figures-smoke bench-scale-smoke bench-obs-smoke bench-serve-smoke bench-baseline trace-demo check-smoke check-fuzz live-smoke
