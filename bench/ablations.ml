@@ -139,7 +139,7 @@ let proximity () =
             ~count:(Common.pick ~quick:300 ~full:1000)
             !nodes
         in
-        Sink.percentile delays 50.0)
+        Dist.percentile delays 50.0)
   in
   let with_prox, without =
     match Common.par_map run [ true; false ] with

@@ -72,10 +72,10 @@ let wait_convergence ~n ~join_delay ~rounds ~interval =
   Env.sleep ((Float.of_int n *. join_delay) +. (Float.of_int rounds *. interval))
 
 (* Issue [count] random lookups from random live origins, collecting
-   delays (seconds), hop counts, and failures into streaming sinks.
-   Figure runs hold a few thousand samples, so the sinks are exact. *)
+   delays (seconds), hop counts, and failures. Figure runs hold a few
+   thousand samples, so every sample is kept. *)
 let measure_pastry_lookups ~rng ~keyspace ~count nodes =
-  let delays = Sink.exact () and hops = Sink.exact () in
+  let delays = Dist.create () and hops = Dist.create () in
   let failures = ref 0 in
   let eng = Engine.engine () in
   let live () = List.filter (fun x -> not (Apps.Pastry.is_stopped x)) nodes in
@@ -88,8 +88,8 @@ let measure_pastry_lookups ~rng ~keyspace ~count nodes =
         let t0 = Engine.now eng in
         match Apps.Pastry.lookup origin key with
         | Some (_, h) ->
-            Sink.add delays (Engine.now eng -. t0);
-            Sink.add hops (Float.of_int h)
+            Dist.add delays (Engine.now eng -. t0);
+            Dist.add hops (Float.of_int h)
         | None -> incr failures)
   done;
   (delays, hops, !failures)
@@ -100,8 +100,6 @@ let pcts = [ 5.0; 25.0; 50.0; 75.0; 90.0 ]
 let pct_cells d =
   if Dist.is_empty d then List.map (fun _ -> "-") pcts
   else List.map (fun p -> Report.float_cell ~decimals:4 (Dist.percentile d p)) pcts
-
-let pct_cells_sink s = Report.sink_pct_cells ~decimals:4 s pcts
 
 let ms v = Report.float_cell ~decimals:1 (1000.0 *. v)
 

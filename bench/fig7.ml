@@ -47,16 +47,16 @@ let run_a () =
        (fun p ->
          [
            Report.float_cell ~decimals:0 p;
-           Common.ms (Sink.percentile splay_d p);
-           Common.ms (Sink.percentile fp_d p);
+           Common.ms (Dist.percentile splay_d p);
+           Common.ms (Dist.percentile fp_d p);
          ])
        [ 10.0; 25.0; 50.0; 75.0; 90.0; 99.0 ]);
   Report.kvf "failures" "splay %d, freepastry %d" splay_f fp_f;
   Common.shape_check "SPLAY delays well below FreePastry"
-    (Sink.percentile splay_d 50.0 < Sink.percentile fp_d 50.0)
+    (Dist.percentile splay_d 50.0 < Dist.percentile fp_d 50.0)
 
 let percentile_row n d =
-  string_of_int n :: List.map (fun p -> Common.ms (Sink.percentile d p)) Common.pcts
+  string_of_int n :: List.map (fun p -> Common.ms (Dist.percentile d p)) Common.pcts
 
 let run_b () =
   Report.section "Figure 7(b) — FreePastry: delay percentiles vs node count";
@@ -76,7 +76,7 @@ let run_b () =
   Report.table
     ~header:("nodes" :: Report.percentile_header Common.pcts @ [ "(ms)" ])
     (List.map (fun (n, d, _) -> percentile_row n d) rows);
-  let med n' = List.find (fun (n, _, _) -> n = n') rows |> fun (_, d, _) -> Sink.percentile d 50.0 in
+  let med n' = List.find (fun (n, _, _) -> n = n') rows |> fun (_, d, _) -> Dist.percentile d 50.0 in
   let first = List.hd sweep and last = List.nth sweep (List.length sweep - 1) in
   Common.shape_check
     (Printf.sprintf "delays blow up at high density (median %.0f ms -> %.0f ms)"
@@ -100,7 +100,7 @@ let run_c () =
   Report.table
     ~header:("nodes" :: Report.percentile_header Common.pcts @ [ "(ms)" ])
     (List.map (fun (n, d, _) -> percentile_row n d) rows);
-  let med (_, d, _) = Sink.percentile d 50.0 in
+  let med (_, d, _) = Dist.percentile d 50.0 in
   let first = List.hd rows and last = List.nth rows (List.length rows - 1) in
   Common.shape_check
     (Printf.sprintf "no blow-up as density grows (median %.0f ms -> %.0f ms)"

@@ -34,14 +34,14 @@ let run () =
        (fun p ->
          [
            Report.float_cell ~decimals:0 p;
-           Report.float_cell ~decimals:3 (Sink.percentile pl p);
-           Report.float_cell ~decimals:3 (Sink.percentile mn p);
-           Report.float_cell ~decimals:3 (Sink.percentile mixed p);
+           Report.float_cell ~decimals:3 (Dist.percentile pl p);
+           Report.float_cell ~decimals:3 (Dist.percentile mn p);
+           Report.float_cell ~decimals:3 (Dist.percentile mixed p);
          ])
        [ 10.0; 25.0; 50.0; 75.0; 90.0 ]);
-  let m50 = Sink.percentile mixed 50.0
-  and pl50 = Sink.percentile pl 50.0
-  and mn50 = Sink.percentile mn 50.0 in
+  let m50 = Dist.percentile mixed 50.0
+  and pl50 = Dist.percentile pl 50.0
+  and mn50 = Dist.percentile mn 50.0 in
   let lo = Float.min pl50 mn50 and hi = Float.max pl50 mn50 in
   Report.kvf "medians" "planetlab %.3f s, modelnet %.3f s, mixed %.3f s" pl50 mn50 m50;
   Common.shape_check "mixed deployment sits between the pure testbeds"

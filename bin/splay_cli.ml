@@ -289,7 +289,7 @@ let run_term =
       & opt (some string) None
       & info [ "metrics-out" ] ~docv:"FILE"
           ~doc:
-            "Enable the metrics plane and write its windowed rollups (splay-metrics/1 JSONL) to \
+            "Enable the metrics plane and write its windowed rollups (splay-metrics/2 JSONL) to \
              $(docv); render with $(b,splay top) $(docv).")
   in
   let metrics_window =
@@ -491,10 +491,13 @@ let top_cmd metric k prom slo path =
             exit 1)
   in
   let m =
-    try Metrics_analysis.load_file path
-    with Sys_error msg ->
-      Printf.eprintf "splay top: cannot read metrics dump: %s\n" msg;
-      exit 1
+    try Metrics_analysis.load_file path with
+    | Sys_error msg ->
+        Printf.eprintf "splay top: cannot read metrics dump: %s\n" msg;
+        exit 1
+    | Failure msg ->
+        Printf.eprintf "splay top: %s: %s\n" path msg;
+        exit 2
   in
   if m.Metrics_analysis.rows = [] then begin
     Printf.eprintf "splay top: no metrics rows in %s (produce one with --metrics-out=FILE)\n" path;
@@ -534,8 +537,8 @@ let top_term =
       & info [ "slo" ] ~docv:"METRIC:THRESHOLD"
           ~doc:
             "Add a violation-rate column: the share of $(i,METRIC)'s observations per window \
-             (and whole-run) above $(i,THRESHOLD), interpolated from the rendered quantiles \
-             (e.g. rpc.latency:0.25).")
+             (and whole-run) above $(i,THRESHOLD), read from the dump's bucket counts (e.g. \
+             rpc.latency:0.25).")
   in
   Term.(const top_cmd $ metric $ k $ prom $ slo $ path)
 

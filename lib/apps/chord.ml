@@ -23,7 +23,6 @@ type node = {
 }
 
 let id t = t.self.Node.id
-let addr t = t.self.Node.addr
 let successor t = t.finger.(0)
 let predecessor t = t.predecessor
 let fingers t = Array.copy t.finger

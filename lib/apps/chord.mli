@@ -37,7 +37,6 @@ val assemble :
     where convergence is not the question. *)
 
 val id : node -> int
-val addr : node -> Addr.t
 val successor : node -> Node.t option
 val predecessor : node -> Node.t option
 val fingers : node -> Node.t option array

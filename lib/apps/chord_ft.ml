@@ -39,10 +39,8 @@ type node = {
 }
 
 let id t = t.self.Node.id
-let addr t = t.self.Node.addr
 let successors t = t.succs
 let is_stopped t = Env.is_stopped t.env
-let node_env t = t.env
 let suspected_count t = t.n_suspected
 
 let modulus t = Misc.pow2 t.cfg.m

@@ -26,14 +26,11 @@ type node
 val app : ?config:config -> register:(node -> unit) -> Env.t -> unit
 
 val id : node -> int
-val addr : node -> Addr.t
 val successors : node -> Node.t list
 
 (** Head of the successor leafset — the node's best current guess, the
     counterpart of base Chord's single pointer. *)
-val successor : node -> Node.t option
 val is_stopped : node -> bool
-val node_env : node -> Env.t
 
 val lookup : node -> int -> (Node.t * int) option
 (** Routes around individual failures using the leafset; [None] only when

@@ -87,7 +87,6 @@ let stored_entries t = match t.store with Some h -> Hashtbl.length h | None -> 0
 let served_count t = t.n_served
 let shed_count t = t.n_shed
 let batched_count t = t.n_batched
-let queue_depth t = Queue.length t.queue
 
 let now t = Env.now t.env
 

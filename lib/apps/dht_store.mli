@@ -109,4 +109,3 @@ val shed_count : t -> int
 val batched_count : t -> int
 (** Extra waiters absorbed into coalesced fetches (0 without [batching]). *)
 
-val queue_depth : t -> int

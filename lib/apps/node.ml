@@ -28,8 +28,6 @@ let opt_to_value = function None -> Codec.Null | Some n -> to_value n
 
 let opt_of_value = function Codec.Null -> None | v -> Some (of_value v)
 
-let to_string n = Printf.sprintf "%d@%s" n.id (Addr.to_string n.addr)
-
 (* Derive this instance's identity: a random ring position (as the paper's
    Chord does) or a hash of ip:port (as deployed DHTs do). *)
 let self ?(how = `Hash) ~bits (env : Splay_runtime.Env.t) =

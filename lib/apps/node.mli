@@ -15,8 +15,6 @@ val of_value : Splay_runtime.Codec.value -> t
 val opt_to_value : t option -> Splay_runtime.Codec.value
 val opt_of_value : Splay_runtime.Codec.value -> t option
 
-val to_string : t -> string
-
 val self : ?how:[ `Random | `Hash ] -> bits:int -> Splay_runtime.Env.t -> t
 (** Derive this instance's identity on a [2^bits] ring: [`Hash] (default)
     hashes "host:port" as deployed DHTs do; [`Random] draws a uniform

@@ -53,7 +53,6 @@ type node = {
       (* rows x 2^b; a row is the shared [||] until its first entry, and an
          empty slot holds [vacant] *)
   mutable suspicion : suspicion option;
-  mutable n_suspected : int;
   mutable bootstrap : Addr.t option;
   p_rng : Rng.t;
 }
@@ -74,7 +73,6 @@ let id t = t.self.Node.id
 let addr t = t.self.Node.addr
 let leafset t = t.left @ t.right
 let is_stopped t = Env.is_stopped t.env
-let suspected_count t = t.n_suspected
 
 let row_entries row acc =
   Array.fold_right (fun n acc -> if n == vacant then acc else n :: acc) row acc
@@ -168,7 +166,6 @@ let suspect t n =
   if k >= t.cfg.suspect_threshold then begin
     Hashtbl.remove s.misses n.Node.id;
     Hashtbl.replace s.dead n.Node.id (now t +. (10.0 *. t.cfg.stabilize_interval));
-    t.n_suspected <- t.n_suspected + 1;
     prune t n
   end
   else Hashtbl.replace s.misses n.Node.id k
@@ -382,7 +379,6 @@ let app ?(config = default_config) ~register env =
       right = [];
       table = Array.make (digits config) [||];
       suspicion = None;
-      n_suspected = 0;
       bootstrap = (match env.Env.nodes with b :: _ -> Some b | [] -> None);
       p_rng = Rng.split env.Env.env_rng;
     }
@@ -457,7 +453,6 @@ let assemble ?(config = default_config) ~register ~ring ~index env =
       right;
       table;
       suspicion = None;
-      n_suspected = 0;
       bootstrap = None;
       (* private stream derived from the id, not split from [env_rng]:
          assemble must not perturb the env's stream relative to runs that

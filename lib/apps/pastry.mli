@@ -49,7 +49,6 @@ val leafset : node -> Node.t list
 
 val table_entries : node -> Node.t list
 val is_stopped : node -> bool
-val suspected_count : node -> int
 
 val lookup : node -> int -> (Node.t * int) option
 (** Route to the node responsible for the key (numerically closest id).

@@ -33,6 +33,3 @@ val on_deliver : t -> (topic:int -> payload:string -> unit) -> unit
 val delivered : t -> (int * string) list
 (** Events delivered locally, most recent first. *)
 
-val children : t -> topic:int -> Node.t list
-(** This node's children in the topic tree (observability). *)
-

@@ -39,7 +39,6 @@ let create scribe ~stripes ~name =
       end);
   t
 
-
 let subscribe_all t = Array.iter (fun topic -> Scribe.subscribe t.scribe ~topic) t.topics
 
 let send t ~content ~block_size =
@@ -52,10 +51,6 @@ let send t ~content ~block_size =
     let payload = Printf.sprintf "%d/%d:%s" idx total data in
     Scribe.publish t.scribe ~topic:t.topics.(idx mod t.stripes) ~payload
   done
-
-let total_blocks t = t.total
-
-let complete t = match t.total with Some n -> Hashtbl.length t.blocks = n | None -> false
 
 let reassembled t =
   match t.total with

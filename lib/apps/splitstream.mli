@@ -12,7 +12,6 @@ type t
 val create : Scribe.t -> stripes:int -> name:string -> t
 (** [name] identifies the content; stripe topics derive from it. *)
 
-
 val subscribe_all : t -> unit
 (** Join every stripe tree. Blocking. *)
 
@@ -20,10 +19,5 @@ val send : t -> content:string -> block_size:int -> unit
 (** Publisher side: split and publish all blocks. Blocking per block
     hand-off to the rendezvous. *)
 
-val total_blocks : t -> int option
-(** [None] until the first block (carrying the total) arrives. *)
-
 val reassembled : t -> string option
 (** The content, once every block has arrived. *)
-
-val complete : t -> bool

@@ -30,4 +30,3 @@ val completion_time : node -> float option
 
 val children : node -> tree:int -> Addr.t list
 val is_source : node -> bool
-val is_stopped : node -> bool

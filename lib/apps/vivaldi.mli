@@ -25,10 +25,6 @@ val default_config : config
 
 type node
 
-val create : ?config:config -> peers:(unit -> Addr.t list) -> Env.t -> node
-(** Attach coordinates to an instance: registers the probe RPC and starts
-    the periodic probing process against peers drawn from [peers]. *)
-
 val app : ?config:config -> register:(node -> unit) -> Env.t -> unit
 (** Standalone application: peers come from [job.nodes] (deploy with
     [Descriptor.All] or a [Random_subset]). *)

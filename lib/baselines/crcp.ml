@@ -26,11 +26,7 @@ type node = {
 }
 
 let position t = t.rank + 1
-let total_blocks t = t.nblocks
-let blocks_received t = t.n_received
 let completion_time t = t.completed_at
-let is_source t = t.rank = 0
-let is_stopped t = Env.is_stopped t.env
 
 (* Tree [k] rotates the non-source members by k/ntrees of the population,
    so interior nodes of one tree are mostly leaves of the others (the

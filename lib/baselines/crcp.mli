@@ -23,9 +23,5 @@ val app : ?config:config -> file_size:int -> register:(node -> unit) -> Env.t ->
 (** Deploy with [Descriptor.All]; position 1 is the source. *)
 
 val position : node -> int
-val total_blocks : node -> int
-val blocks_received : node -> int
 val completion_time : node -> float option
 val children : node -> tree:int -> Addr.t list
-val is_source : node -> bool
-val is_stopped : node -> bool

@@ -26,5 +26,3 @@ let app_config =
     (* Java serialization + GC pressure on every message *)
     Pastry.per_hop_overhead = 0.003;
   }
-
-let app ?(config = app_config) ~register env = Pastry.app ~config ~register env

@@ -18,10 +18,3 @@ val daemon_config : Splay_ctl.Daemon.config
 val app_config : Splay_apps.Pastry.config
 (** Pastry tuned as FreePastry: same protocol parameters, plus the Java
     per-hop processing overhead. *)
-
-val app :
-  ?config:Splay_apps.Pastry.config ->
-  register:(Splay_apps.Pastry.node -> unit) ->
-  Env.t ->
-  unit
-(** [Splay_apps.Pastry.app] under {!app_config}. *)

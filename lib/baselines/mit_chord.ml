@@ -7,5 +7,3 @@ let app_config =
     stabilize_interval = 1.0;
     rpc_timeout = 30.0;
   }
-
-let app ?(config = app_config) ~register env = Chord_ft.app ~config ~register env

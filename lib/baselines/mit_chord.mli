@@ -6,9 +6,3 @@
     finger selection) and an aggressive stabilization schedule. *)
 
 val app_config : Splay_apps.Chord_ft.config
-
-val app :
-  ?config:Splay_apps.Chord_ft.config ->
-  register:(Splay_apps.Chord_ft.node -> unit) ->
-  Env.t ->
-  unit

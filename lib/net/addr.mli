@@ -8,7 +8,6 @@ type host_id = int
 type t = { host : host_id; port : int }
 
 val make : host_id -> int -> t
-val compare : t -> t -> int
 val equal : t -> t -> bool
 val hash : t -> int
 val to_string : t -> string

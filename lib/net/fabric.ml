@@ -69,18 +69,10 @@ let create ?(seed = 42) ?latency ?bw ?proc_cost ?mem_mb ~hosts ~parts () =
     nets;
   t
 
-let par t = t.par
 let parts t = t.parts
-let hosts t = t.hosts
 let lookahead t = Par.lookahead t.par
-let net t i = t.nets.(i)
 let engine t i = Par.engine t.par i
 let net_of_host t h = t.nets.(part_of t h)
-let with_part t i f = Par.with_part t.par i f
-
-let set_host_up t h up = Array.iter (fun tb -> Testbed.set_host_up tb h up) t.tbs
-
-let host_up t h = Testbed.host_up t.tbs.(part_of t h) h
 
 let run ?domains t = Par.run ?domains t.par
 

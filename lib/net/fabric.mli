@@ -35,36 +35,20 @@ val create :
 
 val part_of : t -> Addr.host_id -> int
 val parts : t -> int
-val hosts : t -> int
 val lookahead : t -> float
 
 val engine : t -> int -> Splay_sim.Engine.t
 (** Partition [i]'s engine. *)
 
-val net : t -> int -> Net.t
-(** Partition [i]'s network. *)
-
 val net_of_host : t -> Addr.host_id -> Net.t
 (** The network that host [h]'s endpoints must be bound on (its home
     partition's) — hand this to [Env.create] for node [h]. *)
-
-val with_part : t -> int -> (unit -> 'a) -> 'a
-(** Run setup code under partition [i]'s recording state; see
-    {!Splay_sim.Par.with_part}. *)
-
-val par : t -> Splay_sim.Par.t
 
 val run : ?domains:int -> t -> Splay_sim.Par.run_info
 (** Drive the whole deployment to completion on up to [domains] worker
     domains (default [parts], clamped to the machine). Single-shot.
     @raise Invalid_argument if any partition engine has a perturbation
     policy installed — nemesis schedules are sequential-only. *)
-
-val host_up : t -> Addr.host_id -> bool
-
-val set_host_up : t -> Addr.host_id -> bool -> unit
-(** Fan the liveness bit out to every partition's testbed copy (any
-    partition may be the sender of the next message to [h]). *)
 
 val messages_sent : t -> int
 val bytes_sent : t -> int

@@ -235,10 +235,8 @@ let no_records fn =
   invalid_arg ("Testbed." ^ fn ^ ": synthetic testbeds keep no per-host records")
 
 let host t id = if t.cmp <> None then no_records "host" else t.all.(id)
-let hosts t = if t.cmp <> None then no_records "hosts" else t.all
 let rng t = t.t_rng
 let compact t = t.cmp
-let latency t = t.lat
 
 let host_up t id =
   match t.cmp with
@@ -317,6 +315,3 @@ let service_mult t id =
   match t.cmp with Some _ -> 1.0 | None -> t.all.(id).service_mult
 
 let proc_cost_h h = 0.000_1 *. h.load_factor *. h.service_mult
-
-let proc_cost t id =
-  match t.cmp with Some c -> c.Compact.proc_cost | None -> proc_cost_h t.all.(id)

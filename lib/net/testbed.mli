@@ -83,12 +83,6 @@ end
 val compact : t -> Compact.t option
 (** The struct-of-arrays state when this is a {!synthetic} testbed. *)
 
-val latency : t -> Latency.t option
-(** The latency model this testbed routes pair delays through: the
-    {!Latency.matrix} over its topology for emulated (ModelNet) testbeds,
-    the configured model for {!synthetic} ones, [None] where delays are
-    derived from coordinates or constants (PlanetLab, Cluster). *)
-
 val host_up : t -> Addr.host_id -> bool
 
 val set_host_up : t -> Addr.host_id -> bool -> unit
@@ -102,9 +96,6 @@ val with_extra_host : t -> t * Addr.host_id
 val size : t -> int
 
 val host : t -> Addr.host_id -> host
-val hosts : t -> host array
-(** Raise [Invalid_argument] on {!synthetic} testbeds, which keep no
-    per-host records — use {!host_up}, {!base_delay} and {!compact}. *)
 
 val rng : t -> Splay_sim.Rng.t
 
@@ -132,9 +123,6 @@ val service_mult : t -> Addr.host_id -> float
     {!synthetic} testbeds (which model contention in the network layer
     only). *)
 
-val proc_cost : t -> Addr.host_id -> float
+val proc_cost_h : host -> float
 (** Per-message processing cost on this host for data-plane traffic:
     sub-millisecond, scaled by [load_factor] and [service_mult]. *)
-
-val proc_cost_h : host -> float
-(** {!proc_cost} keyed by the host record (no lookup, no RNG). *)

@@ -1,13 +1,18 @@
-(* Offline analysis of the metrics-plane dump ([splay-metrics/1] JSONL):
+(* Offline analysis of the metrics-plane dump ([splay-metrics/2] JSONL):
    the consumer behind [splay top]. Reuses Trace_analysis's flat-JSON line
    parser; rows are kept as raw field lists so the loader never chokes on
    fields added by a newer writer. *)
+
+module Hdr = Splay_stats.Hdr
+
+let schema = "splay-metrics/2"
 
 type row = {
   r_metric : string;
   r_kind : string; (* "counter" | "gauge" | "hist" | "note" *)
   r_w : int; (* window index; -1 = whole-run cumulative *)
   r_fields : (string * string) list;
+  r_hist : Hdr.t option; (* a hist row's decoded buckets *)
 }
 
 type t = {
@@ -16,9 +21,15 @@ type t = {
   windows : int list; (* distinct w >= 0, ascending *)
 }
 
-let field r k = Trace_analysis.field r.r_fields k
 let float_field r k = Trace_analysis.float_field r.r_fields k
 let int_field r k = Trace_analysis.int_field r.r_fields k
+
+(* A hist row is usable only with buckets that decode and sum to its n;
+   anything else is a malformed line and is skipped like one. *)
+let hist_of fields =
+  match (Trace_analysis.field fields "buckets", Trace_analysis.int_field fields "n") with
+  | Some b, Some n -> Hdr.decode ~n b
+  | _ -> None
 
 let load text =
   let window = ref 10.0 in
@@ -31,6 +42,12 @@ let load text =
            | exception Trace_analysis.Bad_line _ -> ()
            | fields -> (
                match Trace_analysis.field fields "schema" with
+               | Some sc when sc <> schema ->
+                   failwith
+                     (Printf.sprintf
+                        "%s dump: it carries no bucket counts to merge (%s expected; re-record the \
+                         run to get one)"
+                        sc schema)
                | Some _ -> (
                    match Trace_analysis.float_field fields "window" with
                    | Some w when w > 0.0 -> window := w
@@ -38,11 +55,16 @@ let load text =
                | None -> (
                    match (Trace_analysis.field fields "m", Trace_analysis.field fields "kind") with
                    | Some m, Some kind ->
-                       let w =
-                         Option.value ~default:(-1) (Trace_analysis.int_field fields "w")
-                       in
-                       if w >= 0 then Hashtbl.replace wset w ();
-                       rows := { r_metric = m; r_kind = kind; r_w = w; r_fields = fields } :: !rows
+                       let r_hist = if kind = "hist" then hist_of fields else None in
+                       if kind <> "hist" || r_hist <> None then begin
+                         let w =
+                           Option.value ~default:(-1) (Trace_analysis.int_field fields "w")
+                         in
+                         if w >= 0 then Hashtbl.replace wset w ();
+                         rows :=
+                           { r_metric = m; r_kind = kind; r_w = w; r_fields = fields; r_hist }
+                           :: !rows
+                       end
                    | _ -> ())));
   let windows = List.sort compare (Hashtbl.fold (fun w () acc -> w :: acc) wset []) in
   { window = !window; rows = List.rev !rows; windows }
@@ -57,88 +79,43 @@ let load_file path =
 
    A multi-trial dump splices each trial's windows in trial order, so one
    (window, metric) pair can appear several times. Counters add; gauges
-   keep the last row's value and the max of maxes; histograms add
-   n/sum and merge min/max, and — the bucket tables having been rendered
-   away — combine quantiles as an n-weighted mean, which is exact for one
-   row and a reasonable cross-trial summary otherwise. *)
+   keep the last row's value and the max of maxes; histograms add n/sum,
+   merge min/max and add their bucket counts, so a merged quantile is the
+   one a single table fed every trial's samples would give. *)
 
 let rows_of t ~w metric =
   List.filter (fun r -> r.r_w = w && r.r_metric = metric && r.r_kind <> "note") t.rows
 
 let counter_n rows = List.fold_left (fun acc r -> acc + Option.value ~default:0 (int_field r "n")) 0 rows
 
-type hist_agg = { ha_n : int; ha_sum : float; ha_min : float; ha_max : float; ha_q : float -> float }
+type hist_agg = {
+  ha_n : int;
+  ha_sum : float;
+  ha_min : float;
+  ha_max : float;
+  ha_hdr : Hdr.t;
+  ha_q : float -> float;
+}
 
 let hist_agg rows =
-  let n = ref 0 and sum = ref 0.0 and mn = ref infinity and mx = ref neg_infinity in
-  let wq = Hashtbl.create 4 in
+  let hdr = Hdr.create () in
+  let sum = ref 0.0 and mn = ref infinity and mx = ref neg_infinity in
   List.iter
     (fun r ->
-      let rn = Option.value ~default:0 (int_field r "n") in
-      n := !n + rn;
+      Option.iter (fun h -> Hdr.merge_into ~into:hdr h) r.r_hist;
       sum := !sum +. Option.value ~default:0.0 (float_field r "sum");
       (match float_field r "min" with Some v when v < !mn -> mn := v | _ -> ());
-      (match float_field r "max" with Some v when v > !mx -> mx := v | _ -> ());
-      List.iter
-        (fun key ->
-          match float_field r key with
-          | Some v ->
-              let tn, tv = Option.value ~default:(0, 0.0) (Hashtbl.find_opt wq key) in
-              Hashtbl.replace wq key (tn + rn, tv +. (Float.of_int rn *. v))
-          | None -> ())
-        [ "p50"; "p90"; "p99"; "p999" ])
+      match float_field r "max" with Some v when v > !mx -> mx := v | _ -> ())
     rows;
-  let q p =
-    let key = if p = 0.5 then "p50" else if p = 0.9 then "p90" else if p = 0.99 then "p99" else "p999" in
-    match Hashtbl.find_opt wq key with
-    | Some (tn, tv) when tn > 0 -> tv /. Float.of_int tn
-    | _ -> nan
-  in
-  { ha_n = !n; ha_sum = !sum; ha_min = !mn; ha_max = !mx; ha_q = q }
+  let n = Hdr.count hdr and mn = !mn and mx = !mx in
+  let q p = if n = 0 then nan else Hdr.quantile hdr ~min:mn ~max:mx p in
+  { ha_n = n; ha_sum = !sum; ha_min = mn; ha_max = mx; ha_hdr = hdr; ha_q = q }
 
 (* SLO violation rate: the share of a histogram's observations above a
-   threshold, reconstructed from the rendered quantiles. The bucket
-   tables are gone by dump time, so the CDF is interpolated piecewise-
-   linearly through (min,0) (p50,.5) (p90,.9) (p99,.99) (p999,.999)
-   (max,1) — exact at the recorded points, linear between them, which is
-   as much fidelity as a merged sketch row can support. *)
+   threshold, read off the merged buckets. *)
 let violation_rate h ~threshold =
   if h.ha_n = 0 then nan
-  else
-    let raw =
-      List.filter
-        (fun (x, _) -> Float.is_finite x)
-        [
-          (h.ha_min, 0.0);
-          (h.ha_q 0.5, 0.5);
-          (h.ha_q 0.9, 0.9);
-          (h.ha_q 0.99, 0.99);
-          (h.ha_q 0.999, 0.999);
-          (h.ha_max, 1.0);
-        ]
-    in
-    match raw with
-    | [] -> nan
-    | (x0, p0) :: rest ->
-        (* n-weighted quantile merging can cross neighbouring estimates
-           by epsilon; clamp the x axis monotone before interpolating *)
-        let pts =
-          List.rev
-            (List.fold_left
-               (fun acc (x, p) ->
-                 match acc with (px, _) :: _ -> (Float.max x px, p) :: acc | [] -> [ (x, p) ])
-               [ (x0, p0) ] rest)
-        in
-        let rec cdf = function
-          | [] -> 1.0
-          | [ (x, p) ] -> if threshold >= x then 1.0 else p
-          | (x1, p1) :: ((x2, p2) :: _ as tl) ->
-              if threshold < x1 then 0.0
-              else if threshold >= x2 then cdf tl
-              else if x2 <= x1 then p2
-              else p1 +. ((p2 -. p1) *. (threshold -. x1) /. (x2 -. x1))
-        in
-        1.0 -. cdf pts
+  else 1.0 -. Hdr.fraction_le h.ha_hdr ~min:h.ha_min ~max:h.ha_max threshold
 
 let metrics_of_kind t kind =
   List.sort_uniq compare

@@ -200,7 +200,6 @@ let cell_of s (h : handle) =
   s.cells.(h.h_id)
 
 let set_clock f = (st ()).clock <- f
-let now () = (st ()).clock ()
 
 let current () = (st ()).cur
 let set_current c = (st ()).cur <- c
@@ -307,12 +306,17 @@ let fmt_float v =
      {"m":NAME,"kind":"counter","w":K,"t0":…,"t1":…,"n":N,"rate":R}
      {"m":NAME,"kind":"gauge","w":K,"t0":…,"t1":…,"last":…,"max":…}
      {"m":NAME,"kind":"hist","w":K,…,"n":…,"sum":…,"min":…,"max":…,
-      "p50":…,"p90":…,"p99":…,"p999":…}
+      "p50":…,"p90":…,"p99":…,"p999":…,"buckets":"I:C,…"}
 
    [w] is the window index (floor(t / width)); cumulative whole-run rows
    use w = -1 and omit t0/t1. Metrics within a window are sorted by name
    (ties broken by registration id) so bytes never depend on hash or
-   registration order. *)
+   registration order.
+
+   A histogram row carries its bucket table ({!Hdr.encode}), so readers
+   merge rows by adding counts; its min/max are written at round-trip
+   precision because every quantile read back from the buckets clamps to
+   them. The p50..p999 fields are for people reading the file. *)
 
 let add_rollup_field b key v =
   Buffer.add_string b ",\"";
@@ -320,7 +324,15 @@ let add_rollup_field b key v =
   Buffer.add_string b "\":";
   Buffer.add_string b v
 
-let add_row b ~name ~kind ~wid fields =
+(* The shortest of %.15g/%.16g/%.17g that reads back as [v]. *)
+let fmt_exact v =
+  let s = Printf.sprintf "%.15g" v in
+  if float_of_string s = v then s
+  else
+    let s = Printf.sprintf "%.16g" v in
+    if float_of_string s = v then s else Printf.sprintf "%.17g" v
+
+let add_row ?hist b ~name ~kind ~wid fields =
   Buffer.add_string b "{\"m\":";
   add_json_string b name;
   Buffer.add_string b ",\"kind\":\"";
@@ -335,21 +347,27 @@ let add_row b ~name ~kind ~wid fields =
     add_time_value b (Float.of_int (wid + 1) *. width)
   end;
   List.iter (fun (k, v) -> add_rollup_field b k v) fields;
+  (match hist with
+  | Some h ->
+      Buffer.add_string b ",\"buckets\":\"";
+      Hdr.encode b h;
+      Buffer.add_char b '"'
+  | None -> ());
   Buffer.add_string b "}\n"
 
-let hist_fields ~with_quantiles (w : wcell) =
-  let base =
+let hist_row b (h : handle) ~wid (w : wcell) =
+  let q p = fmt_float (Hdr.quantile w.w_hist ~min:(w_min w) ~max:(w_max w) p) in
+  add_row ~hist:w.w_hist b ~name:h.h_metric ~kind:"hist" ~wid
     [
       ("n", string_of_int w.w_n);
       ("sum", fmt_float (w_sum w));
-      ("min", fmt_float (w_min w));
-      ("max", fmt_float (w_max w));
+      ("min", fmt_exact (w_min w));
+      ("max", fmt_exact (w_max w));
+      ("p50", q 0.5);
+      ("p90", q 0.9);
+      ("p99", q 0.99);
+      ("p999", q 0.999);
     ]
-  in
-  if not with_quantiles || Hdr.count w.w_hist = 0 then base
-  else
-    let q p = fmt_float (Hdr.quantile w.w_hist ~min:(w_min w) ~max:(w_max w) p) in
-    base @ [ ("p50", q 0.5); ("p90", q 0.9); ("p99", q 0.99); ("p999", q 0.999) ]
 
 let wcell_row b (h : handle) ~wid (w : wcell) =
   match h.h_kind with
@@ -359,7 +377,7 @@ let wcell_row b (h : handle) ~wid (w : wcell) =
   | Gauge ->
       add_row b ~name:h.h_metric ~kind:"gauge" ~wid
         [ ("last", fmt_float (w_last w)); ("max", fmt_float (w_max w)) ]
-  | Hist -> add_row b ~name:h.h_metric ~kind:"hist" ~wid (hist_fields ~with_quantiles:true w)
+  | Hist -> hist_row b h ~wid w
 
 let wcell_touched (h : handle) (w : wcell) =
   match h.h_kind with Counter | Hist -> w.w_n <> 0 | Gauge -> w.w_gauge
@@ -813,7 +831,7 @@ let dump_jsonl ~path () =
 let metrics_plane_jsonl () =
   let s = st () in
   let b = Buffer.create 4096 in
-  Buffer.add_string b "{\"schema\":\"splay-metrics/1\",\"window\":";
+  Buffer.add_string b "{\"schema\":\"splay-metrics/2\",\"window\":";
   Buffer.add_string b (fmt_float !rollup_window);
   Buffer.add_string b "}\n";
   (match s.ru with Some r -> Buffer.add_string b (ru_rows r) | None -> ());
@@ -825,23 +843,18 @@ let metrics_plane_jsonl () =
           add_row b ~name:h.h_metric ~kind:"gauge" ~wid:(-1)
             [ ("last", fmt_float (cl_last c)); ("max", fmt_float (cl_max c)) ]
       | Hist ->
-          let cum =
-            match s.ru with
-            | Some r when h.h_id < Array.length r.ru_cum -> Some r.ru_cum.(h.h_id)
-            | _ -> None
-          in
-          let fields =
-            match cum with
-            | Some w when w.w_n > 0 -> hist_fields ~with_quantiles:true w
-            | _ ->
+          match s.ru with
+          | Some r when h.h_id < Array.length r.ru_cum && r.ru_cum.(h.h_id).w_n > 0 ->
+              hist_row b h ~wid:(-1) r.ru_cum.(h.h_id)
+          | _ ->
+              (* sampled only while tracing: no bucket table to carry *)
+              add_row b ~name:h.h_metric ~kind:"hist" ~wid:(-1)
                 [
                   ("n", string_of_int c.cl_n);
                   ("sum", fmt_float (cl_sum c));
-                  ("min", fmt_float (cl_min c));
-                  ("max", fmt_float (cl_max c));
-                ]
-          in
-          add_row b ~name:h.h_metric ~kind:"hist" ~wid:(-1) fields)
+                  ("min", fmt_exact (cl_min c));
+                  ("max", fmt_exact (cl_max c));
+                ])
     (touched_metrics ());
   Buffer.contents b
 

@@ -64,10 +64,6 @@ val set_clock : (unit -> float) -> unit
 (** Install the virtual-clock source. {!Splay_sim.Engine.create} calls
     this, so the most recently created engine stamps the trace. *)
 
-val now : unit -> float
-(** Current virtual time as seen by the trace (0.0 before any engine
-    exists). *)
-
 val reset : unit -> unit
 (** Clear the calling domain's trace buffer, zero every registered metric,
     restart span and trace numbering and clear the current context. Call
@@ -219,9 +215,9 @@ val histogram_count : histogram -> int
     window [w = floor(t / window)] of a small ring; advancing past a
     window renders one compact JSON line per touched metric (counters
     gain a windowed rate, gauges a windowed last/max, histograms
-    count/sum/min/max plus p50/p90/p99/p999 from a {!Splay_stats.Hdr}
-    log-bucket table — the one {!Splay_stats.Sink.sketch} uses, with the
-    same quantile rule, O(1) memory per histogram). Histograms
+    count/sum/min/max, p50/p90/p99/p999 and the bucket counts of a
+    {!Splay_stats.Hdr} log-bucket table — the one {!Splay_stats.Sink}
+    uses, with the same quantile rule, O(1) memory per histogram). Histograms
     additionally keep a run-cumulative table, merged exactly across
     trials, so whole-run quantiles are available at any point
     ({!Rollup.quantile}). Domain-local like the rest of the recording
@@ -280,10 +276,15 @@ val dump_jsonl : path:string -> unit -> unit
 (** Write {!trace_jsonl} followed by {!metrics_jsonl} to [path]. *)
 
 val metrics_plane_jsonl : unit -> string
-(** The metrics-plane dump: a [{"schema":"splay-metrics/1","window":…}]
+(** The metrics-plane dump: a [{"schema":"splay-metrics/2","window":…}]
     header, the windowed rollup rows ({!Rollup.rows}), then one
-    cumulative whole-run row per touched metric with [w:-1].
-    {!Metrics_analysis} and [splay top] consume this format. *)
+    cumulative whole-run row per touched metric with [w:-1]. A histogram
+    row carries its bucket counts as a ["buckets"] field
+    ({!Splay_stats.Hdr.encode}) and its [min]/[max] at round-trip
+    precision, so readers merge rows exactly; its p50..p999 fields are
+    for people. A histogram sampled only while tracing has no bucket
+    table, and its cumulative row no ["buckets"]. {!Metrics_analysis}
+    and [splay top] consume this format. *)
 
 val dump_metrics : path:string -> unit -> unit
 (** Write {!metrics_plane_jsonl} to [path]. *)

@@ -13,14 +13,12 @@
       breakdown of the slowest RPC in the trace (only takes effect
       alongside [--obs-trace=FILE]);
     - [--metrics-out=FILE] — enable the metrics plane (windowed rollups,
-      {!Obs.metrics_enabled}), dump the [splay-metrics/1] JSONL to FILE
+      {!Obs.metrics_enabled}), dump the [splay-metrics/2] JSONL to FILE
       at the end ([splay top FILE] renders it);
     - [--metrics-window=SECONDS] — rollup window width in virtual seconds
       (default 10). *)
 
-val summary : bool ref
 val trace_path : string option ref
-val critical_path : bool ref
 val metrics_path : string option ref
 val metrics_window : float option ref
 
@@ -28,9 +26,6 @@ val parse_arg : string -> bool
 (** [parse_arg a] consumes [a] if it is one of the flags above (setting the
     corresponding ref) and returns whether it did. Malformed values
     (non-numeric cap or window) print an error and exit 2. *)
-
-val active : unit -> bool
-(** Any flag that requires either plane on. *)
 
 val arm : unit -> unit
 (** If {!active}, reset the collector, apply window/cap settings, and

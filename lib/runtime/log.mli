@@ -33,7 +33,6 @@ val set_level : t -> level -> unit
 val set_sink : t -> sink -> unit
 val enabled : t -> level -> bool
 
-val log : t -> level -> ('a, unit, string, unit) format4 -> 'a
 val debug : t -> ('a, unit, string, unit) format4 -> 'a
 val info : t -> ('a, unit, string, unit) format4 -> 'a
 val warn : t -> ('a, unit, string, unit) format4 -> 'a

@@ -18,10 +18,6 @@ let udp env ~port handler =
   Obs.incr c_opened;
   addr
 
-let close env addr =
-  Net.unbind env.Env.net addr;
-  Sandbox.socket_closed env.Env.sandbox
-
 let send env ~dst ?(size = 256) payload =
   if Sandbox.blacklisted env.Env.sandbox dst.Addr.host then begin
     Obs.incr c_denied;

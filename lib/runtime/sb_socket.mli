@@ -13,8 +13,6 @@ val udp : Env.t -> port:int -> (src:Addr.t -> Net.payload -> unit) -> Addr.t
     sandbox socket limit; automatically closed when the instance stops.
     Returns the bound address. *)
 
-val close : Env.t -> Addr.t -> unit
-
 val send : Env.t -> dst:Addr.t -> ?size:int -> Net.payload -> unit
 (** Send a datagram from this instance. Raises {!Network_error} if the
     destination host is blacklisted or the traffic budget is exhausted.

@@ -27,8 +27,6 @@ type t = {
   inbox : item Channel.t;
   mutable open_ : bool;
   mutable fin_sent : bool;
-  mutable n_bytes : int;
-  mutable n_msgs : int;
 }
 
 (* Per-environment dispatcher state, created lazily for both listeners and
@@ -82,8 +80,6 @@ let mk_conn d ~ckey ~data_dst =
       inbox = Channel.create ();
       open_ = true;
       fin_sent = false;
-      n_bytes = 0;
-      n_msgs = 0;
     }
   in
   Hashtbl.replace d.conns ckey conn;
@@ -201,8 +197,6 @@ let send conn data =
   if not conn.open_ then raise (Stream_error "connection closed");
   let seq = conn.next_send in
   conn.next_send <- seq + 1;
-  conn.n_msgs <- conn.n_msgs + 1;
-  conn.n_bytes <- conn.n_bytes + String.length data;
   try Sb_socket.send conn.env ~dst:conn.data_dst ~size:(String.length data + 48) (Seg { ckey = conn.ckey; seq; data })
   with Sb_socket.Network_error m -> raise (Stream_error m)
 
@@ -230,6 +224,3 @@ let close conn =
   end
 
 let is_open conn = conn.open_
-let peer conn = Addr.make conn.data_dst.Addr.host conn.data_dst.Addr.port
-let bytes_sent conn = conn.n_bytes
-let messages_sent conn = conn.n_msgs

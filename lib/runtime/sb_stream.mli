@@ -39,6 +39,3 @@ val close : t -> unit
     can still be drained with {!recv_timeout}. *)
 
 val is_open : t -> bool
-val peer : t -> Addr.t
-val bytes_sent : t -> int
-val messages_sent : t -> int

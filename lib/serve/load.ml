@@ -45,8 +45,6 @@ type stats = {
   mutable setup_words : int;
 }
 
-let completed s = s.ok + s.misses + s.shed + s.failed
-
 (* This partition's share of the client population: clients are split
    contiguously so every id is owned by exactly one partition and the
    split is a pure function of (clients, parts). *)

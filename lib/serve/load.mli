@@ -55,8 +55,6 @@ type stats = {
           bench records *)
 }
 
-val completed : stats -> int
-
 val client_span : clients:int -> part:int -> parts:int -> int * int
 (** [(first_id, count)] of the clients partition [part] owns — a pure
     function of [(clients, parts)], so domains runs split identically. *)

@@ -42,5 +42,3 @@ let recv_timeout t d =
             Engine.cancel eng timer)
 
 let length t = Queue.length t.msgs
-
-let clear t = Queue.clear t.msgs

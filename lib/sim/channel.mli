@@ -23,6 +23,3 @@ val try_recv : 'a t -> 'a option
 
 val length : 'a t -> int
 (** Number of queued (undelivered) messages. *)
-
-val clear : 'a t -> unit
-(** Drop all queued messages (waiting receivers keep waiting). *)

@@ -16,8 +16,6 @@ val try_fill : 'a t -> 'a -> bool
 
 val is_filled : 'a t -> bool
 
-val peek : 'a t -> 'a option
-
 val read : 'a t -> 'a
 (** Block the calling process until the cell is filled. Returns immediately
     if already filled. *)

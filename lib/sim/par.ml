@@ -118,7 +118,6 @@ let create ?(seed = 42) ~lookahead ~parts () =
     ran = false;
   }
 
-let parts t = t.parts
 let lookahead t = t.lookahead
 let engine t i = t.engines.(i)
 

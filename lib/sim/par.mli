@@ -39,15 +39,10 @@ val create : ?seed:int -> lookahead:float -> parts:int -> unit -> t
     not nest a traced run inside a {!Pool} trial — span id bases would
     collide). *)
 
-val parts : t -> int
 val lookahead : t -> float
 
 val engine : t -> int -> Engine.t
 (** Partition [i]'s engine — schedule the initial workload onto these. *)
-
-val with_part : t -> int -> (unit -> 'a) -> 'a
-(** Run setup code under partition [i]'s recording state (no-op wrapper
-    when no plane was enabled at create time). *)
 
 val post : t -> src:int -> dst:int -> at:float -> (unit -> unit) -> unit
 (** Enqueue a cross-partition event: [fn] runs on partition [dst]'s

@@ -67,10 +67,6 @@ let pareto t ~scale ~shape = scale /. (unit_open t ** (1.0 /. shape))
 
 let weibull t ~scale ~shape = scale *. ((-.log (unit_open t)) ** (1.0 /. shape))
 
-let pick t a =
-  if Array.length a = 0 then invalid_arg "Rng.pick";
-  a.(int t (Array.length a))
-
 let pick_list t l =
   match l with
   | [] -> invalid_arg "Rng.pick_list"

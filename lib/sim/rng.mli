@@ -39,9 +39,6 @@ val chance : t -> float -> bool
 val exponential : t -> mean:float -> float
 (** Exponentially distributed with the given mean. *)
 
-val normal : t -> mu:float -> sigma:float -> float
-(** Gaussian via Box-Muller. *)
-
 val lognormal : t -> mu:float -> sigma:float -> float
 (** [exp] of a Gaussian with parameters [mu], [sigma] (of the underlying
     normal, i.e. the standard parameterization). *)
@@ -52,9 +49,6 @@ val pareto : t -> scale:float -> shape:float -> float
 
 val weibull : t -> scale:float -> shape:float -> float
 (** Weibull distributed; used for peer session/downtime durations. *)
-
-val pick : t -> 'a array -> 'a
-(** Uniform element of a non-empty array. *)
 
 val pick_list : t -> 'a list -> 'a
 (** Uniform element of a non-empty list. *)

@@ -42,8 +42,5 @@ val pdf : t -> bins:int -> lo:float -> hi:float -> (float * float) array
 (** {!histogram} normalized to fractions of the total count (in percent of
     samples, as the paper's PDF plots are). *)
 
-val values : t -> float array
-(** Copy of all samples, unsorted. *)
-
 val merge : t -> t -> t
 (** New collector holding the samples of both. *)

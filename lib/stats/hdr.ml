@@ -97,6 +97,36 @@ let fraction_le t ~min ~max x =
     (Float.of_int !cum +. part) /. Float.of_int t.n
   end
 
+let encode b t =
+  let sep = ref false in
+  Array.iteri
+    (fun i c ->
+      if c > 0 then begin
+        if !sep then Buffer.add_char b ',';
+        sep := true;
+        Buffer.add_string b (string_of_int i);
+        Buffer.add_char b ':';
+        Buffer.add_string b (string_of_int c)
+      end)
+    t.counts
+
+let decode ~n s =
+  let t = create () in
+  let add pair =
+    match String.index_opt pair ':' with
+    | None -> false
+    | Some k -> (
+        let num a b = int_of_string_opt (String.sub pair a b) in
+        match (num 0 k, num (k + 1) (String.length pair - k - 1)) with
+        | Some i, Some c when i >= 0 && i < n_buckets && c > 0 && c <= max_int - t.n ->
+            add_index t i;
+            t.counts.(i) <- t.counts.(i) + c - 1;
+            t.n <- t.n + c - 1;
+            true
+        | _ -> false)
+  in
+  if (s = "" || List.for_all add (String.split_on_char ',' s)) && t.n = n then Some t else None
+
 let iter t ~min ~max f =
   Array.iteri
     (fun i c ->

@@ -12,7 +12,8 @@
     lies in the same bucket as the true order statistic: its error is at
     most one bucket width, 1/8 of the value in the worst case. Two tables
     merge exactly — counts add — so the quantiles of a merge are those of
-    one table fed both streams. *)
+    one table fed both streams. {!encode} and {!decode} carry a table
+    through text (the metrics-plane dump) without losing a count. *)
 
 type t
 
@@ -50,6 +51,14 @@ val quantile : t -> min:float -> max:float -> float -> float
 val fraction_le : t -> min:float -> max:float -> float -> float
 (** Fraction of samples [<= x], interpolated the same way (the inverse
     of {!quantile}). 0 on an empty table. *)
+
+val encode : Buffer.t -> t -> unit
+(** Append the non-empty buckets as ["index:count"] pairs, ascending by
+    index and joined by [','] (nothing for an empty table). *)
+
+val decode : n:int -> string -> t option
+(** The table {!encode} wrote. [None] unless every pair names a bucket in
+    range with a positive count and the counts sum to [n]. *)
 
 val iter : t -> min:float -> max:float -> (float -> int -> unit) -> unit
 (** [f v c] for each non-empty bucket in increasing order, where [v] is

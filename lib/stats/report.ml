@@ -29,13 +29,6 @@ let float_cell ?(decimals = 2) v = Printf.sprintf "%.*f" decimals v
 
 let percentile_header ps = List.map (fun p -> Printf.sprintf "p%g" p) ps
 
-(* Sink-based figure helpers: identical rendering whatever storage policy
-   (exact or sketch) collected the samples. *)
-
-let sink_pct_cells ?(decimals = 3) s ps =
-  if Sink.is_empty s then List.map (fun _ -> "-") ps
-  else List.map (fun p -> float_cell ~decimals (Sink.percentile s p)) ps
-
 let bar v ~max ~width =
   let n =
     if max <= 0.0 then 0 else int_of_float (Float.of_int width *. v /. max +. 0.5)

@@ -22,9 +22,5 @@ val float_cell : ?decimals:int -> float -> string
 val percentile_header : float list -> string list
 (** ["p5"; "p25"; ...] labels for a percentile table. *)
 
-val sink_pct_cells : ?decimals:int -> Sink.t -> float list -> string list
-(** Percentile cells straight from a {!Sink} (either backend); a row of
-    ["-"] when the sink is empty. *)
-
 val bar : float -> max:float -> width:int -> string
 (** ASCII bar of length proportional to [v/max], for histogram rows. *)

@@ -18,8 +18,6 @@ let add t ~time x =
   in
   Dist.add d x
 
-let bin_width t = t.width
-
 let bins t =
   Hashtbl.fold (fun k d acc -> (Float.of_int k *. t.width, d) :: acc) t.table []
   |> List.sort (fun (a, _) (b, _) -> Float.compare a b)

@@ -12,8 +12,6 @@ val create : bin_width:float -> t
 
 val add : t -> time:float -> float -> unit
 
-val bin_width : t -> float
-
 val bins : t -> (float * Dist.t) list
 (** Non-empty bins in increasing time order; the float is the bin's left
     edge. *)

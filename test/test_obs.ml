@@ -290,7 +290,7 @@ let test_rollup_window_rotation () =
         (contains (Obs.Rollup.rows ()) "\"w\":0,\"n\":2");
       let dump = Obs.metrics_plane_jsonl () in
       Alcotest.(check bool) "schema header" true
-        (contains dump "\"schema\":\"splay-metrics/1\"");
+        (contains dump "\"schema\":\"splay-metrics/2\"");
       Alcotest.(check bool) "cumulative rows carry w:-1" true (contains dump "\"w\":-1");
       (* the three counter increments all survived the rotation *)
       let m = Ma.load dump in
@@ -333,27 +333,63 @@ let test_golden_metrics_plane () =
       Alcotest.(check bool) "golden splay-top render is byte-identical" true
         (read_file (golden_top ()) = top)
 
-(* The --slo column: violation rate reconstructed from rendered quantiles
-   by piecewise-linear CDF interpolation — exact at the recorded points,
-   linear between them, saturating outside [min, max]. *)
+(* The --slo column: the violation rate is read off the merged buckets.
+   Bucket 161 is [1, 1.125) and bucket 169 [2, 2.25); half the samples
+   sit in each, and inside a bucket the share is linear. *)
+let slo_dump rows =
+  String.concat "\n" ("{\"schema\":\"splay-metrics/2\",\"window\":10}" :: rows) ^ "\n"
+
 let test_slo_violation_rate () =
-  let dump =
-    "{\"schema\":\"splay-metrics/1\",\"window\":10}\n"
-    ^ "{\"m\":\"lat\",\"kind\":\"hist\",\"w\":0,\"n\":100,\"sum\":100.0,\"min\":0.0,\"max\":2.0,\"p50\":1.0,\"p90\":1.5,\"p99\":1.8,\"p999\":1.9}\n"
+  let m =
+    Ma.load
+      (slo_dump
+         [
+           "{\"m\":\"lat\",\"kind\":\"hist\",\"w\":0,\"n\":100,\"sum\":160.0,\"min\":1,\"max\":2.25,\"buckets\":\"161:50,169:50\"}";
+         ])
   in
-  let m = Ma.load dump in
   let h = Ma.hist_agg (Ma.rows_of m ~w:0 "lat") in
   let vr thr = Ma.violation_rate h ~threshold:thr in
-  Alcotest.(check (float 1e-9)) "below min: everything violates" 1.0 (vr (-1.0));
-  Alcotest.(check (float 1e-9)) "at max: nothing violates" 0.0 (vr 2.0);
-  Alcotest.(check (float 1e-9)) "exact at p50" 0.5 (vr 1.0);
-  Alcotest.(check (float 1e-9)) "interpolated min..p50" 0.75 (vr 0.5);
-  Alcotest.(check (float 1e-9)) "interpolated p50..p90" 0.3 (vr 1.25);
+  Alcotest.(check (float 1e-9)) "below min: everything violates" 1.0 (vr 0.5);
+  Alcotest.(check (float 1e-9)) "at max: nothing violates" 0.0 (vr 2.25);
+  Alcotest.(check (float 1e-9)) "between the buckets" 0.5 (vr 1.5);
+  Alcotest.(check (float 1e-9)) "mid lower bucket" 0.75 (vr 1.0625);
+  Alcotest.(check (float 1e-9)) "mid upper bucket" 0.25 (vr 2.125);
   Alcotest.(check bool) "empty histogram renders nan" true
     (Float.is_nan (Ma.violation_rate (Ma.hist_agg []) ~threshold:1.0));
-  let top = Ma.render ~slo:("lat", 1.0) m in
+  let top = Ma.render ~slo:("lat", 1.5) m in
   Alcotest.(check bool) "slo column rendered" true (contains top "slo-viol");
   Alcotest.(check bool) "window violation rendered" true (contains top "50.00%")
+
+(* Outside input: a hist row whose buckets are out of range, negative, not
+   numbers or short of its n is malformed and skipped, never an exception;
+   a dump of the bucketless first schema is refused. *)
+let test_malformed_hist_rows () =
+  let row n b =
+    Printf.sprintf
+      "{\"m\":\"lat\",\"kind\":\"hist\",\"w\":0,\"n\":%d,\"sum\":1.0,\"min\":1,\"max\":2,\"buckets\":%S}" n b
+  in
+  List.iter
+    (fun (what, r) ->
+      let m = Ma.load (slo_dump [ r ]) in
+      Alcotest.(check int) (what ^ ": row skipped") 0 (List.length (Ma.rows_of m ~w:0 "lat"));
+      ignore (Ma.render ~slo:("lat", 1.5) m))
+    [
+      ("index past the table", row 1 "513:1");
+      ("negative index", row 1 "-1:1");
+      ("negative count", row 1 "161:-1");
+      ("zero count", row 0 "161:0");
+      ("not a number", row 1 "161:x");
+      ("no colon", row 1 "161");
+      ("counts short of n", row 3 "161:1,169:1");
+      ("counts over n", row 1 "161:1,169:1");
+      ("no buckets", "{\"m\":\"lat\",\"kind\":\"hist\",\"w\":0,\"n\":1}");
+    ];
+  let ok = Ma.load (slo_dump [ row 2 "161:1,169:1" ]) in
+  Alcotest.(check int) "a well-formed row loads" 1 (List.length (Ma.rows_of ok ~w:0 "lat"));
+  match Ma.load "{\"schema\":\"splay-metrics/1\",\"window\":10}\n" with
+  | _ -> Alcotest.fail "a splay-metrics/1 dump must be refused"
+  | exception Failure msg ->
+      Alcotest.(check bool) "the message names the schema" true (contains msg "splay-metrics/1")
 
 let test_metrics_only_no_spans () =
   let dump, spans, trace =
@@ -764,6 +800,7 @@ let () =
           Alcotest.test_case "window rotation" `Quick test_rollup_window_rotation;
           Alcotest.test_case "golden metrics plane" `Quick test_golden_metrics_plane;
           Alcotest.test_case "slo violation rate" `Quick test_slo_violation_rate;
+          Alcotest.test_case "malformed hist rows" `Quick test_malformed_hist_rows;
           Alcotest.test_case "metrics-only records no spans" `Quick test_metrics_only_no_spans;
           Alcotest.test_case "trace cap" `Quick test_trace_cap;
         ] );

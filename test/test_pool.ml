@@ -4,6 +4,8 @@
 
 open Splay_sim
 module Obs = Splay_obs.Obs
+module Ma = Splay_obs.Metrics_analysis
+module Hdr = Splay_stats.Hdr
 
 (* One self-contained trial: its own engine, its own seed, some spans and
    metrics recorded along the way, a plain-data result out. *)
@@ -55,9 +57,9 @@ let test_obs_merge_deterministic () =
   Alcotest.(check string) "merged metrics identical" m1 m4
 
 (* The metrics plane under fan-out: with windowed rollups armed, the
-   merged [splay-metrics/1] dump must be a pure function of the trial
+   merged [splay-metrics/2] dump must be a pure function of the trial
    list — byte-identical whether the trials ran on 1, 2 or 4 domains. *)
-let metrics_output jobs =
+let metrics_output f items jobs =
   Obs.metrics_enabled := true;
   Obs.reset ();
   Obs.Rollup.clear ();
@@ -67,19 +69,48 @@ let metrics_output jobs =
       Obs.reset ();
       Obs.metrics_enabled := false)
     (fun () ->
-      let rs = Pool.map ~jobs trial seeds in
+      let rs = Pool.map ~jobs f items in
       (rs, Obs.metrics_plane_jsonl ()))
 
 let test_metrics_plane_merge_deterministic () =
-  let r1, m1 = metrics_output 1 in
-  let _, m2 = metrics_output 2 in
-  let r4, m4 = metrics_output 4 in
+  let r1, m1 = metrics_output trial seeds 1 in
+  let _, m2 = metrics_output trial seeds 2 in
+  let r4, m4 = metrics_output trial seeds 4 in
   Alcotest.(check (list string)) "results identical" r1 r4;
   Alcotest.(check bool) "dump carries the schema header" true
     (String.length m1 > 0
-    && String.sub m1 0 (min 32 (String.length m1)) = "{\"schema\":\"splay-metrics/1\",\"win");
+    && String.sub m1 0 (min 32 (String.length m1)) = "{\"schema\":\"splay-metrics/2\",\"win");
   Alcotest.(check string) "jobs=2 dump byte-identical" m1 m2;
   Alcotest.(check string) "jobs=4 dump byte-identical" m1 m4
+
+(* Two trials with different latency spreads fill the same window: the
+   dump splices both rows, and the analyser's merged p99 must be the one
+   a single table fed the union stream gives, not a blend of the two. *)
+let spread_trial (seed, scale) =
+  let e = Engine.create ~seed () in
+  let h = Obs.histogram "pool.test.spread" in
+  let xs = List.init 400 (fun i -> scale *. (1.0 +. Float.of_int ((i * 7919) mod 400))) in
+  ignore (Engine.schedule e ~delay:1.0 (fun () -> List.iter (Obs.observe h) xs));
+  ignore (Engine.run e);
+  xs
+
+let test_merged_quantiles_exact () =
+  let samples, dump = metrics_output spread_trial [ (1, 0.0001); (2, 0.01) ] 2 in
+  let m = Ma.load dump in
+  let rows = Ma.rows_of m ~w:0 "pool.test.spread" in
+  Alcotest.(check int) "one window-0 row per trial" 2 (List.length rows);
+  let h = Ma.hist_agg rows in
+  let union = Hdr.create () in
+  List.iter (List.iter (Hdr.add union)) samples;
+  let all = List.concat samples in
+  let mn = List.fold_left Float.min infinity all and mx = List.fold_left Float.max neg_infinity all in
+  Alcotest.(check int) "merged n" (List.length all) h.Ma.ha_n;
+  List.iter
+    (fun q ->
+      Alcotest.(check (float 0.0))
+        (Printf.sprintf "p%g of the union" (100.0 *. q))
+        (Hdr.quantile union ~min:mn ~max:mx q) (h.Ma.ha_q q))
+    [ 0.5; 0.9; 0.99; 0.999 ]
 
 let test_exception_propagates () =
   let f x = if x = 2 then failwith "trial boom" else x * 10 in
@@ -108,6 +139,7 @@ let () =
           Alcotest.test_case "obs merge deterministic" `Quick test_obs_merge_deterministic;
           Alcotest.test_case "metrics plane merge deterministic" `Quick
             test_metrics_plane_merge_deterministic;
+          Alcotest.test_case "merged quantiles exact" `Quick test_merged_quantiles_exact;
           Alcotest.test_case "exception propagates" `Quick test_exception_propagates;
           Alcotest.test_case "jobs clamped" `Quick test_jobs_clamped;
           Alcotest.test_case "mapi" `Quick test_mapi;

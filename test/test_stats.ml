@@ -178,7 +178,7 @@ let prop_summary_merge =
       && close (Summary.mean m) (Summary.mean s_all)
       && close (Summary.variance m) (Summary.variance s_all))
 
-(* {2 Sink — exact and sketch backends} *)
+(* {2 Sink — the sketch, against Dist as the exact reference} *)
 
 let sink_feed s xs = List.iter (Sink.add s) xs
 
@@ -193,29 +193,30 @@ let adversarial_streams n =
     ("spike", List.init n (fun i -> if i mod 100 = 0 then 1e9 else 1.0));
   ]
 
+(* What the sketch tracks outside its bucket table is exact: it matches
+   Dist on count, moments and the endpoints. *)
 let test_sink_exact_matches_dist () =
   let xs = [ 2.0; 4.0; 4.0; 4.0; 5.0; 5.0; 7.0; 9.0 ] in
-  let s = Sink.exact () and d = feed xs in
+  let s = Sink.sketch () and d = feed xs in
   sink_feed s xs;
   Alcotest.(check int) "count" (Dist.count d) (Sink.count s);
   Alcotest.(check (float 1e-9)) "mean" (Dist.mean d) (Sink.mean s);
   Alcotest.(check (float 1e-9)) "stddev" (Dist.stddev d) (Sink.stddev s);
-  Alcotest.(check (float 1e-9)) "p50" (Dist.percentile d 50.0) (Sink.percentile s 50.0);
-  Alcotest.(check (float 1e-9)) "p90" (Dist.percentile d 90.0) (Sink.percentile s 90.0)
+  Alcotest.(check (float 1e-9)) "p0" (Dist.percentile d 0.0) (Sink.quantile s 0.0);
+  Alcotest.(check (float 1e-9)) "p100" (Dist.percentile d 100.0) (Sink.quantile s 1.0)
 
 let test_sink_sketch_moments_exact () =
   (* count / mean / min / max are tracked outside the bucket table, so
      they must be exact on every stream *)
   List.iter
     (fun (name, xs) ->
-      let e = Sink.exact () and k = Sink.sketch () in
-      sink_feed e xs;
+      let e = feed xs and k = Sink.sketch () in
       sink_feed k xs;
-      Alcotest.(check int) (name ^ " count") (Sink.count e) (Sink.count k);
-      Alcotest.(check (float 1e-6)) (name ^ " min") (Sink.min_value e) (Sink.min_value k);
-      Alcotest.(check (float 1e-6)) (name ^ " max") (Sink.max_value e) (Sink.max_value k);
+      Alcotest.(check int) (name ^ " count") (Dist.count e) (Sink.count k);
+      Alcotest.(check (float 1e-6)) (name ^ " min") (Dist.min_value e) (Sink.min_value k);
+      Alcotest.(check (float 1e-6)) (name ^ " max") (Dist.max_value e) (Sink.max_value k);
       let close a b = Float.abs (a -. b) <= 1e-9 *. (1.0 +. Float.abs a) in
-      Alcotest.(check bool) (name ^ " mean") true (close (Sink.mean e) (Sink.mean k)))
+      Alcotest.(check bool) (name ^ " mean") true (close (Dist.mean e) (Sink.mean k)))
     (adversarial_streams 5_000)
 
 let test_sink_sketch_error_bound () =
@@ -223,12 +224,11 @@ let test_sink_sketch_error_bound () =
      so it is off by at most that bucket's width. *)
   List.iter
     (fun (name, xs) ->
-      let e = Sink.exact () and k = Sink.sketch () in
-      sink_feed e xs;
+      let e = feed xs and k = Sink.sketch () in
       sink_feed k xs;
       List.iter
         (fun q ->
-          let v = Sink.quantile k q and x = Sink.quantile e q in
+          let v = Sink.quantile k q and x = Dist.percentile e (100.0 *. q) in
           let lo, hi = Hdr.bounds (Hdr.index x) in
           Alcotest.(check bool)
             (Printf.sprintf "%s q=%g: %g within [%g, %g)'s width of %g" name q v lo hi x)
@@ -246,14 +246,7 @@ let test_sink_sketch_endpoints_exact () =
 let test_sink_merge () =
   let xs = List.init 3_000 Float.of_int in
   let ys = List.init 3_000 (fun i -> Float.of_int (10_000 + i)) in
-  (* exact + exact stays exact *)
-  let ea = Sink.exact () and eb = Sink.exact () in
-  sink_feed ea xs;
-  sink_feed eb ys;
-  let em = Sink.merge ea eb in
-  Alcotest.(check int) "exact merged count" 6_000 (Sink.count em);
-  Alcotest.(check (float 1e-9)) "exact merged max" 12_999.0 (Sink.max_value em);
-  (* sketch merge keeps the exact moments *)
+  (* merging keeps the exact moments *)
   let ka = Sink.sketch () and kb = Sink.sketch () in
   sink_feed ka xs;
   sink_feed kb ys;
@@ -261,30 +254,25 @@ let test_sink_merge () =
   Alcotest.(check int) "sketch merged count" 6_000 (Sink.count km);
   Alcotest.(check (float 1e-9)) "sketch merged min" 0.0 (Sink.min_value km);
   Alcotest.(check (float 1e-9)) "sketch merged max" 12_999.0 (Sink.max_value km);
-  let expected_mean = (Sink.mean ea *. 0.5) +. (Sink.mean eb *. 0.5) in
+  let expected_mean = (Dist.mean (feed xs) *. 0.5) +. (Dist.mean (feed ys) *. 0.5) in
   Alcotest.(check (float 1e-6)) "sketch merged mean" expected_mean (Sink.mean km);
   (* the merged median separates the two halves *)
   let p50 = Sink.quantile km 0.5 in
   Alcotest.(check bool) "merged median between the halves" true (p50 > 1_000.0 && p50 < 12_000.0);
   Alcotest.(check int) "to_dist keeps one value per sample" 6_000 (Dist.count (Sink.to_dist km))
 
-let prop_sink_quantiles_monotone_both_backends =
-  QCheck.Test.make ~name:"sink quantiles monotone and within [min,max] (both backends)"
-    ~count:200
+let prop_sink_quantiles_monotone =
+  QCheck.Test.make ~name:"sink quantiles monotone and within [min,max]" ~count:200
     QCheck.(list_of_size (QCheck.Gen.int_range 1 200) (float_range (-1000.) 1000.))
     (fun xs ->
-      List.for_all
-        (fun s ->
-          sink_feed s xs;
-          let qs = List.map (Sink.quantile s) [ 0.0; 0.1; 0.5; 0.9; 1.0 ] in
-          let rec mono = function a :: (b :: _ as r) -> a <= b && mono r | _ -> true in
-          mono qs
-          && List.for_all (fun v -> v >= Sink.min_value s && v <= Sink.max_value s) qs)
-        [ Sink.exact (); Sink.sketch () ])
+      let s = Sink.sketch () in
+      sink_feed s xs;
+      let qs = List.map (Sink.quantile s) [ 0.0; 0.1; 0.5; 0.9; 1.0 ] in
+      let rec mono = function a :: (b :: _ as r) -> a <= b && mono r | _ -> true in
+      mono qs && List.for_all (fun v -> v >= Sink.min_value s && v <= Sink.max_value s) qs)
 
-(* Merging is exact: a sketch merged with a sketch (or with an exact sink,
-   whose samples are bucketed) answers every quantile exactly as one
-   sketch fed both streams. *)
+(* Merging is exact: two merged sketches answer every quantile exactly as
+   one sketch fed both streams. *)
 let prop_sink_merge_exact =
   QCheck.Test.make ~name:"merged sketch quantiles = quantiles of the concatenation" ~count:300
     QCheck.(
@@ -294,17 +282,36 @@ let prop_sink_merge_exact =
     (fun (xs, ys) ->
       let whole = Sink.sketch () in
       sink_feed whole (xs @ ys);
-      let kb = Sink.sketch () in
+      let ka = Sink.sketch () and kb = Sink.sketch () in
+      sink_feed ka xs;
       sink_feed kb ys;
-      List.for_all
-        (fun a ->
-          sink_feed a xs;
-          let m = Sink.merge a kb in
-          Sink.count m = Sink.count whole
+      let m = Sink.merge ka kb in
+      Sink.count m = Sink.count whole
+      && List.for_all
+           (fun q -> Sink.quantile m q = Sink.quantile whole q)
+           [ 0.0; 0.01; 0.1; 0.25; 0.5; 0.75; 0.9; 0.99; 0.999; 1.0 ])
+
+(* The text form carries a table without losing a count: decoding what
+   encode wrote answers every quantile as the original does, and the
+   decoder holds the writer to its count. *)
+let prop_hdr_encode_round_trip =
+  QCheck.Test.make ~name:"hdr decode (encode t) answers as t" ~count:200
+    QCheck.(list_of_size (QCheck.Gen.int_range 0 300) (float_range (-1.) 1e6))
+    (fun xs ->
+      let t = Hdr.create () in
+      List.iter (Hdr.add t) xs;
+      let b = Buffer.create 64 in
+      Hdr.encode b t;
+      let n = List.length xs in
+      let mn = List.fold_left Float.min 0.0 xs and mx = List.fold_left Float.max 0.0 xs in
+      match Hdr.decode ~n (Buffer.contents b) with
+      | None -> false
+      | Some d ->
+          Hdr.count d = n
+          && Hdr.decode ~n:(n + 1) (Buffer.contents b) = None
           && List.for_all
-               (fun q -> Sink.quantile m q = Sink.quantile whole q)
-               [ 0.0; 0.01; 0.1; 0.25; 0.5; 0.75; 0.9; 0.99; 0.999; 1.0 ])
-        [ Sink.sketch (); Sink.exact () ])
+               (fun q -> Hdr.quantile d ~min:mn ~max:mx q = Hdr.quantile t ~min:mn ~max:mx q)
+               [ 0.0; 0.1; 0.5; 0.9; 0.99; 1.0 ])
 
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
@@ -312,8 +319,9 @@ let qsuite =
       prop_percentile_monotone;
       prop_cdf_bounds;
       prop_summary_merge;
-      prop_sink_quantiles_monotone_both_backends;
+      prop_sink_quantiles_monotone;
       prop_sink_merge_exact;
+      prop_hdr_encode_round_trip;
     ]
 
 let () =
