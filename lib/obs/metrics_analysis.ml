@@ -45,8 +45,7 @@ let load text =
                | Some sc when sc <> schema ->
                    failwith
                      (Printf.sprintf
-                        "%s dump: it carries no bucket counts to merge (%s expected; re-record the \
-                         run to get one)"
+                        "%s dump: only %s rows carry the bucket counts to merge; re-record the run"
                         sc schema)
                | Some _ -> (
                    match Trace_analysis.float_field fields "window" with

@@ -29,10 +29,12 @@ let index v =
     else 1 + ((e - e_min) * sub_buckets) + ((bits lsr 49) land 0x7)
   end
 
-let add_index t i =
+let add_count t i c =
   if Array.length t.counts = 0 then t.counts <- Array.make n_buckets 0;
-  t.counts.(i) <- t.counts.(i) + 1;
-  t.n <- t.n + 1
+  t.counts.(i) <- t.counts.(i) + c;
+  t.n <- t.n + c
+
+let add_index t i = add_count t i 1
 
 let add t v = add_index t (index v)
 let count t = t.n
@@ -119,9 +121,7 @@ let decode ~n s =
         let num a b = int_of_string_opt (String.sub pair a b) in
         match (num 0 k, num (k + 1) (String.length pair - k - 1)) with
         | Some i, Some c when i >= 0 && i < n_buckets && c > 0 && c <= max_int - t.n ->
-            add_index t i;
-            t.counts.(i) <- t.counts.(i) + c - 1;
-            t.n <- t.n + c - 1;
+            add_count t i c;
             true
         | _ -> false)
   in
