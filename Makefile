@@ -39,12 +39,15 @@ bench-smoke:
 # lines, not simulator output), fanned over two domains, with the
 # per-experiment CPU-time lines stripped, must match
 # test/golden/figures_quick.txt byte for byte. A change that moves a
-# figure number regenerates the golden and says why.
+# figure number regenerates the golden and says why. EXPERIMENTS.md's
+# "N/N shape checks pass" status line is then checked against the run's
+# shape-check counts.
 FIGURES = fig3 fig4 fig6a fig6c fig7a fig7b fig7c fig8 fig9 fig10 fig11 fig12 fig13 fig14 abl
 figures-smoke:
 	dune exec bench/main.exe -- $(FIGURES) --jobs 2 > _build/figures_quick.raw
 	grep -vE '^  \([a-z0-9]+ took [0-9.]+ s of CPU\)$$' _build/figures_quick.raw > _build/figures_quick.txt
 	diff -u test/golden/figures_quick.txt _build/figures_quick.txt
+	scripts/check_experiments_status.sh EXPERIMENTS.md _build/figures_quick.txt
 	@echo "figures-smoke: OK"
 
 # Scale smoke test: the 10k-node single-run workloads (quick scale covers

@@ -15,10 +15,11 @@ open Splay
 let bench_eheap () =
   let h = Eheap.create ~dummy:0 in
   for i = 0 to 63 do
-    Eheap.push h ~at:(Float.of_int (i * 7 mod 64)) ~seq:i i
+    Eheap.push h ~at:{ Eheap.v = Float.of_int (i * 7 mod 64) } ~seq:i i
   done;
+  let at = { Eheap.v = 17.0 } in
   Staged.stage (fun () ->
-      Eheap.push h ~at:17.0 ~seq:1_000_000 17;
+      Eheap.push h ~at ~seq:1_000_000 17;
       ignore (Eheap.pop h))
 
 let bench_engine_schedule_cancel () =

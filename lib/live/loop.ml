@@ -8,7 +8,7 @@ module Engine = Splay_sim.Engine
    [Unix.select] until either the next virtual event falls due or a
    watched socket becomes ready. Virtual time therefore tracks real time
    to select's granularity, and every blocking-looking operation the
-   application uses ([sleep], [suspend], RPCs) acquires real-time
+   application uses ([sleep], [await], RPCs) acquires real-time
    semantics with zero changes to application or engine code.
 
    The network side of the seam reuses [Net.set_remote]: an in-process

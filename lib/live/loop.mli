@@ -6,7 +6,7 @@
     since a shared [epoch] (firing due timers, RPC timeouts and periodic
     processes), then parks in [select] on the watched sockets until the
     next virtual event falls due or I/O arrives. Application code calling
-    [sleep]/[suspend]/RPCs therefore gets real-time semantics with zero
+    [sleep]/[await]/RPCs therefore gets real-time semantics with zero
     changes. Local network traffic flows through a zero-latency in-process
     testbed; remote traffic leaves through [Net.set_remote] routes
     installed by {!Splayd}. *)

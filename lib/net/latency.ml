@@ -153,13 +153,18 @@ let of_fn ~name ?(seed = 0) ?min_rtt f =
   | _ -> ());
   { name; seed; impl = Fn { fn = f; fn_min_rtt = min_rtt } }
 
+let delay_to t (cell : Splay_sim.Eheap.fcell) a b =
+  cell.v <-
+    (match t.impl with
+    | Synthetic { seed64; dist; intra_host } ->
+        if a = b then intra_host else 0.5 *. rtt_of_u dist (pair_u seed64 a b)
+    | Matrix { topo; stub_of } -> Topology.delay topo (stub_of a) (stub_of b)
+    | Fn { fn; _ } -> fn a b)
+
 let delay t a b =
-  match t.impl with
-  | Synthetic { seed64; dist; intra_host } ->
-      if a = b then intra_host else 0.5 *. rtt_of_u dist (pair_u seed64 a b)
-  | Matrix { topo; stub_of } ->
-      Topology.delay topo (stub_of a) (stub_of b)
-  | Fn { fn; _ } -> fn a b
+  let cell = { Splay_sim.Eheap.v = 0.0 } in
+  delay_to t cell a b;
+  cell.v
 
 (* {2 Lookahead} *)
 

@@ -34,6 +34,12 @@ val delay : t -> Addr.host_id -> Addr.host_id -> float
     [delay t a b = delay t b a]. Deterministic: the same [t] always
     answers the same value for the same pair. *)
 
+val delay_to : t -> Splay_sim.Eheap.fcell -> Addr.host_id -> Addr.host_id -> unit
+(** [delay_to t cell a b] stores [delay t a b] in [cell]: the form for the
+    send path, where a float returned across a module boundary would be
+    boxed per message. The cell is the caller's, so models shared by
+    several partitions stay safe to query in parallel. *)
+
 (** {1 Synthetic per-pair model} *)
 
 (** RTT distributions for the synthetic model. All parameters are

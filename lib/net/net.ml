@@ -56,6 +56,10 @@ type t = {
   mutable n_sent : int;
   mutable n_bytes : int;
   mutable n_dropped : int;
+  due : Engine.fcell;
+      (* scratch cell of the send path: the propagation delay from
+         [Latency.delay_to], then the due time for [Engine.schedule_at] —
+         both travel unboxed *)
 }
 
 let create eng tb =
@@ -72,6 +76,7 @@ let create eng tb =
     n_sent = 0;
     n_bytes = 0;
     n_dropped = 0;
+    due = { v = 0.0 };
   }
 
 let engine t = t.eng
@@ -151,14 +156,14 @@ let send_compact t c ?(size = 256) ?loss ~src ~dst payload =
     if p > 0.0 && Rng.chance t.net_rng p then count_drop t
     else begin
       let traced = !Obs.enabled in
-      let now = Engine.now t.eng in
+      let now = (Engine.clock t.eng).v in
       let sz = Float.of_int size in
       let tx_up = sz /. c.Testbed.Compact.bw_up in
       let up_busy = c.Testbed.Compact.up_busy in
       let start_up = Float.max now (Array.unsafe_get up_busy sh) in
       Array.unsafe_set up_busy sh (start_up +. tx_up);
-      let propagation = Latency.delay c.Testbed.Compact.lat sh dh in
-      let arrival = start_up +. tx_up +. propagation in
+      Latency.delay_to c.Testbed.Compact.lat t.due sh dh;
+      let arrival = start_up +. tx_up +. t.due.v in
       match t.remote with
       | Some r when not (r.r_local dh) ->
           (* sender-side half done; the destination partition applies its
@@ -176,8 +181,8 @@ let send_compact t c ?(size = 256) ?loss ~src ~dst payload =
           in
           if traced || !Obs.metrics_enabled then
             Obs.observe h_link_wait ((start_up -. now) +. (start_down -. arrival));
-          ignore
-            (Engine.schedule_at t.eng ~at:deliver_at (fun () -> deliver_compact t ~src ~dst payload))
+          t.due.v <- deliver_at;
+          ignore (Engine.schedule_at t.eng ~at:t.due (fun () -> deliver_compact t ~src ~dst payload))
     end
   end
 
@@ -197,7 +202,7 @@ let send_classic t ?(size = 256) ?loss ~src ~dst payload =
     if p > 0.0 && Rng.chance t.net_rng p then count_drop t
     else begin
       let traced = !Obs.enabled in
-      let now = Engine.now t.eng in
+      let now = (Engine.clock t.eng).v in
       let sz = Float.of_int size in
       let tx_up = sz /. hs.Testbed.bw_up in
       let start_up = Float.max now hs.Testbed.up_busy in
@@ -215,8 +220,9 @@ let send_classic t ?(size = 256) ?loss ~src ~dst payload =
       let deliver_at = if t.extra_delay > 0.0 then deliver_at +. t.extra_delay else deliver_at in
       if traced || !Obs.metrics_enabled then
         Obs.observe h_link_wait ((start_up -. now) +. (start_down -. arrival));
+      t.due.v <- deliver_at;
       ignore
-        (Engine.schedule_at t.eng ~at:deliver_at (fun () ->
+        (Engine.schedule_at t.eng ~at:t.due (fun () ->
              deliver t ~up:hd.Testbed.up ~src ~dst payload))
     end
   end
@@ -241,7 +247,7 @@ let deliver_remote t ?(size = 256) ~src ~dst ~up_wait ~ctx payload =
   | None -> invalid_arg "Net.deliver_remote: synthetic (compact) testbed required"
   | Some c ->
       let dh = dst.Addr.host in
-      let arrival = Engine.now t.eng in
+      let arrival = (Engine.clock t.eng).v in
       let sz = Float.of_int size in
       let tx_down = sz /. c.Testbed.Compact.bw_down in
       let down_busy = c.Testbed.Compact.down_busy in
@@ -253,8 +259,9 @@ let deliver_remote t ?(size = 256) ~src ~dst ~up_wait ~ctx payload =
       if traced || !Obs.metrics_enabled then
         Obs.observe h_link_wait (up_wait +. (start_down -. arrival));
       let deliver () = deliver_compact t ~src ~dst payload in
+      t.due.v <- deliver_at;
       ignore
-        (Engine.schedule_at t.eng ~at:deliver_at
+        (Engine.schedule_at t.eng ~at:t.due
            (if traced then fun () ->
               Obs.set_current ctx;
               deliver ()

@@ -24,7 +24,8 @@ let dijkstra ~n adj src =
   let dist = Array.make n infinity in
   dist.(src) <- 0.0;
   let heap = Splay_sim.Eheap.create ~dummy:0 in
-  Splay_sim.Eheap.push heap ~at:0.0 ~seq:src src;
+  let key = { Splay_sim.Eheap.v = 0.0 } in
+  Splay_sim.Eheap.push heap ~at:key ~seq:src src;
   let rec loop () =
     match Splay_sim.Eheap.pop heap with
     | None -> ()
@@ -37,7 +38,8 @@ let dijkstra ~n adj src =
             let nd = du +. w in
             if nd < dist.(v) then begin
               dist.(v) <- nd;
-              Splay_sim.Eheap.push heap ~at:nd ~seq:v v
+              key.v <- nd;
+              Splay_sim.Eheap.push heap ~at:key ~seq:v v
             end)
           adj.(u);
         loop ()

@@ -129,7 +129,7 @@ val state_snapshot : rec_state -> snapshot
     Causality across tasks and nodes. A context names a position in the
     causal DAG: the trace ([tid]) a computation belongs to and the span
     ([sid]) it is currently inside. The engine captures the current
-    context at every [schedule]/[spawn]/[suspend] and restores it when the
+    context at every [schedule]/[spawn]/[await] and restores it when the
     event fires or the process resumes, so context follows the flow of
     control; the RPC layer additionally carries it inside the request
     envelope, so a handler's spans are children of the caller's span

@@ -75,19 +75,20 @@ let encode v =
    (%.1f / %.17g with a shortest-round-trip tail) is not worth
    reimplementing, and floats are rare in RPC payloads. *)
 
-let escaped_length s =
-  let n = ref 2 (* quotes *) in
-  String.iter
-    (fun c ->
-      n :=
-        !n
-        +
-        match c with
-        | '"' | '\\' | '\n' | '\r' | '\t' -> 2
-        | c when Char.code c < 0x20 -> 6 (* \uXXXX *)
-        | _ -> 1)
-    s;
-  !n
+(* A loop over an index, not [String.iter] with a counter ref: sizing
+   runs on every request and reply, and this way allocates nothing. *)
+let rec escaped_from s i n =
+  if i = String.length s then n
+  else
+    escaped_from s (i + 1)
+      (n
+      +
+      match String.unsafe_get s i with
+      | '"' | '\\' | '\n' | '\r' | '\t' -> 2
+      | c when Char.code c < 0x20 -> 6 (* \uXXXX *)
+      | _ -> 1)
+
+let escaped_length s = escaped_from s 0 2 (* quotes *)
 
 let int_length i =
   if i = min_int then String.length (string_of_int min_int)

@@ -1,13 +1,5 @@
 module Engine = Splay_sim.Engine
 
-(* A tracked process records its own index into the dense [procs] prefix,
-   so the engine's exit hook can swap-remove it in O(1). [sidx = -1] marks
-   a slot already removed (its process died, or [stop] detached it).
-   [seq] is the spawn sequence number: swap-remove scrambles array order,
-   and [stop] must kill in reverse spawn order — the order the previous
-   cons-list representation killed in, which fixed-seed traces pin. *)
-type proc_slot = { mutable sproc : Engine.proc; mutable sidx : int; seq : int }
-
 type t = {
   net : Net.t;
   me : Addr.t;
@@ -17,9 +9,7 @@ type t = {
   log_level : Log.level;
   mutable log_t : Log.t option;
   env_rng : Splay_sim.Rng.t;
-  mutable procs : proc_slot array;
-  mutable procs_len : int;
-  mutable proc_seq : int;
+  procs : Engine.group;
   mutable ports : Addr.t list;
   mutable loss_rate : float;
   mutable stopped : bool;
@@ -31,48 +21,11 @@ type t = {
   mutable rpc_rng : Splay_sim.Rng.t option;
 }
 
-and rpc_call = {
-  call_env : t;
-  call_rid : int;
-  call_resolve : ((Codec.value, string) result, exn) result -> unit;
-  mutable call_timer : Engine.event_id;
-}
+and rpc_call = (Codec.value, string) result Engine.waker
 
 let engine t = Net.engine t.net
 
-let live_procs t = t.procs_len
-
-let untrack t s =
-  let i = s.sidx in
-  if i >= 0 then begin
-    let last = t.procs_len - 1 in
-    t.procs_len <- last;
-    if i < last then begin
-      let moved = t.procs.(last) in
-      t.procs.(i) <- moved;
-      moved.sidx <- i
-    end;
-    s.sidx <- -1;
-    (* An empty instance drops its whole table: otherwise the stale cell
-       past the prefix would keep the last dead process reachable, and at
-       a million mostly-idle instances those are the only dead handles. *)
-    if last = 0 then t.procs <- [||]
-  end
-
-let track t p =
-  let s = { sproc = p; sidx = t.procs_len; seq = t.proc_seq } in
-  t.proc_seq <- t.proc_seq + 1;
-  let cap = Array.length t.procs in
-  if t.procs_len = cap then begin
-    let grown = Array.make (if cap = 0 then 4 else cap * 2) s in
-    Array.blit t.procs 0 grown 0 t.procs_len;
-    t.procs <- grown
-  end;
-  t.procs.(t.procs_len) <- s;
-  t.procs_len <- t.procs_len + 1;
-  (* Runs immediately if [p] already finished, so no dead process is ever
-     left tracked. *)
-  Engine.on_exit p (fun () -> untrack t s)
+let live_procs t = Engine.group_size t.procs
 
 let stop t =
   if not t.stopped then begin
@@ -85,30 +38,7 @@ let stop t =
     t.ports <- [];
     List.iter (fun h -> h ()) (List.rev t.stop_hooks);
     t.stop_hooks <- [];
-    let eng = engine t in
-    (* Snapshot and detach before killing: each kill fires the victim's
-       exit hook, which must find [sidx = -1] and leave the (already reset)
-       table alone. Kill newest-first by spawn sequence — swap-remove has
-       scrambled array positions, but kill order at an instant is visible
-       in fixed-seed traces and must stay what the cons-list gave. *)
-    let procs = Array.sub t.procs 0 t.procs_len in
-    t.procs <- [||];
-    t.procs_len <- 0;
-    Array.sort (fun a b -> compare b.seq a.seq) procs;
-    (* Kill own process last: self-kill raises and unwinds the caller. *)
-    let self = try Some (Engine.self ()) with Effect.Unhandled _ -> None in
-    let self_tracked = ref false in
-    Array.iter
-      (fun s ->
-        if s.sidx >= 0 then begin
-          s.sidx <- -1;
-          match self with
-          | Some sp when s.sproc == sp -> self_tracked := true
-          | _ -> Engine.kill eng s.sproc
-        end)
-      procs;
-    if !self_tracked then
-      match self with Some sp -> Engine.kill eng sp | None -> ()
+    Engine.kill_group (engine t) t.procs
   end
 
 (* Materialized on first use: most simulated instances never log, and a
@@ -133,9 +63,7 @@ let create ?(position = 1) ?(nodes = []) ?limits ?(log_level = Log.Info) net ~me
       log_level;
       log_t = None;
       env_rng = Splay_sim.Rng.split (Engine.rng (Net.engine net));
-      procs = [||];
-      procs_len = 0;
-      proc_seq = 0;
+      procs = Engine.group ();
       ports = [];
       loss_rate = 0.0;
       stopped = false;
@@ -155,7 +83,7 @@ let create ?(position = 1) ?(nodes = []) ?limits ?(log_level = Log.Info) net ~me
 let thread t ?name f =
   if t.stopped then invalid_arg "Env.thread: instance stopped";
   let p = Engine.spawn ?name (engine t) f in
-  track t p;
+  Engine.join t.procs p;
   p
 
 let periodic t interval f =

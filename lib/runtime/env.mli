@@ -7,16 +7,6 @@
     instance creates, so the daemon can stop the whole instance at once
     (churn, FREE command, sandbox kill). *)
 
-type proc_slot
-(** One tracked process: an int-indexed slot in the instance's dense
-    process table. The slot records its own index, so a process leaving
-    (for any reason — the engine's exit hook fires [Env]'s untrack) is an
-    O(1) swap-remove with no dead-handle retention: a million instances
-    that each spawn a handful of short-lived fibers hold on to none of
-    them. (The previous representation — a cons list pruned every 32nd
-    spawn — never pruned instances with fewer than 32 spawns, which is
-    every instance in a million-node run.) *)
-
 type t = {
   net : Net.t;
   me : Addr.t;
@@ -26,9 +16,10 @@ type t = {
   log_level : Log.level; (* the level {!log} starts at *)
   mutable log_t : Log.t option; (* lazy; use {!log} *)
   env_rng : Splay_sim.Rng.t;
-  mutable procs : proc_slot array; (* dense prefix of length [procs_len] *)
-  mutable procs_len : int;
-  mutable proc_seq : int; (* spawn sequence; orders kills at [stop] *)
+  procs : Splay_sim.Engine.group;
+      (** every live process of the instance, for {!stop}: membership
+          lives in the process records, so spawning and exiting allocate
+          nothing here, and a process leaves the group when it exits *)
   mutable ports : Addr.t list;
   mutable loss_rate : float;
       (** proportion of this instance's outgoing packets dropped by the
@@ -50,17 +41,9 @@ type t = {
   mutable rpc_rng : Splay_sim.Rng.t option; (* lazy; use {!rpc_rng} *)
 }
 
-(** One outstanding RPC attempt. The pending-table entry is the record
-    itself, and the attempt's timeout timer and cleanup are closures over
-    it alone, so a parked caller holds no per-call copy of the table, the
-    engine or the rid. *)
-and rpc_call = {
-  call_env : t;
-  call_rid : int;
-  call_resolve : ((Codec.value, string) result, exn) result -> unit;
-      (** the suspended caller's one-shot resolve *)
-  mutable call_timer : Splay_sim.Engine.event_id;
-}
+(** One outstanding RPC attempt: its caller's waker, keyed by rid in the
+    pending table. A reply, the attempt's timeout or a kill settles it. *)
+and rpc_call = (Codec.value, string) result Splay_sim.Engine.waker
 
 val create :
   ?position:int ->

@@ -1,22 +1,25 @@
-type waiter = { mutable waiting : bool; wake : unit -> unit }
+module Engine = Splay_sim.Engine
 
-type t = { mutable held : bool; queue : waiter Queue.t }
+(* Waiters park on wakers in arrival order; a waiter killed while queued
+   has a settled waker, which [unlock] skips. *)
+type t = { mutable held : bool; queue : unit Engine.waker Queue.t }
 
 let create () = { held = false; queue = Queue.create () }
 
 let lock t =
   if not t.held then t.held <- true
-  else
-    Splay_sim.Engine.suspend (fun resolve ->
-        let w = { waiting = true; wake = (fun () -> resolve (Ok ())) } in
-        Queue.add w t.queue;
-        fun () -> w.waiting <- false)
+  else begin
+    let w = Engine.waker (Engine.engine ()) in
+    Queue.add w t.queue;
+    Engine.await w
+  end
 
 let rec wake_next t =
   match Queue.take_opt t.queue with
   | None -> t.held <- false
-  | Some w -> if w.waiting then w.wake () (* lock stays held, ownership transfers *)
-              else wake_next t
+  | Some w ->
+      if Engine.pending w then Engine.wake w () (* lock stays held, ownership transfers *)
+      else wake_next t
 
 let unlock t =
   if not t.held then invalid_arg "Locks.unlock: not held";

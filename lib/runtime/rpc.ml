@@ -77,8 +77,8 @@ let dispatch env ~src payload =
       let name = if !Obs.enabled then Some ("rpc:" ^ proc) else None in
       ignore
         (Env.thread env ?name (fun () ->
-             let eng = Env.engine env in
-             let t0 = Engine.now eng in
+             let clock = Engine.clock (Env.engine env) in
+             let t0 = clock.v in
              let sp =
                if !Obs.enabled then
                  Obs.span ~parent:ctx
@@ -96,7 +96,7 @@ let dispatch env ~src payload =
              in
              Obs.incr c_served;
              if !Obs.enabled || !Obs.metrics_enabled then
-               Obs.observe h_serve_time (Engine.now eng -. t0);
+               Obs.observe h_serve_time (clock.v -. t0);
              if !Obs.enabled then
                Obs.finish
                  ~attrs:
@@ -109,11 +109,11 @@ let dispatch env ~src payload =
       match Env.rpc_pending_opt env with
       | None -> ()
       | Some pending -> (
-          match Hashtbl.find_opt pending rid with
-          | None -> () (* reply after timeout: dropped, as with a late TCP answer *)
-          | Some c ->
+          match Hashtbl.find pending rid with
+          | exception Not_found -> () (* reply after timeout: dropped, as with a late TCP answer *)
+          | w ->
               Hashtbl.remove pending rid;
-              c.Env.call_resolve (Ok result)))
+              Engine.wake w result))
   | _ -> () (* not RPC traffic; other layers may share the port *)
 
 let ensure_bound env =
@@ -128,49 +128,40 @@ let server env handlers =
 
 let client env = ensure_bound env
 
-(* Error transport through the string-typed pending table: tagged
-   prefixes, decoded back into the variant here. *)
+(* A local send failure settles the caller's waker the way a reply does,
+   with an error string tagged "net:"; decoded back into the variant
+   here. Every other string is the remote handler's. *)
 let decode_error m =
   match String.index_opt m ':' with
   | Some i when String.sub m 0 i = "net" -> Network (String.sub m (i + 1) (String.length m - i - 1))
-  | _ when m = "timeout" -> Timeout
   | _ -> Remote m
 
-(* The timer and the cleanup of one attempt: each closure captures only
-   the call record. *)
-let call_timeout (c : Env.rpc_call) =
-  let pending = Env.rpc_pending c.call_env in
-  if Hashtbl.mem pending c.call_rid then begin
-    Hashtbl.remove pending c.call_rid;
-    c.call_resolve (Ok (Error "timeout"))
-  end
-
-let call_release (c : Env.rpc_call) =
-  Engine.cancel (Env.engine c.call_env) c.call_timer;
-  Hashtbl.remove (Env.rpc_pending c.call_env) c.call_rid
-
-(* One wire attempt: send the request, resolve on reply, timeout or local
-   send failure. *)
+(* One wire attempt: send the request, then park on the pending-table
+   entry — the caller's waker — until a reply, the timeout or a local
+   send failure settles it. Whichever way the wait ends, the entry leaves
+   the table before the caller moves on. *)
 let attempt env dst ~timeout ~size proc args =
   let rid = env.Env.rpc_next_rid in
   env.Env.rpc_next_rid <- rid + 1;
   let pending = Env.rpc_pending env in
-  let outcome =
-    Engine.suspend (fun resolve ->
-        let c =
-          { Env.call_env = env; call_rid = rid; call_resolve = resolve; call_timer = Engine.null_event }
-        in
-        Hashtbl.replace pending rid c;
-        (try Sb_socket.send env ~dst ~size (Request { rid; proc; args; ctx = Obs.current () })
-         with Sb_socket.Network_error m ->
-           if Hashtbl.mem pending rid then begin
-             Hashtbl.remove pending rid;
-             resolve (Ok (Error ("net:" ^ m)))
-           end);
-        c.call_timer <- Engine.schedule (Env.engine env) ~delay:timeout (fun () -> call_timeout c);
-        fun () -> call_release c)
-  in
-  match outcome with Ok v -> Ok v | Error m -> Error (decode_error m)
+  let w = Engine.waker (Env.engine env) in
+  Hashtbl.replace pending rid w;
+  (try Sb_socket.send env ~dst ~size (Request { rid; proc; args; ctx = Obs.current () })
+   with Sb_socket.Network_error m ->
+     if Hashtbl.mem pending rid then begin
+       Hashtbl.remove pending rid;
+       Engine.wake w (Error ("net:" ^ m))
+     end);
+  Engine.timeout w timeout;
+  match Engine.await w with
+  | Ok v -> Ok v
+  | Error m -> Error (decode_error m)
+  | exception Engine.Timed_out ->
+      Hashtbl.remove pending rid;
+      Error Timeout
+  | exception (Engine.Process_killed as e) ->
+      Hashtbl.remove pending rid;
+      raise e
 
 let outcome_label = function
   | Ok _ -> "ok"
@@ -178,11 +169,71 @@ let outcome_label = function
   | Error (Remote _) -> "remote"
   | Error (Network _) -> "network"
 
-let a_call_core env dst ~options proc args =
+(* Exponential backoff before retry [n] (1-based): backoff * 2^(n-1),
+   stretched by a seeded jitter fraction drawn from the instance's
+   dedicated RPC stream. The default backoff = 0 takes no delay and
+   consumes no RNG, so fixed-seed traces without the policy stay
+   byte-identical. *)
+let retry_delay env options n =
+  if options.backoff <= 0.0 then 0.0
+  else begin
+    let base = options.backoff *. Float.of_int (1 lsl min (n - 1) 30) in
+    if options.backoff_jitter <= 0.0 then base
+    else base *. (1.0 +. (options.backoff_jitter *. Rng.float (Env.rpc_rng env) 1.0))
+  end
+
+(* The call's closing bookkeeping, once its last attempt ([attempts] in
+   all) has ended. *)
+let close_call env ~t0 ~size sp result attempts =
+  Obs.incr c_calls;
+  (match result with Error Timeout -> Obs.incr c_timeouts | _ -> ());
+  if !Obs.enabled || !Obs.metrics_enabled then begin
+    Obs.observe h_latency (Engine.now (Env.engine env) -. t0);
+    Obs.observe h_bytes (Float.of_int size)
+  end;
+  if !Obs.enabled then
+    Obs.finish
+      ~attrs:[ ("outcome", outcome_label result); ("attempts", string_of_int attempts) ]
+      sp;
+  result
+
+(* Attempt [n] (0-based) of a call and, on a transient failure (Timeout,
+   local Network refusal), the retries the policy allows; a Remote error is
+   the handler's answer and is final. The first attempt runs directly
+   under the call span; each retry gets its own child span numbered with
+   the attempt and tagged with the backoff delay it waited, so the serve
+   spans it causes are distinguishable from the original attempt's. A
+   top-level function over explicit arguments, so a call allocates no
+   closure around its state. *)
+let rec attempts env dst ~options ~timeout ~size ~t0 sp proc args n ~waited =
+  let sp_retry =
+    if n > 0 && !Obs.enabled then
+      Obs.span
+        ~attrs:[ ("attempt", string_of_int n); ("delay", Printf.sprintf "%.6f" waited) ]
+        "rpc.retry"
+    else Obs.null_span
+  in
+  let r = attempt env dst ~timeout ~size proc args in
+  if !Obs.enabled then Obs.finish ~attrs:[ ("outcome", outcome_label r) ] sp_retry;
+  match r with
+  | Error (Timeout | Network _) when n < options.retries ->
+      Obs.incr c_retries;
+      let d = retry_delay env options (n + 1) in
+      if d > 0.0 then Engine.sleep d;
+      attempts env dst ~options ~timeout ~size ~t0 sp proc args (n + 1) ~waited:d
+  | r -> close_call env ~t0 ~size sp r (n + 1)
+
+(* The [?timeout] shorthand and the [?options] policy compose: an explicit
+   timeout overrides the policy's ([base] when none is given), so
+   [a_call ~timeout] keeps meaning what it always did and a policy can
+   still ride along for retries/backoff. The deadline travels on its own,
+   so the shorthand builds no options record per call. *)
+let a_call_core ~base env dst ?timeout ?options proc args =
+  let options = match options with Some o -> o | None -> base in
+  let timeout = match timeout with Some t -> t | None -> options.timeout in
   ensure_bound env;
   let size = request_size proc args in
-  let eng = Env.engine env in
-  let t0 = Engine.now eng in
+  let t0 = Engine.now (Env.engine env) in
   let sp =
     if !Obs.enabled then
       Obs.span
@@ -196,68 +247,10 @@ let a_call_core env dst ~options proc args =
         "rpc.call"
     else Obs.null_span
   in
-  (* Retries cover the transient failures (Timeout, local Network refusal);
-     a Remote error is the handler's answer and is final. The first attempt
-     runs directly under the call span; each retry gets its own child span
-     numbered with the attempt and tagged with the backoff delay it waited,
-     so the serve spans it causes are distinguishable from the original
-     attempt's. *)
-  let retry_delay n =
-    (* exponential backoff before retry [n] (1-based): backoff * 2^(n-1),
-       stretched by a seeded jitter fraction drawn from the instance's
-       dedicated RPC stream. The default backoff = 0 takes no delay and
-       consumes no RNG, so fixed-seed traces without the policy stay
-       byte-identical. *)
-    if options.backoff <= 0.0 then 0.0
-    else begin
-      let base = options.backoff *. Float.of_int (1 lsl min (n - 1) 30) in
-      if options.backoff_jitter <= 0.0 then base
-      else base *. (1.0 +. (options.backoff_jitter *. Rng.float (Env.rpc_rng env) 1.0))
-    end
-  in
-  let rec go n ~waited =
-    let sp_retry =
-      if n > 0 && !Obs.enabled then
-        Obs.span
-          ~attrs:[ ("attempt", string_of_int n); ("delay", Printf.sprintf "%.6f" waited) ]
-          "rpc.retry"
-      else Obs.null_span
-    in
-    let r = attempt env dst ~timeout:options.timeout ~size proc args in
-    if !Obs.enabled then Obs.finish ~attrs:[ ("outcome", outcome_label r) ] sp_retry;
-    match r with
-    | Error (Timeout | Network _) when n < options.retries ->
-        Obs.incr c_retries;
-        let d = retry_delay (n + 1) in
-        if d > 0.0 then Engine.sleep d;
-        go (n + 1) ~waited:d
-    | r -> (r, n + 1)
-  in
-  let result, attempts = go 0 ~waited:0.0 in
-  Obs.incr c_calls;
-  (match result with Error Timeout -> Obs.incr c_timeouts | _ -> ());
-  if !Obs.enabled || !Obs.metrics_enabled then begin
-    Obs.observe h_latency (Engine.now eng -. t0);
-    Obs.observe h_bytes (Float.of_int size)
-  end;
-  if !Obs.enabled then
-    Obs.finish
-      ~attrs:[ ("outcome", outcome_label result); ("attempts", string_of_int attempts) ]
-      sp;
-  result
-
-(* The [?timeout] shorthand and the [?options] policy compose: an explicit
-   timeout overrides the policy's, so [a_call ~timeout] keeps meaning what
-   it always did and a policy can still ride along for retries/backoff. *)
-let resolve ~base ?timeout ?options () =
-  match (timeout, options) with
-  | None, None -> base
-  | None, Some o -> o
-  | Some t, None -> { base with timeout = t }
-  | Some t, Some o -> { o with timeout = t }
+  attempts env dst ~options ~timeout ~size ~t0 sp proc args 0 ~waited:0.0
 
 let a_call env dst ?timeout ?options proc args =
-  a_call_core env dst ~options:(resolve ~base:default_options ?timeout ?options ()) proc args
+  a_call_core ~base:default_options env dst ?timeout ?options proc args
 
 let call env dst ?timeout ?options proc args =
   match a_call env dst ?timeout ?options proc args with
@@ -265,8 +258,9 @@ let call env dst ?timeout ?options proc args =
   | Error e -> raise (Rpc_error e)
 
 let ping env ?timeout ?options dst =
-  let options = resolve ~base:ping_options ?timeout ?options () in
-  match a_call_core env dst ~options "__ping" [] with Ok _ -> true | Error _ -> false
+  match a_call_core ~base:ping_options env dst ?timeout ?options "__ping" [] with
+  | Ok _ -> true
+  | Error _ -> false
 
 (* One-way call: fire the request and return. No reply is expected (the
    callee skips it for negative rids), so no pending-table entry, no

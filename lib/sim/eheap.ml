@@ -46,7 +46,8 @@ let ensure_capacity t =
     t.data <- ndata
   end
 
-let push t ~at ~seq x =
+let push t ~at:(c : fcell) ~seq x =
+  let at = c.v in
   ensure_capacity t;
   (* sift the hole up, then drop the new entry in *)
   let i = ref t.size in

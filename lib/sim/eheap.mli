@@ -31,8 +31,10 @@ val create : dummy:'a -> 'a t
 val size : 'a t -> int
 val is_empty : 'a t -> bool
 
-val push : 'a t -> at:float -> seq:int -> 'a -> unit
-(** Insert [x] keyed on [(at, seq)]. *)
+val push : 'a t -> at:fcell -> seq:int -> 'a -> unit
+(** Insert [x] keyed on [(at.v, seq)]. The key travels in a flat cell the
+    caller owns (and may reuse at once), so a computed key is not boxed
+    for the call. *)
 
 val min_at : 'a t -> float
 (** The [at] key of the minimum entry, or [infinity] when empty. The

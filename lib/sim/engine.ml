@@ -73,6 +73,7 @@ type t = {
   now : fcell;
   queue : event Eheap.t;
   popped : fcell; (* [Eheap.popped_cell queue]: the key of the last pop *)
+  key : fcell; (* the key of the next heap push *)
   (* Same-instant ring: events scheduled for [at = now] while no
      perturbation policy is installed. Such an event must fire after every
      event already queued (all have smaller seq) and before anything at a
@@ -89,7 +90,8 @@ type t = {
   mutable next_pid : int;
   root_rng : Rng.t;
   mutable perturb : perturbation option;
-  mutable current : proc option;
+  (* The process whose fiber is running, or [null_proc]. *)
+  mutable current : proc;
   mutable crashed_list : (proc * exn) list;
   mutable live_events : int;
   mutable heap_dead : int; (* cancelled events still sitting in the heap *)
@@ -99,21 +101,21 @@ type t = {
      in [create]; [spawn] used to build an equivalent closure triple per
      process, which made handler construction the dominant spawn cost. The
      handler finds the process it is serving through [current], which is
-     always [Some p] while p's fiber runs (see [with_current]). *)
+     always that process while its fiber runs. *)
   mutable handler : (unit, unit) Effect.Deep.handler;
   (* Preallocated effc results: [effc] would otherwise allocate a [Some]
      and a closure on every perform. The GADT match refines the
      continuation type, so one shared value per effect suffices; [Sleep]'s
-     float argument travels through [sleep_arg] and [Suspend]'s register
-     function through [susp_register] (each set under the same
-     non-reentrant dispatch that reads it). [Suspend] is polymorphic in
-     its result, so its shared value is stored at [Obj.t] and cast back
-     at dispatch: [handle_suspend] is parametric in that type. *)
+     float argument travels through [sleep_arg] and [Await]'s waker
+     through [await_arg] (each set under the same non-reentrant dispatch
+     that reads it). [Await] is polymorphic in its result, so its shared
+     value is stored at [Obj.t] and cast back at dispatch: the handler
+     only stores the continuation, whatever its type. *)
   mutable eff_self : ((proc, unit) continuation -> unit) option;
   mutable eff_sleep : ((unit, unit) continuation -> unit) option;
-  mutable eff_suspend : ((Obj.t, unit) continuation -> unit) option;
+  mutable eff_await : ((Obj.t, unit) continuation -> unit) option;
   sleep_arg : fcell;
-  mutable susp_register : Obj.t;
+  mutable await_arg : Obj.t;
 }
 
 and proc = {
@@ -126,43 +128,53 @@ and proc = {
   eng : t;
   mutable state : proc_state;
   mutable killed : bool;
-  (* Cooperative processes have at most one outstanding suspension; this
-     thunk discontinues it with Process_killed. [noop] (compared
-     physically) stands for "none", so storing a thunk boxes no option. *)
-  mutable cancel_pending : unit -> unit;
+  (* What a kill must interrupt. Cooperative processes have at most one
+     outstanding suspension: [not_parked] for none, the process's
+     [sleeper] while a sleep timer is pending, or the waker it is parked
+     on. Compared physically, so the field boxes nothing. *)
+  mutable parked : Obj.t;
   mutable exit_hooks : (unit -> unit) list;
-  (* [Some p], allocated once at spawn: every [t.current <- Some p] store
-     on the resume paths reuses it instead of boxing a fresh option. *)
-  self_opt : proc option;
-  (* Sleep fast-path machinery (see [handle_sleep]): built on the first
-     sleep, reused for every later one, so a steady-state sleep allocates
-     only the stored continuation — the timer event record itself is
-     recycled from the previous round once it is (dead && popped).
-     [sleep_k] holds the suspended continuation directly, not behind an
-     option: the [Obj.magic 0] sentinel (an immediate, GC-safe) stands
-     for "none", and [sleep_state] already tracks whether a continuation
-     is pending, so the wrapper only cost an allocation per sleep. *)
-  mutable sleep_state : int; (* 0 idle; 1 timer pending; 2 resume pending *)
-  mutable sleep_k : (unit, unit) continuation;
-  mutable sleep_ctx : Obs.ctx;
-  mutable sleep_ev : event; (* the in-flight timer (then resume) record *)
-  mutable sleep_timer_fn : unit -> unit;
-  mutable sleep_resume_fn : unit -> unit;
-  mutable sleep_kill_fn : unit -> unit; (* [noop] until the first sleep *)
+  (* [no_sleeper] until the first [sleep]: a process that never sleeps
+     (an RPC handler, a one-shot task) carries no sleep machinery. *)
+  mutable sleeper : sleeper;
+  (* Membership of a {!group}: an intrusive doubly-linked list, newest
+     first, so joining and leaving allocate nothing. *)
+  mutable grp : group;
+  mutable g_prev : proc;
+  mutable g_next : proc;
 }
+
+(* Sleep fast-path machinery (see [handle_sleep]): built on the first
+   sleep, reused for every later one, so a steady-state sleep allocates
+   only the stored continuation — the timer event record itself is
+   recycled from the previous round once it is (dead && popped).
+   [sl_k] holds the suspended continuation directly, not behind an
+   option: the [null_k] sentinel stands for "none", and [sl_state]
+   already tracks whether a continuation is pending. *)
+and sleeper = {
+  mutable sl_state : int; (* 0 idle; 1 timer pending; 2 resume pending *)
+  mutable sl_k : (unit, unit) continuation;
+  mutable sl_ctx : Obs.ctx;
+  mutable sl_ev : event; (* the in-flight timer (then resume) record *)
+  sl_timer_fn : unit -> unit;
+  sl_resume_fn : unit -> unit;
+}
+
+and group = { mutable g_head : proc }
 
 type event_id = event
 
-type _ Effect.t += Suspend : ((('a, exn) result -> unit) -> (unit -> unit)) -> 'a Effect.t
 type _ Effect.t += Self : proc Effect.t
 
 (* [sleep] is the single most frequent suspension (every periodic loop,
    every yield): it gets its own effect so the handler can wire the timer
-   and resume events directly, with none of the register/resolve/cleanup
-   closures of the generic [Suspend] protocol. The event schedule it
-   produces is exactly the one the generic path produced — same schedule
-   calls, same order, same delays — so fixed-seed traces are unchanged. *)
+   and resume events directly, with no waker at all. The event schedule it
+   produces is exactly the one a waker with a timer would produce — same
+   schedule calls, same order, same delays. *)
 type _ Effect.t += Sleep : float -> unit Effect.t
+
+(* Parking on a waker: the handler only stores the continuation in it. *)
+type _ Effect.t += Await : Obj.t -> Obj.t Effect.t
 
 let unnamed = String.make 0 'x' (* fresh, physically distinct from any literal *)
 
@@ -175,6 +187,7 @@ let proc_name p =
   else p.pname
 
 let now t = t.now.v
+let clock t = t.now
 let rng t = t.root_rng
 
 let perturbation_active t = t.perturb <> None
@@ -184,14 +197,29 @@ let perturbation_active t = t.perturb <> None
    sleep fast path can never mistake it for a recyclable record. *)
 let dummy_event = { info = 1; fn = ignore }
 
-let null_event = dummy_event
-
 let noop () = ()
 
-(* "No continuation" sentinel for [proc.sleep_k]: an immediate value is
-   GC-safe in a pointer-typed field, and [sleep_state] guarantees the
-   field is never read while it holds the sentinel. *)
-let null_k : (unit, unit) continuation = Obj.magic 0
+(* Sentinels stored in pointer-typed fields, compared physically: an
+   immediate value is GC-safe there, and each field's owner guarantees it
+   is never dereferenced while it holds one. [null_k] stands for "no
+   continuation" ([sleeper.sl_k], [waker.w_k]), [null_proc] for "no
+   process" ([t.current], group links) and [not_parked] for "no
+   suspension" ([proc.parked]). *)
+let[@inline] null_k () : ('a, unit) continuation = Obj.magic 0
+let null_proc : proc = Obj.magic 0
+let not_parked : Obj.t = Obj.repr 0
+
+let no_sleeper =
+  {
+    sl_state = 0;
+    sl_k = null_k ();
+    sl_ctx = Obs.null_ctx;
+    sl_ev = dummy_event;
+    sl_timer_fn = noop;
+    sl_resume_fn = noop;
+  }
+
+let no_group = { g_head = null_proc }
 
 let ring_push t ev =
   let cap = Array.length t.ring in
@@ -235,7 +263,7 @@ let set_perturbation ?(tie_shuffle = true) ?(max_extra_delay = 0.0) t =
       t.ring_dead <- t.ring_dead - 1;
       t.heap_dead <- t.heap_dead + 1
     end;
-    Eheap.push t.queue ~at:t.now.v ~seq:(ev_seq ev) ev
+    Eheap.push t.queue ~at:t.now ~seq:(ev_seq ev) ev
   done;
   t.perturb <-
     Some
@@ -258,7 +286,10 @@ let traced_fn t fn =
     end;
     fn ()
 
-let[@inline] schedule_at t ~at fn =
+(* The due time stays unboxed from the caller's arithmetic to the heap:
+   [schedule_v] is inlined into [schedule] and [schedule_at], and the key
+   reaches [Eheap.push] through the flat cell [t.key]. *)
+let[@inline] schedule_v t at fn =
   let at = if at < t.now.v then t.now.v else at in
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
@@ -275,7 +306,8 @@ let[@inline] schedule_at t ~at fn =
       end
       else begin
         let ev = { info = seq lsl 3; fn } in
-        Eheap.push t.queue ~at ~seq ev;
+        t.key.v <- at;
+        Eheap.push t.queue ~at:t.key ~seq ev;
         t.live_events <- t.live_events + 1;
         note_depth t;
         ev
@@ -289,14 +321,17 @@ let[@inline] schedule_at t ~at fn =
         else seq
       in
       let ev = { info = seq lsl 3; fn } in
-      Eheap.push t.queue ~at ~seq:key ev;
+      t.key.v <- at;
+      Eheap.push t.queue ~at:t.key ~seq:key ev;
       t.live_events <- t.live_events + 1;
       note_depth t;
       ev
 
+let schedule_at t ~(at : fcell) fn = schedule_v t at.v fn
+
 let schedule t ~delay fn =
   let delay = if delay < 0.0 then 0.0 else delay in
-  schedule_at t ~at:(t.now.v +. delay) fn
+  schedule_v t (t.now.v +. delay) fn
 
 (* Cancelled events stay in their queue as tombstones until they surface at
    the top — except that create-then-cancel churn (RPC timeouts are
@@ -475,198 +510,231 @@ let check_crashed t =
   | (p, e) :: _ ->
       failwith (Printf.sprintf "process %s crashed: %s" (proc_name p) (Printexc.to_string e))
 
-(* [Fun.protect]-free current-process bracket: the restore cannot raise, so
-   a plain re-raise is equivalent and allocates nothing. *)
-let with_current t p f =
-  let saved = t.current in
-  t.current <- p.self_opt;
-  match f () with
-  | x ->
-      t.current <- saved;
-      x
-  | exception e ->
-      t.current <- saved;
-      raise e
+(* {3 Groups} *)
 
-(* The process the shared handler is serving: its fiber only ever runs
-   under [with_current], so [current] is [Some p] at every retc/exnc/effc
-   entry. *)
-let cur t = match t.current with Some p -> p | None -> assert false
+let group () = { g_head = null_proc }
+
+let leave p =
+  let g = p.grp in
+  if g != no_group then begin
+    let prev = p.g_prev and next = p.g_next in
+    if prev == null_proc then g.g_head <- next else prev.g_next <- next;
+    if next != null_proc then next.g_prev <- prev;
+    p.grp <- no_group;
+    p.g_prev <- null_proc;
+    p.g_next <- null_proc
+  end
+
+let join g p =
+  if p.state <> Dead then begin
+    leave p;
+    let h = g.g_head in
+    p.grp <- g;
+    p.g_next <- h;
+    if h != null_proc then h.g_prev <- p;
+    g.g_head <- p
+  end
+
+let group_size g =
+  let rec count p n = if p == null_proc then n else count p.g_next (n + 1) in
+  count g.g_head 0
 
 let finish p =
   if p.state <> Dead then begin
     p.state <- Dead;
-    p.cancel_pending <- noop;
+    p.parked <- not_parked;
+    leave p;
     run_exit_hooks p
   end
 
-(* Generic suspension (the [Suspend] effect): capture the continuation,
-   hand user code a one-shot [resolve], arrange for kill to discontinue.
-   One record per suspension holds everything that resolve, the kill
-   thunk and the resume event read, and each of those closures captures
-   only the record. [s_res] is both the settled flag and the result:
-   [unsettled] until the first resolve (or kill) stores what the resume
-   event delivers. *)
-exception Unsettled
+(* Run [k] as process [p]: [p] becomes current and, while tracing is on,
+   its own trace context [ctx] is restored (the event that resumes it
+   would otherwise run under its scheduler's, e.g. a reply delivery's,
+   and misattribute everything [p] does next). A killed process is
+   discontinued with [Process_killed] whatever [r] holds. *)
+let run_k p ctx (k : ('a, unit) continuation) (r : ('a, exn) result) =
+  let t = p.eng in
+  let saved = t.current in
+  t.current <- p;
+  if !Obs.enabled then Obs.set_current ctx;
+  match
+    if p.killed then discontinue k Process_killed
+    else match r with Ok v -> continue k v | Error e -> discontinue k e
+  with
+  | () -> t.current <- saved
+  | exception e ->
+      t.current <- saved;
+      raise e
 
-type 'a susp = {
-  s_proc : proc;
-  s_k : ('a, unit) continuation;
-  (* the process's own trace context, restored on resume while tracing
-     is on (as [sleep] does): the resume event would otherwise run under
-     the resolver's (e.g. a reply delivery), misattributing everything
-     the process does next *)
-  s_ctx : Obs.ctx;
-  mutable s_res : ('a, exn) result;
-  mutable s_cleanup : unit -> unit;
+(* {3 Wakers}
+
+   A waker is the whole state of one suspension, and every party to it —
+   the resolver, the kill path, the timer, the resume event — reads that
+   one record. [w_res] is both the settled flag and the result: [unsettled]
+   until the first [wake], timeout or kill stores what the resume event
+   delivers. Settling cancels the waker's timer, so a timer never
+   keeps the simulation alive (or its closure reachable) past the wait. *)
+exception Unsettled
+exception Timed_out
+
+type 'a waker = {
+  w_proc : proc;
+  mutable w_k : ('a, unit) continuation; (* [null_k] until parked, and after *)
+  w_ctx : Obs.ctx;
+  mutable w_res : ('a, exn) result;
+  mutable w_timer : event; (* [dummy_event] when none *)
 }
 
 let unsettled = Error Unsettled
 let killed_res = Error Process_killed
+let timed_out = Error Timed_out
+let ok_unit = Ok ()
 
-let settle s =
-  s.s_proc.cancel_pending <- noop;
-  let c = s.s_cleanup in
-  s.s_cleanup <- noop;
-  c ()
-
-let susp_resume s =
-  let p = s.s_proc in
-  if p.state = Dead then ()
-  else begin
-    let t = p.eng in
-    let saved = t.current in
-    t.current <- p.self_opt;
-    if !Obs.enabled then Obs.set_current s.s_ctx;
-    match
-      if p.killed then discontinue s.s_k Process_killed
-      else match s.s_res with Ok v -> continue s.s_k v | Error e -> discontinue s.s_k e
-    with
-    | () -> t.current <- saved
-    | exception e ->
-        t.current <- saved;
-        raise e
-  end
-
-let susp_resolve s r =
-  if s.s_res == unsettled then begin
-    s.s_res <- r;
-    settle s;
-    ignore (schedule s.s_proc.eng ~delay:0.0 (fun () -> susp_resume s))
-  end
-
-let susp_kill s =
-  if s.s_res == unsettled then begin
-    s.s_res <- killed_res;
-    settle s;
-    let p = s.s_proc in
-    with_current p.eng p (fun () ->
-        if !Obs.enabled then Obs.set_current s.s_ctx;
-        discontinue s.s_k Process_killed)
-  end
-
-let handle_suspend : type a.
-    proc -> (((a, exn) result -> unit) -> unit -> unit) -> (a, unit) continuation -> unit =
- fun p register k ->
-  let s =
+let waker t =
+  let p = t.current in
+  if p == null_proc then invalid_arg "Engine.waker: not inside a process of this engine";
+  let w =
     {
-      s_proc = p;
-      s_k = k;
-      s_ctx = (if !Obs.enabled then Obs.current () else Obs.null_ctx);
-      s_res = unsettled;
-      s_cleanup = noop;
+      w_proc = p;
+      w_k = null_k ();
+      w_ctx = (if !Obs.enabled then Obs.current () else Obs.null_ctx);
+      w_res = unsettled;
+      w_timer = dummy_event;
     }
   in
-  p.cancel_pending <- (fun () -> susp_kill s);
-  let c = register (fun r -> susp_resolve s r) in
-  if s.s_res != unsettled then c () else s.s_cleanup <- c
+  (* parked from here on, not from [await]: a kill issued while the
+     process is still registering the waker must interrupt it *)
+  p.parked <- Obj.repr w;
+  w
 
-(* Sleep fast path. Event-for-event identical to routing a timer through
-   [handle_suspend] — one timer event now, one resume event when it fires,
-   one thunk event on kill — but with no per-sleep closures: the timer,
-   resume and kill actions are built once per process on its first sleep
-   and driven by a small state machine ([sleep_state]) on the record.
-   When tracing is off the fired timer record itself is resurrected (fresh
-   seq, [fn] flipped to the resume action) as the same-instant resume
-   event, so a steady-state sleep allocates only the timer record and the
-   stored continuation. *)
+let pending w = w.w_res == unsettled
 
-let sleep_resume t p () =
-  p.sleep_state <- 0;
-  let k = p.sleep_k in
-  p.sleep_k <- null_k;
-  if p.state = Dead then ()
-  else begin
-    let saved = t.current in
-    t.current <- p.self_opt;
-    if !Obs.enabled then Obs.set_current p.sleep_ctx;
-    match if p.killed then discontinue k Process_killed else continue k () with
-    | () -> t.current <- saved
-    | exception e ->
-        t.current <- saved;
-        raise e
+let settle w r =
+  w.w_res <- r;
+  let p = w.w_proc in
+  if p.parked == Obj.repr w then p.parked <- not_parked;
+  let ev = w.w_timer in
+  if ev != dummy_event then begin
+    w.w_timer <- dummy_event;
+    cancel p.eng ev
   end
 
-let sleep_timer t p () =
-  p.cancel_pending <- noop;
-  p.sleep_state <- 2;
+let resume w =
+  let p = w.w_proc and k = w.w_k in
+  w.w_k <- null_k ();
+  if p.state <> Dead && k != null_k () then run_k p w.w_ctx k w.w_res
+
+let schedule_resume w = ignore (schedule w.w_proc.eng ~delay:0.0 (fun () -> resume w))
+
+let wake w v =
+  if w.w_res == unsettled then begin
+    settle w (Ok v);
+    schedule_resume w
+  end
+
+let time_out w =
+  if w.w_res == unsettled then begin
+    settle w timed_out;
+    schedule_resume w
+  end
+
+let timeout w d =
+  let t = w.w_proc.eng in
+  let ev = schedule t ~delay:d (fun () -> time_out w) in
+  if w.w_res == unsettled then w.w_timer <- ev else cancel t ev
+
+(* Runs as the kill event of a process parked on [w]. *)
+let kill_waker w =
+  if w.w_res == unsettled then begin
+    settle w killed_res;
+    let k = w.w_k in
+    w.w_k <- null_k ();
+    if k != null_k () then run_k w.w_proc w.w_ctx k killed_res
+  end
+
+(* {3 Sleep}
+
+   Event-for-event identical to a waker with a timer — one timer event
+   now, one resume event when it fires, one event on kill — but with no
+   per-sleep record: the timer and resume actions are built once per
+   process on its first sleep and driven by [sl_state]. When tracing is
+   off the fired timer record itself is resurrected (fresh seq, [fn]
+   flipped to the resume action) as the same-instant resume event, so a
+   steady-state sleep allocates only the timer record and the stored
+   continuation. *)
+
+let sleep_resume p =
+  let sl = p.sleeper in
+  sl.sl_state <- 0;
+  let k = sl.sl_k in
+  sl.sl_k <- null_k ();
+  if p.state <> Dead then run_k p sl.sl_ctx k ok_unit
+
+let sleep_timer p =
+  let t = p.eng and sl = p.sleeper in
+  p.parked <- not_parked;
+  sl.sl_state <- 2;
   if (not !Obs.enabled) && t.perturb == None then begin
     (* resurrect the fired timer record as the resume event: this is
        exactly [schedule ~delay:0.0] — fresh seq, same-instant ring entry —
        minus the allocation (a record is resurrected only untraced, so
        there is no trace context to wrap in) *)
-    let ev = p.sleep_ev in
+    let ev = sl.sl_ev in
     let seq = t.next_seq in
     t.next_seq <- seq + 1;
     ev.info <- (seq lsl 3) lor 2;
-    ev.fn <- p.sleep_resume_fn;
+    ev.fn <- sl.sl_resume_fn;
     ring_push t ev;
     t.live_events <- t.live_events + 1;
     note_depth t
   end
-  else p.sleep_ev <- schedule t ~delay:0.0 p.sleep_resume_fn
+  else sl.sl_ev <- schedule t ~delay:0.0 sl.sl_resume_fn
 
-let sleep_kill t p () =
-  (* runs as the kill thunk: only a still-pending timer needs acting on —
-     once the timer fired ([sleep_state = 2]) the resume event is already
-     queued and will observe [killed] *)
-  if p.sleep_state = 1 then begin
-    p.sleep_state <- 0;
-    cancel t p.sleep_ev;
-    p.cancel_pending <- noop;
-    let k = p.sleep_k in
-    p.sleep_k <- null_k;
-    let saved = t.current in
-    t.current <- p.self_opt;
-    if !Obs.enabled then Obs.set_current p.sleep_ctx;
-    match discontinue k Process_killed with
-    | () -> t.current <- saved
-    | exception e ->
-        t.current <- saved;
-        raise e
+(* Runs as the kill event of a sleeping process: only a still-pending
+   timer needs acting on — once the timer fired ([sl_state = 2]) the
+   resume event is already queued and will observe [killed]. *)
+let sleep_kill p =
+  let sl = p.sleeper in
+  if sl.sl_state = 1 then begin
+    sl.sl_state <- 0;
+    cancel p.eng sl.sl_ev;
+    p.parked <- not_parked;
+    let k = sl.sl_k in
+    sl.sl_k <- null_k ();
+    run_k p sl.sl_ctx k killed_res
   end
+
+let new_sleeper p =
+  let sl =
+    {
+      sl_state = 0;
+      sl_k = null_k ();
+      sl_ctx = Obs.null_ctx;
+      sl_ev = dummy_event;
+      sl_timer_fn = (fun () -> sleep_timer p);
+      sl_resume_fn = (fun () -> sleep_resume p);
+    }
+  in
+  p.sleeper <- sl;
+  sl
 
 (* The delay travels through [t.sleep_arg] (set by the [Sleep] dispatch in
    [effc] just before this runs), not as a float parameter: without
    cross-module inlining a float argument is boxed at every call. *)
 let handle_sleep t p (k : (unit, unit) continuation) =
   let d = t.sleep_arg.v in
-  if p.sleep_kill_fn == noop then begin
-    p.sleep_timer_fn <- sleep_timer t p;
-    p.sleep_resume_fn <- sleep_resume t p;
-    p.sleep_kill_fn <- sleep_kill t p
-  end;
-  p.sleep_k <- k;
-  p.sleep_ctx <- (if !Obs.enabled then Obs.current () else Obs.null_ctx);
-  p.sleep_state <- 1;
-  let ev = p.sleep_ev in
+  let sl = if p.sleeper == no_sleeper then new_sleeper p else p.sleeper in
+  sl.sl_k <- k;
+  sl.sl_ctx <- (if !Obs.enabled then Obs.current () else Obs.null_ctx);
+  sl.sl_state <- 1;
+  let ev = sl.sl_ev in
   if
     ev.info land 5 = 5 (* dead && popped: fired and fully dequeued *)
     && (not !Obs.enabled)
     && t.perturb == None
   then begin
-    (* Recycle last round's record as this round's timer: the proc is the
-       only holder of a fired record, so in the steady state one event
+    (* Recycle last round's record as this round's timer: the sleeper is
+       the only holder of a fired record, so in the steady state one event
        record serves a proc for its whole life and a sleep allocates
        nothing but the stored continuation. Exactly [schedule ~delay:d]
        minus the allocation; a record is never recycled while tracing is
@@ -675,27 +743,28 @@ let handle_sleep t p (k : (unit, unit) continuation) =
     let at = t.now.v +. d in
     let seq = t.next_seq in
     t.next_seq <- seq + 1;
-    ev.fn <- p.sleep_timer_fn;
+    ev.fn <- sl.sl_timer_fn;
     if at = t.now.v then begin
       ev.info <- (seq lsl 3) lor 2;
       ring_push t ev
     end
     else begin
       ev.info <- seq lsl 3;
-      Eheap.push t.queue ~at ~seq ev
+      t.key.v <- at;
+      Eheap.push t.queue ~at:t.key ~seq ev
     end;
     t.live_events <- t.live_events + 1;
     note_depth t
   end
-  else p.sleep_ev <- schedule t ~delay:d p.sleep_timer_fn;
-  p.cancel_pending <- p.sleep_kill_fn
+  else sl.sl_ev <- schedule t ~delay:d sl.sl_timer_fn;
+  p.parked <- Obj.repr sl
 
 let make_handler t : (unit, unit) Effect.Deep.handler =
   {
-    retc = (fun () -> finish (cur t));
+    retc = (fun () -> finish t.current);
     exnc =
       (fun e ->
-        let p = cur t in
+        let p = t.current in
         (match e with
         | Process_killed -> ()
         | e ->
@@ -716,9 +785,10 @@ let make_handler t : (unit, unit) Effect.Deep.handler =
             t.sleep_arg.v <- d;
             let r : ((b, unit) continuation -> unit) option = t.eff_sleep in
             r
-        | Suspend register ->
-            t.susp_register <- Obj.repr register;
-            (Obj.magic t.eff_suspend : ((b, unit) continuation -> unit) option)
+        | Await w ->
+            t.await_arg <- w;
+            let r : ((b, unit) continuation -> unit) option = t.eff_await in
+            r
         | _ -> None);
   }
 
@@ -729,6 +799,7 @@ let create ?(seed = 42) () =
       now = { v = 0.0 };
       queue;
       popped = Eheap.popped_cell queue;
+      key = { v = 0.0 };
       ring = [||];
       ring_head = 0;
       ring_len = 0;
@@ -737,7 +808,7 @@ let create ?(seed = 42) () =
       next_pid = 0;
       root_rng = Rng.create seed;
       perturb = None;
-      current = None;
+      current = null_proc;
       crashed_list = [];
       live_events = 0;
       heap_dead = 0;
@@ -746,61 +817,66 @@ let create ?(seed = 42) () =
       handler = { retc = ignore; exnc = raise; effc = (fun _ -> None) };
       eff_self = None;
       eff_sleep = None;
-      eff_suspend = None;
+      eff_await = None;
       sleep_arg = { v = 0.0 };
-      susp_register = Obj.repr 0;
+      await_arg = not_parked;
     }
   in
   t.handler <- make_handler t;
-  t.eff_self <- Some (fun (k : (proc, unit) continuation) -> continue k (cur t));
-  t.eff_sleep <- Some (fun (k : (unit, unit) continuation) -> handle_sleep t (cur t) k);
-  t.eff_suspend <-
+  t.eff_self <- Some (fun (k : (proc, unit) continuation) -> continue k t.current);
+  t.eff_sleep <- Some (fun (k : (unit, unit) continuation) -> handle_sleep t t.current k);
+  t.eff_await <-
     Some
       (fun (k : (Obj.t, unit) continuation) ->
-        let register : ((Obj.t, exn) result -> unit) -> unit -> unit = Obj.obj t.susp_register in
-        t.susp_register <- Obj.repr 0;
-        handle_suspend (cur t) register k);
+        (* the waker is already wired (and, if it settled while being
+           registered, its resume event already queued): parking is
+           storing the continuation *)
+        let w : Obj.t waker = Obj.obj t.await_arg in
+        t.await_arg <- not_parked;
+        w.w_k <- k);
   (* The trace is stamped with virtual time: the most recently created
      engine on this domain owns the observability clock. *)
   Obs.set_clock (fun () -> t.now.v);
   t
 
+let start p f =
+  if p.state = Pending then
+    if p.killed then finish p
+    else begin
+      p.state <- Active;
+      let t = p.eng in
+      let saved = t.current in
+      t.current <- p;
+      match match_with f () t.handler with
+      | () -> t.current <- saved
+      | exception e ->
+          t.current <- saved;
+          raise e
+    end
+
 let spawn ?name t f =
   let pid = t.next_pid in
   t.next_pid <- pid + 1;
-  let rec p =
+  let p =
     {
       pid;
       pname = (match name with Some n -> n | None -> unnamed);
       eng = t;
       state = Pending;
       killed = false;
-      cancel_pending = noop;
+      parked = not_parked;
       exit_hooks = [];
-      self_opt = Some p;
-      sleep_state = 0;
-      sleep_k = null_k;
-      sleep_ctx = Obs.null_ctx;
-      sleep_ev = dummy_event;
-      sleep_timer_fn = noop;
-      sleep_resume_fn = noop;
-      sleep_kill_fn = noop;
+      sleeper = no_sleeper;
+      grp = no_group;
+      g_prev = null_proc;
+      g_next = null_proc;
     }
   in
   Obs.incr c_spawns;
   if !Obs.enabled then
     (* attr key is proc_id, not pid: pid is the record's parent-span field *)
     Obs.event ~attrs:[ ("proc", proc_name p); ("proc_id", string_of_int pid) ] "engine.spawn";
-  ignore
-    (schedule t ~delay:0.0 (fun () ->
-         if p.state = Pending && not p.killed then begin
-           p.state <- Active;
-           with_current t p (fun () -> match_with f () t.handler)
-         end
-         else if p.state = Pending then begin
-           p.state <- Dead;
-           run_exit_hooks p
-         end));
+  ignore (schedule t ~delay:0.0 (fun () -> start p f));
   p
 
 let note_kill p =
@@ -815,38 +891,55 @@ let kill t p =
       if not p.killed then begin
         p.killed <- true;
         note_kill p;
-        (* the start event will notice and run exit hooks *)
-        ignore
-          (schedule t ~delay:0.0 (fun () ->
-               if p.state = Pending then begin
-                 p.state <- Dead;
-                 run_exit_hooks p
-               end))
+        (* the start event will notice too; whichever fires first ends it *)
+        ignore (schedule t ~delay:0.0 (fun () -> if p.state = Pending then finish p))
       end
   | Active ->
       if not p.killed then begin
         p.killed <- true;
         note_kill p;
-        let thunk = p.cancel_pending in
-        if thunk != noop then begin
-          p.cancel_pending <- noop;
-          ignore (schedule t ~delay:0.0 thunk)
+        let pk = p.parked in
+        if pk != not_parked then begin
+          p.parked <- not_parked;
+          if pk == Obj.repr p.sleeper then ignore (schedule t ~delay:0.0 (fun () -> sleep_kill p))
+          else begin
+            let w : Obj.t waker = Obj.obj pk in
+            ignore (schedule t ~delay:0.0 (fun () -> kill_waker w))
+          end
         end
-        else
-          match t.current with
-          | Some q when q == p ->
-              (* self-kill while running: unwind immediately *)
-              raise Process_killed
-          | _ ->
-              (* a resume is already scheduled; it will observe [killed]
-                 and discontinue *)
-              ()
+        else if t.current == p then
+          (* self-kill while running: unwind immediately *)
+          raise Process_killed
+        (* otherwise a resume is already scheduled; it will observe
+           [killed] and discontinue *)
       end
+
+(* Kill every member, newest first, the calling process (if a member)
+   last: self-kill raises and unwinds the caller. Each member leaves the
+   group before it is killed, so its exit finds nothing to unlink. *)
+let kill_group t g =
+  let self = t.current in
+  let rec go p self_member =
+    if p == null_proc then self_member
+    else begin
+      let next = p.g_next in
+      p.grp <- no_group;
+      p.g_prev <- null_proc;
+      p.g_next <- null_proc;
+      if p == self then go next true
+      else begin
+        kill t p;
+        go next self_member
+      end
+    end
+  in
+  let first = g.g_head in
+  g.g_head <- null_proc;
+  if go first false then kill t self
 
 (* {2 Blocking operations} *)
 
 let self () = perform Self
 let engine () = (perform Self).eng
-let suspend register = perform (Suspend register)
-let suspend_ register = suspend (fun resolve -> register resolve; fun () -> ())
+let await (w : 'a waker) : 'a = Obj.obj (perform (Await (Obj.repr w)))
 let sleep d = perform (Sleep d)

@@ -5,7 +5,7 @@
     and it hosts lightweight cooperative processes implemented with OCaml 5
     effect handlers. Processes are the reproduction of SPLAY's Lua
     coroutines: application code calls blocking-looking operations
-    ({!sleep}, {!suspend}, RPCs built on them) and the handler turns each
+    ({!sleep}, {!await}, RPCs built on them) and the handler turns each
     into an event-queue suspension, so protocol code reads like the
     pseudo-code in the paper.
 
@@ -46,6 +46,14 @@ val create : ?seed:int -> unit -> t
 val now : t -> float
 (** Current virtual time in seconds. *)
 
+type fcell = Eheap.fcell = { mutable v : float }
+
+val clock : t -> fcell
+(** The engine's clock cell: [(clock t).v = now t]. Reading the field
+    loads an unboxed float, where {!now}, a float returned across a module
+    boundary, allocates a box per call; hot paths (the network's send)
+    read the clock this way. Read it, never write it. *)
+
 val rng : t -> Rng.t
 (** The engine's root RNG. Components should {!Rng.split} it. *)
 
@@ -71,12 +79,11 @@ val schedule : t -> delay:float -> (unit -> unit) -> event_id
 (** [schedule t ~delay f] runs [f] at [now t +. delay]. Negative delays are
     clamped to 0. *)
 
-val schedule_at : t -> at:float -> (unit -> unit) -> event_id
-(** Absolute-time variant; times in the past are clamped to [now]. *)
-
-val null_event : event_id
-(** A handle that was never scheduled, for records that learn their
-    event later: cancelling it is a no-op. *)
+val schedule_at : t -> at:fcell -> (unit -> unit) -> event_id
+(** Absolute-time variant: [f] runs at [at.v]; times in the past are
+    clamped to [now]. The time travels in a flat cell the caller owns (and
+    may reuse at once) so that a computed due time is not boxed for the
+    call. *)
 
 val cancel : t -> event_id -> unit
 (** Cancel a pending event in O(1). Cancelling an already-fired or
@@ -151,25 +158,80 @@ val check_crashed : t -> unit
     crash, if any process crashed. Every harness calls this after a run:
     an experiment with a dying process is not a result. *)
 
+(** {1 Process groups}
+
+    The processes an application instance owns, so that stopping the
+    instance can kill them all. Membership is threaded through the
+    process records themselves: joining and leaving allocate nothing, and
+    a process leaves its group when it terminates. *)
+
+type group
+
+val group : unit -> group
+(** An empty group. *)
+
+val join : group -> proc -> unit
+(** Add a live process (leaving any group it was in); a dead one is
+    ignored. *)
+
+val group_size : group -> int
+(** Live members, counted in O(members). *)
+
+val kill_group : t -> group -> unit
+(** Empty the group and {!kill} every former member, newest first; the
+    calling process, if a member, is killed last (so this raises
+    {!Process_killed} in it). *)
+
 (** {1 Blocking operations — valid only inside a process} *)
 
 val sleep : float -> unit
 (** Suspend the calling process for the given virtual duration. *)
 
-val suspend : ((('a, exn) result -> unit) -> (unit -> unit)) -> 'a
-(** [suspend register] captures the calling process's continuation and calls
-    [register resolve]. The suspension finishes when [resolve] is called:
-    [Ok v] resumes with [v], [Error e] raises [e] in the process. [resolve]
-    is one-shot; later calls are ignored (so a reply racing a timeout is
-    safe). Resumption happens as a fresh event at the instant [resolve] is
-    called.
+(** {2 Wakers}
 
-    [register] returns a cleanup thunk, invoked exactly once when the
-    suspension settles (first resolve, or kill of the process); use it to
-    cancel backing timers so they do not keep the simulation alive. *)
+    A waker is one suspension of one process, as a single record: whoever
+    will resume the process (an {!Ivar} fill, a {!Channel} send, a reply)
+    holds the waker itself, not a closure around it. The protocol:
 
-val suspend_ : ((('a, exn) result -> unit) -> unit) -> 'a
-(** {!suspend} with no cleanup. *)
+    + [let w = waker t] inside a process of [t];
+    + register [w] wherever the event that ends the wait will find it,
+      and optionally arm {!timeout};
+    + [await w] parks the process until [w] settles, and returns the
+      value or raises the exception it settled with.
+
+    [w] settles exactly once, by the first of {!wake}, its timeout or a
+    {!kill} of the process; later attempts are ignored, so a
+    reply racing a timeout is safe. Settling cancels the timer and queues
+    the resume as a fresh event at the settling instant — also when [w]
+    settles during registration, before [await]. A killed process is
+    discontinued with {!Process_killed} at the kill instant, and its
+    waker stays settled: a resolver that finds it later ({!pending} is
+    [false]) drops it. Nothing else is allocated per suspension besides
+    the resume event and, with {!timeout}, the timer. *)
+
+type 'a waker
+
+exception Timed_out
+(** What {!await} raises when the waker's {!timeout} fired first. *)
+
+val waker : t -> 'a waker
+(** A fresh waker for the calling process. From here on the process
+    counts as suspended on it for {!kill}. Raises [Invalid_argument]
+    outside a process of [t]. *)
+
+val await : 'a waker -> 'a
+(** Park the calling process (the one {!waker} was called in) until the
+    waker settles. *)
+
+val wake : 'a waker -> 'a -> unit
+(** Settle with a value, if still pending. *)
+
+val timeout : 'a waker -> float -> unit
+(** Arm the waker's timer, at most once per waker: after the delay it
+    settles with {!Timed_out} unless it settled first. *)
+
+val pending : 'a waker -> bool
+(** [true] until the waker settles. *)
 
 val self : unit -> proc
 (** The calling process. *)

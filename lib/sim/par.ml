@@ -144,6 +144,7 @@ let post t ~src ~dst ~at fn =
 let absorb_mail t i =
   let eng = t.engines.(i) in
   let now = Engine.now eng in
+  let due = { Engine.v = 0.0 } in
   for src = 0 to t.parts - 1 do
     let m = t.mail.((src * t.parts) + i) in
     if m.m_len > 0 then begin
@@ -153,7 +154,8 @@ let absorb_mail t i =
           failwith
             (Printf.sprintf "Par: cross-partition event at %g in partition %d's past (now %g)" at i
                now);
-        ignore (Engine.schedule_at eng ~at m.m_fn.(k));
+        due.v <- at;
+        ignore (Engine.schedule_at eng ~at:due m.m_fn.(k));
         m.m_fn.(k) <- noop (* release the closure *)
       done;
       m.m_len <- 0

@@ -127,6 +127,31 @@ let test_net_delivery () =
       | [ (0, 7, t) ] -> Alcotest.(check bool) "delivered after positive delay" true (t > 0.0)
       | _ -> Alcotest.fail "expected exactly one delivery")
 
+(* What a compact send allocates: its 3-word event and its 7-word
+   delivery closure. The clock, the propagation delay and the due time
+   travel through flat cells, so no float is boxed on the way. The first
+   batch grows the event heap; the second is measured. *)
+let test_net_send_minor_words () =
+  let eng = Engine.create ~seed:3 () in
+  let tb = Testbed.synthetic ~hosts:2 (Engine.rng eng) in
+  let net = Net.create eng tb in
+  let src = Addr.make 0 1 and dst = Addr.make 1 1 and msg = Probe 1 in
+  let n = 10_000 in
+  let batch () =
+    for _ = 1 to n do
+      Net.send net ~src ~dst msg
+    done
+  in
+  batch ();
+  ignore (Engine.run eng);
+  let w0 = Gc.minor_words () in
+  batch ();
+  let per_send = (Gc.minor_words () -. w0) /. Float.of_int n in
+  Alcotest.(check int) "all queued" n (Engine.pending_events eng);
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f minor words per compact send (bound 10)" per_send)
+    true (per_send <= 10.0)
+
 let test_net_unbound_drops () =
   with_net `Cluster (fun eng net ->
       Net.send net ~src:(Addr.make 0 1) ~dst:(Addr.make 1 9) (Probe 1);
@@ -400,6 +425,7 @@ let () =
       ( "net",
         [
           Alcotest.test_case "delivery" `Quick test_net_delivery;
+          Alcotest.test_case "send minor words" `Quick test_net_send_minor_words;
           Alcotest.test_case "unbound drops" `Quick test_net_unbound_drops;
           Alcotest.test_case "down host" `Quick test_net_down_host;
           Alcotest.test_case "loss" `Quick test_net_loss;

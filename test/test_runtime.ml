@@ -426,6 +426,69 @@ let test_lock_fifo () =
       ignore (Engine.run eng);
       Alcotest.(check (list int)) "fifo" [ 1; 2; 3 ] (List.rev !order))
 
+(* Kill while parked, for the lock and RPC wakers: the wait's cleanup
+   runs once, exit hooks run once, and nothing resumes the dead process
+   later (compare test_sim's Ivar and Channel cases). *)
+let killed_while_parked eng ~wait ~after_kill =
+  let resumed = ref false and cleaned = ref 0 and exits = ref 0 in
+  let p =
+    Engine.spawn eng (fun () ->
+        Fun.protect
+          ~finally:(fun () -> incr cleaned)
+          (fun () ->
+            wait ();
+            resumed := true))
+  in
+  Engine.on_exit p (fun () -> incr exits);
+  ignore (Engine.schedule eng ~delay:1.0 (fun () -> Engine.kill eng p));
+  ignore (Engine.schedule eng ~delay:1.5 (fun () -> after_kill ()));
+  ignore (Engine.run eng);
+  Alcotest.(check bool) "no late resume" false !resumed;
+  Alcotest.(check int) "unwound once" 1 !cleaned;
+  Alcotest.(check int) "exit hooks once" 1 !exits;
+  Alcotest.(check bool) "dead" false (Engine.alive p)
+
+let test_lock_kill_while_parked () =
+  with_cluster (fun eng _ ->
+      let l = Locks.create () in
+      Locks.lock l;
+      let next = ref false in
+      killed_while_parked eng
+        ~wait:(fun () -> Locks.lock l)
+        ~after_kill:(fun () ->
+          (* the dead waiter is skipped: ownership goes to the live one *)
+          ignore
+            (Engine.spawn eng (fun () ->
+                 Locks.lock l;
+                 next := true;
+                 Locks.unlock l));
+          ignore (Engine.schedule eng ~delay:1.0 (fun () -> Locks.unlock l)));
+      Alcotest.(check bool) "next waiter got the lock" true !next;
+      Alcotest.(check bool) "released" false (Locks.is_locked l))
+
+let test_rpc_kill_while_parked () =
+  with_cluster (fun eng net ->
+      let server = mk_env net 0 and client = mk_env net 1 in
+      (* the reply comes after the kill *)
+      Rpc.server server
+        [
+          ( "slow",
+            fun _ ->
+              Engine.sleep 2.0;
+              Codec.Int 1 );
+        ];
+      Rpc.client client;
+      let pending_after_kill = ref (-1) and table_after_kill = ref (-1) in
+      killed_while_parked eng
+        ~wait:(fun () -> ignore (Rpc.a_call client server.Env.me ~timeout:10.0 "slow" []))
+        ~after_kill:(fun () ->
+          table_after_kill := Hashtbl.length (Env.rpc_pending client);
+          (* only the handler's sleep is left: the 10 s timer went with the call *)
+          pending_after_kill := Engine.pending_events eng);
+      Alcotest.(check int) "pending entry removed at the kill" 0 !table_after_kill;
+      Alcotest.(check int) "timer cancelled at the kill" 1 !pending_after_kill;
+      Alcotest.(check bool) "late reply dropped, not the timeout" true (Engine.now eng < 10.0))
+
 let test_lock_released_on_kill () =
   with_cluster (fun eng _ ->
       let l = Locks.create () in
@@ -729,8 +792,80 @@ let test_parked_caller_footprint () =
   Alcotest.(check int) "every caller parked" n (Hashtbl.length (Env.rpc_pending env));
   Alcotest.(check int) "no message in flight" n (Engine.pending_events eng);
   Alcotest.(check bool)
-    (Printf.sprintf "%.1f words per parked RPC caller (bound 82)" per_caller)
-    true (per_caller < 82.0)
+    (Printf.sprintf "%.1f words per parked RPC caller (bound 45.5)" per_caller)
+    true (per_caller < 45.5)
+
+(* A parked callee: a handler blocked in [Ivar.read], as a [Dht_store]
+   fetch waits for its owner's service slot under serve. One-way requests,
+   so no caller is parked; every handler parks on its own Ivar, held by a
+   table the way the store's queue holds it. What stays reachable is the
+   process record, the Ivar, its waiter cell and the waker with its
+   continuation block (fiber stacks are not scanned). *)
+let test_parked_callee_footprint () =
+  let n = footprint_n in
+  let eng = Engine.create ~seed:17 () in
+  let tb = Testbed.synthetic ~hosts:2 (Engine.rng eng) in
+  let net = Net.create eng tb in
+  let client = Env.create net ~me:(Addr.make 0 2000) in
+  let server = Env.create net ~me:(Addr.make 1 2000) in
+  let slots = Queue.create () in
+  Rpc.server server
+    [
+      ( "fetch",
+        fun _ ->
+          let iv = Ivar.create () in
+          Queue.add iv slots;
+          Ivar.read iv );
+    ];
+  Rpc.client client;
+  let root () = Obj.reachable_words (Obj.repr (eng, client, server, slots)) in
+  let base = root () in
+  for _ = 1 to n do
+    Rpc.notify client [ server.Env.me ] "fetch" []
+  done;
+  ignore (Engine.run eng);
+  let per_callee = Float.of_int (root () - base) /. Float.of_int n in
+  Alcotest.(check int) "every callee parked" n (Env.live_procs server);
+  Alcotest.(check int) "nothing queued" 0 (Engine.pending_events eng);
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f words per parked RPC callee (bound 37.7)" per_callee)
+    true (per_callee < 37.7)
+
+(* Minor words per bare [a_call] round trip, both ends: the request send,
+   the callee's process, its reply and the caller's suspension and resume
+   (4 events). [Obj.reachable_words] does not see closures that live only
+   on a parked fiber's stack; allocation counts them. *)
+let test_roundtrip_minor_words () =
+  let eng = Engine.create ~seed:17 () in
+  let tb = Testbed.synthetic ~hosts:2 (Engine.rng eng) in
+  let net = Net.create eng tb in
+  let server = Env.create net ~me:(Addr.make 0 2000) in
+  let client = Env.create net ~me:(Addr.make 1 2000) in
+  Rpc.server server [ ("noop", fun _ -> Codec.Null) ];
+  Rpc.client client;
+  let calls k =
+    ignore
+      (Env.thread client (fun () ->
+           for _ = 1 to k do
+             match Rpc.a_call client server.Env.me "noop" [] with
+             | Ok _ -> ()
+             | Error e -> Alcotest.failf "call failed: %s" (Rpc.error_to_string e)
+           done));
+    ignore (Engine.run eng)
+  in
+  (* warm up: the pending table and the event queue reach their size *)
+  calls 100;
+  let n = 20_000 in
+  let e0 = (Engine.stats eng).Engine.events_fired in
+  let w0 = Gc.minor_words () in
+  calls n;
+  let per_call = (Gc.minor_words () -. w0) /. Float.of_int n in
+  let events = (Engine.stats eng).Engine.events_fired - e0 in
+  (* plus the caller thread's own start event *)
+  Alcotest.(check int) "4 events per round trip" ((4 * n) + 1) events;
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f minor words per a_call round trip (bound 140)" per_call)
+    true (per_call < 140.0)
 
 let test_message_loss_forces_timeout () =
   with_cluster (fun eng net ->
@@ -825,7 +960,17 @@ let test_codec_encoded_size () =
   check_sz "negative" (Codec.Int (-7));
   check_sz "control chars" (Codec.String "a\x01\"\\\n\r\tz");
   check_sz "float integral" (Codec.Float 3.0);
-  check_sz "float fraction" (Codec.Float 0.1)
+  check_sz "float fraction" (Codec.Float 0.1);
+  (* sizing runs on every request and reply: it must not allocate *)
+  let route_reply =
+    Codec.List
+      [ Codec.String "9f8e7d6c5b4a39281706f5e4d3c2b1a0"; Codec.String "10.0.3.7:2000"; Codec.Int 3 ]
+  in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    ignore (Sys.opaque_identity (Codec.encoded_size route_reply))
+  done;
+  Alcotest.(check (float 0.0)) "encoded_size allocates nothing" 0.0 (Gc.minor_words () -. w0)
 
 (* The structural-recursion [encoded_size] must agree with the writer for
    every value shape — it is used to charge network byte costs, so a drift
@@ -1067,6 +1212,7 @@ let () =
           Alcotest.test_case "mutual exclusion" `Quick test_lock_mutual_exclusion;
           Alcotest.test_case "fifo" `Quick test_lock_fifo;
           Alcotest.test_case "released on kill" `Quick test_lock_released_on_kill;
+          Alcotest.test_case "kill while parked" `Quick test_lock_kill_while_parked;
           Alcotest.test_case "try_lock" `Quick test_try_lock;
         ] );
       ( "env",
@@ -1090,6 +1236,9 @@ let () =
           Alcotest.test_case "notify one-way" `Quick test_rpc_notify_one_way;
           Alcotest.test_case "footprint per queued notify" `Quick test_notify_footprint;
           Alcotest.test_case "footprint per parked caller" `Quick test_parked_caller_footprint;
+          Alcotest.test_case "footprint per parked callee" `Quick test_parked_callee_footprint;
+          Alcotest.test_case "minor words per round trip" `Quick test_roundtrip_minor_words;
+          Alcotest.test_case "kill while parked" `Quick test_rpc_kill_while_parked;
           Alcotest.test_case "loss forces timeout" `Quick test_message_loss_forces_timeout;
         ] );
       ( "log",

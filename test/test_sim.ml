@@ -12,7 +12,7 @@ let drain_eheap h =
 
 let test_eheap_order () =
   let h = Eheap.create ~dummy:0 in
-  List.iteri (fun i x -> Eheap.push h ~at:(Float.of_int x) ~seq:i x) [ 5; 3; 8; 1; 9; 2; 7 ];
+  List.iteri (fun i x -> Eheap.push h ~at:{ Eheap.v = Float.of_int x } ~seq:i x) [ 5; 3; 8; 1; 9; 2; 7 ];
   Alcotest.(check int) "size" 7 (Eheap.size h);
   check_float "min_at" 1.0 (Eheap.min_at h);
   Alcotest.(check (option int)) "peek" (Some 1) (Eheap.peek h);
@@ -24,7 +24,7 @@ let test_eheap_empty () =
   Alcotest.(check bool) "is_empty" true (Eheap.is_empty h);
   Alcotest.(check bool) "min_at empty" true (Eheap.min_at h = infinity);
   Alcotest.(check (option int)) "peek" None (Eheap.peek h);
-  Eheap.push h ~at:1.0 ~seq:0 1;
+  Eheap.push h ~at:{ Eheap.v = 1.0 } ~seq:0 1;
   Eheap.clear h;
   Alcotest.(check bool) "cleared" true (Eheap.is_empty h)
 
@@ -32,16 +32,16 @@ let test_eheap_fifo_ties () =
   (* entries sharing [at] must come out in seq (= insertion) order *)
   let h = Eheap.create ~dummy:0 in
   for i = 0 to 9 do
-    Eheap.push h ~at:1.0 ~seq:i i
+    Eheap.push h ~at:{ Eheap.v = 1.0 } ~seq:i i
   done;
-  Eheap.push h ~at:0.5 ~seq:100 100;
+  Eheap.push h ~at:{ Eheap.v = 0.5 } ~seq:100 100;
   Alcotest.(check (list int)) "fifo among ties" (100 :: List.init 10 Fun.id) (drain_eheap h)
 
 let test_eheap_filter () =
   let h = Eheap.create ~dummy:0 in
   (* i * 7 mod 100 is a bijection on 0..99, so every key is unique *)
   for i = 0 to 99 do
-    Eheap.push h ~at:(Float.of_int (i * 7 mod 100)) ~seq:i i
+    Eheap.push h ~at:{ Eheap.v = Float.of_int (i * 7 mod 100) } ~seq:i i
   done;
   Eheap.filter_in_place h (fun x -> x mod 2 = 0);
   Alcotest.(check int) "size halved" 50 (Eheap.size h);
@@ -59,7 +59,7 @@ let test_eheap_filter () =
 let test_eheap_no_retention () =
   let h = Eheap.create ~dummy:Bytes.empty in
   for i = 0 to 99 do
-    Eheap.push h ~at:(Float.of_int i) ~seq:i (Bytes.create 1000)
+    Eheap.push h ~at:{ Eheap.v = Float.of_int i } ~seq:i (Bytes.create 1000)
   done;
   for _ = 1 to 99 do
     ignore (Eheap.pop h)
@@ -68,9 +68,9 @@ let test_eheap_no_retention () =
   let words = Obj.reachable_words (Obj.repr h) in
   Alcotest.(check bool) (Printf.sprintf "%d words after popping 99 of 100" words) true (words < 1000);
   let keep = Bytes.create 1000 in
-  Eheap.push h ~at:200.0 ~seq:200 keep;
+  Eheap.push h ~at:{ Eheap.v = 200.0 } ~seq:200 keep;
   for i = 1 to 50 do
-    Eheap.push h ~at:(200.0 +. Float.of_int i) ~seq:(200 + i) (Bytes.create 1000)
+    Eheap.push h ~at:{ Eheap.v = 200.0 +. Float.of_int i } ~seq:(200 + i) (Bytes.create 1000)
   done;
   Eheap.filter_in_place h (fun b -> b == keep);
   let words = Obj.reachable_words (Obj.repr h) in
@@ -81,7 +81,7 @@ let prop_eheap_sorted =
     QCheck.(list (float_range 0.0 100.0))
     (fun ats ->
       let h = Eheap.create ~dummy:0 in
-      List.iteri (fun i at -> Eheap.push h ~at ~seq:i i) ats;
+      List.iteri (fun i at -> Eheap.push h ~at:{ Eheap.v = at } ~seq:i i) ats;
       let keyed = List.mapi (fun i at -> (at, i)) ats in
       drain_eheap h = List.map snd (List.sort compare keyed))
 
@@ -548,31 +548,47 @@ let test_check_crashed () =
 
 let test_suspend_resolve_once () =
   let e = Engine.create () in
-  let resolver = ref None in
+  let waker = ref None in
   let got = ref [] in
   ignore
     (Engine.spawn e (fun () ->
-         let v = Engine.suspend_ (fun resolve -> resolver := Some resolve) in
-         got := v :: !got));
+         let w = Engine.waker e in
+         waker := Some w;
+         Engine.timeout w 5.0;
+         let v = Engine.await w in
+         got := v :: !got;
+         (* settled while being registered, before the process parks: the
+            resume is already queued when [await] stores the continuation *)
+         let w = Engine.waker e in
+         Engine.wake w 3;
+         got := Engine.await w :: !got));
   ignore
     (Engine.schedule e ~delay:1.0 (fun () ->
-         match !resolver with
-         | Some r ->
-             r (Ok 1);
-             r (Ok 2)
-         | None -> Alcotest.fail "no resolver"));
+         match !waker with
+         | Some w ->
+             Alcotest.(check bool) "pending before" true (Engine.pending w);
+             Engine.wake w 1;
+             Engine.wake w 2;
+             Alcotest.(check bool) "settled after" false (Engine.pending w)
+         | None -> Alcotest.fail "no waker"));
   ignore (Engine.run e);
-  Alcotest.(check (list int)) "only first resolve" [ 1 ] !got
+  Alcotest.(check (list int)) "only first wake" [ 3; 1 ] !got;
+  check_float "timer cancelled by the wake" 1.0 (Engine.now e)
 
 let test_suspend_error () =
   let e = Engine.create () in
   let caught = ref false in
   ignore
     (Engine.spawn e (fun () ->
-         try ignore (Engine.suspend_ (fun resolve -> resolve (Error Not_found)))
-         with Not_found -> caught := true));
+         let w = Engine.waker e in
+         Engine.timeout w 2.0;
+         try ignore (Engine.await w) with Engine.Timed_out -> caught := true));
   ignore (Engine.run e);
-  Alcotest.(check bool) "exn delivered" true !caught
+  Alcotest.(check bool) "timeout raised in the process" true !caught;
+  check_float "at the deadline" 2.0 (Engine.now e);
+  Alcotest.check_raises "waker outside a process"
+    (Invalid_argument "Engine.waker: not inside a process of this engine") (fun () ->
+      ignore (Engine.waker e))
 
 (* {2 Ivar} *)
 
@@ -666,6 +682,91 @@ let test_channel_timeout_skips_dead_receiver () =
   ignore (Engine.run e);
   Alcotest.(check (option int)) "first timed out" None !first;
   Alcotest.(check int) "second got it" 7 !second
+
+(* Kill while parked, for each waker caller: the kill interrupts the wait
+   at the kill instant; the wait's cleanup (its timer cancelled, its
+   waiter skipped) runs once; exit hooks run once; and nothing resumes the
+   dead process later. *)
+let killed_while_parked e ~wait ~after_kill =
+  let resumed = ref false and cleaned = ref 0 and exits = ref 0 in
+  let p =
+    Engine.spawn e (fun () ->
+        Fun.protect
+          ~finally:(fun () -> incr cleaned)
+          (fun () ->
+            wait ();
+            resumed := true))
+  in
+  Engine.on_exit p (fun () -> incr exits);
+  ignore (Engine.schedule e ~delay:1.0 (fun () -> Engine.kill e p));
+  ignore (Engine.schedule e ~delay:1.5 (fun () -> after_kill ()));
+  ignore (Engine.run e);
+  Alcotest.(check bool) "no late resume" false !resumed;
+  Alcotest.(check int) "unwound once" 1 !cleaned;
+  Alcotest.(check int) "exit hooks once" 1 !exits;
+  Alcotest.(check bool) "dead" false (Engine.alive p);
+  Alcotest.(check (list string)) "no crash" []
+    (List.map (fun (_, x) -> Printexc.to_string x) (Engine.crashed e))
+
+let test_ivar_kill_while_parked () =
+  let e = Engine.create () in
+  let iv = Ivar.create () in
+  let pending_after_kill = ref (-1) and late = ref 0 in
+  killed_while_parked e
+    ~wait:(fun () -> ignore (Ivar.read_timeout iv 10.0))
+    ~after_kill:(fun () ->
+      (* the 10 s timer went with the wait *)
+      pending_after_kill := Engine.pending_events e;
+      Ivar.fill iv 1;
+      ignore (Engine.spawn e (fun () -> late := Ivar.read iv)));
+  Alcotest.(check int) "timer cancelled at the kill" 0 !pending_after_kill;
+  Alcotest.(check int) "a later reader sees the value" 1 !late;
+  check_float "ended at the fill, not the timeout" 1.5 (Engine.now e)
+
+let test_channel_kill_while_parked () =
+  let e = Engine.create () in
+  let c = Channel.create () in
+  let pending_after_kill = ref (-1) in
+  killed_while_parked e
+    ~wait:(fun () -> ignore (Channel.recv_timeout c 10.0))
+    ~after_kill:(fun () ->
+      pending_after_kill := Engine.pending_events e;
+      (* the dead receiver is skipped: the message stays queued *)
+      Channel.send c 7);
+  Alcotest.(check int) "timer cancelled at the kill" 0 !pending_after_kill;
+  Alcotest.(check int) "message not lost" 1 (Channel.length c);
+  Alcotest.(check (option int)) "still there" (Some 7) (Channel.try_recv c)
+
+(* A waiter that timed out stays reachable only until the next
+   compaction, not until the next fill or send: 10k timed-out waits, one
+   after the other and then 1000 at once, leave a few dozen words. *)
+let test_timed_out_waiters_dropped () =
+  let n = 10_000 in
+  let e = Engine.create () in
+  let iv : int Ivar.t = Ivar.create () in
+  let c : int Channel.t = Channel.create () in
+  (* words reachable only through the Ivar and the channel: the engine's
+     own queues grow with the 1000 concurrent timers and stay grown *)
+  let held () = Obj.reachable_words (Obj.repr (e, iv, c)) - Obj.reachable_words (Obj.repr e) in
+  let base = held () in
+  ignore
+    (Engine.spawn e (fun () ->
+         for _ = 1 to n do
+           ignore (Ivar.read_timeout iv 0.001);
+           ignore (Channel.recv_timeout c 0.001)
+         done));
+  for _ = 1 to 1000 do
+    ignore
+      (Engine.spawn e (fun () ->
+           ignore (Ivar.read_timeout iv 1.0);
+           ignore (Channel.recv_timeout c 1.0)))
+  done;
+  ignore (Engine.run e);
+  let grown = held () - base in
+  Alcotest.(check bool) "both still empty" true ((not (Ivar.is_filled iv)) && Channel.length c = 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "%d words left by %d timed-out waits (bound 500)" grown (2 * (n + 1000)))
+    true (grown < 500)
 
 let test_channel_try_recv () =
   let c : int Channel.t = Channel.create () in
@@ -794,6 +895,8 @@ let () =
           Alcotest.test_case "timeout" `Quick test_ivar_timeout;
           Alcotest.test_case "timeout beaten" `Quick test_ivar_timeout_beaten;
           Alcotest.test_case "multiple readers" `Quick test_ivar_multiple_readers;
+          Alcotest.test_case "kill while parked" `Quick test_ivar_kill_while_parked;
+          Alcotest.test_case "timed-out waiters dropped" `Quick test_timed_out_waiters_dropped;
         ] );
       ( "channel",
         [
@@ -802,6 +905,7 @@ let () =
           Alcotest.test_case "timeout skips dead receiver" `Quick test_channel_timeout_skips_dead_receiver;
           Alcotest.test_case "try_recv" `Quick test_channel_try_recv;
           Alcotest.test_case "competing receivers" `Quick test_channel_competing_receivers;
+          Alcotest.test_case "kill while parked" `Quick test_channel_kill_while_parked;
         ] );
       ("properties", qsuite);
     ]
