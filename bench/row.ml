@@ -156,7 +156,38 @@ let bound ~value ~name ~baseline key limit =
                 let ok = holds kind x in
                 verdict ok "%s %s %s = %s (%s %s)" (label kind ok) name f (show x) kind (show limit)))
 
-let check ~bench ~floors =
+(* Fields that measure the machine rather than the run; every other field
+   is a function of the code and the seed. *)
+let timing k =
+  String.starts_with ~prefix:"seconds" k
+  || List.mem k [ "reps"; "ops_per_sec"; "speedup_x"; "workers"; "cores" ]
+
+(* The exact bound: each run row that the reference also has carries the
+   same non-timing fields with the same rendered values. *)
+let exact ~rows ~reference =
+  match reference with
+  | None -> [ verdict false "VIOLATION: exact bound but no committed rows to compare with" ]
+  | Some text ->
+      let deterministic r = List.filter (fun (k, _) -> not (timing k)) r in
+      List.filter_map
+        (fun committed ->
+          let name = Option.value (T.field committed "name") ~default:"" in
+          Option.map
+            (fun run ->
+              let a = deterministic run and b = deterministic committed in
+              let moved =
+                List.filter_map
+                  (fun k ->
+                    let v fs = Option.value (List.assoc_opt k fs) ~default:"(none)" in
+                    if v a = v b then None else Some (Printf.sprintf "%s %s, was %s" k (v a) (v b)))
+                  (List.sort_uniq compare (List.map fst (a @ b)))
+              in
+              if moved = [] then verdict true "exact ok: %s, %d fields as committed" name (List.length a)
+              else verdict false "EXACT VIOLATION: %s: %s" name (String.concat "; " moved))
+            (Hashtbl.find_opt rows name))
+        (records text)
+
+let check ~reference ~bench ~floors =
   let rows = Hashtbl.create 64 in
   List.iter
     (fun r -> Option.iter (fun n -> Hashtbl.replace rows n r) (T.field r "name"))
@@ -165,7 +196,14 @@ let check ~bench ~floors =
   List.concat_map
     (fun b ->
       let name = Option.value (T.field b "name") ~default:"" in
-      if not (Hashtbl.mem rows name) then
+      if name = "*" then
+        List.concat_map
+          (fun (k, _) ->
+            if k = "name" then []
+            else if k = "exact" then exact ~rows ~reference
+            else [ verdict false "VIOLATION: * has unknown bound %s" k ])
+          b
+      else if not (Hashtbl.mem rows name) then
         [ verdict false "VIOLATION: workload %s missing from bench output" name ]
       else
         List.filter_map
@@ -182,6 +220,8 @@ let violations = ref 0
 
 let write ~dir file rows =
   mkdir_p dir;
+  (* the committed rows, read before this run may overwrite them *)
+  let reference = if Sys.file_exists file then Some (read file) else None in
   let path = Filename.concat dir file in
   Out_channel.with_open_bin path (fun oc ->
       Printf.fprintf oc "{\n  \"schema\": \"%s\",\n  \"rows\": [\n    %s\n  ]\n}\n" schema
@@ -189,7 +229,7 @@ let write ~dir file rows =
   Printf.printf "  wrote %s\n%!" path;
   let floors = Filename.remove_extension file ^ ".floors.json" in
   if Sys.file_exists floors then begin
-    let verdicts = check ~bench:(read path) ~floors:(read floors) in
+    let verdicts = check ~reference ~bench:(read path) ~floors:(read floors) in
     List.iter (fun (_, msg) -> Printf.printf "  %s\n" msg) verdicts;
     let bad = List.length (List.filter (fun (ok, _) -> not ok) verdicts) in
     violations := !violations + bad;

@@ -37,7 +37,9 @@ val write : dir:string -> string -> t list -> unit
 (** [write ~dir file rows] writes [dir/file] in the [splay-bench/2] schema,
     one row per line, then checks it against [file]'s [.floors.json]
     sibling in the working directory when that file exists, printing
-    every bound. A violation is counted in {!violations}. *)
+    every bound; the exact bound compares with [file] in the working
+    directory as it was before the write. A violation is counted in
+    {!violations}. *)
 
 val violations : int ref
 
@@ -52,8 +54,15 @@ val violations : int ref
     - ["floor_speedup_x_per_worker": P]: the row's [speedup_x] is at least
       [P * workers]; not gated when [workers < 2].
 
-    A missing row or field fails its bound. *)
+    A missing row or field fails its bound. The object named ["*"] holds
+    bounds over every row; its one kind is ["exact": 1]: each row that
+    the committed [BENCH_*.json] also has must carry exactly its
+    committed non-timing fields, rendered alike. The timing fields are
+    [seconds*], [reps], [ops_per_sec], [speedup_x], [workers] and
+    [cores]. *)
 
-val check : bench:string -> floors:string -> (bool * string) list
+val check : reference:string option -> bench:string -> floors:string -> (bool * string) list
 (** Verdicts (passed, message) for every bound of the [floors] text
-    against the rows of the [bench] text, in floors order. *)
+    against the rows of the [bench] text, in floors order. [reference] is
+    the committed bench text the exact bound compares with; an exact
+    bound without it fails. *)

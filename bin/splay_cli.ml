@@ -84,13 +84,22 @@ let run_parallel ~nodes ~seed ~domains =
     (Fabric.bytes_sent fab / 1024 / 1024)
     (Fabric.messages_dropped fab)
 
-let run_sequential app testbed hosts nodes duration lookups churn_script churn_trace speedup seed descriptor_file obs_trace metrics_out metrics_window =
-  (* Arm the observability layer before the platform exists so daemon
-     boot and deployment are part of the trace. *)
-  Obs_flags.trace_path := obs_trace;
-  Obs_flags.metrics_path := metrics_out;
-  Obs_flags.metrics_window := metrics_window;
-  Obs_flags.arm ();
+(* A DHT's lookup driver: [register] collects the instances as they
+   start; [drive rng] looks a random key of [bits] bits up from a random
+   live instance and returns the route's hop count. *)
+let lookup_driver ~is_stopped ~lookup ~bits =
+  let nodes = ref [] in
+  let register c = nodes := c :: !nodes in
+  let drive rng =
+    match List.filter (fun c -> not (is_stopped c)) !nodes with
+    | [] -> None
+    | live ->
+        let origin = Rng.pick_list rng live in
+        Option.map snd (lookup origin (Rng.int rng (Misc.pow2 bits)))
+  in
+  (register, drive)
+
+let run_sequential app testbed hosts nodes duration lookups churn_script churn_trace speedup seed descriptor_file =
   let spec =
     match testbed with
     | Tb_planetlab -> Platform.Planetlab hosts
@@ -103,47 +112,26 @@ let run_sequential app testbed hosts nodes duration lookups churn_script churn_t
       let eng = Platform.engine p in
       let rng = Rng.split (Engine.rng eng) in
       (* a lookup driver where the protocol supports it *)
-      let lookup_fn = ref (fun _rng -> None) in
-      let main =
+      let main, lookup_fn =
         match app with
         | Chord ->
-            let nodes_r = ref [] in
-            lookup_fn :=
-              (fun rng ->
-                match List.filter (fun c -> not (Apps.Chord.is_stopped c)) !nodes_r with
-                | [] -> None
-                | live ->
-                    let origin = Rng.pick_list rng live in
-                    Option.map
-                      (fun (_, h) -> h)
-                      (Apps.Chord.lookup origin (Rng.int rng (Misc.pow2 24))));
-            fun env -> Apps.Chord.app ~register:(fun c -> nodes_r := c :: !nodes_r) env
+            let register, drive =
+              lookup_driver ~is_stopped:Apps.Chord.is_stopped ~lookup:Apps.Chord.lookup ~bits:24
+            in
+            ((fun env -> Apps.Chord.app ~register env), drive)
         | Chord_ft ->
-            let nodes_r = ref [] in
-            lookup_fn :=
-              (fun rng ->
-                match List.filter (fun c -> not (Apps.Chord_ft.is_stopped c)) !nodes_r with
-                | [] -> None
-                | live ->
-                    let origin = Rng.pick_list rng live in
-                    Option.map
-                      (fun (_, h) -> h)
-                      (Apps.Chord_ft.lookup origin (Rng.int rng (Misc.pow2 24))));
-            fun env -> Apps.Chord_ft.app ~register:(fun c -> nodes_r := c :: !nodes_r) env
+            let register, drive =
+              lookup_driver ~is_stopped:Apps.Chord_ft.is_stopped ~lookup:Apps.Chord_ft.lookup
+                ~bits:24
+            in
+            ((fun env -> Apps.Chord_ft.app ~register env), drive)
         | Pastry ->
-            let nodes_r = ref [] in
-            lookup_fn :=
-              (fun rng ->
-                match List.filter (fun c -> not (Apps.Pastry.is_stopped c)) !nodes_r with
-                | [] -> None
-                | live ->
-                    let origin = Rng.pick_list rng live in
-                    Option.map
-                      (fun (_, h) -> h)
-                      (Apps.Pastry.lookup origin (Rng.int rng (Misc.pow2 32))));
-            fun env -> Apps.Pastry.app ~register:(fun c -> nodes_r := c :: !nodes_r) env
-        | Cyclon -> fun env -> Apps.Cyclon.app ~register:(fun _ -> ()) env
-        | Epidemic -> fun env -> Apps.Epidemic.app ~register:(fun _ -> ()) env
+            let register, drive =
+              lookup_driver ~is_stopped:Apps.Pastry.is_stopped ~lookup:Apps.Pastry.lookup ~bits:32
+            in
+            ((fun env -> Apps.Pastry.app ~register env), drive)
+        | Cyclon -> ((fun env -> Apps.Cyclon.app ~register:ignore env), fun _ -> None)
+        | Epidemic -> ((fun env -> Apps.Epidemic.app ~register:ignore env), fun _ -> None)
       in
       let nodes =
         match descriptor_file with
@@ -186,7 +174,7 @@ let run_sequential app testbed hosts nodes duration lookups churn_script churn_t
       let delays = Dist.create () and failures = ref 0 and hops = Dist.create () in
       for _ = 1 to lookups do
         let t0 = Engine.now eng in
-        match !lookup_fn rng with
+        match lookup_fn rng with
         | Some h ->
             Dist.add delays (Engine.now eng -. t0);
             Dist.add hops (Float.of_int h)
@@ -209,8 +197,7 @@ let run_sequential app testbed hosts nodes duration lookups churn_script churn_t
       Controller.undeploy dep;
       List.iter Daemon.shutdown (Platform.daemons p);
       ignore
-        (Engine.schedule eng ~delay:0.0 (fun () -> Env.stop (Controller.env ctl))));
-  if not (Obs_flags.finish ()) then exit 1
+        (Engine.schedule eng ~delay:0.0 (fun () -> Env.stop (Controller.env ctl))))
 
 let run_cmd app testbed hosts nodes duration lookups churn_script churn_trace speedup seed
     descriptor_file obs_trace metrics_out metrics_window domains =
@@ -218,10 +205,7 @@ let run_cmd app testbed hosts nodes duration lookups churn_script churn_trace sp
     Printf.eprintf "splay run: --domains expects a positive integer, got %d\n" domains;
     exit 2
   end;
-  if domains = 1 then
-    run_sequential app testbed hosts nodes duration lookups churn_script churn_trace speedup seed
-      descriptor_file obs_trace metrics_out metrics_window
-  else begin
+  if domains > 1 then begin
     (match app with
     | Epidemic -> ()
     | _ ->
@@ -234,16 +218,20 @@ let run_cmd app testbed hosts nodes duration lookups churn_script churn_trace sp
         "splay run: --domains N > 1 does not support --churn-script, --churn-trace or \
          --descriptor (churn and the controller stack run on the sequential engine)\n";
       exit 2
-    end;
-    (* Arm the planes before Fabric.create: partition engines bind their
-       clocks to the per-partition recorder states at creation. *)
-    Obs_flags.trace_path := obs_trace;
-    Obs_flags.metrics_path := metrics_out;
-    Obs_flags.metrics_window := metrics_window;
-    Obs_flags.arm ();
-    run_parallel ~nodes ~seed ~domains;
-    if not (Obs_flags.finish ()) then exit 1
-  end
+    end
+  end;
+  (* Arm the planes before the platform or Fabric exists: daemon boot and
+     deployment are then part of the trace, and partition engines bind
+     their clocks to the per-partition recorder states at creation. *)
+  Obs_flags.trace_path := obs_trace;
+  Obs_flags.metrics_path := metrics_out;
+  Obs_flags.metrics_window := metrics_window;
+  Obs_flags.arm ();
+  if domains = 1 then
+    run_sequential app testbed hosts nodes duration lookups churn_script churn_trace speedup seed
+      descriptor_file
+  else run_parallel ~nodes ~seed ~domains;
+  if not (Obs_flags.finish ()) then exit 1
 
 let run_term =
   let app_arg =

@@ -38,7 +38,6 @@ module Obs_flags = Splay_obs.Obs_flags
 
 (* Statistics and reporting *)
 module Dist = Splay_stats.Dist
-module Summary = Splay_stats.Summary
 module Series = Splay_stats.Series
 module Sink = Splay_stats.Sink
 module Report = Splay_stats.Report

@@ -3,7 +3,7 @@
    parser; rows are kept as raw field lists so the loader never chokes on
    fields added by a newer writer. *)
 
-module Hdr = Splay_stats.Hdr
+module Sink = Splay_stats.Sink
 
 let schema = "splay-metrics/2"
 
@@ -12,7 +12,7 @@ type row = {
   r_kind : string; (* "counter" | "gauge" | "hist" | "note" *)
   r_w : int; (* window index; -1 = whole-run cumulative *)
   r_fields : (string * string) list;
-  r_hist : Hdr.t option; (* a hist row's decoded buckets *)
+  r_hist : Sink.t option; (* a hist row, decoded *)
 }
 
 type t = {
@@ -27,8 +27,10 @@ let int_field r k = Trace_analysis.int_field r.r_fields k
 (* A hist row is usable only with buckets that decode and sum to its n;
    anything else is a malformed line and is skipped like one. *)
 let hist_of fields =
+  let f k default = Option.value ~default (Trace_analysis.float_field fields k) in
   match (Trace_analysis.field fields "buckets", Trace_analysis.int_field fields "n") with
-  | Some b, Some n -> Hdr.decode ~n b
+  | Some b, Some n ->
+      Sink.decode ~n ~sum:(f "sum" 0.0) ~min:(f "min" infinity) ~max:(f "max" neg_infinity) b
   | _ -> None
 
 let load text =
@@ -78,43 +80,27 @@ let load_file path =
 
    A multi-trial dump splices each trial's windows in trial order, so one
    (window, metric) pair can appear several times. Counters add; gauges
-   keep the last row's value and the max of maxes; histograms add n/sum,
-   merge min/max and add their bucket counts, so a merged quantile is the
-   one a single table fed every trial's samples would give. *)
+   keep the last row's value and the max of maxes; histogram rows merge
+   as sinks, so a merged quantile is the one a single sink fed every
+   trial's samples would give. *)
 
 let rows_of t ~w metric =
   List.filter (fun r -> r.r_w = w && r.r_metric = metric && r.r_kind <> "note") t.rows
 
 let counter_n rows = List.fold_left (fun acc r -> acc + Option.value ~default:0 (int_field r "n")) 0 rows
 
-type hist_agg = {
-  ha_n : int;
-  ha_sum : float;
-  ha_min : float;
-  ha_max : float;
-  ha_hdr : Hdr.t;
-  ha_q : float -> float;
-}
+let hist rows =
+  let k = Sink.sketch () in
+  List.iter (fun r -> Option.iter (Sink.merge_into ~into:k) r.r_hist) rows;
+  k
 
-let hist_agg rows =
-  let hdr = Hdr.create () in
-  let sum = ref 0.0 and mn = ref infinity and mx = ref neg_infinity in
-  List.iter
-    (fun r ->
-      Option.iter (fun h -> Hdr.merge_into ~into:hdr h) r.r_hist;
-      sum := !sum +. Option.value ~default:0.0 (float_field r "sum");
-      (match float_field r "min" with Some v when v < !mn -> mn := v | _ -> ());
-      match float_field r "max" with Some v when v > !mx -> mx := v | _ -> ())
-    rows;
-  let n = Hdr.count hdr and mn = !mn and mx = !mx in
-  let q p = if n = 0 then nan else Hdr.quantile hdr ~min:mn ~max:mx p in
-  { ha_n = n; ha_sum = !sum; ha_min = mn; ha_max = mx; ha_hdr = hdr; ha_q = q }
+(* [nan] stands for an empty histogram's statistics. *)
+let q k p = if Sink.is_empty k then nan else Sink.quantile k p
 
 (* SLO violation rate: the share of a histogram's observations above a
    threshold, read off the merged buckets. *)
-let violation_rate h ~threshold =
-  if h.ha_n = 0 then nan
-  else 1.0 -. Hdr.fraction_le h.ha_hdr ~min:h.ha_min ~max:h.ha_max threshold
+let violation_rate k ~threshold =
+  if Sink.is_empty k then nan else 1.0 -. Sink.fraction_le k threshold
 
 let metrics_of_kind t kind =
   List.sort_uniq compare
@@ -143,20 +129,19 @@ let pick_hist t = function
 
 let render ?metric ?(k = 5) ?slo t =
   let b = Buffer.create 4096 in
-  let hist = pick_hist t metric in
+  let pct = pick_hist t metric in
   let span_hi =
     match List.rev t.windows with [] -> 0.0 | w :: _ -> Float.of_int (w + 1) *. t.window
   in
   Printf.bprintf b "window %gs · %d windows · %d series · virtual span [0, %g)s\n" t.window
     (List.length t.windows) (series_count t) span_hi;
-  Printf.bprintf b "percentile columns: %s\n" hist;
+  Printf.bprintf b "percentile columns: %s\n" pct;
   (match slo with
   | Some (m, thr) -> Printf.bprintf b "slo column: share of %s observations over %g\n" m thr
   | None -> ());
   Buffer.add_char b '\n';
   let viol_cell rows thr =
-    let h = hist_agg rows in
-    let v = violation_rate h ~threshold:thr in
+    let v = violation_rate (hist rows) ~threshold:thr in
     if Float.is_nan v then "-" else Printf.sprintf "%.2f%%" (100.0 *. v)
   in
   Printf.bprintf b "  %3s %10s %12s %12s %12s %10s %12s %12s %12s%s\n" "w" "t0" "msgs/s" "rpc/s"
@@ -165,11 +150,11 @@ let render ?metric ?(k = 5) ?slo t =
   List.iter
     (fun w ->
       let c name = rate_cell t (rows_of t ~w name) in
-      let h = hist_agg (rows_of t ~w hist) in
+      let h = hist (rows_of t ~w pct) in
       Printf.bprintf b "  %3d %10.1f %12s %12s %12s %10s %12s %12s %12s%s\n" w
         (Float.of_int w *. t.window)
         (c "net.msgs_sent") (c "rpc.calls") (c "engine.events") (c "net.dropped")
-        (cell_f (h.ha_q 0.5)) (cell_f (h.ha_q 0.99)) (cell_f (h.ha_q 0.999))
+        (cell_f (q h 0.5)) (cell_f (q h 0.99)) (cell_f (q h 0.999))
         (match slo with
         | Some (m, thr) -> Printf.sprintf " %9s" (viol_cell (rows_of t ~w m) thr)
         | None -> ""))
@@ -177,24 +162,24 @@ let render ?metric ?(k = 5) ?slo t =
   (match slo with
   | Some (m, thr) ->
       let cum = List.filter (fun r -> r.r_w = -1 && r.r_metric = m && r.r_kind = "hist") t.rows in
-      let h = hist_agg cum in
-      if h.ha_n > 0 then
+      let h = hist cum in
+      if not (Sink.is_empty h) then
         Printf.bprintf b "\nslo: %s over %g → %s of %d observations whole-run\n" m thr
           (let v = violation_rate h ~threshold:thr in
            if Float.is_nan v then "-" else Printf.sprintf "%.2f%%" (100.0 *. v))
-          h.ha_n
+          (Sink.count h)
   | None -> ());
   let cum = List.filter (fun r -> r.r_w = -1 && r.r_kind = "hist") t.rows in
   if cum <> [] then begin
     Printf.bprintf b "\ncumulative histograms\n";
     List.iter
       (fun m ->
-        let h = hist_agg (List.filter (fun r -> r.r_metric = m) cum) in
-        if h.ha_n > 0 then
-          Printf.bprintf b "  %-24s n=%-9d mean=%s min=%s max=%s p50=%s p99=%s p999=%s\n" m h.ha_n
-            (cell_f (h.ha_sum /. Float.of_int h.ha_n))
-            (cell_f h.ha_min) (cell_f h.ha_max) (cell_f (h.ha_q 0.5)) (cell_f (h.ha_q 0.99))
-            (cell_f (h.ha_q 0.999)))
+        let h = hist (List.filter (fun r -> r.r_metric = m) cum) in
+        if not (Sink.is_empty h) then
+          Printf.bprintf b "  %-24s n=%-9d mean=%s min=%s max=%s p50=%s p99=%s p999=%s\n" m
+            (Sink.count h) (cell_f (Sink.mean h)) (cell_f (Sink.min_value h))
+            (cell_f (Sink.max_value h)) (cell_f (q h 0.5)) (cell_f (q h 0.99))
+            (cell_f (q h 0.999)))
       (List.sort_uniq compare (List.map (fun r -> r.r_metric) cum))
   end;
   let notes = List.filter (fun r -> r.r_kind = "note") t.rows in
@@ -261,15 +246,16 @@ let prometheus t =
           in
           Printf.bprintf b "# TYPE %s gauge\n%s %s\n" name name (prom_float last)
       | "hist" ->
-          let h = hist_agg rows in
+          let h = hist rows in
           Printf.bprintf b "# TYPE %s summary\n" name;
           List.iter
-            (fun (q, label) ->
-              let v = h.ha_q q in
+            (fun (p, label) ->
+              let v = q h p in
               if not (Float.is_nan v) then
                 Printf.bprintf b "%s{quantile=\"%s\"} %s\n" name label (prom_float v))
             [ (0.5, "0.5"); (0.9, "0.9"); (0.99, "0.99"); (0.999, "0.999") ];
-          Printf.bprintf b "%s_sum %s\n%s_count %d\n" name (prom_float h.ha_sum) name h.ha_n
+          Printf.bprintf b "%s_sum %s\n%s_count %d\n" name (prom_float (Sink.sum h)) name
+            (Sink.count h)
       | _ -> ())
     by_metric;
   Buffer.contents b

@@ -7,21 +7,21 @@
     Rows keep their raw field lists, so files written by a newer {!Obs}
     with extra fields still load.
 
-    A histogram row carries its {!Splay_stats.Hdr} bucket counts, and
-    every quantile here is read from buckets, never from the row's
-    rendered p50..p999. A multi-trial dump carries each trial's windows
-    spliced in trial order, so one (window, metric) pair may appear
-    several times; the aggregations here merge them — counters add,
-    gauges keep the last value, histograms add [n]/[sum], merge
-    [min]/[max] and add bucket counts, so merged quantiles are exact to
-    the table's bucket width. *)
+    A histogram row decodes into a {!Splay_stats.Sink} (its bucket counts
+    and exact [n]/[sum]/[min]/[max]), and every quantile here is read
+    from buckets, never from the row's rendered p50..p999. A multi-trial
+    dump carries each trial's windows spliced in trial order, so one
+    (window, metric) pair may appear several times; the aggregations here
+    merge them — counters add, gauges keep the last value, histograms
+    merge as sinks, so merged quantiles are exact to the bucket
+    width. *)
 
 type row = {
   r_metric : string;
   r_kind : string;  (** ["counter"], ["gauge"], ["hist"] or ["note"] *)
   r_w : int;  (** window index; [-1] = whole-run cumulative *)
   r_fields : (string * string) list;  (** raw fields, in file order *)
-  r_hist : Splay_stats.Hdr.t option;  (** a hist row's decoded buckets *)
+  r_hist : Splay_stats.Sink.t option;  (** a hist row, decoded *)
 }
 
 type t = {
@@ -34,7 +34,7 @@ val int_field : row -> string -> int option
 
 val load : string -> t
 (** Parse a metrics dump from a string. Malformed lines are skipped; a
-    hist row is malformed unless its buckets decode ({!Splay_stats.Hdr.decode})
+    hist row is malformed unless its buckets decode ({!Splay_stats.Sink.decode})
     and sum to its [n]. Raises [Failure] when a header names another
     schema: a [splay-metrics/1] dump has no bucket counts to merge. *)
 
@@ -45,24 +45,14 @@ val rows_of : t -> w:int -> string -> row list
 (** Non-note rows of one metric in one window (several for multi-trial
     dumps); [w = -1] selects the cumulative rows. *)
 
-type hist_agg = {
-  ha_n : int;
-  ha_sum : float;
-  ha_min : float;
-  ha_max : float;
-  ha_hdr : Splay_stats.Hdr.t;  (** the rows' buckets, added *)
-  ha_q : float -> float;
-      (** {!Splay_stats.Hdr.quantile} over the merged min/max; [nan] when
-          empty *)
-}
+val hist : row list -> Splay_stats.Sink.t
+(** Merge the histogram rows among [rows] (e.g. {!rows_of} output) into
+    one fresh sink. *)
 
-val hist_agg : row list -> hist_agg
-(** Merge histogram rows (e.g. {!rows_of} output) into one summary. *)
-
-val violation_rate : hist_agg -> threshold:float -> float
+val violation_rate : Splay_stats.Sink.t -> threshold:float -> float
 (** Share of the histogram's observations above [threshold], in [0, 1]:
-    one minus {!Splay_stats.Hdr.fraction_le} of the merged buckets. [nan]
-    when the histogram is empty. *)
+    one minus {!Splay_stats.Sink.fraction_le}. [nan] when the histogram is
+    empty. *)
 
 val render : ?metric:string -> ?k:int -> ?slo:string * float -> t -> string
 (** The [splay top] dashboard: one line per window (t0, global msgs/s,

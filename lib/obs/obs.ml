@@ -1,5 +1,5 @@
 module Report = Splay_stats.Report
-module Hdr = Splay_stats.Hdr
+module Sink = Splay_stats.Sink
 
 (* The master switch stays a plain process-global flag: it is only ever
    toggled by a front end (Obs_flags) outside parallel sections, and
@@ -33,6 +33,11 @@ let rollup_window = ref 10.0
    suspension) is a load — nothing is allocated on the disabled path. *)
 
 type ctx = { tid : int; sid : int }
+
+(* The virtual clock, read in place: a flat float cell costs no
+   allocation per read, where a [unit -> float] closure boxes its result,
+   and the metrics plane reads the clock on every sample. *)
+type clock = { mutable v : float }
 
 let null_ctx = { tid = 0; sid = 0 }
 
@@ -68,89 +73,95 @@ let register kind name =
 
 let registered () = Mutex.protect reg_mu (fun () -> !reg_all)
 
-(* Scalar float aggregates (in both the cumulative cells and the window
-   cells below) live in a flat float array: a mutable float field in a
-   mixed int/float record boxes on every store, and [observe] /
-   [wobserve_at] run once per simulated message at million-node scale —
-   unboxed slots keep the metrics fast path allocation-free. *)
-let f_sum = 0
+(* {1 Cells}
 
-let f_min = 1
-let f_max = 2 (* histogram max / gauge high-water *)
-let f_last = 3 (* gauge last value *)
+   One cell type holds one metric's aggregate, whatever its kind: a
+   counter's value, a gauge's last value and high-water mark, and a
+   histogram's {!Sink.t} (exact count/sum/min/max and the log-bucket
+   table, whose slots are allocated on the first sample, so counters and
+   gauges never pay for them). The domain's run-cumulative table and
+   every window of the rollup ring are arrays of cells indexed by handle
+   id. Gauge values live in a flat float array: a mutable float field in
+   a mixed record boxes on every store, and the metrics fast path stays
+   allocation-free. *)
+
+let g_last = 0
+let g_max = 1
 
 type cell = {
-  mutable cl_n : int; (* counter value / histogram count *)
-  cf : float array; (* sum / min / max / last, unboxed *)
+  mutable n : int; (* counter value *)
+  g : float array; (* gauge last / high-water, unboxed *)
+  mutable set : bool; (* gauge set at least once *)
+  h : Sink.t; (* histogram samples *)
 }
 
-let cl_sum c = c.cf.(f_sum)
-let cl_min c = c.cf.(f_min)
-let cl_max c = c.cf.(f_max)
-let cl_last c = c.cf.(f_last)
-let fresh_cell () = { cl_n = 0; cf = [| 0.0; infinity; neg_infinity; 0.0 |] }
+let fresh_cell () = { n = 0; g = [| 0.0; neg_infinity |]; set = false; h = Sink.sketch () }
 
 let blank_cell c =
-  c.cl_n <- 0;
-  c.cf.(f_sum) <- 0.0;
-  c.cf.(f_min) <- infinity;
-  c.cf.(f_max) <- neg_infinity;
-  c.cf.(f_last) <- 0.0
+  c.n <- 0;
+  c.g.(g_last) <- 0.0;
+  c.g.(g_max) <- neg_infinity;
+  c.set <- false;
+  Sink.clear c.h
+
+let set_gauge c v =
+  c.g.(g_last) <- v;
+  if v > c.g.(g_max) then c.g.(g_max) <- v;
+  c.set <- true
+
+(* Fold a later trial's cell into [into]: counters and histograms add,
+   a gauge keeps the later last value and the larger high-water mark. *)
+let merge_cell ~into c =
+  into.n <- into.n + c.n;
+  if c.set then begin
+    into.g.(g_last) <- c.g.(g_last);
+    if c.g.(g_max) > into.g.(g_max) then into.g.(g_max) <- c.g.(g_max);
+    into.set <- true
+  end;
+  Sink.merge_into ~into:into.h c.h
+
+let touched (h : handle) c =
+  match h.h_kind with Counter -> c.n <> 0 | Gauge -> c.set | Hist -> not (Sink.is_empty c.h)
+
+(* [cells] grown to cover [h] and everything registered so far. *)
+let grow cells (h : handle) =
+  let have = Array.length cells in
+  let total = max (Array.length (registered ())) (h.h_id + 1) in
+  Array.init total (fun i -> if i < have then cells.(i) else fresh_cell ())
+
+(* The touched cells of a table, sorted by metric name (ties broken by
+   registration id) so bytes never depend on hash or registration
+   order. *)
+let touched_cells cells =
+  let all = registered () in
+  let acc = ref [] in
+  Array.iteri
+    (fun i c -> if i < Array.length all && touched all.(i) c then acc := (all.(i), c) :: !acc)
+    cells;
+  List.sort
+    (fun ((a : handle), _) (b, _) ->
+      let c = String.compare a.h_metric b.h_metric in
+      if c <> 0 then c else compare a.h_id b.h_id)
+    !acc
 
 (* {1 Rollup state}
 
-   A window cell is one metric's aggregate over one virtual-time window:
-   count (counter value / histogram count), sum/min/max, gauge last, and
-   the {!Hdr} log-bucket table, whose slots are allocated on the first
-   sample, so counters and gauges never pay for them. The ring holds the
-   [ring_width] most recent windows; advancing past a window renders its
-   touched cells to the domain's rollup buffer (one JSON line per metric)
-   and recycles the slot. Memory is therefore O(metrics × ring_width +
-   rendered rows), independent of run length only in the cell tables —
-   the rendered rows grow one line per touched metric per window, which
-   at a 10-second window is ~5 orders of magnitude lighter than a
-   trace. *)
-
-type wcell = {
-  mutable w_n : int;
-  wf : float array; (* sum / min / max / last, unboxed *)
-  mutable w_gauge : bool; (* gauge touched this window *)
-  w_hist : Hdr.t; (* histogram samples; empty for counters and gauges *)
-}
-
-let w_sum w = w.wf.(f_sum)
-let w_min w = w.wf.(f_min)
-let w_max w = w.wf.(f_max)
-let w_last w = w.wf.(f_last)
-let fresh_wcell () = { w_n = 0; wf = [| 0.0; infinity; neg_infinity; 0.0 |]; w_gauge = false; w_hist = Hdr.create () }
-
-let blank_wcell w =
-  w.w_n <- 0;
-  w.wf.(f_sum) <- 0.0;
-  w.wf.(f_min) <- infinity;
-  w.wf.(f_max) <- neg_infinity;
-  w.wf.(f_last) <- 0.0;
-  w.w_gauge <- false;
-  Hdr.clear w.w_hist
-
-(* [i] is [Hdr.index v], computed once by callers feeding the same
-   sample to both the window and the cumulative cell. *)
-let wobserve_at w v i =
-  w.w_n <- w.w_n + 1;
-  let wf = w.wf in
-  wf.(f_sum) <- wf.(f_sum) +. v;
-  if v < wf.(f_min) then wf.(f_min) <- v;
-  if v > wf.(f_max) then wf.(f_max) <- v;
-  Hdr.add_index w.w_hist i
+   A window is a table of cells holding each metric's aggregate over one
+   virtual-time window. The ring holds the [ring_width] most recent
+   windows; advancing past a window renders its touched cells to the
+   domain's rollup buffer (one JSON line per metric) and recycles the
+   slot. Memory is therefore O(metrics × ring_width + rendered rows),
+   independent of run length only in the cell tables — the rendered rows
+   grow one line per touched metric per window, which at a 10-second
+   window is ~5 orders of magnitude lighter than a trace. *)
 
 let ring_width = 4
 
 type ru = {
   ru_mbuf : Buffer.t; (* rendered rows of windows already evicted *)
-  ru_slots : wcell array array; (* ring_width slots, each indexed by handle id *)
+  ru_slots : cell array array; (* ring_width slots, each indexed by handle id *)
   ru_wids : int array; (* window id held by each slot, -1 = empty *)
   mutable ru_cur : int; (* newest window id, -1 before the first sample *)
-  mutable ru_cum : wcell array; (* run-cumulative histogram buckets, by handle id *)
 }
 
 (* {1 Domain-local state}
@@ -162,7 +173,7 @@ type ru = {
    were spread over domains. *)
 
 type state = {
-  mutable clock : unit -> float;
+  mutable clock : clock;
   buf : Buffer.t;
   mutable next_span : int;
   mutable next_trace : int;
@@ -176,7 +187,7 @@ type state = {
 
 let new_state () =
   {
-    clock = (fun () -> 0.0);
+    clock = { v = 0.0 };
     buf = Buffer.create 4096;
     next_span = 1;
     next_trace = 1;
@@ -192,14 +203,10 @@ let dls : state Domain.DLS.key = Domain.DLS.new_key new_state
 let st () = Domain.DLS.get dls
 
 let cell_of s (h : handle) =
-  (if h.h_id >= Array.length s.cells then
-     let have = Array.length s.cells in
-     let total = max (Array.length (registered ())) (h.h_id + 1) in
-     s.cells <-
-       Array.init total (fun i -> if i < have then s.cells.(i) else fresh_cell ()));
+  if h.h_id >= Array.length s.cells then s.cells <- grow s.cells h;
   s.cells.(h.h_id)
 
-let set_clock f = (st ()).clock <- f
+let set_clock c = (st ()).clock <- c
 
 let current () = (st ()).cur
 let set_current c = (st ()).cur <- c
@@ -292,7 +299,7 @@ let add_time_value b v =
   end
   else Buffer.add_string b (Printf.sprintf "%.6f" v)
 
-let add_time s b = add_time_value b (s.clock ())
+let add_time s b = add_time_value b s.clock.v
 
 let fmt_float v =
   if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
@@ -313,7 +320,7 @@ let fmt_float v =
    (ties broken by registration id) so bytes never depend on hash or
    registration order.
 
-   A histogram row carries its bucket table ({!Hdr.encode}), so readers
+   A histogram row carries its bucket table ({!Sink.encode}), so readers
    merge rows by adding counts; its min/max are written at round-trip
    precision because every quantile read back from the buckets clamps to
    them. The p50..p999 fields are for people reading the file. *)
@@ -350,59 +357,45 @@ let add_row ?hist b ~name ~kind ~wid fields =
   (match hist with
   | Some h ->
       Buffer.add_string b ",\"buckets\":\"";
-      Hdr.encode b h;
+      Sink.encode b h;
       Buffer.add_char b '"'
   | None -> ());
   Buffer.add_string b "}\n"
 
-let hist_row b (h : handle) ~wid (w : wcell) =
-  let q p = fmt_float (Hdr.quantile w.w_hist ~min:(w_min w) ~max:(w_max w) p) in
-  add_row ~hist:w.w_hist b ~name:h.h_metric ~kind:"hist" ~wid
-    [
-      ("n", string_of_int w.w_n);
-      ("sum", fmt_float (w_sum w));
-      ("min", fmt_exact (w_min w));
-      ("max", fmt_exact (w_max w));
-      ("p50", q 0.5);
-      ("p90", q 0.9);
-      ("p99", q 0.99);
-      ("p999", q 0.999);
-    ]
-
-let wcell_row b (h : handle) ~wid (w : wcell) =
+(* A touched cell's row; a counter's windowed row also carries its
+   rate. *)
+let cell_row b (h : handle) ~wid c =
   match h.h_kind with
   | Counter ->
       add_row b ~name:h.h_metric ~kind:"counter" ~wid
-        [ ("n", string_of_int w.w_n); ("rate", fmt_float (Float.of_int w.w_n /. !rollup_window)) ]
+        (("n", string_of_int c.n)
+        :: (if wid < 0 then [] else [ ("rate", fmt_float (Float.of_int c.n /. !rollup_window)) ]))
   | Gauge ->
       add_row b ~name:h.h_metric ~kind:"gauge" ~wid
-        [ ("last", fmt_float (w_last w)); ("max", fmt_float (w_max w)) ]
-  | Hist -> hist_row b h ~wid w
-
-let wcell_touched (h : handle) (w : wcell) =
-  match h.h_kind with Counter | Hist -> w.w_n <> 0 | Gauge -> w.w_gauge
+        [ ("last", fmt_float c.g.(g_last)); ("max", fmt_float c.g.(g_max)) ]
+  | Hist ->
+      let k = c.h in
+      let q p = fmt_float (Sink.quantile k p) in
+      add_row ~hist:k b ~name:h.h_metric ~kind:"hist" ~wid
+        [
+          ("n", string_of_int (Sink.count k));
+          ("sum", fmt_float (Sink.sum k));
+          ("min", fmt_exact (Sink.min_value k));
+          ("max", fmt_exact (Sink.max_value k));
+          ("p50", q 0.5);
+          ("p90", q 0.9);
+          ("p99", q 0.99);
+          ("p999", q 0.999);
+        ]
 
 let render_slot b r slot =
   let wid = r.ru_wids.(slot) in
-  let cells = r.ru_slots.(slot) in
-  let all = registered () in
-  let touched = ref [] in
-  Array.iteri
-    (fun i w -> if i < Array.length all && wcell_touched all.(i) w then touched := (all.(i), w) :: !touched)
-    cells;
-  let touched =
-    List.sort
-      (fun ((a : handle), _) (b, _) ->
-        let c = String.compare a.h_metric b.h_metric in
-        if c <> 0 then c else compare a.h_id b.h_id)
-      !touched
-  in
-  List.iter (fun (h, w) -> wcell_row b h ~wid w) touched
+  List.iter (fun (h, c) -> cell_row b h ~wid c) (touched_cells r.ru_slots.(slot))
 
 let evict r slot =
   if r.ru_wids.(slot) >= 0 then begin
     render_slot r.ru_mbuf r slot;
-    Array.iter blank_wcell r.ru_slots.(slot);
+    Array.iter blank_cell r.ru_slots.(slot);
     r.ru_wids.(slot) <- -1
   end
 
@@ -437,35 +430,27 @@ let get_ru s =
           ru_slots = Array.init ring_width (fun _ -> [||]);
           ru_wids = Array.make ring_width (-1);
           ru_cur = -1;
-          ru_cum = [||];
         }
       in
       s.ru <- Some r;
       r
 
-let grow_wcells arr (h : handle) =
-  let have = Array.length arr in
-  let total = max (Array.length (registered ())) (h.h_id + 1) in
-  Array.init total (fun i -> if i < have then arr.(i) else fresh_wcell ())
+(* Advance the ring to the clock's window. A clock reading behind the
+   newest window (a fresh engine installed its clock on a state that
+   already rolled forward) clamps to the newest window rather than
+   corrupting an already-rendered one. The cell, not its value, is
+   passed: a float argument would be boxed. *)
+let ru_seek r (c : clock) =
+  let wid = int_of_float (c.v /. !rollup_window) in
+  if wid > r.ru_cur then ru_advance r wid
 
-(* The current window's cell for [h], advancing the ring first. A clock
-   reading behind the newest window (a fresh engine installed its clock on
-   a state that already rolled forward) clamps to the newest window rather
-   than corrupting an already-rendered one. *)
-let ru_slot_cell s r (h : handle) =
-  let wid0 = int_of_float (s.clock () /. !rollup_window) in
-  let wid = if wid0 < r.ru_cur then r.ru_cur else wid0 in
-  if wid > r.ru_cur then ru_advance r wid;
+(* The current window's cell for [h]. *)
+let window_cell s (h : handle) =
+  let r = get_ru s in
+  ru_seek r s.clock;
   let slot = r.ru_cur mod ring_width in
-  if h.h_id >= Array.length r.ru_slots.(slot) then
-    r.ru_slots.(slot) <- grow_wcells r.ru_slots.(slot) h;
+  if h.h_id >= Array.length r.ru_slots.(slot) then r.ru_slots.(slot) <- grow r.ru_slots.(slot) h;
   r.ru_slots.(slot).(h.h_id)
-
-let ru_wcell s (h : handle) = ru_slot_cell s (get_ru s) h
-
-let ru_cum_wcell r (h : handle) =
-  if h.h_id >= Array.length r.ru_cum then r.ru_cum <- grow_wcells r.ru_cum h;
-  r.ru_cum.(h.h_id)
 
 (* Everything the rollup plane has produced: already-evicted rows, then
    the still-open ring windows in increasing order. Non-destructive. *)
@@ -474,6 +459,32 @@ let ru_rows r =
   Buffer.add_buffer b r.ru_mbuf;
   List.iter (fun sl -> render_slot b r sl) (slots_in_order r);
   Buffer.contents b
+
+(* Open a trace record: the time and the event tag [ev] (which carries
+   the next field's key). Past the cap the record is counted and refused
+   ([false]), but the caller advances ids, counters and context exactly as
+   before, so the stored prefix stays byte-identical to an uncapped
+   run. *)
+let open_record s ev =
+  if !trace_cap > 0 && s.trace_records >= !trace_cap then begin
+    s.trace_dropped <- s.trace_dropped + 1;
+    false
+  end
+  else begin
+    s.trace_records <- s.trace_records + 1;
+    Buffer.add_string s.buf "{\"t\":";
+    add_time s s.buf;
+    Buffer.add_string s.buf ev;
+    true
+  end
+
+let close_record buf attrs =
+  add_attrs buf attrs;
+  Buffer.add_string buf "}\n"
+
+let add_name buf name =
+  Buffer.add_string buf ",\"name\":";
+  add_json_string buf name
 
 let span ?(attrs = []) ?parent name =
   if not !enabled then null_span
@@ -491,26 +502,15 @@ let span ?(attrs = []) ?parent name =
     let sid = s.next_span in
     s.next_span <- sid + 1;
     s.spans_started <- s.spans_started + 1;
-    (* Past the cap the record is counted and skipped, but ids, counters
-       and context advance exactly as before — the stored prefix stays
-       byte-identical to an uncapped run. *)
-    if !trace_cap > 0 && s.trace_records >= !trace_cap then
-      s.trace_dropped <- s.trace_dropped + 1
-    else begin
-      s.trace_records <- s.trace_records + 1;
+    if open_record s ",\"ev\":\"B\",\"sid\":" then begin
       let buf = s.buf in
-      Buffer.add_string buf "{\"t\":";
-      add_time s buf;
-      Buffer.add_string buf ",\"ev\":\"B\",\"sid\":";
       Buffer.add_string buf (string_of_int sid);
       Buffer.add_string buf ",\"tid\":";
       Buffer.add_string buf (string_of_int tid);
       Buffer.add_string buf ",\"pid\":";
       Buffer.add_string buf (string_of_int parent.sid);
-      Buffer.add_string buf ",\"name\":";
-      add_json_string buf name;
-      add_attrs buf attrs;
-      Buffer.add_string buf "}\n"
+      add_name buf name;
+      close_record buf attrs
     end;
     let sp = { sp_ctx = { tid; sid }; sp_prev = s.cur } in
     s.cur <- sp.sp_ctx;
@@ -520,17 +520,9 @@ let span ?(attrs = []) ?parent name =
 let finish ?(attrs = []) sp =
   if sp.sp_ctx.sid <> 0 && !enabled then begin
     let s = st () in
-    if !trace_cap > 0 && s.trace_records >= !trace_cap then
-      s.trace_dropped <- s.trace_dropped + 1
-    else begin
-      s.trace_records <- s.trace_records + 1;
-      let buf = s.buf in
-      Buffer.add_string buf "{\"t\":";
-      add_time s buf;
-      Buffer.add_string buf ",\"ev\":\"E\",\"sid\":";
-      Buffer.add_string buf (string_of_int sp.sp_ctx.sid);
-      add_attrs buf attrs;
-      Buffer.add_string buf "}\n"
+    if open_record s ",\"ev\":\"E\",\"sid\":" then begin
+      Buffer.add_string s.buf (string_of_int sp.sp_ctx.sid);
+      close_record s.buf attrs
     end;
     s.cur <- sp.sp_prev
   end
@@ -538,21 +530,13 @@ let finish ?(attrs = []) sp =
 let event ?(attrs = []) name =
   if !enabled then begin
     let s = st () in
-    if !trace_cap > 0 && s.trace_records >= !trace_cap then
-      s.trace_dropped <- s.trace_dropped + 1
-    else begin
-      s.trace_records <- s.trace_records + 1;
+    if open_record s ",\"ev\":\"P\",\"tid\":" then begin
       let buf = s.buf in
-      Buffer.add_string buf "{\"t\":";
-      add_time s buf;
-      Buffer.add_string buf ",\"ev\":\"P\",\"tid\":";
       Buffer.add_string buf (string_of_int s.cur.tid);
       Buffer.add_string buf ",\"pid\":";
       Buffer.add_string buf (string_of_int s.cur.sid);
-      Buffer.add_string buf ",\"name\":";
-      add_json_string buf name;
-      add_attrs buf attrs;
-      Buffer.add_string buf "}\n"
+      add_name buf name;
+      close_record buf attrs
     end
   end
 
@@ -575,9 +559,8 @@ let trace_dropped () = (st ()).trace_dropped
 (* {1 Metrics}
 
    The cumulative cells fire under either plane; with [metrics_enabled]
-   each sample additionally lands in the current virtual-time window (and,
-   for histograms, the run-cumulative bucket table). With both planes off
-   a site costs two flag loads and nothing else. *)
+   each sample additionally lands in the current virtual-time window.
+   With both planes off a site costs two flag loads and nothing else. *)
 
 let counter name = register Counter name
 let gauge name = register Gauge name
@@ -587,48 +570,35 @@ let add c n =
   if !enabled || !metrics_enabled then begin
     let s = st () in
     let cl = cell_of s c in
-    cl.cl_n <- cl.cl_n + n;
+    cl.n <- cl.n + n;
     if !metrics_enabled then begin
-      let w = ru_wcell s c in
-      w.w_n <- w.w_n + n
+      let w = window_cell s c in
+      w.n <- w.n + n
     end
   end
 
 let incr c = add c 1
-let counter_value c = (cell_of (st ()) c).cl_n
+let counter_value c = (cell_of (st ()) c).n
 
 let gauge_set g v =
   if !enabled || !metrics_enabled then begin
     let s = st () in
-    let cl = cell_of s g in
-    cl.cf.(f_last) <- v;
-    if v > cl.cf.(f_max) then cl.cf.(f_max) <- v;
-    if !metrics_enabled then begin
-      let w = ru_wcell s g in
-      w.wf.(f_last) <- v;
-      w.w_gauge <- true;
-      if v > w.wf.(f_max) then w.wf.(f_max) <- v
-    end
+    set_gauge (cell_of s g) v;
+    if !metrics_enabled then set_gauge (window_cell s g) v
   end
 
 let observe h v =
   if !enabled || !metrics_enabled then begin
     let s = st () in
-    let cl = cell_of s h in
-    cl.cl_n <- cl.cl_n + 1;
-    let cf = cl.cf in
-    cf.(f_sum) <- cf.(f_sum) +. v;
-    if v < cf.(f_min) then cf.(f_min) <- v;
-    if v > cf.(f_max) then cf.(f_max) <- v;
-    if !metrics_enabled then begin
-      let r = get_ru s in
-      let i = Hdr.index v in
-      wobserve_at (ru_slot_cell s r h) v i;
-      wobserve_at (ru_cum_wcell r h) v i
-    end
+    Sink.add (cell_of s h).h v;
+    if !metrics_enabled then Sink.add (window_cell s h).h v
   end
 
-let histogram_count h = (cell_of (st ()) h).cl_n
+(* Drop the rollup ring and rendered rows and blank the cumulative
+   cells. *)
+let clear_metrics s =
+  s.ru <- None;
+  Array.iter blank_cell s.cells
 
 let reset () =
   let s = st () in
@@ -639,8 +609,7 @@ let reset () =
   s.spans_started <- 0;
   s.trace_records <- 0;
   s.trace_dropped <- 0;
-  s.ru <- None;
-  Array.iter blank_cell s.cells
+  clear_metrics s
 
 (* {1 Capture / absorb}
 
@@ -657,12 +626,11 @@ type snapshot = {
   snap_spans : int;
   snap_cells : (handle * cell) list;
   snap_rows : string; (* trial's rollup rows, fully rendered, windows in order *)
-  snap_cum : (handle * wcell) list; (* trial's run-cumulative histogram buckets *)
   snap_dropped : int; (* trace records refused at the trial's cap *)
 }
 
 let empty_snapshot =
-  { snap_trace = ""; snap_spans = 0; snap_cells = []; snap_rows = ""; snap_cum = []; snap_dropped = 0 }
+  { snap_trace = ""; snap_spans = 0; snap_cells = []; snap_rows = ""; snap_dropped = 0 }
 
 (* The recording-state lifecycle behind [capture], exposed separately
    for clients whose unit of isolation is not a function call: the
@@ -689,22 +657,11 @@ let state_snapshot fresh =
   (* Rollup rows are rendered per trial: a trial's window sequence is
      self-contained, so the merged dump is the trials' rows spliced in
      trial-index order — a pure function of the trial list. *)
-  let rows, cum =
-    match fresh.ru with
-    | None -> ("", [])
-    | Some r ->
-        let cum = ref [] in
-        Array.iteri
-          (fun i w -> if i < Array.length all && w.w_n <> 0 then cum := (all.(i), w) :: !cum)
-          r.ru_cum;
-        (ru_rows r, List.rev !cum)
-  in
   {
     snap_trace = Buffer.contents fresh.buf;
     snap_spans = fresh.spans_started;
     snap_cells = cells;
-    snap_rows = rows;
-    snap_cum = cum;
+    snap_rows = (match fresh.ru with None -> "" | Some r -> ru_rows r);
     snap_dropped = fresh.trace_dropped;
   }
 
@@ -726,41 +683,14 @@ let capture ?(ids_base = 0) f =
 let absorb snap =
   if
     snap.snap_trace <> "" || snap.snap_spans <> 0 || snap.snap_cells <> []
-    || snap.snap_rows <> "" || snap.snap_cum <> [] || snap.snap_dropped <> 0
+    || snap.snap_rows <> "" || snap.snap_dropped <> 0
   then begin
     let s = st () in
     Buffer.add_string s.buf snap.snap_trace;
     s.spans_started <- s.spans_started + snap.snap_spans;
     s.trace_dropped <- s.trace_dropped + snap.snap_dropped;
-    List.iter
-      (fun (h, c) ->
-        let dst = cell_of s h in
-        match h.h_kind with
-        | Counter -> dst.cl_n <- dst.cl_n + c.cl_n
-        | Hist ->
-            dst.cl_n <- dst.cl_n + c.cl_n;
-            dst.cf.(f_sum) <- dst.cf.(f_sum) +. cl_sum c;
-            if cl_min c < cl_min dst then dst.cf.(f_min) <- cl_min c;
-            if cl_max c > cl_max dst then dst.cf.(f_max) <- cl_max c
-        | Gauge ->
-            if cl_max c > neg_infinity then begin
-              dst.cf.(f_last) <- cl_last c;
-              if cl_max c > cl_max dst then dst.cf.(f_max) <- cl_max c
-            end)
-      snap.snap_cells;
-    if snap.snap_rows <> "" || snap.snap_cum <> [] then begin
-      let r = get_ru s in
-      Buffer.add_string r.ru_mbuf snap.snap_rows;
-      List.iter
-        (fun (h, (w : wcell)) ->
-          let dst = ru_cum_wcell r h in
-          dst.w_n <- dst.w_n + w.w_n;
-          dst.wf.(f_sum) <- dst.wf.(f_sum) +. w.wf.(f_sum);
-          if w.wf.(f_min) < dst.wf.(f_min) then dst.wf.(f_min) <- w.wf.(f_min);
-          if w.wf.(f_max) > dst.wf.(f_max) then dst.wf.(f_max) <- w.wf.(f_max);
-          Hdr.merge_into ~into:dst.w_hist w.w_hist)
-        snap.snap_cum
-    end
+    List.iter (fun (h, c) -> merge_cell ~into:(cell_of s h) c) snap.snap_cells;
+    if snap.snap_rows <> "" then Buffer.add_string (get_ru s).ru_mbuf snap.snap_rows
   end
 
 (* {1 Output} *)
@@ -772,23 +702,7 @@ let json_string s =
   add_json_string b s;
   Buffer.contents b
 
-let touched_metrics () =
-  let s = st () in
-  let all = registered () in
-  let acc = ref [] in
-  Array.iteri
-    (fun i c ->
-      if i < Array.length all then begin
-        let h = all.(i) in
-        let live =
-          match h.h_kind with
-          | Counter | Hist -> c.cl_n <> 0
-          | Gauge -> (cl_max c) > neg_infinity
-        in
-        if live then acc := (h, c) :: !acc
-      end)
-    s.cells;
-  List.sort (fun ((a : handle), _) (b, _) -> String.compare a.h_metric b.h_metric) !acc
+let touched_metrics () = touched_cells (st ()).cells
 
 let metrics_jsonl () =
   let lines =
@@ -796,14 +710,16 @@ let metrics_jsonl () =
       (fun ((h : handle), c) ->
         match h.h_kind with
         | Counter ->
-            Printf.sprintf "{\"metric\":%S,\"type\":\"counter\",\"value\":%d}" h.h_metric c.cl_n
+            Printf.sprintf "{\"metric\":%S,\"type\":\"counter\",\"value\":%d}" h.h_metric c.n
         | Gauge ->
             Printf.sprintf "{\"metric\":%S,\"type\":\"gauge\",\"value\":%s,\"max\":%s}" h.h_metric
-              (fmt_float (cl_last c)) (fmt_float (cl_max c))
+              (fmt_float c.g.(g_last)) (fmt_float c.g.(g_max))
         | Hist ->
+            let k = c.h in
             Printf.sprintf
               "{\"metric\":%S,\"type\":\"hist\",\"count\":%d,\"sum\":%s,\"min\":%s,\"max\":%s}"
-              h.h_metric c.cl_n (fmt_float (cl_sum c)) (fmt_float (cl_min c)) (fmt_float (cl_max c)))
+              h.h_metric (Sink.count k) (fmt_float (Sink.sum k)) (fmt_float (Sink.min_value k))
+              (fmt_float (Sink.max_value k)))
       (touched_metrics ())
   in
   String.concat "" (List.map (fun l -> l ^ "\n") lines)
@@ -823,10 +739,8 @@ let dump_jsonl ~path () =
 
    Header line, the windowed rows (evicted first, then the still-open ring
    in window order), then one cumulative whole-run row per touched metric
-   with [w = -1]. Cumulative counter and gauge rows read the plain cells —
-   which capture/absorb already merge — so they agree with {!metrics_jsonl};
-   cumulative histogram quantiles come from the run-cumulative bucket
-   tables, fed sample-by-sample alongside the windows. *)
+   with [w = -1], read off the run-cumulative cells — which capture/absorb
+   merge — so they agree with {!metrics_jsonl}. *)
 
 let metrics_plane_jsonl () =
   let s = st () in
@@ -835,27 +749,7 @@ let metrics_plane_jsonl () =
   Buffer.add_string b (fmt_float !rollup_window);
   Buffer.add_string b "}\n";
   (match s.ru with Some r -> Buffer.add_string b (ru_rows r) | None -> ());
-  List.iter
-    (fun ((h : handle), c) ->
-      match h.h_kind with
-      | Counter -> add_row b ~name:h.h_metric ~kind:"counter" ~wid:(-1) [ ("n", string_of_int c.cl_n) ]
-      | Gauge ->
-          add_row b ~name:h.h_metric ~kind:"gauge" ~wid:(-1)
-            [ ("last", fmt_float (cl_last c)); ("max", fmt_float (cl_max c)) ]
-      | Hist ->
-          match s.ru with
-          | Some r when h.h_id < Array.length r.ru_cum && r.ru_cum.(h.h_id).w_n > 0 ->
-              hist_row b h ~wid:(-1) r.ru_cum.(h.h_id)
-          | _ ->
-              (* sampled only while tracing: no bucket table to carry *)
-              add_row b ~name:h.h_metric ~kind:"hist" ~wid:(-1)
-                [
-                  ("n", string_of_int c.cl_n);
-                  ("sum", fmt_float (cl_sum c));
-                  ("min", fmt_exact (cl_min c));
-                  ("max", fmt_exact (cl_max c));
-                ])
-    (touched_metrics ());
+  List.iter (fun (h, c) -> cell_row b h ~wid:(-1) c) (touched_metrics ());
   Buffer.contents b
 
 let dump_metrics ~path () =
@@ -868,41 +762,26 @@ module Rollup = struct
   let set_window w = if w > 0.0 && Float.is_finite w then rollup_window := w
   let window () = !rollup_window
 
-  let clear () =
-    let s = st () in
-    s.ru <- None
+  let clear () = clear_metrics (st ())
+
+  let count (h : handle) = Sink.count (cell_of (st ()) h).h
 
   let quantile (h : handle) q =
-    let s = st () in
-    match s.ru with
-    | None -> 0.0
-    | Some r ->
-        if h.h_id >= Array.length r.ru_cum then 0.0
-        else
-          let w = r.ru_cum.(h.h_id) in
-          Hdr.quantile w.w_hist ~min:(w_min w) ~max:(w_max w) q
-
-  let count (h : handle) =
-    let s = st () in
-    match s.ru with
-    | None -> 0
-    | Some r -> if h.h_id >= Array.length r.ru_cum then 0 else r.ru_cum.(h.h_id).w_n
+    let k = (cell_of (st ()) h).h in
+    if Sink.is_empty k then 0.0 else Sink.quantile k q
 
   let note ?(attrs = []) name =
     if !metrics_enabled then begin
       let s = st () in
       let r = get_ru s in
-      let t = s.clock () in
-      let wid0 = int_of_float (t /. !rollup_window) in
-      let wid = if wid0 < r.ru_cur then r.ru_cur else wid0 in
-      if wid > r.ru_cur then ru_advance r wid;
+      ru_seek r s.clock;
       let b = r.ru_mbuf in
       Buffer.add_string b "{\"m\":";
       add_json_string b name;
       Buffer.add_string b ",\"kind\":\"note\",\"w\":";
       Buffer.add_string b (string_of_int r.ru_cur);
       Buffer.add_string b ",\"t\":";
-      add_time_value b t;
+      add_time s b;
       add_attrs b attrs;
       Buffer.add_string b "}\n"
     end
@@ -917,12 +796,12 @@ let report () =
   let cs = of_kind Counter in
   if cs <> [] then
     Report.table ~header:[ "counter"; "value" ]
-      (List.map (fun ((h : handle), c) -> [ h.h_metric; string_of_int c.cl_n ]) cs);
+      (List.map (fun ((h : handle), c) -> [ h.h_metric; string_of_int c.n ]) cs);
   let gs = of_kind Gauge in
   if gs <> [] then
     Report.table ~header:[ "gauge"; "value"; "max" ]
       (List.map
-         (fun ((h : handle), c) -> [ h.h_metric; fmt_float (cl_last c); fmt_float (cl_max c) ])
+         (fun ((h : handle), c) -> [ h.h_metric; fmt_float c.g.(g_last); fmt_float c.g.(g_max) ])
          gs);
   let hs = of_kind Hist in
   if hs <> [] then
@@ -932,10 +811,10 @@ let report () =
          (fun ((h : handle), c) ->
            [
              h.h_metric;
-             string_of_int c.cl_n;
-             Report.float_cell ~decimals:6 ((cl_sum c) /. Float.of_int c.cl_n);
-             Report.float_cell ~decimals:6 (cl_min c);
-             Report.float_cell ~decimals:6 (cl_max c);
+             string_of_int (Sink.count c.h);
+             Report.float_cell ~decimals:6 (Sink.mean c.h);
+             Report.float_cell ~decimals:6 (Sink.min_value c.h);
+             Report.float_cell ~decimals:6 (Sink.max_value c.h);
            ])
          hs);
   Report.kvf "trace spans" "%d" (span_count ())

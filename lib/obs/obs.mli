@@ -44,9 +44,8 @@ val metrics_enabled : bool ref
     default and independent of {!enabled}: a million-node run can keep
     bounded-memory percentile telemetry with tracing off. With it on,
     every counter/gauge/histogram sample also lands in the current
-    virtual-time window (see {!Rollup}) and, for histograms, a
-    run-cumulative log-bucket table. Spans stay trace-only. Same toggling
-    discipline as {!enabled}. *)
+    virtual-time window (see {!Rollup}). Spans stay trace-only. Same
+    toggling discipline as {!enabled}. *)
 
 val set_trace_cap : int -> unit
 (** Bound the trace buffer to at most [n] records per recording state
@@ -60,9 +59,13 @@ val trace_dropped : unit -> int
 (** Trace records refused at the cap since the last {!reset} (absorbed
     snapshots included). *)
 
-val set_clock : (unit -> float) -> unit
-(** Install the virtual-clock source. {!Splay_sim.Engine.create} calls
-    this, so the most recently created engine stamps the trace. *)
+type clock = { mutable v : float }
+(** A virtual-clock cell: [v] is the current virtual time. Read in place,
+    it costs the metrics plane no allocation per sample. *)
+
+val set_clock : clock -> unit
+(** Install the virtual-clock cell. {!Splay_sim.Engine.create} installs
+    its own, so the most recently created engine stamps the trace. *)
 
 val reset : unit -> unit
 (** Clear the calling domain's trace buffer, zero every registered metric,
@@ -204,10 +207,10 @@ val gauge_set : gauge -> float -> unit
 type histogram
 
 val histogram : string -> histogram
-(** Find-or-create a histogram summarised as count / sum / min / max. *)
+(** Find-or-create a histogram: a {!Splay_stats.Sink} (exact count / sum /
+    min / max plus its log-bucket table). *)
 
 val observe : histogram -> float -> unit
-val histogram_count : histogram -> int
 
 (** {1 Rollup — time-windowed metrics on the virtual clock}
 
@@ -215,14 +218,13 @@ val histogram_count : histogram -> int
     window [w = floor(t / window)] of a small ring; advancing past a
     window renders one compact JSON line per touched metric (counters
     gain a windowed rate, gauges a windowed last/max, histograms
-    count/sum/min/max, p50/p90/p99/p999 and the bucket counts of a
-    {!Splay_stats.Hdr} log-bucket table — the one {!Splay_stats.Sink}
-    uses, with the same quantile rule, O(1) memory per histogram). Histograms
-    additionally keep a run-cumulative table, merged exactly across
-    trials, so whole-run quantiles are available at any point
-    ({!Rollup.quantile}). Domain-local like the rest of the recording
-    state and merged through {!capture}/{!absorb} in trial order, so
-    multi-domain dumps are byte-identical to single-domain ones. *)
+    count/sum/min/max, p50/p90/p99/p999 and the bucket counts of their
+    window's {!Splay_stats.Sink}, O(1) memory per histogram). Each metric's
+    run-cumulative cell, merged exactly across trials, answers whole-run
+    quantiles at any point ({!Rollup.quantile}). Domain-local like the
+    rest of the recording state and merged through {!capture}/{!absorb}
+    in trial order, so multi-domain dumps are byte-identical to
+    single-domain ones. *)
 
 module Rollup : sig
   val set_window : float -> unit
@@ -233,18 +235,18 @@ module Rollup : sig
   val window : unit -> float
 
   val clear : unit -> unit
-  (** Drop the calling domain's rollup state (rendered rows, ring,
-      cumulative buckets). Use between back-to-back runs whose windows
-      must not bleed into each other; plain metric cells are untouched. *)
+  (** Drop the calling domain's rollup state (rendered rows, ring) and
+      blank its run-cumulative cells: counters, gauges and histograms
+      alike. Use between back-to-back runs whose metrics must not bleed
+      into each other. *)
 
   val quantile : histogram -> float -> float
-  (** Run-cumulative q-quantile from the log-bucket table (0.0 when the
-      histogram has no samples or the metrics plane never ran), by
-      {!Splay_stats.Hdr.quantile}: within one bucket of the true value,
-      exact at q = 0 and q = 1. *)
+  (** Run-cumulative q-quantile ({!Splay_stats.Sink.quantile}: within one
+      bucket of the true value, exact at q = 0 and q = 1); 0.0 when the
+      histogram has no samples. *)
 
   val count : histogram -> int
-  (** Samples in the run-cumulative bucket table. *)
+  (** Run-cumulative sample count. *)
 
   val note : ?attrs:(string * string) list -> string -> unit
   (** Append a free-form row ([{"m":…,"kind":"note","w":…,"t":…,…attrs}])
@@ -280,11 +282,10 @@ val metrics_plane_jsonl : unit -> string
     header, the windowed rollup rows ({!Rollup.rows}), then one
     cumulative whole-run row per touched metric with [w:-1]. A histogram
     row carries its bucket counts as a ["buckets"] field
-    ({!Splay_stats.Hdr.encode}) and its [min]/[max] at round-trip
+    ({!Splay_stats.Sink.encode}) and its [min]/[max] at round-trip
     precision, so readers merge rows exactly; its p50..p999 fields are
-    for people. A histogram sampled only while tracing has no bucket
-    table, and its cumulative row no ["buckets"]. {!Metrics_analysis}
-    and [splay top] consume this format. *)
+    for people. {!Metrics_analysis} and [splay top] consume this
+    format. *)
 
 val dump_metrics : path:string -> unit -> unit
 (** Write {!metrics_plane_jsonl} to [path]. *)

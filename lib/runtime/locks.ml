@@ -1,7 +1,8 @@
 module Engine = Splay_sim.Engine
 
-(* Waiters park on wakers in arrival order; a waiter killed while queued
-   has a settled waker, which [unlock] skips. *)
+(* Waiters park on wakers in arrival order; [unlock] skips a waiter
+   killed while queued, also one killed in the same instant, whose waker
+   settles only when its kill event runs. *)
 type t = { mutable held : bool; queue : unit Engine.waker Queue.t }
 
 let create () = { held = false; queue = Queue.create () }
@@ -18,7 +19,7 @@ let rec wake_next t =
   match Queue.take_opt t.queue with
   | None -> t.held <- false
   | Some w ->
-      if Engine.pending w then Engine.wake w () (* lock stays held, ownership transfers *)
+      if Engine.waiting w then Engine.wake w () (* lock stays held, ownership transfers *)
       else wake_next t
 
 let unlock t =

@@ -1,5 +1,6 @@
 (* Receivers park on wakers in arrival order. A receiver that timed out
-   or was killed leaves a settled waker in the queue: a send skips it,
+   or was killed leaves a settled waker in the queue (or, killed in the
+   current instant, one whose kill event has yet to run): a send skips it,
    and once such stale entries are the majority the queue is compacted,
    so an idle channel holds O(receivers still waiting). [stale] may
    over-count (a receiver killed after a send woke it is no longer
@@ -12,7 +13,7 @@ let rec send t v =
   match Queue.take_opt t.receivers with
   | None -> Queue.add v t.msgs
   | Some w ->
-      if Engine.pending w then Engine.wake w v
+      if Engine.waiting w then Engine.wake w v
       else begin
         if t.stale > 0 then t.stale <- t.stale - 1;
         send t v
@@ -24,7 +25,7 @@ let note_stale t =
   t.stale <- t.stale + 1;
   if t.stale > 8 && 2 * t.stale > Queue.length t.receivers then begin
     let live = Queue.create () in
-    Queue.iter (fun w -> if Engine.pending w then Queue.add w live) t.receivers;
+    Queue.iter (fun w -> if Engine.waiting w then Queue.add w live) t.receivers;
     Queue.clear t.receivers;
     Queue.transfer live t.receivers;
     t.stale <- 0

@@ -15,7 +15,7 @@
 (* Single-field float record: flat representation, so mutating [v] writes
    an unboxed double in place (a plain mutable float field of the mixed
    record below would be boxed and re-boxed on every store). *)
-type fcell = { mutable v : float }
+type fcell = Splay_obs.Obs.clock = { mutable v : float }
 
 type 'a t = {
   mutable ats : float array;

@@ -19,8 +19,8 @@
 
 type 'a t
 
-type fcell = { mutable v : float }
-(** A flat float cell: reading [v] through a known record type loads an
+type fcell = Splay_obs.Obs.clock = { mutable v : float }
+(** A flat float cell (the type {!Splay_obs.Obs} reads its clock from): reading [v] through a known record type loads an
     unboxed double, where a float-returning call across modules boxes its
     result. *)
 

@@ -608,6 +608,7 @@ let waker t =
   w
 
 let pending w = w.w_res == unsettled
+let waiting w = w.w_res == unsettled && not w.w_proc.killed
 
 let settle w r =
   w.w_res <- r;
@@ -836,7 +837,7 @@ let create ?(seed = 42) () =
         w.w_k <- k);
   (* The trace is stamped with virtual time: the most recently created
      engine on this domain owns the observability clock. *)
-  Obs.set_clock (fun () -> t.now.v);
+  Obs.set_clock t.now;
   t
 
 let start p f =

@@ -233,6 +233,12 @@ val timeout : 'a waker -> float -> unit
 val pending : 'a waker -> bool
 (** [true] until the waker settles. *)
 
+val waiting : 'a waker -> bool
+(** [pending], and its process not killed: a waiter that can still take
+    a handoff. A process killed in the current instant stays [pending]
+    until its kill event runs; a lock or a message handed to it then
+    would be lost with it. *)
+
 val self : unit -> proc
 (** The calling process. *)
 

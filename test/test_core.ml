@@ -236,7 +236,7 @@ let test_floors_checker () =
 }|}
   in
   let check name floors expected =
-    Alcotest.(check (list bool)) name expected (List.map fst (Row.check ~bench ~floors))
+    Alcotest.(check (list bool)) name expected (List.map fst (Row.check ~reference:None ~bench ~floors))
   in
   check "floor" {|{"name": "a", "floor_ops_per_sec": 100}|} [ true ];
   check "floor violated" {|{"name": "a", "floor_ops_per_sec": 101}|} [ false ];
@@ -255,11 +255,26 @@ let test_floors_checker () =
   check "missing baseline row" {|{"name": "a", "floor_ratio_ops_per_sec": 0.5, "baseline": "c"}|}
     [ false ];
   check "ratio without baseline" {|{"name": "a", "floor_ratio_ops_per_sec": 0.5}|} [ false ];
+  (* the exact bound: rows the reference also has keep every non-timing
+     field; timing fields and rows it lacks are free *)
+  let exact reference = List.map fst (Row.check ~reference ~bench ~floors:{|{"name": "*", "exact": 1}|}) in
+  let committed p99 ops_per_sec =
+    Printf.sprintf
+      {|{"name": "a", "ops": 10, "ops_per_sec": %d, "p99_s": %s},
+    {"name": "gone", "ops": 1}|}
+      ops_per_sec p99
+  in
+  Alcotest.(check (list bool)) "exact" [ true ] (exact (Some (committed "0.5" 100)));
+  Alcotest.(check (list bool)) "exact ignores timing" [ true ] (exact (Some (committed "0.5" 7)));
+  Alcotest.(check (list bool)) "exact violated" [ false ] (exact (Some (committed "0.50" 100)));
+  Alcotest.(check (list bool)) "exact without a reference" [ false ] (exact None);
   check "bounds of several rows, in order"
     {|{"name": "a", "floor_ops_per_sec": 100, "ceiling_p99_s": 0.4},
     {"name": "b", "floor_ops_per_sec": 100}|}
     [ true; false; true ];
-  match Row.check ~bench ~floors:{|{"name": "par1", "floor_speedup_x_per_worker": 0.5}|} with
+  match
+    Row.check ~reference:None ~bench ~floors:{|{"name": "par1", "floor_speedup_x_per_worker": 0.5}|}
+  with
   | [ (true, msg) ] ->
       let has sub =
         let n = String.length sub in

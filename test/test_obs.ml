@@ -198,23 +198,64 @@ let test_rollup_quantile_accuracy () =
       (* the exact max clamps the top bucket: q1 is exact *)
       Alcotest.(check (float 1e-9)) "q1 is the exact max" 10.0 (Obs.Rollup.quantile h 1.0))
 
-(* One histogram: the metrics plane and Sink.sketch share the bucket table
-   and its quantile rule, so the same stream reads the same everywhere. *)
+(* One histogram: a metrics-plane histogram is a Sink, so the same stream
+   reads the same everywhere — observed directly, or observed by two
+   captured trials and absorbed. *)
 let test_rollup_matches_sink_sketch () =
+  let module Sink = Splay_stats.Sink in
+  let sample i = Float.of_int ((i * 7919) mod 4001) /. 997.0 in
+  let same what k h =
+    List.iter
+      (fun q ->
+        Alcotest.(check (float 0.0))
+          (Printf.sprintf "%s q=%g" what q)
+          (Sink.quantile k q) (Obs.Rollup.quantile h q))
+      [ 0.0; 0.5; 0.9; 0.99; 0.999; 1.0 ];
+    Alcotest.(check int) (what ^ " count") (Sink.count k) (Obs.Rollup.count h)
+  in
   with_metrics (fun () ->
       let h = Obs.histogram "test.ru.sink" in
-      let k = Splay_stats.Sink.sketch () in
+      let k = Sink.sketch () in
       for i = 1 to 5_000 do
-        let v = Float.of_int ((i * 7919) mod 4001) /. 997.0 in
-        Obs.observe h v;
-        Splay_stats.Sink.add k v
+        Obs.observe h (sample i);
+        Sink.add k (sample i)
       done;
-      List.iter
-        (fun q ->
-          Alcotest.(check (float 0.0))
-            (Printf.sprintf "q=%g" q)
-            (Splay_stats.Sink.quantile k q) (Obs.Rollup.quantile h q))
-        [ 0.5; 0.9; 0.99; 0.999 ])
+      same "direct" k h);
+  with_metrics (fun () ->
+      let h = Obs.histogram "test.ru.sink" in
+      let k = Sink.sketch () in
+      let trial ids_base lo hi =
+        snd
+          (Obs.capture ~ids_base (fun () ->
+               for i = lo to hi do
+                 Obs.observe h (sample i)
+               done))
+      in
+      let s1 = trial (1 lsl 24) 1 2_000 and s2 = trial (2 lsl 24) 2_001 5_000 in
+      for i = 1 to 5_000 do
+        Sink.add k (sample i)
+      done;
+      Obs.absorb s1;
+      Obs.absorb s2;
+      same "absorbed" k h)
+
+(* A metrics-on sample lands in two sinks, the run-cumulative cell and
+   the current window's, and allocates nothing once both exist. *)
+let test_observe_allocates_nothing () =
+  with_metrics (fun () ->
+      let h = Obs.histogram "test.ru.alloc" in
+      let xs = [ 0.25; 3.0; 0.0; 1e9; 7.5 ] in
+      List.iter (Obs.observe h) xs;
+      let before = Gc.minor_words () in
+      let rec feed = function [] -> () | x :: r -> Obs.observe h x; feed r in
+      for _ = 1 to 10_000 do
+        feed xs
+      done;
+      let words = Gc.minor_words () -. before in
+      Alcotest.(check bool)
+        (Printf.sprintf "50k metrics-on samples allocate %.0f minor words" words)
+        true (words < 100.0);
+      Alcotest.(check int) "every sample counted" 50_005 (Obs.Rollup.count h))
 
 let test_rollup_zero_bucket () =
   with_metrics (fun () ->
@@ -264,15 +305,15 @@ let test_rollup_window_rotation () =
   with_metrics (fun () ->
       (* drive the ring off a fake clock; any test needing the engine's
          clock re-installs it via Engine.create *)
-      let t = ref 1.0 in
-      Obs.set_clock (fun () -> !t);
+      let t = { Obs.v = 1.0 } in
+      Obs.set_clock t;
       let c = Obs.counter "test.ru.ticks" in
       let h = Obs.histogram "test.ru.lat" in
       Obs.incr c;
       Obs.observe h 0.010;
-      t := 25.0;
+      t.v <- 25.0;
       Obs.incr c;
-      t := 47.0;
+      t.v <- 47.0;
       (* w4 displaces w0 from the 4-slot ring: w0 is rendered, not lost *)
       Obs.observe h 0.020;
       let rows = Obs.Rollup.rows () in
@@ -284,7 +325,7 @@ let test_rollup_window_rotation () =
       Alcotest.(check bool) "no phantom window" false (contains rows "\"w\":1");
       (* a clock reading behind the newest window clamps into it instead of
          corrupting an already-rendered one *)
-      t := 3.0;
+      t.v <- 3.0;
       Obs.incr c;
       Alcotest.(check bool) "w0 not re-opened" false
         (contains (Obs.Rollup.rows ()) "\"w\":0,\"n\":2");
@@ -304,7 +345,7 @@ let test_rollup_window_rotation () =
           0 m.Ma.windows
       in
       Alcotest.(check int) "windowed counts add up across rotation" 3 total;
-      Obs.set_clock (fun () -> 0.0))
+      Obs.set_clock { Obs.v = 0.0 })
 
 (* {2 Metrics plane: golden dump and dashboard} *)
 
@@ -347,7 +388,7 @@ let test_slo_violation_rate () =
            "{\"m\":\"lat\",\"kind\":\"hist\",\"w\":0,\"n\":100,\"sum\":160.0,\"min\":1,\"max\":2.25,\"buckets\":\"161:50,169:50\"}";
          ])
   in
-  let h = Ma.hist_agg (Ma.rows_of m ~w:0 "lat") in
+  let h = Ma.hist (Ma.rows_of m ~w:0 "lat") in
   let vr thr = Ma.violation_rate h ~threshold:thr in
   Alcotest.(check (float 1e-9)) "below min: everything violates" 1.0 (vr 0.5);
   Alcotest.(check (float 1e-9)) "at max: nothing violates" 0.0 (vr 2.25);
@@ -355,7 +396,7 @@ let test_slo_violation_rate () =
   Alcotest.(check (float 1e-9)) "mid lower bucket" 0.75 (vr 1.0625);
   Alcotest.(check (float 1e-9)) "mid upper bucket" 0.25 (vr 2.125);
   Alcotest.(check bool) "empty histogram renders nan" true
-    (Float.is_nan (Ma.violation_rate (Ma.hist_agg []) ~threshold:1.0));
+    (Float.is_nan (Ma.violation_rate (Ma.hist []) ~threshold:1.0));
   let top = Ma.render ~slo:("lat", 1.5) m in
   Alcotest.(check bool) "slo column rendered" true (contains top "slo-viol");
   Alcotest.(check bool) "window violation rendered" true (contains top "50.00%")
@@ -561,7 +602,7 @@ let test_disabled_records_nothing () =
     true (allocated < 1_000.0);
   Alcotest.(check int) "no spans started" 0 (Obs.span_count ());
   Alcotest.(check int) "counter untouched" 0 (Obs.counter_value c);
-  Alcotest.(check int) "histogram untouched" 0 (Obs.histogram_count h);
+  Alcotest.(check int) "histogram untouched" 0 (Obs.Rollup.count h);
   Alcotest.(check string) "trace empty" "" (Obs.trace_jsonl ());
   Alcotest.(check string) "metrics empty" "" (Obs.metrics_jsonl ())
 
@@ -677,7 +718,7 @@ let test_ok_span_outcome () =
       Alcotest.(check bool) "ok outcome recorded" true (contains trace "\"outcome\":\"ok\"");
       Alcotest.(check bool) "serve span present" true (contains trace "\"name\":\"rpc.serve\"");
       Alcotest.(check bool) "serve time observed" true
-        (Obs.histogram_count (Obs.histogram "rpc.serve_time") >= 1))
+        (Obs.Rollup.count (Obs.histogram "rpc.serve_time") >= 1))
 
 (* {2 Engine.run statistics} *)
 
@@ -795,6 +836,7 @@ let () =
         [
           Alcotest.test_case "quantile accuracy" `Quick test_rollup_quantile_accuracy;
           Alcotest.test_case "same quantiles as Sink.sketch" `Quick test_rollup_matches_sink_sketch;
+          Alcotest.test_case "observe allocates nothing" `Quick test_observe_allocates_nothing;
           Alcotest.test_case "zero bucket" `Quick test_rollup_zero_bucket;
           Alcotest.test_case "capture merge" `Quick test_rollup_capture_merge;
           Alcotest.test_case "window rotation" `Quick test_rollup_window_rotation;

@@ -5,7 +5,7 @@
 open Splay_sim
 module Obs = Splay_obs.Obs
 module Ma = Splay_obs.Metrics_analysis
-module Hdr = Splay_stats.Hdr
+module Sink = Splay_stats.Sink
 
 (* One self-contained trial: its own engine, its own seed, some spans and
    metrics recorded along the way, a plain-data result out. *)
@@ -99,17 +99,15 @@ let test_merged_quantiles_exact () =
   let m = Ma.load dump in
   let rows = Ma.rows_of m ~w:0 "pool.test.spread" in
   Alcotest.(check int) "one window-0 row per trial" 2 (List.length rows);
-  let h = Ma.hist_agg rows in
-  let union = Hdr.create () in
-  List.iter (List.iter (Hdr.add union)) samples;
-  let all = List.concat samples in
-  let mn = List.fold_left Float.min infinity all and mx = List.fold_left Float.max neg_infinity all in
-  Alcotest.(check int) "merged n" (List.length all) h.Ma.ha_n;
+  let h = Ma.hist rows in
+  let union = Sink.sketch () in
+  List.iter (List.iter (Sink.add union)) samples;
+  Alcotest.(check int) "merged n" (Sink.count union) (Sink.count h);
   List.iter
     (fun q ->
       Alcotest.(check (float 0.0))
         (Printf.sprintf "p%g of the union" (100.0 *. q))
-        (Hdr.quantile union ~min:mn ~max:mx q) (h.Ma.ha_q q))
+        (Sink.quantile union q) (Sink.quantile h q))
     [ 0.5; 0.9; 0.99; 0.999 ]
 
 let test_exception_propagates () =

@@ -466,6 +466,24 @@ let test_lock_kill_while_parked () =
       Alcotest.(check bool) "next waiter got the lock" true !next;
       Alcotest.(check bool) "released" false (Locks.is_locked l))
 
+(* A queued waiter killed in the same event as the unlock that reaches it
+   is still pending (its kill event has yet to run): the lock must pass
+   it over, or it stays held by a dead process forever. *)
+let test_lock_kill_and_unlock_same_event () =
+  with_cluster (fun eng _ ->
+      let l = Locks.create () in
+      Locks.lock l;
+      let third = ref false in
+      let doomed = Engine.spawn eng (fun () -> Locks.with_lock l ignore) in
+      ignore (Engine.spawn eng (fun () -> Locks.with_lock l (fun () -> third := true)));
+      ignore
+        (Engine.schedule eng ~delay:1.0 (fun () ->
+             Engine.kill eng doomed;
+             Locks.unlock l));
+      ignore (Engine.run eng);
+      Alcotest.(check bool) "the third waiter got the lock" true !third;
+      Alcotest.(check bool) "released" false (Locks.is_locked l))
+
 let test_rpc_kill_while_parked () =
   with_cluster (fun eng net ->
       let server = mk_env net 0 and client = mk_env net 1 in
@@ -1213,6 +1231,8 @@ let () =
           Alcotest.test_case "fifo" `Quick test_lock_fifo;
           Alcotest.test_case "released on kill" `Quick test_lock_released_on_kill;
           Alcotest.test_case "kill while parked" `Quick test_lock_kill_while_parked;
+          Alcotest.test_case "kill and unlock in one event" `Quick
+            test_lock_kill_and_unlock_same_event;
           Alcotest.test_case "try_lock" `Quick test_try_lock;
         ] );
       ( "env",

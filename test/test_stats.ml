@@ -144,40 +144,6 @@ let test_report_bar () =
   Alcotest.(check string) "zero max" "" (Report.bar 5.0 ~max:0.0 ~width:10)
 
 
-(* {2 Summary (Welford)} *)
-
-let test_summary_matches_dist () =
-  let xs = [ 2.0; 4.0; 4.0; 4.0; 5.0; 5.0; 7.0; 9.0 ] in
-  let s = Summary.create () in
-  List.iter (Summary.add s) xs;
-  let d = feed xs in
-  Alcotest.(check int) "count" (Dist.count d) (Summary.count s);
-  Alcotest.(check (float 1e-9)) "mean" (Dist.mean d) (Summary.mean s);
-  Alcotest.(check (float 1e-9)) "stddev" (Dist.stddev d) (Summary.stddev s);
-  Alcotest.(check (float 1e-9)) "min" (Dist.min_value d) (Summary.min_value s);
-  Alcotest.(check (float 1e-9)) "max" (Dist.max_value d) (Summary.max_value s)
-
-let test_summary_empty () =
-  let s = Summary.create () in
-  Alcotest.(check (float 1e-9)) "mean" 0.0 (Summary.mean s);
-  Alcotest.(check (float 1e-9)) "variance" 0.0 (Summary.variance s);
-  Alcotest.check_raises "min" (Invalid_argument "Summary.min_value: empty") (fun () ->
-      ignore (Summary.min_value s))
-
-let prop_summary_merge =
-  QCheck.Test.make ~name:"merged summary = summary of concatenation" ~count:300
-    QCheck.(pair (list (float_range (-100.) 100.)) (list (float_range (-100.) 100.)))
-    (fun (xs, ys) ->
-      let sa = Summary.create () and sb = Summary.create () and s_all = Summary.create () in
-      List.iter (Summary.add sa) xs;
-      List.iter (Summary.add sb) ys;
-      List.iter (Summary.add s_all) (xs @ ys);
-      let m = Summary.merge sa sb in
-      let close a b = Float.abs (a -. b) < 1e-6 *. (1.0 +. Float.abs a) in
-      Summary.count m = Summary.count s_all
-      && close (Summary.mean m) (Summary.mean s_all)
-      && close (Summary.variance m) (Summary.variance s_all))
-
 (* {2 Sink — the sketch, against Dist as the exact reference} *)
 
 let sink_feed s xs = List.iter (Sink.add s) xs
@@ -201,7 +167,6 @@ let test_sink_exact_matches_dist () =
   sink_feed s xs;
   Alcotest.(check int) "count" (Dist.count d) (Sink.count s);
   Alcotest.(check (float 1e-9)) "mean" (Dist.mean d) (Sink.mean s);
-  Alcotest.(check (float 1e-9)) "stddev" (Dist.stddev d) (Sink.stddev s);
   Alcotest.(check (float 1e-9)) "p0" (Dist.percentile d 0.0) (Sink.quantile s 0.0);
   Alcotest.(check (float 1e-9)) "p100" (Dist.percentile d 100.0) (Sink.quantile s 1.0)
 
@@ -229,7 +194,7 @@ let test_sink_sketch_error_bound () =
       List.iter
         (fun q ->
           let v = Sink.quantile k q and x = Dist.percentile e (100.0 *. q) in
-          let lo, hi = Hdr.bounds (Hdr.index x) in
+          let lo, hi = Sink.bucket x in
           Alcotest.(check bool)
             (Printf.sprintf "%s q=%g: %g within [%g, %g)'s width of %g" name q v lo hi x)
             true
@@ -261,6 +226,48 @@ let test_sink_merge () =
   Alcotest.(check bool) "merged median between the halves" true (p50 > 1_000.0 && p50 < 12_000.0);
   Alcotest.(check int) "to_dist keeps one value per sample" 6_000 (Dist.count (Sink.to_dist km))
 
+let test_sink_empty () =
+  let s = Sink.sketch () in
+  Alcotest.(check int) "count" 0 (Sink.count s);
+  Alcotest.(check (float 1e-9)) "mean" 0.0 (Sink.mean s);
+  Alcotest.check_raises "min" (Invalid_argument "Sink.min_value: empty") (fun () ->
+      ignore (Sink.min_value s));
+  Alcotest.check_raises "quantile" (Invalid_argument "Sink.quantile: empty") (fun () ->
+      ignore (Sink.quantile s 0.5))
+
+(* The exact aggregates live unboxed beside the bucket table, so a sample
+   costs no allocation once the table exists. *)
+let test_sink_add_allocates_nothing () =
+  let s = Sink.sketch () in
+  let xs = [ 0.25; 3.0; 0.0; 1e9; 7.5 ] in
+  sink_feed s xs;
+  let before = Gc.minor_words () in
+  (* no closure per pass: [List.iter (Sink.add s)] would build one *)
+  let rec feed = function [] -> () | x :: r -> Sink.add s x; feed r in
+  for _ = 1 to 10_000 do
+    feed xs
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool)
+    (Printf.sprintf "50k samples allocate %.0f minor words" words)
+    true (words < 100.0);
+  Alcotest.(check int) "every sample counted" 50_005 (Sink.count s)
+
+let prop_sink_merge_moments =
+  QCheck.Test.make ~name:"merged sink = sink of concatenation" ~count:300
+    QCheck.(pair (list (float_range (-100.) 100.)) (list (float_range (-100.) 100.)))
+    (fun (xs, ys) ->
+      let sa = Sink.sketch () and sb = Sink.sketch () and s_all = Sink.sketch () in
+      sink_feed sa xs;
+      sink_feed sb ys;
+      sink_feed s_all (xs @ ys);
+      let m = Sink.merge sa sb in
+      let close a b = Float.abs (a -. b) < 1e-6 *. (1.0 +. Float.abs a) in
+      Sink.count m = Sink.count s_all
+      && close (Sink.mean m) (Sink.mean s_all)
+      && (Sink.is_empty m
+         || (Sink.min_value m = Sink.min_value s_all && Sink.max_value m = Sink.max_value s_all)))
+
 let prop_sink_quantiles_monotone =
   QCheck.Test.make ~name:"sink quantiles monotone and within [min,max]" ~count:200
     QCheck.(list_of_size (QCheck.Gen.int_range 1 200) (float_range (-1000.) 1000.))
@@ -291,34 +298,38 @@ let prop_sink_merge_exact =
            (fun q -> Sink.quantile m q = Sink.quantile whole q)
            [ 0.0; 0.01; 0.1; 0.25; 0.5; 0.75; 0.9; 0.99; 0.999; 1.0 ])
 
-(* The text form carries a table without losing a count: decoding what
-   encode wrote answers every quantile as the original does, and the
-   decoder holds the writer to its count. *)
+(* The text form carries a sink without losing a count: decoding what
+   encode wrote, with the exact aggregates beside it, answers every
+   quantile as the original does, and the decoder holds the writer to its
+   count. *)
 let prop_hdr_encode_round_trip =
   QCheck.Test.make ~name:"hdr decode (encode t) answers as t" ~count:200
     QCheck.(list_of_size (QCheck.Gen.int_range 0 300) (float_range (-1.) 1e6))
     (fun xs ->
-      let t = Hdr.create () in
-      List.iter (Hdr.add t) xs;
+      let t = Sink.sketch () in
+      sink_feed t xs;
       let b = Buffer.create 64 in
-      Hdr.encode b t;
-      let n = List.length xs in
-      let mn = List.fold_left Float.min 0.0 xs and mx = List.fold_left Float.max 0.0 xs in
-      match Hdr.decode ~n (Buffer.contents b) with
+      Sink.encode b t;
+      let n = List.length xs and sum = Sink.sum t in
+      let min = if n = 0 then 0.0 else Sink.min_value t in
+      let max = if n = 0 then 0.0 else Sink.max_value t in
+      match Sink.decode ~n ~sum ~min ~max (Buffer.contents b) with
       | None -> false
       | Some d ->
-          Hdr.count d = n
-          && Hdr.decode ~n:(n + 1) (Buffer.contents b) = None
-          && List.for_all
-               (fun q -> Hdr.quantile d ~min:mn ~max:mx q = Hdr.quantile t ~min:mn ~max:mx q)
-               [ 0.0; 0.1; 0.5; 0.9; 0.99; 1.0 ])
+          Sink.count d = n
+          && Sink.decode ~n:(n + 1) ~sum ~min ~max (Buffer.contents b) = None
+          && Sink.mean d = Sink.mean t
+          && (n = 0
+             || List.for_all
+                  (fun q -> Sink.quantile d q = Sink.quantile t q)
+                  [ 0.0; 0.1; 0.5; 0.9; 0.99; 1.0 ]))
 
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
     [
       prop_percentile_monotone;
       prop_cdf_bounds;
-      prop_summary_merge;
+      prop_sink_merge_moments;
       prop_sink_quantiles_monotone;
       prop_sink_merge_exact;
       prop_hdr_encode_round_trip;
@@ -343,11 +354,6 @@ let () =
           Alcotest.test_case "percentile series" `Quick test_series_percentile_series;
           Alcotest.test_case "counter" `Quick test_series_counter;
         ] );
-      ( "summary",
-        [
-          Alcotest.test_case "matches dist" `Quick test_summary_matches_dist;
-          Alcotest.test_case "empty" `Quick test_summary_empty;
-        ] );
       ( "report",
         [
           Alcotest.test_case "cells" `Quick test_report_cells;
@@ -360,6 +366,8 @@ let () =
           Alcotest.test_case "sketch error bound" `Quick test_sink_sketch_error_bound;
           Alcotest.test_case "sketch endpoints exact" `Quick test_sink_sketch_endpoints_exact;
           Alcotest.test_case "merge" `Quick test_sink_merge;
+          Alcotest.test_case "empty" `Quick test_sink_empty;
+          Alcotest.test_case "add allocates nothing" `Quick test_sink_add_allocates_nothing;
         ] );
       ("properties", qsuite);
     ]
