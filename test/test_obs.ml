@@ -137,6 +137,76 @@ let test_golden_trace () =
       Alcotest.(check bool) "golden metrics are byte-identical" true
         (read_file (golden_metrics ()) = metrics)
 
+(* Pastry's message schedule pinned the same way: a controller-deployed
+   Pastry ring on a small PlanetLab testbed, a short churn script replayed
+   over it and a few lookups. Node references travel in every join,
+   leafset and route reply, so a change to how they are encoded, decoded
+   or learned that moves one byte, one RPC or one learned peer shows up
+   here. Regenerated with the chord golden (same SPLAY_GOLDEN_DIR). *)
+let pastry_config =
+  {
+    Apps.Pastry.default_config with
+    join_delay_per_position = 0.2;
+    rpc_timeout = 2.0;
+    stabilize_interval = 3.0;
+  }
+
+let run_pastry_churn ~seed =
+  let eng = Engine.create ~seed () in
+  let tb0 = Testbed.planetlab ~n:12 (Engine.rng eng) in
+  let tb, ctl_host = Testbed.with_extra_host tb0 in
+  let net = Net.create eng tb in
+  let ctl = Controller.create net ~host:ctl_host in
+  let daemons = Controller.boot_daemons ctl (List.init 12 Fun.id) in
+  let nodes = ref [] in
+  ignore
+    (Env.thread (Controller.env ctl) (fun () ->
+         Fun.protect
+           ~finally:(fun () ->
+             List.iter Daemon.shutdown daemons;
+             ignore (Engine.schedule eng ~delay:0.0 (fun () -> Env.stop (Controller.env ctl))))
+           (fun () ->
+             let dep =
+               Controller.deploy ctl ~name:"pastry"
+                 ~main:
+                   (Apps.Pastry.app ~config:pastry_config ~register:(fun x -> nodes := x :: !nodes))
+                 (Descriptor.make ~bootstrap:(Descriptor.Head 1) 8)
+             in
+             Env.sleep 10.0;
+             let script =
+               Splay_churn.Script.parse "at 2s join 3\nat 8s leave 3\nat 14s join 2\nat 18s leave 25%"
+             in
+             ignore (Splay_churn.Replayer.run_script dep script);
+             let rng = Rng.create seed in
+             for _ = 1 to 5 do
+               Env.sleep 4.0;
+               match List.filter (fun x -> not (Apps.Pastry.is_stopped x)) !nodes with
+               | [] -> ()
+               | live ->
+                   ignore (Apps.Pastry.lookup (Rng.pick_list rng live) (Rng.int rng (Misc.pow2 32)))
+             done;
+             Env.sleep 2.0;
+             Controller.undeploy dep)));
+  ignore (Engine.run ~until:10_000.0 eng);
+  Engine.check_crashed eng
+
+let test_golden_pastry_churn () =
+  let trace, metrics =
+    with_obs (fun () ->
+        run_pastry_churn ~seed:7;
+        (Obs.trace_jsonl (), Obs.metrics_jsonl ()))
+  in
+  match Sys.getenv_opt "SPLAY_GOLDEN_DIR" with
+  | Some dir ->
+      write_file (Filename.concat dir "pastry_churn_seed7.trace.jsonl") trace;
+      write_file (Filename.concat dir "pastry_churn_seed7.metrics.jsonl") metrics;
+      Printf.printf "regenerated pastry golden files under %s\n" dir
+  | None ->
+      Alcotest.(check bool) "pastry golden trace is byte-identical" true
+        (read_file (golden_file "pastry_churn_seed7.trace.jsonl") = trace);
+      Alcotest.(check bool) "pastry golden metrics are byte-identical" true
+        (read_file (golden_file "pastry_churn_seed7.metrics.jsonl") = metrics)
+
 (* The untraced fast path (recycled timer records, ring scheduling, no
    span emission) and the traced path share engine state. Running a whole
    deployment untraced first, then the traced golden run in the same
@@ -828,6 +898,7 @@ let () =
           Alcotest.test_case "deterministic trace" `Quick test_trace_deterministic;
           Alcotest.test_case "golden trace unchanged" `Quick test_golden_trace;
           Alcotest.test_case "golden after untraced run" `Quick test_golden_after_untraced_run;
+          Alcotest.test_case "golden pastry churn unchanged" `Quick test_golden_pastry_churn;
           Alcotest.test_case "time format matches printf" `Quick test_time_format_matches_printf;
           Alcotest.test_case "cross-node linkage" `Quick test_cross_node_linkage;
           Alcotest.test_case "disabled records nothing" `Quick test_disabled_records_nothing;
