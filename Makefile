@@ -2,7 +2,7 @@ all:
 	dune build @all
 
 check:
-	dune build @all && dune runtest && $(MAKE) unused-exports && $(MAKE) no-forced-gc && $(MAKE) trace-demo && $(MAKE) bench-smoke && $(MAKE) figures-smoke && $(MAKE) bench-scale-smoke && $(MAKE) bench-obs-smoke && $(MAKE) bench-serve-smoke && $(MAKE) check-smoke && $(MAKE) live-smoke
+	dune build @all && dune runtest && $(MAKE) unused-exports && $(MAKE) no-forced-gc && $(MAKE) trace-demo && $(MAKE) bench-smoke && $(MAKE) figures-smoke && $(MAKE) bench-scale-smoke && $(MAKE) bench-obs-smoke && $(MAKE) bench-serve-smoke && $(MAKE) check-smoke && $(MAKE) live-smoke && $(MAKE) perfbench-smoke
 
 test:
 	dune runtest
@@ -113,6 +113,15 @@ live-smoke:
 	scripts/live_smoke.sh
 	@echo "live-smoke: OK"
 
+# The benchmark's three workloads (flood, serve, churn at paper scale),
+# one traced repetition each, ~45 s on 2 cores: churn's checks (every
+# lookup has an outcome, no fiber crashed, live instances at the end)
+# otherwise run only when the benchmark does. Any failed check exits
+# non-zero.
+perfbench-smoke:
+	python3 perfbench/run.py --workload all --seconds 1 --trace 1
+	@echo "perfbench-smoke: OK"
+
 # End-to-end tracing demo: run a traced Chord deployment, then verify the
 # analyzer extracts a non-empty RPC critical path from the dump.
 trace-demo:
@@ -123,4 +132,4 @@ trace-demo:
 	  | tee /dev/stderr | grep -q "rpc\."
 	@echo "trace-demo: OK (critical path extracted)"
 
-.PHONY: all check test unused-exports no-forced-gc bench bench-smoke figures-smoke bench-scale-smoke bench-obs-smoke bench-serve-smoke bench-baseline trace-demo check-smoke check-fuzz live-smoke
+.PHONY: all check test unused-exports no-forced-gc bench bench-smoke figures-smoke bench-scale-smoke bench-obs-smoke bench-serve-smoke bench-baseline trace-demo check-smoke check-fuzz live-smoke perfbench-smoke

@@ -72,6 +72,7 @@ let set_slot t row col n =
 let id t = t.self.Node.id
 let addr t = t.self.Node.addr
 let leafset t = t.left @ t.right
+let halves t = (t.left, t.right)
 let is_stopped t = Env.is_stopped t.env
 
 let row_entries row acc =
@@ -80,15 +81,18 @@ let row_entries row acc =
 let table_entries t = Array.fold_right row_entries t.table []
 
 let modulus t = Misc.pow2 t.cfg.bits
-let dist_cw t a b = Misc.ring_distance a b ~modulus:(modulus t)
+
+(* The ring holds 2^bits ids, so the masked difference is the distance
+   [Misc.ring_distance] computes with a [mod]. *)
+let dist_cw t a b = (b - a) land (modulus t - 1)
 let dist t a b = min (dist_cw t a b) (dist_cw t b a)
 
 let digit t key row = (key lsr (t.cfg.bits - (t.cfg.b * (row + 1)))) land ((1 lsl t.cfg.b) - 1)
 
-let shared_prefix t a b =
-  let nd = digits t.cfg in
-  let rec go row = if row < nd && digit t a row = digit t b row then go (row + 1) else row in
-  go 0
+let rec prefix_from t a b row =
+  if row < digits t.cfg && digit t a row = digit t b row then prefix_from t a b (row + 1) else row
+
+let shared_prefix t a b = prefix_from t a b 0
 
 let rtt t n = Net.base_rtt t.env.Env.net t.self.Node.addr.Addr.host n.Node.addr.Addr.host
 
@@ -112,17 +116,34 @@ let certified_dead t n =
           false
       | None -> false)
 
+(* How far [id] lies from self on one leafset side: clockwise for the
+   right half, counter-clockwise for the left. *)
+let side_dist t right id =
+  if right then dist_cw t t.self.Node.id id else dist_cw t id t.self.Node.id
+
+let rec is_member n = function [] -> false | y :: rest -> Node.equal y n || is_member n rest
+
+(* One leafset half with [n] placed in it, in one walk that decides
+   membership and position together: [n], at distance [dn], goes before
+   the first entry at least as far, and the half is cut at [k] entries.
+   [Exit] means the half stays as it is: [n] is a member, or it falls
+   past the cut. The copied prefix is consed on the way back, so nothing
+   is allocated before an [Exit]. *)
+let rec place t right n dn k = function
+  | [] -> if k > 0 then [ n ] else raise_notrace Exit
+  | y :: rest as l ->
+      if Node.equal y n then raise_notrace Exit
+      else if k = 0 then if is_member n rest then raise_notrace Exit else []
+      else if side_dist t right y.Node.id >= dn then
+        if is_member n rest then raise_notrace Exit else n :: Misc.take (k - 1) l
+      else y :: place t right n dn (k - 1) rest
+
 let learn t n =
   if (not (Node.equal n t.self)) && n.Node.id <> t.self.Node.id && not (certified_dead t n)
   then begin
     let half = t.cfg.leaf_size / 2 in
-    (* each half is kept sorted by distance, so the newcomer is inserted
-       in place *)
-    let insert lst ~d =
-      if List.exists (Node.equal n) lst then lst else Misc.insert_bounded ~cap:half d n lst
-    in
-    t.right <- insert t.right ~d:(fun x -> dist_cw t t.self.Node.id x.Node.id);
-    t.left <- insert t.left ~d:(fun x -> dist_cw t x.Node.id t.self.Node.id);
+    (try t.right <- place t true n (side_dist t true n.Node.id) half t.right with Exit -> ());
+    (try t.left <- place t false n (side_dist t false n.Node.id) half t.left with Exit -> ());
     let row = shared_prefix t t.self.Node.id n.Node.id in
     if row < digits t.cfg then begin
       let col = digit t n.Node.id row in

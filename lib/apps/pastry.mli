@@ -47,7 +47,21 @@ val addr : node -> Addr.t
 val leafset : node -> Node.t list
 (** Left then right neighbors, nearest first in each half. *)
 
+val halves : node -> Node.t list * Node.t list
+(** The left (counter-clockwise) and right (clockwise) halves of the
+    leafset, nearest first. *)
+
 val table_entries : node -> Node.t list
+(** The routing table's entries, row by row, each row by column. *)
+
+val learn : node -> Node.t -> unit
+(** Take in a peer, as join replies, leafset exchanges and announcements
+    do: it enters a leafset half when nearer than that half's farthest
+    entry (or the half has room), and its routing-table slot when the slot
+    is empty or, with [proximity], when it is nearer by RTT than the
+    slot's entry. Self, an id equal to self's and a recently pruned id
+    are ignored. *)
+
 val is_stopped : node -> bool
 
 val lookup : node -> int -> (Node.t * int) option

@@ -11,3 +11,7 @@ val make : host_id -> int -> t
 val equal : t -> t -> bool
 val hash : t -> int
 val to_string : t -> string
+(** ["host:port"], exactly as [Printf.sprintf "%d:%d"] renders it. *)
+
+val decimal_length : int -> int
+(** The length of [string_of_int n], counted without dividing. *)

@@ -90,18 +90,11 @@ let rec escaped_from s i n =
 
 let escaped_length s = escaped_from s 0 2 (* quotes *)
 
-let int_length i =
-  if i = min_int then String.length (string_of_int min_int)
-  else begin
-    let rec digits n = if n < 10 then 1 else 1 + digits (n / 10) in
-    if i < 0 then 1 + digits (-i) else digits i
-  end
-
 let rec encoded_size = function
   | Null -> 4
   | Bool true -> 4
   | Bool false -> 5
-  | Int i -> int_length i
+  | Int i -> Addr.decimal_length i (* string_of_int's length, by comparison *)
   | Float f -> String.length (float_repr f)
   | String s -> escaped_length s
   | List vs ->

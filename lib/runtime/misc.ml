@@ -22,23 +22,6 @@ let rec take n = function
   | [] -> []
   | x :: rest -> if n <= 0 then [] else x :: take (n - 1) rest
 
-let insert_bounded ~cap key x l =
-  let kx = key x in
-  (* does [x] land within the first [k] places? *)
-  let rec fits k = function
-    | _ when k <= 0 -> false
-    | [] -> true
-    | y :: rest -> key y >= kx || fits (k - 1) rest
-  in
-  let rec insert k = function
-    | _ when k <= 0 -> []
-    | [] -> [ x ]
-    | y :: rest as l -> if key y >= kx then x :: take (k - 1) l else y :: insert (k - 1) rest
-  in
-  if fits cap l then insert cap l
-  else if List.compare_length_with l cap <= 0 then l
-  else take cap l
-
 let duration_to_string s =
   if s < 60.0 then Printf.sprintf "%.1fs" s
   else if s < 3600.0 then Printf.sprintf "%dm%02ds" (int_of_float s / 60) (int_of_float s mod 60)

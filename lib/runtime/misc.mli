@@ -19,12 +19,5 @@ val pow2 : int -> int
 val take : int -> 'a list -> 'a list
 (** First [n] elements (all if shorter). *)
 
-val insert_bounded : cap:int -> ('a -> int) -> 'a -> 'a list -> 'a list
-(** [insert_bounded ~cap key x l], for [l] sorted by ascending [key], is
-    [take cap (List.stable_sort by-key (x :: l))]: [x] goes after the
-    elements of smaller key and before those of equal or larger key. It
-    walks [l] once and copies only the prefix in front of [x]; when [x]
-    falls past [cap] and [l] is at most [cap] long it returns [l] itself. *)
-
 val duration_to_string : float -> string
 (** Human-readable seconds ("2m30s"). *)

@@ -2,22 +2,28 @@
    or was killed leaves a settled waker in the queue (or, killed in the
    current instant, one whose kill event has yet to run): a send skips it,
    and once such stale entries are the majority the queue is compacted,
-   so an idle channel holds O(receivers still waiting). [stale] may
-   over-count (a receiver killed after a send woke it is no longer
-   queued), which only brings a compaction forward. *)
+   so an idle channel holds O(receivers still waiting). A receiver killed
+   after a send reached it, before it resumed, hands the message back. *)
 type 'a t = { msgs : 'a Queue.t; receivers : 'a Engine.waker Queue.t; mutable stale : int }
 
 let create () = { msgs = Queue.create (); receivers = Queue.create (); stale = 0 }
 
-let rec send t v =
+(* [v] goes to the first receiver still waiting, else into the queue: at
+   its tail, or at its head when a dead receiver hands [v] [back]. *)
+let rec deliver t v ~back =
   match Queue.take_opt t.receivers with
+  | Some w when Engine.waiting w -> Engine.wake w v
+  | Some _ ->
+      if t.stale > 0 then t.stale <- t.stale - 1;
+      deliver t v ~back
+  | None when back ->
+      let q = Queue.create () in
+      Queue.add v q;
+      Queue.transfer t.msgs q;
+      Queue.transfer q t.msgs
   | None -> Queue.add v t.msgs
-  | Some w ->
-      if Engine.waiting w then Engine.wake w v
-      else begin
-        if t.stale > 0 then t.stale <- t.stale - 1;
-        send t v
-      end
+
+let send t v = deliver t v ~back:false
 
 let try_recv t = Queue.take_opt t.msgs
 
@@ -42,7 +48,7 @@ let await t w =
   match Engine.await w with
   | v -> v
   | exception e ->
-      note_stale t;
+      (match Engine.woken w with Some v -> deliver t v ~back:true | None -> note_stale t);
       raise e
 
 let recv t = match Queue.take_opt t.msgs with Some v -> v | None -> await t (park t)

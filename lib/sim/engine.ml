@@ -609,6 +609,7 @@ let waker t =
 
 let pending w = w.w_res == unsettled
 let waiting w = w.w_res == unsettled && not w.w_proc.killed
+let woken w = match w.w_res with Ok v -> Some v | Error _ -> None
 
 let settle w r =
   w.w_res <- r;

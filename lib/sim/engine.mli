@@ -239,6 +239,12 @@ val waiting : 'a waker -> bool
     until its kill event runs; a lock or a message handed to it then
     would be lost with it. *)
 
+val woken : 'a waker -> 'a option
+(** The value a {!wake} settled the waker with, if one did. A process
+    killed after a handoff reached it, but before it resumed, is
+    discontinued with {!Process_killed} all the same: it reads the
+    handoff here to pass it on. *)
+
 val self : unit -> proc
 (** The calling process. *)
 

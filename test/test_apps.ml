@@ -453,6 +453,230 @@ let test_pastry_assemble_routes_correctly () =
   (* assembled overlays start no maintenance: the queue must drain *)
   Alcotest.(check int) "assemble started no periodic processes" 0 (Engine.pending_events eng)
 
+(* {2 Node references and Pastry.learn against the code they replaced} *)
+
+module Node = Apps.Node
+
+(* [Node.of_value] before its in-place fast path: the reference for every
+   input, canonical or not. *)
+let old_of_value v =
+  let id = Codec.to_int (Codec.member "id" v) in
+  match String.split_on_char ':' (Codec.to_string (Codec.member "a" v)) with
+  | [ h; p ] -> (
+      match (int_of_string_opt h, int_of_string_opt p) with
+      | Some h, Some p -> Node.make ~id ~addr:(Addr.make h p)
+      | _ -> raise (Codec.Parse_error "bad node address"))
+  | _ -> raise (Codec.Parse_error "bad node address")
+
+let outcome f v = match f v with n -> Ok n | exception Codec.Parse_error m -> Error m
+
+let prop_of_value_matches_old =
+  let open QCheck.Gen in
+  let spellings =
+    [ "007:1"; "+5:2"; "0x10:3"; "1:2:3"; ""; "1:"; ":2"; "-:3"; "1_000:2"; " 1:2"; "1:2 ";
+      "-0:5"; "1e3:2"; "-1:0"; "123456789012345678:9"; "1234567890123456789:9";
+      "4611686018427387903:1"; "-4611686018427387904:0"; "9999999999999999999:1";
+      "1:-9999999999999999999"; "99999999999999999999:1" ]
+  in
+  let fuzz =
+    string_size ~gen:(oneofl [ '0'; '1'; '9'; '-'; '+'; ':'; 'x'; '_'; ' ' ]) (int_bound 12)
+  in
+  let any_int = oneof [ oneofl [ 0; -1; max_int; min_int ]; int; int_bound 100_000 ] in
+  let canonical = map2 (Printf.sprintf "%d:%d") any_int any_int in
+  let addr = oneof [ oneofl spellings; fuzz; canonical ] in
+  let value =
+    let* id = any_int and* a = addr in
+    oneofl
+      [
+        Codec.Assoc [ ("id", Codec.Int id); ("a", Codec.String a) ];
+        Codec.Assoc [ ("a", Codec.String a); ("id", Codec.Int id) ];
+        Codec.Assoc [ ("id", Codec.Int id); ("a", Codec.String a); ("x", Codec.Null) ];
+        Codec.Assoc [ ("id", Codec.String (string_of_int id)); ("a", Codec.String a) ];
+        Codec.Assoc [ ("id", Codec.Int id); ("a", Codec.Int id) ];
+        Codec.Assoc [ ("id", Codec.Int id) ];
+        Codec.List [ Codec.Int id; Codec.String a ];
+        Codec.Null;
+      ]
+  in
+  QCheck.Test.make ~name:"Node.of_value = old parser" ~count:3000
+    (QCheck.make ~print:Codec.encode value)
+    (fun v -> outcome Node.of_value v = outcome old_of_value v)
+
+let prop_node_roundtrip =
+  QCheck.Test.make ~name:"Node.of_value (to_value n) = n" ~count:1000
+    QCheck.(triple int int int)
+    (fun (id, h, p) ->
+      let n = Node.make ~id ~addr:(Addr.make h p) in
+      Node.of_value (Node.to_value n) = n)
+
+(* [Pastry.learn] before its one-walk rewrite: two closures and two list
+   walks per leafset half through [insert_bounded], the ring distance by
+   [Misc.ring_distance]. Kept as the reference model; its peers are never
+   suspected, so it leaves out the death certificates. *)
+let insert_bounded ~cap key x l =
+  let kx = key x in
+  let rec fits k = function
+    | _ when k <= 0 -> false
+    | [] -> true
+    | y :: rest -> key y >= kx || fits (k - 1) rest
+  in
+  let rec insert k = function
+    | _ when k <= 0 -> []
+    | [] -> [ x ]
+    | y :: rest as l -> if key y >= kx then x :: Misc.take (k - 1) l else y :: insert (k - 1) rest
+  in
+  if fits cap l then insert cap l
+  else if List.compare_length_with l cap <= 0 then l
+  else Misc.take cap l
+
+(* The reference's insertion is the sort-then-truncate, ties included
+   (small keys make equal distances common; tags tell tied elements
+   apart). When the newcomer falls past the cap, the half comes back
+   unchanged and uncopied. *)
+let prop_insert_bounded =
+  QCheck.Test.make ~name:"old insert = sort then cut" ~count:2000
+    QCheck.(triple (int_range 1 8) (int_bound 6) (small_list (int_bound 6)))
+    (fun (cap, kx, keys) ->
+      let l = List.mapi (fun i k -> (k, i)) (List.sort Int.compare keys) in
+      let l = Misc.take (cap + 2) l in
+      let x = (kx, -1) in
+      let got = insert_bounded ~cap fst x l in
+      let by_key a b = Int.compare (fst a) (fst b) in
+      let want = Misc.take cap (List.stable_sort by_key (x :: l)) in
+      got = want && (List.mem x got || List.length l > cap || got == l))
+
+type old_pastry = {
+  cfg : Apps.Pastry.config;
+  self : Node.t;
+  rtt : Node.t -> float;
+  mutable left : Node.t list;
+  mutable right : Node.t list;
+  table : Node.t option array array;
+}
+
+let old_learn o n =
+  let cfg = o.cfg and self = o.self in
+  let modulus = Misc.pow2 cfg.bits in
+  let dist_cw a b = Misc.ring_distance a b ~modulus in
+  let digit key row = (key lsr (cfg.bits - (cfg.b * (row + 1)))) land ((1 lsl cfg.b) - 1) in
+  let nd = Apps.Pastry.digits cfg in
+  let rec prefix row =
+    if row < nd && digit self.id row = digit n.Node.id row then prefix (row + 1) else row
+  in
+  if (not (Node.equal n self)) && n.Node.id <> self.Node.id then begin
+    let half = cfg.leaf_size / 2 in
+    let insert lst ~d =
+      if List.exists (Node.equal n) lst then lst else insert_bounded ~cap:half d n lst
+    in
+    o.right <- insert o.right ~d:(fun x -> dist_cw self.Node.id x.Node.id);
+    o.left <- insert o.left ~d:(fun x -> dist_cw x.Node.id self.Node.id);
+    let row = prefix 0 in
+    if row < nd then begin
+      let col = digit n.Node.id row in
+      match o.table.(row).(col) with
+      | None -> o.table.(row).(col) <- Some n
+      | Some cur ->
+          if (not (Node.equal cur n)) && cfg.proximity && o.rtt n < o.rtt cur then
+            o.table.(row).(col) <- Some n
+    end
+  end
+
+let old_table_entries o =
+  List.concat_map (fun row -> List.filter_map Fun.id (Array.to_list row)) (Array.to_list o.table)
+
+(* A lone assembled Pastry node (no peers yet) on a 4-host PlanetLab
+   testbed, so that proximity has distinct RTTs to compare. *)
+let lone_pastry config ~self =
+  let eng = Engine.create ~seed:3 () in
+  let net = Net.create eng (Testbed.planetlab ~n:4 (Engine.rng eng)) in
+  let node = ref None in
+  Apps.Pastry.assemble ~config ~ring:[| self |] ~index:0
+    ~register:(fun p -> node := Some p)
+    (Env.create net ~me:self.Node.addr);
+  (net, Option.get !node)
+
+let learn_configs =
+  let d = Apps.Pastry.default_config in
+  [|
+    { d with bits = 8; b = 2; leaf_size = 4 };
+    { d with bits = 8; b = 2; leaf_size = 6; proximity = false };
+    { d with bits = 16; b = 4; leaf_size = 8 };
+    d;
+  |]
+
+(* Random peer sequences over a small id pool, so equal ids with
+   different addresses, repeats of one node and self's own id all occur;
+   after every peer, both halves and the table equal the reference's. *)
+let prop_learn_matches_old =
+  let open QCheck.Gen in
+  let case =
+    let* ci = int_bound (Array.length learn_configs - 1) in
+    let md = 1 lsl learn_configs.(ci).bits in
+    let* self_id = int_bound (md - 1) and* pool = list_repeat 12 (int_bound (md - 1)) in
+    let pool = Array.of_list (self_id :: pool) in
+    let peer =
+      map3
+        (fun i h p -> Node.make ~id:pool.(i) ~addr:(Addr.make h (2000 + p)))
+        (int_bound 12) (int_bound 3) (int_bound 2)
+    in
+    let* peers = list_size (int_range 1 60) peer in
+    return (ci, self_id, peers)
+  in
+  let print (ci, self_id, peers) =
+    Printf.sprintf "config %d, self %d, peers [%s]" ci self_id
+      (String.concat "; "
+         (List.map (fun n -> Printf.sprintf "%d@%s" n.Node.id (Addr.to_string n.Node.addr)) peers))
+  in
+  QCheck.Test.make ~name:"Pastry.learn = old learn" ~count:500
+    (QCheck.make ~print case)
+    (fun (ci, self_id, peers) ->
+      let cfg = learn_configs.(ci) in
+      let self = Node.make ~id:self_id ~addr:(Addr.make 0 2000) in
+      let net, p = lone_pastry cfg ~self in
+      let o =
+        {
+          cfg;
+          self;
+          rtt = (fun n -> Net.base_rtt net 0 n.Node.addr.Addr.host);
+          left = [];
+          right = [];
+          table = Array.init (Apps.Pastry.digits cfg) (fun _ -> Array.make (1 lsl cfg.b) None);
+        }
+      in
+      List.for_all
+        (fun n ->
+          Apps.Pastry.learn p n;
+          old_learn o n;
+          Apps.Pastry.halves p = (o.left, o.right)
+          && Apps.Pastry.table_entries p = old_table_entries o)
+        peers)
+
+(* The wire forms of a node reference, pinned by allocation: encoding
+   allocates the value tree and one string; decoding the canonical shape
+   only the node and its address; taking in an already-known peer that
+   holds its own table slot nothing (one whose slot holds another node
+   still pays for the two boxed RTT reads). *)
+let test_node_reference_words () =
+  let words f =
+    let w0 = Gc.minor_words () in
+    for _ = 1 to 1000 do
+      ignore (Sys.opaque_identity (f ()))
+    done;
+    (Gc.minor_words () -. w0) /. 1000.0
+  in
+  let n = Node.make ~id:123_456_789 ~addr:(Addr.make 12 2000) in
+  let v = Node.to_value n in
+  Alcotest.(check (float 0.0)) "to_value minor words" 20.0 (words (fun () -> Node.to_value n));
+  Alcotest.(check (float 0.0)) "of_value minor words" 6.0 (words (fun () -> Node.of_value v));
+  let self = Node.make ~id:0x40000000 ~addr:(Addr.make 0 2000) in
+  let _net, p = lone_pastry Apps.Pastry.default_config ~self in
+  let peer = Node.make ~id:0x40000123 ~addr:(Addr.make 1 2000) in
+  Apps.Pastry.learn p peer;
+  Alcotest.(check int) "peer in the right half" 1 (List.length (snd (Apps.Pastry.halves p)));
+  Alcotest.(check int) "peer in the table" 1 (List.length (Apps.Pastry.table_entries p));
+  Alcotest.(check (float 0.0)) "learn of a known peer: minor words" 0.0
+    (words (fun () -> Apps.Pastry.learn p peer))
+
 (* {2 Cyclon} *)
 
 let test_cyclon_mixes () =
@@ -1176,6 +1400,7 @@ let () =
           Alcotest.test_case "proximity tables" `Quick test_pastry_proximity_prefers_close_entries;
           Alcotest.test_case "assemble routes correctly" `Quick
             test_pastry_assemble_routes_correctly;
+          Alcotest.test_case "node reference minor words" `Quick test_node_reference_words;
         ] );
       ("cyclon", [ Alcotest.test_case "mixes and stays connected" `Quick test_cyclon_mixes ]);
       ( "epidemic",
@@ -1209,4 +1434,8 @@ let () =
           Alcotest.test_case "memo: puts always route" `Quick test_dht_memo_put_routes;
           Alcotest.test_case "footprint per assembled node" `Quick test_pastry_dht_footprint;
         ] );
+      ( "properties",
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_of_value_matches_old; prop_node_roundtrip; prop_insert_bounded; prop_learn_matches_old ]
+      );
     ]

@@ -402,6 +402,28 @@ let test_synthetic_down_up_at_scale () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "synthetic testbed unexpectedly materialised host records"
 
+(* {2 Addresses} *)
+
+(* [Addr.to_string] writes its digits itself: it must render exactly as
+   the format interpreter does, for every width, both signs and the
+   extremes ([Pastry]'s empty slot has host -1). *)
+let prop_addr_to_string =
+  let edges = [ 0; 1; 9; 10; 11; 99; 100; 65_535; -1; -9; -10; max_int; min_int; max_int - 1 ] in
+  let any_width =
+    QCheck.Gen.(
+      let* k = int_bound 62 and* m = int and* neg = bool in
+      let v = m land ((1 lsl k) - 1) in
+      return (if neg then -v else v))
+  in
+  let part = QCheck.Gen.oneof [ QCheck.Gen.oneofl edges; any_width ] in
+  QCheck.Test.make ~name:"Addr.to_string = sprintf \"%d:%d\"" ~count:2000
+    (QCheck.make
+       ~print:(fun (h, p) -> Printf.sprintf "host %d, port %d" h p)
+       (QCheck.Gen.pair part part))
+    (fun (h, p) -> Addr.to_string (Addr.make h p) = Printf.sprintf "%d:%d" h p)
+
+let addr_qsuite = List.map QCheck_alcotest.to_alcotest [ prop_addr_to_string ]
+
 let latency_qsuite =
   List.map QCheck_alcotest.to_alcotest
     [ prop_latency_symmetric_deterministic; prop_latency_uniform_range ]
@@ -446,4 +468,5 @@ let () =
           Alcotest.test_case "synthetic down/up at scale" `Quick test_synthetic_down_up_at_scale;
         ]
         @ latency_qsuite );
+      ("addr", addr_qsuite);
     ]

@@ -55,22 +55,6 @@ let prop_between_exclusive_split =
       let in_ba = Misc.between x b a ~modulus ~incl_lo:false ~incl_hi:false in
       in_ab <> in_ba)
 
-(* Pastry's leafset insertion: one walk over an already-sorted half must
-   equal the old sort-then-truncate, ties included (small keys make equal
-   distances common; tags tell tied elements apart). When the newcomer
-   falls past the cap, the half comes back unchanged and uncopied. *)
-let prop_insert_bounded =
-  QCheck.Test.make ~name:"insert_bounded = take cap (stable_sort (x :: l))" ~count:2000
-    QCheck.(triple (int_range 1 8) (int_bound 6) (small_list (int_bound 6)))
-    (fun (cap, kx, keys) ->
-      let l = List.mapi (fun i k -> (k, i)) (List.sort Int.compare keys) in
-      let l = Misc.take (cap + 2) l in
-      let x = (kx, -1) in
-      let got = Misc.insert_bounded ~cap fst x l in
-      let by_key a b = Int.compare (fst a) (fst b) in
-      let want = Misc.take cap (List.stable_sort by_key (x :: l)) in
-      got = want && ((List.mem x got || List.length l > cap) || got == l))
-
 let test_ring_ops () =
   Alcotest.(check int) "add wraps" 1 (Misc.ring_add 15 2 ~modulus:16);
   Alcotest.(check int) "distance forward" 3 (Misc.ring_distance 14 1 ~modulus:16);
@@ -480,6 +464,24 @@ let test_lock_kill_and_unlock_same_event () =
         (Engine.schedule eng ~delay:1.0 (fun () ->
              Engine.kill eng doomed;
              Locks.unlock l));
+      ignore (Engine.run eng);
+      Alcotest.(check bool) "the third waiter got the lock" true !third;
+      Alcotest.(check bool) "released" false (Locks.is_locked l))
+
+(* The other order: the unlock hands the lock to the queued waiter and a
+   kill reaches that waiter in the same event, before it resumes. The
+   dead waiter passes the lock on instead of taking it with it. *)
+let test_lock_unlock_then_kill_same_event () =
+  with_cluster (fun eng _ ->
+      let l = Locks.create () in
+      Locks.lock l;
+      let third = ref false in
+      let doomed = Engine.spawn eng (fun () -> Locks.with_lock l ignore) in
+      ignore (Engine.spawn eng (fun () -> Locks.with_lock l (fun () -> third := true)));
+      ignore
+        (Engine.schedule eng ~delay:1.0 (fun () ->
+             Locks.unlock l;
+             Engine.kill eng doomed));
       ignore (Engine.run eng);
       Alcotest.(check bool) "the third waiter got the lock" true !third;
       Alcotest.(check bool) "released" false (Locks.is_locked l))
@@ -998,6 +1000,25 @@ let prop_encoded_size =
     (QCheck.make ~print:(fun v -> Codec.encode v) value_gen)
     (fun v -> Codec.encoded_size v = String.length (Codec.encode v))
 
+(* An [Int] is sized by counting digits with comparisons: every power of
+   ten and its neighbours, both signs, the extremes, and random ints of
+   every width. *)
+let prop_int_length =
+  let rec powers p acc = if p > max_int / 10 then p :: acc else powers (p * 10) (p :: acc) in
+  let edges =
+    List.concat_map (fun p -> [ p - 1; p; p + 1; 1 - p; -p; -p - 1 ]) (powers 1 [])
+    @ [ max_int; max_int - 1; min_int; min_int + 1 ]
+  in
+  let any_width =
+    QCheck.Gen.(
+      let* k = int_bound 62 and* m = int and* neg = bool in
+      let v = m land ((1 lsl k) - 1) in
+      return (if neg then -v else v))
+  in
+  QCheck.Test.make ~name:"Int sizes = encode length" ~count:2000
+    (QCheck.make ~print:string_of_int QCheck.Gen.(oneof [ oneofl edges; any_width ]))
+    (fun i -> Codec.encoded_size (Codec.Int i) = String.length (Codec.encode (Codec.Int i)))
+
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -1005,7 +1026,7 @@ let qsuite =
       prop_codec_roundtrip;
       prop_framing_roundtrip;
       prop_encoded_size;
-      prop_insert_bounded;
+      prop_int_length;
     ]
 
 
@@ -1233,6 +1254,8 @@ let () =
           Alcotest.test_case "kill while parked" `Quick test_lock_kill_while_parked;
           Alcotest.test_case "kill and unlock in one event" `Quick
             test_lock_kill_and_unlock_same_event;
+          Alcotest.test_case "unlock and kill in one event" `Quick
+            test_lock_unlock_then_kill_same_event;
           Alcotest.test_case "try_lock" `Quick test_try_lock;
         ] );
       ( "env",

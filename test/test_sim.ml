@@ -753,6 +753,37 @@ let test_channel_kill_and_send_same_event () =
   Alcotest.(check (option int)) "the dead receiver got nothing" None !got;
   Alcotest.(check (option int)) "try_recv finds the message" (Some 7) (Channel.try_recv c)
 
+(* The other order: the send hands the message to the parked receiver
+   and a kill reaches that receiver in the same event, before it
+   resumes. The message goes to the next live receiver, or back to the
+   head of the queue, ahead of anything sent since. *)
+let test_channel_send_then_kill_same_event () =
+  let e = Engine.create () in
+  let c = Channel.create () in
+  let got = ref None in
+  let p = Engine.spawn e (fun () -> got := Some (Channel.recv c)) in
+  ignore
+    (Engine.schedule e ~delay:1.0 (fun () ->
+         Channel.send c 7;
+         Channel.send c 8;
+         Engine.kill e p));
+  ignore (Engine.run e);
+  Alcotest.(check (option int)) "the dead receiver got nothing" None !got;
+  Alcotest.(check (option int)) "try_recv finds the message first" (Some 7) (Channel.try_recv c);
+  Alcotest.(check (option int)) "then the later one" (Some 8) (Channel.try_recv c);
+  (* with a second receiver parked, the message reaches it *)
+  let c = Channel.create () in
+  let got = ref None in
+  let p = Engine.spawn e (fun () -> ignore (Channel.recv c)) in
+  ignore (Engine.spawn e (fun () -> got := Some (Channel.recv c)));
+  ignore
+    (Engine.schedule e ~delay:1.0 (fun () ->
+         Channel.send c 7;
+         Engine.kill e p));
+  ignore (Engine.run e);
+  Alcotest.(check (option int)) "the next receiver got it" (Some 7) !got;
+  Alcotest.(check int) "nothing left queued" 0 (Channel.length c)
+
 (* A waiter that timed out stays reachable only until the next
    compaction, not until the next fill or send: 10k timed-out waits, one
    after the other and then 1000 at once, leave a few dozen words. *)
@@ -924,6 +955,8 @@ let () =
           Alcotest.test_case "kill while parked" `Quick test_channel_kill_while_parked;
           Alcotest.test_case "kill and send in one event" `Quick
             test_channel_kill_and_send_same_event;
+          Alcotest.test_case "send and kill in one event" `Quick
+            test_channel_send_then_kill_same_event;
         ] );
       ("properties", qsuite);
     ]
