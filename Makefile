@@ -2,7 +2,7 @@ all:
 	dune build @all
 
 check:
-	dune build @all && dune runtest && $(MAKE) unused-exports && $(MAKE) no-forced-gc && $(MAKE) trace-demo && $(MAKE) bench-smoke && $(MAKE) figures-smoke && $(MAKE) bench-scale-smoke && $(MAKE) bench-obs-smoke && $(MAKE) bench-serve-smoke && $(MAKE) check-smoke && $(MAKE) live-smoke && $(MAKE) perfbench-smoke
+	dune build @all && dune runtest && $(MAKE) unused-exports && $(MAKE) no-forced-gc && $(MAKE) trace-demo && $(MAKE) examples-smoke && $(MAKE) bench-smoke && $(MAKE) figures-smoke && $(MAKE) bench-scale-smoke && $(MAKE) bench-obs-smoke && $(MAKE) bench-serve-smoke && $(MAKE) check-smoke && $(MAKE) live-smoke && $(MAKE) perfbench-smoke
 
 test:
 	dune runtest
@@ -33,6 +33,16 @@ bench:
 bench-smoke:
 	dune exec bench/main.exe -- fig7a micro macro --jobs 2 --out-dir _build/bench-smoke
 	@echo "bench-smoke: OK"
+
+# The five examples as a golden: each is a fixed-seed deployment through
+# the facade, so their concatenated stdout (one "== name" header each)
+# must match test/golden/examples.txt byte for byte. ~2 s on 2 cores.
+EXAMPLES = quickstart churn_failover filedist webcache_demo indexing
+examples-smoke:
+	dune build $(EXAMPLES:%=examples/%.exe)
+	for e in $(EXAMPLES); do echo "== $$e"; ./_build/default/examples/$$e.exe || exit 1; done > _build/examples.txt
+	diff -u test/golden/examples.txt _build/examples.txt
+	@echo "examples-smoke: OK"
 
 # The paper's figures as a golden: every table, figure and ablation of
 # Section 5 at quick scale (tab-loc aside: it counts lib/apps source
@@ -132,4 +142,4 @@ trace-demo:
 	  | tee /dev/stderr | grep -q "rpc\."
 	@echo "trace-demo: OK (critical path extracted)"
 
-.PHONY: all check test unused-exports no-forced-gc bench bench-smoke figures-smoke bench-scale-smoke bench-obs-smoke bench-serve-smoke bench-baseline trace-demo check-smoke check-fuzz live-smoke perfbench-smoke
+.PHONY: all check test unused-exports no-forced-gc bench bench-smoke examples-smoke figures-smoke bench-scale-smoke bench-obs-smoke bench-serve-smoke bench-baseline trace-demo check-smoke check-fuzz live-smoke perfbench-smoke
