@@ -37,26 +37,10 @@ let out_dir = ref "."
 let obs_begin () = Obs_flags.arm ()
 let obs_end () = ignore (Obs_flags.finish () : bool)
 
-(* Bring up a testbed + controller + daemons and run [main] to completion.
-   The engine is drained up to [horizon] after main finishes its work. *)
-let with_platform ?(seed = 42) ?daemon_config ?(horizon = 100_000.0) spec main =
-  let p = Platform.create ~seed ?daemon_config spec in
-  let result = ref None in
-  ignore
-    (Env.thread
-       (Controller.env (Platform.controller p))
-       ~name:"bench-main"
-       (fun () ->
-         Fun.protect
-           ~finally:(fun () ->
-             List.iter Daemon.shutdown (Platform.daemons p);
-             ignore
-               (Engine.schedule (Platform.engine p) ~delay:0.0 (fun () ->
-                    Env.stop (Controller.env (Platform.controller p)))))
-           (fun () -> result := Some (main p))));
-  ignore (Engine.run ~until:horizon (Platform.engine p));
-  Engine.check_crashed (Platform.engine p);
-  match !result with Some r -> r | None -> failwith "experiment did not finish"
+(* Every figure's deployment: [main] runs as "bench-main" and the engine
+   is drained up to [horizon]. *)
+let with_platform ?seed ?daemon_config ?(horizon = 100_000.0) spec main =
+  Platform.run ~until:horizon ~name:"bench-main" (Platform.create ?seed ?daemon_config spec) main
 
 (* Deploy a Pastry overlay and wait for it to converge. *)
 let deploy_pastry ?(config = Apps.Pastry.default_config) ?(name = "pastry") ?superset ctl ~n =

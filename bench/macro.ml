@@ -18,19 +18,8 @@ module Apps = Splay_apps
    cumulative fired-event count (the sim-events denominator). *)
 let run_deployment ~seed spec main =
   let p = Platform.create ~seed spec in
-  let ctl = Platform.controller p in
-  ignore
-    (Env.thread (Controller.env ctl) ~name:"macro-main" (fun () ->
-         Fun.protect
-           ~finally:(fun () ->
-             List.iter Daemon.shutdown (Platform.daemons p);
-             ignore
-               (Engine.schedule (Platform.engine p) ~delay:0.0 (fun () ->
-                    Env.stop (Controller.env ctl))))
-           (fun () -> main p)));
-  let stats = Engine.run ~until:100_000.0 (Platform.engine p) in
-  Engine.check_crashed (Platform.engine p);
-  stats.Engine.events_fired
+  Platform.run ~until:100_000.0 ~name:"macro-main" p main;
+  (Engine.stats (Platform.engine p)).Engine.events_fired
 
 (* Chord: staggered join, stabilization, then [per_node] lookups from
    every node, then a graceful undeploy. *)

@@ -107,7 +107,7 @@ let run_sequential app testbed hosts nodes duration lookups churn_script churn_t
     | Tb_cluster -> Platform.Cluster hosts
   in
   let p = Platform.create ~seed spec in
-  Platform.run p (fun p ->
+  Platform.run ~name:"experiment-main" p (fun p ->
       let ctl = Platform.controller p in
       let eng = Platform.engine p in
       let rng = Rng.split (Engine.rng eng) in
@@ -194,10 +194,7 @@ let run_sequential app testbed hosts nodes duration lookups churn_script churn_t
         (Net.messages_sent (Platform.net p))
         (Net.bytes_sent (Platform.net p) / 1024 / 1024)
         (Net.messages_dropped (Platform.net p));
-      Controller.undeploy dep;
-      List.iter Daemon.shutdown (Platform.daemons p);
-      ignore
-        (Engine.schedule eng ~delay:0.0 (fun () -> Env.stop (Controller.env ctl))))
+      Controller.undeploy dep)
 
 let run_cmd app testbed hosts nodes duration lookups churn_script churn_trace speedup seed
     descriptor_file obs_trace metrics_out metrics_window domains =

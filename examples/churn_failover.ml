@@ -15,7 +15,7 @@ from 4m to 6m const|}
 
 let () =
   let platform = Platform.create ~seed:11 (Platform.Cluster 10) in
-  Platform.run platform (fun p ->
+  Platform.run ~name:"experiment-main" platform (fun p ->
       let ctl = Platform.controller p in
       let nodes = ref [] in
       let config =
@@ -60,8 +60,4 @@ let () =
       Env.sleep 60.0;
       Printf.printf "after 60s of maintenance: %d live (target 30)\n"
         (Controller.live_count dep);
-      Engine.kill (Platform.engine p) maintainer;
-      List.iter Daemon.shutdown (Platform.daemons p);
-      ignore
-        (Engine.schedule (Platform.engine p) ~delay:0.0 (fun () ->
-             Env.stop (Controller.env ctl))))
+      Engine.kill (Platform.engine p) maintainer)

@@ -23,8 +23,7 @@ let run_trees () =
   let p =
     Platform.create ~seed:3 (Platform.Modelnet { hosts = swarm + 2; bandwidth = Some (mbps 2.0) })
   in
-  let out = ref [] in
-  Platform.run p (fun p ->
+  Platform.run ~name:"experiment-main" p (fun p ->
       let ctl = Platform.controller p in
       let handles = ref [] in
       let config = { Apps.Trees.default_config with block_size = 64 * 1024; start_delay = 5.0 } in
@@ -40,19 +39,13 @@ let run_trees () =
         then wait ()
       in
       wait ();
-      out := List.filter_map Apps.Trees.completion_time !handles;
-      List.iter Daemon.shutdown (Platform.daemons p);
-      ignore
-        (Engine.schedule (Platform.engine p) ~delay:0.0 (fun () ->
-             Env.stop (Controller.env ctl))));
-  !out
+      List.filter_map Apps.Trees.completion_time !handles)
 
 let run_bittorrent () =
   let p =
     Platform.create ~seed:3 (Platform.Modelnet { hosts = swarm + 2; bandwidth = Some (mbps 2.0) })
   in
-  let out = ref [] in
-  Platform.run p (fun p ->
+  Platform.run ~name:"experiment-main" p (fun p ->
       let ctl = Platform.controller p in
       let handles = ref [] in
       let config =
@@ -73,21 +66,15 @@ let run_bittorrent () =
         then wait (budget -. 15.0)
       in
       wait 3600.0;
-      out :=
-        List.filter_map
-          (fun x -> if Apps.Bittorrent.is_initial_seed x then None else Apps.Bittorrent.completion_time x)
-          !handles;
       let total_up =
         List.fold_left (fun a x -> a + Apps.Bittorrent.uploaded_bytes x) 0 !handles
       in
       Printf.printf "bittorrent: %d MB uploaded across the swarm (%.1fx the file)\n"
         (total_up / 1024 / 1024)
         (Float.of_int total_up /. Float.of_int file_size);
-      List.iter Daemon.shutdown (Platform.daemons p);
-      ignore
-        (Engine.schedule (Platform.engine p) ~delay:0.0 (fun () ->
-             Env.stop (Controller.env ctl))));
-  !out
+      List.filter_map
+        (fun x -> if Apps.Bittorrent.is_initial_seed x then None else Apps.Bittorrent.completion_time x)
+        !handles)
 
 let () =
   Printf.printf "distributing %d MB to %d nodes over 2 Mbps links\n\n"

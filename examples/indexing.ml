@@ -11,7 +11,7 @@ module Apps = Splay_apps
 
 let () =
   let p = Platform.create ~seed:9 (Platform.Cluster 10) in
-  Platform.run p (fun p ->
+  Platform.run ~name:"experiment-main" p (fun p ->
       let ctl = Platform.controller p in
       let stores = ref [] in
       let main env =
@@ -72,8 +72,4 @@ let () =
           !ok (List.length corpus) sample
       done;
       print_endline "\nthe index stayed readable while nodes failed and were replaced";
-      Engine.kill (Platform.engine p) maintainer;
-      List.iter Daemon.shutdown (Platform.daemons p);
-      ignore
-        (Engine.schedule (Platform.engine p) ~delay:0.0 (fun () ->
-             Env.stop (Controller.env ctl))))
+      Engine.kill (Platform.engine p) maintainer)

@@ -10,7 +10,7 @@ module Apps = Splay_apps
 let () =
   (* a simulated PlanetLab slice: 50 hosts plus the controller machine *)
   let platform = Platform.create ~seed:7 (Platform.Planetlab 50) in
-  Platform.run platform (fun p ->
+  Platform.run ~name:"experiment-main" platform (fun p ->
       let ctl = Platform.controller p in
 
       (* the application: the paper's Chord, registered so we can poke it *)
@@ -57,8 +57,4 @@ let () =
         (List.length !nodes);
 
       Controller.undeploy deployment;
-      Printf.printf "undeployed at t=%.1fs\n" (Platform.now p);
-      List.iter Daemon.shutdown (Platform.daemons p);
-      ignore
-        (Engine.schedule (Platform.engine p) ~delay:0.0 (fun () ->
-             Env.stop (Controller.env ctl))))
+      Printf.printf "undeployed at t=%.1fs\n" (Platform.now p))

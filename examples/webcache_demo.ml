@@ -9,7 +9,7 @@ module Apps = Splay_apps
 
 let () =
   let p = Platform.create ~seed:5 (Platform.Cluster 8) in
-  Platform.run p (fun p ->
+  Platform.run ~name:"experiment-main" p (fun p ->
       let ctl = Platform.controller p in
       let caches = ref [] in
       let main env =
@@ -68,8 +68,4 @@ let () =
       Printf.printf
         "\ntotal: %d hits, %d misses, %d failed (failures during node crashes heal)\n" !hits
         !misses !failed;
-      Engine.kill (Platform.engine p) maintainer;
-      List.iter Daemon.shutdown (Platform.daemons p);
-      ignore
-        (Engine.schedule (Platform.engine p) ~delay:0.0 (fun () ->
-             Env.stop (Controller.env ctl))))
+      Engine.kill (Platform.engine p) maintainer)

@@ -166,7 +166,10 @@ let check_predecessors t =
   | [] -> ()
   | p :: _ -> if not (Rpc.ping t.env ~timeout:t.cfg.rpc_timeout p.Node.addr) then suspect t p
 
-let rtt t n = Net.base_rtt t.env.Env.net t.self.Node.addr.Addr.host n.Node.addr.Addr.host
+(* Whether [a] is nearer this node than [b] by base RTT. *)
+let closer t a b =
+  Net.closer t.env.Env.net ~from:t.self.Node.addr.Addr.host a.Node.addr.Addr.host
+    b.Node.addr.Addr.host
 
 let fix_fingers t =
   t.refresh <- (t.refresh mod t.cfg.m) + 1;
@@ -192,7 +195,7 @@ let fix_fingers t =
                           between t s.Node.id target span_end ~incl_lo:true ~incl_hi:false))
             | Ok _ | Error () -> [ n ]
           in
-          List.fold_left (fun best c -> if rtt t c < rtt t best then c else best)
+          List.fold_left (fun best c -> if closer t c best then c else best)
             (List.hd candidates) candidates
         end
       in

@@ -94,7 +94,10 @@ let rec prefix_from t a b row =
 
 let shared_prefix t a b = prefix_from t a b 0
 
-let rtt t n = Net.base_rtt t.env.Env.net t.self.Node.addr.Addr.host n.Node.addr.Addr.host
+(* Whether [a] is nearer this node than [b] by base RTT. *)
+let closer t a b =
+  Net.closer t.env.Env.net ~from:t.self.Node.addr.Addr.host a.Node.addr.Addr.host
+    b.Node.addr.Addr.host
 
 let all_known t =
   List.sort_uniq Node.compare_by_id (t.self :: (leafset t @ table_entries t))
@@ -154,7 +157,7 @@ let learn t n =
          with Splay_runtime.Sandbox.Violation _ -> ());
         set_slot t row col n
       end
-      else if (not (Node.equal cur n)) && t.cfg.proximity && rtt t n < rtt t cur then
+      else if (not (Node.equal cur n)) && t.cfg.proximity && closer t n cur then
         set_slot t row col n
     end
   end

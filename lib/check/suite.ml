@@ -1,7 +1,7 @@
 module Engine = Splay_sim.Engine
 module Rng = Splay_sim.Rng
 module Controller = Splay_ctl.Controller
-module Daemon = Splay_ctl.Daemon
+module Platform = Splay_ctl.Platform
 module Descriptor = Splay_ctl.Descriptor
 module Apps = Splay_apps
 
@@ -45,28 +45,22 @@ let check_rng seed = Rng.create (0x51ACC8EC lxor (seed * 0x9E3779B9))
 (* One trial = one freshly built platform: engine (optionally perturbed),
    cluster testbed plus a controller host, daemons, and a driver process
    that deploys the application, lets the nemesis loose and evaluates the
-   oracles. Everything is derived from [seed]; nothing escapes the call. *)
+   oracles. Everything is derived from [seed]; nothing escapes the call.
+   A crash fails [Platform.run]; the outcome then lists every crashed
+   process next to the violations the driver found before it ended. *)
 let run_platform ~suite ~seed ~perturb ~hosts ~until f =
-  let eng = Engine.create ~seed () in
-  if perturb then Engine.set_perturbation eng ~tie_shuffle:true ~max_extra_delay:perturb_extra_delay;
-  let tb0 = Testbed.cluster ~n:hosts (Engine.rng eng) in
-  let tb, ctl_host = Testbed.with_extra_host tb0 in
-  let net = Net.create eng tb in
-  let ctl = Controller.create net ~host:ctl_host in
-  let daemons = Controller.boot_daemons ctl (List.init hosts Fun.id) in
+  let perturb = if perturb then Some perturb_extra_delay else None in
+  let p = Platform.create ~seed ?perturb (Platform.Cluster hosts) in
   let violations = ref [] in
-  ignore
-    (Env.thread (Controller.env ctl) ~name:("check:" ^ suite) (fun () ->
-         Fun.protect
-           ~finally:(fun () ->
-             List.iter Daemon.shutdown daemons;
-             ignore (Engine.schedule eng ~delay:0.0 (fun () -> Env.stop (Controller.env ctl))))
-           (fun () -> violations := f eng net ctl)));
-  ignore (Engine.run ~until eng);
+  (match
+     Platform.run ~until ~name:("check:" ^ suite) p (fun p ->
+         violations := f (Platform.engine p) (Platform.controller p))
+   with
+  | () | (exception Failure _) -> ());
   let crashes =
     List.rev_map
       (fun (p, e) -> Printf.sprintf "%s: %s" (Engine.proc_name p) (Printexc.to_string e))
-      (Engine.crashed eng)
+      (Engine.crashed (Platform.engine p))
   in
   (!violations, crashes)
 
@@ -141,7 +135,7 @@ let chord_gen rng =
 let chord_run ~seed ~nemesis ~perturb =
   let rng = check_rng seed in
   let violations, crashes =
-    run_platform ~suite:"chord" ~seed ~perturb ~hosts:7 ~until:600_000.0 (fun eng _net ctl ->
+    run_platform ~suite:"chord" ~seed ~perturb ~hosts:7 ~until:600_000.0 (fun eng ctl ->
         let nodes = ref [] in
         let dep =
           Controller.deploy ctl ~name:"chord"
@@ -197,7 +191,7 @@ let chord_ft_gen rng =
 let chord_ft_run ~name ~n ~seed ~nemesis ~perturb =
   let rng = check_rng seed in
   let violations, crashes =
-    run_platform ~suite:name ~seed ~perturb ~hosts:7 ~until:600_000.0 (fun eng _net ctl ->
+    run_platform ~suite:name ~seed ~perturb ~hosts:7 ~until:600_000.0 (fun eng ctl ->
         let nodes = ref [] in
         let dep =
           Controller.deploy ctl ~name
@@ -259,7 +253,7 @@ let pastry_gen rng =
 let pastry_run ~seed ~nemesis ~perturb =
   let rng = check_rng seed in
   let violations, crashes =
-    run_platform ~suite:"pastry" ~seed ~perturb ~hosts:7 ~until:600_000.0 (fun eng _net ctl ->
+    run_platform ~suite:"pastry" ~seed ~perturb ~hosts:7 ~until:600_000.0 (fun eng ctl ->
         let nodes = ref [] in
         let dep =
           Controller.deploy ctl ~name:"pastry"
@@ -377,7 +371,7 @@ let rpc_run ~seed ~nemesis ~perturb =
     end
   in
   let violations, crashes =
-    run_platform ~suite:"rpc" ~seed ~perturb ~hosts:4 ~until:100_000.0 (fun eng _net ctl ->
+    run_platform ~suite:"rpc" ~seed ~perturb ~hosts:4 ~until:100_000.0 (fun eng ctl ->
         let dep =
           Controller.deploy ctl ~name:"rpc" ~main
             (Descriptor.make ~bootstrap:(Descriptor.Head 1) rpc_nodes)
@@ -453,7 +447,7 @@ let epidemic_run ~seed ~nemesis ~perturb =
   let rng = check_rng seed in
   let rumor = Printf.sprintf "rumor-%d" seed in
   let violations, crashes =
-    run_platform ~suite:"epidemic" ~seed ~perturb ~hosts:8 ~until:100_000.0 (fun eng _net ctl ->
+    run_platform ~suite:"epidemic" ~seed ~perturb ~hosts:8 ~until:100_000.0 (fun eng ctl ->
         let nodes = ref [] in
         let dep =
           Controller.deploy ctl ~name:"epidemic"
@@ -534,7 +528,7 @@ let dht_store_run ~seed ~nemesis ~perturb =
     }
   in
   let violations, crashes =
-    run_platform ~suite:"dht-store" ~seed ~perturb ~hosts:7 ~until:600_000.0 (fun eng _net ctl ->
+    run_platform ~suite:"dht-store" ~seed ~perturb ~hosts:7 ~until:600_000.0 (fun eng ctl ->
         let nodes = ref [] in
         let dep =
           Controller.deploy ctl ~name:"dht-store"
@@ -664,7 +658,7 @@ let webcache_run ~seed ~nemesis ~perturb =
     { Apps.Webcache.default_config with ttl = 60.0; rpc_timeout = 5.0; coalesce = true }
   in
   let violations, crashes =
-    run_platform ~suite:"webcache" ~seed ~perturb ~hosts:7 ~until:600_000.0 (fun eng _net ctl ->
+    run_platform ~suite:"webcache" ~seed ~perturb ~hosts:7 ~until:600_000.0 (fun eng ctl ->
         let nodes = ref [] in
         let dep =
           Controller.deploy ctl ~name:"webcache"

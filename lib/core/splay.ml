@@ -5,9 +5,9 @@
     sockets and filesystem, logging, serialization, locks), the controller
     and daemons, the churn manager, and the simulation-testing layer
     ({!Nemesis}, {!Invariant}, {!Check_suite}, {!Check_runner} — the
-    machinery behind [splay check]). {!Platform} bundles the boilerplate
-    of standing up a testbed with a controller and daemons, so an experiment
-    reads:
+    machinery behind [splay check]). {!Platform} builds a testbed with a
+    controller and daemons, runs the experiment and tears it down, so an
+    experiment reads:
 
     {[
       let p = Splay.Platform.create (Splay.Platform.Planetlab 400) in
@@ -69,6 +69,7 @@ module Descriptor = Splay_ctl.Descriptor
 module Daemon = Splay_ctl.Daemon
 module Deploy = Splay_ctl.Deploy
 module Controller = Splay_ctl.Controller
+module Platform = Splay_ctl.Platform
 
 (* Churn management *)
 module Script = Splay_churn.Script
@@ -81,54 +82,3 @@ module Nemesis = Splay_check.Nemesis
 module Invariant = Splay_check.Invariant
 module Check_suite = Splay_check.Suite
 module Check_runner = Splay_check.Runner
-
-(** Testbed bring-up boilerplate: engine + testbed + network + controller +
-    one daemon per host, in one call. *)
-module Platform = struct
-  type spec =
-    | Planetlab of int (** n live wide-area hosts *)
-    | Modelnet of { hosts : int; bandwidth : float option }
-        (** emulated cluster on a 500-router transit-stub graph *)
-    | Cluster of int (** LAN machines (the paper's 11-node cluster) *)
-    | Mixed of { planetlab : int; modelnet : int }
-
-  type t = {
-    engine : Engine.t;
-    testbed : Testbed.t;
-    net : Net.t;
-    controller : Controller.t;
-    daemons : Daemon.t list;
-    ctl_host : Addr.host_id;
-  }
-
-  let build_testbed rng = function
-    | Planetlab n -> Testbed.planetlab ~n rng
-    | Modelnet { hosts; bandwidth } -> Testbed.modelnet ~hosts ?bandwidth rng
-    | Cluster n -> Testbed.cluster ~n rng
-    | Mixed { planetlab; modelnet } -> Testbed.mixed ~planetlab ~modelnet rng
-
-  let create ?(seed = 42) ?daemon_config ?unseen_timeout spec =
-    let engine = Engine.create ~seed () in
-    let tb0 = build_testbed (Engine.rng engine) spec in
-    let testbed, ctl_host = Testbed.with_extra_host tb0 in
-    let net = Net.create engine testbed in
-    let controller = Controller.create ?unseen_timeout net ~host:ctl_host in
-    let hosts = List.init (Testbed.size tb0) Fun.id in
-    let daemons = Controller.boot_daemons ?config:daemon_config controller hosts in
-    { engine; testbed; net; controller; daemons; ctl_host }
-
-  let engine t = t.engine
-  let net t = t.net
-  let testbed t = t.testbed
-  let controller t = t.controller
-  let daemons t = t.daemons
-  let now t = Engine.now t.engine
-
-  (** Run [main] as a controller-side process, then drive the simulation to
-      completion (or [until]). Crashed processes make the run fail fast —
-      an experiment with a dying protocol is not a result. *)
-  let run ?until t main =
-    ignore (Env.thread (Controller.env t.controller) ~name:"experiment-main" (fun () -> main t));
-    ignore (Engine.run ?until t.engine);
-    Engine.check_crashed t.engine
-end

@@ -60,6 +60,8 @@ type t = {
       (* scratch cell of the send path: the propagation delay from
          [Latency.delay_to], then the due time for [Engine.schedule_at] —
          both travel unboxed *)
+  near_a : Engine.fcell;
+  near_b : Engine.fcell; (* scratch cells of [closer]'s two base delays *)
 }
 
 let create eng tb =
@@ -77,6 +79,8 @@ let create eng tb =
     n_bytes = 0;
     n_dropped = 0;
     due = { v = 0.0 };
+    near_a = { v = 0.0 };
+    near_b = { v = 0.0 };
   }
 
 let engine t = t.eng
@@ -106,6 +110,13 @@ let host_up t id = Testbed.host_up t.tb id
 let set_host_up t id up = Testbed.set_host_up t.tb id up
 
 let base_rtt t a b = 2.0 *. Testbed.base_delay t.tb a b
+
+(* Comparing the one-way delays orders the RTTs exactly: doubling a float
+   is exact. *)
+let closer t ~from a b =
+  Testbed.base_delay_to t.tb t.near_a from a;
+  Testbed.base_delay_to t.tb t.near_b from b;
+  t.near_a.v < t.near_b.v
 
 (* Hoisted out of [send] so a dropped (or delivered-then-dropped) message
    costs a call, not a fresh closure per send. *)

@@ -65,6 +65,11 @@ val base_rtt : t -> Addr.host_id -> Addr.host_id -> float
     ping would measure on an idle network); used by proximity-aware
     protocols. *)
 
+val closer : t -> from:Addr.host_id -> Addr.host_id -> Addr.host_id -> bool
+(** [closer t ~from a b] is [base_rtt t from a < base_rtt t from b],
+    computed without allocating: the comparison proximity-aware protocols
+    make each time they weigh a peer against the one they hold. *)
+
 val messages_sent : t -> int
 val bytes_sent : t -> int
 val messages_dropped : t -> int

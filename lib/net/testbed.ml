@@ -248,7 +248,7 @@ let set_host_up t id up =
   | Some c -> Bytes.unsafe_set c.Compact.up_bits id (if up then '\001' else '\000')
   | None -> t.all.(id).up <- up
 
-let euclid (x1, y1) (x2, y2) =
+let[@inline] euclid (x1, y1) (x2, y2) =
   let dx = x1 -. x2 and dy = y1 -. y2 in
   sqrt ((dx *. dx) +. (dy *. dy))
 
@@ -256,46 +256,53 @@ let euclid (x1, y1) (x2, y2) =
    records (the network send path looks both endpoints up anyway for the
    link queues) skip the repeated [t.all.(id)] loads. They are the
    implementations; the id-keyed functions are wrappers, so both draw from
-   the same RNG streams in the same order. *)
+   the same RNG streams in the same order. The base delay is written into
+   the caller's cell: a float returned across a call would be boxed. *)
 
-let base_delay_h t ha hb =
-  if ha.id = hb.id then 0.000_05
+let base_delay_to_h t (cell : Splay_sim.Eheap.fcell) ha hb =
+  if ha.id = hb.id then cell.v <- 0.000_05
   else begin
     match (ha.kind, hb.kind) with
-    | Planetlab, Planetlab -> 0.005 +. euclid ha.coord hb.coord
+    | Planetlab, Planetlab -> cell.v <- 0.005 +. euclid ha.coord hb.coord
     | Modelnet, Modelnet -> (
         (* through the Latency signature: the matrix backend over this
            testbed's topology, whose primitive is Topology.delay, so the
            floats are that call's and fixed-seed traces do not move *)
         match t.lat with
-        | Some lat -> Latency.delay lat ha.id hb.id
-        | None -> 0.015)
-    | Cluster, Cluster -> 0.000_05
+        | Some lat -> Latency.delay_to lat cell ha.id hb.id
+        | None -> cell.v <- 0.015)
+    | Cluster, Cluster -> cell.v <- 0.000_05
     | Planetlab, Modelnet | Modelnet, Planetlab -> (
         (* cross the WAN gateway of the emulated site *)
         let pl, _mn = if ha.kind = Planetlab then (ha, hb) else (hb, ha) in
         let edge = 0.005 +. euclid pl.coord (0.040, 0.040) in
         match t.topo with
-        | Some topo -> edge +. t.gateway_delay +. Topology.intra_stub_delay topo
-        | None -> edge +. t.gateway_delay)
+        | Some topo -> cell.v <- edge +. t.gateway_delay +. Topology.intra_stub_delay topo
+        | None -> cell.v <- edge +. t.gateway_delay)
     | Cluster, Planetlab | Planetlab, Cluster ->
         (* controller / cluster machines sit at the virtual centre *)
         let pl = if ha.kind = Planetlab then ha else hb in
-        0.005 +. euclid pl.coord (0.040, 0.040)
-    | Cluster, Modelnet | Modelnet, Cluster -> 0.002
+        cell.v <- 0.005 +. euclid pl.coord (0.040, 0.040)
+    | Cluster, Modelnet | Modelnet, Cluster -> cell.v <- 0.002
   end
 
-let base_delay t a b =
+let base_delay_to t cell a b =
   match t.cmp with
-  | Some c -> Latency.delay c.Compact.lat a b
-  | None -> base_delay_h t t.all.(a) t.all.(b)
+  | Some c -> Latency.delay_to c.Compact.lat cell a b
+  | None -> base_delay_to_h t cell t.all.(a) t.all.(b)
+
+let base_delay t a b =
+  let cell = { Splay_sim.Eheap.v = 0.0 } in
+  base_delay_to t cell a b;
+  cell.v
 
 let delay_h t ha hb =
-  let base = base_delay_h t ha hb in
+  let base = { Splay_sim.Eheap.v = 0.0 } in
+  base_delay_to_h t base ha hb;
   if ha.kind = Planetlab || hb.kind = Planetlab then
     (* wide-area jitter: median ~5% of base, occasional 2-3x spikes *)
-    base *. Rng.lognormal t.t_rng ~mu:0.0 ~sigma:0.25
-  else base
+    base.v *. Rng.lognormal t.t_rng ~mu:0.0 ~sigma:0.25
+  else base.v
 
 let delay t a b =
   match t.cmp with

@@ -103,6 +103,10 @@ val base_delay : t -> Addr.host_id -> Addr.host_id -> float
 (** Stable one-way propagation delay (no jitter); what a proximity-aware
     protocol can estimate by pinging. *)
 
+val base_delay_to : t -> Splay_sim.Eheap.fcell -> Addr.host_id -> Addr.host_id -> unit
+(** [base_delay_to t cell a b] stores [base_delay t a b] in [cell], unboxed
+    (the form of {!Latency.delay_to}). *)
+
 val delay : t -> Addr.host_id -> Addr.host_id -> float
 (** One-way propagation delay for one message: {!base_delay} plus jitter
     (PlanetLab hosts only; emulated and LAN links are stable). *)

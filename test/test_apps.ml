@@ -8,24 +8,8 @@ open Splay_ctl
 module Apps = Splay_apps
 
 let with_platform ?(hosts = 10) ?(seed = 31) ?(until = 36000.0) f =
-  let eng = Engine.create ~seed () in
-  let tb0 = Testbed.cluster ~n:hosts (Engine.rng eng) in
-  let tb, ctl_host = Testbed.with_extra_host tb0 in
-  let net = Net.create eng tb in
-  let ctl = Controller.create net ~host:ctl_host in
-  let daemons = Controller.boot_daemons ctl (List.init hosts Fun.id) in
-  ignore
-    (Env.thread (Controller.env ctl) (fun () ->
-         Fun.protect
-           ~finally:(fun () ->
-             (* tear the platform down so the event queue drains *)
-             List.iter Daemon.shutdown daemons;
-             (* defer: stopping the controller env from inside this very
-                process would self-kill through the finally *)
-             ignore (Engine.schedule eng ~delay:0.0 (fun () -> Env.stop (Controller.env ctl))))
-           (fun () -> f eng net ctl)));
-  ignore (Engine.run ~until eng);
-  Engine.check_crashed eng
+  Platform.run ~until (Platform.create ~seed (Platform.Cluster hosts)) (fun p ->
+      f (Platform.engine p) (Platform.net p) (Platform.controller p))
 
 (* The node with the smallest id >= key (cyclically) among [ids] — ground
    truth for "who is responsible for key". *)
@@ -354,42 +338,26 @@ let test_pastry_proximity_prefers_close_entries () =
   (* on a testbed with distance structure, proximity-aware tables should
      pick lower-RTT entries than proximity-blind ones *)
   let run proximity =
-    let avg = ref 0.0 in
-    let eng = Engine.create ~seed:77 () in
-    let tb0 = Testbed.planetlab ~n:40 (Engine.rng eng) in
-    let tb, ctl_host = Testbed.with_extra_host tb0 in
-    let net = Net.create eng tb in
-    let ctl = Controller.create net ~host:ctl_host in
-    let daemons = Controller.boot_daemons ctl (List.init 40 Fun.id) in
-    ignore
-      (Env.thread (Controller.env ctl) (fun () ->
-           Fun.protect
-             ~finally:(fun () ->
-               List.iter Daemon.shutdown daemons;
-               ignore (Engine.schedule eng ~delay:0.0 (fun () -> Env.stop (Controller.env ctl))))
-             (fun () ->
-               let nodes = ref [] in
-               let config = { pastry_test_config with proximity } in
-               ignore
-                 (Controller.deploy ctl ~name:"pastry"
-                    ~main:(Apps.Pastry.app ~config ~register:(fun c -> nodes := c :: !nodes))
-                    (Descriptor.make ~bootstrap:(Descriptor.Head 1) 40));
-               Env.sleep 180.0;
-               let total = ref 0.0 and count = ref 0 in
-               List.iter
-                 (fun p ->
-                   List.iter
-                     (fun e ->
-                       total :=
-                         !total
-                         +. Net.base_rtt net (Apps.Pastry.addr p).Addr.host
-                              e.Apps.Node.addr.Addr.host;
-                       incr count)
-                     (Apps.Pastry.table_entries p))
-                 !nodes;
-               avg := !total /. Float.of_int (max 1 !count))));
-    ignore (Engine.run ~until:36000.0 eng);
-    !avg
+    Platform.run ~until:36000.0 (Platform.create ~seed:77 (Platform.Planetlab 40)) (fun p ->
+        let ctl = Platform.controller p and net = Platform.net p in
+        let nodes = ref [] in
+        let config = { pastry_test_config with proximity } in
+        ignore
+          (Controller.deploy ctl ~name:"pastry"
+             ~main:(Apps.Pastry.app ~config ~register:(fun c -> nodes := c :: !nodes))
+             (Descriptor.make ~bootstrap:(Descriptor.Head 1) 40));
+        Env.sleep 180.0;
+        let total = ref 0.0 and count = ref 0 in
+        List.iter
+          (fun x ->
+            List.iter
+              (fun e ->
+                total :=
+                  !total +. Net.base_rtt net (Apps.Pastry.addr x).Addr.host e.Apps.Node.addr.Addr.host;
+                incr count)
+              (Apps.Pastry.table_entries x))
+          !nodes;
+        !total /. Float.of_int (max 1 !count))
   in
   let with_prox = run true and without = run false in
   Alcotest.(check bool)
@@ -653,9 +621,9 @@ let prop_learn_matches_old =
 
 (* The wire forms of a node reference, pinned by allocation: encoding
    allocates the value tree and one string; decoding the canonical shape
-   only the node and its address; taking in an already-known peer that
-   holds its own table slot nothing (one whose slot holds another node
-   still pays for the two boxed RTT reads). *)
+   only the node and its address; taking in an already-known peer
+   nothing, whether it holds its own table slot or loses that slot's RTT
+   comparison on every call. *)
 let test_node_reference_words () =
   let words f =
     let w0 = Gc.minor_words () in
@@ -675,7 +643,14 @@ let test_node_reference_words () =
   Alcotest.(check int) "peer in the right half" 1 (List.length (snd (Apps.Pastry.halves p)));
   Alcotest.(check int) "peer in the table" 1 (List.length (Apps.Pastry.table_entries p));
   Alcotest.(check (float 0.0)) "learn of a known peer: minor words" 0.0
-    (words (fun () -> Apps.Pastry.learn p peer))
+    (words (fun () -> Apps.Pastry.learn p peer));
+  let rival = Node.make ~id:0x40000124 ~addr:(Addr.make 2 2000) in
+  Apps.Pastry.learn p rival;
+  let table = Apps.Pastry.table_entries p in
+  Alcotest.(check int) "one slot for the two" 1 (List.length table);
+  let loser = if Node.equal (List.hd table) peer then rival else peer in
+  Alcotest.(check (float 0.0)) "learn of a known peer beaten for its slot: minor words" 0.0
+    (words (fun () -> Apps.Pastry.learn p loser))
 
 (* {2 Cyclon} *)
 
@@ -1133,62 +1108,49 @@ let test_vivaldi_predicts_rtts () =
   (* deploy coordinates on a wide-area testbed; after convergence the
      coordinate distance must predict true RTTs far better than a constant
      predictor *)
-  let eng = Engine.create ~seed:71 () in
-  let tb0 = Testbed.planetlab ~n:30 (Engine.rng eng) in
-  let tb, ctl_host = Testbed.with_extra_host tb0 in
-  let net = Net.create eng tb in
-  let ctl = Controller.create net ~host:ctl_host in
-  let daemons = Controller.boot_daemons ctl (List.init 30 Fun.id) in
-  let nodes = ref [] in
-  ignore
-    (Env.thread (Controller.env ctl) (fun () ->
-         Fun.protect
-           ~finally:(fun () ->
-             List.iter Daemon.shutdown daemons;
-             ignore (Engine.schedule eng ~delay:0.0 (fun () -> Env.stop (Controller.env ctl))))
-           (fun () ->
-             let config = { Apps.Vivaldi.default_config with period = 2.0 } in
-             ignore
-               (Controller.deploy ctl ~name:"vivaldi"
-                  ~main:(Apps.Vivaldi.app ~config ~register:(fun v -> nodes := v :: !nodes))
-                  (Descriptor.make ~bootstrap:Descriptor.All 30));
-             (* plenty of probe rounds to converge *)
-             Env.sleep 600.0;
-             List.iter
-               (fun v -> Alcotest.(check bool) "nodes kept probing" true (Apps.Vivaldi.samples v > 50))
-               !nodes;
-             (* individual confidences bounce on jittery links; the median
-                across the population must be low *)
-             let errs = List.sort Float.compare (List.map Apps.Vivaldi.confidence_error !nodes) in
-             let med_err = List.nth errs (List.length errs / 2) in
-             Alcotest.(check bool)
-               (Printf.sprintf "median confidence error %.2f below 0.6" med_err)
-               true (med_err < 0.6);
-             (* compare predicted vs true RTT over all pairs *)
-             let arr = Array.of_list !nodes in
-             let n = Array.length arr in
-             let rel_errors = ref [] in
-             for i = 0 to n - 1 do
-               for j = i + 1 to n - 1 do
-                 let predicted =
-                   Apps.Vivaldi.distance
-                     (Apps.Vivaldi.coordinate arr.(i))
-                     (Apps.Vivaldi.coordinate arr.(j))
-                 in
-                 let actual =
-                   Net.base_rtt net (Apps.Vivaldi.addr arr.(i)).Addr.host
-                     (Apps.Vivaldi.addr arr.(j)).Addr.host
-                 in
-                 rel_errors := (Float.abs (predicted -. actual) /. actual) :: !rel_errors
-               done
-             done;
-             let sorted = List.sort Float.compare !rel_errors in
-             let median = List.nth sorted (List.length sorted / 2) in
-             Alcotest.(check bool)
-               (Printf.sprintf "median relative error %.0f%% below 40%%" (100.0 *. median))
-               true (median < 0.40))));
-  ignore (Engine.run ~until:100_000.0 eng);
-  Engine.check_crashed eng
+  Platform.run ~until:100_000.0 (Platform.create ~seed:71 (Platform.Planetlab 30)) (fun p ->
+      let ctl = Platform.controller p and net = Platform.net p in
+      let nodes = ref [] in
+      let config = { Apps.Vivaldi.default_config with period = 2.0 } in
+      ignore
+        (Controller.deploy ctl ~name:"vivaldi"
+           ~main:(Apps.Vivaldi.app ~config ~register:(fun v -> nodes := v :: !nodes))
+           (Descriptor.make ~bootstrap:Descriptor.All 30));
+      (* plenty of probe rounds to converge *)
+      Env.sleep 600.0;
+      List.iter
+        (fun v -> Alcotest.(check bool) "nodes kept probing" true (Apps.Vivaldi.samples v > 50))
+        !nodes;
+      (* individual confidences bounce on jittery links; the median
+         across the population must be low *)
+      let errs = List.sort Float.compare (List.map Apps.Vivaldi.confidence_error !nodes) in
+      let med_err = List.nth errs (List.length errs / 2) in
+      Alcotest.(check bool)
+        (Printf.sprintf "median confidence error %.2f below 0.6" med_err)
+        true (med_err < 0.6);
+      (* compare predicted vs true RTT over all pairs *)
+      let arr = Array.of_list !nodes in
+      let n = Array.length arr in
+      let rel_errors = ref [] in
+      for i = 0 to n - 1 do
+        for j = i + 1 to n - 1 do
+          let predicted =
+            Apps.Vivaldi.distance
+              (Apps.Vivaldi.coordinate arr.(i))
+              (Apps.Vivaldi.coordinate arr.(j))
+          in
+          let actual =
+            Net.base_rtt net (Apps.Vivaldi.addr arr.(i)).Addr.host
+              (Apps.Vivaldi.addr arr.(j)).Addr.host
+          in
+          rel_errors := (Float.abs (predicted -. actual) /. actual) :: !rel_errors
+        done
+      done;
+      let sorted = List.sort Float.compare !rel_errors in
+      let median = List.nth sorted (List.length sorted / 2) in
+      Alcotest.(check bool)
+        (Printf.sprintf "median relative error %.0f%% below 40%%" (100.0 *. median))
+        true (median < 0.40))
 
 
 (* {2 DHT storage (replicated key-value on Pastry)} *)

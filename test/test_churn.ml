@@ -2,7 +2,6 @@
    replayer driving a live deployment. *)
 
 open Splay_sim
-open Splay_net
 open Splay_runtime
 open Splay_ctl
 open Splay_churn
@@ -157,24 +156,8 @@ let test_transform_renumber () =
 (* {2 Replayer against a live deployment} *)
 
 let with_platform ?(hosts = 10) f =
-  let eng = Engine.create ~seed:21 () in
-  let tb0 = Testbed.cluster ~n:hosts (Engine.rng eng) in
-  let tb, ctl_host = Testbed.with_extra_host tb0 in
-  let net = Net.create eng tb in
-  let ctl = Controller.create net ~host:ctl_host in
-  let daemons = Controller.boot_daemons ctl (List.init hosts Fun.id) in
-  ignore
-    (Env.thread (Controller.env ctl) (fun () ->
-         Fun.protect
-           ~finally:(fun () ->
-             (* tear the platform down so the event queue drains *)
-             List.iter Daemon.shutdown daemons;
-             (* defer: stopping the controller env from inside this very
-                process would self-kill through the finally *)
-             ignore (Engine.schedule eng ~delay:0.0 (fun () -> Env.stop (Controller.env ctl))))
-           (fun () -> f eng net ctl)));
-  ignore (Engine.run ~until:36000.0 eng);
-  Engine.check_crashed eng
+  Platform.run ~until:36000.0 (Platform.create ~seed:21 (Platform.Cluster hosts)) (fun p ->
+      f (Platform.engine p) (Platform.net p) (Platform.controller p))
 
 let noop_app (_ : Env.t) = ()
 
@@ -350,30 +333,16 @@ let test_replayer_deterministic () =
      making protocol comparisons fair; with a fixed seed the whole run —
      deployment, churn, failures — is bit-identical *)
   let run seed =
-    let eng = Engine.create ~seed () in
-    let tb0 = Testbed.cluster ~n:10 (Engine.rng eng) in
-    let tb, ctl_host = Testbed.with_extra_host tb0 in
-    let net = Net.create eng tb in
-    let ctl = Controller.create net ~host:ctl_host in
-    let daemons = Controller.boot_daemons ctl (List.init 10 Fun.id) in
-    let out = ref (0, 0, 0.0) in
-    ignore
-      (Env.thread (Controller.env ctl) (fun () ->
-           Fun.protect
-             ~finally:(fun () ->
-               List.iter Daemon.shutdown daemons;
-               ignore (Engine.schedule eng ~delay:0.0 (fun () -> Env.stop (Controller.env ctl))))
-             (fun () ->
-               let dep =
-                 Controller.deploy ctl ~name:"noop" ~main:(fun _ -> ())
-                   (Descriptor.make ~bootstrap:(Descriptor.Head 1) 10)
-               in
-               let script = Script.parse "from 0s to 2m const churn 40%\nat 3m leave 30%" in
-               let _proc, stats = Replayer.run_script dep script in
-               Env.sleep 200.0;
-               out := (stats.Replayer.joins, stats.Replayer.leaves, Engine.now eng))));
-    ignore (Engine.run ~until:36000.0 eng);
-    !out
+    Platform.run ~until:36000.0 (Platform.create ~seed (Platform.Cluster 10)) (fun p ->
+        let ctl = Platform.controller p in
+        let dep =
+          Controller.deploy ctl ~name:"noop" ~main:(fun _ -> ())
+            (Descriptor.make ~bootstrap:(Descriptor.Head 1) 10)
+        in
+        let script = Script.parse "from 0s to 2m const churn 40%\nat 3m leave 30%" in
+        let _proc, stats = Replayer.run_script dep script in
+        Env.sleep 200.0;
+        (stats.Replayer.joins, stats.Replayer.leaves, Platform.now p))
   in
   let a = run 77 and b = run 77 in
   Alcotest.(check bool) "same seed, identical churn" true (a = b)

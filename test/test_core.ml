@@ -4,12 +4,6 @@ open Splay
 module Apps = Splay_apps
 module Baselines = Splay_baselines
 
-let teardown p =
-  List.iter Daemon.shutdown (Platform.daemons p);
-  ignore
-    (Engine.schedule (Platform.engine p) ~delay:0.0 (fun () ->
-         Env.stop (Controller.env (Platform.controller p))))
-
 (* {2 Platform} *)
 
 let test_platform_specs () =
@@ -38,8 +32,7 @@ let test_platform_run_deploys () =
       in
       Env.sleep 5.0;
       Alcotest.(check int) "instances ran" 10 !count;
-      Alcotest.(check int) "all live" 10 (Controller.live_count dep);
-      teardown p)
+      Alcotest.(check int) "all live" 10 (Controller.live_count dep))
 
 let test_platform_run_propagates_crash () =
   let p = Platform.create ~seed:3 (Platform.Cluster 2) in
@@ -47,28 +40,65 @@ let test_platform_run_propagates_crash () =
     Platform.run p (fun p ->
         ignore
           (Env.thread (Controller.env (Platform.controller p)) (fun () -> failwith "boom"));
-        Env.sleep 1.0;
-        teardown p)
+        Env.sleep 1.0)
   with
   | exception Failure msg ->
       Alcotest.(check bool) "mentions the crash" true
         (String.length msg > 0 && String.sub msg 0 7 = "process")
   | () -> Alcotest.fail "crash not surfaced"
 
+(* The bracket itself: main's value comes back, and however main ends
+   the daemons and the controller env are stopped so nothing is left in
+   the queue. *)
+let test_platform_run_returns_main () =
+  let p = Platform.create ~seed:6 (Platform.Cluster 2) in
+  Alcotest.(check int) "main's value" 42
+    (Platform.run p (fun _ ->
+         Env.sleep 3.0;
+         42))
+
+let test_platform_run_tears_down_after_raise () =
+  let p = Platform.create ~seed:7 (Platform.Cluster 3) in
+  (match
+     Platform.run ~until:1e6 ~name:"doomed-main" p (fun p ->
+         ignore
+           (Controller.deploy (Platform.controller p) ~name:"probe"
+              ~main:(fun env -> ignore (Env.periodic env 1.0 ignore))
+              (Descriptor.make 6));
+         Env.sleep 5.0;
+         failwith "boom")
+   with
+  | exception Failure msg ->
+      Alcotest.(check bool) ("names the crashed main: " ^ msg) true
+        (String.starts_with ~prefix:"process doomed-main crashed" msg)
+  | () -> Alcotest.fail "crash not surfaced");
+  List.iter
+    (fun d -> Alcotest.(check int) "daemon's instances gone" 0 (Daemon.instance_count d))
+    (Platform.daemons p);
+  Alcotest.(check bool) "controller env stopped" true
+    (Env.is_stopped (Controller.env (Platform.controller p)));
+  Alcotest.(check int) "queue drained" 0 (Engine.pending_events (Platform.engine p))
+
+let test_platform_run_until_cuts_main () =
+  let p = Platform.create ~seed:8 (Platform.Cluster 2) in
+  match Platform.run ~until:10.0 p (fun _ -> Env.sleep 100.0) with
+  | exception Failure msg ->
+      Alcotest.(check bool) ("did not finish: " ^ msg) true
+        (String.ends_with ~suffix:"did not finish" msg)
+  | () -> Alcotest.fail "a main cut off by until must fail"
+
 let test_platform_determinism () =
   let run () =
     let p = Platform.create ~seed:99 (Platform.Planetlab 8) in
-    let out = ref 0.0 in
     Platform.run p (fun p ->
         let dep =
           Controller.deploy (Platform.controller p) ~name:"noop"
             ~main:(fun _ -> ())
             (Descriptor.make 5)
         in
-        out := Platform.now p;
+        let t = Platform.now p in
         Controller.undeploy dep;
-        teardown p);
-    !out
+        t)
   in
   Alcotest.(check (float 1e-12)) "same seed, same timeline" (run ()) (run ())
 
@@ -131,8 +161,7 @@ let test_crcp_matches_trees_topology () =
         s;
       List.iter
         (fun x -> Alcotest.(check bool) "crcp complete" true (Baselines.Crcp.completion_time x <> None))
-        c;
-      teardown p)
+        c)
 
 let test_crcp_slower_on_thin_links () =
   (* sequential acknowledged sends vs pipelined fire-and-forget: on slow
@@ -142,7 +171,6 @@ let test_crcp_slower_on_thin_links () =
       Platform.create ~seed:5
         (Platform.Modelnet { hosts = 18; bandwidth = Some (2_000_000.0 /. 8.0) })
     in
-    let finish = ref 0.0 in
     Platform.run p (fun p ->
         let ctl = Platform.controller p in
         let file_size = 1024 * 1024 in
@@ -178,9 +206,7 @@ let test_crcp_slower_on_thin_links () =
           | `Splay -> List.filter_map Apps.Trees.completion_time !done_splay
           | `Crcp -> List.filter_map Baselines.Crcp.completion_time !done_crcp
         in
-        finish := List.fold_left Float.max 0.0 times;
-        teardown p);
-    !finish
+        List.fold_left Float.max 0.0 times)
   in
   let splay_t = run_one `Splay and crcp_t = run_one `Crcp in
   Alcotest.(check bool)
@@ -297,6 +323,10 @@ let () =
           Alcotest.test_case "specs" `Quick test_platform_specs;
           Alcotest.test_case "run deploys" `Quick test_platform_run_deploys;
           Alcotest.test_case "crash propagates" `Quick test_platform_run_propagates_crash;
+          Alcotest.test_case "run returns main's value" `Quick test_platform_run_returns_main;
+          Alcotest.test_case "teardown after main raises" `Quick
+            test_platform_run_tears_down_after_raise;
+          Alcotest.test_case "until cuts main" `Quick test_platform_run_until_cuts_main;
           Alcotest.test_case "determinism" `Quick test_platform_determinism;
         ] );
       ( "baselines",

@@ -120,23 +120,8 @@ let test_instances_lifecycle () =
 (* {2 Deployment fixtures} *)
 
 let with_platform ?(hosts = 10) ?daemon_config f =
-  let eng = Engine.create ~seed:11 () in
-  let tb0 = Testbed.cluster ~n:hosts (Engine.rng eng) in
-  let tb, ctl_host = Testbed.with_extra_host tb0 in
-  let net = Net.create eng tb in
-  let ctl = Controller.create net ~host:ctl_host in
-  let daemons = Controller.boot_daemons ?config:daemon_config ctl (List.init hosts Fun.id) in
-  ignore
-    (Env.thread (Controller.env ctl) (fun () ->
-         Fun.protect
-           ~finally:(fun () ->
-             List.iter Daemon.shutdown daemons;
-             (* defer: stopping the controller env from inside this very
-                process would self-kill through the finally *)
-             ignore (Engine.schedule eng ~delay:0.0 (fun () -> Env.stop (Controller.env ctl))))
-           (fun () -> f eng net ctl daemons)));
-  ignore (Engine.run ~until:36000.0 eng);
-  Engine.check_crashed eng
+  Platform.run ~until:36000.0 (Platform.create ~seed:11 ?daemon_config (Platform.Cluster hosts))
+    (fun p -> f (Platform.engine p) (Platform.net p) (Platform.controller p) (Platform.daemons p))
 
 let noop_app (_ : Env.t) = ()
 
@@ -332,23 +317,16 @@ let test_core_fake_transport () =
         = { Deploy.sel_alive = 6; sel_dead = 1; sel_matched = 5; sel_rejected = [ ("custom", 1) ] })
 
 let test_sessions_mark_dead_daemons () =
-  let eng = Engine.create ~seed:3 () in
-  let tb0 = Testbed.cluster ~n:4 (Engine.rng eng) in
-  let tb, ctl_host = Testbed.with_extra_host tb0 in
-  let net = Net.create eng tb in
   (* short unseen timeout so the test does not simulate an hour *)
-  let ctl = Controller.create ~unseen_timeout:200.0 net ~host:ctl_host in
-  let daemons = Controller.boot_daemons ctl (List.init 4 Fun.id) in
-  ignore
-    (Env.thread (Controller.env ctl) (fun () ->
-         Env.sleep 100.0;
-         Alcotest.(check int) "all alive while heartbeating" 4
-           (List.length (Controller.alive_daemons ctl));
-         Net.set_host_up net (Daemon.host (List.hd daemons)) false;
-         Env.sleep 400.0;
-         Alcotest.(check int) "silent daemon dropped" 3
-           (List.length (Controller.alive_daemons ctl))));
-  ignore (Engine.run ~until:1000.0 eng)
+  let p = Platform.create ~seed:3 ~unseen_timeout:200.0 (Platform.Cluster 4) in
+  Platform.run ~until:1000.0 p (fun p ->
+      let ctl = Platform.controller p in
+      Env.sleep 100.0;
+      Alcotest.(check int) "all alive while heartbeating" 4
+        (List.length (Controller.alive_daemons ctl));
+      Net.set_host_up (Platform.net p) (Daemon.host (List.hd (Platform.daemons p))) false;
+      Env.sleep 400.0;
+      Alcotest.(check int) "silent daemon dropped" 3 (List.length (Controller.alive_daemons ctl)))
 
 let test_deploy_survives_dead_candidates () =
   with_platform ~hosts:8 (fun _ net ctl daemons ->

@@ -29,29 +29,17 @@ let chord_config =
   { Apps.Chord.default_config with m = 16; stabilize_interval = 2.0; join_delay_per_position = 0.5 }
 
 let run_chord_deployment ~seed =
-  let eng = Engine.create ~seed () in
-  let tb0 = Testbed.cluster ~n:5 (Engine.rng eng) in
-  let tb, ctl_host = Testbed.with_extra_host tb0 in
-  let net = Net.create eng tb in
-  let ctl = Controller.create net ~host:ctl_host in
-  let daemons = Controller.boot_daemons ctl (List.init 5 Fun.id) in
-  ignore
-    (Env.thread (Controller.env ctl) (fun () ->
-         Fun.protect
-           ~finally:(fun () ->
-             List.iter Daemon.shutdown daemons;
-             ignore (Engine.schedule eng ~delay:0.0 (fun () -> Env.stop (Controller.env ctl))))
-           (fun () ->
-             let dep =
-               Controller.deploy ctl ~name:"chord"
-                 ~main:(Apps.Chord.app ~config:chord_config ~register:(fun _ -> ()))
-                 (Descriptor.make ~bootstrap:(Descriptor.Head 1) 8)
-             in
-             Env.sleep 40.0;
-             Controller.undeploy dep)));
-  let stats = Engine.run ~until:10_000.0 eng in
-  Engine.check_crashed eng;
-  stats
+  let p = Platform.create ~seed (Platform.Cluster 5) in
+  Platform.run ~until:10_000.0 p (fun p ->
+      let ctl = Platform.controller p in
+      let dep =
+        Controller.deploy ctl ~name:"chord"
+          ~main:(Apps.Chord.app ~config:chord_config ~register:(fun _ -> ()))
+          (Descriptor.make ~bootstrap:(Descriptor.Head 1) 8)
+      in
+      Env.sleep 40.0;
+      Controller.undeploy dep);
+  Engine.stats (Platform.engine p)
 
 (* {2 Determinism} *)
 
@@ -152,43 +140,30 @@ let pastry_config =
   }
 
 let run_pastry_churn ~seed =
-  let eng = Engine.create ~seed () in
-  let tb0 = Testbed.planetlab ~n:12 (Engine.rng eng) in
-  let tb, ctl_host = Testbed.with_extra_host tb0 in
-  let net = Net.create eng tb in
-  let ctl = Controller.create net ~host:ctl_host in
-  let daemons = Controller.boot_daemons ctl (List.init 12 Fun.id) in
-  let nodes = ref [] in
-  ignore
-    (Env.thread (Controller.env ctl) (fun () ->
-         Fun.protect
-           ~finally:(fun () ->
-             List.iter Daemon.shutdown daemons;
-             ignore (Engine.schedule eng ~delay:0.0 (fun () -> Env.stop (Controller.env ctl))))
-           (fun () ->
-             let dep =
-               Controller.deploy ctl ~name:"pastry"
-                 ~main:
-                   (Apps.Pastry.app ~config:pastry_config ~register:(fun x -> nodes := x :: !nodes))
-                 (Descriptor.make ~bootstrap:(Descriptor.Head 1) 8)
-             in
-             Env.sleep 10.0;
-             let script =
-               Splay_churn.Script.parse "at 2s join 3\nat 8s leave 3\nat 14s join 2\nat 18s leave 25%"
-             in
-             ignore (Splay_churn.Replayer.run_script dep script);
-             let rng = Rng.create seed in
-             for _ = 1 to 5 do
-               Env.sleep 4.0;
-               match List.filter (fun x -> not (Apps.Pastry.is_stopped x)) !nodes with
-               | [] -> ()
-               | live ->
-                   ignore (Apps.Pastry.lookup (Rng.pick_list rng live) (Rng.int rng (Misc.pow2 32)))
-             done;
-             Env.sleep 2.0;
-             Controller.undeploy dep)));
-  ignore (Engine.run ~until:10_000.0 eng);
-  Engine.check_crashed eng
+  Platform.run ~until:10_000.0 (Platform.create ~seed (Platform.Planetlab 12)) (fun p ->
+      let ctl = Platform.controller p in
+      let nodes = ref [] in
+      let dep =
+        Controller.deploy ctl ~name:"pastry"
+          ~main:
+            (Apps.Pastry.app ~config:pastry_config ~register:(fun x -> nodes := x :: !nodes))
+          (Descriptor.make ~bootstrap:(Descriptor.Head 1) 8)
+      in
+      Env.sleep 10.0;
+      let script =
+        Splay_churn.Script.parse "at 2s join 3\nat 8s leave 3\nat 14s join 2\nat 18s leave 25%"
+      in
+      ignore (Splay_churn.Replayer.run_script dep script);
+      let rng = Rng.create seed in
+      for _ = 1 to 5 do
+        Env.sleep 4.0;
+        match List.filter (fun x -> not (Apps.Pastry.is_stopped x)) !nodes with
+        | [] -> ()
+        | live ->
+            ignore (Apps.Pastry.lookup (Rng.pick_list rng live) (Rng.int rng (Misc.pow2 32)))
+      done;
+      Env.sleep 2.0;
+      Controller.undeploy dep)
 
 let test_golden_pastry_churn () =
   let trace, metrics =
@@ -809,21 +784,8 @@ let test_run_stats () =
 (* {2 Selection report} *)
 
 let with_ctl_platform f =
-  let eng = Engine.create ~seed:11 () in
-  let tb0 = Testbed.cluster ~n:6 (Engine.rng eng) in
-  let tb, ctl_host = Testbed.with_extra_host tb0 in
-  let net = Net.create eng tb in
-  let ctl = Controller.create net ~host:ctl_host in
-  let daemons = Controller.boot_daemons ctl (List.init 6 Fun.id) in
-  ignore
-    (Env.thread (Controller.env ctl) (fun () ->
-         Fun.protect
-           ~finally:(fun () ->
-             List.iter Daemon.shutdown daemons;
-             ignore (Engine.schedule eng ~delay:0.0 (fun () -> Env.stop (Controller.env ctl))))
-           (fun () -> f ctl)));
-  ignore (Engine.run ~until:1000.0 eng);
-  Engine.check_crashed eng
+  Platform.run ~until:1000.0 (Platform.create ~seed:11 (Platform.Cluster 6)) (fun p ->
+      f (Platform.controller p))
 
 (* {2 Controller log collection} *)
 

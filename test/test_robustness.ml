@@ -8,24 +8,8 @@ open Splay_ctl
 module Apps = Splay_apps
 
 let with_platform ?(hosts = 10) ?(seed = 51) f =
-  let eng = Engine.create ~seed () in
-  let tb0 = Testbed.cluster ~n:hosts (Engine.rng eng) in
-  let tb, ctl_host = Testbed.with_extra_host tb0 in
-  let net = Net.create eng tb in
-  let ctl = Controller.create net ~host:ctl_host in
-  let daemons = Controller.boot_daemons ctl (List.init hosts Fun.id) in
-  ignore
-    (Env.thread (Controller.env ctl) (fun () ->
-         Fun.protect
-           ~finally:(fun () ->
-             List.iter Daemon.shutdown daemons;
-             ignore (Engine.schedule eng ~delay:0.0 (fun () -> Env.stop (Controller.env ctl))))
-           (fun () -> f eng net ctl)));
-  ignore (Engine.run ~until:50_000.0 eng);
-  match Engine.crashed eng with
-  | [] -> ()
-  | (p, e) :: _ ->
-      Alcotest.failf "process %s crashed: %s" (Engine.proc_name p) (Printexc.to_string e)
+  Platform.run ~until:50_000.0 (Platform.create ~seed (Platform.Cluster hosts)) (fun p ->
+      f (Platform.engine p) (Platform.net p) (Platform.controller p))
 
 (* {2 Sandbox enforcement in a live deployment} *)
 
