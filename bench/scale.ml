@@ -160,9 +160,18 @@ let chord_run ?(obs = false) ~n ~seed ~lookups () =
   let resident = Obj.reachable_words (Obj.repr (net, nodes)) - base in
   let rng = Rng.split (Engine.rng engine) in
   (* bounded-memory stats: a 100k-node run records every lookup without
-     holding every sample *)
+     holding every sample; hop counts are small integers, counted
+     exactly per value *)
   let lat = Sink.sketch () in
-  let hops = Sink.sketch () in
+  let hops = ref (Array.make 32 0) in
+  let count_hop h =
+    if h >= Array.length !hops then begin
+      let a = Array.make (2 * (h + 1)) 0 in
+      Array.blit !hops 0 a 0 (Array.length !hops);
+      hops := a
+    end;
+    !hops.(h) <- !hops.(h) + 1
+  in
   let completed = ref 0 and wrong = ref 0 in
   (* expected owner of [key]: first ring id at or after it (mod wrap) *)
   let expected key =
@@ -184,7 +193,7 @@ let chord_run ?(obs = false) ~n ~seed ~lookups () =
                  incr completed;
                  Sink.add lat (Engine.now engine -. t0);
                  Obs.observe h_lookup (Engine.now engine -. t0);
-                 Sink.add hops (Float.of_int h);
+                 count_hop h;
                  if owner.Apps.Node.id <> expected key then incr wrong
              | None -> ()
            done))
@@ -195,11 +204,24 @@ let chord_run ?(obs = false) ~n ~seed ~lookups () =
     (Printf.sprintf "chord %d: all %d lookups correct" n !completed)
     (!wrong = 0 && !completed > 0);
   let q s p = if Sink.is_empty s then 0.0 else Sink.quantile s p in
+  (* nearest rank: the smallest hop count at or below which at least
+     [pct]% of the lookups fall, an observed count and not an
+     interpolation *)
+  let hop_percentile pct =
+    let rank = ((pct * !completed) + 99) / 100 in
+    let rec go h seen =
+      let seen = seen + !hops.(h) in
+      if seen >= rank then h else go (h + 1) seen
+    in
+    if !completed = 0 then 0 else go 0 0
+  in
+  let hop_sum = ref 0 in
+  Array.iteri (fun h c -> hop_sum := !hop_sum + (h * c)) !hops;
   ( ( !completed,
       footprint ~n resident
       @ [
-          ("mean_hops", Sink.mean hops);
-          ("p99_hops", q hops 0.99);
+          ("mean_hops", if !completed = 0 then 0.0 else Float.of_int !hop_sum /. Float.of_int !completed);
+          ("p99_hops", Float.of_int (hop_percentile 99));
           ("p50_lookup_s", q lat 0.5);
           ("p99_lookup_s", q lat 0.99);
           (* the sketch counts every lookup, so the tail is there too *)

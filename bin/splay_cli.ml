@@ -8,6 +8,7 @@
      splay trace gen --concurrent 200 --duration 3000 -o overnet.trace
      splay trace info overnet.trace
      splay trace speedup 5 overnet.trace -o fast.trace
+     splay trace crop 600 1800 overnet.trace -o window.trace
      splay run --app chord --trace run.jsonl && splay trace run.jsonl --critical-path *)
 
 open Cmdliner
@@ -476,7 +477,7 @@ let top_cmd metric k prom slo path =
             exit 1)
   in
   let m =
-    try Metrics_analysis.load_file path with
+    try Metrics_analysis.load (read_file path) with
     | Sys_error msg ->
         Printf.eprintf "splay top: cannot read metrics dump: %s\n" msg;
         exit 1
@@ -489,7 +490,7 @@ let top_cmd metric k prom slo path =
     exit 1
   end;
   if prom then print_string (Metrics_analysis.prometheus m)
-  else Metrics_analysis.print_top ?metric ~k ?slo m
+  else print_string (Metrics_analysis.render ?metric ~k ?slo m)
 
 let top_term =
   (* [string], not [file]: a missing path must be our clean exit-1 error,
@@ -882,6 +883,10 @@ let trace_speedup factor path out =
   let t = Trace.of_string (read_file path) in
   write_out out (Trace.to_string (Transform.speedup factor t) ^ "\n")
 
+let trace_crop from until path out =
+  let t = Trace.of_string (read_file path) in
+  write_out out (Trace.to_string (Transform.crop ~from ~until t) ^ "\n")
+
 let trace_amplify factor path seed out =
   let t = Trace.of_string (read_file path) in
   let rng = Rng.create seed in
@@ -895,7 +900,7 @@ let trace_analyze critical root_name = function
       exit 2
   | Some path ->
       let t =
-        try Trace_analysis.load_file path
+        try Trace_analysis.load (read_file path)
         with Sys_error m ->
           Printf.eprintf "splay trace: cannot read trace: %s\n" m;
           exit 1
@@ -944,6 +949,15 @@ let trace_cmds =
         $ Arg.(required & pos 1 (some file) None & info [] ~docv:"TRACE")
         $ out_arg)
   in
+  let crop =
+    Cmd.v (Cmd.info "crop" ~doc:"Keep one time window of a trace, rebased to 0.")
+      Term.(
+        const trace_crop
+        $ Arg.(required & pos 0 (some float) None & info [] ~docv:"FROM")
+        $ Arg.(required & pos 1 (some float) None & info [] ~docv:"UNTIL")
+        $ Arg.(required & pos 2 (some file) None & info [] ~docv:"TRACE")
+        $ out_arg)
+  in
   let amplify =
     Cmd.v (Cmd.info "amplify" ~doc:"Scale a trace's churn volume, keeping its statistics.")
       Term.(
@@ -986,9 +1000,9 @@ let trace_cmds =
        ~doc:
          "Analyze an observability JSONL trace (causal DAG, critical path), or generate and \
           transform availability traces.")
-    [ analyze; gen; info_c; speedup; amplify ]
+    [ analyze; gen; info_c; speedup; crop; amplify ]
 
-let trace_subcommands = [ "analyze"; "gen"; "info"; "speedup"; "amplify" ]
+let trace_subcommands = [ "analyze"; "gen"; "info"; "speedup"; "crop"; "amplify" ]
 
 let () =
   (* cmdliner command groups reject positionals in subcommand position, so

@@ -396,26 +396,6 @@ let get_r t ~key =
 
 let get t ~key = match get_r t ~key with `Value v -> Some v | `Shed | `Miss -> None
 
-let delete t ~key =
-  let acks = ref 0 in
-  for i = 0 to t.cfg.replicas - 1 do
-    Option.iter
-      (fun owner ->
-        if Node.equal owner (Pastry.self_node t.p) then begin
-          delete_local t ~key;
-          incr acks
-        end
-        else
-          match
-            Rpc.a_call t.env owner.Node.addr ~timeout:t.cfg.rpc_timeout "kv.delete"
-              [ Codec.String key ]
-          with
-          | Ok _ -> incr acks
-          | Error _ -> ())
-      (route t ~key i)
-  done;
-  !acks
-
 (* Republish: push every held entry back towards the current owners of its
    replicas; drop entries nobody has refreshed within the TTL. The churned
    ring converges to holding each value at its live owners. *)
@@ -477,12 +457,6 @@ let create ?(config = default_config) p =
           else (
             match fetch_local t ~key with Some v -> Codec.String v | None -> Codec.Null)
       | _ -> failwith "kv.fetch: bad arguments");
-  Rpc.add_handler env "kv.delete" (fun args ->
-      match args with
-      | [ Codec.String key ] ->
-          delete_local t ~key;
-          Codec.Null
-      | _ -> failwith "kv.delete: bad arguments");
   if config.republish_interval > 0.0 then
     ignore (Env.periodic env config.republish_interval (fun () -> republish t));
   t

@@ -16,7 +16,7 @@
     multi-hop route. A memoized owner that answers with a miss or fails
     the RPC (which is still reported to Pastry) is re-resolved with one
     route; a shed reply leaves it in place, since that owner is healthy.
-    Writes ({!put_r}, {!delete}, republish) route every replica so data
+    Writes ({!put_r}, republish) route every replica so data
     lands at the current owner under churn, and refresh the memo with
     what the routes return.
 
@@ -86,9 +86,6 @@ val get_r : t -> key:string -> [ `Value of string | `Miss | `Shed ]
     value but at least one fast-rejected the read — the caller saw
     overload, not absence. *)
 
-val delete : t -> key:string -> int
-(** Remove from all reachable replicas; returns acknowledgements. *)
-
 val replica_id : t -> key:string -> int -> int
 (** The overlay id replica [i] of [key] lives at — exposed so warm-start
     harnesses can place data without routing through the overlay. *)
@@ -108,4 +105,3 @@ val shed_count : t -> int
 
 val batched_count : t -> int
 (** Extra waiters absorbed into coalesced fetches (0 without [batching]). *)
-

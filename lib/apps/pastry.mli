@@ -68,9 +68,6 @@ val lookup : node -> int -> (Node.t * int) option
 (** Route to the node responsible for the key (numerically closest id).
     [Some (owner, hops)], [None] when routing broke down. Blocking. *)
 
-val digits : config -> int
-(** Rows in the routing table ([bits / b]). *)
-
 (** {1 Hooks for applications layered on Pastry} (Scribe, SplitStream, the
     cooperative web cache) *)
 

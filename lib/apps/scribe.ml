@@ -123,8 +123,6 @@ let subscribe t ~topic =
     if not (is_forwarder t ~topic) then graft t ~topic
   end
 
-let unsubscribe t ~topic = Hashtbl.remove t.subs topic
-
 let publish t ~topic ~payload =
   let eid = Printf.sprintf "%d-%d" topic (Rng.int t.s_rng max_int) in
   match Pastry.lookup t.p topic with

@@ -19,10 +19,6 @@ val topic_of_name : t -> string -> int
 val subscribe : t -> topic:int -> unit
 (** Join the topic's multicast tree. Blocking. Idempotent. *)
 
-val unsubscribe : t -> topic:int -> unit
-(** Leave the tree: stop delivering locally; this node keeps forwarding
-    while it has children (as in Scribe). *)
-
 val publish : t -> topic:int -> payload:string -> unit
 (** Route the event to the rendezvous, which disseminates it down the
     tree. Blocking until handed to the rendezvous. *)
@@ -32,4 +28,3 @@ val on_deliver : t -> (topic:int -> payload:string -> unit) -> unit
 
 val delivered : t -> (int * string) list
 (** Events delivered locally, most recent first. *)
-

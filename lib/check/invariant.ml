@@ -10,8 +10,6 @@ let create () = { checks = [] }
 
 let register t ?(phase = Quiescence) name f = t.checks <- (name, phase, f) :: t.checks
 
-let names t = List.rev_map (fun (n, _, _) -> n) t.checks
-
 let eval t ~at phase =
   List.filter_map
     (fun (name, p, f) ->

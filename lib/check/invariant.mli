@@ -33,8 +33,6 @@ val register : t -> ?phase:phase -> string -> (unit -> (unit, string) result) ->
 (** Add a named oracle (default [phase] {!Quiescence}). [Error reason]
     reports a violation; evaluation order is registration order. *)
 
-val names : t -> string list
-
 val eval : t -> at:float -> phase -> violation list
 (** Evaluate the registry at one observation point: [eval t ~at
     Checkpoint] runs only the {!Checkpoint} oracles; [eval t ~at

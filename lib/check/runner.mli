@@ -8,18 +8,12 @@
     dump an observability trace, and turned into a one-line replay
     command. *)
 
-val nemesis_for : Suite.t -> int -> Nemesis.t
-(** The generated fault schedule for [(suite, seed)] — a pure function of
-    the pair (the generator RNG is seeded from the suite name and the
-    seed, independently of the trial's engine streams). *)
-
 val run_one :
   suite:Suite.t -> seed:int -> ?nemesis:Nemesis.t -> perturb:bool -> unit -> Suite.outcome
-(** One trial. [nemesis] defaults to {!nemesis_for}[ suite seed]. *)
-
-val replay_command : ?perturb:bool -> suite:string -> seed:int -> Nemesis.t -> string
-(** The [splay check --suite … --seed … --nemesis '…'] line that
-    reproduces a trial exactly. *)
+(** One trial. [nemesis] defaults to the generated fault schedule for
+    [(suite, seed)] — a pure function of the pair (the generator RNG is
+    seeded from the suite name and the seed, independently of the
+    trial's engine streams). *)
 
 type failure = {
   f_suite : string;
@@ -27,7 +21,9 @@ type failure = {
   f_outcome : Suite.outcome;  (** as found by the sweep *)
   f_shrunk : Suite.outcome;  (** under the minimal nemesis *)
   f_shrink_steps : int;  (** successful reduction steps *)
-  f_replay : string;  (** replay command for the minimal reproducer *)
+  f_replay : string;
+      (** the [splay check --suite … --seed … --nemesis '…'] line that
+          reproduces the minimal reproducer exactly *)
   f_trace : string option;  (** trace file of the minimal reproducer *)
 }
 
@@ -40,13 +36,6 @@ type suite_report = {
 type report = { rep_suites : suite_report list; rep_failures : failure list; rep_trials : int }
 
 val failed : report -> bool
-
-val shrink :
-  suite:Suite.t -> seed:int -> perturb:bool -> Suite.outcome -> Suite.outcome * int
-(** Greedy minimization: repeatedly replace the nemesis by the first
-    {!Nemesis.shrink_candidates} variant that still fails, until none
-    does (bounded at 32 steps). Returns the final failing outcome and the
-    number of reductions applied. *)
 
 val sweep :
   suites:Suite.t list ->
@@ -61,6 +50,8 @@ val sweep :
 (** Sweep seeds [base_seed .. base_seed + seeds - 1] over every suite
     ([jobs] domains, default 1; [base_seed] default 1; [perturb] default
     true). With [shrink_failures] (default true), each failing suite's
-    smallest seed is shrunk; with [trace_dir], the minimal reproducer is
+    smallest seed is shrunk greedily: the nemesis is replaced by the
+    first {!Nemesis.shrink_candidates} variant that still fails, until
+    none does (bounded at 32 steps); with [trace_dir], the minimal reproducer is
     re-run under tracing and its trace written to
     [<trace_dir>/check-<suite>-seed<N>.trace.jsonl]. *)

@@ -38,15 +38,6 @@ val alive_daemons : t -> Daemon.t list
 
 (** {1 Selection} *)
 
-val select_report :
-  t -> ?criteria:Deploy.criterion list -> int -> Daemon.t list * Deploy.selection_report
-(** [select_report t n] returns up to [n] instance slots over the alive
-    daemons matching all criteria — cycling over daemons when [n] exceeds
-    the host population, since many instances may share a host — and
-    where the candidate pool was lost ({!Deploy.select}). *)
-
-(** {1 Probing} *)
-
 val probe : t -> ?payload:int -> Daemon.t -> float option
 (** Round-trip time of a [payload]-byte probe (default 20 kB, as Fig. 3),
     [None] on timeout (10 s). Blocking. *)

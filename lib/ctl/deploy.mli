@@ -91,8 +91,7 @@ val log_bytes : logs -> int
 val log_dropped : logs -> int
 val log_records : logs -> log_record list
 
-val logs_jsonl : logs -> string
-(** [{"t":…,"ev":"L","node":…,"level":…,"msg":…}] lines — the framing of
-    {!Splay_obs.Obs.trace_jsonl}, so the two files interleave by ["t"]. *)
-
 val dump_logs : logs -> path:string -> unit
+(** Write [{"t":…,"ev":"L","node":…,"level":…,"msg":…}] lines to [path]:
+    the framing of {!Splay_obs.Obs.trace_jsonl}, so the two files
+    interleave by ["t"]. *)

@@ -65,26 +65,3 @@ let parse src =
           let t = List.fold_left parse_line default lines in
           if t.nb_splayd < 1 then raise (Syntax_error "nb_splayd must be >= 1");
           t)
-
-let to_string t =
-  let b = Buffer.create 128 in
-  Buffer.add_string b ("--[[ " ^ begin_marker ^ "\n");
-  Buffer.add_string b (Printf.sprintf "nb_splayd %d\n" t.nb_splayd);
-  (match t.bootstrap with
-  | Head k -> Buffer.add_string b (Printf.sprintf "nodes head %d\n" k)
-  | Random_subset k -> Buffer.add_string b (Printf.sprintf "nodes random %d\n" k)
-  | All -> Buffer.add_string b "nodes all\n");
-  let lim = t.limits and u = Sandbox.unlimited in
-  if lim.Sandbox.max_memory <> u.Sandbox.max_memory then
-    Buffer.add_string b (Printf.sprintf "max_mem %d\n" lim.Sandbox.max_memory);
-  if lim.Sandbox.max_sockets <> u.Sandbox.max_sockets then
-    Buffer.add_string b (Printf.sprintf "max_sockets %d\n" lim.Sandbox.max_sockets);
-  if lim.Sandbox.max_fs_bytes <> u.Sandbox.max_fs_bytes then
-    Buffer.add_string b (Printf.sprintf "max_fs %d\n" lim.Sandbox.max_fs_bytes);
-  if lim.Sandbox.max_open_files <> u.Sandbox.max_open_files then
-    Buffer.add_string b (Printf.sprintf "max_files %d\n" lim.Sandbox.max_open_files);
-  if lim.Sandbox.max_send_bytes <> u.Sandbox.max_send_bytes then
-    Buffer.add_string b (Printf.sprintf "max_send %d\n" lim.Sandbox.max_send_bytes);
-  if t.loss > 0.0 then Buffer.add_string b (Printf.sprintf "loss %g\n" t.loss);
-  Buffer.add_string b (end_marker ^ " ]]");
-  Buffer.contents b

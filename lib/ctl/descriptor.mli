@@ -42,6 +42,3 @@ val parse : string -> t
     [nb_splayd <n>], [nodes head <k>], [nodes random <k>], [nodes all],
     [max_mem <bytes>], [max_sockets <n>], [max_fs <bytes>],
     [max_files <n>], [max_send <bytes>], [loss <fraction>]. *)
-
-val to_string : t -> string
-(** Render back into header form (canonical order). *)

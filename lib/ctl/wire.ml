@@ -69,8 +69,6 @@ type decoder = { mutable buf : Bytes.t; mutable pos : int; mutable fill : int }
 
 let decoder () = { buf = Bytes.create 4096; pos = 0; fill = 0 }
 
-let buffered d = d.fill - d.pos
-
 (* Slide the live region back to offset 0 — O(live bytes), amortized by
    only running when an append would not fit. *)
 let compact d =
@@ -100,8 +98,6 @@ let feed d src off len =
     Bytes.blit src off d.buf d.fill len;
     d.fill <- d.fill + len
   end
-
-let feed_string d s = feed d (Bytes.unsafe_of_string s) 0 (String.length s)
 
 let next_value d =
   let avail = d.fill - d.pos in

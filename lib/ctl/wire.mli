@@ -21,9 +21,6 @@ val addrs_of_value : Splay_runtime.Codec.value -> Addr.t list
 
 (** {1 Framing} *)
 
-val frame_value : Splay_runtime.Codec.value -> string
-(** One complete frame: header + encoded payload, ready to write. *)
-
 type decoder
 (** Streaming frame parser. Feed it read chunks as they arrive; pull
     complete frames with {!next_msg}. *)
@@ -32,11 +29,6 @@ val decoder : unit -> decoder
 
 val feed : decoder -> Bytes.t -> int -> int -> unit
 (** [feed d buf off len] appends [len] bytes of received data. *)
-
-val feed_string : decoder -> string -> unit
-
-val buffered : decoder -> int
-(** Bytes fed but not yet consumed by a completed frame. *)
 
 (** {1 Typed control messages}
 
@@ -88,14 +80,11 @@ type msg =
   | Bye of { host : int }
   | App of { src : Addr.t; dst : Addr.t; size : int; payload : Splay_runtime.Codec.value }
 
-val msg_to_value : msg -> Splay_runtime.Codec.value
-val msg_of_value : Splay_runtime.Codec.value -> msg
-(** Raises {!Splay_runtime.Codec.Parse_error} on an unknown tag or a
-    shape mismatch. *)
-
 val frame_msg : msg -> string
+(** One complete frame: header + encoded payload, ready to write. *)
+
 val next_msg : decoder -> msg option
 (** The next complete frame's message, or [None] if the buffered data ends
     mid-frame. Raises {!Splay_runtime.Codec.Parse_error} on corrupt input
     (bad magic, unsupported version, absurd length, malformed payload,
-    unknown tag). *)
+    unknown tag or shape mismatch). *)

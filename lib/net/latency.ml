@@ -161,11 +161,6 @@ let delay_to t (cell : Splay_sim.Eheap.fcell) a b =
     | Matrix { topo; stub_of } -> Topology.delay topo (stub_of a) (stub_of b)
     | Fn { fn; _ } -> fn a b)
 
-let delay t a b =
-  let cell = { Splay_sim.Eheap.v = 0.0 } in
-  delay_to t cell a b;
-  cell.v
-
 (* {2 Lookahead} *)
 
 (* Hard lower bound on the RTT the distribution can emit between two

@@ -29,21 +29,19 @@ val name : t -> string
 val seed : t -> int
 (** The seed the model draws from (0 for backends without one). *)
 
-val delay : t -> Addr.host_id -> Addr.host_id -> float
-(** One-way propagation delay in seconds between two hosts. Symmetric:
-    [delay t a b = delay t b a]. Deterministic: the same [t] always
-    answers the same value for the same pair. *)
-
 val delay_to : t -> Splay_sim.Eheap.fcell -> Addr.host_id -> Addr.host_id -> unit
-(** [delay_to t cell a b] stores [delay t a b] in [cell]: the form for the
-    send path, where a float returned across a module boundary would be
-    boxed per message. The cell is the caller's, so models shared by
-    several partitions stay safe to query in parallel. *)
+(** [delay_to t cell a b] stores the one-way propagation delay in seconds
+    between two hosts in [cell]. Symmetric: [a, b] and [b, a] answer the
+    same. Deterministic: the same [t] always answers the same value for
+    the same pair. A cell, not a result, because a float returned across
+    a module boundary would be boxed per message on the send path. The
+    cell is the caller's, so models shared by several partitions stay
+    safe to query in parallel. *)
 
 (** {1 Synthetic per-pair model} *)
 
 (** RTT distributions for the synthetic model. All parameters are
-    round-trip seconds; {!delay} answers one-way values (RTT/2). *)
+    round-trip seconds; {!delay_to} answers one-way values (RTT/2). *)
 type rtt_dist =
   | Constant of float  (** every pair at the same RTT *)
   | Uniform of { lo : float; hi : float }  (** RTT uniform in [\[lo, hi)] *)

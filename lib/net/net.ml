@@ -107,8 +107,6 @@ let partitioned t a b =
 
 let host_up t id = Testbed.host_up t.tb id
 
-let set_host_up t id up = Testbed.set_host_up t.tb id up
-
 let base_rtt t a b = 2.0 *. Testbed.base_delay t.tb a b
 
 (* Comparing the one-way delays orders the RTTs exactly: doubling a float

@@ -56,9 +56,9 @@ val partitioned : t -> Addr.host_id -> Addr.host_id -> bool
 (** Whether traffic between two hosts is currently blocked. *)
 
 val host_up : t -> Addr.host_id -> bool
-val set_host_up : t -> Addr.host_id -> bool -> unit
-(** Bringing a host down drops all traffic to and from it. Queued messages
-    already "in flight" to it are lost on delivery. *)
+(** A host is brought down through {!Testbed.set_host_up}: that drops all
+    traffic to and from it, and queued messages already "in flight" to
+    it are lost on delivery. *)
 
 val base_rtt : t -> Addr.host_id -> Addr.host_id -> float
 (** Stable round-trip estimate between two hosts (what an application-level

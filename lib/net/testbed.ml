@@ -304,11 +304,6 @@ let delay_h t ha hb =
     base.v *. Rng.lognormal t.t_rng ~mu:0.0 ~sigma:0.25
   else base.v
 
-let delay t a b =
-  match t.cmp with
-  | Some c -> Latency.delay c.Compact.lat a b (* model answers are stable: no jitter *)
-  | None -> delay_h t t.all.(a) t.all.(b)
-
 let service_delay t id =
   match t.cmp with
   | Some c ->

@@ -107,14 +107,11 @@ val base_delay_to : t -> Splay_sim.Eheap.fcell -> Addr.host_id -> Addr.host_id -
 (** [base_delay_to t cell a b] stores [base_delay t a b] in [cell], unboxed
     (the form of {!Latency.delay_to}). *)
 
-val delay : t -> Addr.host_id -> Addr.host_id -> float
-(** One-way propagation delay for one message: {!base_delay} plus jitter
-    (PlanetLab hosts only; emulated and LAN links are stable). *)
-
 val delay_h : t -> host -> host -> float
-(** {!delay} keyed by host records — the send path already holds both
-    endpoints for the link queues, so this skips the id lookups. Draws
-    from the same RNG stream in the same order as {!delay}. *)
+(** One-way propagation delay for one message: {!base_delay} plus jitter
+    (PlanetLab hosts only; emulated and LAN links are stable). Keyed by
+    host records: the send path already holds both endpoints for the
+    link queues. *)
 
 val service_delay : t -> Addr.host_id -> float
 (** Draw a host service time for a control-plane request (process fork,

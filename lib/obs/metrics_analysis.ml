@@ -70,12 +70,6 @@ let load text =
   let windows = List.sort compare (Hashtbl.fold (fun w () acc -> w :: acc) wset []) in
   { window = !window; rows = List.rev !rows; windows }
 
-let load_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> load (really_input_string ic (in_channel_length ic)))
-
 (* {1 Aggregation}
 
    A multi-trial dump splices each trial's windows in trial order, so one
@@ -200,8 +194,6 @@ let render ?metric ?(k = 5) ?slo t =
       last
   end;
   Buffer.contents b
-
-let print_top ?metric ?k ?slo t = print_string (render ?metric ?k ?slo t)
 
 (* {1 Prometheus text exposition}
 

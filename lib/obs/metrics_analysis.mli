@@ -38,9 +38,6 @@ val load : string -> t
     and sum to its [n]. Raises [Failure] when a header names another
     schema: a [splay-metrics/1] dump has no bucket counts to merge. *)
 
-val load_file : string -> t
-(** {!load} on a file's contents. Raises [Sys_error] as [open_in] does. *)
-
 val rows_of : t -> w:int -> string -> row list
 (** Non-note rows of one metric in one window (several for multi-trial
     dumps); [w = -1] selects the cumulative rows. *)
@@ -63,9 +60,6 @@ val render : ?metric:string -> ?k:int -> ?slo:string * float -> t -> string
     threshold)] each window line gains a violation-rate column — the
     {!violation_rate} of histogram [m] against [threshold] — plus a
     whole-run summary line. *)
-
-val print_top : ?metric:string -> ?k:int -> ?slo:string * float -> t -> unit
-(** Print {!render} on stdout. *)
 
 val prometheus : t -> string
 (** Prometheus text exposition of the whole-run cumulative rows: metric

@@ -540,19 +540,6 @@ let event ?(attrs = []) name =
     end
   end
 
-let with_span ?attrs name f =
-  if not !enabled then f ()
-  else begin
-    let s = span ?attrs name in
-    match f () with
-    | v ->
-        finish s;
-        v
-    | exception e ->
-        finish ~attrs:[ ("outcome", "exn") ] s;
-        raise e
-  end
-
 let span_count () = (st ()).spans_started
 let trace_dropped () = (st ()).trace_dropped
 
@@ -785,8 +772,6 @@ module Rollup = struct
       add_attrs b attrs;
       Buffer.add_string b "}\n"
     end
-
-  let rows () = match (st ()).ru with None -> "" | Some r -> ru_rows r
 end
 
 let report () =

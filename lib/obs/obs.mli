@@ -173,10 +173,6 @@ val finish : ?attrs:(string * string) list -> span -> unit
     was started, so siblings started afterwards do not nest under it.
     Finishing {!null_span} is a no-op. *)
 
-val with_span : ?attrs:(string * string) list -> string -> (unit -> 'a) -> 'a
-(** [with_span name f] wraps [f ()] in a span, finishing it even on
-    exception (the end record then carries [("outcome", "exn")]). *)
-
 val event : ?attrs:(string * string) list -> string -> unit
 (** Record an instantaneous point event, attributed to the current
     context. Attribute keys must not collide with the record's own fields
@@ -253,9 +249,6 @@ module Rollup : sig
       at the current virtual instant — controller status sampling uses
       this for per-job top-host rows. No-op unless {!metrics_enabled}. *)
 
-  val rows : unit -> string
-  (** Everything the windowed plane has rendered so far (evicted windows
-      first, then still-open ones in window order). Non-destructive. *)
 end
 
 (** {1 Output} *)
@@ -279,7 +272,8 @@ val dump_jsonl : path:string -> unit -> unit
 
 val metrics_plane_jsonl : unit -> string
 (** The metrics-plane dump: a [{"schema":"splay-metrics/2","window":…}]
-    header, the windowed rollup rows ({!Rollup.rows}), then one
+    header, the windowed rollup rows (evicted windows first, then the
+    still-open ones in window order), then one
     cumulative whole-run row per touched metric with [w:-1]. A histogram
     row carries its bucket counts as a ["buckets"] field
     ({!Splay_stats.Sink.encode}) and its [min]/[max] at round-trip

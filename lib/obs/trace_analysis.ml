@@ -223,14 +223,6 @@ let load text =
     logs = !logs;
   }
 
-let load_file path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let len = in_channel_length ic in
-      load (really_input_string ic len))
-
 (* {1 Queries} *)
 
 let duration sp = sp.stop -. sp.start

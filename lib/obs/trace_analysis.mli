@@ -61,9 +61,6 @@ val float_field : (string * string) list -> string -> float option
 val load : string -> t
 (** Parse a JSONL trace from a string, one record per line. *)
 
-val load_file : string -> t
-(** {!load} on a file's contents. Raises [Sys_error] as [open_in] does. *)
-
 val duration : span -> float
 
 val attr : span -> string -> string option

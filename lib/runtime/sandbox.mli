@@ -17,10 +17,6 @@ type limits = {
 
 val unlimited : limits
 
-val default : limits
-(** The daemon defaults used across the evaluation: 16 MB memory, 64
-    sockets, 8 MB filesystem, 64 open files, unlimited traffic. *)
-
 val restrict : limits -> limits -> limits
 (** [restrict admin ctl] — the controller may strengthen but never weaken
     the administrator's limits (field-wise minimum). *)
@@ -34,6 +30,9 @@ exception Violation of string
 type t
 
 val create : ?limits:limits -> unit -> t
+(** [limits] defaults to the daemon defaults used across the evaluation:
+    16 MB memory, 64 sockets, 8 MB filesystem, 64 open files, unlimited
+    traffic. *)
 
 val limits : t -> limits
 

@@ -55,10 +55,6 @@ type stats = {
           bench records *)
 }
 
-val client_span : clients:int -> part:int -> parts:int -> int * int
-(** [(first_id, count)] of the clients partition [part] owns — a pure
-    function of [(clients, parts)], so domains runs split identically. *)
-
 val run :
   config ->
   seed:int ->
@@ -73,4 +69,6 @@ val run :
     op] performs one blocking operation through gateway [g]. The arrival
     stream is a private function of [(seed, part)] — independent of
     engine scheduling, worker count, and every other component's draws.
-    Pass [part:0 parts:1] for sequential runs. *)
+    The partition owns a contiguous slice of the client population, a
+    pure function of [(clients, parts)], so domains runs split
+    identically. Pass [part:0 parts:1] for sequential runs. *)

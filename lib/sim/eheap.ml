@@ -29,7 +29,6 @@ type 'a t = {
 let create ~dummy = { ats = [||]; seqs = [||]; data = [||]; size = 0; popped_at = { v = nan }; dummy }
 
 let size t = t.size
-let is_empty t = t.size = 0
 
 let ensure_capacity t =
   let cap = Array.length t.data in
@@ -102,8 +101,6 @@ let sift_down t start ~at ~seq x =
 let min_at t = if t.size = 0 then infinity else t.ats.(0)
 let keys t = t.ats
 
-let peek t = if t.size = 0 then None else Some t.data.(0)
-
 let popped_cell t = t.popped_at
 
 (* precondition: t.size > 0 *)
@@ -155,9 +152,3 @@ let filter_in_place t pred =
     for i = (kept - 2) / 4 downto 0 do
       sift_down t i ~at:t.ats.(i) ~seq:t.seqs.(i) t.data.(i)
     done
-
-let clear t =
-  t.ats <- [||];
-  t.seqs <- [||];
-  t.data <- [||];
-  t.size <- 0

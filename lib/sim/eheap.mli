@@ -29,7 +29,6 @@ val create : dummy:'a -> 'a t
     so no popped or dropped payload stays reachable through it. *)
 
 val size : 'a t -> int
-val is_empty : 'a t -> bool
 
 val push : 'a t -> at:fcell -> seq:int -> 'a -> unit
 (** Insert [x] keyed on [(at.v, seq)]. The key travels in a flat cell the
@@ -43,12 +42,9 @@ val min_at : 'a t -> float
 
 val keys : 'a t -> float array
 (** The [at] keys in heap order: when [size t > 0], index 0 is the
-    minimum key. Valid until the next {!push}, {!filter_in_place} or
-    {!clear} (which may replace the array); an unboxed read for the
+    minimum key. Valid until the next {!push} or {!filter_in_place}
+    (which may replace the array); an unboxed read for the
     engine's run loops. *)
-
-val peek : 'a t -> 'a option
-(** Payload of the minimum entry without removing it. *)
 
 val pop : 'a t -> 'a option
 (** Remove and return the payload of the minimum entry. *)
@@ -60,7 +56,7 @@ val pop_or : 'a t -> 'a -> 'a
 
 val top_or : 'a t -> 'a -> 'a
 (** Payload of the minimum entry without removing it, or [dflt] when
-    empty — allocation-free alternative to {!peek}. *)
+    empty. *)
 
 val popped_cell : 'a t -> fcell
 (** The cell holding the [at] key of the last entry removed by {!pop} or
@@ -73,5 +69,3 @@ val filter_in_place : 'a t -> ('a -> bool) -> unit
 (** Drop every entry whose payload fails the predicate, then re-heapify
     (O(n)). The engine uses this to compact cancelled events out of the
     queue. *)
-
-val clear : 'a t -> unit

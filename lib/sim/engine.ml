@@ -133,7 +133,6 @@ and proc = {
      [sleeper] while a sleep timer is pending, or the waker it is parked
      on. Compared physically, so the field boxes nothing. *)
   mutable parked : Obj.t;
-  mutable exit_hooks : (unit -> unit) list;
   (* [no_sleeper] until the first [sleep]: a process that never sleeps
      (an RPC handler, a one-shot task) carries no sleep machinery. *)
   mutable sleeper : sleeper;
@@ -495,13 +494,6 @@ let run_to t ~stop =
 
 let alive p = p.state <> Dead
 
-let run_exit_hooks p =
-  let hooks = p.exit_hooks in
-  p.exit_hooks <- [];
-  List.iter (fun h -> h ()) (List.rev hooks)
-
-let on_exit p h = if p.state = Dead then h () else p.exit_hooks <- h :: p.exit_hooks
-
 let crashed t = t.crashed_list
 
 let check_crashed t =
@@ -543,8 +535,7 @@ let finish p =
   if p.state <> Dead then begin
     p.state <- Dead;
     p.parked <- not_parked;
-    leave p;
-    run_exit_hooks p
+    leave p
   end
 
 (* Run [k] as process [p]: [p] becomes current and, while tracing is on,
@@ -867,7 +858,6 @@ let spawn ?name t f =
       state = Pending;
       killed = false;
       parked = not_parked;
-      exit_hooks = [];
       sleeper = no_sleeper;
       grp = no_group;
       g_prev = null_proc;

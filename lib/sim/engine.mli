@@ -145,10 +145,6 @@ val kill : t -> proc -> unit
 val alive : proc -> bool
 val proc_name : proc -> string
 
-val on_exit : proc -> (unit -> unit) -> unit
-(** Register a callback run (in scheduler context) when the process
-    terminates for any reason. Runs immediately if already dead. *)
-
 val crashed : t -> (proc * exn) list
 (** Processes that terminated with an unexpected exception, most recent
     first. Experiments assert this is empty (see {!check_crashed}). *)

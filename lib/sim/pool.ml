@@ -64,6 +64,3 @@ let map ?(jobs = 1) f items =
          | Some (Raised (e, bt), _) -> Printexc.raise_with_backtrace e bt
          | None -> assert false)
        results)
-
-let mapi ?jobs f items =
-  map ?jobs (fun (i, x) -> f i x) (List.mapi (fun i x -> (i, x)) items)

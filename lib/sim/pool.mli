@@ -25,6 +25,3 @@ val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
     exception of the lowest-indexed failing trial is re-raised after all
     trials settle and their observability snapshots are merged.
     Identical output for any [jobs] value. *)
-
-val mapi : ?jobs:int -> (int -> 'a -> 'b) -> 'a list -> 'b list
-(** {!map} with the trial index. *)

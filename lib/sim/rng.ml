@@ -29,17 +29,11 @@ let[@inline] bits64 t =
 
 let split t = of_state (mix (bits64 t))
 
-let copy = Bytes.copy
-
 let int t n =
   if n <= 0 then invalid_arg "Rng.int";
   (* Rejection-free modulo is fine for simulation purposes given 64 bits of
      entropy against small ranges. *)
   Int64.to_int (Int64.rem (Int64.shift_right_logical (bits64 t) 1) (Int64.of_int n))
-
-let int_in t lo hi =
-  if hi < lo then invalid_arg "Rng.int_in";
-  lo + int t (hi - lo + 1)
 
 let float t x =
   (* 53 uniform mantissa bits. *)

@@ -16,17 +16,11 @@ val split : t -> t
     draws from [t]. Used to give each host / protocol instance its own
     stream so that adding draws in one component does not perturb others. *)
 
-val copy : t -> t
-(** [copy t] duplicates the current state (same future stream). *)
-
 val bits64 : t -> int64
 (** Next raw 64 bits. *)
 
 val int : t -> int -> int
 (** [int t n] is uniform in [\[0, n)]. Raises [Invalid_argument] if [n <= 0]. *)
-
-val int_in : t -> int -> int -> int
-(** [int_in t lo hi] is uniform in [\[lo, hi\]] inclusive. *)
 
 val float : t -> float -> float
 (** [float t x] is uniform in [\[0, x)]. *)

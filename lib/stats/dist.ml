@@ -50,18 +50,6 @@ let max_value t =
   ensure_sorted t;
   t.data.(t.size - 1)
 
-let stddev t =
-  if t.size < 2 then 0.0
-  else begin
-    let m = mean t in
-    let s = ref 0.0 in
-    for i = 0 to t.size - 1 do
-      let d = t.data.(i) -. m in
-      s := !s +. (d *. d)
-    done;
-    sqrt (!s /. Float.of_int t.size)
-  end
-
 let percentile t p =
   if t.size = 0 then invalid_arg "Dist.percentile: empty";
   if p < 0.0 || p > 100.0 then invalid_arg "Dist.percentile: p out of range";
@@ -74,8 +62,6 @@ let percentile t p =
     let frac = rank -. Float.of_int lo in
     (t.data.(lo) *. (1.0 -. frac)) +. (t.data.(hi) *. frac)
   end
-
-let percentiles t ps = List.map (percentile t) ps
 
 let fraction_le t x =
   ensure_sorted t;

@@ -22,25 +22,18 @@ val min_value : t -> float
 val max_value : t -> float
 (** Raise [Invalid_argument] on an empty collector. *)
 
-val stddev : t -> float
-
 val percentile : t -> float -> float
 (** [percentile t p] with [p] in [\[0,100\]]; linear interpolation between
     order statistics. Raises [Invalid_argument] if empty. *)
-
-val percentiles : t -> float list -> float list
 
 val cdf : t -> points:float list -> (float * float) list
 (** [(x, fraction of samples <= x)] for each requested point, fractions in
     [\[0,1\]]. *)
 
-val histogram : t -> bins:int -> lo:float -> hi:float -> (float * int) array
-(** Fixed-width bins over [\[lo, hi\]]; each entry is (bin left edge, count).
-    Samples outside the range are clamped into the edge bins. *)
-
 val pdf : t -> bins:int -> lo:float -> hi:float -> (float * float) array
-(** {!histogram} normalized to fractions of the total count (in percent of
-    samples, as the paper's PDF plots are). *)
+(** Fixed-width bins over [\[lo, hi\]], each entry (bin left edge, share
+    of the samples in percent, as the paper's PDF plots are). Samples
+    outside the range are clamped into the edge bins. *)
 
 val merge : t -> t -> t
 (** New collector holding the samples of both. *)

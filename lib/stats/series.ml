@@ -24,17 +24,6 @@ let bins t =
 
 let bin_at t time = Hashtbl.find_opt t.table (key t time)
 
-let percentile_series t p = List.map (fun (edge, d) -> (edge, Dist.percentile d p)) (bins t)
-
-let count_series t = List.map (fun (edge, d) -> (edge, Dist.count d)) (bins t)
-
-let span t =
-  match bins t with
-  | [] -> None
-  | (first, _) :: _ as all ->
-      let last, _ = List.nth all (List.length all - 1) in
-      Some (first, last)
-
 module Counter = struct
   type nonrec t = { width : float; table : (int, int ref) Hashtbl.t }
 
@@ -42,13 +31,11 @@ module Counter = struct
     if bin_width <= 0.0 then invalid_arg "Series.Counter.create: bin_width";
     { width = bin_width; table = Hashtbl.create 64 }
 
-  let add t ~time n =
+  let incr t ~time =
     let k = int_of_float (Float.floor (time /. t.width)) in
     match Hashtbl.find_opt t.table k with
-    | Some r -> r := !r + n
-    | None -> Hashtbl.replace t.table k (ref n)
-
-  let incr t ~time = add t ~time 1
+    | Some r -> Stdlib.incr r
+    | None -> Hashtbl.replace t.table k (ref 1)
 
   let get t ~time =
     let k = int_of_float (Float.floor (time /. t.width)) in

@@ -19,14 +19,6 @@ val bins : t -> (float * Dist.t) list
 val bin_at : t -> float -> Dist.t option
 (** The bin containing the given time, if any sample landed there. *)
 
-val percentile_series : t -> float -> (float * float) list
-(** [(bin start, percentile-p of bin)] for each non-empty bin. *)
-
-val count_series : t -> (float * int) list
-
-val span : t -> (float * float) option
-(** Earliest and latest non-empty bin edges. *)
-
 (** Plain per-bin counters (e.g. join/leave counts per minute in the churn
     figures). *)
 module Counter : sig
@@ -34,7 +26,6 @@ module Counter : sig
 
   val create : bin_width:float -> t
   val incr : t -> time:float -> unit
-  val add : t -> time:float -> int -> unit
   val get : t -> time:float -> int
   val series : t -> (float * int) list
 end

@@ -405,7 +405,7 @@ let test_pastry_assemble_routes_correctly () =
                  (pastry_owner ids key ~modulus:md)
                  owner.Apps.Node.id;
                Alcotest.(check bool) "hop count bounded by table depth" true
-                 (hops <= 2 * Apps.Pastry.digits config)
+                 (hops <= 2 * (config.Apps.Pastry.bits / config.Apps.Pastry.b))
            | None -> Alcotest.fail "lookup failed on a failure-free assembled overlay"
          done));
   ignore (Engine.run ~until:3600.0 eng);
@@ -416,7 +416,7 @@ let test_pastry_assemble_routes_correctly () =
         config.Apps.Pastry.leaf_size
         (List.length (Apps.Pastry.leafset p));
       Alcotest.(check bool) "routing table populated" true
-        (List.length (Apps.Pastry.table_entries p) >= Apps.Pastry.digits config)
+        (List.length (Apps.Pastry.table_entries p) >= config.Apps.Pastry.bits / config.Apps.Pastry.b)
   | None -> Alcotest.fail "node 3 not registered");
   (* assembled overlays start no maintenance: the queue must drain *)
   Alcotest.(check int) "assemble started no periodic processes" 0 (Engine.pending_events eng)
@@ -527,7 +527,7 @@ let old_learn o n =
   let modulus = Misc.pow2 cfg.bits in
   let dist_cw a b = Misc.ring_distance a b ~modulus in
   let digit key row = (key lsr (cfg.bits - (cfg.b * (row + 1)))) land ((1 lsl cfg.b) - 1) in
-  let nd = Apps.Pastry.digits cfg in
+  let nd = cfg.Apps.Pastry.bits / cfg.Apps.Pastry.b in
   let rec prefix row =
     if row < nd && digit self.id row = digit n.Node.id row then prefix (row + 1) else row
   in
@@ -608,7 +608,7 @@ let prop_learn_matches_old =
           rtt = (fun n -> Net.base_rtt net 0 n.Node.addr.Addr.host);
           left = [];
           right = [];
-          table = Array.init (Apps.Pastry.digits cfg) (fun _ -> Array.make (1 lsl cfg.b) None);
+          table = Array.init (cfg.Apps.Pastry.bits / cfg.Apps.Pastry.b) (fun _ -> Array.make (1 lsl cfg.b) None);
         }
       in
       List.for_all
@@ -658,7 +658,15 @@ let test_cyclon_mixes () =
   with_platform (fun _ _ ctl ->
       let n = 30 in
       let nodes = ref [] in
-      let config = { Apps.Cyclon.default_config with period = 2.0; cache_size = 8; shuffle_length = 4 } in
+      let config =
+        {
+          Apps.Cyclon.period = 2.0;
+          cache_size = 8;
+          shuffle_length = 4;
+          rpc_timeout = 15.0;
+          join_delay_per_position = 0.2;
+        }
+      in
       ignore
         (Controller.deploy ctl ~name:"cyclon"
            ~main:(Apps.Cyclon.app ~config ~register:(fun c -> nodes := c :: !nodes))
@@ -939,7 +947,7 @@ let test_scribe_pubsub () =
             Alcotest.(check bool) (Printf.sprintf "non-subscriber %d silent" i) false got)
         scribes)
 
-let test_scribe_callback_and_unsubscribe () =
+let test_scribe_callbacks () =
   scribe_platform 12 (fun _ _ _ scribes ->
       let topic = Apps.Scribe.topic_of_name (List.hd scribes) "feed" in
       let s = List.nth scribes 3 in
@@ -949,10 +957,9 @@ let test_scribe_callback_and_unsubscribe () =
       Env.sleep 5.0;
       Apps.Scribe.publish (List.nth scribes 7) ~topic ~payload:"a";
       Env.sleep 10.0;
-      Apps.Scribe.unsubscribe s ~topic;
       Apps.Scribe.publish (List.nth scribes 7) ~topic ~payload:"b";
       Env.sleep 10.0;
-      Alcotest.(check (list string)) "only pre-unsubscribe events" [ "a" ] !got)
+      Alcotest.(check (list string)) "each event once, in order" [ "a"; "b" ] (List.rev !got))
 
 (* {2 SplitStream} *)
 
@@ -1101,7 +1108,6 @@ let test_bittorrent_swarm_completes () =
       in
       Alcotest.(check bool) "peer-to-peer exchange happened" true (leecher_upload > 0))
 
-
 (* {2 Vivaldi network coordinates} *)
 
 let test_vivaldi_predicts_rtts () =
@@ -1151,7 +1157,6 @@ let test_vivaldi_predicts_rtts () =
       Alcotest.(check bool)
         (Printf.sprintf "median relative error %.0f%% below 40%%" (100.0 *. median))
         true (median < 0.40))
-
 
 (* {2 DHT storage (replicated key-value on Pastry)} *)
 
@@ -1217,15 +1222,6 @@ let test_dht_survives_owner_crashes () =
       (* with 3 salted replicas on a 20-node ring, a couple of keys can
          land all their replicas on crashed nodes (or on one another) *)
       Alcotest.(check bool) (Printf.sprintf "data survives crashes (%d/20)" !found) true (!found >= 17))
-
-let test_dht_delete () =
-  dht_platform 12 (fun _ _ _ _ stores ->
-      let s = List.hd stores in
-      ignore (Apps.Dht_store.put s ~key:"gone" ~value:"soon");
-      Alcotest.(check bool) "present" true (Apps.Dht_store.get s ~key:"gone" <> None);
-      let acks = Apps.Dht_store.delete s ~key:"gone" in
-      Alcotest.(check bool) "deletes acknowledged" true (acks >= 3);
-      Alcotest.(check (option string)) "gone" None (Apps.Dht_store.get s ~key:"gone"))
 
 let test_dht_data_migrates_on_join () =
   dht_platform 10 (fun _ _ _ dep stores ->
@@ -1375,7 +1371,7 @@ let () =
       ( "scribe",
         [
           Alcotest.test_case "pubsub" `Quick test_scribe_pubsub;
-          Alcotest.test_case "callbacks and unsubscribe" `Quick test_scribe_callback_and_unsubscribe;
+          Alcotest.test_case "callbacks" `Quick test_scribe_callbacks;
         ] );
       ("splitstream", [ Alcotest.test_case "delivers content" `Quick test_splitstream_delivers_content ]);
       ( "webcache",
@@ -1389,7 +1385,6 @@ let () =
         [
           Alcotest.test_case "put get roundtrip" `Quick test_dht_put_get_roundtrip;
           Alcotest.test_case "survives owner crashes" `Quick test_dht_survives_owner_crashes;
-          Alcotest.test_case "delete" `Quick test_dht_delete;
           Alcotest.test_case "data migrates on join" `Quick test_dht_data_migrates_on_join;
           Alcotest.test_case "memo: repeat get is one rpc" `Quick test_dht_memo_repeat_get;
           Alcotest.test_case "memo: stopped owner re-resolved" `Quick test_dht_memo_owner_stopped;

@@ -106,7 +106,6 @@ let test_invariant_phases () =
   let t = Invariant.create () in
   Invariant.register t ~phase:Invariant.Checkpoint "safety" (fun () -> Error "always");
   Invariant.register t "convergence" (fun () -> Error "later");
-  Alcotest.(check (list string)) "names" [ "safety"; "convergence" ] (Invariant.names t);
   let names vs = List.map (fun v -> v.Invariant.v_name) vs in
   Alcotest.(check (list string))
     "checkpoint runs safety only" [ "safety" ]
@@ -163,12 +162,11 @@ let test_replay_determinism () =
 
 let test_nemesis_for_is_pure () =
   let chord = find_suite "chord" in
-  Alcotest.(check string) "same (suite, seed), same nemesis"
-    (Nemesis.to_string (Runner.nemesis_for chord 3))
-    (Nemesis.to_string (Runner.nemesis_for chord 3));
-  Alcotest.(check bool) "seeds differ" true
-    (Nemesis.to_string (Runner.nemesis_for chord 3)
-    <> Nemesis.to_string (Runner.nemesis_for chord 4))
+  let nemesis seed =
+    Nemesis.to_string (Runner.run_one ~suite:chord ~seed ~perturb:true ()).Suite.o_nemesis
+  in
+  Alcotest.(check string) "same (suite, seed), same nemesis" (nemesis 3) (nemesis 3);
+  Alcotest.(check bool) "seeds differ" true (nemesis 3 <> nemesis 4)
 
 (* The sweep contract: --jobs changes wall-clock time only. The same
    suites and seeds must report the same failing sets at any [jobs]. *)
@@ -183,27 +181,36 @@ let test_sweep_jobs_independent () =
     (List.exists (fun (_, f) -> f <> []) seq);
   Alcotest.(check (list (pair string (list int)))) "jobs=2 identical" seq (failing 2)
 
-let test_shrink_minimizes () =
-  let chord = find_suite "chord" in
-  (* a deliberately padded schedule: the slow op is irrelevant to the bug *)
-  let nem = Nemesis.parse "crash 1 @ 20.5959; slow 0.2 @ 40 to 70" in
-  let o = Runner.run_one ~suite:chord ~seed:1 ~nemesis:nem ~perturb:true () in
-  Alcotest.(check bool) "padded schedule fails" true (Suite.failed o);
-  let shrunk, steps = Runner.shrink ~suite:chord ~seed:1 ~perturb:true o in
-  Alcotest.(check bool) "still fails" true (Suite.failed shrunk);
-  Alcotest.(check bool) "made progress" true (steps >= 1);
-  Alcotest.(check bool) "dropped the irrelevant op" true
-    (List.length shrunk.Suite.o_nemesis < List.length nem)
-
+(* Shrinking and the replay line, through the sweep that runs them: the
+   failing seed's nemesis is shrunk to a shorter one that still fails,
+   and the replay line names suite, seed and nemesis. *)
 let contains hay sub =
   let nh = String.length hay and ns = String.length sub in
   let rec at i = i + ns <= nh && (String.sub hay i ns = sub || at (i + 1)) in
   at 0
 
+let chord_failure =
+  (* seed 3's generated schedule fails with an op the bug does not need *)
+  lazy
+    (match (Runner.sweep ~suites:[ find_suite "chord" ] ~seeds:1 ~base_seed:3 ()).Runner.rep_failures with
+    | [ f ] -> f
+    | fs -> Alcotest.failf "expected one failing suite, got %d" (List.length fs))
+
+let test_shrink_minimizes () =
+  let f = Lazy.force chord_failure in
+  Alcotest.(check bool) "found failing" true (Suite.failed f.Runner.f_outcome);
+  Alcotest.(check bool) "still fails" true (Suite.failed f.Runner.f_shrunk);
+  Alcotest.(check bool) "made progress" true (f.Runner.f_shrink_steps >= 1);
+  Alcotest.(check bool) "dropped an op" true
+    (List.length f.Runner.f_shrunk.Suite.o_nemesis < List.length f.Runner.f_outcome.Suite.o_nemesis)
+
 let test_replay_command_quotes () =
-  let cmd = Runner.replay_command ~suite:"chord" ~seed:1 pinned_nemesis in
+  let f = Lazy.force chord_failure in
+  let cmd = f.Runner.f_replay in
   Alcotest.(check bool) "mentions suite, seed and nemesis" true
-    (contains cmd "--suite chord" && contains cmd "--seed 1" && contains cmd "--nemesis")
+    (contains cmd "--suite chord"
+    && contains cmd (Printf.sprintf "--seed %d" f.Runner.f_seed)
+    && contains cmd "--nemesis")
 
 let () =
   Alcotest.run "check"

@@ -51,7 +51,12 @@ let test_descriptor_roundtrip () =
       ~limits:{ Sandbox.unlimited with Sandbox.max_memory = 1 lsl 20 }
       64
   in
-  let d' = Descriptor.parse (Descriptor.to_string d) in
+  let d' =
+    Descriptor.parse
+      "--[[ BEGIN SPLAY RESOURCES RESERVATION\nnb_splayd 64\nnodes random 5\nmax_mem 1048576\nEND \
+       SPLAY RESOURCES RESERVATION ]]"
+  in
+  Alcotest.(check bool) "header form parses to the made descriptor" true (d = d');
   Alcotest.(check int) "nb" 64 d'.Descriptor.nb_splayd;
   (match d'.Descriptor.bootstrap with
   | Descriptor.Random_subset 5 -> ()
@@ -218,7 +223,7 @@ let test_probe () =
 let test_probe_dead_host () =
   with_platform (fun _ net ctl daemons ->
       let d = List.hd daemons in
-      Net.set_host_up net (Daemon.host d) false;
+      Testbed.set_host_up (Net.testbed net) (Daemon.host d) false;
       Alcotest.(check bool) "no rtt from dead host" true (Controller.probe ctl d = None))
 
 let test_add_and_crash_node () =
@@ -324,7 +329,7 @@ let test_sessions_mark_dead_daemons () =
       Env.sleep 100.0;
       Alcotest.(check int) "all alive while heartbeating" 4
         (List.length (Controller.alive_daemons ctl));
-      Net.set_host_up (Platform.net p) (Daemon.host (List.hd (Platform.daemons p))) false;
+      Testbed.set_host_up (Net.testbed (Platform.net p)) (Daemon.host (List.hd (Platform.daemons p))) false;
       Env.sleep 400.0;
       Alcotest.(check int) "silent daemon dropped" 3 (List.length (Controller.alive_daemons ctl)))
 
@@ -332,8 +337,8 @@ let test_deploy_survives_dead_candidates () =
   with_platform ~hosts:8 (fun _ net ctl daemons ->
       (* two hosts die before deployment: registration to them times out,
          refill rounds cover the shortfall *)
-      Net.set_host_up net (Daemon.host (List.nth daemons 0)) false;
-      Net.set_host_up net (Daemon.host (List.nth daemons 1)) false;
+      Testbed.set_host_up (Net.testbed net) (Daemon.host (List.nth daemons 0)) false;
+      Testbed.set_host_up (Net.testbed net) (Daemon.host (List.nth daemons 1)) false;
       let dep =
         Controller.deploy ctl ~register_timeout:5.0 ~name:"noop" ~main:noop_app
           (Descriptor.make 6)
@@ -391,7 +396,12 @@ let test_lossy_deployment () =
 
 let test_descriptor_loss_roundtrip () =
   let d = Descriptor.make ~loss:0.25 3 in
-  let d' = Descriptor.parse (Descriptor.to_string d) in
+  let d' =
+    Descriptor.parse
+      "--[[ BEGIN SPLAY RESOURCES RESERVATION\nnb_splayd 3\nnodes head 1\nloss 0.25\nEND SPLAY \
+       RESOURCES RESERVATION ]]"
+  in
+  Alcotest.(check bool) "header form parses to the made descriptor" true (d = d');
   Alcotest.(check (float 1e-9)) "loss survives roundtrip" 0.25 d'.Descriptor.loss;
   (match
     Descriptor.parse
@@ -485,11 +495,11 @@ let test_job_status () =
       (* a downed member host moves to the hosts-down column and its
          instances out of the live count *)
       let _, a, _ = List.hd (Controller.live_members dep) in
-      Net.set_host_up net a.Addr.host false;
+      Testbed.set_host_up (Net.testbed net) a.Addr.host false;
       let st = Controller.job_status dep in
       Alcotest.(check bool) "host counted down" true (st.Controller.st_hosts_down >= 1);
       Alcotest.(check bool) "its instances not live" true (st.Controller.st_live < 5);
-      Net.set_host_up net a.Addr.host true;
+      Testbed.set_host_up (Net.testbed net) a.Addr.host true;
       Alcotest.(check int) "restart restores the view" 5
         (Controller.job_status dep).Controller.st_live)
 

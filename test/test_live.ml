@@ -21,7 +21,7 @@ let sample_msgs =
         job = 1;
         app = "chord";
         name = "chord";
-        limits = { Sandbox.default with Sandbox.max_memory = 1 lsl 20 };
+        limits = { Sandbox.unlimited with Sandbox.max_memory = 1 lsl 20 };
         log_level = Log.Info;
         params = [ ("m", "16"); ("lookups", "5") ];
       };
@@ -46,17 +46,20 @@ let sample_msgs =
       };
   ]
 
+let feed_string d s = Wire.feed d (Bytes.of_string s) 0 (String.length s)
+
 let test_wire_roundtrip () =
   List.iter
     (fun m ->
-      let m' = Wire.msg_of_value (Wire.msg_to_value m) in
-      Alcotest.(check bool) "msg round-trips through its value form" true (m = m'))
+      let d = Wire.decoder () in
+      feed_string d (Wire.frame_msg m);
+      Alcotest.(check bool) "msg round-trips through its frame" true (Wire.next_msg d = Some m))
     sample_msgs
 
 let test_wire_stream () =
   (* All samples framed back to back through one decoder. *)
   let d = Wire.decoder () in
-  Wire.feed_string d (String.concat "" (List.map Wire.frame_msg sample_msgs));
+  feed_string d (String.concat "" (List.map Wire.frame_msg sample_msgs));
   let decoded = ref [] in
   let rec drain () =
     match Wire.next_msg d with
@@ -68,7 +71,10 @@ let test_wire_stream () =
   drain ();
   Alcotest.(check int) "all frames decoded" (List.length sample_msgs) (List.length !decoded);
   Alcotest.(check bool) "in order, intact" true (List.rev !decoded = sample_msgs);
-  Alcotest.(check int) "no residue" 0 (Wire.buffered d)
+  (* no residue: the next frame decodes on its own *)
+  let last = List.hd !decoded in
+  feed_string d (Wire.frame_msg last);
+  Alcotest.(check bool) "no residue" true (Wire.next_msg d = Some last && Wire.next_msg d = None)
 
 let test_wire_truncated () =
   (* A frame torn at every possible byte boundary is incomplete — never
@@ -78,11 +84,11 @@ let test_wire_truncated () =
   let s = Wire.frame_msg m in
   for cut = 0 to String.length s - 1 do
     let d = Wire.decoder () in
-    Wire.feed_string d (String.sub s 0 cut);
+    feed_string d (String.sub s 0 cut);
     (match Wire.next_msg d with
     | None -> ()
     | Some _ -> Alcotest.fail (Printf.sprintf "frame complete at cut %d?" cut));
-    Wire.feed_string d (String.sub s cut (String.length s - cut));
+    feed_string d (String.sub s cut (String.length s - cut));
     match Wire.next_msg d with
     | Some m' -> Alcotest.(check bool) "reassembled" true (m = m')
     | None -> Alcotest.fail (Printf.sprintf "frame lost at cut %d" cut)
@@ -91,7 +97,7 @@ let test_wire_truncated () =
 let test_wire_garbage () =
   let rejects what s =
     let d = Wire.decoder () in
-    Wire.feed_string d s;
+    feed_string d s;
     match Wire.next_msg d with
     | exception Codec.Parse_error _ -> ()
     | Some _ -> Alcotest.fail (what ^ ": decoded garbage")
@@ -105,7 +111,10 @@ let test_wire_garbage () =
   rejects "corrupt payload" "SPW\x01\x00\x00\x00\x04!!!!";
   (* valid codec value of the wrong shape *)
   let d = Wire.decoder () in
-  Wire.feed_string d (Wire.frame_value (Codec.Assoc [ ("t", Codec.String "nonsense") ]));
+  let payload = Codec.encode (Codec.Assoc [ ("t", Codec.String "nonsense") ]) in
+  let header = Bytes.of_string "SPW\x01\x00\x00\x00\x00" in
+  Bytes.set_int32_be header 4 (Int32.of_int (String.length payload));
+  feed_string d (Bytes.to_string header ^ payload);
   (match Wire.next_msg d with
   | exception Codec.Parse_error _ -> ()
   | _ -> Alcotest.fail "unknown tag accepted")
@@ -131,7 +140,7 @@ let wire_torn_read_prop =
       let prev = ref 0 in
       List.iter
         (fun c ->
-          Wire.feed_string d (String.sub blob !prev (c - !prev));
+          feed_string d (String.sub blob !prev (c - !prev));
           drain ();
           prev := c)
         (cuts @ [ n ]);

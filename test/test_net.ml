@@ -6,6 +6,11 @@ open Splay_net
 
 type Net.payload += Probe of int
 
+let latency_delay l a b =
+  let cell = { Eheap.v = 0.0 } in
+  Latency.delay_to l cell a b;
+  cell.Eheap.v
+
 (* {2 Topology} *)
 
 let test_topology_shape () =
@@ -23,12 +28,12 @@ let test_topology_delays () =
   let lat = Latency.matrix topo ~stub_of:Fun.id in
   (* same stub: intra-stub delay *)
   Alcotest.(check (float 1e-9)) "intra-stub" (Topology.intra_stub_delay topo)
-    (Latency.delay lat stubs.(0) stubs.(0));
+    (latency_delay lat stubs.(0) stubs.(0));
   (* sibling stubs under the same transit: 2 x stub-transit one-way = 30 ms *)
   Alcotest.(check (float 1e-9)) "stub-stub same domain" 0.030
-    (Latency.delay lat stubs.(0) stubs.(1));
+    (latency_delay lat stubs.(0) stubs.(1));
   (* delays are symmetric and satisfy the triangle inequality on a sample *)
-  let d a b = Latency.delay lat a b in
+  let d a b = latency_delay lat a b in
   Array.iter
     (fun s1 ->
       Array.iter
@@ -47,11 +52,11 @@ let test_topology_long_paths_cost_more () =
   let stubs = Topology.stub_routers topo in
   let lat = Latency.matrix topo ~stub_of:Fun.id in
   (* crossing transits costs at least stub-transit + transit-transit hops *)
-  let same = Latency.delay lat stubs.(0) stubs.(1) in
+  let same = latency_delay lat stubs.(0) stubs.(1) in
   (* find a pair on different transits: delays differ from the local one *)
   let far =
     Array.fold_left
-      (fun acc s -> Float.max acc (Latency.delay lat stubs.(0) s))
+      (fun acc s -> Float.max acc (latency_delay lat stubs.(0) s))
       0.0 stubs
   in
   Alcotest.(check bool) "remote stubs cost more than local" true (far > same)
@@ -81,7 +86,7 @@ let test_testbed_latency_ordering () =
   (* base delay is stable, the jittered delay varies around it *)
   Alcotest.(check (float 1e-12)) "base stable" (Testbed.base_delay pl 0 1)
     (Testbed.base_delay pl 0 1);
-  let jittered = List.init 20 (fun _ -> Testbed.delay pl 0 1) in
+  let jittered = List.init 20 (fun _ -> Testbed.delay_h pl (Testbed.host pl 0) (Testbed.host pl 1)) in
   Alcotest.(check bool) "jitter varies" true
     (List.exists (fun d -> not (Float.equal d (List.hd jittered))) jittered)
 
@@ -163,16 +168,16 @@ let test_net_down_host () =
   with_net `Cluster (fun eng net ->
       let got = ref 0 in
       Net.bind net (Addr.make 1 9) (fun ~src:_ _ -> incr got);
-      Net.set_host_up net 1 false;
+      Testbed.set_host_up (Net.testbed net) 1 false;
       Net.send net ~src:(Addr.make 0 1) ~dst:(Addr.make 1 9) (Probe 1);
       ignore (Engine.run eng);
       Alcotest.(check int) "nothing delivered to a dead host" 0 !got;
-      Net.set_host_up net 1 true;
+      Testbed.set_host_up (Net.testbed net) 1 true;
       Net.send net ~src:(Addr.make 0 1) ~dst:(Addr.make 1 9) (Probe 2);
       ignore (Engine.run eng);
       Alcotest.(check int) "delivered after restart" 1 !got;
       (* sender down: silently dropped too *)
-      Net.set_host_up net 0 false;
+      Testbed.set_host_up (Net.testbed net) 0 false;
       Net.send net ~src:(Addr.make 0 1) ~dst:(Addr.make 1 9) (Probe 3);
       ignore (Engine.run eng);
       Alcotest.(check int) "dead sender drops" 1 !got)
@@ -252,10 +257,10 @@ let prop_latency_symmetric_deterministic =
     (fun (seed, a, b) ->
       let l1 = Latency.synthetic ~seed () in
       let l2 = Latency.synthetic ~seed () in
-      let d = Latency.delay l1 a b in
+      let d = latency_delay l1 a b in
       d >= 0.0
-      && Float.equal d (Latency.delay l1 b a)
-      && Float.equal d (Latency.delay l2 a b))
+      && Float.equal d (latency_delay l1 b a)
+      && Float.equal d (latency_delay l2 a b))
 
 let prop_latency_uniform_range =
   QCheck.Test.make ~name:"uniform RTT maps every pair into [lo/2, hi/2)" ~count:500
@@ -263,7 +268,7 @@ let prop_latency_uniform_range =
     (fun (seed, a) ->
       let lo = 0.02 and hi = 0.2 in
       let l = Latency.synthetic ~dist:(Latency.Uniform { lo; hi }) ~seed () in
-      let d = Latency.delay l a (a + 1) in
+      let d = latency_delay l a (a + 1) in
       d >= lo /. 2.0 && d < hi /. 2.0)
 
 let test_latency_uniform_mean () =
@@ -274,7 +279,7 @@ let test_latency_uniform_mean () =
   let n = 20_000 in
   let sum = ref 0.0 in
   for i = 0 to n - 1 do
-    sum := !sum +. Latency.delay l i (i + 1_000_000)
+    sum := !sum +. latency_delay l i (i + 1_000_000)
   done;
   let mean = !sum /. Float.of_int n in
   let expect = (lo +. hi) /. 4.0 in
@@ -285,8 +290,8 @@ let test_latency_uniform_mean () =
 
 let test_latency_constant_and_intra () =
   let l = Latency.synthetic ~dist:(Latency.Constant 0.08) ~intra_host:1e-4 ~seed:9 () in
-  Alcotest.(check (float 1e-12)) "every pair at RTT/2" 0.04 (Latency.delay l 3 900_000);
-  Alcotest.(check (float 1e-12)) "self at intra_host" 1e-4 (Latency.delay l 5 5)
+  Alcotest.(check (float 1e-12)) "every pair at RTT/2" 0.04 (latency_delay l 3 900_000);
+  Alcotest.(check (float 1e-12)) "self at intra_host" 1e-4 (latency_delay l 5 5)
 
 let test_latency_classes_weights () =
   (* a 50/50 two-class mixture: observed class fractions near the weights *)
@@ -298,7 +303,7 @@ let test_latency_classes_weights () =
   let n = 10_000 in
   let fast = ref 0 in
   for i = 0 to n - 1 do
-    if Latency.delay l i (i + 500_000) < 0.03 then incr fast
+    if latency_delay l i (i + 500_000) < 0.03 then incr fast
   done;
   let frac = Float.of_int !fast /. Float.of_int n in
   Alcotest.(check bool)
@@ -317,7 +322,7 @@ let test_latency_matrix_equals_topology () =
         (fun s2 ->
           Alcotest.(check (float 0.0))
             "matrix backend byte-identical to direct access"
-            (Topology.delay topo s1 s2) (Latency.delay lat s1 s2))
+            (Topology.delay topo s1 s2) (latency_delay lat s1 s2))
         stubs)
     stubs
 
@@ -353,7 +358,7 @@ let test_latency_of_fn () =
   for i = 0 to 100 do
     let a = i * 37 and b = i * 91 in
     Alcotest.(check (float 0.0)) "delay is the function's answer" (grid a b)
-      (Latency.delay l a b)
+      (latency_delay l a b)
   done;
   let l0 = Latency.of_fn ~name:"flat" (fun _ _ -> 0.01) in
   Alcotest.(check int) "seed defaults to 0" 0 (Latency.seed l0);
@@ -381,16 +386,16 @@ let test_synthetic_down_up_at_scale () =
   Net.send net ~src:(Addr.make 0 1) ~dst:(Addr.make last 9) (Probe 1);
   ignore (Engine.run eng);
   Alcotest.(check int) "nothing delivered while down" 0 !got;
-  Net.set_host_up net last true;
+  Testbed.set_host_up (Net.testbed net) last true;
   Net.send net ~src:(Addr.make 0 1) ~dst:(Addr.make last 9) (Probe 2);
   ignore (Engine.run eng);
   Alcotest.(check int) "delivery resumes after restart" 1 !got;
   (* a down *sender* drops too *)
-  Net.set_host_up net 0 false;
+  Testbed.set_host_up (Net.testbed net) 0 false;
   Net.send net ~src:(Addr.make 0 1) ~dst:(Addr.make last 9) (Probe 3);
   ignore (Engine.run eng);
   Alcotest.(check int) "dead sender drops" 1 !got;
-  Net.set_host_up net 0 true;
+  Testbed.set_host_up (Net.testbed net) 0 true;
   (* independence: downing one host leaves a spot-check of others up *)
   Testbed.set_host_up tb 777 false;
   List.iter

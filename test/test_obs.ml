@@ -361,7 +361,7 @@ let test_rollup_window_rotation () =
       t.v <- 47.0;
       (* w4 displaces w0 from the 4-slot ring: w0 is rendered, not lost *)
       Obs.observe h 0.020;
-      let rows = Obs.Rollup.rows () in
+      let rows = Obs.metrics_plane_jsonl () in
       List.iter
         (fun w ->
           Alcotest.(check bool) (Printf.sprintf "window %d rendered" w) true
@@ -373,7 +373,7 @@ let test_rollup_window_rotation () =
       t.v <- 3.0;
       Obs.incr c;
       Alcotest.(check bool) "w0 not re-opened" false
-        (contains (Obs.Rollup.rows ()) "\"w\":0,\"n\":2");
+        (contains (Obs.metrics_plane_jsonl ()) "\"w\":0,\"n\":2");
       let dump = Obs.metrics_plane_jsonl () in
       Alcotest.(check bool) "schema header" true
         (contains dump "\"schema\":\"splay-metrics/2\"");
@@ -667,7 +667,7 @@ let test_timeout_span () =
   with_obs (fun () ->
       let settled = ref false in
       two_host_rpc ~seed:3 (fun _eng net server client ->
-          Net.set_host_up net 0 false;
+          Testbed.set_host_up (Net.testbed net) 0 false;
           ignore
             (Env.thread client (fun () ->
                  (match Rpc.a_call client server.Env.me ~timeout:2.0 "echo" [] with
@@ -685,7 +685,7 @@ let test_timeout_span () =
 let test_retries () =
   with_obs (fun () ->
       two_host_rpc ~seed:5 (fun eng net server client ->
-          Net.set_host_up net 0 false;
+          Testbed.set_host_up (Net.testbed net) 0 false;
           ignore
             (Env.thread client (fun () ->
                  let t0 = Engine.now eng in
@@ -715,7 +715,7 @@ let backoff_elapsed ~seed ~jitter =
   let trace =
     with_obs (fun () ->
         two_host_rpc ~seed (fun eng net server client ->
-            Net.set_host_up net 0 false;
+            Testbed.set_host_up (Net.testbed net) 0 false;
             ignore
               (Env.thread client (fun () ->
                    let t0 = Engine.now eng in
@@ -802,7 +802,11 @@ let test_log_collection () =
       in
       Env.sleep 5.0;
       let logs = Controller.job_logs dep in
-      records := Some (Deploy.log_records logs, Deploy.logs_jsonl logs, Deploy.log_dropped logs);
+      let path = Filename.temp_file "splay-logs" ".jsonl" in
+      Deploy.dump_logs logs ~path;
+      let jsonl = read_file path in
+      Sys.remove path;
+      records := Some (Deploy.log_records logs, jsonl, Deploy.log_dropped logs);
       (* a second job deployed at Warn collects nothing: Info records are
          filtered at the emitting node, not at the collector *)
       let dep2 =
@@ -835,22 +839,26 @@ let test_log_collection () =
   | Some recs -> Alcotest.(check int) "Warn threshold filters at the node" 0 (List.length recs))
 
 let test_select_report () =
-  with_ctl_platform (fun ctl ->
-      (* no criteria: everything alive matches *)
-      let chosen, rep = Controller.select_report ctl 4 in
-      Alcotest.(check int) "four chosen" 4 (List.length chosen);
-      Alcotest.(check int) "all alive" 6 rep.Deploy.sel_alive;
-      Alcotest.(check int) "all matched" 6 rep.Deploy.sel_matched;
-      Alcotest.(check int) "none dead" 0 rep.Deploy.sel_dead;
-      (* an unsatisfiable criterion: the report says which one rejected *)
-      let chosen, rep =
-        Controller.select_report ctl ~criteria:[ Deploy.Min_bandwidth infinity ] 4
-      in
-      Alcotest.(check int) "nothing selectable" 0 (List.length chosen);
-      Alcotest.(check int) "nothing matched" 0 rep.Deploy.sel_matched;
-      match rep.Deploy.sel_rejected with
-      | [ ("min_bandwidth", n) ] -> Alcotest.(check int) "all charged to min_bandwidth" 6 n
-      | other -> Alcotest.failf "unexpected rejection report (%d entries)" (List.length other))
+  (* six daemons, one host down *)
+  let tb = Testbed.cluster ~n:6 (Rng.create 11) in
+  let select ?criteria n =
+    Deploy.select (Rng.create 1) ?criteria ~alive:(fun h -> h <> 5) ~host:(Testbed.host tb)
+      (List.init 6 Fun.id) n
+  in
+  (* no criteria: everything alive matches *)
+  let chosen, rep = select 4 in
+  Alcotest.(check int) "four chosen" 4 (List.length chosen);
+  Alcotest.(check int) "alive" 5 rep.Deploy.sel_alive;
+  Alcotest.(check int) "all alive matched" 5 rep.Deploy.sel_matched;
+  Alcotest.(check int) "one dead" 1 rep.Deploy.sel_dead;
+  Alcotest.(check bool) "the dead one is not chosen" false (List.mem 5 chosen);
+  (* an unsatisfiable criterion: the report says which one rejected *)
+  let chosen, rep = select ~criteria:[ Deploy.Min_bandwidth infinity ] 4 in
+  Alcotest.(check int) "nothing selectable" 0 (List.length chosen);
+  Alcotest.(check int) "nothing matched" 0 rep.Deploy.sel_matched;
+  match rep.Deploy.sel_rejected with
+  | [ ("min_bandwidth", n) ] -> Alcotest.(check int) "all alive charged to min_bandwidth" 5 n
+  | other -> Alcotest.failf "unexpected rejection report (%d entries)" (List.length other)
 
 let () =
   Alcotest.run "splay_obs"

@@ -21,7 +21,9 @@ let trial seed =
          (fun () ->
            Obs.incr c;
            Obs.observe h (Engine.now e);
-           Obs.with_span "pool.tick" (fun () -> total := !total + i)))
+           let s = Obs.span "pool.tick" in
+           total := !total + i;
+           Obs.finish s))
   done;
   ignore (Engine.run e);
   Printf.sprintf "seed=%d total=%d end=%.3f" seed !total (Engine.now e)
@@ -123,11 +125,6 @@ let test_jobs_clamped () =
   Alcotest.(check (list int)) "jobs = 0" [ 2 ] (Pool.map ~jobs:0 (fun x -> 2 * x) [ 1 ]);
   Alcotest.(check (list int)) "empty items" [] (Pool.map ~jobs:4 (fun x -> x) [])
 
-let test_mapi () =
-  Alcotest.(check (list string))
-    "index visible" [ "0:a"; "1:b" ]
-    (Pool.mapi ~jobs:2 (fun i s -> Printf.sprintf "%d:%s" i s) [ "a"; "b" ])
-
 let () =
   Alcotest.run "splay_pool"
     [
@@ -140,6 +137,5 @@ let () =
           Alcotest.test_case "merged quantiles exact" `Quick test_merged_quantiles_exact;
           Alcotest.test_case "exception propagates" `Quick test_exception_propagates;
           Alcotest.test_case "jobs clamped" `Quick test_jobs_clamped;
-          Alcotest.test_case "mapi" `Quick test_mapi;
         ] );
     ]

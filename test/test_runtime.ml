@@ -192,7 +192,7 @@ let prop_framing_roundtrip =
 
 let test_sandbox_memory_kill () =
   let killed = ref None in
-  let sb = Sandbox.create ~limits:{ Sandbox.default with max_memory = 1000 } () in
+  let sb = Sandbox.create ~limits:{ Sandbox.unlimited with max_memory = 1000 } () in
   Sandbox.set_on_kill sb (fun m -> killed := Some m);
   Sandbox.alloc sb 900;
   Alcotest.(check int) "used" 900 (Sandbox.memory_used sb);
@@ -201,7 +201,7 @@ let test_sandbox_memory_kill () =
 
 let test_sandbox_fs_quota_nonfatal () =
   let killed = ref false in
-  let sb = Sandbox.create ~limits:{ Sandbox.default with max_fs_bytes = 100 } () in
+  let sb = Sandbox.create ~limits:{ Sandbox.unlimited with max_fs_bytes = 100 } () in
   Sandbox.set_on_kill sb (fun _ -> killed := true);
   Sandbox.fs_grow sb 90;
   (try Sandbox.fs_grow sb 20 with Sandbox.Violation _ -> ());
@@ -209,7 +209,7 @@ let test_sandbox_fs_quota_nonfatal () =
   Alcotest.(check int) "usage unchanged by failed op" 90 (Sandbox.fs_used sb)
 
 let test_sandbox_sockets () =
-  let sb = Sandbox.create ~limits:{ Sandbox.default with max_sockets = 2 } () in
+  let sb = Sandbox.create ~limits:{ Sandbox.unlimited with max_sockets = 2 } () in
   Sandbox.socket_opened sb;
   Sandbox.socket_opened sb;
   Alcotest.check_raises "cap" (Sandbox.Violation "socket limit reached (2)") (fun () ->
@@ -219,7 +219,7 @@ let test_sandbox_sockets () =
   Alcotest.(check int) "open count" 2 (Sandbox.sockets_open sb)
 
 let test_sandbox_restrict () =
-  let admin = { Sandbox.default with max_memory = 1000; max_sockets = 10 } in
+  let admin = { Sandbox.unlimited with max_memory = 1000; max_sockets = 10 } in
   let ctl = { Sandbox.unlimited with max_memory = 5000; max_sockets = 5 } in
   let r = Sandbox.restrict admin ctl in
   Alcotest.(check int) "controller cannot weaken" 1000 r.Sandbox.max_memory;
@@ -249,7 +249,7 @@ let with_obs_trace f =
 let test_sandbox_memory_kill_traced () =
   let trace =
     with_obs_trace (fun () ->
-        let sb = Sandbox.create ~limits:{ Sandbox.default with max_memory = 1000 } () in
+        let sb = Sandbox.create ~limits:{ Sandbox.unlimited with max_memory = 1000 } () in
         try Sandbox.alloc sb 2000 with Sandbox.Violation _ -> ())
   in
   Alcotest.(check bool) "violation event" true (string_contains trace "sandbox.violation");
@@ -259,7 +259,7 @@ let test_sandbox_memory_kill_traced () =
 let test_sandbox_socket_denial_traced () =
   let trace =
     with_obs_trace (fun () ->
-        let sb = Sandbox.create ~limits:{ Sandbox.default with max_sockets = 1 } () in
+        let sb = Sandbox.create ~limits:{ Sandbox.unlimited with max_sockets = 1 } () in
         Sandbox.socket_opened sb;
         try Sandbox.socket_opened sb with Sandbox.Violation _ -> ())
   in
@@ -270,7 +270,7 @@ let test_sandbox_socket_denial_traced () =
 let test_sandbox_fs_quota_traced () =
   let trace =
     with_obs_trace (fun () ->
-        let sb = Sandbox.create ~limits:{ Sandbox.default with max_fs_bytes = 100 } () in
+        let sb = Sandbox.create ~limits:{ Sandbox.unlimited with max_fs_bytes = 100 } () in
         Sandbox.fs_grow sb 90;
         try Sandbox.fs_grow sb 20 with Sandbox.Violation _ -> ())
   in
@@ -325,7 +325,7 @@ let test_fs_quota () =
   with_cluster (fun _ net ->
       let env =
         Env.create net ~me:(Addr.make 0 2000)
-          ~limits:{ Sandbox.default with max_fs_bytes = 10 }
+          ~limits:{ Sandbox.unlimited with max_fs_bytes = 10 }
       in
       let fs = Sb_fs.create env in
       let f = Sb_fs.open_file fs "a" ~mode:`Write in
@@ -411,10 +411,10 @@ let test_lock_fifo () =
       Alcotest.(check (list int)) "fifo" [ 1; 2; 3 ] (List.rev !order))
 
 (* Kill while parked, for the lock and RPC wakers: the wait's cleanup
-   runs once, exit hooks run once, and nothing resumes the dead process
+   runs once, the process ends dead, not crashed, and nothing resumes it
    later (compare test_sim's Ivar and Channel cases). *)
 let killed_while_parked eng ~wait ~after_kill =
-  let resumed = ref false and cleaned = ref 0 and exits = ref 0 in
+  let resumed = ref false and cleaned = ref 0 in
   let p =
     Engine.spawn eng (fun () ->
         Fun.protect
@@ -423,14 +423,13 @@ let killed_while_parked eng ~wait ~after_kill =
             wait ();
             resumed := true))
   in
-  Engine.on_exit p (fun () -> incr exits);
   ignore (Engine.schedule eng ~delay:1.0 (fun () -> Engine.kill eng p));
   ignore (Engine.schedule eng ~delay:1.5 (fun () -> after_kill ()));
   ignore (Engine.run eng);
   Alcotest.(check bool) "no late resume" false !resumed;
   Alcotest.(check int) "unwound once" 1 !cleaned;
-  Alcotest.(check int) "exit hooks once" 1 !exits;
-  Alcotest.(check bool) "dead" false (Engine.alive p)
+  Alcotest.(check bool) "dead" false (Engine.alive p);
+  Alcotest.(check int) "not a crash" 0 (List.length (Engine.crashed eng))
 
 let test_lock_kill_while_parked () =
   with_cluster (fun eng _ ->
@@ -605,7 +604,7 @@ let test_rpc_timeout_on_dead_host () =
       let server_env = mk_env net 0 in
       let client_env = mk_env net 1 in
       Rpc.server server_env [ ("noop", fun _ -> Codec.Null) ];
-      Net.set_host_up net 0 false;
+      Testbed.set_host_up (Net.testbed net) 0 false;
       let result = ref (Ok Codec.Null) in
       ignore
         (Env.thread client_env (fun () ->
@@ -654,7 +653,7 @@ let test_rpc_ping () =
       ignore
         (Env.thread client_env (fun () ->
              up := Rpc.ping client_env server_env.Env.me;
-             Net.set_host_up net 0 false;
+             Testbed.set_host_up (Net.testbed net) 0 false;
              down := Rpc.ping client_env ~timeout:1.0 server_env.Env.me));
       ignore (Engine.run eng);
       Alcotest.(check bool) "alive host pings" true !up;
@@ -902,7 +901,6 @@ let test_message_loss_forces_timeout () =
       | Error Rpc.Timeout -> ()
       | _ -> Alcotest.fail "expected timeout under full loss")
 
-
 (* {2 Log} *)
 
 let test_log_levels_and_memory () =
@@ -1029,8 +1027,6 @@ let qsuite =
       prop_int_length;
     ]
 
-
-
 (* {2 Sb_stream — TCP-like connections} *)
 
 let test_stream_echo () =
@@ -1130,7 +1126,7 @@ let test_stream_counts_sockets () =
       let server_env = mk_env net 0 in
       let client_env =
         Env.create net ~me:(Addr.make 1 2000)
-          ~limits:{ Sandbox.default with max_sockets = 3 }
+          ~limits:{ Sandbox.unlimited with max_sockets = 3 }
       in
       Sb_stream.listen server_env ~port:4000 ~on_accept:(fun _ -> ());
       let opened = ref 0 and refused = ref 0 in

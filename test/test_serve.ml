@@ -11,22 +11,28 @@ module Pool = Splay_sim.Pool
 module Load = Splay_serve.Load
 module Harness = Splay_serve.Harness
 
-(* {2 Load.client_span} *)
+(* {2 Client spans} *)
 
 let test_client_span () =
-  (* spans partition [0, clients) exactly: contiguous, disjoint, total *)
+  (* the partitions' client ledgers split [0, clients) exactly and
+     evenly: together they hold every client, and no two differ by more
+     than one *)
+  let p = Splay_ctl.Platform.create ~seed:1 (Splay_ctl.Platform.Cluster 1) in
+  let gateways = [| Splay_ctl.Controller.env (Splay_ctl.Platform.controller p) |] in
   List.iter
     (fun (clients, parts) ->
-      let total = ref 0 and cursor = ref 0 in
-      for p = 0 to parts - 1 do
-        let lo, len = Load.client_span ~clients ~part:p ~parts in
-        Alcotest.(check int) "contiguous" !cursor lo;
-        Alcotest.(check bool) "non-negative" true (len >= 0);
-        cursor := lo + len;
-        total := !total + len
-      done;
-      Alcotest.(check int) "covers all clients" clients !total)
-    [ (10, 3); (1_000_000, 7); (5, 8); (0, 4); (16, 4) ]
+      let lens =
+        List.init parts (fun part ->
+            let st =
+              Load.run { Load.default with Load.clients; duration = 0.0 } ~seed:1 ~part ~parts
+                ~gateways ~issue:(fun _ _ -> `Ok)
+            in
+            Array.length st.Load.client_requests)
+      in
+      Alcotest.(check int) "covers all clients" clients (List.fold_left ( + ) 0 lens);
+      Alcotest.(check bool) "even" true
+        (List.fold_left max 0 lens - List.fold_left min max_int lens <= 1))
+    [ (10, 3); (1_000_000, 7); (16, 4); (5, 5) ]
 
 (* {2 A small scenario the remaining tests share} *)
 

@@ -15,18 +15,19 @@ let test_eheap_order () =
   List.iteri (fun i x -> Eheap.push h ~at:{ Eheap.v = Float.of_int x } ~seq:i x) [ 5; 3; 8; 1; 9; 2; 7 ];
   Alcotest.(check int) "size" 7 (Eheap.size h);
   check_float "min_at" 1.0 (Eheap.min_at h);
-  Alcotest.(check (option int)) "peek" (Some 1) (Eheap.peek h);
+  Alcotest.(check int) "top_or" 1 (Eheap.top_or h (-1));
   Alcotest.(check (list int)) "sorted" [ 1; 2; 3; 5; 7; 8; 9 ] (drain_eheap h);
   Alcotest.(check (option int)) "empty pop" None (Eheap.pop h)
 
 let test_eheap_empty () =
   let h = Eheap.create ~dummy:0 in
-  Alcotest.(check bool) "is_empty" true (Eheap.is_empty h);
+  Alcotest.(check int) "size" 0 (Eheap.size h);
   Alcotest.(check bool) "min_at empty" true (Eheap.min_at h = infinity);
-  Alcotest.(check (option int)) "peek" None (Eheap.peek h);
+  Alcotest.(check int) "top_or" (-1) (Eheap.top_or h (-1));
   Eheap.push h ~at:{ Eheap.v = 1.0 } ~seq:0 1;
-  Eheap.clear h;
-  Alcotest.(check bool) "cleared" true (Eheap.is_empty h)
+  Alcotest.(check (option int)) "pop" (Some 1) (Eheap.pop h);
+  Alcotest.(check int) "drained" 0 (Eheap.size h);
+  Alcotest.(check (option int)) "empty pop" None (Eheap.pop h)
 
 let test_eheap_fifo_ties () =
   (* entries sharing [at] must come out in seq (= insertion) order *)
@@ -51,7 +52,7 @@ let test_eheap_filter () =
   in
   Alcotest.(check (list int)) "survivors sorted" expected (drain_eheap h);
   Eheap.filter_in_place h (fun _ -> false);
-  Alcotest.(check bool) "filter to empty" true (Eheap.is_empty h)
+  Alcotest.(check int) "filter to empty" 0 (Eheap.size h)
 
 (* A popped or filtered-out payload must not stay reachable through the
    heap's unused slots: a queue that shrank from its high-water mark would
@@ -94,10 +95,9 @@ let test_rng_deterministic () =
   done
 
 let test_rng_split_independent () =
-  let a = Rng.create 7 in
-  let c = Rng.split a in
+  let a = Rng.create 7 and twin = Rng.create 7 in
+  let c = Rng.split a and c' = Rng.split twin in
   (* draws from the parent must not change the child's stream *)
-  let c' = Rng.copy c in
   ignore (Rng.int a 100);
   Alcotest.(check int) "split unaffected" (Rng.int c' 1000) (Rng.int c 1000)
 
@@ -147,8 +147,6 @@ let test_rng_ranges () =
   for _ = 1 to 1000 do
     let v = Rng.int r 10 in
     Alcotest.(check bool) "int in range" true (v >= 0 && v < 10);
-    let v = Rng.int_in r 5 9 in
-    Alcotest.(check bool) "int_in range" true (v >= 5 && v <= 9);
     let f = Rng.float r 2.5 in
     Alcotest.(check bool) "float in range" true (f >= 0.0 && f < 2.5)
   done
@@ -415,13 +413,12 @@ let test_proc_kill_while_sleeping () =
 let test_proc_kill_before_start () =
   let e = Engine.create () in
   let ran = ref false in
-  let exited = ref false in
   let p = Engine.spawn e (fun () -> ran := true) in
-  Engine.on_exit p (fun () -> exited := true);
   Engine.kill e p;
   ignore (Engine.run e);
   Alcotest.(check bool) "never ran" false !ran;
-  Alcotest.(check bool) "exit hook ran" true !exited
+  Alcotest.(check bool) "dead" false (Engine.alive p);
+  Alcotest.(check int) "not a crash" 0 (List.length (Engine.crashed e))
 
 let test_proc_self_kill () =
   let e = Engine.create () in
@@ -513,19 +510,6 @@ let test_proc_sleep_zero_fifo () =
   in
   Alcotest.(check (list (pair int int))) "round-robin FIFO" expect (List.rev !log);
   check_float "no time passed" 0.0 (Engine.now e)
-
-let test_proc_exit_hooks_order () =
-  let e = Engine.create () in
-  let log = ref [] in
-  let p = Engine.spawn e (fun () -> Engine.sleep 1.0) in
-  Engine.on_exit p (fun () -> log := 1 :: !log);
-  Engine.on_exit p (fun () -> log := 2 :: !log);
-  ignore (Engine.run e);
-  Alcotest.(check (list int)) "registration order" [ 1; 2 ] (List.rev !log);
-  (* registering after death runs immediately *)
-  let now = ref false in
-  Engine.on_exit p (fun () -> now := true);
-  Alcotest.(check bool) "immediate" true !now
 
 let test_proc_crash_recorded () =
   let e = Engine.create () in
@@ -685,10 +669,10 @@ let test_channel_timeout_skips_dead_receiver () =
 
 (* Kill while parked, for each waker caller: the kill interrupts the wait
    at the kill instant; the wait's cleanup (its timer cancelled, its
-   waiter skipped) runs once; exit hooks run once; and nothing resumes the
-   dead process later. *)
+   waiter skipped) runs once; the process ends dead, not crashed; and
+   nothing resumes it later. *)
 let killed_while_parked e ~wait ~after_kill =
-  let resumed = ref false and cleaned = ref 0 and exits = ref 0 in
+  let resumed = ref false and cleaned = ref 0 in
   let p =
     Engine.spawn e (fun () ->
         Fun.protect
@@ -697,13 +681,11 @@ let killed_while_parked e ~wait ~after_kill =
             wait ();
             resumed := true))
   in
-  Engine.on_exit p (fun () -> incr exits);
   ignore (Engine.schedule e ~delay:1.0 (fun () -> Engine.kill e p));
   ignore (Engine.schedule e ~delay:1.5 (fun () -> after_kill ()));
   ignore (Engine.run e);
   Alcotest.(check bool) "no late resume" false !resumed;
   Alcotest.(check int) "unwound once" 1 !cleaned;
-  Alcotest.(check int) "exit hooks once" 1 !exits;
   Alcotest.(check bool) "dead" false (Engine.alive p);
   Alcotest.(check (list string)) "no crash" []
     (List.map (fun (_, x) -> Printexc.to_string x) (Engine.crashed e))
@@ -928,7 +910,6 @@ let () =
           Alcotest.test_case "sleep zero fifo" `Quick test_proc_sleep_zero_fifo;
           Alcotest.test_case "kill before start" `Quick test_proc_kill_before_start;
           Alcotest.test_case "self kill" `Quick test_proc_self_kill;
-          Alcotest.test_case "exit hooks order" `Quick test_proc_exit_hooks_order;
           Alcotest.test_case "crash recorded" `Quick test_proc_crash_recorded;
           Alcotest.test_case "check crashed" `Quick test_check_crashed;
           Alcotest.test_case "resolve once" `Quick test_suspend_resolve_once;
