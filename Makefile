@@ -11,8 +11,10 @@ test:
 # must be used by some .ml outside its own module and outside test/ (lib,
 # bin, bench, examples, perfbench), or be listed with a reason in
 # scripts/unused_exports.allow. An allowlist entry whose val is gone or
-# has gained such a user fails too, so the list only shrinks.
+# has gained such a user fails too, so the list only shrinks. The script
+# is first run on throwaway trees that must fail for each of those cases.
 unused-exports:
+	scripts/test_check_unused_exports.sh
 	scripts/check_unused_exports.sh
 
 # No forced collection in the library or the bench harness: on OCaml 5 a

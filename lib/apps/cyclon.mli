@@ -8,14 +8,15 @@ type config = {
   cache_size : int; (** c, default 20 *)
   shuffle_length : int; (** l, default 8 *)
   period : float; (** shuffle interval, default 10 s *)
-  rpc_timeout : float; (** default 15 s *)
-  join_delay_per_position : float; (** default 0.2 s *)
+  rpc_timeout : float;
+  join_delay_per_position : float;
 }
+
+val default_config : config
 
 type node
 
 val app : ?config:config -> register:(node -> unit) -> Env.t -> unit
-(** [config] defaults to the field defaults noted on {!config}. *)
 
 val self : node -> Node.t
 val neighbors : node -> Node.t list

@@ -11,6 +11,7 @@ type op =
   | Partition of { at : float; until : float; groups : int }
   | Drop of { at : float; until : float; loss : float }
   | Slow of { at : float; until : float; delay : float }
+  | Down of { at : float; until : float; count : int }
   | Squeeze of { at : float; count : int; budget : int }
   | Churn of { at : float; script : Script.t }
 
@@ -24,12 +25,13 @@ let op_time = function
   | Partition { at; _ }
   | Drop { at; _ }
   | Slow { at; _ }
+  | Down { at; _ }
   | Squeeze { at; _ }
   | Churn { at; _ } ->
       at
 
 let op_end = function
-  | Partition { until; _ } | Drop { until; _ } | Slow { until; _ } -> until
+  | Partition { until; _ } | Drop { until; _ } | Slow { until; _ } | Down { until; _ } -> until
   | Churn { at; script } -> at +. Script.duration script
   | op -> op_time op
 
@@ -45,6 +47,7 @@ let op_to_string = function
   | Partition { at; until; groups } -> Printf.sprintf "partition %d @ %g to %g" groups at until
   | Drop { at; until; loss } -> Printf.sprintf "drop %g @ %g to %g" loss at until
   | Slow { at; until; delay } -> Printf.sprintf "slow %g @ %g to %g" delay at until
+  | Down { at; until; count } -> Printf.sprintf "down %d @ %g to %g" count at until
   | Squeeze { at; count; budget } -> Printf.sprintf "squeeze %d x %d @ %g" count budget at
   | Churn { at; script } ->
       (* churn scripts are multi-line; fold them onto the one-line form
@@ -96,6 +99,7 @@ let parse_op s =
             sf "partition %d @ %f to %f" (fun groups at until -> Partition { at; until; groups })
         | "drop" -> sf "drop %f @ %f to %f" (fun loss at until -> Drop { at; until; loss })
         | "slow" -> sf "slow %f @ %f to %f" (fun delay at until -> Slow { at; until; delay })
+        | "down" -> sf "down %d @ %f to %f" (fun count at until -> Down { at; until; count })
         | "squeeze" ->
             sf "squeeze %d x %d @ %f" (fun count budget at -> Squeeze { at; count; budget })
         | _ -> fail ())
@@ -126,6 +130,9 @@ let shrink_op op =
   | Slow { at; until; delay } ->
       (if delay > 0.05 then [ Slow { at; until; delay = delay /. 2.0 } ] else [])
       @ halve_window ~at ~until (fun until -> Slow { at; until; delay })
+  | Down { at; until; count } ->
+      (if count > 1 then [ Down { at; until; count = count / 2 } ] else [])
+      @ halve_window ~at ~until (fun until -> Down { at; until; count })
   | Squeeze { at; count; budget } ->
       if count > 1 then [ Squeeze { at; count = count / 2; budget } ] else []
   | _ -> []
@@ -186,6 +193,13 @@ let run ~rng ~dep t =
       | Slow { at; until; delay } ->
           add at (fun () -> Net.set_extra_delay net delay);
           add until (fun () -> Net.set_extra_delay net 0.0)
+      | Down { at; until; count } ->
+          let tb = Net.testbed net and downed = ref [] in
+          add at (fun () ->
+              let hosts = List.sort_uniq compare (List.map (fun a -> a.Addr.host) (live_addrs ())) in
+              downed := Rng.sample rng count hosts;
+              List.iter (fun h -> Testbed.set_host_up tb h false) !downed);
+          add until (fun () -> List.iter (fun h -> Testbed.set_host_up tb h true) !downed)
       | Squeeze { at; count; budget } ->
           add at (fun () ->
               List.iter

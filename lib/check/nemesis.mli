@@ -2,11 +2,11 @@
 
     A nemesis is a small program of faults injected into a running
     deployment: crash or stop/restart instances, partition the host set,
-    drop or delay every message for a while, squeeze sandbox limits, or
-    replay a whole churn script. Schedules are values — generated from a
-    seed, serialized into a one-line replay command, shrunk towards a
-    minimal reproducer — and applying one is deterministic given the RNG
-    handed to {!run}.
+    drop or delay every message for a while, take hosts down, squeeze
+    sandbox limits, or replay a whole churn script. Schedules are values
+    — generated from a seed, serialized into a one-line replay command,
+    shrunk towards a minimal reproducer — and applying one is
+    deterministic given the RNG handed to {!run}.
 
     The concrete syntax (one op per clause, clauses joined by [";"]):
 
@@ -18,6 +18,7 @@
     partition 2 @ 40 to 90  split hosts into 2 groups for 50 s
     drop 0.3 @ 40 to 90     drop 30% of every message in the window
     slow 0.5 @ 40 to 90     add 0.5 s to every delivery in the window
+    down 1 @ 40 to 90       take 1 instance-hosting host down for 50 s
     squeeze 2 x 4096 @ 50   cap 2 instances to 4096 more send bytes
     churn{at 10s leave 25%} @ 30   replay a churn script ({!Splay_churn.Script})
     v}
@@ -42,6 +43,11 @@ type op =
       (** global message loss probability during the window *)
   | Slow of { at : float; until : float; delay : float }
       (** extra seconds added to every delivery during the window *)
+  | Down of { at : float; until : float; count : int }
+      (** take [count] random hosts that run live instances down — every
+          message to or from them is dropped, and the controller stops
+          counting their daemons alive — and bring them back up at
+          [until] *)
   | Squeeze of { at : float; count : int; budget : int }
       (** tighten the network-send budget of [count] random live instances
           to [budget] further bytes *)

@@ -30,26 +30,11 @@ type t = {
   windows : int list;  (** distinct [w >= 0], ascending *)
 }
 
-val int_field : row -> string -> int option
-
 val load : string -> t
 (** Parse a metrics dump from a string. Malformed lines are skipped; a
     hist row is malformed unless its buckets decode ({!Splay_stats.Sink.decode})
     and sum to its [n]. Raises [Failure] when a header names another
     schema: a [splay-metrics/1] dump has no bucket counts to merge. *)
-
-val rows_of : t -> w:int -> string -> row list
-(** Non-note rows of one metric in one window (several for multi-trial
-    dumps); [w = -1] selects the cumulative rows. *)
-
-val hist : row list -> Splay_stats.Sink.t
-(** Merge the histogram rows among [rows] (e.g. {!rows_of} output) into
-    one fresh sink. *)
-
-val violation_rate : Splay_stats.Sink.t -> threshold:float -> float
-(** Share of the histogram's observations above [threshold], in [0, 1]:
-    one minus {!Splay_stats.Sink.fraction_le}. [nan] when the histogram is
-    empty. *)
 
 val render : ?metric:string -> ?k:int -> ?slo:string * float -> t -> string
 (** The [splay top] dashboard: one line per window (t0, global msgs/s,
@@ -58,8 +43,9 @@ val render : ?metric:string -> ?k:int -> ?slo:string * float -> t -> string
     then cumulative histogram summaries and the last [k] (default 5)
     status-note rows. Missing cells render as ["-"]. With [slo = (m,
     threshold)] each window line gains a violation-rate column — the
-    {!violation_rate} of histogram [m] against [threshold] — plus a
-    whole-run summary line. *)
+    share of histogram [m]'s observations above [threshold], read off
+    the merged buckets, ["-"] when it has none — plus a whole-run
+    summary line. *)
 
 val prometheus : t -> string
 (** Prometheus text exposition of the whole-run cumulative rows: metric

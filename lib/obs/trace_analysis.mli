@@ -4,8 +4,8 @@
     possibly interleaved with [L] log records and metric lines, which are
     counted and skipped respectively), reconstructs the causal span DAG
     from the [sid]/[pid] links, and computes the queries a deployer asks of
-    a distributed run: where did the time go ({!critical_path}), per-hop
-    latency ({!print_critical_path}), and per-name / per-RPC summaries
+    a distributed run: where did the time go and per-hop latency
+    ({!print_critical_path}), and per-name / per-RPC summaries
     ({!print_summary}).
 
     The loader is deliberately tolerant: unknown record kinds and metric
@@ -61,26 +61,6 @@ val float_field : (string * string) list -> string -> float option
 val load : string -> t
 (** Parse a JSONL trace from a string, one record per line. *)
 
-val duration : span -> float
-
-val attr : span -> string -> string option
-(** First binding of an attribute key (begin attrs shadow finish attrs). *)
-
-val node_of : span -> string
-(** Best-effort placement of a span: its ["node"] attribute, else ["src"],
-    else ["dst"], else ["-"]. *)
-
-val critical_path : span -> span list
-(** The chain from [root] downwards obtained by always descending into the
-    child that {e finishes} last — the path that determined the root's end
-    time. Ties go to the later sibling (begin order). Head is the root. *)
-
-val self_times : span list -> (span * float) list
-(** For a {!critical_path}, each hop paired with its self time: its
-    duration minus the next hop's (the last hop keeps its full duration).
-    This is the per-hop latency breakdown — where on the path the time was
-    actually spent. *)
-
 val slowest_root : ?name:string -> t -> span option
 (** The longest-duration root span; with [name], the longest root (or
     non-root) span so named. Without [name], roots named ["rpc.call"] are
@@ -91,5 +71,11 @@ val print_summary : t -> unit
     table (calls grouped by ["proc"], with outcome counts), trace totals. *)
 
 val print_critical_path : ?root:span -> t -> unit
-(** Per-hop latency breakdown along the {!critical_path} from [root]
-    (default {!slowest_root}): name, node, start, duration, self time. *)
+(** Per-hop latency breakdown along the critical path from [root]
+    (default {!slowest_root}): the chain that always descends into the
+    child that {e finishes} last (ties to the later sibling), i.e. the
+    path that determined the root's end time. One row per hop: name,
+    node (its ["node"] attribute, else ["src"], else ["dst"], else
+    ["-"]), start, duration, and self time — its duration minus the next
+    hop's, the last hop keeping its full duration — which is where on the
+    path the time was actually spent. *)

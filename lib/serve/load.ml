@@ -41,6 +41,7 @@ type stats = {
   mutable shed : int;
   mutable failed : int;
   lat : Sink.t;
+  first_client : int;
   client_requests : int array;
   mutable setup_words : int;
 }
@@ -76,7 +77,8 @@ let run config ~seed ~part ~parts ~gateways ~issue =
       (* the WHOLE per-client state: one word of request count per virtual
          client. No fiber, no buffer, no timer per idle client — a million
          clients is a million-word array. *)
-      client_requests = Array.make (max 1 local_clients) 0;
+      first_client = lo;
+      client_requests = Array.make local_clients 0;
       setup_words = 0;
     }
   in

@@ -43,9 +43,14 @@ type stats = {
   lat : Splay_stats.Sink.t;
       (** completion - intended arrival, every sample counted in a
           {!Splay_stats.Sink.sketch}, so partitions merge exactly *)
+  first_client : int;
+      (** id of this partition's first client: partitions own
+          contiguous slices of [0, clients), a pure function of
+          [(clients, parts)], so domains runs split identically *)
   client_requests : int array;
-      (** requests issued per local virtual client — also the whole
-          per-client state *)
+      (** requests issued per local virtual client — [client_requests.(i)]
+          counts client [first_client + i] — also the whole per-client
+          state; empty when the partition owns no client *)
   mutable setup_words : int;
       (** heap words the generator's state reaches (this record with its
           client ledger, the Zipf table, the arrival RNG and the value
@@ -69,6 +74,4 @@ val run :
     op] performs one blocking operation through gateway [g]. The arrival
     stream is a private function of [(seed, part)] — independent of
     engine scheduling, worker count, and every other component's draws.
-    The partition owns a contiguous slice of the client population, a
-    pure function of [(clients, parts)], so domains runs split
-    identically. Pass [part:0 parts:1] for sequential runs. *)
+    Pass [part:0 parts:1] for sequential runs. *)

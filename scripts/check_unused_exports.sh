@@ -1,23 +1,16 @@
 #!/bin/sh
-# Lists every `val` exported by a library interface (lib/*/*.mli) that no
-# .ml file outside its own module and outside test/ uses, across lib,
-# bin, bench, examples and perfbench. A val of a nested signature
-# (`module Sub : sig ... end`) is checked as `Sub.v`. A val `v` of
-# module `M` counts as used when another file
-#   - names it qualified: `M.v`, or `A.v` where some file aliases
-#     `module A = ...M` (the facade's `module Engine = Splay_sim.Engine`);
-#   - or names it bare while opening `M` (or an alias of it): `open M`,
-#     `include M`, `let open M in` or a local `M.( ... )`.
-# A nested `Sub.v` is used as `M.Sub.v`, as `Sub.v` in a file that opens
-# `M`, through an alias of `M.Sub`, or bare in a file that opens `M.Sub`.
-#
-# Tests do not count as users: a val only a test calls is dead API.
-# Delete it, or take it out of the interface, or list it in
-# scripts/unused_exports.allow, one interface per line:
-#   <mli> <val> [<val>...] -- <reason>
-# The script fails on a val with no user and no entry, and on a stale
-# entry: a listed val that is gone from its interface or that now has a
-# user. The list can therefore only shrink.
+# Lists every `val` of a library interface (lib/*/*.mli) that no .ml file
+# outside its own module and outside test/ uses (lib, bin, bench,
+# examples, perfbench); a nested signature's val is checked as `Sub.v`.
+# A use is `M.v`, or `A.v` through an alias `module A = ...M`, or a bare
+# `v` in a file that opens `M` (`open`, `include`, `let open`, `M.( )`);
+# a nested `Sub.v` likewise through `M.Sub` or an opened `M` or `M.Sub`.
+# Tests do not count: a val only a test calls is dead API. Delete it,
+# unexport it, or list it in scripts/unused_exports.allow, one interface
+# per line: `<mli> <val> [<val>...] -- <reason>`. The script fails on a
+# val with neither a user nor an entry, on a line without a reason, and
+# on a stale entry (a val gone, or one that now has a user), so the list
+# only shrinks. scripts/test_check_unused_exports.sh checks each case.
 #
 #   scripts/check_unused_exports.sh
 set -u

@@ -658,15 +658,7 @@ let test_cyclon_mixes () =
   with_platform (fun _ _ ctl ->
       let n = 30 in
       let nodes = ref [] in
-      let config =
-        {
-          Apps.Cyclon.period = 2.0;
-          cache_size = 8;
-          shuffle_length = 4;
-          rpc_timeout = 15.0;
-          join_delay_per_position = 0.2;
-        }
-      in
+      let config = { Apps.Cyclon.default_config with period = 2.0; cache_size = 8; shuffle_length = 4 } in
       ignore
         (Controller.deploy ctl ~name:"cyclon"
            ~main:(Apps.Cyclon.app ~config ~register:(fun c -> nodes := c :: !nodes))

@@ -1,6 +1,7 @@
 (* Tests for the simulation-testing layer: schedule perturbation, the
    nemesis DSL, invariant registries, and the sweep runner. *)
 
+open Support
 module Engine = Splay_sim.Engine
 module Rng = Splay_sim.Rng
 module Nemesis = Splay_check.Nemesis
@@ -55,6 +56,7 @@ let test_nemesis_roundtrip () =
       "drop 0.3 @ 40 to 90";
       "slow 0.5 @ 10 to 20";
       "squeeze 2 x 4096 @ 50";
+      "down 2 @ 40 to 90";
       "crash 1 @ 5; join 1 @ 60; slow 0.25 @ 40 to 70";
     ]
   in
@@ -99,6 +101,30 @@ let test_nemesis_shrink () =
       Alcotest.(check bool) "strictly simpler" true smaller)
     cands;
   Alcotest.(check bool) "empty shrinks to nothing" true (Nemesis.shrink_candidates [] = [])
+
+(* [down] takes hosts that run instances down for its window, and the
+   controller's live view follows: instances there stop counting as
+   live until the heal brings their hosts back. *)
+let test_nemesis_down () =
+  let module Platform = Splay_ctl.Platform in
+  let module Controller = Splay_ctl.Controller in
+  let module Descriptor = Splay_ctl.Descriptor in
+  let module Daemon = Splay_ctl.Daemon in
+  let module Env = Splay_runtime.Env in
+  Platform.run ~until:500.0 (Platform.create ~seed:3 (Platform.Cluster 6)) (fun p ->
+      let ctl = Platform.controller p in
+      let dep = Controller.deploy ctl ~name:"idle" ~main:(fun _ -> ()) (Descriptor.make 6) in
+      let hosts = List.sort_uniq compare (List.map (fun (d, _, _) -> Daemon.host d) (Controller.members dep)) in
+      let down () = List.filter (fun h -> not (Splay_net.Net.host_up (Platform.net p) h)) hosts in
+      ignore
+        (Env.thread (Controller.env ctl) (fun () ->
+             Nemesis.run ~rng:(Rng.create 1) ~dep (Nemesis.parse "down 2 @ 10 to 30")));
+      Env.sleep 20.0;
+      Alcotest.(check int) "two member hosts down in the window" 2 (List.length (down ()));
+      Alcotest.(check bool) "their instances are not live" true (Controller.live_count dep < 6);
+      Env.sleep 20.0;
+      Alcotest.(check int) "all up after the heal" 0 (List.length (down ()));
+      Alcotest.(check int) "every instance live again" 6 (Controller.live_count dep))
 
 (* {2 Invariant registry} *)
 
@@ -184,11 +210,6 @@ let test_sweep_jobs_independent () =
 (* Shrinking and the replay line, through the sweep that runs them: the
    failing seed's nemesis is shrunk to a shorter one that still fails,
    and the replay line names suite, seed and nemesis. *)
-let contains hay sub =
-  let nh = String.length hay and ns = String.length sub in
-  let rec at i = i + ns <= nh && (String.sub hay i ns = sub || at (i + 1)) in
-  at 0
-
 let chord_failure =
   (* seed 3's generated schedule fails with an op the bug does not need *)
   lazy
@@ -228,6 +249,7 @@ let () =
           Alcotest.test_case "parse errors" `Quick test_nemesis_parse_errors;
           Alcotest.test_case "duration" `Quick test_nemesis_duration;
           Alcotest.test_case "shrink candidates" `Quick test_nemesis_shrink;
+          Alcotest.test_case "down" `Quick test_nemesis_down;
         ] );
       ( "invariant",
         [

@@ -219,12 +219,8 @@ let test_crcp_slower_on_thin_links () =
    keeping the default would overwrite the committed baselines the caller
    meant to redirect. The exe is a declared test dep; flag errors exit
    before any experiment runs, so these are fast. *)
-let bench_exe () =
-  let local = "../bench/main.exe" in
-  if Sys.file_exists local then Some local else None
-
 let test_out_dir_flag_errors () =
-  match bench_exe () with
+  match Support.bench_exe () with
   | None -> () (* run outside the dune sandbox; nothing to exercise *)
   | Some exe ->
       let run args = Sys.command (Filename.quote_command exe args ~stdout:Filename.null ~stderr:Filename.null) in

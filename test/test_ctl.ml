@@ -5,6 +5,7 @@ open Splay_sim
 open Splay_net
 open Splay_runtime
 open Splay_ctl
+open Support
 
 (* {2 Descriptor} *)
 
@@ -466,11 +467,6 @@ let test_push_blacklist () =
 (* {2 Job status and monitoring} *)
 
 module Obs = Splay_obs.Obs
-
-let contains haystack needle =
-  let nh = String.length haystack and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub haystack i nn = needle || go (i + 1)) in
-  nn = 0 || go 0
 
 let test_job_status () =
   with_platform (fun _ net ctl _ ->

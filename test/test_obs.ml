@@ -7,21 +7,10 @@ open Splay_sim
 open Splay_net
 open Splay_runtime
 open Splay_ctl
+open Support
 module Apps = Splay_apps
 module Obs = Splay_obs.Obs
 module Ta = Splay_obs.Trace_analysis
-
-let contains haystack needle =
-  let nh = String.length haystack and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub haystack i nn = needle || go (i + 1)) in
-  nn = 0 || go 0
-
-(* Every test leaves the global switch off so the rest of the suite runs
-   uninstrumented. *)
-let with_obs f =
-  Obs.reset ();
-  Obs.enabled := true;
-  Fun.protect ~finally:(fun () -> Obs.enabled := false) f
 
 (* {2 Fixture: a small Chord deployment through the controller} *)
 
@@ -93,20 +82,8 @@ let test_trace_deterministic () =
 *)
 (* dune runtest runs with cwd = the test directory (where the (deps ...)
    copies land); `dune exec test/test_obs.exe` runs from the project root. *)
-let golden_file name = if Sys.file_exists "golden" then "golden/" ^ name else "test/golden/" ^ name
 let golden_trace () = golden_file "chord_seed7.trace.jsonl"
 let golden_metrics () = golden_file "chord_seed7.metrics.jsonl"
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let write_file path data =
-  let oc = open_out_bin path in
-  output_string oc data;
-  close_out oc
 
 let test_golden_trace () =
   let trace, metrics =
@@ -382,12 +359,11 @@ let test_rollup_window_rotation () =
       let m = Ma.load dump in
       let total =
         List.fold_left
-          (fun acc w ->
-            List.fold_left
-              (fun acc r -> acc + Option.value ~default:0 (Ma.int_field r "n"))
-              acc
-              (Ma.rows_of m ~w "test.ru.ticks"))
-          0 m.Ma.windows
+          (fun acc r ->
+            if r.Ma.r_metric = "test.ru.ticks" && r.Ma.r_w >= 0 then
+              acc + int_of_string (List.assoc "n" r.Ma.r_fields)
+            else acc)
+          0 m.Ma.rows
       in
       Alcotest.(check int) "windowed counts add up across rotation" 3 total;
       Obs.set_clock { Obs.v = 0.0 })
@@ -433,18 +409,17 @@ let test_slo_violation_rate () =
            "{\"m\":\"lat\",\"kind\":\"hist\",\"w\":0,\"n\":100,\"sum\":160.0,\"min\":1,\"max\":2.25,\"buckets\":\"161:50,169:50\"}";
          ])
   in
-  let h = Ma.hist (Ma.rows_of m ~w:0 "lat") in
-  let vr thr = Ma.violation_rate h ~threshold:thr in
-  Alcotest.(check (float 1e-9)) "below min: everything violates" 1.0 (vr 0.5);
-  Alcotest.(check (float 1e-9)) "at max: nothing violates" 0.0 (vr 2.25);
-  Alcotest.(check (float 1e-9)) "between the buckets" 0.5 (vr 1.5);
-  Alcotest.(check (float 1e-9)) "mid lower bucket" 0.75 (vr 1.0625);
-  Alcotest.(check (float 1e-9)) "mid upper bucket" 0.25 (vr 2.125);
-  Alcotest.(check bool) "empty histogram renders nan" true
-    (Float.is_nan (Ma.violation_rate (Ma.hist []) ~threshold:1.0));
-  let top = Ma.render ~slo:("lat", 1.5) m in
-  Alcotest.(check bool) "slo column rendered" true (contains top "slo-viol");
-  Alcotest.(check bool) "window violation rendered" true (contains top "50.00%")
+  let vr ?(metric = "lat") thr =
+    let top = Ma.render ~slo:(metric, thr) m in
+    Alcotest.(check bool) "slo column rendered" true (contains top "slo-viol");
+    List.nth (List.hd (numbered_rows top)) 9
+  in
+  Alcotest.(check string) "below min: everything violates" "100.00%" (vr 0.5);
+  Alcotest.(check string) "at max: nothing violates" "0.00%" (vr 2.25);
+  Alcotest.(check string) "between the buckets" "50.00%" (vr 1.5);
+  Alcotest.(check string) "mid lower bucket" "75.00%" (vr 1.0625);
+  Alcotest.(check string) "mid upper bucket" "25.00%" (vr 2.125);
+  Alcotest.(check string) "empty histogram renders -" "-" (vr ~metric:"nope" 1.0)
 
 (* Outside input: a hist row whose buckets are out of range, negative, not
    numbers or short of its n is malformed and skipped, never an exception;
@@ -457,7 +432,7 @@ let test_malformed_hist_rows () =
   List.iter
     (fun (what, r) ->
       let m = Ma.load (slo_dump [ r ]) in
-      Alcotest.(check int) (what ^ ": row skipped") 0 (List.length (Ma.rows_of m ~w:0 "lat"));
+      Alcotest.(check int) (what ^ ": row skipped") 0 (List.length m.Ma.rows);
       ignore (Ma.render ~slo:("lat", 1.5) m))
     [
       ("index past the table", row 1 "513:1");
@@ -471,7 +446,7 @@ let test_malformed_hist_rows () =
       ("no buckets", "{\"m\":\"lat\",\"kind\":\"hist\",\"w\":0,\"n\":1}");
     ];
   let ok = Ma.load (slo_dump [ row 2 "161:1,169:1" ]) in
-  Alcotest.(check int) "a well-formed row loads" 1 (List.length (Ma.rows_of ok ~w:0 "lat"));
+  Alcotest.(check int) "a well-formed row loads" 1 (List.length ok.Ma.rows);
   match Ma.load "{\"schema\":\"splay-metrics/1\",\"window\":10}\n" with
   | _ -> Alcotest.fail "a splay-metrics/1 dump must be refused"
   | exception Failure msg ->
@@ -616,14 +591,12 @@ let test_cross_node_linkage () =
           Alcotest.(check string) "ancestry reaches the client's call" "rpc.call" r.Ta.name;
           Alcotest.(check int) "that call is a root" 0 r.Ta.pid)
         serves;
-      (* the causal chain is the critical path of the client's call *)
-      match Ta.slowest_root t with
-      | None -> Alcotest.fail "no root span"
-      | Some root ->
-          let path = List.map (fun sp -> sp.Ta.name) (Ta.critical_path root) in
-          Alcotest.(check (list string)) "alternating call/serve chain"
-            [ "rpc.call"; "rpc.serve"; "rpc.call"; "rpc.serve"; "rpc.call"; "rpc.serve" ]
-            path)
+      (* the causal chain is the critical path of the client's call: the
+         span column of the printed per-hop breakdown *)
+      let path = List.map (fun row -> List.nth row 1) (numbered_rows (printed (fun () -> Ta.print_critical_path t))) in
+      Alcotest.(check (list string)) "alternating call/serve chain"
+        [ "rpc.call"; "rpc.serve"; "rpc.call"; "rpc.serve"; "rpc.call"; "rpc.serve" ]
+        path)
 
 (* {2 Disabled mode} *)
 
@@ -856,9 +829,27 @@ let test_select_report () =
   let chosen, rep = select ~criteria:[ Deploy.Min_bandwidth infinity ] 4 in
   Alcotest.(check int) "nothing selectable" 0 (List.length chosen);
   Alcotest.(check int) "nothing matched" 0 rep.Deploy.sel_matched;
-  match rep.Deploy.sel_rejected with
+  (match rep.Deploy.sel_rejected with
   | [ ("min_bandwidth", n) ] -> Alcotest.(check int) "all alive charged to min_bandwidth" 5 n
-  | other -> Alcotest.failf "unexpected rejection report (%d entries)" (List.length other)
+  | other -> Alcotest.failf "unexpected rejection report (%d entries)" (List.length other));
+  (* the same through the controller: its daemon set, with one host down,
+     feeds the selection, and the downed daemon is never chosen *)
+  Platform.run ~until:1000.0 (Platform.create ~seed:11 (Platform.Cluster 6)) (fun p ->
+      let down = Daemon.host (List.hd (Platform.daemons p)) in
+      Testbed.set_host_up (Platform.testbed p) down false;
+      let t0 = Platform.now p in
+      let dep =
+        Controller.deploy (Platform.controller p) ~superset:1.0 ~register_timeout:60.0 ~name:"select"
+          ~main:(fun _ -> ())
+          (Descriptor.make 5)
+      in
+      Alcotest.(check int) "five deployed" 5 (Controller.live_count dep);
+      (* a registration sent to the downed daemon would wait out its timeout *)
+      Alcotest.(check bool) "no registration timed out" true (Platform.now p -. t0 < 60.0);
+      List.iter
+        (fun (d, _, _) ->
+          Alcotest.(check bool) "the downed daemon is never chosen" true (Daemon.host d <> down))
+        (Controller.members dep))
 
 let () =
   Alcotest.run "splay_obs"

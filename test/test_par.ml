@@ -5,6 +5,7 @@
    (single-shot runs, nemesis rejection, strict CLI flags). *)
 
 open Splay_sim
+open Support
 module Obs = Splay_obs.Obs
 module Addr = Splay_net.Addr
 module Topology = Splay_net.Topology
@@ -183,15 +184,6 @@ let fabric_epidemic ~n ~parts ~seed ~domains () =
   in
   (info, covered, Fabric.messages_sent fab, Fabric.messages_dropped fab)
 
-let with_obs f =
-  Obs.enabled := true;
-  Obs.reset ();
-  Fun.protect
-    ~finally:(fun () ->
-      Obs.reset ();
-      Obs.enabled := false)
-    f
-
 (* The traced run as a byte string: coverage and counters folded into a
    summary line, plus the merged trace and metrics dumps. *)
 let epidemic_dump ~domains () =
@@ -226,19 +218,6 @@ let test_domains_byte_identical () =
 
 (* Same regeneration story as the chord_seed7 fixtures:
      SPLAY_GOLDEN_DIR=$PWD/test/golden dune exec test/test_par.exe -- test golden *)
-let golden_file name = if Sys.file_exists "golden" then "golden/" ^ name else "test/golden/" ^ name
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let write_file path data =
-  let oc = open_out_bin path in
-  output_string oc data;
-  close_out oc
-
 let test_golden_par_trace () =
   let _, trace, metrics = epidemic_dump ~domains:1 () in
   match Sys.getenv_opt "SPLAY_GOLDEN_DIR" with
@@ -342,12 +321,8 @@ let test_check_sweep_jobs_deterministic () =
 
 (* {2 Bench harness CLI: --domains strictness} *)
 
-let bench_exe () =
-  let local = "../bench/main.exe" in
-  if Sys.file_exists local then Some local else None
-
 let test_bench_domains_flag_errors () =
-  match bench_exe () with
+  match Support.bench_exe () with
   | None -> () (* run outside the dune sandbox; nothing to exercise *)
   | Some exe ->
       let run args =

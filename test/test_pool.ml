@@ -3,6 +3,7 @@
    must propagate, and the pool must stay usable afterwards. *)
 
 open Splay_sim
+open Support
 module Obs = Splay_obs.Obs
 module Ma = Splay_obs.Metrics_analysis
 module Sink = Splay_stats.Sink
@@ -34,15 +35,6 @@ let test_results_deterministic () =
   let r1 = Pool.map ~jobs:1 trial seeds in
   let r4 = Pool.map ~jobs:4 trial seeds in
   Alcotest.(check (list string)) "same results" r1 r4
-
-let with_obs f =
-  Obs.enabled := true;
-  Obs.reset ();
-  Fun.protect
-    ~finally:(fun () ->
-      Obs.reset ();
-      Obs.enabled := false)
-    f
 
 let obs_output jobs =
   with_obs (fun () ->
@@ -99,18 +91,20 @@ let spread_trial (seed, scale) =
 let test_merged_quantiles_exact () =
   let samples, dump = metrics_output spread_trial [ (1, 0.0001); (2, 0.01) ] 2 in
   let m = Ma.load dump in
-  let rows = Ma.rows_of m ~w:0 "pool.test.spread" in
-  Alcotest.(check int) "one window-0 row per trial" 2 (List.length rows);
-  let h = Ma.hist rows in
+  Alcotest.(check int) "one window-0 row per trial" 2
+    (List.length
+       (List.filter (fun r -> r.Ma.r_w = 0 && r.Ma.r_metric = "pool.test.spread") m.Ma.rows));
+  (* window 0's percentile cells, as the dashboard renders them *)
+  let cells = List.hd (numbered_rows (Ma.render ~metric:"pool.test.spread" m)) in
   let union = Sink.sketch () in
   List.iter (List.iter (Sink.add union)) samples;
-  Alcotest.(check int) "merged n" (Sink.count union) (Sink.count h);
-  List.iter
-    (fun q ->
-      Alcotest.(check (float 0.0))
+  List.iteri
+    (fun i q ->
+      Alcotest.(check string)
         (Printf.sprintf "p%g of the union" (100.0 *. q))
-        (Sink.quantile union q) (Sink.quantile h q))
-    [ 0.5; 0.9; 0.99; 0.999 ]
+        (Printf.sprintf "%.6f" (Sink.quantile union q))
+        (List.nth cells (6 + i)))
+    [ 0.5; 0.99; 0.999 ]
 
 let test_exception_propagates () =
   let f x = if x = 2 then failwith "trial boom" else x * 10 in

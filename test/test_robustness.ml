@@ -244,13 +244,7 @@ let test_cyclon_connectivity_after_churn () =
   with_platform (fun _ _ ctl ->
       let nodes = ref [] in
       let config =
-        {
-          Apps.Cyclon.period = 2.0;
-          cache_size = 8;
-          shuffle_length = 4;
-          rpc_timeout = 3.0;
-          join_delay_per_position = 0.2;
-        }
+        { Apps.Cyclon.default_config with period = 2.0; cache_size = 8; shuffle_length = 4; rpc_timeout = 3.0 }
       in
       let dep =
         Controller.deploy ctl ~name:"cyclon"

@@ -236,13 +236,7 @@ let test_sandbox_blacklist () =
    kill paths apart. A nemesis-squeezed instance that dies without one is
    undebuggable. *)
 let with_obs_trace f =
-  Splay_obs.Obs.reset ();
-  Splay_obs.Obs.enabled := true;
-  Fun.protect
-    ~finally:(fun () ->
-      Splay_obs.Obs.enabled := false;
-      Splay_obs.Obs.reset ())
-    (fun () ->
+  Support.with_obs (fun () ->
       f ();
       Splay_obs.Obs.trace_jsonl ())
 
@@ -410,33 +404,12 @@ let test_lock_fifo () =
       ignore (Engine.run eng);
       Alcotest.(check (list int)) "fifo" [ 1; 2; 3 ] (List.rev !order))
 
-(* Kill while parked, for the lock and RPC wakers: the wait's cleanup
-   runs once, the process ends dead, not crashed, and nothing resumes it
-   later (compare test_sim's Ivar and Channel cases). *)
-let killed_while_parked eng ~wait ~after_kill =
-  let resumed = ref false and cleaned = ref 0 in
-  let p =
-    Engine.spawn eng (fun () ->
-        Fun.protect
-          ~finally:(fun () -> incr cleaned)
-          (fun () ->
-            wait ();
-            resumed := true))
-  in
-  ignore (Engine.schedule eng ~delay:1.0 (fun () -> Engine.kill eng p));
-  ignore (Engine.schedule eng ~delay:1.5 (fun () -> after_kill ()));
-  ignore (Engine.run eng);
-  Alcotest.(check bool) "no late resume" false !resumed;
-  Alcotest.(check int) "unwound once" 1 !cleaned;
-  Alcotest.(check bool) "dead" false (Engine.alive p);
-  Alcotest.(check int) "not a crash" 0 (List.length (Engine.crashed eng))
-
 let test_lock_kill_while_parked () =
   with_cluster (fun eng _ ->
       let l = Locks.create () in
       Locks.lock l;
       let next = ref false in
-      killed_while_parked eng
+      Support.killed_while_parked eng
         ~wait:(fun () -> Locks.lock l)
         ~after_kill:(fun () ->
           (* the dead waiter is skipped: ownership goes to the live one *)
@@ -498,7 +471,7 @@ let test_rpc_kill_while_parked () =
         ];
       Rpc.client client;
       let pending_after_kill = ref (-1) and table_after_kill = ref (-1) in
-      killed_while_parked eng
+      Support.killed_while_parked eng
         ~wait:(fun () -> ignore (Rpc.a_call client server.Env.me ~timeout:10.0 "slow" []))
         ~after_kill:(fun () ->
           table_after_kill := Hashtbl.length (Env.rpc_pending client);

@@ -14,25 +14,28 @@ module Harness = Splay_serve.Harness
 (* {2 Client spans} *)
 
 let test_client_span () =
-  (* the partitions' client ledgers split [0, clients) exactly and
-     evenly: together they hold every client, and no two differ by more
-     than one *)
+  (* the partitions' client ledgers split [0, clients) exactly:
+     contiguous, disjoint, total, and even to within one client — also
+     when some partition owns no client at all *)
   let p = Splay_ctl.Platform.create ~seed:1 (Splay_ctl.Platform.Cluster 1) in
   let gateways = [| Splay_ctl.Controller.env (Splay_ctl.Platform.controller p) |] in
   List.iter
     (fun (clients, parts) ->
-      let lens =
-        List.init parts (fun part ->
-            let st =
-              Load.run { Load.default with Load.clients; duration = 0.0 } ~seed:1 ~part ~parts
-                ~gateways ~issue:(fun _ _ -> `Ok)
-            in
-            Array.length st.Load.client_requests)
-      in
-      Alcotest.(check int) "covers all clients" clients (List.fold_left ( + ) 0 lens);
+      let cursor = ref 0 and lens = ref [] in
+      for part = 0 to parts - 1 do
+        let st =
+          Load.run { Load.default with Load.clients; duration = 0.0 } ~seed:1 ~part ~parts
+            ~gateways ~issue:(fun _ _ -> `Ok)
+        in
+        let len = Array.length st.Load.client_requests in
+        Alcotest.(check int) "contiguous" !cursor st.Load.first_client;
+        cursor := !cursor + len;
+        lens := len :: !lens
+      done;
+      Alcotest.(check int) "covers all clients" clients !cursor;
       Alcotest.(check bool) "even" true
-        (List.fold_left max 0 lens - List.fold_left min max_int lens <= 1))
-    [ (10, 3); (1_000_000, 7); (16, 4); (5, 5) ]
+        (List.fold_left max 0 !lens - List.fold_left min max_int !lens <= 1))
+    [ (10, 3); (1_000_000, 7); (5, 8); (0, 4); (16, 4) ]
 
 (* {2 A small scenario the remaining tests share} *)
 

@@ -667,34 +667,11 @@ let test_channel_timeout_skips_dead_receiver () =
   Alcotest.(check (option int)) "first timed out" None !first;
   Alcotest.(check int) "second got it" 7 !second
 
-(* Kill while parked, for each waker caller: the kill interrupts the wait
-   at the kill instant; the wait's cleanup (its timer cancelled, its
-   waiter skipped) runs once; the process ends dead, not crashed; and
-   nothing resumes it later. *)
-let killed_while_parked e ~wait ~after_kill =
-  let resumed = ref false and cleaned = ref 0 in
-  let p =
-    Engine.spawn e (fun () ->
-        Fun.protect
-          ~finally:(fun () -> incr cleaned)
-          (fun () ->
-            wait ();
-            resumed := true))
-  in
-  ignore (Engine.schedule e ~delay:1.0 (fun () -> Engine.kill e p));
-  ignore (Engine.schedule e ~delay:1.5 (fun () -> after_kill ()));
-  ignore (Engine.run e);
-  Alcotest.(check bool) "no late resume" false !resumed;
-  Alcotest.(check int) "unwound once" 1 !cleaned;
-  Alcotest.(check bool) "dead" false (Engine.alive p);
-  Alcotest.(check (list string)) "no crash" []
-    (List.map (fun (_, x) -> Printexc.to_string x) (Engine.crashed e))
-
 let test_ivar_kill_while_parked () =
   let e = Engine.create () in
   let iv = Ivar.create () in
   let pending_after_kill = ref (-1) and late = ref 0 in
-  killed_while_parked e
+  Support.killed_while_parked e
     ~wait:(fun () -> ignore (Ivar.read_timeout iv 10.0))
     ~after_kill:(fun () ->
       (* the 10 s timer went with the wait *)
@@ -709,7 +686,7 @@ let test_channel_kill_while_parked () =
   let e = Engine.create () in
   let c = Channel.create () in
   let pending_after_kill = ref (-1) in
-  killed_while_parked e
+  Support.killed_while_parked e
     ~wait:(fun () -> ignore (Channel.recv_timeout c 10.0))
     ~after_kill:(fun () ->
       pending_after_kill := Engine.pending_events e;

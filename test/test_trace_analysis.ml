@@ -2,6 +2,7 @@
    lines), DAG reconstruction, and a hand-built trace whose critical path
    and per-hop self times are known exactly. *)
 
+open Support
 module Ta = Splay_obs.Trace_analysis
 module Obs = Splay_obs.Obs
 
@@ -28,6 +29,12 @@ let fixture =
 
 let load_fixture () = Ta.load fixture
 
+(* The hop rows of a printed critical path: span, node, start_s,
+   duration_s, self_s. *)
+let hops ?root t = List.map List.tl (numbered_rows (printed (fun () -> Ta.print_critical_path ?root t)))
+
+let column i rows = List.map (fun row -> List.nth row i) rows
+
 let test_load () =
   let t = load_fixture () in
   Alcotest.(check int) "five spans" 5 (List.length t.Ta.spans);
@@ -38,28 +45,33 @@ let test_load () =
   Alcotest.(check (list string)) "children in begin order" [ "a"; "b" ]
     (List.map (fun sp -> sp.Ta.name) root.Ta.children);
   let c = Hashtbl.find t.Ta.by_sid 4 in
-  Alcotest.(check (float 1e-9)) "duration from B/E" 4.5 (Ta.duration c);
-  Alcotest.(check (option string)) "finish attrs merged" (Some "ok") (Ta.attr c "outcome");
-  (* node_of fallback order: node, then src, then dst *)
-  Alcotest.(check string) "node attr" "n2" (Ta.node_of (Hashtbl.find t.Ta.by_sid 3));
-  Alcotest.(check string) "src fallback" "n1" (Ta.node_of (Hashtbl.find t.Ta.by_sid 2));
-  Alcotest.(check string) "dst fallback" "n3" (Ta.node_of c);
+  Alcotest.(check (float 1e-9)) "duration from B/E" 4.5 (c.Ta.stop -. c.Ta.start);
+  Alcotest.(check (option string)) "finish attrs merged" (Some "ok")
+    (List.assoc_opt "outcome" c.Ta.attrs);
   (* the never-closed span is clamped to the last timestamp seen *)
   let crashed = Hashtbl.find t.Ta.by_sid 5 in
   Alcotest.(check bool) "unclosed flagged" false crashed.Ta.closed;
-  Alcotest.(check (float 1e-9)) "unclosed clamped to trace end" 5.0 (Ta.duration crashed)
+  Alcotest.(check (float 1e-9)) "unclosed clamped to trace end" 5.0
+    (crashed.Ta.stop -. crashed.Ta.start)
 
 let test_critical_path () =
   let t = load_fixture () in
   let root = Hashtbl.find t.Ta.by_sid 1 in
-  let path = Ta.critical_path root in
+  let path = hops ~root t in
   Alcotest.(check (list string)) "follows the latest finisher" [ "root"; "b"; "c" ]
-    (List.map (fun sp -> sp.Ta.name) path);
-  let selfs = List.map snd (Ta.self_times path) in
-  Alcotest.(check (list (float 1e-9))) "per-hop self times" [ 4.0; 1.5; 4.5 ] selfs;
+    (column 0 path);
+  (* node column fallback order: node, then src, then dst *)
+  Alcotest.(check (list string)) "node attr, then dst" [ "n0"; "n2"; "n3" ] (column 1 path);
+  Alcotest.(check (list string)) "src fallback" [ "n1" ]
+    (column 1 (hops ~root:(Hashtbl.find t.Ta.by_sid 2) t));
+  Alcotest.(check (list string)) "durations" [ "10.000000"; "6.000000"; "4.500000" ]
+    (column 3 path);
+  let selfs = column 4 path in
+  Alcotest.(check (list string)) "per-hop self times" [ "4.000000"; "1.500000"; "4.500000" ] selfs;
   (* total self time accounts for the root's whole duration *)
-  Alcotest.(check (float 1e-9)) "self times sum to root duration" (Ta.duration root)
-    (List.fold_left ( +. ) 0.0 selfs)
+  Alcotest.(check (float 1e-9)) "self times sum to root duration" 10.0
+    (List.fold_left (fun acc s -> acc +. float_of_string s) 0.0 selfs);
+  Alcotest.(check (list string)) "slowest root by default" (column 0 path) (column 0 (hops t))
 
 let test_slowest_root () =
   let t = load_fixture () in
@@ -93,19 +105,13 @@ let test_parser_escapes () =
   match t.Ta.spans with
   | [ sp ] ->
       Alcotest.(check string) "escapes decoded" "q\"\\\n\tAz" sp.Ta.name;
-      Alcotest.(check (option string)) "solidus escape" (Some "v/w") (Ta.attr sp "k")
+      Alcotest.(check (option string)) "solidus escape" (Some "v/w") (List.assoc_opt "k" sp.Ta.attrs)
   | _ -> Alcotest.fail "expected one span"
 
 (* The analyzer must accept whatever the writer emits: round-trip a trace
    through Obs and recover structure and attributes exactly. *)
 let test_round_trip () =
-  Obs.reset ();
-  Obs.enabled := true;
-  Fun.protect
-    ~finally:(fun () ->
-      Obs.enabled := false;
-      Obs.reset ())
-    (fun () ->
+  with_obs (fun () ->
       let outer = Obs.span ~attrs:[ ("msg", "line1\nline2\ttab \"quoted\"") ] "outer" in
       let inner = Obs.span "inner" in
       Obs.event ~attrs:[ ("n", "1") ] "tick";
@@ -117,8 +123,8 @@ let test_round_trip () =
       let o = List.hd t.Ta.roots in
       Alcotest.(check string) "root name" "outer" o.Ta.name;
       Alcotest.(check (option string)) "control characters survive"
-        (Some "line1\nline2\ttab \"quoted\"") (Ta.attr o "msg");
-      Alcotest.(check (option string)) "finish attr merged" (Some "ok") (Ta.attr o "outcome");
+        (Some "line1\nline2\ttab \"quoted\"") (List.assoc_opt "msg" o.Ta.attrs);
+      Alcotest.(check (option string)) "finish attr merged" (Some "ok") (List.assoc_opt "outcome" o.Ta.attrs);
       match (o.Ta.children, t.Ta.events) with
       | [ i ], [ ev ] ->
           Alcotest.(check string) "child linked" "inner" i.Ta.name;
