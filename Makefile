@@ -29,6 +29,13 @@ no-forced-gc:
 bench:
 	dune exec bench/main.exe
 
+# A/A self-test of the paired comparison tool: HEAD built twice, in two
+# worktrees under _build/ab, over ten alternating churn pairs must show
+# no end-to-end metric at p < 0.01 (the sign test needs 10/10 for that).
+# Not part of `make check`: it takes a few minutes.
+ab-selftest:
+	scripts/ab.py HEAD HEAD --workload churn --pairs 10 --seed 1 --null 0.01
+
 # Quick benchmark smoke test: one parallelized figure plus the framework
 # microbenchmarks, fanned out over two domains to exercise the Pool/Obs
 # multicore path end to end. Every experiment that writes a BENCH_x.json
@@ -147,4 +154,4 @@ trace-demo:
 	  | tee /dev/stderr | grep -q "rpc\."
 	@echo "trace-demo: OK (critical path extracted)"
 
-.PHONY: all check test unused-exports no-forced-gc bench bench-smoke examples-smoke figures-smoke bench-scale-smoke bench-obs-smoke bench-serve-smoke bench-baseline trace-demo check-smoke check-fuzz live-smoke perfbench-smoke
+.PHONY: all check test unused-exports no-forced-gc bench bench-smoke examples-smoke figures-smoke bench-scale-smoke bench-obs-smoke bench-serve-smoke bench-baseline trace-demo check-smoke check-fuzz live-smoke perfbench-smoke ab-selftest

@@ -45,11 +45,21 @@ let closest_preceding_node t key =
   in
   scan (t.cfg.m - 1)
 
-let call t dst proc args = Rpc.call t.env dst.Node.addr proc args
+(* The RPC surface. *)
+let p_find_successor =
+  Rpc.proc "find_successor" (Rpc.args2 Codec.int Codec.int)
+    (Codec.record2 "node" Node.ty "hops" Codec.int)
+
+let p_predecessor = Rpc.proc "predecessor" Rpc.no_args (Codec.option Node.ty)
+let p_notify = Rpc.proc "notify" (Rpc.arg Node.ty) Codec.unit
+
+(* Base Chord's calls raise on failure, as the paper's [rpc.call]. *)
+let call t dst p arg =
+  match Rpc.invoke t.env dst.Node.addr p arg with Ok v -> v | Error e -> raise (Rpc.Rpc_error e)
 
 (* find_successor from Listing 2, with a hop count threaded through for the
    route-length figures. Returns (responsible node, hops). *)
-let rec find_successor t key ~hops =
+let find_successor t key ~hops =
   match t.finger.(0) with
   | Some succ when between t key t.self.Node.id succ.Node.id ~incl_lo:false ~incl_hi:true ->
       (succ, hops)
@@ -61,15 +71,9 @@ let rec find_successor t key ~hops =
          where answering ourselves would hand out wrong owners during the
          join phase *)
       let next = if Node.equal n0 t.self then succ else n0 in
-      let v = call t next "find_successor" [ Codec.Int key; Codec.Int (hops + 1) ] in
-      (Node.of_value (Codec.member "node" v), Codec.to_int (Codec.member "hops" v))
+      call t next p_find_successor (key, hops + 1)
 
-and handle_find_successor t args =
-  match args with
-  | [ key; hops ] ->
-      let n, h = find_successor t (Codec.to_int key) ~hops:(Codec.to_int hops) in
-      Codec.Assoc [ ("node", Node.to_value n); ("hops", Codec.Int h) ]
-  | _ -> failwith "find_successor: bad arguments"
+let handle_find_successor t (key, hops) = find_successor t key ~hops
 
 (* notify from Listing 1 *)
 let notify t n0 =
@@ -82,25 +86,23 @@ let notify t n0 =
 (* join from Listing 1 *)
 let join t n0 =
   t.predecessor <- None;
-  let v = call t n0 "find_successor" [ Codec.Int t.self.Node.id; Codec.Int 0 ] in
-  t.finger.(0) <- Some (Node.of_value (Codec.member "node" v));
-  match t.finger.(0) with
-  | Some succ -> ignore (call t succ "notify" [ Node.to_value t.self ])
-  | None -> ()
+  let succ, _ = call t n0 p_find_successor (t.self.Node.id, 0) in
+  t.finger.(0) <- Some succ;
+  call t succ p_notify t.self
 
 (* stabilize from Listing 1: verify our successor's predecessor *)
 let stabilize t =
   match t.finger.(0) with
   | None -> ()
   | Some succ ->
-      let x = Node.opt_of_value (call t succ "predecessor" []) in
+      let x = call t succ p_predecessor () in
       (match x with
       | Some x
         when between t x.Node.id t.self.Node.id succ.Node.id ~incl_lo:false ~incl_hi:false ->
           t.finger.(0) <- Some x
       | _ -> ());
       (match t.finger.(0) with
-      | Some s -> ignore (call t s "notify" [ Node.to_value t.self ])
+      | Some s -> call t s p_notify t.self
       | None -> ())
 
 (* fix_fingers from Listing 1 *)
@@ -122,17 +124,9 @@ let default_config_ref = default_config
    warm-start [assemble]: lookups route identically however the ring came
    to exist. *)
 let serve t =
-  Rpc.server t.env
-    [
-      ("find_successor", handle_find_successor t);
-      ("predecessor", fun _ -> Node.opt_to_value t.predecessor);
-      ( "notify",
-        fun args ->
-          (match args with
-          | [ n ] -> notify t (Node.of_value n)
-          | _ -> failwith "notify: bad arguments");
-          Codec.Null );
-    ]
+  Rpc.handle t.env p_find_successor (handle_find_successor t);
+  Rpc.handle t.env p_predecessor (fun () -> t.predecessor);
+  Rpc.handle t.env p_notify (fun n -> notify t n)
 
 let app ?(config = default_config_ref) ~register env =
   let self = Node.self ~how:config.id_assignment ~bits:config.m env in

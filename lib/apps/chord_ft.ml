@@ -36,6 +36,9 @@ type node = {
   mutable refresh : int;
   misses : (int, int) Hashtbl.t; (* node id -> consecutive missed replies *)
   mutable n_suspected : int;
+  mutable stranded : bool;
+      (* every successor was suspected: only the last is left, and the
+         node re-joins through its rendezvous at its next stabilization *)
 }
 
 let id t = t.self.Node.id
@@ -47,9 +50,14 @@ let modulus t = Misc.pow2 t.cfg.m
 let between t x a b ~incl_lo ~incl_hi = Misc.between x a b ~modulus:(modulus t) ~incl_lo ~incl_hi
 let dist_cw t a b = Misc.ring_distance a b ~modulus:(modulus t)
 
+(* The last successor is never pruned: a node whose host was cut off
+   suspects every peer, and with no successor left nothing would ever
+   bring it back into the ring. It keeps the last one and re-joins. *)
 let prune t n =
   let not_n x = not (Node.equal x n) in
-  t.succs <- List.filter not_n t.succs;
+  (match List.filter not_n t.succs with
+  | [] when t.succs <> [] -> t.stranded <- true
+  | succs -> t.succs <- succs);
   t.preds <- List.filter not_n t.preds;
   Array.iteri
     (fun i f -> match f with Some x when Node.equal x n -> t.finger.(i) <- None | _ -> ())
@@ -66,8 +74,17 @@ let suspect t n =
   end
   else Hashtbl.replace t.misses n.Node.id k
 
-let acall t n proc args =
-  match Rpc.a_call t.env n.Node.addr ~timeout:t.cfg.rpc_timeout proc args with
+(* The RPC surface. *)
+let p_find_successor =
+  Rpc.proc "find_successor" (Rpc.args2 Codec.int Codec.int)
+    (Codec.record2 "node" (Codec.option Node.ty) "hops" Codec.int)
+
+let p_predecessor = Rpc.proc "predecessor" Rpc.no_args (Codec.option Node.ty)
+let p_successors = Rpc.proc "successors" Rpc.no_args (Codec.list Node.ty)
+let p_notify = Rpc.proc "notify" (Rpc.arg Node.ty) Codec.unit
+
+let acall t n p arg =
+  match Rpc.invoke t.env n.Node.addr ~timeout:t.cfg.rpc_timeout p arg with
   | Ok v ->
       Hashtbl.remove t.misses n.Node.id;
       Ok v
@@ -100,7 +117,7 @@ let closest_preceding_candidates t key =
   (* closest to the key first: maximal clockwise position before key *)
   List.sort (fun a b -> Int.compare (dist_cw t a.Node.id key) (dist_cw t b.Node.id key)) uniq
 
-let rec find_successor t key ~hops =
+let find_successor t key ~hops =
   match first_successor t with
   | None -> Some (t.self, hops)
   | Some succ when between t key t.self.Node.id succ.Node.id ~incl_lo:false ~incl_hi:true ->
@@ -110,31 +127,24 @@ let rec find_successor t key ~hops =
       let rec attempt = function
         | [] -> Some (t.self, hops) (* nobody closer is alive: we answer *)
         | n0 :: rest -> (
-            match acall t n0 "find_successor" [ Codec.Int key; Codec.Int (hops + 1) ] with
-            | Ok v -> (
-                match Codec.member "node" v with
-                | Codec.Null -> None
-                | nv -> Some (Node.of_value nv, Codec.to_int (Codec.member "hops" v)))
+            match acall t n0 p_find_successor (key, hops + 1) with
+            | Ok (Some n, h) -> Some (n, h)
+            | Ok (None, _) -> None
             | Error () -> attempt rest)
       in
       attempt (closest_preceding_candidates t key)
 
-and handle_find_successor t args =
-  match args with
-  | [ key; hops ] -> (
-      match find_successor t (Codec.to_int key) ~hops:(Codec.to_int hops) with
-      | Some (n, h) -> Codec.Assoc [ ("node", Node.to_value n); ("hops", Codec.Int h) ]
-      | None -> Codec.Assoc [ ("node", Codec.Null); ("hops", Codec.Int 0) ])
-  | _ -> failwith "find_successor: bad arguments"
+let handle_find_successor t (key, hops) =
+  match find_successor t key ~hops with Some (n, h) -> (Some n, h) | None -> (None, 0)
 
 let notify t n0 = learn t n0
 
 let join t n0 =
-  match acall t n0 "find_successor" [ Codec.Int t.self.Node.id; Codec.Int 0 ] with
-  | Ok v ->
-      (match Codec.member "node" v with Codec.Null -> () | nv -> learn t (Node.of_value nv));
+  match acall t n0 p_find_successor (t.self.Node.id, 0) with
+  | Ok (found, _) ->
+      Option.iter (learn t) found;
       (match first_successor t with
-      | Some succ -> ignore (acall t succ "notify" [ Node.to_value t.self ])
+      | Some succ -> ignore (acall t succ p_notify t.self)
       | None -> ())
   | Error () -> () (* rendezvous unreachable; the app-level join-retry loop tries again *)
 
@@ -144,22 +154,31 @@ let stabilize t =
   let rec with_first_live = function
     | [] -> ()
     | s :: rest -> (
-        match acall t s "predecessor" [] with
+        match acall t s p_predecessor () with
         | Error () -> with_first_live rest
-        | Ok pv ->
-            (match Node.opt_of_value pv with
+        | Ok pred ->
+            (match pred with
             | Some x
               when between t x.Node.id t.self.Node.id s.Node.id ~incl_lo:false ~incl_hi:false ->
                 learn t x
             | _ -> ());
-            (match acall t s "successors" [] with
-            | Ok (Codec.List l) -> List.iter (fun v -> learn t (Node.of_value v)) l
-            | Ok _ | Error () -> ());
+            (match acall t s p_successors () with
+            | Ok l -> List.iter (learn t) l
+            | Error () -> ());
             (match first_successor t with
-            | Some s' -> ignore (acall t s' "notify" [ Node.to_value t.self ])
+            | Some s' -> ignore (acall t s' p_notify t.self)
             | None -> ()))
   in
   with_first_live t.succs
+
+(* A joined node whose successors were all suspected asks its rendezvous
+   again, the way it joined. *)
+let rejoin t =
+  match t.env.Env.nodes with
+  | rendezvous :: _ when t.stranded && t.env.Env.position > 1 ->
+      t.stranded <- false;
+      join t (Node.make ~id:0 ~addr:rendezvous)
+  | _ -> ()
 
 let check_predecessors t =
   match t.preds with
@@ -187,13 +206,13 @@ let fix_fingers t =
               ~modulus:(modulus t)
           in
           let candidates =
-            match acall t n "successors" [] with
-            | Ok (Codec.List l) ->
+            match acall t n p_successors () with
+            | Ok l ->
                 n
-                :: (List.map Node.of_value l
-                   |> List.filter (fun s ->
-                          between t s.Node.id target span_end ~incl_lo:true ~incl_hi:false))
-            | Ok _ | Error () -> [ n ]
+                :: List.filter
+                     (fun s -> between t s.Node.id target span_end ~incl_lo:true ~incl_hi:false)
+                     l
+            | Error () -> [ n ]
           in
           List.fold_left (fun best c -> if closer t c best then c else best)
             (List.hd candidates) candidates
@@ -215,22 +234,18 @@ let app ?(config = default_config) ~register env =
       refresh = 0;
       misses = Hashtbl.create 16;
       n_suspected = 0;
+      stranded = false;
     }
   in
   register t;
-  Rpc.server env
-    [
-      ("find_successor", handle_find_successor t);
-      ("predecessor", fun _ -> Node.opt_to_value (match t.preds with [] -> None | p :: _ -> Some p));
-      ("successors", fun _ -> Codec.List (List.map Node.to_value t.succs));
-      ( "notify",
-        fun args ->
-          (match args with
-          | [ n ] -> notify t (Node.of_value n)
-          | _ -> failwith "notify: bad arguments");
-          Codec.Null );
-    ];
-  ignore (Env.periodic env config.stabilize_interval (fun () -> stabilize t));
+  Rpc.handle env p_find_successor (handle_find_successor t);
+  Rpc.handle env p_predecessor (fun () -> match t.preds with [] -> None | p :: _ -> Some p);
+  Rpc.handle env p_successors (fun () -> t.succs);
+  Rpc.handle env p_notify (fun n -> notify t n);
+  ignore
+    (Env.periodic env config.stabilize_interval (fun () ->
+         rejoin t;
+         stabilize t));
   ignore (Env.periodic env config.stabilize_interval (fun () -> check_predecessors t));
   ignore (Env.periodic env config.stabilize_interval (fun () -> fix_fingers t));
   Env.sleep (Float.of_int env.Env.position *. config.join_delay_per_position);

@@ -31,10 +31,10 @@ let shuffles_done t = t.n_shuffles
 let is_stopped t = Env.is_stopped t.env
 
 let entry_to_value e =
-  Codec.Assoc [ ("n", Node.to_value e.node); ("age", Codec.Int e.age) ]
+  Codec.Assoc [ ("n", Node.ty.Codec.to_value e.node); ("age", Codec.Int e.age) ]
 
 let entry_of_value v =
-  { node = Node.of_value (Codec.member "n" v); age = Codec.to_int (Codec.member "age" v) }
+  { node = Node.ty.Codec.of_value (Codec.member "n" v); age = Codec.to_int (Codec.member "age" v) }
 
 (* Merge received entries into the cache: never ourselves, never
    duplicates (keep the fresher), evict entries we just sent away first,

@@ -228,6 +228,28 @@ let queue_store t ~key ~value =
     `Stored
   end
 
+(* {2 The RPC surface}
+
+   A store answers [None] when it stored the value and [Some false] when
+   admission control shed it: on the wire, [null] and [false]. A fetch
+   answers the value, a miss or a shed: a string, [null] or [false]. *)
+
+let fetched =
+  let to_value = function
+    | `Value v -> Codec.String v
+    | `Miss -> Codec.Null
+    | `Shed -> Codec.Bool false
+  in
+  {
+    Codec.size =
+      (function `Value v -> Codec.string.size v | r -> Codec.encoded_size (to_value r));
+    to_value;
+    of_value = (function Codec.String v -> `Value v | Codec.Bool false -> `Shed | _ -> `Miss);
+  }
+
+let p_store = Rpc.proc "kv.store" (Rpc.args2 Codec.string Codec.string) (Codec.option Codec.bool)
+let p_fetch = Rpc.proc "kv.fetch" (Rpc.arg Codec.string) fetched
+
 (* {2 Client-side operations} *)
 
 (* {3 Owner memo}
@@ -289,11 +311,8 @@ let put_r t ~key ~value =
           incr acks
         end
         else
-          match
-            Rpc.a_call t.env owner.Node.addr ~timeout:t.cfg.rpc_timeout "kv.store"
-              [ Codec.String key; Codec.String value ]
-          with
-          | Ok (Codec.Bool false) ->
+          match Rpc.invoke t.env owner.Node.addr ~timeout:t.cfg.rpc_timeout p_store (key, value) with
+          | Ok (Some false) ->
               (* shed by admission control: no ack, but the owner is
                  healthy — do not feed the failure detector *)
               incr sheds
@@ -314,19 +333,13 @@ let fetch_from_r t ~key owner =
     match fetch_local t ~key with Some v -> `Value v | None -> `Miss
   else begin
     let t0 = now t in
-    match
-      Rpc.a_call t.env owner.Node.addr ~timeout:t.cfg.rpc_timeout "kv.fetch"
-        [ Codec.String key ]
-    with
-    | Ok (Codec.String v) ->
-        observe_rtt t owner.Node.addr (now t -. t0);
-        `Value v
-    | Ok (Codec.Bool false) ->
+    match Rpc.invoke t.env owner.Node.addr ~timeout:t.cfg.rpc_timeout p_fetch key with
+    | Ok `Shed ->
         observe_rtt t owner.Node.addr (now t -. t0 +. t.cfg.slo_budget);
         `Shed
-    | Ok _ ->
+    | Ok r ->
         observe_rtt t owner.Node.addr (now t -. t0);
-        `Miss
+        r
     | Error _ ->
         Pastry.report_failure t.p owner;
         `Miss
@@ -434,29 +447,18 @@ let create ?(config = default_config) p =
     }
   in
   let serving = config.serve_cost > 0.0 in
-  Rpc.add_handler env "kv.store" (fun args ->
-      match args with
-      | [ Codec.String key; Codec.String value ] ->
-          if serving then
-            match queue_store t ~key ~value with
-            | `Stored -> Codec.Null
-            | `Shed -> Codec.Bool false
-          else begin
-            store_local t ~key ~value;
-            Codec.Null
-          end
-      | _ -> failwith "kv.store: bad arguments");
-  Rpc.add_handler env "kv.fetch" (fun args ->
-      match args with
-      | [ Codec.String key ] ->
-          if serving then
-            match queue_fetch t ~key with
-            | `Value (Some v) -> Codec.String v
-            | `Value None -> Codec.Null
-            | `Shed -> Codec.Bool false
-          else (
-            match fetch_local t ~key with Some v -> Codec.String v | None -> Codec.Null)
-      | _ -> failwith "kv.fetch: bad arguments");
+  Rpc.handle env p_store (fun (key, value) ->
+      if serving then
+        match queue_store t ~key ~value with `Stored -> None | `Shed -> Some false
+      else begin
+        store_local t ~key ~value;
+        None
+      end);
+  Rpc.handle env p_fetch (fun key ->
+      let found = function Some v -> `Value v | None -> `Miss in
+      if serving then
+        match queue_fetch t ~key with `Value v -> found v | `Shed -> `Shed
+      else found (fetch_local t ~key));
   if config.republish_interval > 0.0 then
     ignore (Env.periodic env config.republish_interval (fun () -> republish t));
   t

@@ -1,6 +1,6 @@
 (* Shared node representation for the overlay applications: an endpoint
-   plus its position on the identifier ring, with the wire encoding used in
-   RPC arguments. *)
+   plus its position on the identifier ring, with its message type for
+   RPC arguments and results. *)
 
 module Codec = Splay_runtime.Codec
 
@@ -56,9 +56,13 @@ let of_value v =
       if port = min_int then parse v else { id; addr = { Addr.host; port } }
   | _ -> parse v
 
-let opt_to_value = function None -> Codec.Null | Some n -> to_value n
+(* [{"id":I,"a":"H:P"}]: the braces, the two quoted keys with their
+   colons, the comma and the address's quotes and colon are 15 bytes. *)
+let size n =
+  15 + Addr.decimal_length n.id + Addr.decimal_length n.addr.Addr.host
+  + Addr.decimal_length n.addr.Addr.port
 
-let opt_of_value = function Codec.Null -> None | v -> Some (of_value v)
+let ty = { Codec.size; to_value; of_value }
 
 (* Derive this instance's identity: a random ring position (as the paper's
    Chord does) or a hash of ip:port (as deployed DHTs do). *)

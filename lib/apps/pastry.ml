@@ -194,8 +194,17 @@ let suspect t n =
   end
   else Hashtbl.replace s.misses n.Node.id k
 
-let acall t n proc args =
-  match Rpc.a_call t.env n.Node.addr ~timeout:t.cfg.rpc_timeout proc args with
+(* The RPC surface. *)
+let p_route =
+  Rpc.proc "p.route" (Rpc.args2 Codec.int Codec.int)
+    (Codec.record2 "node" (Codec.option Node.ty) "hops" Codec.int)
+
+let p_join = Rpc.proc "p.join" (Rpc.args2 Codec.int Codec.int) (Codec.list Node.ty)
+let p_leafset = Rpc.proc "p.leafset" Rpc.no_args (Codec.list Node.ty)
+let p_announce = Rpc.proc "p.announce" (Rpc.arg Node.ty) Codec.unit
+
+let acall t n p arg =
+  match Rpc.invoke t.env n.Node.addr ~timeout:t.cfg.rpc_timeout p arg with
   | Ok v ->
       Option.iter (fun s -> Hashtbl.remove s.misses n.Node.id) t.suspicion;
       Ok v
@@ -271,27 +280,19 @@ let rec route t key ~hops =
         match decide t ~excluded key with
         | Deliver -> Some (t.self, hops)
         | Forward n -> (
-            match acall t n "p.route" [ Codec.Int key; Codec.Int (hops + 1) ] with
-            | Ok v -> (
-                match Codec.member "node" v with
-                | Codec.Null -> attempts (k - 1) (n :: excluded)
-                | nv -> Some (Node.of_value nv, Codec.to_int (Codec.member "hops" v)))
-            | Error () -> attempts (k - 1) (n :: excluded))
+            match acall t n p_route (key, hops + 1) with
+            | Ok (Some owner, h) -> Some (owner, h)
+            | Ok (None, _) | Error () -> attempts (k - 1) (n :: excluded))
     in
     attempts 6 []
   end
 
-and handle_route t args =
-  match args with
-  | [ key; hops ] -> (
-      if t.cfg.per_hop_overhead > 0.0 then begin
-        let m = Testbed.service_mult (Net.testbed t.env.Env.net) t.self.Node.addr.Addr.host in
-        Env.sleep (t.cfg.per_hop_overhead *. m)
-      end;
-      match route t (Codec.to_int key) ~hops:(Codec.to_int hops) with
-      | Some (n, h) -> Codec.Assoc [ ("node", Node.to_value n); ("hops", Codec.Int h) ]
-      | None -> Codec.Assoc [ ("node", Codec.Null); ("hops", Codec.Int 0) ])
-  | _ -> failwith "p.route: bad arguments"
+and handle_route t (key, hops) =
+  if t.cfg.per_hop_overhead > 0.0 then begin
+    let m = Testbed.service_mult (Net.testbed t.env.Env.net) t.self.Node.addr.Addr.host in
+    Env.sleep (t.cfg.per_hop_overhead *. m)
+  end;
+  match route t key ~hops with Some (n, h) -> (Some n, h) | None -> (None, 0)
 
 let lookup t key = route t key ~hops:0
 
@@ -306,36 +307,29 @@ let join_payload t xid =
   in
   t.self :: (rows @ leafset t)
 
-let handle_join t args =
-  match args with
-  | [ xid_v; hops_v ] ->
-      let xid = Codec.to_int xid_v and hops = Codec.to_int hops_v in
-      let mine = join_payload t xid in
-      let deeper =
-        if hops > max_hops then []
-        else
-          match decide t xid with
-          | Deliver -> []
-          | Forward n -> (
-              match acall t n "p.join" [ Codec.Int xid; Codec.Int (hops + 1) ] with
-              | Ok (Codec.List l) -> List.map Node.of_value l
-              | Ok _ | Error () -> [])
-      in
-      Codec.List (List.map Node.to_value (mine @ deeper))
-  | _ -> failwith "p.join: bad arguments"
+let handle_join t (xid, hops) =
+  let mine = join_payload t xid in
+  let deeper =
+    if hops > max_hops then []
+    else
+      match decide t xid with
+      | Deliver -> []
+      | Forward n -> ( match acall t n p_join (xid, hops + 1) with Ok l -> l | Error () -> [])
+  in
+  mine @ deeper
 
 let announce t =
   let targets = List.filter (fun n -> not (Node.equal n t.self)) (all_known t) in
   List.iter
-    (fun n -> ignore (acall t n "p.announce" [ Node.to_value t.self ]))
+    (fun n -> ignore (acall t n p_announce t.self))
     targets
 
 let join t bootstrap =
-  match acall t bootstrap "p.join" [ Codec.Int t.self.Node.id; Codec.Int 0 ] with
-  | Ok (Codec.List l) ->
-      List.iter (fun v -> learn t (Node.of_value v)) l;
+  match acall t bootstrap p_join (t.self.Node.id, 0) with
+  | Ok l ->
+      List.iter (learn t) l;
       announce t
-  | Ok _ | Error () -> ()
+  | Error () -> ()
 
 (* Periodic maintenance: exchange leafsets with a random neighbor, check
    the closest ring neighbors are alive, probe a few table entries — and
@@ -345,17 +339,17 @@ let join t bootstrap =
 let stabilize t =
   (match t.bootstrap with
   | Some b when (not (Addr.equal b t.self.Node.addr)) && Rng.chance t.p_rng 0.2 -> (
-      match Rpc.a_call t.env b ~timeout:t.cfg.rpc_timeout "p.leafset" [] with
-      | Ok (Codec.List l) -> List.iter (fun v -> learn t (Node.of_value v)) l
-      | Ok _ | Error _ -> ())
+      match Rpc.invoke t.env b ~timeout:t.cfg.rpc_timeout p_leafset () with
+      | Ok l -> List.iter (learn t) l
+      | Error _ -> ())
   | _ -> ());
   (match leafset t with
   | [] -> ()
   | leaves -> (
       let peer = Rng.pick_list t.p_rng leaves in
-      match acall t peer "p.leafset" [] with
-      | Ok (Codec.List l) -> List.iter (fun v -> learn t (Node.of_value v)) l
-      | Ok _ | Error () -> ()));
+      match acall t peer p_leafset () with
+      | Ok l -> List.iter (learn t) l
+      | Error () -> ()));
   (match t.left with p :: _ -> if not (Rpc.ping t.env ~timeout:t.cfg.rpc_timeout p.Node.addr) then suspect t p | [] -> ());
   (match t.right with s :: _ -> if not (Rpc.ping t.env ~timeout:t.cfg.rpc_timeout s.Node.addr) then suspect t s | [] -> ());
   (* also probe random leafset members: failures further out in the
@@ -378,18 +372,10 @@ let stabilize t =
       done
 
 let serve t =
-  Rpc.server t.env
-    [
-      ("p.route", handle_route t);
-      ("p.join", handle_join t);
-      ("p.leafset", fun _ -> Codec.List (List.map Node.to_value (t.self :: leafset t)));
-      ( "p.announce",
-        fun args ->
-          (match args with
-          | [ nv ] -> learn t (Node.of_value nv)
-          | _ -> failwith "p.announce: bad arguments");
-          Codec.Null );
-    ]
+  Rpc.handle t.env p_route (handle_route t);
+  Rpc.handle t.env p_join (handle_join t);
+  Rpc.handle t.env p_leafset (fun () -> t.self :: leafset t);
+  Rpc.handle t.env p_announce (fun n -> learn t n)
 
 let app ?(config = default_config) ~register env =
   if config.bits mod config.b <> 0 then invalid_arg "Pastry: bits must be a multiple of b";

@@ -56,7 +56,7 @@ let graft t ~topic =
       | Some parent -> (
           match
             Rpc.a_call t.env parent.Node.addr ~timeout:t.rpc_timeout "scribe.join"
-              [ Codec.Int topic; Node.to_value (self t) ]
+              [ Codec.Int topic; Node.ty.Codec.to_value (self t) ]
           with
           | Ok _ -> ()
           | Error _ ->
@@ -69,7 +69,7 @@ let graft t ~topic =
 let handle_join t args =
   match args with
   | [ topic_v; child_v ] ->
-      let topic = Codec.to_int topic_v and child = Node.of_value child_v in
+      let topic = Codec.to_int topic_v and child = Node.ty.Codec.of_value child_v in
       let was_in_tree = is_forwarder t ~topic || is_subscribed t ~topic in
       add_child t ~topic child;
       if not was_in_tree then graft t ~topic;

@@ -308,3 +308,53 @@ let rec equal a b =
       List.length x = List.length y
       && List.for_all2 (fun (k1, v1) (k2, v2) -> String.equal k1 k2 && equal v1 v2) x y
   | _ -> false
+
+(* {2 Message types} *)
+
+type 'a ty = { size : 'a -> int; to_value : 'a -> value; of_value : value -> 'a }
+
+let value = { size = encoded_size; to_value = Fun.id; of_value = Fun.id }
+
+let int = { size = Addr.decimal_length; to_value = (fun i -> Int i); of_value = to_int }
+
+let string = { size = escaped_length; to_value = (fun s -> String s); of_value = to_string }
+
+let bool =
+  { size = (fun b -> if b then 4 else 5); to_value = (fun b -> Bool b); of_value = to_bool }
+
+let unit =
+  {
+    size = (fun () -> 4);
+    to_value = (fun () -> Null);
+    of_value = (function Null -> () | v -> fail "expected null, got %s" (encode v));
+  }
+
+let option t =
+  {
+    size = (function None -> 4 | Some x -> t.size x);
+    to_value = (function None -> Null | Some x -> t.to_value x);
+    of_value = (function Null -> None | v -> Some (t.of_value v));
+  }
+
+(* [encoded_size]'s [List] production over the elements' own sizes. *)
+let rec elements_size t acc = function [] -> acc | x :: rest -> elements_size t (acc + 1 + t.size x) rest
+
+let list t =
+  {
+    size = (function [] -> 2 | l -> elements_size t 1 l);
+    to_value = (fun l -> List (List.map t.to_value l));
+    of_value = (fun v -> List.map t.of_value (to_list v));
+  }
+
+let record2 k1 t1 k2 t2 =
+  (* the braces, the two quoted keys, their colons and the comma *)
+  let frame = 5 + escaped_length k1 + escaped_length k2 in
+  {
+    size = (fun (a, b) -> frame + t1.size a + t2.size b);
+    to_value = (fun (a, b) -> Assoc [ (k1, t1.to_value a); (k2, t2.to_value b) ]);
+    of_value =
+      (function
+      | Assoc [ (j1, v1); (j2, v2) ] when String.equal j1 k1 && String.equal j2 k2 ->
+          (t1.of_value v1, t2.of_value v2)
+      | v -> (t1.of_value (member k1 v), t2.of_value (member k2 v)));
+  }

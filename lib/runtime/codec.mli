@@ -1,10 +1,15 @@
 (** Serialization: the [json] + [llenc] pair of SPLAY's library stack.
 
-    RPC arguments and return values are structured {!value}s; {!encode}
-    renders them in a compact JSON-compatible text form (which also gives
-    realistic message sizes to the network model) and {!decode} parses them
-    back. {!frame}/{!unframe} add the length-prefixed message demarcation
-    that [llenc] provides over stream transports. *)
+    A message's wire form is a structured {!value}; {!encode} renders it in
+    a compact JSON-compatible text form and {!decode} parses it back.
+    {!frame}/{!unframe} add the length-prefixed message demarcation that
+    [llenc] provides over stream transports.
+
+    A message type {!ty} connects an OCaml type to that wire form. In the
+    simulator an RPC argument or result travels as its OCaml value and
+    the network model charges [size x] bytes, the length of its encoding,
+    computed without building it; only a transport that leaves the
+    process (the live daemons' tunnels) calls [to_value] and [of_value]. *)
 
 type value =
   | Null
@@ -49,3 +54,31 @@ val member : string -> value -> value
 (** Field of an [Assoc]; {!Parse_error} if absent. *)
 
 val equal : value -> value -> bool
+
+(** {1 Message types} *)
+
+type 'a ty = {
+  size : 'a -> int;  (** [size x = encoded_size (to_value x)], for every [x] *)
+  to_value : 'a -> value;
+  of_value : value -> 'a;  (** raises {!Parse_error} on a wrong shape *)
+}
+
+val value : value ty
+(** The tree itself: the untyped instance. *)
+
+val int : int ty
+val string : string ty
+val bool : bool ty
+
+val unit : unit ty
+(** [Null]. *)
+
+val option : 'a ty -> 'a option ty
+(** [None] is [Null], [Some x] is [x]'s own form; so [x] itself must never
+    encode as [Null]. *)
+
+val list : 'a ty -> 'a list ty
+
+val record2 : string -> 'a ty -> string -> 'b ty -> ('a * 'b) ty
+(** [record2 k1 t1 k2 t2] is the object [{k1: a, k2: b}] of the pair
+    [(a, b)]. Parsing takes the fields by name in any order. *)

@@ -1,5 +1,18 @@
 module Engine = Splay_sim.Engine
 
+type 'a rpc_args = {
+  size : 'a -> int;
+  to_values : 'a -> Codec.value list;
+  of_values : Codec.value list -> 'a;
+}
+
+type ('a, 'b) rpc_shape = { args : 'a rpc_args; result : 'b Codec.ty; id : ('a -> 'b) Type.Id.t }
+type ('a, 'b) rpc_proc = { name : string; shape : ('a, 'b) rpc_shape }
+
+type rpc_handler =
+  | Handler : ('a, 'b) rpc_proc * ('a -> 'b) -> rpc_handler
+  | Named : string * (Codec.value list -> Codec.value) -> rpc_handler
+
 type t = {
   net : Net.t;
   me : Addr.t;
@@ -16,12 +29,12 @@ type t = {
   mutable stop_hooks : (unit -> unit) list;
   mutable rpc_pending_tbl : (int, rpc_call) Hashtbl.t option;
   mutable rpc_next_rid : int;
-  mutable rpc_handlers : (string * (Codec.value list -> Codec.value)) list;
+  mutable rpc_handlers : rpc_handler list;
   mutable rpc_bound : bool;
   mutable rpc_rng : Splay_sim.Rng.t option;
 }
 
-and rpc_call = (Codec.value, string) result Engine.waker
+and rpc_call = Net.payload Engine.waker
 
 let engine t = Net.engine t.net
 

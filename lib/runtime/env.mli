@@ -7,6 +7,35 @@
     instance creates, so the daemon can stop the whole instance at once
     (churn, FREE command, sandbox kill). *)
 
+(** {1 RPC descriptors}
+
+    {!Rpc}'s typed procedures, declared here because an instance holds
+    its handlers. Build them with [Rpc.proc]. *)
+
+type 'a rpc_args = {
+  size : 'a -> int;  (** the byte count of the argument list: the sum of its values' *)
+  to_values : 'a -> Codec.value list;
+  of_values : Codec.value list -> 'a;
+}
+(** A procedure's argument list. *)
+
+type ('a, 'b) rpc_shape = {
+  args : 'a rpc_args;
+  result : 'b Codec.ty;
+  id : ('a -> 'b) Type.Id.t;
+      (** two shapes carry values of the same types when their ids are
+          provably equal *)
+}
+
+type ('a, 'b) rpc_proc = { name : string; shape : ('a, 'b) rpc_shape }
+
+(** One registered procedure. [Named] is the untyped instance,
+    [Codec.value list -> Codec.value], kept in the same three words as a
+    typed entry: its shape is shared by every untyped procedure. *)
+type rpc_handler =
+  | Handler : ('a, 'b) rpc_proc * ('a -> 'b) -> rpc_handler
+  | Named : string * (Codec.value list -> Codec.value) -> rpc_handler
+
 type t = {
   net : Net.t;
   me : Addr.t;
@@ -33,17 +62,19 @@ type t = {
      scale an empty-but-allocated Hashtbl would cost ~22 words per node. *)
   mutable rpc_pending_tbl : (int, rpc_call) Hashtbl.t option;
   mutable rpc_next_rid : int;
-  mutable rpc_handlers : (string * (Codec.value list -> Codec.value)) list;
-      (** procedure name -> handler, one binding per name (an instance
-          registers a handful); {!Rpc.add_handler} replaces on
-          re-registration (last registration wins) *)
+  mutable rpc_handlers : rpc_handler list;
+      (** one binding per procedure name (an instance registers a
+          handful); a registration replaces the binding of its name
+          (last registration wins) *)
   mutable rpc_bound : bool;
   mutable rpc_rng : Splay_sim.Rng.t option; (* lazy; use {!rpc_rng} *)
 }
 
 (** One outstanding RPC attempt: its caller's waker, keyed by rid in the
-    pending table. A reply, the attempt's timeout or a kill settles it. *)
-and rpc_call = (Codec.value, string) result Splay_sim.Engine.waker
+    pending table. The reply payload itself settles it, and the caller
+    takes its result out; the attempt's timeout or a kill also settles
+    it. *)
+and rpc_call = Net.payload Splay_sim.Engine.waker
 
 val create :
   ?position:int ->

@@ -11,8 +11,6 @@ let error_to_string = function
 
 exception Rpc_error of error
 
-type handler = Codec.value list -> Codec.value
-
 type options = { timeout : float; retries : int; backoff : float; backoff_jitter : float }
 
 let default_options = { timeout = 120.0; retries = 0; backoff = 0.0; backoff_jitter = 0.0 }
@@ -30,80 +28,158 @@ let h_latency = Obs.histogram "rpc.latency"
 let h_serve_time = Obs.histogram "rpc.serve_time"
 let h_bytes = Obs.histogram "rpc.request_bytes"
 
+(* {2 Procedures}
+
+   A procedure's shape is its argument list, its result type and a type
+   witness. A typed procedure names one shape; the untyped instance
+   [values] is the one shape every string-named procedure shares. *)
+
+type 'a args = 'a Env.rpc_args
+type ('a, 'b) proc = ('a, 'b) Env.rpc_proc
+
+let bad_args n = raise (Codec.Parse_error (Printf.sprintf "expected %d argument(s)" n))
+
+let no_args : unit args =
+  { size = (fun () -> 0); to_values = (fun () -> []); of_values = (function [] -> () | _ -> bad_args 0) }
+
+let arg (t : 'a Codec.ty) : 'a args =
+  {
+    size = t.size;
+    to_values = (fun x -> [ t.to_value x ]);
+    of_values = (function [ v ] -> t.of_value v | _ -> bad_args 1);
+  }
+
+let args2 (t1 : 'a Codec.ty) (t2 : 'b Codec.ty) : ('a * 'b) args =
+  {
+    size = (fun (a, b) -> t1.size a + t2.size b);
+    to_values = (fun (a, b) -> [ t1.to_value a; t2.to_value b ]);
+    of_values = (function [ a; b ] -> (t1.of_value a, t2.of_value b) | _ -> bad_args 2);
+  }
+
+let proc name args result : (_, _) proc =
+  { name; shape = { args; result; id = Type.Id.make () } }
+
+let rec values_size acc = function
+  | [] -> acc
+  | v :: rest -> values_size (acc + Codec.encoded_size v) rest
+
+let values : (Codec.value list, Codec.value) Env.rpc_shape =
+  {
+    args = { size = values_size 0; to_values = Fun.id; of_values = Fun.id };
+    result = Codec.value;
+    id = Type.Id.make ();
+  }
+
+(* A value of one shape as the same message of another: itself when the
+   two are provably the same types (always, in one simulation), else
+   through its tree (a request or reply decoded from the wire carries the
+   untyped shape, and the handler's or the caller's shape parses it). *)
+let cast_args : type a b c d. (a, b) Env.rpc_shape -> (c, d) Env.rpc_shape -> a -> c =
+ fun src dst x ->
+  match Type.Id.provably_equal src.id dst.id with
+  | Some Type.Equal -> x
+  | None -> dst.args.of_values (src.args.to_values x)
+
+let cast_result : type a b c d. (a, b) Env.rpc_shape -> (c, d) Env.rpc_shape -> b -> d =
+ fun src dst x ->
+  match Type.Id.provably_equal src.id dst.id with
+  | Some Type.Equal -> x
+  | None -> dst.result.of_value (src.result.to_value x)
+
 (* The request envelope carries the caller's trace context ([Obs.null_ctx]
    when tracing is off): the serve span on the callee is created as its
    child, which is what stitches one logical request into a single causal
    trace across nodes. A negative [rid] marks a one-way request
-   ({!notify}): the callee runs the handler but sends no reply. *)
+   ({!notify}): the callee runs the handler but sends no reply. A reply
+   carries the shape of the handler that produced it. *)
 type Net.payload +=
-  | Request of { rid : int; proc : string; args : Codec.value list; ctx : Obs.ctx }
-  | Reply of { rid : int; result : (Codec.value, string) result }
+  | Request : {
+      rid : int;
+      name : string;
+      shape : ('a, 'b) Env.rpc_shape;
+      args : 'a;
+      ctx : Obs.ctx;
+    }
+      -> Net.payload
+  | Reply : { rid : int; shape : ('a, 'b) Env.rpc_shape; result : ('b, string) result } -> Net.payload
 
-let request_size proc args =
-  32 + String.length proc + List.fold_left (fun acc a -> acc + Codec.encoded_size a) 0 args
+let request_size name (shape : _ Env.rpc_shape) args = 32 + String.length name + shape.args.size args
 
-let reply_size = function
-  | Ok v -> 32 + Codec.encoded_size v
+let reply_size (type a b) (shape : (a, b) Env.rpc_shape) : (b, string) result -> int = function
+  | Ok v -> 32 + shape.result.size v
   | Error m -> 32 + String.length m
 
-(* Last registration wins: any previous binding for [name] is dropped, so
-   a handler can be re-registered (e.g. on reconfiguration) without
+let handler_name = function Env.Handler (p, _) -> p.name | Env.Named (n, _) -> n
+
+(* Last registration wins: any previous binding for the name is dropped,
+   so a handler can be re-registered (e.g. on reconfiguration) without
    leaking the old one or shadowing it. An instance registers 1-10
    procedures, so a list scan beats hashing and costs no table. *)
-let add_handler env name h =
+let register env h =
+  let name = handler_name h in
+  let named h = String.equal (handler_name h) name in
   let hs = env.Env.rpc_handlers in
-  env.Env.rpc_handlers <-
-    (name, h) :: (if List.mem_assoc name hs then List.remove_assoc name hs else hs)
+  env.Env.rpc_handlers <- h :: (if List.exists named hs then List.filter (fun h -> not (named h)) hs else hs)
+
+let add_handler env name h = register env (Env.Named (name, h))
 
 (* Every bound endpoint answers [__ping] ({!ping}) unless the app binds
    that name itself: an implicit last binding rather than a list entry
    per instance. *)
-let ping_handler = Some (fun _ -> Codec.Null)
+let ping_handler = Some (Env.Named ("__ping", fun _ -> Codec.Null))
 
-let rec find_handler proc = function
-  | [] -> if String.equal proc "__ping" then ping_handler else None
-  | (name, h) :: rest -> if String.equal name proc then Some h else find_handler proc rest
+let rec find_handler name = function
+  | [] -> if String.equal name "__ping" then ping_handler else None
+  | h :: rest -> if String.equal (handler_name h) name then Some h else find_handler name rest
 
-let send_reply env ~dst rid result =
-  try Sb_socket.send env ~dst ~size:(reply_size result) (Reply { rid; result })
-  with Sb_socket.Network_error _ -> ()
+let run : type a b c d. (a, b) Env.rpc_shape -> a -> (c, d) Env.rpc_shape -> (c -> d) -> (d, string) result =
+ fun shape args hshape f ->
+  try Ok (f (cast_args shape hshape args)) with
+  | Engine.Process_killed as e -> raise e
+  | e -> Error (Printexc.to_string e)
+
+(* The serve side's closing bookkeeping and, for a two-way request, the
+   reply, which carries the handler's shape. Inlined, so the start time
+   stays an unboxed float. *)
+let[@inline] served (type c d) env ~src ~rid ~t0 sp (hshape : (c, d) Env.rpc_shape)
+    (result : (d, string) result) =
+  Obs.incr c_served;
+  if !Obs.enabled || !Obs.metrics_enabled then
+    Obs.observe h_serve_time ((Engine.clock (Env.engine env)).v -. t0);
+  if !Obs.enabled then
+    Obs.finish ~attrs:[ ("outcome", match result with Ok _ -> "ok" | Error _ -> "error") ] sp;
+  if rid >= 0 then
+    try
+      Sb_socket.send env ~dst:src ~size:(reply_size hshape result)
+        (Reply { rid; shape = hshape; result })
+    with Sb_socket.Network_error _ -> ()
+
+let serve env ~src = function
+  | Request { rid; name; shape; args; ctx } -> (
+      let t0 = (Engine.clock (Env.engine env)).v in
+      let sp =
+        if !Obs.enabled then
+          Obs.span ~parent:ctx
+            ~attrs:[ ("proc", name); ("node", Addr.to_string env.Env.me) ]
+            "rpc.serve"
+        else Obs.null_span
+      in
+      match find_handler name env.Env.rpc_handlers with
+      | None ->
+          served env ~src ~rid ~t0 sp values (Error (Printf.sprintf "unknown procedure %S" name))
+      | Some (Env.Handler (p, f)) -> served env ~src ~rid ~t0 sp p.shape (run shape args p.shape f)
+      | Some (Env.Named (_, f)) -> served env ~src ~rid ~t0 sp values (run shape args values f))
+  | _ -> ()
 
 let dispatch env ~src payload =
   match payload with
-  | Request { rid; proc; args; ctx } ->
+  | Request { name; _ } ->
       (* The fiber name only surfaces in traces and crash reports; skip the
          per-request string concat when tracing is off (the engine names
          anonymous procs lazily, so passing [None] allocates nothing). *)
-      let name = if !Obs.enabled then Some ("rpc:" ^ proc) else None in
-      ignore
-        (Env.thread env ?name (fun () ->
-             let clock = Engine.clock (Env.engine env) in
-             let t0 = clock.v in
-             let sp =
-               if !Obs.enabled then
-                 Obs.span ~parent:ctx
-                   ~attrs:[ ("proc", proc); ("node", Addr.to_string env.Env.me) ]
-                   "rpc.serve"
-               else Obs.null_span
-             in
-             let result =
-               match find_handler proc env.Env.rpc_handlers with
-               | None -> Error (Printf.sprintf "unknown procedure %S" proc)
-               | Some h -> (
-                   try Ok (h args) with
-                   | Engine.Process_killed as e -> raise e
-                   | e -> Error (Printexc.to_string e))
-             in
-             Obs.incr c_served;
-             if !Obs.enabled || !Obs.metrics_enabled then
-               Obs.observe h_serve_time (clock.v -. t0);
-             if !Obs.enabled then
-               Obs.finish
-                 ~attrs:
-                   [ ("outcome", match result with Ok _ -> "ok" | Error _ -> "error") ]
-                 sp;
-             if rid >= 0 then send_reply env ~dst:src rid result))
-  | Reply { rid; result } -> (
+      let pname = if !Obs.enabled then Some ("rpc:" ^ name) else None in
+      ignore (Env.thread env ?name:pname (fun () -> serve env ~src payload))
+  | Reply { rid; _ } -> (
       (* [rpc_pending_opt]: a node that never issued a call has no table,
          and a stray reply should not make it allocate one *)
       match Env.rpc_pending_opt env with
@@ -113,7 +189,7 @@ let dispatch env ~src payload =
           | exception Not_found -> () (* reply after timeout: dropped, as with a late TCP answer *)
           | w ->
               Hashtbl.remove pending rid;
-              Engine.wake w result))
+              Engine.wake w payload))
   | _ -> () (* not RPC traffic; other layers may share the port *)
 
 let ensure_bound env =
@@ -126,6 +202,10 @@ let server env handlers =
   ensure_bound env;
   List.iter (fun (name, h) -> add_handler env name h) handlers
 
+let handle env p f =
+  ensure_bound env;
+  register env (Env.Handler (p, f))
+
 let client env = ensure_bound env
 
 (* A local send failure settles the caller's waker the way a reply does,
@@ -136,26 +216,35 @@ let decode_error m =
   | Some i when String.sub m 0 i = "net" -> Network (String.sub m (i + 1) (String.length m - i - 1))
   | _ -> Remote m
 
+(* The caller's result out of the reply that settled its waker. *)
+let reply_result (type a b) (shape : (a, b) Env.rpc_shape) : Net.payload -> (b, error) result =
+  function
+  | Reply { shape = s; result = Ok v; _ } -> (
+      match cast_result s shape v with
+      | v -> Ok v
+      | exception Codec.Parse_error m -> Error (Remote m))
+  | Reply { result = Error m; _ } -> Error (decode_error m)
+  | _ -> Error (Remote "not a reply") (* only replies settle a call *)
+
 (* One wire attempt: send the request, then park on the pending-table
    entry — the caller's waker — until a reply, the timeout or a local
    send failure settles it. Whichever way the wait ends, the entry leaves
    the table before the caller moves on. *)
-let attempt env dst ~timeout ~size proc args =
+let attempt env dst ~timeout ~size name shape args =
   let rid = env.Env.rpc_next_rid in
   env.Env.rpc_next_rid <- rid + 1;
   let pending = Env.rpc_pending env in
   let w = Engine.waker (Env.engine env) in
   Hashtbl.replace pending rid w;
-  (try Sb_socket.send env ~dst ~size (Request { rid; proc; args; ctx = Obs.current () })
+  (try Sb_socket.send env ~dst ~size (Request { rid; name; shape; args; ctx = Obs.current () })
    with Sb_socket.Network_error m ->
      if Hashtbl.mem pending rid then begin
        Hashtbl.remove pending rid;
-       Engine.wake w (Error ("net:" ^ m))
+       Engine.wake w (Reply { rid; shape; result = Error ("net:" ^ m) })
      end);
   Engine.timeout w timeout;
   match Engine.await w with
-  | Ok v -> Ok v
-  | Error m -> Error (decode_error m)
+  | reply -> reply_result shape reply
   | exception Engine.Timed_out ->
       Hashtbl.remove pending rid;
       Error Timeout
@@ -205,7 +294,7 @@ let close_call env ~t0 ~size sp result attempts =
    spans it causes are distinguishable from the original attempt's. A
    top-level function over explicit arguments, so a call allocates no
    closure around its state. *)
-let rec attempts env dst ~options ~timeout ~size ~t0 sp proc args n ~waited =
+let rec attempts env dst ~options ~timeout ~size ~t0 sp name shape args n ~waited =
   let sp_retry =
     if n > 0 && !Obs.enabled then
       Obs.span
@@ -213,33 +302,35 @@ let rec attempts env dst ~options ~timeout ~size ~t0 sp proc args n ~waited =
         "rpc.retry"
     else Obs.null_span
   in
-  let r = attempt env dst ~timeout ~size proc args in
+  let r = attempt env dst ~timeout ~size name shape args in
   if !Obs.enabled then Obs.finish ~attrs:[ ("outcome", outcome_label r) ] sp_retry;
   match r with
   | Error (Timeout | Network _) when n < options.retries ->
       Obs.incr c_retries;
       let d = retry_delay env options (n + 1) in
       if d > 0.0 then Engine.sleep d;
-      attempts env dst ~options ~timeout ~size ~t0 sp proc args (n + 1) ~waited:d
+      attempts env dst ~options ~timeout ~size ~t0 sp name shape args (n + 1) ~waited:d
   | r -> close_call env ~t0 ~size sp r (n + 1)
 
-(* The [?timeout] shorthand and the [?options] policy compose: an explicit
-   timeout overrides the policy's ([base] when none is given), so
-   [a_call ~timeout] keeps meaning what it always did and a policy can
-   still ride along for retries/backoff. The deadline travels on its own,
-   so the shorthand builds no options record per call. *)
-let a_call_core ~base env dst ?timeout ?options proc args =
+(* The one request path: every call, typed or string-named, goes through
+   here with its name and shape. The [?timeout] shorthand and the
+   [?options] policy compose: an explicit timeout overrides the policy's
+   ([base] when none is given), so [a_call ~timeout] keeps meaning what it
+   always did and a policy can still ride along for retries/backoff. The
+   deadline travels on its own, so the shorthand builds no options record
+   per call. *)
+let call_core ~base env dst ?timeout ?options name shape args =
   let options = match options with Some o -> o | None -> base in
   let timeout = match timeout with Some t -> t | None -> options.timeout in
   ensure_bound env;
-  let size = request_size proc args in
+  let size = request_size name shape args in
   let t0 = Engine.now (Env.engine env) in
   let sp =
     if !Obs.enabled then
       Obs.span
         ~attrs:
           [
-            ("proc", proc);
+            ("proc", name);
             ("src", Addr.to_string env.Env.me);
             ("dst", Addr.to_string dst);
             ("bytes", string_of_int size);
@@ -247,18 +338,21 @@ let a_call_core ~base env dst ?timeout ?options proc args =
         "rpc.call"
     else Obs.null_span
   in
-  attempts env dst ~options ~timeout ~size ~t0 sp proc args 0 ~waited:0.0
+  attempts env dst ~options ~timeout ~size ~t0 sp name shape args 0 ~waited:0.0
 
-let a_call env dst ?timeout ?options proc args =
-  a_call_core ~base:default_options env dst ?timeout ?options proc args
+let invoke env dst ?timeout ?options (p : (_, _) proc) arg =
+  call_core ~base:default_options env dst ?timeout ?options p.name p.shape arg
 
-let call env dst ?timeout ?options proc args =
-  match a_call env dst ?timeout ?options proc args with
+let a_call env dst ?timeout ?options name args =
+  call_core ~base:default_options env dst ?timeout ?options name values args
+
+let call env dst ?timeout ?options name args =
+  match a_call env dst ?timeout ?options name args with
   | Ok v -> v
   | Error e -> raise (Rpc_error e)
 
 let ping env ?timeout ?options dst =
-  match a_call_core ~base:ping_options env dst ?timeout ?options "__ping" [] with
+  match call_core ~base:ping_options env dst ?timeout ?options "__ping" values [] with
   | Ok _ -> true
   | Error _ -> false
 
@@ -271,11 +365,11 @@ let ping env ?timeout ?options dst =
    guarantees (loss, partitions, dead hosts): fire-and-forget. A fan-out
    builds one immutable request, sized once, that every in-flight copy
    shares. *)
-let notify env dsts proc args =
+let notify env dsts name args =
   if dsts <> [] then begin
     ensure_bound env;
-    let size = request_size proc args in
-    let req = Request { rid = -1; proc; args; ctx = Obs.current () } in
+    let size = request_size name values args in
+    let req = Request { rid = -1; name; shape = values; args; ctx = Obs.current () } in
     List.iter
       (fun dst ->
         Obs.incr c_notifies;
@@ -284,25 +378,30 @@ let notify env dsts proc args =
   end
 
 (* Wire serialization of the RPC envelope, for transports that leave the
-   process (the live backend's inter-daemon TCP tunnels). The trace
-   context travels explicitly — it is what stitches one logical request
-   into a single causal trace across real processes. *)
+   process (the live backend's inter-daemon TCP tunnels): the one place a
+   message becomes a tree, through the shape it travels with. A decoded
+   message carries the untyped shape; the handler's shape (for a request)
+   or the caller's (for a reply) parses it on arrival. The trace context
+   travels explicitly — it is what stitches one logical request into a
+   single causal trace across real processes. *)
 
 let payload_to_value = function
-  | Request { rid; proc; args; ctx } ->
+  | Request { rid; name; shape; args; ctx } ->
       Some
         (Codec.Assoc
            [
              ("k", Codec.String "q");
              ("rid", Codec.Int rid);
-             ("proc", Codec.String proc);
-             ("args", Codec.List args);
+             ("proc", Codec.String name);
+             ("args", Codec.List (shape.args.to_values args));
              ("tid", Codec.Int ctx.Obs.tid);
              ("sid", Codec.Int ctx.Obs.sid);
            ])
-  | Reply { rid; result = Ok v } ->
-      Some (Codec.Assoc [ ("k", Codec.String "p"); ("rid", Codec.Int rid); ("ok", v) ])
-  | Reply { rid; result = Error m } ->
+  | Reply { rid; shape; result = Ok v } ->
+      Some
+        (Codec.Assoc
+           [ ("k", Codec.String "p"); ("rid", Codec.Int rid); ("ok", shape.result.to_value v) ])
+  | Reply { rid; result = Error m; _ } ->
       Some
         (Codec.Assoc [ ("k", Codec.String "p"); ("rid", Codec.Int rid); ("err", Codec.String m) ])
   | _ -> None (* not RPC traffic: other payload kinds have no wire form *)
@@ -313,7 +412,8 @@ let payload_of_value v =
       Request
         {
           rid = Codec.to_int (Codec.member "rid" v);
-          proc = Codec.to_string (Codec.member "proc" v);
+          name = Codec.to_string (Codec.member "proc" v);
+          shape = values;
           args = Codec.to_list (Codec.member "args" v);
           ctx =
             {
@@ -327,7 +427,7 @@ let payload_of_value v =
         | ok -> Ok ok
         | exception Codec.Parse_error _ -> Error (Codec.to_string (Codec.member "err" v))
       in
-      Reply { rid = Codec.to_int (Codec.member "rid" v); result }
+      Reply { rid = Codec.to_int (Codec.member "rid" v); shape = values; result }
   | k -> raise (Codec.Parse_error (Printf.sprintf "unknown rpc payload kind %S" k))
 
 let calls_issued env = env.Env.rpc_next_rid

@@ -1,12 +1,23 @@
 (** Remote procedure calls — the workhorse of SPLAY applications.
 
-    Calling a remote function is almost as simple as calling a local one:
-    arguments and results are {!Codec.value}s, transparently serialized (the
-    serialized size is what the network model charges). Communication errors
-    are reported as a result value, mirroring Lua's second return value.
+    Calling a remote function is almost as simple as calling a local one.
+    A typed procedure {!proc} names its argument list and its result type
+    ({!Codec.ty}): {!invoke} calls it and {!handle} serves it. In the
+    simulator the request and the reply carry the OCaml values
+    themselves; the network model charges the size of their encoding,
+    computed without building it, and the callee's handler is matched by
+    the procedure's type witness. Only a transport that leaves the process
+    builds a {!Codec.value} tree ({!payload_to_value}).
 
-    A handler runs in its own process on the callee, so it may itself block
-    on RPCs (recursive routing, as in Chord's [find_successor]). *)
+    {!a_call}, {!call}, {!ping}, {!notify}, {!add_handler} and {!server}
+    are the same path for procedures named by a string whose arguments
+    and result are [Codec.value]s. A typed call to a string-named handler
+    (or the reverse) still works, through the tree.
+
+    Communication errors are reported as a result value, mirroring Lua's
+    second return value. A handler runs in its own process on the callee,
+    so it may itself block on RPCs (recursive routing, as in Chord's
+    [find_successor]). *)
 
 type error =
   | Timeout (** no reply within the deadline — the node may have failed *)
@@ -16,8 +27,6 @@ type error =
 val error_to_string : error -> string
 
 exception Rpc_error of error
-
-type handler = Codec.value list -> Codec.value
 
 type options = {
   timeout : float;  (** per-attempt reply deadline, virtual seconds *)
@@ -41,7 +50,35 @@ val default_options : options
 (** [{ timeout = 120.0; retries = 0; backoff = 0.; backoff_jitter = 0. }] —
     the "standard 2 minutes" default. *)
 
-val server : Env.t -> (string * handler) list -> unit
+(** {1 Typed procedures} *)
+
+type 'a args
+(** A procedure's argument list. On the wire it is a list of values, and
+    a request costs the sum of their sizes. *)
+
+val no_args : unit args
+val arg : 'a Codec.ty -> 'a args
+val args2 : 'a Codec.ty -> 'b Codec.ty -> ('a * 'b) args
+
+type ('a, 'b) proc
+(** A named procedure from ['a] to ['b]. Define each one once, at top
+    level, and share it between the callers and the handler. *)
+
+val proc : string -> 'a args -> 'b Codec.ty -> ('a, 'b) proc
+(** [proc name args result]: each call makes a new type witness. *)
+
+val handle : Env.t -> ('a, 'b) proc -> ('a -> 'b) -> unit
+(** Serve the procedure on the instance's endpoint (binding it, as
+    {!server} does). Replaces any binding of the same name. *)
+
+val invoke :
+  Env.t -> Addr.t -> ?timeout:float -> ?options:options -> ('a, 'b) proc -> 'a -> ('b, error) result
+(** Call the procedure: {!a_call} for typed procedures. A handler that
+    raised answers [Remote] with its message. *)
+
+(** {1 String-named procedures} *)
+
+val server : Env.t -> (string * (Codec.value list -> Codec.value)) list -> unit
 (** Start the RPC server on the instance's endpoint ([rpc.server(n.port)]).
     Also enables this instance to issue calls (replies share the socket).
     Re-registering a name replaces the handler. *)
@@ -49,7 +86,7 @@ val server : Env.t -> (string * handler) list -> unit
 val client : Env.t -> unit
 (** Enable calls without exposing any procedure (pure client). *)
 
-val add_handler : Env.t -> string -> handler -> unit
+val add_handler : Env.t -> string -> (Codec.value list -> Codec.value) -> unit
 
 val a_call :
   Env.t ->
@@ -99,9 +136,12 @@ val calls_issued : Env.t -> int
 
     Serialization of the RPC envelope for transports that leave the
     process — the live backend tunnels application messages between real
-    daemons as these values. The caller's trace context travels in the
-    encoding, so cross-process requests still stitch into one causal
-    trace. *)
+    daemons as these values. A request's arguments and a reply's result
+    become trees through the caller's or the handler's types; a decoded
+    message carries them as [Codec.value]s, and the handler (for a
+    request) or the waiting caller (for a reply) parses them with its own
+    types on arrival. The caller's trace context travels in the encoding,
+    so cross-process requests still stitch into one causal trace. *)
 
 val payload_to_value : Net.payload -> Codec.value option
 (** [Some] for RPC requests / replies; [None] for payload kinds this

@@ -1,0 +1,148 @@
+#!/usr/bin/env python3
+"""Paired A/B comparison of two revisions on one perfbench workload.
+
+    scripts/ab.py BASE [HEAD] --workload W [--pairs N] [--seed S] [--null ALPHA]
+
+BASE and HEAD are git revisions (HEAD defaults to HEAD). Each is checked
+out in a git worktree under _build/ab/base and _build/ab/head (reused
+by later runs) and its benchmark is built there before the first pair.
+The tool then runs N pairs of
+single-repetition runs (`perfbench/run.py --workload W --seed S
+--seconds 1 --trace 0`), base first in odd pairs and head first in even
+ones, so neither binary always runs on a warm or a cold machine.
+
+Per end-to-end metric of BENCHMARK.json it prints the median of the
+per-pair head/base ratios, the pairs head won (by the metric's
+direction; ties count for neither) and a two-sided sign-test p-value
+over the pairs that were not ties.
+
+Exit status: 1 when ok_frac, sim_p50_s or sim_p99_s differ within a
+pair (those are deterministic, so two builds that disagree on them do
+not compute the same thing), or when a run fails; with --null ALPHA
+(an A/A run: one revision against itself), also 1 when any metric's
+p-value is below ALPHA.
+"""
+
+import argparse
+import json
+import math
+import os
+import statistics
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+AB = os.path.join(ROOT, "_build", "ab")
+EXACT = ["ok_frac", "sim_p50_s", "sim_p99_s"]
+
+
+def git(*args, cwd=ROOT):
+    return subprocess.run(["git", *args], cwd=cwd, check=True, stdout=subprocess.PIPE,
+                          text=True).stdout.strip()
+
+
+def checkout(side, rev):
+    """The worktree _build/ab/SIDE at REV; reused (and re-pointed) when it exists."""
+    sha = git("rev-parse", "--verify", rev + "^{commit}")
+    wt = os.path.join(AB, side)
+    git("worktree", "prune")
+    if os.path.isdir(os.path.join(wt, ".git")) or os.path.isfile(os.path.join(wt, ".git")):
+        git("checkout", "--quiet", "--detach", "--force", sha, cwd=wt)
+    else:
+        os.makedirs(AB, exist_ok=True)
+        git("worktree", "add", "--quiet", "--detach", "--force", wt, sha)
+    return wt, sha
+
+
+def build(wt):
+    """Build the worktree's benchmark up front, so no pair pays for it."""
+    cmd = ["dune", "build", "--root", wt, "./perfbench/bench.exe"]
+    env = dict(os.environ, DUNE_CACHE="disabled")
+    if subprocess.run(cmd, cwd=wt, env=env, stdout=sys.stderr, stderr=sys.stderr).returncode != 0:
+        sys.exit("ab: build failed in %s" % wt)
+
+
+def run(wt, workload, seed):
+    cmd = [sys.executable, os.path.join(wt, "perfbench", "run.py"), "--workload", workload,
+           "--seed", str(seed), "--seconds", "1", "--trace", "0"]
+    r = subprocess.run(cmd, cwd=wt, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
+    lines = r.stdout.strip().splitlines()
+    try:
+        result = json.loads(lines[-1]) if lines else None
+    except ValueError:
+        result = None
+    if r.returncode != 0 or not result or not result.get("correct"):
+        sys.exit("ab: %s run failed (exit %d)" % (wt, r.returncode))
+    return {k: m["value"] for k, m in result["metrics"].items()}
+
+
+def sign_test(wins, losses):
+    """Two-sided exact sign test: P(a split at least this uneven | p = 1/2)."""
+    n = wins + losses
+    if n == 0:
+        return 1.0
+    k = min(wins, losses)
+    tail = sum(math.comb(n, i) for i in range(k + 1)) / 2.0 ** n
+    return min(1.0, 2.0 * tail)
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("base")
+    ap.add_argument("head", nargs="?", default="HEAD")
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--null", type=float, default=None, metavar="ALPHA")
+    a = ap.parse_args()
+    if a.pairs < 1:
+        sys.exit("ab: --pairs must be at least 1")
+    metrics = json.load(open(os.path.join(ROOT, "BENCHMARK.json")))["end_to_end"]
+    sides = {}
+    for side, rev in (("base", a.base), ("head", a.head)):
+        wt, sha = checkout(side, rev)
+        build(wt)
+        sides[side] = wt
+        print("%s: %s %s" % (side, rev, sha[:12]), flush=True)
+
+    pairs = []
+    for i in range(a.pairs):
+        order = ["base", "head"] if i % 2 == 0 else ["head", "base"]
+        got = {side: run(sides[side], a.workload, a.seed) for side in order}
+        pairs.append(got)
+        print("pair %d/%d (%s first): %s" % (i + 1, a.pairs, order[0], "  ".join(
+            "%s %.4g/%.4g" % (m["name"], got["head"].get(m["name"], float("nan")),
+                              got["base"].get(m["name"], float("nan")))
+            for m in metrics)), flush=True)
+
+    status = 0
+    print("\n%s, seed %d, %d pairs (head/base)" % (a.workload, a.seed, a.pairs))
+    print("%-14s %12s %12s %8s %8s %8s" % ("metric", "base median", "head median", "ratio",
+                                          "head won", "p"))
+    for m in metrics:
+        name = m["name"]
+        rows = [(p["base"][name], p["head"][name]) for p in pairs
+                if name in p["base"] and name in p["head"]]
+        if not rows:
+            continue
+        lower = m["better"] == "lower"
+        wins = sum(1 for b, h in rows if (h < b if lower else h > b))
+        losses = sum(1 for b, h in rows if (h > b if lower else h < b))
+        ratios = [h / b for b, h in rows if b != 0]
+        ratio = statistics.median(ratios) if ratios else float("nan")
+        p = sign_test(wins, losses)
+        flag = ""
+        if name in EXACT and any(b != h for b, h in rows):
+            flag = "  DIFFERS within a pair"
+            status = 1
+        elif a.null is not None and p < a.null:
+            flag = "  p < %g on an A/A run" % a.null
+            status = 1
+        print("%-14s %12.6g %12.6g %8.4f %5d/%-2d %8.4f%s" % (
+            name, statistics.median(b for b, _ in rows), statistics.median(h for _, h in rows),
+            ratio, wins, len(rows), p, flag))
+    sys.exit(status)
+
+
+if __name__ == "__main__":
+    main()

@@ -179,6 +179,27 @@ let test_pinned_chord_ft_survives () =
   let o = Runner.run_one ~suite:ft ~seed:1 ~nemesis:pinned_nemesis ~perturb:true () in
   Alcotest.(check bool) "ft chord passes" false (Suite.failed o)
 
+(* A host that goes down takes its instances off the network: each of
+   them suspects every peer it calls. A chord-ft node keeps its last
+   successor and re-joins through its rendezvous, so the ring is whole
+   again once the host is back. *)
+let test_chord_ft_host_down () =
+  let ft = find_suite "chord-ft" in
+  List.iter
+    (fun (seed, nemesis) ->
+      let o = Runner.run_one ~suite:ft ~seed ~nemesis:(Nemesis.parse nemesis) ~perturb:true () in
+      Alcotest.(check string)
+        (Printf.sprintf "seed %d, %s" seed nemesis)
+        "" (if Suite.failed o then Suite.outcome_to_string o else ""))
+    [
+      (1, "down 1 @ 10 to 40");
+      (1, "down 2 @ 10 to 40");
+      (2, "down 2 @ 10 to 40");
+      (3, "down 2 @ 10 to 40");
+      (4, "down 2 @ 10 to 40");
+      (5, "down 2 @ 10 to 40");
+    ]
+
 let test_replay_determinism () =
   let chord = find_suite "chord" in
   let run () = Runner.run_one ~suite:chord ~seed:1 ~nemesis:pinned_nemesis ~perturb:true () in
@@ -260,6 +281,7 @@ let () =
         [
           Alcotest.test_case "pinned chord bug" `Quick test_pinned_chord_bug;
           Alcotest.test_case "pinned chord-ft survives" `Quick test_pinned_chord_ft_survives;
+          Alcotest.test_case "chord-ft heals after host down" `Quick test_chord_ft_host_down;
           Alcotest.test_case "replay determinism" `Quick test_replay_determinism;
           Alcotest.test_case "nemesis_for pure" `Quick test_nemesis_for_is_pure;
           Alcotest.test_case "sweep jobs-independent" `Quick test_sweep_jobs_independent;

@@ -179,6 +179,115 @@ let test_rpc_payload_roundtrip () =
   | exception Codec.Parse_error _ -> ()
   | _ -> Alcotest.fail "unknown payload kind accepted"
 
+(* Typed procedures across a process boundary. Every message takes the
+   net's routed path (as between partitions); with [wire] it also leaves
+   through [Rpc.payload_to_value], crosses as JSON text and comes back
+   through [Rpc.payload_of_value], as between two splayd processes: each handler's arguments and each
+   caller's result are parsed by its own types. Every procedure the
+   overlays define is used (Pastry joins, leafset exchanges, announces
+   and routes, Dht_store stores and fetches, Chord and Chord-FT
+   maintenance and lookups). Each message was charged the length of its
+   encoding, and the run ends exactly as the one whose messages stayed
+   values. *)
+module Apps = Splay_apps
+module Engine = Splay_sim.Engine
+
+let typed_overlays ~wire =
+  let eng = Engine.create ~seed:5 () in
+  let hosts = 24 in
+  let net = Net.create eng (Testbed.synthetic ~hosts (Engine.rng eng)) in
+  let crossed = ref 0 and mis_sized = ref [] in
+  let request_bytes v =
+    match Codec.to_string (Codec.member "k" v) with
+    | "q" ->
+        32
+        + String.length (Codec.to_string (Codec.member "proc" v))
+        + List.fold_left
+            (fun acc a -> acc + Codec.encoded_size a)
+            0
+            (Codec.to_list (Codec.member "args" v))
+    | _ -> (
+        match Codec.member "ok" v with
+        | ok -> 32 + Codec.encoded_size ok
+        | exception Codec.Parse_error _ -> 32 + String.length (Codec.to_string (Codec.member "err" v)))
+  in
+  (* every message takes the routed path; only [wire] turns it into text *)
+  Net.set_remote net
+    ~local:(fun _ -> false)
+    ~route:(fun ~src ~dst ~size ~arrival ~up_wait ~ctx payload ->
+      let back =
+        match Rpc.payload_to_value payload with
+        | Some v when wire ->
+            incr crossed;
+            if request_bytes v <> size then mis_sized := Codec.encode v :: !mis_sized;
+            Rpc.payload_of_value (Codec.decode (Codec.encode v))
+        | _ -> payload
+      in
+      ignore
+        (Engine.schedule eng ~delay:(arrival -. Engine.now eng) (fun () ->
+             Net.deliver_remote net ~size ~src ~dst ~up_wait ~ctx back)));
+  let env host ~position ~nodes = Env.create net ~me:(Addr.make host 2000) ~position ~nodes in
+  (* joined rings, one per overlay, six hosts each *)
+  let ring first app =
+    let rdv = Addr.make first 2000 in
+    List.init 6 (fun i ->
+        let e = env (first + i) ~position:(i + 1) ~nodes:[ rdv ] in
+        let node = ref None in
+        ignore (Env.thread e (fun () -> app ~register:(fun n -> node := Some n) e));
+        node)
+  in
+  let pastry = ring 0 (Apps.Pastry.app ~config:Apps.Pastry.default_config) in
+  let chord = ring 6 (Apps.Chord.app ~config:Apps.Chord.default_config) in
+  let chord_ft = ring 12 (Apps.Chord_ft.app ~config:Apps.Chord_ft.default_config) in
+  (* an assembled Pastry ring under a store, six hosts *)
+  let members = Array.init 6 (fun i -> Apps.Node.make ~id:(i lsl 28) ~addr:(Addr.make (18 + i) 2000)) in
+  let client = Env.create net ~me:members.(0).Apps.Node.addr in
+  let stores =
+    Array.mapi
+      (fun index m ->
+        let node = ref None in
+        Apps.Pastry.assemble ~ring:members ~index
+          ~register:(fun p -> node := Some p)
+          (if index = 0 then client else Env.create net ~me:m.Apps.Node.addr);
+        Apps.Dht_store.create
+          ~config:{ Apps.Dht_store.default_config with republish_interval = 0.0 }
+          (Option.get !node))
+      members
+  in
+  let got = ref [] in
+  ignore
+    (Env.thread client (fun () ->
+         Engine.sleep 120.0;
+         for k = 0 to 9 do
+           let key = Printf.sprintf "k%d" k in
+           ignore (Apps.Dht_store.put stores.(k mod 6) ~key ~value:(String.make k 'v'));
+           got := Apps.Dht_store.get stores.((k + 3) mod 6) ~key :: !got
+         done;
+         List.iter
+           (fun n ->
+             match Apps.Chord.lookup (Option.get !n) 12345 with
+             | Some (o, _) -> got := Some (string_of_int o.Apps.Node.id) :: !got
+             | None -> got := None :: !got)
+           chord));
+  ignore (Engine.run ~until:300.0 eng);
+  let ids l = String.concat "," (List.map (fun n -> string_of_int n.Apps.Node.id) l) in
+  let outcome =
+    String.concat "\n"
+      (List.map (fun n -> ids (Apps.Pastry.leafset (Option.get !n))) pastry
+      @ List.map (fun n -> ids (Option.to_list (Apps.Chord.successor (Option.get !n)))) chord
+      @ List.map (fun n -> ids (Apps.Chord_ft.successors (Option.get !n))) chord_ft
+      @ List.map (Option.value ~default:"-") !got
+      @ [ Printf.sprintf "%d msgs, %d bytes" (Net.messages_sent net) (Net.bytes_sent net) ])
+  in
+  (outcome, !crossed, !mis_sized)
+
+let test_typed_rpc_wire () =
+  let local, _, _ = typed_overlays ~wire:false in
+  let wired, crossed, mis_sized = typed_overlays ~wire:true in
+  Alcotest.(check bool) "messages crossed the wire" true (crossed > 1000);
+  Alcotest.(check (list string)) "every message charged its encoding's bytes" [] mis_sized;
+  Alcotest.(check string) "same run as with values in process" local wired
+
 (* {2 Real-resource sandbox enforcement} *)
 
 let test_sandbox_rss () =
@@ -330,6 +439,7 @@ let () =
       ( "runtime",
         [
           Alcotest.test_case "rpc payload wire form" `Quick test_rpc_payload_roundtrip;
+          Alcotest.test_case "typed rpc over the wire" `Quick test_typed_rpc_wire;
           Alcotest.test_case "sandbox rss" `Quick test_sandbox_rss;
           Alcotest.test_case "rss sample" `Quick test_rss_sample;
         ] );
