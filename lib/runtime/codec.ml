@@ -337,7 +337,9 @@ let option t =
   }
 
 (* [encoded_size]'s [List] production over the elements' own sizes. *)
-let rec elements_size t acc = function [] -> acc | x :: rest -> elements_size t (acc + 1 + t.size x) rest
+let rec elements_size t acc = function
+  | [] -> acc
+  | x :: rest -> elements_size t (acc + 1 + t.size x) rest
 
 let list t =
   {

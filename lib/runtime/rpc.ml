@@ -40,7 +40,11 @@ type ('a, 'b) proc = ('a, 'b) Env.rpc_proc
 let bad_args n = raise (Codec.Parse_error (Printf.sprintf "expected %d argument(s)" n))
 
 let no_args : unit args =
-  { size = (fun () -> 0); to_values = (fun () -> []); of_values = (function [] -> () | _ -> bad_args 0) }
+  {
+    size = (fun () -> 0);
+    to_values = (fun () -> []);
+    of_values = (function [] -> () | _ -> bad_args 0);
+  }
 
 let arg (t : 'a Codec.ty) : 'a args =
   {
@@ -101,9 +105,15 @@ type Net.payload +=
       ctx : Obs.ctx;
     }
       -> Net.payload
-  | Reply : { rid : int; shape : ('a, 'b) Env.rpc_shape; result : ('b, string) result } -> Net.payload
+  | Reply : {
+      rid : int;
+      shape : ('a, 'b) Env.rpc_shape;
+      result : ('b, string) result;
+    }
+      -> Net.payload
 
-let request_size name (shape : _ Env.rpc_shape) args = 32 + String.length name + shape.args.size args
+let request_size name (shape : _ Env.rpc_shape) args =
+  32 + String.length name + shape.args.size args
 
 let reply_size (type a b) (shape : (a, b) Env.rpc_shape) : (b, string) result -> int = function
   | Ok v -> 32 + shape.result.size v
@@ -119,7 +129,8 @@ let register env h =
   let name = handler_name h in
   let named h = String.equal (handler_name h) name in
   let hs = env.Env.rpc_handlers in
-  env.Env.rpc_handlers <- h :: (if List.exists named hs then List.filter (fun h -> not (named h)) hs else hs)
+  env.Env.rpc_handlers <-
+    h :: (if List.exists named hs then List.filter (fun h -> not (named h)) hs else hs)
 
 let add_handler env name h = register env (Env.Named (name, h))
 
@@ -132,7 +143,8 @@ let rec find_handler name = function
   | [] -> if String.equal name "__ping" then ping_handler else None
   | h :: rest -> if String.equal (handler_name h) name then Some h else find_handler name rest
 
-let run : type a b c d. (a, b) Env.rpc_shape -> a -> (c, d) Env.rpc_shape -> (c -> d) -> (d, string) result =
+let run : type a b c d.
+    (a, b) Env.rpc_shape -> a -> (c, d) Env.rpc_shape -> (c -> d) -> (d, string) result =
  fun shape args hshape f ->
   try Ok (f (cast_args shape hshape args)) with
   | Engine.Process_killed as e -> raise e

@@ -209,7 +209,8 @@ let typed_overlays ~wire =
     | _ -> (
         match Codec.member "ok" v with
         | ok -> 32 + Codec.encoded_size ok
-        | exception Codec.Parse_error _ -> 32 + String.length (Codec.to_string (Codec.member "err" v)))
+        | exception Codec.Parse_error _ ->
+            32 + String.length (Codec.to_string (Codec.member "err" v)))
   in
   (* every message takes the routed path; only [wire] turns it into text *)
   Net.set_remote net
@@ -240,7 +241,9 @@ let typed_overlays ~wire =
   let chord = ring 6 (Apps.Chord.app ~config:Apps.Chord.default_config) in
   let chord_ft = ring 12 (Apps.Chord_ft.app ~config:Apps.Chord_ft.default_config) in
   (* an assembled Pastry ring under a store, six hosts *)
-  let members = Array.init 6 (fun i -> Apps.Node.make ~id:(i lsl 28) ~addr:(Addr.make (18 + i) 2000)) in
+  let members =
+    Array.init 6 (fun i -> Apps.Node.make ~id:(i lsl 28) ~addr:(Addr.make (18 + i) 2000))
+  in
   let client = Env.create net ~me:members.(0).Apps.Node.addr in
   let stores =
     Array.mapi
