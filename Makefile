@@ -32,7 +32,7 @@ bench:
 # A/A self-test of the paired comparison tool: HEAD built twice, in two
 # worktrees under _build/ab, over ten alternating churn pairs must show
 # no end-to-end metric at p < 0.01 (the sign test needs 10/10 for that).
-# Not part of `make check`: it takes a few minutes.
+# Not part of `make check`: it takes about two minutes on 2 cores.
 ab-selftest:
 	scripts/ab.py HEAD HEAD --workload churn --pairs 10 --seed 1 --null 0.01
 
