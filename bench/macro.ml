@@ -72,6 +72,9 @@ let epidemic_trial ~n ~rumors seed =
       done;
       Env.sleep 30.0)
 
+(* The echo server's procedure: its argument back, as a list. *)
+let p_echo = Rpc.proc "echo" (Rpc.arg Codec.int) (Codec.list Codec.int)
+
 (* RPC: one client hammering one server with sequential echo calls — the
    per-call cost of the whole dispatch path (fiber spawn included), with
    nothing else running. Returns completed round trips. *)
@@ -81,13 +84,13 @@ let rpc_trial ~calls seed =
   let net = Net.create eng tb in
   let server = Env.create net ~me:(Addr.make 0 2000) in
   let client = Env.create net ~me:(Addr.make 1 2000) in
-  Rpc.server server [ ("echo", fun args -> Codec.List args) ];
+  Rpc.handle server p_echo (fun i -> [ i ]);
   let ok = ref 0 in
   ignore
     (Env.thread client (fun () ->
          for i = 1 to calls do
-           match Rpc.call client server.Env.me "echo" [ Codec.Int i ] with
-           | Codec.List [ Codec.Int j ] when j = i -> incr ok
+           match Rpc.invoke client server.Env.me p_echo i with
+           | Ok [ j ] when j = i -> incr ok
            | _ -> ()
          done));
   ignore (Engine.run eng);

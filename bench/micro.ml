@@ -102,6 +102,9 @@ let bench_between () =
   Staged.stage (fun () ->
       ignore (Misc.between 123_456 42 999_999 ~modulus:(1 lsl 24) ~incl_lo:false ~incl_hi:true))
 
+(* The echo server's procedure: its argument back, as a list. *)
+let p_echo = Rpc.proc "echo" (Rpc.arg Codec.int) (Codec.list Codec.int)
+
 let bench_simulated_rpc () =
   Staged.stage (fun () ->
       (* one complete engine run: two endpoints, one call/reply *)
@@ -110,10 +113,8 @@ let bench_simulated_rpc () =
       let net = Net.create eng tb in
       let server = Env.create net ~me:(Addr.make 0 2000) in
       let client = Env.create net ~me:(Addr.make 1 2000) in
-      Rpc.server server [ ("echo", fun args -> Codec.List args) ];
-      ignore
-        (Env.thread client (fun () ->
-             ignore (Rpc.call client server.Env.me "echo" [ Codec.Int 42 ])));
+      Rpc.handle server p_echo (fun i -> [ i ]);
+      ignore (Env.thread client (fun () -> ignore (Rpc.invoke client server.Env.me p_echo 42)));
       ignore (Engine.run eng))
 
 let tests =

@@ -66,10 +66,17 @@ let is_stopped t = Env.is_stopped t.env
 
 let piece_path i = Printf.sprintf "chunks/%06d" i
 
-let addr_of_value v =
-  match String.split_on_char ':' (Codec.to_string v) with
-  | [ h; p ] -> Addr.make (int_of_string h) (int_of_string p)
-  | _ -> failwith "bad addr"
+(* A peer's address travels as the string "host:port". *)
+let addr =
+  {
+    Codec.size = (fun a -> 3 + Addr.decimal_length a.Addr.host + Addr.decimal_length a.Addr.port);
+    to_value = (fun a -> Codec.String (Addr.to_string a));
+    of_value =
+      (fun v ->
+        match List.map int_of_string_opt (String.split_on_char ':' (Codec.to_string v)) with
+        | [ Some h; Some p ] -> Addr.make h p
+        | _ -> raise (Codec.Parse_error "bad address"));
+  }
 
 let file_on_disk t =
   let rec check i =
@@ -127,86 +134,81 @@ let store_piece t i =
 
 (* {2 RPC handlers} *)
 
-let handle_announce t args =
-  match args with
-  | [ av ] ->
-      let a = addr_of_value av in
-      if not (List.exists (Addr.equal a) t.swarm) then t.swarm <- a :: t.swarm;
-      let sample = Rng.sample t.b_rng t.cfg.swarm_sample t.swarm in
-      Codec.List
-        (List.filter_map
-           (fun x -> if Addr.equal x a then None else Some (Codec.String (Addr.to_string x)))
-           sample)
-  | _ -> failwith "bt.announce: bad arguments"
+(* A piece request's answer: [{"choked": true}] while the peer chokes us,
+   [{"choked": false, "missing": true}] when it lacks the piece, else the
+   piece body as [{"choked": false, "data": ...}]. *)
+let piece_to_value = function
+  | `Choked -> Codec.Assoc [ ("choked", Codec.Bool true) ]
+  | `Missing -> Codec.Assoc [ ("choked", Codec.Bool false); ("missing", Codec.Bool true) ]
+  | `Data d -> Codec.Assoc [ ("choked", Codec.Bool false); ("data", Codec.String d) ]
 
-let handle_bitfield t args =
-  match args with
-  | [ av ] ->
-      (match get_peer t (addr_of_value av) with
-      | Some _ -> ()
-      | None -> ());
-      Codec.String (bitfield_to_string t.have)
-  | _ -> failwith "bt.bitfield: bad arguments"
+let piece =
+  {
+    (* the frame around the body: {"choked":false,"data":} *)
+    Codec.size =
+      (function `Data d -> 24 + Codec.string.size d | r -> Codec.encoded_size (piece_to_value r));
+    to_value = piece_to_value;
+    of_value =
+      (fun v ->
+        match Codec.member "choked" v with
+        | Codec.Bool true -> `Choked
+        | _ -> (
+            match Codec.member "data" v with
+            | Codec.String d -> `Data d
+            | _ | (exception Codec.Parse_error _) -> `Missing));
+  }
 
-let handle_have t args =
-  match args with
-  | [ av; iv ] ->
-      let i = Codec.to_int iv in
-      (match get_peer t (addr_of_value av) with
-      | Some p when i >= 0 && i < t.npieces -> p.their_have.(i) <- true
-      | _ -> ());
-      Codec.Null
-  | _ -> failwith "bt.have: bad arguments"
+let p_announce = Rpc.proc "bt.announce" (Rpc.arg addr) (Codec.list addr)
+let p_bitfield = Rpc.proc "bt.bitfield" (Rpc.arg addr) Codec.string
+let p_have = Rpc.proc "bt.have" (Rpc.args2 addr Codec.int) Codec.unit
+let p_request = Rpc.proc "bt.request" (Rpc.args2 addr Codec.int) piece
 
-let handle_request t args =
-  match args with
-  | [ av; iv ] -> (
-      let a = addr_of_value av and i = Codec.to_int iv in
-      match get_peer t a with
-      | None -> Codec.Assoc [ ("choked", Codec.Bool true) ]
-      | Some p ->
-          p.last_request_at <- Env.now t.env;
-          if p.we_choke then Codec.Assoc [ ("choked", Codec.Bool true) ]
-          else if i < 0 || i >= t.npieces || not t.have.(i) then
-            Codec.Assoc [ ("choked", Codec.Bool false); ("missing", Codec.Bool true) ]
-          else begin
-            t.up_bytes <- t.up_bytes + piece_len t i;
-            (* the piece body: sized payload so the bandwidth model applies *)
-            Codec.Assoc
-              [
-                ("choked", Codec.Bool false);
-                ("data", Codec.String (String.make (piece_len t i) 'x'));
-              ]
-          end)
-  | _ -> failwith "bt.request: bad arguments"
+let handle_announce t a =
+  if not (List.exists (Addr.equal a) t.swarm) then t.swarm <- a :: t.swarm;
+  let sample = Rng.sample t.b_rng t.cfg.swarm_sample t.swarm in
+  List.filter (fun x -> not (Addr.equal x a)) sample
+
+let handle_bitfield t a =
+  ignore (get_peer t a);
+  bitfield_to_string t.have
+
+let handle_have t (a, i) =
+  match get_peer t a with
+  | Some p when i >= 0 && i < t.npieces -> p.their_have.(i) <- true
+  | _ -> ()
+
+let handle_request t (a, i) =
+  match get_peer t a with
+  | None -> `Choked
+  | Some p ->
+      p.last_request_at <- Env.now t.env;
+      if p.we_choke then `Choked
+      else if i < 0 || i >= t.npieces || not t.have.(i) then `Missing
+      else begin
+        t.up_bytes <- t.up_bytes + piece_len t i;
+        (* the piece body: sized payload so the bandwidth model applies *)
+        `Data (String.make (piece_len t i) 'x')
+      end
 
 (* {2 Leecher machinery} *)
-
-let me_value t = Codec.String (Addr.to_string t.env.Env.me)
 
 let announce t =
   match t.tracker with
   | None -> ()
   | Some tracker -> (
-      match
-        Rpc.a_call t.env tracker ~timeout:t.cfg.rpc_timeout "bt.announce" [ me_value t ]
-      with
-      | Ok (Codec.List l) ->
+      match Rpc.invoke t.env tracker ~timeout:t.cfg.rpc_timeout p_announce t.env.Env.me with
+      | Ok l ->
           List.iter
-            (fun v ->
-              let a = addr_of_value v in
+            (fun a ->
               match get_peer t a with
               | Some p when Array.for_all not p.their_have -> (
                   (* new acquaintance: swap bitfields *)
-                  match
-                    Rpc.a_call t.env a ~timeout:t.cfg.rpc_timeout "bt.bitfield" [ me_value t ]
-                  with
-                  | Ok (Codec.String bf) -> p.their_have <- bitfield_of_string bf
-                  | Ok _ -> ()
+                  match Rpc.invoke t.env a ~timeout:t.cfg.rpc_timeout p_bitfield t.env.Env.me with
+                  | Ok bf -> p.their_have <- bitfield_of_string bf
                   | Error _ -> drop_peer t a)
               | _ -> ())
             l
-      | Ok _ | Error _ -> ())
+      | Error _ -> ())
 
 (* Rarest-first: among pieces we lack and some peer has, pick the one with
    the fewest holders (random tie-break). *)
@@ -237,21 +239,12 @@ let request_piece t i =
       let rec try_peers = function
         | [] -> false
         | p :: rest -> (
-            match
-              Rpc.a_call t.env p.pa ~timeout:t.cfg.rpc_timeout "bt.request"
-                [ me_value t; Codec.Int i ]
-            with
-            | Ok v -> (
-                match Codec.member "choked" v with
-                | Codec.Bool true -> try_peers rest
-                | _ -> (
-                    match Codec.member "data" v with
-                    | Codec.String data ->
-                        p.bytes_from <- p.bytes_from + String.length data;
-                        store_piece t i;
-                        true
-                    | _ -> try_peers rest
-                    | exception Codec.Parse_error _ -> try_peers rest))
+            match Rpc.invoke t.env p.pa ~timeout:t.cfg.rpc_timeout p_request (t.env.Env.me, i) with
+            | Ok (`Data data) ->
+                p.bytes_from <- p.bytes_from + String.length data;
+                store_piece t i;
+                true
+            | Ok (`Choked | `Missing) -> try_peers rest
             | Error _ ->
                 drop_peer t p.pa;
                 try_peers rest)
@@ -265,9 +258,7 @@ let notify_have t i =
     (fun a _ ->
       ignore
         (Env.thread t.env (fun () ->
-             ignore
-               (Rpc.a_call t.env a ~timeout:t.cfg.rpc_timeout "bt.have"
-                  [ me_value t; Codec.Int i ]))))
+             ignore (Rpc.invoke t.env a ~timeout:t.cfg.rpc_timeout p_have (t.env.Env.me, i)))))
     t.peers
 
 let download_worker t =
@@ -343,13 +334,10 @@ let app ?(config = default_config) ~file_size ~register env =
         Sb_fs.close f
       with Sb_fs.Fs_error _ -> ()
     done;
-  Rpc.server env
-    [
-      ("bt.announce", handle_announce t);
-      ("bt.bitfield", handle_bitfield t);
-      ("bt.have", handle_have t);
-      ("bt.request", handle_request t);
-    ];
+  Rpc.handle env p_announce (handle_announce t);
+  Rpc.handle env p_bitfield (handle_bitfield t);
+  Rpc.handle env p_have (handle_have t);
+  Rpc.handle env p_request (handle_request t);
   ignore (Env.periodic env config.choke_interval (fun () -> choke_round t));
   ignore (Env.periodic env config.optimistic_interval (fun () -> optimistic_round t));
   ignore (Env.periodic env config.tracker_interval (fun () -> announce t));

@@ -38,3 +38,8 @@ val file_on_disk : node -> bool
 (** All pieces present in the sandboxed filesystem. *)
 
 val is_stopped : node -> bool
+
+val piece : [ `Choked | `Missing | `Data of string ] Splay_runtime.Codec.ty
+(** A peer's answer to a piece request: [{"choked": true}] while it chokes
+    the requester, [{"choked": false, "missing": true}] when it lacks the
+    piece, else the piece body as [{"choked": false, "data": body}]. *)

@@ -115,7 +115,7 @@ let fix_fingers t =
 (* check_predecessor from Listing 1 *)
 let check_predecessor t =
   match t.predecessor with
-  | Some p when not (Rpc.ping t.env p.Node.addr) -> t.predecessor <- None
+  | Some p when not (Rpc.ping t.env Rpc.p_ping p.Node.addr) -> t.predecessor <- None
   | _ -> ()
 
 let default_config_ref = default_config

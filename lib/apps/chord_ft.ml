@@ -183,7 +183,7 @@ let rejoin t =
 let check_predecessors t =
   match t.preds with
   | [] -> ()
-  | p :: _ -> if not (Rpc.ping t.env ~timeout:t.cfg.rpc_timeout p.Node.addr) then suspect t p
+  | p :: _ -> if not (Rpc.ping t.env ~timeout:t.cfg.rpc_timeout Rpc.p_ping p.Node.addr) then suspect t p
 
 (* Whether [a] is nearer this node than [b] by base RTT. *)
 let closer t a b =

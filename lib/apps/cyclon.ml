@@ -30,11 +30,12 @@ let neighbors t = List.map (fun e -> e.node) t.cache
 let shuffles_done t = t.n_shuffles
 let is_stopped t = Env.is_stopped t.env
 
-let entry_to_value e =
-  Codec.Assoc [ ("n", Node.ty.Codec.to_value e.node); ("age", Codec.Int e.age) ]
-
-let entry_of_value v =
-  { node = Node.ty.Codec.of_value (Codec.member "n" v); age = Codec.to_int (Codec.member "age" v) }
+(* A shuffle ships entries as immutable (node, age) pairs: the receiver
+   builds its own mutable entries from them. *)
+let entries = Codec.list (Codec.record2 "n" Node.ty "age" Codec.int)
+let p_shuffle = Rpc.proc "cyclon.shuffle" (Rpc.arg entries) entries
+let to_pairs = List.map (fun e -> (e.node, e.age))
+let of_pairs = List.map (fun (node, age) -> { node; age })
 
 (* Merge received entries into the cache: never ourselves, never
    duplicates (keep the fresher), evict entries we just sent away first,
@@ -70,14 +71,10 @@ let merge t ~sent received =
 
 let sample t k lst = Rng.sample t.c_rng k lst
 
-let handle_shuffle t args =
-  match args with
-  | [ Codec.List sent_vs ] ->
-      let received = List.map entry_of_value sent_vs in
-      let reply = sample t t.cfg.shuffle_length t.cache in
-      merge t ~sent:reply received;
-      Codec.List (List.map entry_to_value reply)
-  | _ -> failwith "cyclon.shuffle: bad arguments"
+let handle_shuffle t sent =
+  let reply = sample t t.cfg.shuffle_length t.cache in
+  merge t ~sent:reply (of_pairs sent);
+  to_pairs reply
 
 let shuffle t =
   (* age everybody, pick the oldest neighbor *)
@@ -90,13 +87,12 @@ let shuffle t =
       let others = sample t (t.cfg.shuffle_length - 1) t.cache in
       let payload = { node = t.me; age = 0 } :: others in
       (match
-         Rpc.a_call t.env oldest.node.Node.addr ~timeout:t.cfg.rpc_timeout "cyclon.shuffle"
-           [ Codec.List (List.map entry_to_value payload) ]
+         Rpc.invoke t.env oldest.node.Node.addr ~timeout:t.cfg.rpc_timeout p_shuffle
+           (to_pairs payload)
        with
-      | Ok (Codec.List reply_vs) ->
+      | Ok reply ->
           t.n_shuffles <- t.n_shuffles + 1;
-          merge t ~sent:payload (List.map entry_of_value reply_vs)
-      | Ok _ -> ()
+          merge t ~sent:payload (of_pairs reply)
       | Error _ -> () (* oldest neighbor dead: it stays evicted, which is the repair *))
 
 let app ?(config = default_config) ~register env =
@@ -105,7 +101,7 @@ let app ?(config = default_config) ~register env =
     { cfg = config; env; me; cache = []; n_shuffles = 0; c_rng = Rng.split env.Env.env_rng }
   in
   register t;
-  Rpc.server env [ ("cyclon.shuffle", handle_shuffle t) ];
+  Rpc.handle env p_shuffle (handle_shuffle t);
   ignore (Env.periodic env config.period (fun () -> shuffle t));
   Env.sleep (Float.of_int env.Env.position *. config.join_delay_per_position);
   (* bootstrap: everyone starts with the rendezvous node in cache *)

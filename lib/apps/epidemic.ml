@@ -28,6 +28,8 @@ let peers t =
   if List.exists (Addr.equal me) nodes then List.filter (fun a -> not (Addr.equal a me)) nodes
   else nodes
 
+let p_rumor = Rpc.proc "epidemic.rumor" (Rpc.arg Codec.string) Codec.unit
+
 (* Two forwarding modes. The acknowledged mode ([oneway = false]) spawns
    a fiber per target that blocks on the RPC reply — observable outcomes,
    but each in-flight forward parks a fiber until the reply or timeout.
@@ -37,18 +39,14 @@ let peers t =
    acks anyway: redundancy is the protocol's own reliability mechanism. *)
 let forward t rumor =
   let targets = Rng.sample t.e_rng t.cfg.fanout (peers t) in
-  (* payloads are immutable: every target shares one argument list, and
-     the one-way fan-out one request *)
-  let args = [ Codec.String rumor ] in
-  if t.cfg.oneway then
-    Rpc.notify t.env targets "epidemic.rumor" args
+  (* the one-way fan-out shares one request between its targets *)
+  if t.cfg.oneway then Rpc.notify t.env targets p_rumor rumor
   else
     List.iter
       (fun a ->
         ignore
           (Env.thread t.env (fun () ->
-               ignore
-                 (Rpc.a_call t.env a ~timeout:t.cfg.rpc_timeout "epidemic.rumor" args))))
+               ignore (Rpc.invoke t.env a ~timeout:t.cfg.rpc_timeout p_rumor rumor))))
       targets
 
 let receive t rumor =
@@ -69,12 +67,4 @@ let app ?(config = default_config) ~register env =
     }
   in
   register t;
-  Rpc.server env
-    [
-      ( "epidemic.rumor",
-        fun args ->
-          (match args with
-          | [ Codec.String rumor ] -> receive t rumor
-          | _ -> failwith "epidemic.rumor: bad arguments");
-          Codec.Null );
-    ]
+  Rpc.handle env p_rumor (fun rumor -> receive t rumor)

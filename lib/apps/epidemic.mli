@@ -8,7 +8,7 @@ type config = {
   rpc_timeout : float;
   oneway : bool;
       (** forward with {!Rpc.notify} (fire-and-forget, no reply, no fiber
-          parked per forward) instead of an acknowledged [a_call] from a
+          parked per forward) instead of an acknowledged [Rpc.invoke] from a
           spawned fiber. Default [false] — the acknowledged mode, whose
           fixed-seed traces predate this field. One-way is the mode for
           very large populations: the per-forward cost drops to one

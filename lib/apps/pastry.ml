@@ -350,16 +350,18 @@ let stabilize t =
       match acall t peer p_leafset () with
       | Ok l -> List.iter (learn t) l
       | Error () -> ()));
-  (match t.left with p :: _ -> if not (Rpc.ping t.env ~timeout:t.cfg.rpc_timeout p.Node.addr) then suspect t p | [] -> ());
-  (match t.right with s :: _ -> if not (Rpc.ping t.env ~timeout:t.cfg.rpc_timeout s.Node.addr) then suspect t s | [] -> ());
+  let probe n =
+    if not (Rpc.ping t.env ~timeout:t.cfg.rpc_timeout Rpc.p_ping n.Node.addr) then suspect t n
+  in
+  (match t.left with p :: _ -> probe p | [] -> ());
+  (match t.right with s :: _ -> probe s | [] -> ());
   (* also probe random leafset members: failures further out in the
      leafset must be detected faster than gossip reinjects them *)
   (match leafset t with
   | [] -> ()
   | leaves ->
       for _ = 1 to min 4 (List.length leaves) do
-        let n = Rng.pick_list t.p_rng leaves in
-        if not (Rpc.ping t.env ~timeout:t.cfg.rpc_timeout n.Node.addr) then suspect t n
+        probe (Rng.pick_list t.p_rng leaves)
       done);
   match table_entries t with
   | [] -> ()
@@ -367,8 +369,7 @@ let stabilize t =
       (* probe a few random entries per round so dead table slots are
          repaired within a handful of periods *)
       for _ = 1 to min 3 (List.length entries) do
-        let n = Rng.pick_list t.p_rng entries in
-        if not (Rpc.ping t.env ~timeout:t.cfg.rpc_timeout n.Node.addr) then suspect t n
+        probe (Rng.pick_list t.p_rng entries)
       done
 
 let serve t =

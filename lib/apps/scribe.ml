@@ -45,6 +45,13 @@ let remove_child t ~topic child =
   | Some l -> l := List.filter (fun c -> not (Node.equal c child)) !l
   | None -> ()
 
+let p_join = Rpc.proc "scribe.join" (Rpc.args2 Codec.int Node.ty) Codec.unit
+
+(* An event: its topic, its id and its payload. *)
+let event = Rpc.args3 Codec.int Codec.string Codec.string
+let p_deliver = Rpc.proc "scribe.deliver" event Codec.unit
+let p_publish = Rpc.proc "scribe.publish" event Codec.unit
+
 (* Graft ourselves towards the rendezvous: each hop records us as a child;
    a hop that is already in the tree stops the propagation (that is what
    keeps join traffic local in Scribe). *)
@@ -54,10 +61,7 @@ let graft t ~topic =
       match Pastry.next_hop t.p topic with
       | None -> () (* we are the rendezvous *)
       | Some parent -> (
-          match
-            Rpc.a_call t.env parent.Node.addr ~timeout:t.rpc_timeout "scribe.join"
-              [ Codec.Int topic; Node.ty.Codec.to_value (self t) ]
-          with
+          match Rpc.invoke t.env parent.Node.addr ~timeout:t.rpc_timeout p_join (topic, self t) with
           | Ok _ -> ()
           | Error _ ->
               (* feed Pastry's suspicion so the next attempt routes around *)
@@ -66,15 +70,10 @@ let graft t ~topic =
   in
   go 4
 
-let handle_join t args =
-  match args with
-  | [ topic_v; child_v ] ->
-      let topic = Codec.to_int topic_v and child = Node.ty.Codec.of_value child_v in
-      let was_in_tree = is_forwarder t ~topic || is_subscribed t ~topic in
-      add_child t ~topic child;
-      if not was_in_tree then graft t ~topic;
-      Codec.Null
-  | _ -> failwith "scribe.join: bad arguments"
+let handle_join t (topic, child) =
+  let was_in_tree = is_forwarder t ~topic || is_subscribed t ~topic in
+  add_child t ~topic child;
+  if not was_in_tree then graft t ~topic
 
 let deliver_local t ~topic ~payload =
   if is_subscribed t ~topic then begin
@@ -92,30 +91,15 @@ let disseminate t ~topic ~eid ~payload =
         ignore
           (Env.thread t.env (fun () ->
                match
-                 Rpc.a_call t.env child.Node.addr ~timeout:t.rpc_timeout "scribe.deliver"
-                   [ Codec.Int topic; Codec.String eid; Codec.String payload ]
+                 Rpc.invoke t.env child.Node.addr ~timeout:t.rpc_timeout p_deliver
+                   (topic, eid, payload)
                with
                | Ok _ -> ()
                | Error _ -> remove_child t ~topic child)))
       (children t ~topic)
   end
 
-let handle_deliver t args =
-  match args with
-  | [ topic_v; eid_v; payload_v ] ->
-      disseminate t ~topic:(Codec.to_int topic_v) ~eid:(Codec.to_string eid_v)
-        ~payload:(Codec.to_string payload_v);
-      Codec.Null
-  | _ -> failwith "scribe.deliver: bad arguments"
-
-let handle_publish t args =
-  match args with
-  | [ topic_v; eid_v; payload_v ] ->
-      (* we are (or believe we are) the rendezvous: fan out *)
-      disseminate t ~topic:(Codec.to_int topic_v) ~eid:(Codec.to_string eid_v)
-        ~payload:(Codec.to_string payload_v);
-      Codec.Null
-  | _ -> failwith "scribe.publish: bad arguments"
+let handle_event t (topic, eid, payload) = disseminate t ~topic ~eid ~payload
 
 let subscribe t ~topic =
   if not (is_subscribed t ~topic) then begin
@@ -131,8 +115,7 @@ let publish t ~topic ~payload =
       if Node.equal owner (self t) then disseminate t ~topic ~eid ~payload
       else
         ignore
-          (Rpc.a_call t.env owner.Node.addr ~timeout:t.rpc_timeout "scribe.publish"
-             [ Codec.Int topic; Codec.String eid; Codec.String payload ])
+          (Rpc.invoke t.env owner.Node.addr ~timeout:t.rpc_timeout p_publish (topic, eid, payload))
 
 let create p =
   let env = Pastry.node_env p in
@@ -149,9 +132,10 @@ let create p =
       rpc_timeout = (Pastry.config_of p).Pastry.rpc_timeout;
     }
   in
-  Rpc.add_handler env "scribe.join" (handle_join t);
-  Rpc.add_handler env "scribe.deliver" (handle_deliver t);
-  Rpc.add_handler env "scribe.publish" (handle_publish t);
+  Rpc.handle env p_join (handle_join t);
+  Rpc.handle env p_deliver (handle_event t);
+  (* the rendezvous fans a publication out as it would a delivery *)
+  Rpc.handle env p_publish (handle_event t);
   (* soft-state refresh: re-graft subscriptions so trees heal under churn *)
   ignore
     (Env.periodic env 30.0 (fun () ->

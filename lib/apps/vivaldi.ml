@@ -40,9 +40,23 @@ let distance a b =
     a;
   sqrt !acc
 
-let coord_to_value c = Codec.List (Array.to_list (Array.map (fun x -> Codec.Float x) c))
+(* A probe's answer: the callee's coordinate and confidence error, as
+   [{"coord": [x, ...], "err": e}]. *)
+let sample_to_value (coord, err) =
+  let coord = Codec.List (Array.to_list (Array.map (fun x -> Codec.Float x) coord)) in
+  Codec.Assoc [ ("coord", coord); ("err", Codec.Float err) ]
 
-let coord_of_value v = Array.of_list (List.map Codec.to_float (Codec.to_list v))
+let sample_of_value v =
+  ( Array.of_list (List.map Codec.to_float (Codec.to_list (Codec.member "coord" v))),
+    Codec.to_float (Codec.member "err" v) )
+
+let p_probe =
+  Rpc.proc "viv.probe" Rpc.no_args
+    {
+      Codec.size = (fun r -> Codec.encoded_size (sample_to_value r));
+      to_value = sample_to_value;
+      of_value = sample_of_value;
+    }
 
 (* One Vivaldi update: pull/push our coordinate along the unit vector to
    the remote, proportionally to the prediction error and our relative
@@ -74,12 +88,10 @@ let update t ~remote_coord ~remote_err ~rtt =
 let probe_once t peer =
   let eng = Env.engine t.env in
   let t0 = Engine.now eng in
-  match Rpc.a_call t.env peer ~timeout:t.cfg.rpc_timeout "viv.probe" [] with
+  match Rpc.invoke t.env peer ~timeout:t.cfg.rpc_timeout p_probe () with
   | Error e -> Error (Rpc.error_to_string e)
-  | Ok v ->
+  | Ok (remote_coord, remote_err) ->
       let rtt = Engine.now eng -. t0 in
-      let remote_coord = coord_of_value (Codec.member "coord" v) in
-      let remote_err = Codec.to_float (Codec.member "err" v) in
       if Array.length remote_coord = t.cfg.dimensions then
         update t ~remote_coord ~remote_err ~rtt;
       Ok rtt
@@ -103,9 +115,8 @@ let create ?(config = default_config) ~peers env =
       v_rng = Rng.split env.Env.env_rng;
     }
   in
-  Rpc.client env;
-  Rpc.add_handler env "viv.probe" (fun _ ->
-      Codec.Assoc [ ("coord", coord_to_value t.coord); ("err", Codec.Float t.err) ]);
+  (* the answer is a snapshot: the coordinate moves on after it is sent *)
+  Rpc.handle env p_probe (fun () -> (Array.copy t.coord, t.err));
   ignore (Env.periodic env config.period (fun () -> probe_round t));
   t
 

@@ -155,14 +155,19 @@ let serve t url =
       in
       (value, false)
 
-let handle_get t args =
-  match args with
-  | [ Codec.String url ] ->
-      if not (admit t) then Codec.Bool false
-      else
-        let value, hit = serve t url in
-        Codec.Assoc [ ("v", Codec.String value); ("hit", Codec.Bool hit) ]
-  | _ -> failwith "wc.get: bad arguments"
+(* A get's answer: the value and whether the home's cache held it, as
+   [{"v": value, "hit": hit}], or [false] when the home shed the request. *)
+let reply =
+  let found = Codec.record2 "v" Codec.string "hit" Codec.bool in
+  {
+    Codec.size = (function None -> 5 | Some r -> found.size r);
+    to_value = (function None -> Codec.Bool false | Some r -> found.to_value r);
+    of_value = (function Codec.Bool false -> None | v -> Some (found.of_value v));
+  }
+
+let p_get = Rpc.proc "wc.get" (Rpc.arg Codec.string) reply
+
+let handle_get t url = if admit t then Some (serve t url) else None
 
 let get t url =
   let t0 = now t in
@@ -178,18 +183,12 @@ let get t url =
         end
       end
       else begin
-        match
-          Rpc.a_call t.env home.Node.addr ~timeout:t.cfg.rpc_timeout "wc.get"
-            [ Codec.String url ]
-        with
-        | Ok (Codec.Bool false) ->
+        match Rpc.invoke t.env home.Node.addr ~timeout:t.cfg.rpc_timeout p_get url with
+        | Ok None ->
             (* admission fast-reject: the home node is healthy, just
                overloaded — do not feed the failure detector *)
             ("", `Shed, now t -. t0)
-        | Ok v ->
-            let value = Codec.to_string (Codec.member "v" v) in
-            let hit = Codec.to_bool (Codec.member "hit" v) in
-            (value, (if hit then `Hit else `Miss), now t -. t0)
+        | Ok (Some (value, hit)) -> (value, (if hit then `Hit else `Miss), now t -. t0)
         | Error _ ->
             Pastry.report_failure t.p home;
             ("", `Failed, now t -. t0)
@@ -214,5 +213,5 @@ let create ?(config = default_config) p =
       w_rng = Rng.split env.Env.env_rng;
     }
   in
-  Rpc.add_handler env "wc.get" (handle_get t);
+  Rpc.handle env p_get (handle_get t);
   t

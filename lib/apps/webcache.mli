@@ -54,3 +54,8 @@ val stale_served : t -> int
 
 val shed_count : t -> int
 (** Requests fast-rejected by admission control at this home node. *)
+
+val reply : (string * bool) option Splay_runtime.Codec.ty
+(** The home node's answer to a proxied get: the object and whether its
+    cache held it, as [{"v": value, "hit": hit}], or [None] — the text
+    [false] — when it shed the request. *)

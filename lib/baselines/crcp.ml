@@ -61,6 +61,9 @@ let receive t ~tree ~index =
     Splay_sim.Channel.send t.forward_queue (tree, index)
   end
 
+(* A block: its tree, its index and its body. *)
+let p_block = Rpc.proc "crcp.block" (Rpc.args3 Codec.int Codec.int Codec.string) Codec.unit
+
 (* The single forwarding loop: one block, one child at a time, each send
    acknowledged before the next starts — CRCP's sequential discipline. *)
 let forwarder t =
@@ -69,12 +72,8 @@ let forwarder t =
     List.iter
       (fun child ->
         ignore
-          (Rpc.a_call t.env child ~timeout:t.cfg.rpc_timeout "crcp.block"
-             [
-               Codec.Int tree;
-               Codec.Int index;
-               Codec.String (String.make t.cfg.block_size 'x');
-             ]))
+          (Rpc.invoke t.env child ~timeout:t.cfg.rpc_timeout p_block
+             (tree, index, String.make t.cfg.block_size 'x')))
       (children t ~tree)
   done
 
@@ -104,15 +103,7 @@ let app ?(config = default_config) ~file_size ~register env =
     }
   in
   register t;
-  Rpc.server env
-    [
-      ( "crcp.block",
-        fun args ->
-          (match args with
-          | [ tv; iv; _data ] -> receive t ~tree:(Codec.to_int tv) ~index:(Codec.to_int iv)
-          | _ -> failwith "crcp.block: bad arguments");
-          Codec.Null );
-    ];
+  Rpc.handle env p_block (fun (tree, index, _body) -> receive t ~tree ~index);
   ignore (Env.thread env (fun () -> forwarder t));
   if t.rank = 0 then begin
     Env.sleep config.start_delay;

@@ -332,6 +332,9 @@ let rpc_gen rng =
         ];
   !ops
 
+(* The rpc suite's one procedure: execute the call named by the token. *)
+let p_exec = Rpc.proc "exec" (Rpc.arg Codec.string) Codec.unit
+
 let rpc_run ~seed ~nemesis ~perturb =
   let rng = check_rng seed in
   let execs : (string, int) Hashtbl.t = Hashtbl.create 256 in
@@ -339,16 +342,8 @@ let rpc_run ~seed ~nemesis ~perturb =
   let strict : (string, unit) Hashtbl.t = Hashtbl.create 256 in
   let main env =
     if env.Env.position = 1 then
-      Rpc.server env
-        [
-          ( "exec",
-            fun args ->
-              match args with
-              | [ Codec.String tok ] ->
-                  Hashtbl.replace execs tok (1 + Option.value ~default:0 (Hashtbl.find_opt execs tok));
-                  Codec.Null
-              | _ -> failwith "exec: bad args" );
-        ]
+      Rpc.handle env p_exec (fun tok ->
+          Hashtbl.replace execs tok (1 + Option.value ~default:0 (Hashtbl.find_opt execs tok)))
     else begin
       Rpc.client env;
       let server = List.hd env.Env.nodes in
@@ -364,7 +359,7 @@ let rpc_run ~seed ~nemesis ~perturb =
                Env.sleep 2.0;
                let tok = Printf.sprintf "%s#%d" (Addr.to_string env.Env.me) i in
                if not retrying then Hashtbl.replace strict tok ();
-               match Rpc.a_call env server ~options "exec" [ Codec.String tok ] with
+               match Rpc.invoke env server ~options p_exec tok with
                | Ok _ -> Hashtbl.replace oks tok ()
                | Error _ -> ()
              done))

@@ -2,7 +2,6 @@ module Engine = Splay_sim.Engine
 module Rng = Splay_sim.Rng
 module Env = Splay_runtime.Env
 module Rpc = Splay_runtime.Rpc
-module Codec = Splay_runtime.Codec
 module Log = Splay_runtime.Log
 module Obs = Splay_obs.Obs
 
@@ -51,24 +50,15 @@ let create ?(unseen_timeout = 3600.0) net ~host =
       c_rng = Rng.split (Engine.rng (Net.engine net));
     }
   in
-  Rpc.server c_env
-    [
-      ( "ctl.heartbeat",
-        fun args ->
-          (match args with
-          | [ h ] -> (
-              let h = Codec.to_int h in
-              match List.find_opt (fun d -> Daemon.host d.dr_daemon = h) t.c_daemons with
-              | Some d ->
-                  let now = Engine.now (Net.engine net) in
-                  Obs.incr c_heartbeats;
-                  if !Obs.enabled || !Obs.metrics_enabled then
-                    Obs.observe h_heartbeat_age (now -. d.dr_last_seen);
-                  d.dr_last_seen <- now
-              | None -> ())
-          | _ -> failwith "heartbeat: bad arguments");
-          Codec.Null );
-    ];
+  Rpc.handle c_env Daemon.proc_heartbeat (fun h ->
+      match List.find_opt (fun d -> Daemon.host d.dr_daemon = h) t.c_daemons with
+      | Some d ->
+          let now = Engine.now (Net.engine net) in
+          Obs.incr c_heartbeats;
+          if !Obs.enabled || !Obs.metrics_enabled then
+            Obs.observe h_heartbeat_age (now -. d.dr_last_seen);
+          d.dr_last_seen <- now
+      | None -> ());
   t
 
 let now t = Engine.now (Net.engine t.c_net)
@@ -106,10 +96,8 @@ let select_report t ?criteria n =
 
 let probe t ?(payload = 20 * 1024) d =
   let t0 = now t in
-  match
-    Rpc.a_call t.c_env (Daemon.addr d) ~timeout:10.0 Daemon.proc_probe
-      [ Codec.String (String.make payload 'x') ]
-  with
+  let padding = String.make payload 'x' in
+  match Rpc.invoke t.c_env (Daemon.addr d) ~timeout:10.0 Daemon.proc_probe padding with
   | Ok _ -> Some (now t -. t0)
   | Error _ -> None
 
@@ -151,23 +139,21 @@ let spawn t f = ignore (Env.thread t.c_env f)
    procedures over the modelled network, processes on the controller's
    env. *)
 let transport ?(register_timeout = 10.0) t job =
-  let call d ~timeout proc args = Rpc.a_call t.c_env (Daemon.addr d) ~timeout proc args in
+  let call d ~timeout p arg = Rpc.invoke t.c_env (Daemon.addr d) ~timeout p arg in
   {
     Deploy.spawn = spawn t;
     pace = (fun () -> Engine.sleep dispatch_interval);
     register =
       (fun d ->
-        match call d ~timeout:register_timeout Daemon.proc_register [ Codec.Int job.j_id ] with
-        | Ok port_v -> Some (Addr.make (Daemon.host d) (Codec.to_int port_v))
+        match call d ~timeout:register_timeout Daemon.proc_register job.j_id with
+        | Ok port -> Some (Addr.make (Daemon.host d) port)
         | Error _ -> None);
     start =
       (fun d a ~position ~nodes ->
-        let port = Codec.Int a.Addr.port in
-        Result.is_ok
-          (call d ~timeout:30.0 Daemon.proc_list [ port; Codec.Int position; Wire.addrs_to_value nodes ])
-        && Result.is_ok (call d ~timeout:30.0 Daemon.proc_start [ Codec.Int job.j_id; port ]));
-    free =
-      (fun d a -> ignore (call d ~timeout:30.0 Daemon.proc_free [ Codec.Int a.Addr.port ]));
+        let port = a.Addr.port in
+        Result.is_ok (call d ~timeout:30.0 Daemon.proc_list (port, position, nodes))
+        && Result.is_ok (call d ~timeout:30.0 Daemon.proc_start (job.j_id, port)));
+    free = (fun d a -> ignore (call d ~timeout:30.0 Daemon.proc_free a.Addr.port));
   }
 
 let deploy t ?superset ?register_timeout ?(criteria = []) ?(log_cap = 100_000)
@@ -324,8 +310,7 @@ let stop_node dep a =
     (fun (d, ma, _) ->
       if Addr.equal ma a then
         ignore
-          (Rpc.a_call dep.dep_ctl.c_env (Daemon.addr d) ~timeout:30.0 Daemon.proc_stop
-             [ Codec.Int a.Addr.port ]))
+          (Rpc.invoke dep.dep_ctl.c_env (Daemon.addr d) ~timeout:30.0 Daemon.proc_stop a.Addr.port))
     dep.dep_job.j_members
 
 let restart_node dep a =
@@ -358,6 +343,5 @@ let push_blacklist t h =
        (fun d ->
          fun () ->
           ignore
-            (Rpc.a_call t.c_env (Daemon.addr d.dr_daemon) ~timeout:30.0 "splayd.blacklist"
-               [ Codec.Int h ]))
+            (Rpc.invoke t.c_env (Daemon.addr d.dr_daemon) ~timeout:30.0 Daemon.proc_blacklist h))
        t.c_daemons)

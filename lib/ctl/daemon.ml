@@ -54,12 +54,20 @@ type t = {
   mutable banned : Addr.host_id list; (* controller-pushed blacklist *)
 }
 
-let proc_probe = "splayd.probe"
-let proc_register = "splayd.register"
-let proc_list = "splayd.list"
-let proc_start = "splayd.start"
-let proc_free = "splayd.free"
-let proc_stop = "splayd.stop"
+(* The control protocol. The probe's argument is padding that sizes the
+   measured round trip; REGISTER answers the instance's port; LIST carries
+   the port, the position and the bootstrap nodes. *)
+let proc_probe = Rpc.proc "splayd.probe" (Rpc.arg Codec.string) Codec.unit
+let proc_register = Rpc.proc "splayd.register" (Rpc.arg Codec.int) Codec.int
+let proc_list = Rpc.proc "splayd.list" (Rpc.args3 Codec.int Codec.int Wire.addrs) Codec.unit
+let proc_start = Rpc.proc "splayd.start" (Rpc.args2 Codec.int Codec.int) Codec.unit
+let proc_free = Rpc.proc "splayd.free" (Rpc.arg Codec.int) Codec.unit
+let proc_stop = Rpc.proc "splayd.stop" (Rpc.arg Codec.int) Codec.unit
+let proc_blacklist = Rpc.proc "splayd.blacklist" (Rpc.arg Codec.int) Codec.unit
+
+(* The controller serves the heartbeat; it is declared here, beside the
+   daemon that sends it, because the controller is built on this module. *)
+let proc_heartbeat = Rpc.proc "ctl.heartbeat" (Rpc.arg Codec.int) Codec.unit
 
 let addr t = t.d_env.Env.me
 let host t = t.d_host
@@ -119,79 +127,61 @@ let fresh_env t spec ~port =
   env.Env.loss_rate <- spec.js_loss;
   env
 
-let handle_register t args =
-  match args with
-  | [ job_v ] ->
-      Obs.incr c_register;
-      let sp =
-        if !Obs.enabled then
-          Obs.span ~attrs:[ ("host", string_of_int t.d_host) ] "splayd.register"
-        else Obs.null_span
+let handle_register t job =
+  Obs.incr c_register;
+  let sp =
+    if !Obs.enabled then Obs.span ~attrs:[ ("host", string_of_int t.d_host) ] "splayd.register"
+    else Obs.null_span
+  in
+  service_pause t;
+  match t.lookup_job job with
+  | None ->
+      Obs.finish ~attrs:[ ("outcome", "unknown_job") ] sp;
+      failwith "unknown job"
+  | Some spec ->
+      let port =
+        Instances.register t.tbl ~job ~name:spec.js_name ~main:spec.js_main (fun port ->
+            fresh_env t spec ~port)
       in
-      service_pause t;
-      let job = Codec.to_int job_v in
-      (match t.lookup_job job with
-      | None ->
-          Obs.finish ~attrs:[ ("outcome", "unknown_job") ] sp;
-          failwith "unknown job"
-      | Some spec ->
-          let port =
-            Instances.register t.tbl ~job ~name:spec.js_name ~main:spec.js_main (fun port ->
-                fresh_env t spec ~port)
-          in
-          refresh_host_model t;
-          if !Obs.enabled then Obs.finish ~attrs:[ ("port", string_of_int port) ] sp;
-          Codec.Int port)
-  | _ -> failwith "register: bad arguments"
+      refresh_host_model t;
+      if !Obs.enabled then Obs.finish ~attrs:[ ("port", string_of_int port) ] sp;
+      port
 
-let ok_or_fail verb = function Ok () -> Codec.Null | Error e -> failwith (verb ^ ": " ^ e)
+let ok_or_fail verb = function Ok () -> () | Error e -> failwith (verb ^ ": " ^ e)
 
-let handle_list t args =
+let handle_list t (port, position, nodes) =
   Obs.incr c_list;
-  match args with
-  | [ port_v; position_v; nodes_v ] ->
-      ok_or_fail "list"
-        (Instances.list t.tbl ~port:(Codec.to_int port_v) ~position:(Codec.to_int position_v)
-           ~nodes:(Wire.addrs_of_value nodes_v))
-  | _ -> failwith "list: bad arguments"
+  ok_or_fail "list" (Instances.list t.tbl ~port ~position ~nodes)
 
-let handle_start t args =
+let handle_start t (job, port) =
   Obs.incr c_start;
-  match args with
-  | [ job_v; port_v ] ->
-      ok_or_fail "start" (Instances.start t.tbl ~job:(Codec.to_int job_v) ~port:(Codec.to_int port_v))
-  | _ -> failwith "start: bad arguments"
+  ok_or_fail "start" (Instances.start t.tbl ~job ~port)
 
 (* STOP: terminate the application but keep the registration — the job goes
    back to the "selected" state of the paper's state machine and can be
    STARTed again. *)
-let handle_stop t args =
+let handle_stop t port =
   Obs.incr c_stop;
-  match args with
-  | [ port_v ] -> (
-      let port = Codec.to_int port_v in
-      match Instances.find t.tbl port with
-      | None -> failwith "stop: no such instance"
-      | Some inst -> (
-          match t.lookup_job inst.Instances.job with
-          | None -> failwith "stop: unknown job"
-          | Some spec ->
-              Env.stop inst.env;
-              let env = fresh_env t spec ~port in
-              env.Env.position <- inst.env.Env.position;
-              inst.env <- env;
-              inst.started <- false;
-              refresh_host_model t;
-              Codec.Null))
-  | _ -> failwith "stop: bad arguments"
+  match Instances.find t.tbl port with
+  | None -> failwith "stop: no such instance"
+  | Some inst -> (
+      match t.lookup_job inst.Instances.job with
+      | None -> failwith "stop: unknown job"
+      | Some spec ->
+          Env.stop inst.env;
+          let env = fresh_env t spec ~port in
+          env.Env.position <- inst.env.Env.position;
+          inst.env <- env;
+          inst.started <- false;
+          refresh_host_model t)
 
-let handle_free t args =
+let handle_free t port =
   Obs.incr c_free;
-  match args with
-  | [ port_v ] ->
-      if Instances.free t.tbl ~port:(Codec.to_int port_v) then refresh_host_model t;
-      Codec.Null
-  | _ -> failwith "free: bad arguments"
+  if Instances.free t.tbl ~port then refresh_host_model t
+
+let handle_blacklist t h =
+  if not (List.mem h t.banned) then t.banned <- h :: t.banned;
+  List.iter (fun i -> Sandbox.blacklist i.Instances.env.Env.sandbox h) (instances t)
 
 let start net ~host ~controller ?(config = splay_config) ~lookup_job () =
   let d_env = Env.create net ~me:(Addr.make host 1) in
@@ -207,33 +197,17 @@ let start net ~host ~controller ?(config = splay_config) ~lookup_job () =
       banned = [];
     }
   in
-  Rpc.server d_env
-    [
-      ( proc_probe,
-        fun _ ->
-          service_pause t;
-          Codec.Null );
-      (proc_register, handle_register t);
-      (proc_list, handle_list t);
-      (proc_start, handle_start t);
-      (proc_free, handle_free t);
-      (proc_stop, handle_stop t);
-      ( "splayd.blacklist",
-        fun args ->
-          (match args with
-          | [ h ] ->
-              let h = Codec.to_int h in
-              if not (List.mem h t.banned) then t.banned <- h :: t.banned;
-              List.iter (fun i -> Sandbox.blacklist i.Instances.env.Env.sandbox h) (instances t)
-          | _ -> failwith "blacklist: bad arguments");
-          Codec.Null );
-    ];
+  Rpc.handle d_env proc_probe (fun _padding -> service_pause t);
+  Rpc.handle d_env proc_register (handle_register t);
+  Rpc.handle d_env proc_list (handle_list t);
+  Rpc.handle d_env proc_start (handle_start t);
+  Rpc.handle d_env proc_free (handle_free t);
+  Rpc.handle d_env proc_stop (handle_stop t);
+  Rpc.handle d_env proc_blacklist (handle_blacklist t);
   (* session keep-alive towards the controller *)
   ignore
     (Env.periodic d_env t.cfg.heartbeat_interval (fun () ->
-         ignore
-           (Rpc.a_call d_env t.controller ~timeout:30.0 "ctl.heartbeat"
-              [ Codec.Int t.d_host ])));
+         ignore (Rpc.invoke d_env t.controller ~timeout:30.0 proc_heartbeat t.d_host)));
   t
 
 let shutdown t =

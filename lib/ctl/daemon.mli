@@ -71,11 +71,28 @@ val stop_instance : t -> Addr.t -> unit
 val shutdown : t -> unit
 (** Kill the daemon and every instance it hosts (host crash). *)
 
-(** RPC procedure names the daemon serves — exposed for tests. *)
+(** {1 Control protocol}
 
-val proc_probe : string
-val proc_register : string
-val proc_list : string
-val proc_start : string
-val proc_free : string
-val proc_stop : string
+    The procedures the daemon serves, which the controller calls. *)
+
+val proc_probe : (string, unit) Splay_runtime.Rpc.proc
+(** The argument is padding that sizes the measured round trip. *)
+
+val proc_register : (int, int) Splay_runtime.Rpc.proc
+(** Job id to the new instance's port. *)
+
+val proc_list : (int * int * Addr.t list, unit) Splay_runtime.Rpc.proc
+(** Port, position in the deployment and bootstrap nodes. *)
+
+val proc_start : (int * int, unit) Splay_runtime.Rpc.proc
+(** Job id and port. *)
+
+val proc_free : (int, unit) Splay_runtime.Rpc.proc
+val proc_stop : (int, unit) Splay_runtime.Rpc.proc
+
+val proc_blacklist : (Addr.host_id, unit) Splay_runtime.Rpc.proc
+(** Bar the host from every instance, present and future. *)
+
+val proc_heartbeat : (Addr.host_id, unit) Splay_runtime.Rpc.proc
+(** The daemon's keep-alive, carrying its host id; the controller serves
+    it. *)

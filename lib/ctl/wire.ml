@@ -1,8 +1,8 @@
 (* Control-plane wire protocol.
 
-   Two layers live here. The value layer is the original stub: encodings
-   of control-plane values (addresses) carried inside RPC arguments of the
-   *simulated* control plane. The frame layer is the live control plane's
+   Two layers live here. The value layer is the message type of an
+   address list, carried inside RPC arguments of the *simulated* control
+   plane. The frame layer is the live control plane's
    transport: a versioned, length-prefixed binary framing over
    [Splay_runtime.Codec] payloads, plus the typed message set exchanged
    between the live controller and real [splayd] processes — the
@@ -32,8 +32,6 @@
 
 module Codec = Splay_runtime.Codec
 
-let addr_to_value (a : Addr.t) = Codec.String (Addr.to_string a)
-
 let addr_of_value v =
   match String.split_on_char ':' (Codec.to_string v) with
   | [ h; p ] -> (
@@ -42,9 +40,15 @@ let addr_of_value v =
       | _ -> raise (Codec.Parse_error "bad address"))
   | _ -> raise (Codec.Parse_error "bad address")
 
-let addrs_to_value addrs = Codec.List (List.map addr_to_value addrs)
+(* An address is the string "host:port". *)
+let addr =
+  {
+    Codec.size = (fun (a : Addr.t) -> 3 + Addr.decimal_length a.host + Addr.decimal_length a.port);
+    to_value = (fun a -> Codec.String (Addr.to_string a));
+    of_value = addr_of_value;
+  }
 
-let addrs_of_value v = List.map addr_of_value (Codec.to_list v)
+let addrs = Codec.list addr
 
 (* {1 Framing} *)
 
@@ -210,7 +214,7 @@ let msg_to_value = function
           ("job", Codec.Int job);
           ("port", Codec.Int port);
           ("position", Codec.Int position);
-          ("nodes", addrs_to_value nodes);
+          ("nodes", addrs.to_value nodes);
         ]
   | Free { rid; port } -> tagged "free" [ ("rid", Codec.Int rid); ("port", Codec.Int port) ]
   | Shutdown -> tagged "shutdown" []
@@ -248,8 +252,8 @@ let msg_to_value = function
   | App { src; dst; size; payload } ->
       tagged "app"
         [
-          ("src", addr_to_value src);
-          ("dst", addr_to_value dst);
+          ("src", addr.to_value src);
+          ("dst", addr.to_value dst);
           ("size", Codec.Int size);
           ("payload", payload);
         ]
@@ -292,7 +296,7 @@ let msg_of_value v =
           job = int "job";
           port = int "port";
           position = int "position";
-          nodes = addrs_of_value (Codec.member "nodes" v);
+          nodes = addrs.of_value (Codec.member "nodes" v);
         }
   | "free" -> Free { rid = int "rid"; port = int "port" }
   | "shutdown" -> Shutdown

@@ -1,7 +1,7 @@
 (** Control-plane wire protocol.
 
-    The value layer ([addr_*]) encodes control-plane values carried in the
-    RPC arguments of the simulated control plane. The frame layer is the
+    The value layer ({!addrs}) is the message type of an address list,
+    carried in the RPC arguments of the simulated control plane. The frame layer is the
     {e live} control plane's transport: a versioned, length-prefixed binary
     framing over {!Splay_runtime.Codec} payloads, and the typed message set
     the live controller and real [splayd] processes exchange — the deploy
@@ -16,8 +16,8 @@
     frame torn across reads is incomplete, never desynchronizing. Corrupt
     input raises {!Codec.Parse_error} — close the connection. *)
 
-val addrs_to_value : Addr.t list -> Splay_runtime.Codec.value
-val addrs_of_value : Splay_runtime.Codec.value -> Addr.t list
+val addrs : Addr.t list Splay_runtime.Codec.ty
+(** A list of ["host:port"] strings. *)
 
 (** {1 Framing} *)
 

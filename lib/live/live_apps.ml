@@ -56,7 +56,7 @@ let chord ~params env =
                      (fun a ->
                        if not (Addr.equal a env.Env.me) then begin
                          let tries = ref 0 in
-                         while (not (Rpc.ping env ~timeout:0.5 a)) && !tries < 100 do
+                         while (not (Rpc.ping env ~timeout:0.5 Rpc.p_ping a)) && !tries < 100 do
                            incr tries;
                            Engine.sleep 0.1
                          done

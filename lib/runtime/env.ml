@@ -6,8 +6,12 @@ type 'a rpc_args = {
   of_values : Codec.value list -> 'a;
 }
 
-type ('a, 'b) rpc_shape = { args : 'a rpc_args; result : 'b Codec.ty; id : ('a -> 'b) Type.Id.t }
-type ('a, 'b) rpc_proc = { name : string; shape : ('a, 'b) rpc_shape }
+type ('a, 'b) rpc_proc = {
+  name : string;
+  args : 'a rpc_args;
+  result : 'b Codec.ty;
+  id : ('a -> 'b) Type.Id.t;
+}
 
 type rpc_handler =
   | Handler : ('a, 'b) rpc_proc * ('a -> 'b) -> rpc_handler

@@ -19,19 +19,18 @@ type 'a rpc_args = {
 }
 (** A procedure's argument list. *)
 
-type ('a, 'b) rpc_shape = {
+type ('a, 'b) rpc_proc = {
+  name : string;
   args : 'a rpc_args;
   result : 'b Codec.ty;
   id : ('a -> 'b) Type.Id.t;
-      (** two shapes carry values of the same types when their ids are
-          provably equal *)
+      (** two procedures carry values of the same types when their ids
+          are provably equal *)
 }
 
-type ('a, 'b) rpc_proc = { name : string; shape : ('a, 'b) rpc_shape }
-
 (** One registered procedure. [Named] is the untyped instance,
-    [Codec.value list -> Codec.value], kept in the same three words as a
-    typed entry: its shape is shared by every untyped procedure. *)
+    [Codec.value list -> Codec.value] ([Rpc.add_handler]), kept in the
+    same three words as a typed entry: it needs no descriptor of its own. *)
 type rpc_handler =
   | Handler : ('a, 'b) rpc_proc * ('a -> 'b) -> rpc_handler
   | Named : string * (Codec.value list -> Codec.value) -> rpc_handler

@@ -30,61 +30,74 @@ let h_bytes = Obs.histogram "rpc.request_bytes"
 
 (* {2 Procedures}
 
-   A procedure's shape is its argument list, its result type and a type
-   witness. A typed procedure names one shape; the untyped instance
-   [values] is the one shape every string-named procedure shares. *)
+   A procedure is its name, its argument list, its result type and a type
+   witness. The untyped instance [values] is the one descriptor every
+   [add_handler] handler and every decoded message shares. *)
 
 type 'a args = 'a Env.rpc_args
 type ('a, 'b) proc = ('a, 'b) Env.rpc_proc
 
-let bad_args n = raise (Codec.Parse_error (Printf.sprintf "expected %d argument(s)" n))
+let wrong_arity n = raise (Codec.Parse_error (Printf.sprintf "expected %d argument(s)" n))
 
 let no_args : unit args =
   {
     size = (fun () -> 0);
     to_values = (fun () -> []);
-    of_values = (function [] -> () | _ -> bad_args 0);
+    of_values = (function [] -> () | _ -> wrong_arity 0);
   }
 
 let arg (t : 'a Codec.ty) : 'a args =
   {
     size = t.size;
     to_values = (fun x -> [ t.to_value x ]);
-    of_values = (function [ v ] -> t.of_value v | _ -> bad_args 1);
+    of_values = (function [ v ] -> t.of_value v | _ -> wrong_arity 1);
   }
 
 let args2 (t1 : 'a Codec.ty) (t2 : 'b Codec.ty) : ('a * 'b) args =
   {
     size = (fun (a, b) -> t1.size a + t2.size b);
     to_values = (fun (a, b) -> [ t1.to_value a; t2.to_value b ]);
-    of_values = (function [ a; b ] -> (t1.of_value a, t2.of_value b) | _ -> bad_args 2);
+    of_values = (function [ a; b ] -> (t1.of_value a, t2.of_value b) | _ -> wrong_arity 2);
   }
 
-let proc name args result : (_, _) proc =
-  { name; shape = { args; result; id = Type.Id.make () } }
+let args3 (t1 : 'a Codec.ty) (t2 : 'b Codec.ty) (t3 : 'c Codec.ty) : ('a * 'b * 'c) args =
+  {
+    size = (fun (a, b, c) -> t1.size a + t2.size b + t3.size c);
+    to_values = (fun (a, b, c) -> [ t1.to_value a; t2.to_value b; t3.to_value c ]);
+    of_values =
+      (function [ a; b; c ] -> (t1.of_value a, t2.of_value b, t3.of_value c) | _ -> wrong_arity 3);
+  }
+
+let proc name args result : (_, _) proc = { name; args; result; id = Type.Id.make () }
 
 let rec values_size acc = function
   | [] -> acc
   | v :: rest -> values_size (acc + Codec.encoded_size v) rest
 
-let values : (Codec.value list, Codec.value) Env.rpc_shape =
+(* A reply reads only the descriptor's types, never its name; a decoded
+   request names its procedure with [{ values with name }]. *)
+let values : (Codec.value list, Codec.value) proc =
   {
+    name = "";
     args = { size = values_size 0; to_values = Fun.id; of_values = Fun.id };
     result = Codec.value;
     id = Type.Id.make ();
   }
 
-(* A value of one shape as the same message of another: itself when the
-   two are provably the same types (always, in one simulation), else
-   through its tree (a request or reply decoded from the wire carries the
-   untyped shape, and the handler's or the caller's shape parses it). *)
-let cast_args : type a b c d. (a, b) Env.rpc_shape -> (c, d) Env.rpc_shape -> a -> c =
+let p_ping = proc "__ping" no_args Codec.unit
+
+(* A value of one procedure's types as the same message of another's:
+   itself when the two are provably the same types (always, in one
+   simulation, unless an [add_handler] handler serves a typed call), else
+   through its tree (a message decoded from the wire carries the untyped
+   descriptor, and the handler's or the caller's types parse it). *)
+let cast_args : type a b c d. (a, b) proc -> (c, d) proc -> a -> c =
  fun src dst x ->
   match Type.Id.provably_equal src.id dst.id with
   | Some Type.Equal -> x
   | None -> dst.args.of_values (src.args.to_values x)
 
-let cast_result : type a b c d. (a, b) Env.rpc_shape -> (c, d) Env.rpc_shape -> b -> d =
+let cast_result : type a b c d. (a, b) proc -> (c, d) proc -> b -> d =
  fun src dst x ->
   match Type.Id.provably_equal src.id dst.id with
   | Some Type.Equal -> x
@@ -95,28 +108,15 @@ let cast_result : type a b c d. (a, b) Env.rpc_shape -> (c, d) Env.rpc_shape -> 
    child, which is what stitches one logical request into a single causal
    trace across nodes. A negative [rid] marks a one-way request
    ({!notify}): the callee runs the handler but sends no reply. A reply
-   carries the shape of the handler that produced it. *)
+   carries the procedure of the handler that produced it. *)
 type Net.payload +=
-  | Request : {
-      rid : int;
-      name : string;
-      shape : ('a, 'b) Env.rpc_shape;
-      args : 'a;
-      ctx : Obs.ctx;
-    }
-      -> Net.payload
-  | Reply : {
-      rid : int;
-      shape : ('a, 'b) Env.rpc_shape;
-      result : ('b, string) result;
-    }
-      -> Net.payload
+  | Request : { rid : int; proc : ('a, 'b) proc; args : 'a; ctx : Obs.ctx } -> Net.payload
+  | Reply : { rid : int; proc : ('a, 'b) proc; result : ('b, string) result } -> Net.payload
 
-let request_size name (shape : _ Env.rpc_shape) args =
-  32 + String.length name + shape.args.size args
+let request_size (p : _ proc) args = 32 + String.length p.name + p.args.size args
 
-let reply_size (type a b) (shape : (a, b) Env.rpc_shape) : (b, string) result -> int = function
-  | Ok v -> 32 + shape.result.size v
+let reply_size (type a b) (p : (a, b) proc) : (b, string) result -> int = function
+  | Ok v -> 32 + p.result.size v
   | Error m -> 32 + String.length m
 
 let handler_name = function Env.Handler (p, _) -> p.name | Env.Named (n, _) -> n
@@ -134,27 +134,26 @@ let register env h =
 
 let add_handler env name h = register env (Env.Named (name, h))
 
-(* Every bound endpoint answers [__ping] ({!ping}) unless the app binds
+(* Every bound endpoint answers [__ping] ({!p_ping}) unless the app binds
    that name itself: an implicit last binding rather than a list entry
    per instance. *)
-let ping_handler = Some (Env.Named ("__ping", fun _ -> Codec.Null))
+let ping_handler = Some (Env.Handler (p_ping, Fun.id))
 
 let rec find_handler name = function
   | [] -> if String.equal name "__ping" then ping_handler else None
   | h :: rest -> if String.equal (handler_name h) name then Some h else find_handler name rest
 
-let run : type a b c d.
-    (a, b) Env.rpc_shape -> a -> (c, d) Env.rpc_shape -> (c -> d) -> (d, string) result =
- fun shape args hshape f ->
-  try Ok (f (cast_args shape hshape args)) with
+let run : type a b c d. (a, b) proc -> a -> (c, d) proc -> (c -> d) -> (d, string) result =
+ fun p args hp f ->
+  try Ok (f (cast_args p hp args)) with
   | Engine.Process_killed as e -> raise e
   | e -> Error (Printexc.to_string e)
 
 (* The serve side's closing bookkeeping and, for a two-way request, the
-   reply, which carries the handler's shape. Inlined, so the start time
-   stays an unboxed float. *)
-let[@inline] served (type c d) env ~src ~rid ~t0 sp (hshape : (c, d) Env.rpc_shape)
-    (result : (d, string) result) =
+   reply, which carries the handler's procedure. Inlined, so the start
+   time stays an unboxed float. *)
+let[@inline] served (type c d) env ~src ~rid ~t0 sp (hp : (c, d) proc) (result : (d, string) result)
+    =
   Obs.incr c_served;
   if !Obs.enabled || !Obs.metrics_enabled then
     Obs.observe h_serve_time ((Engine.clock (Env.engine env)).v -. t0);
@@ -162,34 +161,34 @@ let[@inline] served (type c d) env ~src ~rid ~t0 sp (hshape : (c, d) Env.rpc_sha
     Obs.finish ~attrs:[ ("outcome", match result with Ok _ -> "ok" | Error _ -> "error") ] sp;
   if rid >= 0 then
     try
-      Sb_socket.send env ~dst:src ~size:(reply_size hshape result)
-        (Reply { rid; shape = hshape; result })
+      Sb_socket.send env ~dst:src ~size:(reply_size hp result) (Reply { rid; proc = hp; result })
     with Sb_socket.Network_error _ -> ()
 
 let serve env ~src = function
-  | Request { rid; name; shape; args; ctx } -> (
+  | Request { rid; proc; args; ctx } -> (
       let t0 = (Engine.clock (Env.engine env)).v in
       let sp =
         if !Obs.enabled then
           Obs.span ~parent:ctx
-            ~attrs:[ ("proc", name); ("node", Addr.to_string env.Env.me) ]
+            ~attrs:[ ("proc", proc.name); ("node", Addr.to_string env.Env.me) ]
             "rpc.serve"
         else Obs.null_span
       in
-      match find_handler name env.Env.rpc_handlers with
+      match find_handler proc.name env.Env.rpc_handlers with
       | None ->
-          served env ~src ~rid ~t0 sp values (Error (Printf.sprintf "unknown procedure %S" name))
-      | Some (Env.Handler (p, f)) -> served env ~src ~rid ~t0 sp p.shape (run shape args p.shape f)
-      | Some (Env.Named (_, f)) -> served env ~src ~rid ~t0 sp values (run shape args values f))
+          served env ~src ~rid ~t0 sp values
+            (Error (Printf.sprintf "unknown procedure %S" proc.name))
+      | Some (Env.Handler (hp, f)) -> served env ~src ~rid ~t0 sp hp (run proc args hp f)
+      | Some (Env.Named (_, f)) -> served env ~src ~rid ~t0 sp values (run proc args values f))
   | _ -> ()
 
 let dispatch env ~src payload =
   match payload with
-  | Request { name; _ } ->
+  | Request { proc; _ } ->
       (* The fiber name only surfaces in traces and crash reports; skip the
          per-request string concat when tracing is off (the engine names
          anonymous procs lazily, so passing [None] allocates nothing). *)
-      let pname = if !Obs.enabled then Some ("rpc:" ^ name) else None in
+      let pname = if !Obs.enabled then Some ("rpc:" ^ proc.name) else None in
       ignore (Env.thread env ?name:pname (fun () -> serve env ~src payload))
   | Reply { rid; _ } -> (
       (* [rpc_pending_opt]: a node that never issued a call has no table,
@@ -210,10 +209,6 @@ let ensure_bound env =
     ignore (Sb_socket.udp env ~port:env.Env.me.Addr.port (dispatch env))
   end
 
-let server env handlers =
-  ensure_bound env;
-  List.iter (fun (name, h) -> add_handler env name h) handlers
-
 let handle env p f =
   ensure_bound env;
   register env (Env.Handler (p, f))
@@ -229,10 +224,9 @@ let decode_error m =
   | _ -> Remote m
 
 (* The caller's result out of the reply that settled its waker. *)
-let reply_result (type a b) (shape : (a, b) Env.rpc_shape) : Net.payload -> (b, error) result =
-  function
-  | Reply { shape = s; result = Ok v; _ } -> (
-      match cast_result s shape v with
+let reply_result (type a b) (p : (a, b) proc) : Net.payload -> (b, error) result = function
+  | Reply { proc = hp; result = Ok v; _ } -> (
+      match cast_result hp p v with
       | v -> Ok v
       | exception Codec.Parse_error m -> Error (Remote m))
   | Reply { result = Error m; _ } -> Error (decode_error m)
@@ -242,21 +236,21 @@ let reply_result (type a b) (shape : (a, b) Env.rpc_shape) : Net.payload -> (b, 
    entry — the caller's waker — until a reply, the timeout or a local
    send failure settles it. Whichever way the wait ends, the entry leaves
    the table before the caller moves on. *)
-let attempt env dst ~timeout ~size name shape args =
+let attempt env dst ~timeout ~size p args =
   let rid = env.Env.rpc_next_rid in
   env.Env.rpc_next_rid <- rid + 1;
   let pending = Env.rpc_pending env in
   let w = Engine.waker (Env.engine env) in
   Hashtbl.replace pending rid w;
-  (try Sb_socket.send env ~dst ~size (Request { rid; name; shape; args; ctx = Obs.current () })
+  (try Sb_socket.send env ~dst ~size (Request { rid; proc = p; args; ctx = Obs.current () })
    with Sb_socket.Network_error m ->
      if Hashtbl.mem pending rid then begin
        Hashtbl.remove pending rid;
-       Engine.wake w (Reply { rid; shape; result = Error ("net:" ^ m) })
+       Engine.wake w (Reply { rid; proc = p; result = Error ("net:" ^ m) })
      end);
   Engine.timeout w timeout;
   match Engine.await w with
-  | reply -> reply_result shape reply
+  | reply -> reply_result p reply
   | exception Engine.Timed_out ->
       Hashtbl.remove pending rid;
       Error Timeout
@@ -306,7 +300,7 @@ let close_call env ~t0 ~size sp result attempts =
    spans it causes are distinguishable from the original attempt's. A
    top-level function over explicit arguments, so a call allocates no
    closure around its state. *)
-let rec attempts env dst ~options ~timeout ~size ~t0 sp name shape args n ~waited =
+let rec attempts env dst ~options ~timeout ~size ~t0 sp p args n ~waited =
   let sp_retry =
     if n > 0 && !Obs.enabled then
       Obs.span
@@ -314,35 +308,34 @@ let rec attempts env dst ~options ~timeout ~size ~t0 sp name shape args n ~waite
         "rpc.retry"
     else Obs.null_span
   in
-  let r = attempt env dst ~timeout ~size name shape args in
+  let r = attempt env dst ~timeout ~size p args in
   if !Obs.enabled then Obs.finish ~attrs:[ ("outcome", outcome_label r) ] sp_retry;
   match r with
   | Error (Timeout | Network _) when n < options.retries ->
       Obs.incr c_retries;
       let d = retry_delay env options (n + 1) in
       if d > 0.0 then Engine.sleep d;
-      attempts env dst ~options ~timeout ~size ~t0 sp name shape args (n + 1) ~waited:d
+      attempts env dst ~options ~timeout ~size ~t0 sp p args (n + 1) ~waited:d
   | r -> close_call env ~t0 ~size sp r (n + 1)
 
-(* The one request path: every call, typed or string-named, goes through
-   here with its name and shape. The [?timeout] shorthand and the
-   [?options] policy compose: an explicit timeout overrides the policy's
-   ([base] when none is given), so [a_call ~timeout] keeps meaning what it
-   always did and a policy can still ride along for retries/backoff. The
+(* The one request path: every call goes through here with its
+   procedure. The [?timeout] shorthand and the [?options] policy compose:
+   an explicit timeout overrides the policy's ([base] when none is
+   given), so a policy can still ride along for retries/backoff. The
    deadline travels on its own, so the shorthand builds no options record
    per call. *)
-let call_core ~base env dst ?timeout ?options name shape args =
+let call_core ~base env dst ?timeout ?options (p : (_, _) proc) args =
   let options = match options with Some o -> o | None -> base in
   let timeout = match timeout with Some t -> t | None -> options.timeout in
   ensure_bound env;
-  let size = request_size name shape args in
+  let size = request_size p args in
   let t0 = Engine.now (Env.engine env) in
   let sp =
     if !Obs.enabled then
       Obs.span
         ~attrs:
           [
-            ("proc", name);
+            ("proc", p.name);
             ("src", Addr.to_string env.Env.me);
             ("dst", Addr.to_string dst);
             ("bytes", string_of_int size);
@@ -350,38 +343,30 @@ let call_core ~base env dst ?timeout ?options name shape args =
         "rpc.call"
     else Obs.null_span
   in
-  attempts env dst ~options ~timeout ~size ~t0 sp name shape args 0 ~waited:0.0
+  attempts env dst ~options ~timeout ~size ~t0 sp p args 0 ~waited:0.0
 
-let invoke env dst ?timeout ?options (p : (_, _) proc) arg =
-  call_core ~base:default_options env dst ?timeout ?options p.name p.shape arg
+let invoke env dst ?timeout ?options p arg =
+  call_core ~base:default_options env dst ?timeout ?options p arg
 
-let a_call env dst ?timeout ?options name args =
-  call_core ~base:default_options env dst ?timeout ?options name values args
-
-let call env dst ?timeout ?options name args =
-  match a_call env dst ?timeout ?options name args with
-  | Ok v -> v
-  | Error e -> raise (Rpc_error e)
-
-let ping env ?timeout ?options dst =
-  match call_core ~base:ping_options env dst ?timeout ?options "__ping" values [] with
+let ping env ?timeout ?options p dst =
+  match call_core ~base:ping_options env dst ?timeout ?options p () with
   | Ok _ -> true
   | Error _ -> false
 
 (* One-way call: fire the request and return. No reply is expected (the
    callee skips it for negative rids), so no pending-table entry, no
    timer, and — decisively for large fan-outs — no fiber parked waiting.
-   A blocked [a_call] caller costs ~1.3 kB of stack until the reply; a
+   A blocked [invoke] caller costs ~1.3 kB of stack until the reply; a
    million-node flood with six outstanding forwards per node would hold
    gigabytes in parked fibers. Delivery inherits exactly the network's
    guarantees (loss, partitions, dead hosts): fire-and-forget. A fan-out
    builds one immutable request, sized once, that every in-flight copy
    shares. *)
-let notify env dsts name args =
+let notify env dsts p args =
   if dsts <> [] then begin
     ensure_bound env;
-    let size = request_size name values args in
-    let req = Request { rid = -1; name; shape = values; args; ctx = Obs.current () } in
+    let size = request_size p args in
+    let req = Request { rid = -1; proc = p; args; ctx = Obs.current () } in
     List.iter
       (fun dst ->
         Obs.incr c_notifies;
@@ -391,28 +376,28 @@ let notify env dsts name args =
 
 (* Wire serialization of the RPC envelope, for transports that leave the
    process (the live backend's inter-daemon TCP tunnels): the one place a
-   message becomes a tree, through the shape it travels with. A decoded
-   message carries the untyped shape; the handler's shape (for a request)
-   or the caller's (for a reply) parses it on arrival. The trace context
+   message becomes a tree, through the procedure it travels with. A
+   decoded message carries the untyped descriptor; the handler's types
+   (for a request) or the caller's (for a reply) parse it on arrival. The trace context
    travels explicitly — it is what stitches one logical request into a
    single causal trace across real processes. *)
 
 let payload_to_value = function
-  | Request { rid; name; shape; args; ctx } ->
+  | Request { rid; proc; args; ctx } ->
       Some
         (Codec.Assoc
            [
              ("k", Codec.String "q");
              ("rid", Codec.Int rid);
-             ("proc", Codec.String name);
-             ("args", Codec.List (shape.args.to_values args));
+             ("proc", Codec.String proc.name);
+             ("args", Codec.List (proc.args.to_values args));
              ("tid", Codec.Int ctx.Obs.tid);
              ("sid", Codec.Int ctx.Obs.sid);
            ])
-  | Reply { rid; shape; result = Ok v } ->
+  | Reply { rid; proc; result = Ok v } ->
       Some
         (Codec.Assoc
-           [ ("k", Codec.String "p"); ("rid", Codec.Int rid); ("ok", shape.result.to_value v) ])
+           [ ("k", Codec.String "p"); ("rid", Codec.Int rid); ("ok", proc.result.to_value v) ])
   | Reply { rid; result = Error m; _ } ->
       Some
         (Codec.Assoc [ ("k", Codec.String "p"); ("rid", Codec.Int rid); ("err", Codec.String m) ])
@@ -424,8 +409,7 @@ let payload_of_value v =
       Request
         {
           rid = Codec.to_int (Codec.member "rid" v);
-          name = Codec.to_string (Codec.member "proc" v);
-          shape = values;
+          proc = { values with name = Codec.to_string (Codec.member "proc" v) };
           args = Codec.to_list (Codec.member "args" v);
           ctx =
             {
@@ -439,7 +423,7 @@ let payload_of_value v =
         | ok -> Ok ok
         | exception Codec.Parse_error _ -> Error (Codec.to_string (Codec.member "err" v))
       in
-      Reply { rid = Codec.to_int (Codec.member "rid" v); shape = values; result }
+      Reply { rid = Codec.to_int (Codec.member "rid" v); proc = values; result }
   | k -> raise (Codec.Parse_error (Printf.sprintf "unknown rpc payload kind %S" k))
 
 let calls_issued env = env.Env.rpc_next_rid

@@ -9,10 +9,9 @@
     the procedure's type witness. Only a transport that leaves the process
     builds a {!Codec.value} tree ({!payload_to_value}).
 
-    {!a_call}, {!call}, {!ping}, {!notify}, {!add_handler} and {!server}
-    are the same path for procedures named by a string whose arguments
-    and result are [Codec.value]s. A typed call to a string-named handler
-    (or the reverse) still works, through the tree.
+    {!add_handler} is the one untyped entry: a handler over the argument
+    values, bound by name. A typed call to it still works, through the
+    tree.
 
     Communication errors are reported as a result value, mirroring Lua's
     second return value. A handler runs in its own process on the callee,
@@ -52,56 +51,47 @@ val default_options : options
 
 (** {1 Typed procedures} *)
 
-type 'a args
+type 'a args = 'a Env.rpc_args
 (** A procedure's argument list. On the wire it is a list of values, and
     a request costs the sum of their sizes. *)
 
 val no_args : unit args
 val arg : 'a Codec.ty -> 'a args
 val args2 : 'a Codec.ty -> 'b Codec.ty -> ('a * 'b) args
+val args3 : 'a Codec.ty -> 'b Codec.ty -> 'c Codec.ty -> ('a * 'b * 'c) args
 
-type ('a, 'b) proc
+type ('a, 'b) proc = ('a, 'b) Env.rpc_proc
 (** A named procedure from ['a] to ['b]. Define each one once, at top
-    level, and share it between the callers and the handler. *)
+    level, in the module that serves it, and share it between the callers
+    and the handler. *)
 
 val proc : string -> 'a args -> 'b Codec.ty -> ('a, 'b) proc
 (** [proc name args result]: each call makes a new type witness. *)
 
 val handle : Env.t -> ('a, 'b) proc -> ('a -> 'b) -> unit
-(** Serve the procedure on the instance's endpoint (binding it, as
-    {!server} does). Replaces any binding of the same name. *)
-
-val invoke :
-  Env.t -> Addr.t -> ?timeout:float -> ?options:options -> ('a, 'b) proc -> 'a -> ('b, error) result
-(** Call the procedure: {!a_call} for typed procedures. A handler that
-    raised answers [Remote] with its message. *)
-
-(** {1 String-named procedures} *)
-
-val server : Env.t -> (string * (Codec.value list -> Codec.value)) list -> unit
-(** Start the RPC server on the instance's endpoint ([rpc.server(n.port)]).
-    Also enables this instance to issue calls (replies share the socket).
-    Re-registering a name replaces the handler. *)
+(** Serve the procedure on the instance's endpoint ([rpc.server(n.port)]),
+    binding it on first use; the endpoint then also issues calls (replies
+    share the socket). Replaces any binding of the same name: the last
+    registration wins. *)
 
 val client : Env.t -> unit
 (** Enable calls without exposing any procedure (pure client). *)
 
 val add_handler : Env.t -> string -> (Codec.value list -> Codec.value) -> unit
+(** Bind a handler over the argument values by name, replacing any
+    binding of that name; the endpoint must already be bound. A typed call
+    or notify of that name reaches it with its arguments as trees, and the
+    caller's result type parses the returned value. *)
 
-val a_call :
-  Env.t ->
-  Addr.t ->
-  ?timeout:float ->
-  ?options:options ->
-  string ->
-  Codec.value list ->
-  (Codec.value, error) result
+val invoke :
+  Env.t -> Addr.t -> ?timeout:float -> ?options:options -> ('a, 'b) proc -> 'a -> ('b, error) result
 (** The primary entry point — [rpc.a_call(node, proc, args, timeout)]:
-    call the remote procedure and report failure as a value. The policy is
+    call the remote procedure and report failure as a value. A handler
+    that raised answers [Remote] with its message. The policy is
     [?options] (default {!default_options}, i.e. the "standard 2 minutes"
     the paper mentions tuning down for PlanetLab); [?timeout] is the
     common-case shorthand and overrides [options.timeout] when both are
-    given, so existing [~timeout] call sites mean what they always did.
+    given.
 
     When tracing is enabled, each logical call records one [rpc.call] span
     carrying the procedure, source, destination, payload bytes, outcome
@@ -112,17 +102,18 @@ val a_call :
     everything the handler does, including nested calls — is a child of
     this call's span across nodes. *)
 
-val call :
-  Env.t -> Addr.t -> ?timeout:float -> ?options:options -> string -> Codec.value list -> Codec.value
-(** [rpc.call]: like {!a_call} but raises {!Rpc_error} on failure. *)
+val p_ping : (unit, unit) proc
+(** ["__ping"]: every bound endpoint answers it, unless the application
+    binds that name itself. A request costs 38 bytes, its reply 36. *)
 
-val ping : Env.t -> ?timeout:float -> ?options:options -> Addr.t -> bool
-(** Liveness probe; default policy {!default_options} with a 5 s timeout. *)
+val ping : Env.t -> ?timeout:float -> ?options:options -> (unit, 'b) proc -> Addr.t -> bool
+(** Liveness probe: whether the no-argument procedure answered, usually
+    {!p_ping}. Default policy {!default_options} with a 5 s timeout. *)
 
-val notify : Env.t -> Addr.t list -> string -> Codec.value list -> unit
+val notify : Env.t -> Addr.t list -> ('a, 'b) proc -> 'a -> unit
 (** One-way call to each destination in turn: send the request and return
     immediately. All destinations share one request value. The handler
-    runs on the callee exactly as for {!a_call}, but no reply is sent and
+    runs on the callee exactly as for {!invoke}, but no reply is sent and
     nothing waits — no timer, no pending-table entry and, decisively for
     very large fan-outs, no fiber parked on the answer. Delivery is
     fire-and-forget with the network's guarantees only: a lost message,

@@ -3,30 +3,35 @@
 
     scripts/ab.py BASE [HEAD] --workload W [--pairs N] [--seed S] [--null ALPHA]
 
-BASE and HEAD are git revisions (HEAD defaults to HEAD). Each is checked
-out in a git worktree under _build/ab/base and _build/ab/head (reused
-by later runs) and its benchmark is built there before the first pair.
-The tool then runs N pairs of
-single-repetition runs (`perfbench/run.py --workload W --seed S
---seconds 1 --trace 0`), base first in odd pairs and head first in even
-ones, so neither binary always runs on a warm or a cold machine.
+BASE and HEAD are git revisions (HEAD defaults to HEAD). Each is
+exported with `git archive` to _build/ab/base and _build/ab/head (kept
+with their _build for later runs, re-exported when the revision
+changes) and its benchmark is built there before the first pair. The
+tool then runs N pairs of single-repetition runs (`perfbench/run.py
+--workload W --seed S --seconds 1 --trace 0`), base first in odd pairs
+and head first in even ones, so neither binary always runs on a warm or
+a cold machine.
 
 Per end-to-end metric of BENCHMARK.json it prints the median of the
 per-pair head/base ratios, the pairs head won (by the metric's
 direction; ties count for neither) and a two-sided sign-test p-value
-over the pairs that were not ties.
+over the pairs that were not ties. It ends with one traced repetition
+per side (`--trace 1`) and prints the deterministic per-layer counters
+of both: sim.events, net.msgs, net.bytes, net.dropped and rpc.calls.
 
 Exit status: 1 when ok_frac, sim_p50_s or sim_p99_s differ within a
-pair (those are deterministic, so two builds that disagree on them do
-not compute the same thing), or when a run fails; with --null ALPHA
-(an A/A run: one revision against itself), also 1 when any metric's
-p-value is below ALPHA.
+pair or a traced counter differs between the sides (those are
+deterministic, so two builds that disagree on them do not compute the
+same thing), or when a run fails; with --null ALPHA (an A/A run: one
+revision against itself), also 1 when any metric's p-value is below
+ALPHA.
 """
 
 import argparse
 import json
 import math
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -34,6 +39,7 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 AB = os.path.join(ROOT, "_build", "ab")
 EXACT = ["ok_frac", "sim_p50_s", "sim_p99_s"]
+COUNTERS = ["sim.events", "net.msgs", "net.bytes", "net.dropped", "rpc.calls"]
 
 
 def git(*args, cwd=ROOT):
@@ -42,15 +48,25 @@ def git(*args, cwd=ROOT):
 
 
 def checkout(side, rev):
-    """The worktree _build/ab/SIDE at REV; reused (and re-pointed) when it exists."""
+    """REV's tree in _build/ab/SIDE; exported again, keeping _build, when SIDE holds another."""
     sha = git("rev-parse", "--verify", rev + "^{commit}")
     wt = os.path.join(AB, side)
-    git("worktree", "prune")
-    if os.path.isdir(os.path.join(wt, ".git")) or os.path.isfile(os.path.join(wt, ".git")):
-        git("checkout", "--quiet", "--detach", "--force", sha, cwd=wt)
-    else:
-        os.makedirs(AB, exist_ok=True)
-        git("worktree", "add", "--quiet", "--detach", "--force", wt, sha)
+    stamp = os.path.join(wt, ".ab-rev")
+    if os.path.isfile(stamp) and open(stamp).read().strip() == sha:
+        return wt, sha
+    os.makedirs(wt, exist_ok=True)
+    for name in os.listdir(wt):
+        path = os.path.join(wt, name)
+        if name == "_build":
+            continue
+        if os.path.isdir(path) and not os.path.islink(path):
+            shutil.rmtree(path)
+        else:
+            os.remove(path)
+    tree = subprocess.run(["git", "archive", sha], cwd=ROOT, check=True, stdout=subprocess.PIPE).stdout
+    subprocess.run(["tar", "-x", "-C", wt], input=tree, check=True)
+    with open(stamp, "w") as f:
+        f.write(sha + "\n")
     return wt, sha
 
 
@@ -62,9 +78,9 @@ def build(wt):
         sys.exit("ab: build failed in %s" % wt)
 
 
-def run(wt, workload, seed):
+def run(wt, workload, seed, trace=0):
     cmd = [sys.executable, os.path.join(wt, "perfbench", "run.py"), "--workload", workload,
-           "--seed", str(seed), "--seconds", "1", "--trace", "0"]
+           "--seed", str(seed), "--seconds", "1", "--trace", str(trace)]
     r = subprocess.run(cmd, cwd=wt, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
     lines = r.stdout.strip().splitlines()
     try:
@@ -141,6 +157,16 @@ def main():
         print("%-14s %12.6g %12.6g %8.4f %5d/%-2d %8.4f%s" % (
             name, statistics.median(b for b, _ in rows), statistics.median(h for _, h in rows),
             ratio, wins, len(rows), p, flag))
+
+    traced = {side: run(sides[side], a.workload, a.seed, trace=1) for side in ("base", "head")}
+    print("\ntraced repetition (base, head)")
+    for name in COUNTERS:
+        b, h = traced["base"].get(name), traced["head"].get(name)
+        flag = ""
+        if b != h:
+            flag = "  DIFFERS"
+            status = 1
+        print("%-14s %14s %14s%s" % (name, b, h, flag))
     sys.exit(status)
 
 

@@ -492,7 +492,7 @@ let prop_message_types =
         && ty.Codec.of_value v = x
         && ty.Codec.of_value (Codec.decode (Codec.encode v)) = x)
   in
-  let hops = Codec.int in
+  let hops = Codec.int and text = string_size (int_bound 40) in
   [
     case "int" Codec.int int;
     case "string" Codec.string (string_size (int_bound 40));
@@ -506,6 +506,39 @@ let prop_message_types =
     case "node option and hops"
       (Codec.record2 "node" (Codec.option Node.ty) "hops" hops)
       (pair (opt node) int);
+    case "cyclon entries"
+      (Codec.list (Codec.record2 "n" Node.ty "age" Codec.int))
+      (list_size (int_bound 10) (pair node int));
+    case "bittorrent piece" Apps.Bittorrent.piece
+      (oneof [ return `Choked; return `Missing; map (fun d -> `Data d) text ]);
+    case "webcache reply" Apps.Webcache.reply (opt (pair text bool));
+  ]
+
+(* A procedure's argument list: a request costs the sum of its values'
+   sizes, and the list survives its trees and their texts. *)
+let prop_argument_lists =
+  let open QCheck.Gen in
+  let text = string_size (int_bound 40) in
+  let addr = map2 Addr.make int int in
+  let case name (args : _ Rpc.args) gen =
+    QCheck.Test.make ~name:("message type " ^ name) ~count:300
+      (QCheck.make ~print:(fun x -> Codec.encode (Codec.List (args.to_values x))) gen)
+      (fun x ->
+        let vs = args.to_values x in
+        args.size x = List.fold_left (fun n v -> n + String.length (Codec.encode v)) 0 vs
+        && args.of_values vs = x
+        && args.of_values (List.map (fun v -> Codec.decode (Codec.encode v)) vs) = x)
+  in
+  [
+    case "scribe event" (Rpc.args3 Codec.int Codec.string Codec.string) (triple int text text);
+    case "splayd.probe" Daemon.proc_probe.args text;
+    case "splayd.register" Daemon.proc_register.args int;
+    case "splayd.list" Daemon.proc_list.args
+      (triple int int (list_size (int_bound 20) addr));
+    case "splayd.start" Daemon.proc_start.args (pair int int);
+    case "splayd.free" Daemon.proc_free.args int;
+    case "splayd.stop" Daemon.proc_stop.args int;
+    case "splayd.blacklist" Daemon.proc_blacklist.args int;
   ]
 
 (* [Pastry.learn] before its one-walk rewrite: two closures and two list
@@ -1467,6 +1500,6 @@ let () =
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           ([ prop_of_value_matches_old; prop_node_roundtrip; prop_insert_bounded; prop_learn_matches_old ]
-          @ prop_message_types)
+          @ prop_message_types @ prop_argument_lists)
       );
     ]

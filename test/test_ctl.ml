@@ -80,7 +80,8 @@ let test_instances_lifecycle () =
     Sandbox.socket_opened sb;
     Sandbox.fs_grow sb 10;
     (* one outstanding call to a silent port keeps a fiber and an RPC live *)
-    ignore (Rpc.a_call env (Addr.make 0 99) ~timeout:50.0 "nobody.home" [])
+    let p_absent = Rpc.proc "nobody.home" Rpc.no_args Codec.unit in
+    ignore (Rpc.invoke env (Addr.make 0 99) ~timeout:50.0 p_absent ())
   in
   let register job =
     Instances.register tbl ~job ~name:"app" ~main (fun port -> Env.create net ~me:(Addr.make 1 port))
@@ -206,7 +207,7 @@ let test_controller_blacklisted_for_apps () =
       let ctl_addr = Controller.addr ctl in
       let main env =
         Rpc.client env;
-        result := Some (Rpc.a_call env ctl_addr ~timeout:5.0 "ctl.heartbeat" [ Codec.Int 0 ])
+        result := Some (Rpc.invoke env ctl_addr ~timeout:5.0 Daemon.proc_heartbeat 0)
       in
       ignore (Controller.deploy ctl ~name:"sneaky" ~main (Descriptor.make 1));
       Env.sleep 10.0;
@@ -369,8 +370,9 @@ let test_lossy_deployment () =
       (* two instances told to drop half their packets: RPCs between them
          fail noticeably more often than on a clean deployment *)
       let envs = ref [] in
+      let p_noop = Rpc.proc "noop" Rpc.no_args Codec.unit in
       let main env =
-        Rpc.server env [ ("noop", fun _ -> Codec.Null) ];
+        Rpc.handle env p_noop Fun.id;
         envs := env :: !envs
       in
       let desc = Descriptor.make ~bootstrap:(Descriptor.Head 1) ~loss:0.5 2 in
@@ -384,7 +386,7 @@ let test_lossy_deployment () =
             [ a; b ];
           let failures = ref 0 in
           for _ = 1 to 40 do
-            match Rpc.a_call a b.Env.me ~timeout:1.0 "noop" [] with
+            match Rpc.invoke a b.Env.me ~timeout:1.0 p_noop () with
             | Ok _ -> ()
             | Error _ -> incr failures
           done;

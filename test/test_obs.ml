@@ -541,18 +541,15 @@ let test_cross_node_linkage () =
       let b = Env.create net ~me:(Addr.make 1 2000) in
       let c = Env.create net ~me:(Addr.make 2 2000) in
       let d = Env.create net ~me:(Addr.make 3 2000) in
+      let p_hop = Rpc.proc "hop" Rpc.no_args Codec.int in
       let forward env next =
-        Rpc.server env
-          [
-            ( "hop",
-              fun args ->
-                match next with
-                | None -> Codec.Int 0
-                | Some dst -> (
-                    match Rpc.a_call env dst "hop" args with
-                    | Ok v -> v
-                    | Error e -> Alcotest.failf "forward failed: %s" (Rpc.error_to_string e)) );
-          ]
+        Rpc.handle env p_hop (fun () ->
+            match next with
+            | None -> 0
+            | Some dst -> (
+                match Rpc.invoke env dst p_hop () with
+                | Ok v -> v
+                | Error e -> Alcotest.failf "forward failed: %s" (Rpc.error_to_string e)))
       in
       forward b (Some c.Env.me);
       forward c (Some d.Env.me);
@@ -560,7 +557,7 @@ let test_cross_node_linkage () =
       let ok = ref false in
       ignore
         (Env.thread a (fun () ->
-             match Rpc.a_call a b.Env.me "hop" [] with
+             match Rpc.invoke a b.Env.me p_hop () with
              | Ok _ -> ok := true
              | Error e -> Alcotest.failf "chain failed: %s" (Rpc.error_to_string e)));
       ignore (Engine.run eng);
@@ -626,13 +623,15 @@ let test_disabled_records_nothing () =
 
 (* {2 RPC spans and options} *)
 
+let p_echo = Rpc.proc "echo" (Rpc.arg Codec.int) Codec.int
+
 let two_host_rpc ~seed f =
   let eng = Engine.create ~seed () in
   let tb = Testbed.cluster ~n:2 (Engine.rng eng) in
   let net = Net.create eng tb in
   let server = Env.create net ~me:(Addr.make 0 2000) in
   let client = Env.create net ~me:(Addr.make 1 2000) in
-  Rpc.server server [ ("echo", fun args -> Codec.List args) ];
+  Rpc.handle server p_echo Fun.id;
   f eng net server client;
   ignore (Engine.run eng)
 
@@ -643,7 +642,7 @@ let test_timeout_span () =
           Testbed.set_host_up (Net.testbed net) 0 false;
           ignore
             (Env.thread client (fun () ->
-                 (match Rpc.a_call client server.Env.me ~timeout:2.0 "echo" [] with
+                 (match Rpc.invoke client server.Env.me ~timeout:2.0 p_echo 0 with
                  | Error Rpc.Timeout -> ()
                  | _ -> Alcotest.fail "expected Timeout");
                  settled := true)));
@@ -663,9 +662,9 @@ let test_retries () =
             (Env.thread client (fun () ->
                  let t0 = Engine.now eng in
                  let r =
-                   Rpc.a_call client server.Env.me
+                   Rpc.invoke client server.Env.me
                      ~options:{ Rpc.default_options with timeout = 1.0; retries = 2 }
-                     "echo" []
+                     p_echo 0
                  in
                  (match r with
                  | Error Rpc.Timeout -> ()
@@ -693,10 +692,10 @@ let backoff_elapsed ~seed ~jitter =
               (Env.thread client (fun () ->
                    let t0 = Engine.now eng in
                    (match
-                      Rpc.a_call client server.Env.me
+                      Rpc.invoke client server.Env.me
                         ~options:
                           { Rpc.timeout = 1.0; retries = 2; backoff = 0.5; backoff_jitter = jitter }
-                        "echo" []
+                        p_echo 0
                     with
                    | Error Rpc.Timeout -> ()
                    | _ -> Alcotest.fail "expected Timeout after retries");
@@ -729,7 +728,7 @@ let test_ok_span_outcome () =
       two_host_rpc ~seed:8 (fun _eng _net server client ->
           ignore
             (Env.thread client (fun () ->
-                 match Rpc.a_call client server.Env.me "echo" [ Codec.Int 42 ] with
+                 match Rpc.invoke client server.Env.me p_echo 42 with
                  | Ok _ -> ()
                  | Error e -> Alcotest.failf "echo failed: %s" (Rpc.error_to_string e))));
       let trace = Obs.trace_jsonl () in

@@ -65,6 +65,8 @@ let test_disk_hog_survives_with_failed_writes () =
 
 (* {2 Crashes racing in-flight RPCs} *)
 
+let p_slow = Rpc.proc "slow" Rpc.no_args Codec.unit
+
 let test_callee_crashes_mid_call () =
   (* direct (non-deployment) setup for precise control of the timing *)
   let eng = Engine.create ~seed:52 () in
@@ -72,17 +74,11 @@ let test_callee_crashes_mid_call () =
   let net = Net.create eng tb in
   let server = Env.create net ~me:(Addr.make 0 2000) in
   let client = Env.create net ~me:(Addr.make 1 2000) in
-  Rpc.server server
-    [
-      ( "slow",
-        fun _ ->
-          Engine.sleep 30.0;
-          Codec.Null );
-    ];
+  Rpc.handle server p_slow (fun () -> Engine.sleep 30.0);
   let result = ref None in
   ignore
     (Env.thread client (fun () ->
-         result := Some (Rpc.a_call client server.Env.me ~timeout:10.0 "slow" [])));
+         result := Some (Rpc.invoke client server.Env.me ~timeout:10.0 p_slow ())));
   (* kill the server while the handler sleeps *)
   ignore (Engine.schedule eng ~delay:1.0 (fun () -> Env.stop server));
   ignore (Engine.run eng);
@@ -100,18 +96,13 @@ let test_caller_killed_mid_call () =
   let server = Env.create net ~me:(Addr.make 0 2000) in
   let client = Env.create net ~me:(Addr.make 1 2000) in
   let served = ref 0 in
-  Rpc.server server
-    [
-      ( "slow",
-        fun _ ->
-          Engine.sleep 5.0;
-          incr served;
-          Codec.Null );
-    ];
+  Rpc.handle server p_slow (fun () ->
+      Engine.sleep 5.0;
+      incr served);
   let after_call = ref false in
   ignore
     (Env.thread client (fun () ->
-         ignore (Rpc.call client server.Env.me "slow" []);
+         ignore (Rpc.invoke client server.Env.me p_slow ());
          after_call := true));
   ignore (Engine.schedule eng ~delay:1.0 (fun () -> Env.stop client));
   ignore (Engine.run eng);
