@@ -54,9 +54,6 @@ type t = {
   mutable banned : Addr.host_id list; (* controller-pushed blacklist *)
 }
 
-(* The control protocol. The probe's argument is padding that sizes the
-   measured round trip; REGISTER answers the instance's port; LIST carries
-   the port, the position and the bootstrap nodes. *)
 let proc_probe = Rpc.proc "splayd.probe" (Rpc.arg Codec.string) Codec.unit
 let proc_register = Rpc.proc "splayd.register" (Rpc.arg Codec.int) Codec.int
 let proc_list = Rpc.proc "splayd.list" (Rpc.args3 Codec.int Codec.int Wire.addrs) Codec.unit
