@@ -495,7 +495,7 @@ let prop_message_types =
   let hops = Codec.int and text = string_size (int_bound 40) in
   [
     case "int" Codec.int int;
-    case "string" Codec.string (string_size (int_bound 40));
+    case "string" Codec.string text;
     case "bool" Codec.bool bool;
     case "unit" Codec.unit unit;
     case "option bool" (Codec.option Codec.bool) (opt bool);
