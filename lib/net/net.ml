@@ -10,7 +10,15 @@ let c_obs_bytes = Obs.counter "net.bytes_sent"
 let c_drops = Obs.counter "net.dropped"
 let h_link_wait = Obs.histogram "net.link_wait"
 
+(* The engine's own site: a message in flight is an engine event, and a
+   traced one records its queueing wait there like any traced event. *)
+let h_event_wait = Obs.histogram "engine.event_wait"
+
 type payload = ..
+
+(* What a vacant slot's payload column holds, so a delivered payload is
+   not kept reachable by its slot. *)
+type payload += Vacant
 
 type handler = src:Addr.t -> payload -> unit
 
@@ -58,13 +66,133 @@ type t = {
   mutable n_dropped : int;
   due : Engine.fcell;
       (* scratch cell of the send path: the propagation delay from
-         [Latency.delay_to], then the due time for [Engine.schedule_at] —
+         [Latency.delay_to], then the due time for [Engine.post] —
          both travel unboxed *)
   near_a : Engine.fcell;
   near_b : Engine.fcell; (* scratch cells of [closer]'s two base delays *)
+  (* Messages in flight, as columns indexed by the slot ids queued in the
+     engine's message queue ({!Engine.post}); [m_free] is the stack of
+     vacant ids. A traced send also fills [m_ctx] (the trace context the
+     delivery runs under) and [m_sched] (the instant it was queued, [nan]
+     for a slot queued untraced); both stay empty until the first traced
+     send. *)
+  mutable m_src : Addr.t array;
+  mutable m_dst : Addr.t array;
+  mutable m_pay : payload array;
+  mutable m_ctx : Obs.ctx array;
+  mutable m_sched : float array;
+  mutable m_free : int array;
+  mutable m_nfree : int;
 }
 
+let no_addr = Addr.make (-1) (-1)
+
+(* Double the columns; the new ids go on the free stack lowest on top. *)
+let grow_slots t =
+  let cap = Array.length t.m_pay in
+  let ncap = if cap = 0 then 64 else 2 * cap in
+  let extend a fill =
+    let na = Array.make ncap fill in
+    Array.blit a 0 na 0 cap;
+    na
+  in
+  t.m_src <- extend t.m_src no_addr;
+  t.m_dst <- extend t.m_dst no_addr;
+  t.m_pay <- extend t.m_pay Vacant;
+  if Array.length t.m_sched > 0 then begin
+    t.m_ctx <- extend t.m_ctx Obs.null_ctx;
+    t.m_sched <- extend t.m_sched nan
+  end;
+  let free = Array.make ncap 0 in
+  for i = 0 to ncap - cap - 1 do
+    free.(i) <- ncap - 1 - i
+  done;
+  t.m_free <- free;
+  t.m_nfree <- ncap - cap
+
+(* With nothing in flight, a net holds no column: a burst's high-water
+   mark is not kept for the rest of the run. The first 64 slots stay, so
+   a lone request and its reply do not regrow them every time. *)
+let vacate t =
+  t.m_src <- [||];
+  t.m_dst <- [||];
+  t.m_pay <- [||];
+  t.m_ctx <- [||];
+  t.m_sched <- [||];
+  t.m_free <- [||];
+  t.m_nfree <- 0
+
+(* Queue a message due at [t.due.v]. [traced] is [!Obs.enabled] at the
+   send; [ctx] is the context its delivery runs under. *)
+let enqueue t ~traced ~ctx ~src ~dst payload =
+  if t.m_nfree = 0 then grow_slots t;
+  let n = t.m_nfree - 1 in
+  t.m_nfree <- n;
+  let id = Array.unsafe_get t.m_free n in
+  Array.unsafe_set t.m_src id src;
+  Array.unsafe_set t.m_dst id dst;
+  Array.unsafe_set t.m_pay id payload;
+  if traced then begin
+    let cap = Array.length t.m_pay in
+    if Array.length t.m_sched = 0 then begin
+      t.m_ctx <- Array.make cap Obs.null_ctx;
+      t.m_sched <- Array.make cap nan
+    end;
+    t.m_ctx.(id) <- ctx;
+    t.m_sched.(id) <- (Engine.clock t.eng).v
+  end;
+  Engine.post t.eng ~at:t.due id
+
+(* Hoisted out of [send] so a dropped (or delivered-then-dropped) message
+   costs a call, not a fresh closure per send. *)
+let count_drop t =
+  t.n_dropped <- t.n_dropped + 1;
+  Obs.incr c_drops
+
+(* Delivery at the receiver: liveness at delivery time, then the bound
+   handler. *)
+let deliver t ~up ~src ~dst payload =
+  if not up then count_drop t
+  else
+    match AddrTbl.find_opt t.handlers dst with
+    | None -> count_drop t
+    | Some h -> h ~src payload
+
+(* The engine hands a due slot back here. The slot is vacated before the
+   handler runs, so a send from the handler may reuse it. When traced,
+   the sender's trace context rides in the slot (the wire-level
+   counterpart of the RPC envelope's ctx field): delivery runs under it,
+   so receiver-side spans join the sender's causal trace for any payload,
+   not just RPC. Liveness is read at delivery. *)
+let fire t id =
+  let src = Array.unsafe_get t.m_src id
+  and dst = Array.unsafe_get t.m_dst id
+  and payload = Array.unsafe_get t.m_pay id in
+  Array.unsafe_set t.m_pay id Vacant;
+  if Array.length t.m_sched > 0 then begin
+    let sched = t.m_sched.(id) in
+    if sched = sched (* queued traced *) then begin
+      let ctx = t.m_ctx.(id) in
+      t.m_sched.(id) <- nan;
+      t.m_ctx.(id) <- Obs.null_ctx;
+      if !Obs.enabled then begin
+        Obs.observe h_event_wait ((Engine.clock t.eng).v -. sched);
+        Obs.set_current ctx
+      end
+    end
+  end;
+  Array.unsafe_set t.m_free t.m_nfree id;
+  t.m_nfree <- t.m_nfree + 1;
+  if t.m_nfree = Array.length t.m_pay && t.m_nfree > 64 then vacate t;
+  let up =
+    match t.cmp with
+    | Some c -> Bytes.unsafe_get c.Testbed.Compact.up_bits dst.Addr.host <> '\000'
+    | None -> (Testbed.host t.tb dst.Addr.host).Testbed.up
+  in
+  deliver t ~up ~src ~dst payload
+
 let create eng tb =
+  let t =
   {
     eng;
     tb;
@@ -81,7 +209,17 @@ let create eng tb =
     due = { v = 0.0 };
     near_a = { v = 0.0 };
     near_b = { v = 0.0 };
+    m_src = [||];
+    m_dst = [||];
+    m_pay = [||];
+    m_ctx = [||];
+    m_sched = [||];
+    m_free = [||];
+    m_nfree = 0;
   }
+  in
+  Engine.set_consumer eng (fire t);
+  t
 
 let engine t = t.eng
 let testbed t = t.tb
@@ -115,35 +253,6 @@ let closer t ~from a b =
   Testbed.base_delay_to t.tb t.near_a from a;
   Testbed.base_delay_to t.tb t.near_b from b;
   t.near_a.v < t.near_b.v
-
-(* Hoisted out of [send] so a dropped (or delivered-then-dropped) message
-   costs a call, not a fresh closure per send. *)
-let count_drop t =
-  t.n_dropped <- t.n_dropped + 1;
-  Obs.incr c_drops
-
-(* Delivery at the receiver: liveness at delivery time, then the bound
-   handler. *)
-let deliver t ~up ~src ~dst payload =
-  if not up then count_drop t
-  else
-    match AddrTbl.find_opt t.handlers dst with
-    | None -> count_drop t
-    | Some h -> h ~src payload
-
-(* The delivery action of a compact testbed. The closure that calls it is
-   what an in-flight message holds in the event queue, so it captures
-   only (net, src, dst, payload): the compact state is read back from
-   [t.cmp] here. When traced, the sender's trace context rides along in
-   the engine's event wrapper (the wire-level counterpart of the RPC
-   envelope's ctx field): delivery runs under it, so receiver-side spans
-   join the sender's causal trace for any payload, not just RPC. *)
-let deliver_compact t ~src ~dst payload =
-  match t.cmp with
-  | Some c ->
-      let up = Bytes.unsafe_get c.Testbed.Compact.up_bits dst.Addr.host <> '\000' in
-      deliver t ~up ~src ~dst payload
-  | None -> assert false (* only compact sends schedule this *)
 
 (* The compact (struct-of-arrays) variant of the send path below: same
    store-and-forward model, same counter/observability behavior, but every
@@ -191,7 +300,7 @@ let send_compact t c ?(size = 256) ?loss ~src ~dst payload =
           if traced || !Obs.metrics_enabled then
             Obs.observe h_link_wait ((start_up -. now) +. (start_down -. arrival));
           t.due.v <- deliver_at;
-          ignore (Engine.schedule_at t.eng ~at:t.due (fun () -> deliver_compact t ~src ~dst payload))
+          enqueue t ~traced ~ctx:(if traced then Obs.current () else Obs.null_ctx) ~src ~dst payload
     end
   end
 
@@ -230,9 +339,7 @@ let send_classic t ?(size = 256) ?loss ~src ~dst payload =
       if traced || !Obs.metrics_enabled then
         Obs.observe h_link_wait ((start_up -. now) +. (start_down -. arrival));
       t.due.v <- deliver_at;
-      ignore
-        (Engine.schedule_at t.eng ~at:t.due (fun () ->
-             deliver t ~up:hd.Testbed.up ~src ~dst payload))
+      enqueue t ~traced ~ctx:(if traced then Obs.current () else Obs.null_ctx) ~src ~dst payload
     end
   end
 
@@ -267,14 +374,8 @@ let deliver_remote t ?(size = 256) ~src ~dst ~up_wait ~ctx payload =
       let traced = !Obs.enabled in
       if traced || !Obs.metrics_enabled then
         Obs.observe h_link_wait (up_wait +. (start_down -. arrival));
-      let deliver () = deliver_compact t ~src ~dst payload in
       t.due.v <- deliver_at;
-      ignore
-        (Engine.schedule_at t.eng ~at:t.due
-           (if traced then fun () ->
-              Obs.set_current ctx;
-              deliver ()
-            else deliver))
+      enqueue t ~traced ~ctx ~src ~dst payload
 
 let messages_sent t = t.n_sent
 let bytes_sent t = t.n_bytes

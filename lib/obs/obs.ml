@@ -454,10 +454,15 @@ let window_cell s (h : handle) =
 
 (* Everything the rollup plane has produced: already-evicted rows, then
    the still-open ring windows in increasing order. Non-destructive. *)
+(* Every row of the plane into [b]: the evicted windows, then the open
+   ones in window order. *)
+let add_ru_rows b r =
+  Buffer.add_buffer b r.ru_mbuf;
+  List.iter (fun sl -> render_slot b r sl) (slots_in_order r)
+
 let ru_rows r =
   let b = Buffer.create (Buffer.length r.ru_mbuf + 512) in
-  Buffer.add_buffer b r.ru_mbuf;
-  List.iter (fun sl -> render_slot b r sl) (slots_in_order r);
+  add_ru_rows b r;
   Buffer.contents b
 
 (* Open a trace record: the time and the event tag [ev] (which carries
@@ -731,11 +736,14 @@ let dump_jsonl ~path () =
 
 let metrics_plane_jsonl () =
   let s = st () in
-  let b = Buffer.create 4096 in
+  (* one buffer, presized past the evicted rows, so the dump is built
+     without an intermediate copy and without regrowing *)
+  let evicted = match s.ru with Some r -> Buffer.length r.ru_mbuf | None -> 0 in
+  let b = Buffer.create (evicted + 65536) in
   Buffer.add_string b "{\"schema\":\"splay-metrics/2\",\"window\":";
   Buffer.add_string b (fmt_float !rollup_window);
   Buffer.add_string b "}\n";
-  (match s.ru with Some r -> Buffer.add_string b (ru_rows r) | None -> ());
+  (match s.ru with Some r -> add_ru_rows b r | None -> ());
   List.iter (fun (h, c) -> cell_row b h ~wid:(-1) c) (touched_metrics ());
   Buffer.contents b
 

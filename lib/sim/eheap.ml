@@ -100,6 +100,7 @@ let sift_down t start ~at ~seq x =
 
 let min_at t = if t.size = 0 then infinity else t.ats.(0)
 let keys t = t.ats
+let seqs t = t.seqs
 
 let popped_cell t = t.popped_at
 

@@ -46,6 +46,10 @@ val keys : 'a t -> float array
     (which may replace the array); an unboxed read for the
     engine's run loops. *)
 
+val seqs : 'a t -> int array
+(** The [seq] keys in heap order, valid like {!keys}: index 0 breaks a
+    tie between two heaps' minimum [at] keys. *)
+
 val pop : 'a t -> 'a option
 (** Remove and return the payload of the minimum entry. *)
 

@@ -86,6 +86,17 @@ type t = {
   mutable ring_head : int;
   mutable ring_len : int;
   mutable ring_dead : int; (* cancelled events still sitting in the ring *)
+  (* Message queue: every message in flight waits here as a slot id, keyed
+     by the same [(at, seq)] counter and perturbation draws as an event,
+     while its columns (source, destination, payload) live in the one
+     consumer that owns the ids ({!Splay_net.Net}). A slot is no record
+     and no closure: the queue holds three words per message, the
+     consumer's columns a few more. The next entry in [(at, seq)] order is
+     the least of the ring head, the heap top and this queue's top (see
+     [next_src]); a fired slot counts as one event. *)
+  msgq : int Eheap.t;
+  mpopped : fcell; (* [Eheap.popped_cell msgq] *)
+  mutable consumer : int -> unit;
   mutable next_seq : int;
   mutable next_pid : int;
   root_rng : Rng.t;
@@ -242,7 +253,7 @@ let ring_pop t =
   t.ring_len <- t.ring_len - 1;
   ev
 
-let queue_depth t = Eheap.size t.queue + t.ring_len
+let queue_depth t = Eheap.size t.queue + t.ring_len + Eheap.size t.msgq
 
 let[@inline] note_depth t =
   let depth = queue_depth t in
@@ -328,6 +339,38 @@ let[@inline] schedule_v t at fn =
 
 let schedule_at t ~(at : fcell) fn = schedule_v t at.v fn
 
+let no_consumer (_ : int) = invalid_arg "Engine.post: the engine has no message consumer"
+
+let set_consumer t f =
+  if t.consumer != no_consumer then
+    invalid_arg "Engine.set_consumer: the engine already has a message consumer";
+  t.consumer <- f
+
+(* [schedule_v] for a slot: the same seq, the same perturbation draws in
+   the same order, the same depth accounting — only the queue differs. A
+   slot due at the current instant waits in [msgq] too, not in the ring:
+   [next_src] orders it against the ring head by seq. *)
+let post t ~(at : fcell) id =
+  let at = if at.v < t.now.v then t.now.v else at.v in
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  (match t.perturb with
+  | None ->
+      t.key.v <- at;
+      Eheap.push t.msgq ~at:t.key ~seq id
+  | Some p ->
+      let at =
+        if p.p_max_extra_delay > 0.0 then at +. Rng.float p.p_rng p.p_max_extra_delay else at
+      in
+      let key =
+        if p.p_tie_shuffle then (Rng.int p.p_rng 0x40000000 lsl 31) lor (seq land 0x7FFFFFFF)
+        else seq
+      in
+      t.key.v <- at;
+      Eheap.push t.msgq ~at:t.key ~seq:key id);
+  t.live_events <- t.live_events + 1;
+  note_depth t
+
 let schedule t ~delay fn =
   let delay = if delay < 0.0 then 0.0 else delay in
   schedule_v t (t.now.v +. delay) fn
@@ -377,55 +420,82 @@ let cancel t ev =
 
 let pending_events t = t.live_events
 
-(* The heap's minimum key, read through its key array: [Eheap.min_at]
-   returns a float across a module boundary, which boxes it on every
-   call of the run loops. *)
-let[@inline] heap_min t =
-  if Eheap.size t.queue = 0 then infinity else Array.unsafe_get (Eheap.keys t.queue) 0
+(* The minimum [at] of a heap, read through its key array:
+   [Eheap.min_at] returns a float across a module boundary, which boxes
+   it on every call of the run loops. *)
+let[@inline] min_key h = if Eheap.size h = 0 then infinity else Array.unsafe_get (Eheap.keys h) 0
 
-(* Next event in exact (at, seq) order, or [dummy_event] when both queues
-   are empty (an allocation-free "none"). A heap entry with [at = now]
-   precedes every ring entry (it was queued before the clock reached [now],
-   so its seq is smaller); otherwise a non-empty ring holds the next event
-   (its head is at [now], the heap minimum is later). *)
-let rec pop_live t =
-  if t.ring_len > 0 && heap_min t <> t.now.v then begin
-    let ev = ring_pop t in
-    if ev_dead ev then begin
-      t.ring_dead <- t.ring_dead - 1;
-      pop_live t
-    end
-    else ev
-  end
-  else begin
-    let ev = Eheap.pop_or t.queue dummy_event in
-    if ev == dummy_event then dummy_event
-    else if ev_dead ev then begin
-      t.heap_dead <- t.heap_dead - 1;
-      pop_live t
-    end
-    else ev
-  end
+let[@inline] heap_min t = min_key t.queue
+let[@inline] msg_min t = min_key t.msgq
 
-let step t =
-  let ev = pop_live t in
-  if ev == dummy_event then false
-  else begin
-    (* ring events are at the current instant; heap events carry the
-       clock forward via the key of the pop that surfaced them *)
-    if not (ev_in_ring ev) then t.now.v <- t.popped.v;
-    ev_mark_fired ev (* fired: a late cancel must not touch the accounting *);
-    t.live_events <- t.live_events - 1;
-    t.events_fired <- t.events_fired + 1;
-    if !Obs.enabled then begin
-      Obs.incr c_events;
-      (* an event scheduled untraced carries no context and runs under
-         none; a traced one restores its own in {!traced_fn} *)
-      Obs.set_current Obs.null_ctx
-    end
-    else if !Obs.metrics_enabled then Obs.incr c_events;
-    ev.fn ();
+(* Where the next entry in exact [(at, seq)] order waits: one of the
+   three queues, or none. The two heaps compare lexicographically. A ring
+   entry is at [now] with its own seq: a heap event at [now] precedes it
+   (it was queued before the clock reached [now], so its seq is smaller),
+   while a slot at [now] may have been posted before or after it, so the
+   two compare by seq. *)
+let src_none = 0
+let src_ring = 1
+let src_heap = 2
+let src_msg = 3
+
+let next_src t =
+  let ha = heap_min t and ma = msg_min t in
+  let msg_first =
+    ma < ha
+    || ma = ha && ma <> infinity
+       && Array.unsafe_get (Eheap.seqs t.msgq) 0 < Array.unsafe_get (Eheap.seqs t.queue) 0
+  in
+  if t.ring_len > 0 then
+    if msg_first then
+      if ma = t.now.v && Array.unsafe_get (Eheap.seqs t.msgq) 0 < ev_seq t.ring.(t.ring_head)
+      then src_msg
+      else src_ring
+    else if ha = t.now.v then src_heap
+    else src_ring
+  else if msg_first then src_msg
+  else if ha <> infinity then src_heap
+  else src_none
+
+(* The bookkeeping of every fired entry, event or slot. *)
+let[@inline] count_fired t =
+  t.live_events <- t.live_events - 1;
+  t.events_fired <- t.events_fired + 1;
+  if !Obs.enabled then begin
+    Obs.incr c_events;
+    (* an event scheduled untraced carries no context and runs under
+       none; a traced one restores its own in {!traced_fn}, a traced
+       slot in its consumer *)
+    Obs.set_current Obs.null_ctx
+  end
+  else if !Obs.metrics_enabled then Obs.incr c_events
+
+(* Execute the next live entry, skipping tombstones. A heap event or a
+   slot carries the clock forward via the key of the pop that surfaced
+   it; ring events are at the current instant. *)
+let rec step t =
+  let src = next_src t in
+  if src = src_msg then begin
+    let id = Eheap.pop_or t.msgq (-1) in
+    t.now.v <- t.mpopped.v;
+    count_fired t;
+    t.consumer id;
     true
+  end
+  else if src = src_none then false
+  else begin
+    let ev = if src = src_ring then ring_pop t else Eheap.pop_or t.queue dummy_event in
+    if ev_dead ev then begin
+      if src = src_ring then t.ring_dead <- t.ring_dead - 1 else t.heap_dead <- t.heap_dead - 1;
+      step t
+    end
+    else begin
+      if src = src_heap then t.now.v <- t.popped.v;
+      ev_mark_fired ev (* fired: a late cancel must not touch the accounting *);
+      count_fired t;
+      ev.fn ();
+      true
+    end
   end
 
 type run_stats = { events_fired : int; final_clock : float; max_queue_depth : int }
@@ -434,29 +504,38 @@ let stats (t : t) =
   { events_fired = t.events_fired; final_clock = t.now.v; max_queue_depth = t.max_queue_depth }
 
 (* Pop cancelled tombstones off the *global* queue head so the limit check
-   in [run ~until] reflects the next *live* event. Without this, a dead
+   in [run ~until] reflects the next *live* entry. Without this, a dead
    head with [at <= limit] passes the limit check and [step] — which skips
-   tombstones unconditionally — would fire the next live event even past
+   tombstones unconditionally — would fire the next live entry even past
    the limit. The drain follows exact (at, seq) order — same selection
-   rule as [pop_live] — and stops at the first live event, so tombstones
-   sitting behind a live entry are removed no earlier than the single-heap
-   engine removed them (the queue-depth gauge sees identical values). *)
+   rule as [step] — and stops at the first live entry (a slot is always
+   live), so tombstones sitting behind a live entry are removed no
+   earlier than the single-heap engine removed them (the queue-depth
+   gauge sees identical values). *)
 let rec drain_dead_head t =
-  if t.ring_len > 0 && heap_min t <> t.now.v then begin
+  let src = next_src t in
+  if src = src_ring then begin
     if ev_dead t.ring.(t.ring_head) then begin
       ignore (ring_pop t);
       t.ring_dead <- t.ring_dead - 1;
       drain_dead_head t
     end
   end
-  else begin
-    let ev = Eheap.top_or t.queue dummy_event in
-    if ev != dummy_event && ev_dead ev then begin
+  else if src = src_heap then begin
+    if ev_dead (Eheap.top_or t.queue dummy_event) then begin
       ignore (Eheap.pop_or t.queue dummy_event);
       t.heap_dead <- t.heap_dead - 1;
       drain_dead_head t
     end
   end
+
+(* The [at] of the next entry once [drain_dead_head] ran: a live ring
+   entry is at the current instant by construction. *)
+let[@inline] head_at t =
+  if t.ring_len > 0 then t.now.v
+  else
+    let ha = heap_min t and ma = msg_min t in
+    if ma < ha then ma else ha
 
 let run ?until t =
   (match until with
@@ -465,9 +544,7 @@ let run ?until t =
       let continue_run = ref true in
       while !continue_run do
         drain_dead_head t;
-        (* a live ring entry is at the current instant by construction *)
-        let at = if t.ring_len > 0 then t.now.v else heap_min t in
-        if at > limit then continue_run := false else ignore (step t)
+        if head_at t > limit then continue_run := false else ignore (step t)
       done;
       if t.now.v < limit then t.now.v <- limit);
   stats t
@@ -480,14 +557,13 @@ let run ?until t =
 
 let next_at t =
   drain_dead_head t;
-  if t.ring_len > 0 then t.now.v else heap_min t
+  head_at t
 
 let run_to t ~stop =
   let continue_run = ref true in
   while !continue_run do
     drain_dead_head t;
-    let at = if t.ring_len > 0 then t.now.v else heap_min t in
-    if at >= stop then continue_run := false else ignore (step t)
+    if head_at t >= stop then continue_run := false else ignore (step t)
   done
 
 (* {2 Processes} *)
@@ -787,6 +863,7 @@ let make_handler t : (unit, unit) Effect.Deep.handler =
 
 let create ?(seed = 42) () =
   let queue = Eheap.create ~dummy:dummy_event in
+  let msgq = Eheap.create ~dummy:(-1) in
   let t =
     {
       now = { v = 0.0 };
@@ -797,6 +874,9 @@ let create ?(seed = 42) () =
       ring_head = 0;
       ring_len = 0;
       ring_dead = 0;
+      msgq;
+      mpopped = Eheap.popped_cell msgq;
+      consumer = no_consumer;
       next_seq = 0;
       next_pid = 0;
       root_rng = Rng.create seed;

@@ -92,6 +92,28 @@ val cancel : t -> event_id -> unit
     out of the queue once they outnumber the live ones, so
     create-then-cancel churn (RPC timeouts) cannot bloat the heap. *)
 
+(** {1 Message queue}
+
+    Messages in flight are the commonest thing an engine queues, so they
+    wait in their own queue of slot ids instead of as event records
+    holding closures: the one consumer (the engine's {!Splay_net.Net})
+    keeps each message's fields in flat columns indexed by the id, and
+    the engine hands the id back when the message is due. A posted slot
+    takes the next seq and the same perturbation draws as a {!schedule},
+    and the engine orders slots and events in one [(at, seq)] order, so a
+    run is the same whether a message is a slot or a scheduled closure:
+    a fired slot is one event for {!stats} and {!pending_events}, and the
+    queue depth counts slots. A slot cannot be cancelled. *)
+
+val set_consumer : t -> (int -> unit) -> unit
+(** Install the function every due slot id is handed to. Raises
+    [Invalid_argument] if the engine already has a consumer. *)
+
+val post : t -> at:fcell -> int -> unit
+(** [post t ~at id] queues slot [id] for [at.v] (clamped to [now], like
+    {!schedule_at}); when it is due the consumer gets [id]. Raises
+    [Invalid_argument] at that point if no consumer is installed. *)
+
 type run_stats = {
   events_fired : int;  (** events executed over the engine's lifetime *)
   final_clock : float;  (** virtual time when the run stopped *)

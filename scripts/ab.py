@@ -19,6 +19,13 @@ over the pairs that were not ties. It ends with one traced repetition
 per side (`--trace 1`) and prints the deterministic per-layer counters
 of both: sim.events, net.msgs, net.bytes, net.dropped and rpc.calls.
 
+Memory is shown by layer and as the OS sees it: beside peak_heap_mb
+(the OCaml major heap) each pair prints max_rss_mb, the largest resident
+set of the run's process tree (`os.wait4`'s rusage of bench.exe, which
+covers the repetition it forks), and the traced repetitions print
+gc.promoted_words and gc.minor_words_per_event. These are informational:
+no exit status depends on them.
+
 Exit status: 1 when ok_frac, sim_p50_s or sim_p99_s differ within a
 pair or a traced counter differs between the sides (those are
 deterministic, so two builds that disagree on them do not compute the
@@ -28,6 +35,7 @@ ALPHA.
 """
 
 import argparse
+import importlib.util
 import json
 import math
 import os
@@ -40,6 +48,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 AB = os.path.join(ROOT, "_build", "ab")
 EXACT = ["ok_frac", "sim_p50_s", "sim_p99_s"]
 COUNTERS = ["sim.events", "net.msgs", "net.bytes", "net.dropped", "rpc.calls"]
+GC = ["gc.promoted_words", "gc.minor_words_per_event"]
 
 
 def git(*args, cwd=ROOT):
@@ -78,18 +87,36 @@ def build(wt):
         sys.exit("ab: build failed in %s" % wt)
 
 
-def run(wt, workload, seed, trace=0):
-    cmd = [sys.executable, os.path.join(wt, "perfbench", "run.py"), "--workload", workload,
-           "--seed", str(seed), "--seconds", "1", "--trace", str(trace)]
-    r = subprocess.run(cmd, cwd=wt, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
-    lines = r.stdout.strip().splitlines()
+def runner(wt):
+    """The worktree's perfbench/run.py as a module: its binary, environment and output dir."""
+    spec = importlib.util.spec_from_file_location("run_" + os.path.basename(wt),
+                                                  os.path.join(wt, "perfbench", "run.py"))
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def run(mod, workload, seed, trace=0):
+    """One repetition, as `perfbench/run.py --seconds 1` runs it once built; its metrics plus max_rss_mb."""
+    os.makedirs(mod.OUT, exist_ok=True)
+    cmd = [mod.EXE, "--workload", workload, "--seed", str(seed), "--seconds", "1",
+           "--trace", str(trace)]
+    p = subprocess.Popen(cmd, cwd=mod.ROOT, env=mod.env(), stdout=subprocess.PIPE,
+                         stderr=subprocess.DEVNULL, text=True)
+    out = p.stdout.read()
+    p.stdout.close()
+    _, status, usage = os.wait4(p.pid, 0)
+    p.returncode = os.waitstatus_to_exitcode(status)
+    lines = out.strip().splitlines()
     try:
         result = json.loads(lines[-1]) if lines else None
     except ValueError:
         result = None
-    if r.returncode != 0 or not result or not result.get("correct"):
-        sys.exit("ab: %s run failed (exit %d)" % (wt, r.returncode))
-    return {k: m["value"] for k, m in result["metrics"].items()}
+    if p.returncode != 0 or not result or not result.get("correct"):
+        sys.exit("ab: %s run failed (exit %d)" % (mod.ROOT, p.returncode))
+    got = {k: m["value"] for k, m in result["metrics"].items()}
+    got["max_rss_mb"] = usage.ru_maxrss / 1024.0  # KiB on Linux
+    return got
 
 
 def sign_test(wins, losses):
@@ -118,7 +145,7 @@ def main():
     for side, rev in (("base", a.base), ("head", a.head)):
         wt, sha = checkout(side, rev)
         build(wt)
-        sides[side] = wt
+        sides[side] = runner(wt)
         print("%s: %s %s" % (side, rev, sha[:12]), flush=True)
 
     pairs = []
@@ -127,15 +154,16 @@ def main():
         got = {side: run(sides[side], a.workload, a.seed) for side in order}
         pairs.append(got)
         print("pair %d/%d (%s first): %s" % (i + 1, a.pairs, order[0], "  ".join(
-            "%s %.4g/%.4g" % (m["name"], got["head"].get(m["name"], float("nan")),
-                              got["base"].get(m["name"], float("nan")))
-            for m in metrics)), flush=True)
+            "%s %.4g/%.4g" % (name, got["head"].get(name, float("nan")),
+                              got["base"].get(name, float("nan")))
+            for name in [m["name"] for m in metrics] + ["max_rss_mb"])), flush=True)
 
     status = 0
     print("\n%s, seed %d, %d pairs (head/base)" % (a.workload, a.seed, a.pairs))
     print("%-14s %12s %12s %8s %8s %8s" % ("metric", "base median", "head median", "ratio",
                                           "head won", "p"))
-    for m in metrics:
+    rss = {"name": "max_rss_mb", "better": "lower"}
+    for m in metrics + [rss]:
         name = m["name"]
         rows = [(p["base"][name], p["head"][name]) for p in pairs
                 if name in p["base"] and name in p["head"]]
@@ -151,6 +179,8 @@ def main():
         if name in EXACT and any(b != h for b, h in rows):
             flag = "  DIFFERS within a pair"
             status = 1
+        elif m is rss:
+            flag = "  (informational)"
         elif a.null is not None and p < a.null:
             flag = "  p < %g on an A/A run" % a.null
             status = 1
@@ -167,6 +197,9 @@ def main():
             flag = "  DIFFERS"
             status = 1
         print("%-14s %14s %14s%s" % (name, b, h, flag))
+    for name in GC:
+        print("%-24s %14s %14s  (informational)" % (name, traced["base"].get(name),
+                                                    traced["head"].get(name)))
     sys.exit(status)
 
 

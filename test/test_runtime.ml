@@ -775,8 +775,8 @@ let test_notify_footprint () =
   let per_msg = Float.of_int (root () - base) /. Float.of_int n in
   Alcotest.(check int) "every message queued" n (Engine.pending_events eng);
   Alcotest.(check bool)
-    (Printf.sprintf "%.1f words per queued one-way message (bound 21)" per_msg)
-    true (per_msg < 21.0)
+    (Printf.sprintf "%.1f words per queued one-way message (bound 18)" per_msg)
+    true (per_msg < 18.0)
 
 let test_parked_caller_footprint () =
   let n = footprint_n in
@@ -868,8 +868,8 @@ let test_roundtrip_minor_words () =
   (* plus the caller thread's own start event *)
   Alcotest.(check int) "4 events per round trip" ((4 * n) + 1) events;
   Alcotest.(check bool)
-    (Printf.sprintf "%.1f minor words per invoke round trip (bound 140)" per_call)
-    true (per_call < 140.0)
+    (Printf.sprintf "%.1f minor words per invoke round trip (bound 105)" per_call)
+    true (per_call < 105.0)
 
 let test_message_loss_forces_timeout () =
   with_cluster (fun eng net ->

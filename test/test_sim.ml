@@ -835,9 +835,126 @@ let prop_schedule_cancel_accounting =
       ignore (Engine.run e);
       !fired = List.length delays - List.length cancelled && Engine.pending_events e = 0)
 
+(* {2 Message slots merge into the event order}
+
+   A random program of closures, message slots, cancels, sleeps and
+   cancel bursts runs on two engines with the same seed: one posts each
+   message as a slot ({!Engine.post}), its twin schedules the same
+   delivery as a closure at the same instant. The slot engine must be
+   indistinguishable from the single-queue one after every step: same
+   fire order, clock, [events_fired], [max_queue_depth] (the compaction
+   instants included) and [pending_events], with and without schedule
+   perturbation. Delay 0 posts a slot due exactly at [now], ordered
+   against the same-instant ring by seq. *)
+
+type mop =
+  | M_ev of int * mop list (* a closure after [delays.(i)] *)
+  | M_msg of int * mop list (* a message due after [delays.(i)] *)
+  | M_nap of int * mop list (* a process that sleeps [delays.(i)] first *)
+  | M_cancel of int (* cancel an earlier closure, counted back from the newest *)
+  | M_burst (* queue 70 far-off closures and cancel them: compaction *)
+
+let m_delays = [| 0.0; 0.0; 0.5; 1.0; 1.0; 2.5 |]
+
+let rec mop_to_string = function
+  | M_ev (d, l) -> Printf.sprintf "ev%d%s" d (mops_to_string l)
+  | M_msg (d, l) -> Printf.sprintf "msg%d%s" d (mops_to_string l)
+  | M_nap (d, l) -> Printf.sprintf "nap%d%s" d (mops_to_string l)
+  | M_cancel k -> Printf.sprintf "cancel%d" k
+  | M_burst -> "burst"
+
+and mops_to_string = function
+  | [] -> ""
+  | l -> "[" ^ String.concat ";" (List.map mop_to_string l) ^ "]"
+
+let gen_mops =
+  let open QCheck.Gen in
+  let d = int_bound (Array.length m_delays - 1) in
+  sized_size (int_bound 40)
+  @@ fix (fun self n ->
+         let kids = if n <= 1 then return [] else frequency [ (1, return []); (2, self (n / 3)) ] in
+         list_size (int_range 1 5)
+           (frequency
+              [
+                (3, map2 (fun d l -> M_ev (d, l)) d kids);
+                (4, map2 (fun d l -> M_msg (d, l)) d kids);
+                (2, map2 (fun d l -> M_nap (d, l)) d kids);
+                (2, map (fun k -> M_cancel k) (int_bound 4));
+                (1, return M_burst);
+              ]))
+
+(* Run [prog] on a fresh engine; [slots] picks real posts over closures.
+   Returns the engine and the fire log, newest first. *)
+let mop_engine ~slots ~perturb prog =
+  let e = Engine.create ~seed:5 () in
+  if perturb then Engine.set_perturbation ~max_extra_delay:0.25 e;
+  let log = ref [] and next_label = ref 0 and handles = ref [] in
+  let actions = ref [||] in
+  if slots then Engine.set_consumer e (fun id -> !actions.(id) ());
+  let rec exec ops = List.iter run ops
+  and fired kids =
+    let label = !next_label in
+    incr next_label;
+    fun () ->
+      log := (label, Engine.now e) :: !log;
+      exec kids
+  and run = function
+    | M_ev (d, kids) -> handles := Engine.schedule e ~delay:m_delays.(d) (fired kids) :: !handles
+    | M_msg (d, kids) ->
+        let at = { Engine.v = Engine.now e +. m_delays.(d) } in
+        let f = fired kids in
+        if slots then begin
+          let id = Array.length !actions in
+          actions := Array.append !actions [| f |];
+          Engine.post e ~at id
+        end
+        else ignore (Engine.schedule_at e ~at f)
+    | M_nap (d, kids) ->
+        let f = fired kids in
+        ignore
+          (Engine.spawn e (fun () ->
+               Engine.sleep m_delays.(d);
+               f ()))
+    | M_cancel k -> (
+        match List.nth_opt !handles k with Some h -> Engine.cancel e h | None -> ())
+    | M_burst ->
+        let burst = List.init 70 (fun _ -> Engine.schedule e ~delay:40.0 ignore) in
+        List.iter (Engine.cancel e) burst
+  in
+  exec prog;
+  (e, log)
+
+let prop_slots_merge_like_events =
+  QCheck.Test.make ~name:"message slots fire like scheduled closures" ~count:300
+    (QCheck.make
+       ~print:(fun (perturb, prog) -> Printf.sprintf "perturb=%b %s" perturb (mops_to_string prog))
+       QCheck.Gen.(pair bool gen_mops))
+    (fun (perturb, prog) ->
+      let a, la = mop_engine ~slots:true ~perturb prog in
+      let b, lb = mop_engine ~slots:false ~perturb prog in
+      let same () =
+        let sa = Engine.stats a and sb = Engine.stats b in
+        !la = !lb && sa = sb && Engine.pending_events a = Engine.pending_events b
+      in
+      (* alternate plain steps with [next_at], which drains tombstones
+         off the global head and must stop at a slot that precedes one *)
+      let rec go i =
+        if not (same ()) then false
+        else if i mod 3 = 2 && Engine.next_at a <> Engine.next_at b then false
+        else
+          let ra = Engine.step a and rb = Engine.step b in
+          if ra <> rb then false else if ra then go (i + 1) else same ()
+      in
+      go 0)
+
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_eheap_sorted; prop_pareto_support; prop_schedule_cancel_accounting ]
+    [
+      prop_eheap_sorted;
+      prop_pareto_support;
+      prop_schedule_cancel_accounting;
+      prop_slots_merge_like_events;
+    ]
 
 let () =
   Alcotest.run "splay_sim"
