@@ -149,21 +149,13 @@ let count_drop t =
   t.n_dropped <- t.n_dropped + 1;
   Obs.incr c_drops
 
-(* Delivery at the receiver: liveness at delivery time, then the bound
-   handler. *)
-let deliver t ~up ~src ~dst payload =
-  if not up then count_drop t
-  else
-    match AddrTbl.find_opt t.handlers dst with
-    | None -> count_drop t
-    | Some h -> h ~src payload
-
 (* The engine hands a due slot back here. The slot is vacated before the
    handler runs, so a send from the handler may reuse it. When traced,
    the sender's trace context rides in the slot (the wire-level
    counterpart of the RPC envelope's ctx field): delivery runs under it,
    so receiver-side spans join the sender's causal trace for any payload,
-   not just RPC. Liveness is read at delivery. *)
+   not just RPC. Liveness is read at delivery, then the bound handler
+   runs. *)
 let fire t id =
   let src = Array.unsafe_get t.m_src id
   and dst = Array.unsafe_get t.m_dst id
@@ -189,34 +181,38 @@ let fire t id =
     | Some c -> Bytes.unsafe_get c.Testbed.Compact.up_bits dst.Addr.host <> '\000'
     | None -> (Testbed.host t.tb dst.Addr.host).Testbed.up
   in
-  deliver t ~up ~src ~dst payload
+  if not up then count_drop t
+  else
+    match AddrTbl.find_opt t.handlers dst with
+    | None -> count_drop t
+    | Some h -> h ~src payload
 
 let create eng tb =
   let t =
-  {
-    eng;
-    tb;
-    cmp = Testbed.compact tb;
-    handlers = AddrTbl.create 1024;
-    net_rng = Rng.split (Testbed.rng tb);
-    loss = 0.0;
-    extra_delay = 0.0;
-    partition = None;
-    remote = None;
-    n_sent = 0;
-    n_bytes = 0;
-    n_dropped = 0;
-    due = { v = 0.0 };
-    near_a = { v = 0.0 };
-    near_b = { v = 0.0 };
-    m_src = [||];
-    m_dst = [||];
-    m_pay = [||];
-    m_ctx = [||];
-    m_sched = [||];
-    m_free = [||];
-    m_nfree = 0;
-  }
+    {
+      eng;
+      tb;
+      cmp = Testbed.compact tb;
+      handlers = AddrTbl.create 1024;
+      net_rng = Rng.split (Testbed.rng tb);
+      loss = 0.0;
+      extra_delay = 0.0;
+      partition = None;
+      remote = None;
+      n_sent = 0;
+      n_bytes = 0;
+      n_dropped = 0;
+      due = { v = 0.0 };
+      near_a = { v = 0.0 };
+      near_b = { v = 0.0 };
+      m_src = [||];
+      m_dst = [||];
+      m_pay = [||];
+      m_ctx = [||];
+      m_sched = [||];
+      m_free = [||];
+      m_nfree = 0;
+    }
   in
   Engine.set_consumer eng (fire t);
   t

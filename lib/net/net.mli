@@ -17,6 +17,10 @@ type t
 type handler = src:Addr.t -> payload -> unit
 
 val create : Splay_sim.Engine.t -> Testbed.t -> t
+(** A network on the engine. Messages in flight wait in the engine's
+    message queue ({!Splay_sim.Engine.post}) and the net is its one
+    consumer, so an engine carries one net: raises [Invalid_argument] if
+    the engine already has a consumer. *)
 
 val engine : t -> Splay_sim.Engine.t
 val testbed : t -> Testbed.t

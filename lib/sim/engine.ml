@@ -296,6 +296,12 @@ let traced_fn t fn =
     end;
     fn ()
 
+(* The draws of one perturbed schedule, extra delay first, then the tie
+   key: [t.key] gets the due time, the result is the heap key. *)
+let[@inline] perturbed_key t p at seq =
+  t.key.v <- (if p.p_max_extra_delay > 0.0 then at +. Rng.float p.p_rng p.p_max_extra_delay else at);
+  if p.p_tie_shuffle then (Rng.int p.p_rng 0x40000000 lsl 31) lor (seq land 0x7FFFFFFF) else seq
+
 (* The due time stays unboxed from the caller's arithmetic to the heap:
    [schedule_v] is inlined into [schedule] and [schedule_at], and the key
    reaches [Eheap.push] through the flat cell [t.key]. *)
@@ -323,15 +329,8 @@ let[@inline] schedule_v t at fn =
         ev
       end
   | Some p ->
-      let at =
-        if p.p_max_extra_delay > 0.0 then at +. Rng.float p.p_rng p.p_max_extra_delay else at
-      in
-      let key =
-        if p.p_tie_shuffle then (Rng.int p.p_rng 0x40000000 lsl 31) lor (seq land 0x7FFFFFFF)
-        else seq
-      in
+      let key = perturbed_key t p at seq in
       let ev = { info = seq lsl 3; fn } in
-      t.key.v <- at;
       Eheap.push t.queue ~at:t.key ~seq:key ev;
       t.live_events <- t.live_events + 1;
       note_depth t;
@@ -354,20 +353,14 @@ let post t ~(at : fcell) id =
   let at = if at.v < t.now.v then t.now.v else at.v in
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
-  (match t.perturb with
-  | None ->
-      t.key.v <- at;
-      Eheap.push t.msgq ~at:t.key ~seq id
-  | Some p ->
-      let at =
-        if p.p_max_extra_delay > 0.0 then at +. Rng.float p.p_rng p.p_max_extra_delay else at
-      in
-      let key =
-        if p.p_tie_shuffle then (Rng.int p.p_rng 0x40000000 lsl 31) lor (seq land 0x7FFFFFFF)
-        else seq
-      in
-      t.key.v <- at;
-      Eheap.push t.msgq ~at:t.key ~seq:key id);
+  let key =
+    match t.perturb with
+    | None ->
+        t.key.v <- at;
+        seq
+    | Some p -> perturbed_key t p at seq
+  in
+  Eheap.push t.msgq ~at:t.key ~seq:key id;
   t.live_events <- t.live_events + 1;
   note_depth t
 
