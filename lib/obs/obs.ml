@@ -452,10 +452,9 @@ let window_cell s (h : handle) =
   if h.h_id >= Array.length r.ru_slots.(slot) then r.ru_slots.(slot) <- grow r.ru_slots.(slot) h;
   r.ru_slots.(slot).(h.h_id)
 
-(* Everything the rollup plane has produced: already-evicted rows, then
-   the still-open ring windows in increasing order. Non-destructive. *)
-(* Every row of the plane into [b]: the evicted windows, then the open
-   ones in window order. *)
+(* Everything the rollup plane has produced, into [b]: already-evicted
+   rows, then the still-open ring windows in increasing order.
+   Non-destructive. *)
 let add_ru_rows b r =
   Buffer.add_buffer b r.ru_mbuf;
   List.iter (fun sl -> render_slot b r sl) (slots_in_order r)
