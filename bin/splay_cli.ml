@@ -714,9 +714,13 @@ let live_deploy app nodes daemons lookups m descriptor_file out_dir duration dea
     desc.Descriptor.nb_splayd app daemons out_dir;
   let o = Live.Ctl.run cfg in
   let sel = o.Live.Ctl.r_select in
-  Printf.printf "select: need %d instances; %d daemons alive, %d dead; sent %s\n"
-    desc.Descriptor.nb_splayd sel.Deploy.sel_alive sel.Deploy.sel_dead
-    (String.concat ", " (List.map (fun (v, n) -> Printf.sprintf "%d %s" n v) o.Live.Ctl.r_sent));
+  Printf.printf "select: need %d instances; %d daemons alive, %d dead\n"
+    desc.Descriptor.nb_splayd sel.Deploy.sel_alive sel.Deploy.sel_dead;
+  Printf.printf "calls: %s\n"
+    (String.concat ", " (List.map (fun (p, n) -> Printf.sprintf "%d %s" n p) o.Live.Ctl.r_calls));
+  Printf.printf "heartbeats: %d of %d daemons\n"
+    (List.length (List.filter (fun (_, n) -> n > 0) o.Live.Ctl.r_heartbeats))
+    (List.length o.Live.Ctl.r_heartbeats);
   Printf.printf "collected: %d log records, %d contract reports\n" o.Live.Ctl.r_log_records
     (List.length o.Live.Ctl.r_reports);
   (match o.Live.Ctl.r_trace_file with

@@ -135,26 +135,10 @@ let dispatch_interval = 0.002
 
 let spawn t f = ignore (Env.thread t.c_env f)
 
-(* The simulated backend of the deploy conversation: the daemons' RPC
-   procedures over the modelled network, processes on the controller's
-   env. *)
-let transport ?(register_timeout = 10.0) t job =
-  let call d ~timeout p arg = Rpc.invoke t.c_env (Daemon.addr d) ~timeout p arg in
-  {
-    Deploy.spawn = spawn t;
-    pace = (fun () -> Engine.sleep dispatch_interval);
-    register =
-      (fun d ->
-        match call d ~timeout:register_timeout Daemon.proc_register job.j_id with
-        | Ok port -> Some (Addr.make (Daemon.host d) port)
-        | Error _ -> None);
-    start =
-      (fun d a ~position ~nodes ->
-        let port = a.Addr.port in
-        Result.is_ok (call d ~timeout:30.0 Daemon.proc_list (port, position, nodes))
-        && Result.is_ok (call d ~timeout:30.0 Daemon.proc_start (job.j_id, port)));
-    free = (fun d a -> ignore (call d ~timeout:30.0 Daemon.proc_free a.Addr.port));
-  }
+let transport ?register_timeout t job =
+  Deploy.transport ?register_timeout
+    ~pace:(fun () -> Engine.sleep dispatch_interval)
+    t.c_env ~addr:Daemon.addr ~job:job.j_id
 
 let deploy t ?superset ?register_timeout ?(criteria = []) ?(log_cap = 100_000)
     ?(log_level = Log.Info) ~name ~main desc =

@@ -7,9 +7,9 @@
     blacklists, and tracks daemon sessions ([unseen]). The churn manager
     drives {!add_node} / {!crash_node} to reshape a running deployment.
 
-    The conversation itself is {!Deploy}, shared with the live controller;
-    this module is its simulated transport: the daemons' RPC procedures,
-    processes on the controller's env, 2 ms of dispatch per command.
+    The conversation and its transport are {!Deploy}'s, shared with the
+    live controller: the daemons' RPC procedures, called from the
+    controller's env, here with 2 ms of dispatch per command.
 
     Control traffic flows over the same simulated network as applications,
     so deployment timings inherit the testbed's latency, bandwidth and host

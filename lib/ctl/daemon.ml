@@ -66,7 +66,59 @@ let proc_blacklist = Rpc.proc "splayd.blacklist" (Rpc.arg Codec.int) Codec.unit
    daemon that sends it, because the controller is built on this module. *)
 let proc_heartbeat = Rpc.proc "ctl.heartbeat" (Rpc.arg Codec.int) Codec.unit
 
+(* What a live daemon needs to build a job's spec before its first
+   REGISTER: the simulated controller hands the daemon the spec itself
+   ([lookup_job]), a live one can only name the application. *)
+type job_desc = {
+  jd_app : string;
+  jd_params : (string * string) list;
+  jd_limits : Sandbox.limits;
+  jd_log_level : Log.level;
+}
+
+let job_desc_to_value d =
+  let l = d.jd_limits in
+  Codec.Assoc
+    [
+      ("app", Codec.String d.jd_app);
+      ("params", Codec.Assoc (List.map (fun (k, v) -> (k, Codec.String v)) d.jd_params));
+      ( "limits",
+        Codec.List
+          (List.map
+             (fun n -> Codec.Int n)
+             [ l.max_memory; l.max_sockets; l.max_fs_bytes; l.max_open_files; l.max_send_bytes ])
+      );
+      ("log_level", Codec.String (Log.level_to_string d.jd_log_level));
+    ]
+
+let job_desc_of_value v =
+  let field k = Codec.member k v in
+  match
+    ( List.map Codec.to_int (Codec.to_list (field "limits")),
+      Log.level_of_string (Codec.to_string (field "log_level")),
+      field "params" )
+  with
+  | [ max_memory; max_sockets; max_fs_bytes; max_open_files; max_send_bytes ], Some level, Codec.Assoc kvs
+    ->
+      {
+        jd_app = Codec.to_string (field "app");
+        jd_params = List.map (fun (k, pv) -> (k, Codec.to_string pv)) kvs;
+        jd_limits = { Sandbox.max_memory; max_sockets; max_fs_bytes; max_open_files; max_send_bytes };
+        jd_log_level = level;
+      }
+  | _ -> raise (Codec.Parse_error "bad job description")
+
+let job_desc =
+  {
+    Codec.size = (fun d -> Codec.encoded_size (job_desc_to_value d));
+    to_value = job_desc_to_value;
+    of_value = job_desc_of_value;
+  }
+
+let proc_job = Rpc.proc "splayd.job" (Rpc.args2 Codec.int job_desc) Codec.unit
+
 let addr t = t.d_env.Env.me
+let env t = t.d_env
 let host t = t.d_host
 
 let instances t = Instances.all t.tbl
@@ -78,23 +130,27 @@ let memory_used t =
 (* Contention model: instances cost a sliver of CPU each; once resident
    memory exceeds the host's RAM, swapping multiplies every service time.
    This is what bends the FreePastry curves in Fig. 7(b)/Fig. 8 while SPLAY,
-   with its small footprint, stays flat. *)
+   with its small footprint, stays flat. A synthetic testbed keeps no
+   host records and no model: its multiplier stays 1.0, as
+   [Testbed.service_mult] answers. *)
 let refresh_host_model t =
-  let h = Testbed.host (Net.testbed t.net) t.d_host in
-  let mem = Float.of_int (memory_used t) in
-  let cap = h.Testbed.mem_mb *. 1024.0 *. 1024.0 in
-  let swap_mult = if mem > cap then 1.0 +. (60.0 *. ((mem /. cap) -. 1.0)) else 1.0 in
-  let n = instance_count t in
-  let cpu_mult =
-    1.0 +. (t.cfg.cpu_per_instance *. Float.of_int n) +. t.cfg.contention_extra n
-  in
-  h.Testbed.service_mult <- swap_mult *. cpu_mult
+  let tb = Net.testbed t.net in
+  if Option.is_none (Testbed.compact tb) then begin
+    let h = Testbed.host tb t.d_host in
+    let mem = Float.of_int (memory_used t) in
+    let cap = h.Testbed.mem_mb *. 1024.0 *. 1024.0 in
+    let swap_mult = if mem > cap then 1.0 +. (60.0 *. ((mem /. cap) -. 1.0)) else 1.0 in
+    let n = instance_count t in
+    let cpu_mult =
+      1.0 +. (t.cfg.cpu_per_instance *. Float.of_int n) +. t.cfg.contention_extra n
+    in
+    h.Testbed.service_mult <- swap_mult *. cpu_mult
+  end
 
 let load t =
-  let h = Testbed.host (Net.testbed t.net) t.d_host in
   let n = Float.of_int (instance_count t) in
   let base = n *. t.cfg.cpu_per_instance in
-  if h.Testbed.service_mult > 1.5 then base +. (n *. 0.002) else base
+  if Testbed.service_mult (Net.testbed t.net) t.d_host > 1.5 then base +. (n *. 0.002) else base
 
 let remove_instance t inst =
   Instances.remove t.tbl inst;

@@ -6,7 +6,10 @@
     resource restrictions (the controller may only strengthen them), tracks
     per-instance memory, and feeds the host contention model — when the
     instances outgrow the host's RAM the host starts "swapping" and every
-    operation on it slows down (Fig. 7b / Fig. 8 behaviour). *)
+    operation on it slows down (Fig. 7b / Fig. 8 behaviour).
+
+    The live [splayd] runs this same daemon on its loop's net, where the
+    testbed keeps no host records and the contention model is off. *)
 
 type config = {
   base_footprint : int;
@@ -22,6 +25,10 @@ type config = {
           count — heavyweight runtimes degrade superlinearly once past
           their comfortable density (GC pressure); 0 for SPLAY *)
 }
+
+val splay_config : config
+(** SPLAY's own daemon, the default: 1.45 MB per resident instance, a
+    16 MB administrator memory cap, a heartbeat a minute. *)
 
 type t
 
@@ -50,6 +57,10 @@ val start :
     access). *)
 
 val addr : t -> Addr.t
+
+val env : t -> Env.t
+(** The control endpoint: a backend serves its own procedures here. *)
+
 val host : t -> Addr.host_id
 
 val instances : t -> Instances.inst list
@@ -96,3 +107,18 @@ val proc_blacklist : (Addr.host_id, unit) Splay_runtime.Rpc.proc
 val proc_heartbeat : (Addr.host_id, unit) Splay_runtime.Rpc.proc
 (** The daemon's keep-alive, carrying its host id; the controller serves
     it. *)
+
+type job_desc = {
+  jd_app : string;  (** registry name of the application *)
+  jd_params : (string * string) list;
+  jd_limits : Splay_runtime.Sandbox.limits;  (** controller restrictions *)
+  jd_log_level : Splay_runtime.Log.level;
+}
+(** A job as a live controller names it: the daemon builds the
+    {!job_spec} from its own application registry. *)
+
+val proc_job : (int * job_desc, unit) Splay_runtime.Rpc.proc
+(** Job id and description, sent before the job's first REGISTER. Only a
+    live daemon serves it (the simulated controller's [lookup_job]
+    already holds the spec); it answers an error naming an application
+    it does not know. *)

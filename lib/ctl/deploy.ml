@@ -7,9 +7,9 @@ module Obs = Splay_obs.Obs
    backends: select a superset of candidate slots, REGISTER them all,
    keep the first [need] to acknowledge and FREE the stragglers, refill
    shortfalls, then push LIST+START with each member's bootstrap list.
-   The simulated controller speaks it over RPC, the live controller over
-   framed TCP; both hand it a [transport] of blocking operations and run
-   it inside a process of their engine. *)
+   Both controllers hand it the same RPC [transport], the live one over
+   its tunnel to real daemons, and run it inside a process of their
+   engine; a test hands it a fake one. *)
 
 let c_registers = Obs.counter "ctl.registers_sent"
 let c_register_acks = Obs.counter "ctl.register_acks"
@@ -93,6 +93,28 @@ type 'd transport = {
   start : 'd -> Addr.t -> position:int -> nodes:Addr.t list -> bool;
   free : 'd -> Addr.t -> unit;
 }
+
+(* The one backend: the daemons' RPC procedures, called from [env] at
+   each daemon's control address and run in processes of [env]. The
+   simulated controller calls them over the modelled network, the live
+   one through its tunnel to real daemons. *)
+let transport ?(register_timeout = 10.0) ?(pace = ignore) env ~addr ~job =
+  let call d ~timeout p arg = Rpc.invoke env (addr d) ~timeout p arg in
+  {
+    spawn = (fun f -> ignore (Env.thread env f));
+    pace;
+    register =
+      (fun d ->
+        match call d ~timeout:register_timeout Daemon.proc_register job with
+        | Ok port -> Some (Addr.make (addr d).Addr.host port)
+        | Error _ -> None);
+    start =
+      (fun d a ~position ~nodes ->
+        let port = a.Addr.port in
+        Result.is_ok (call d ~timeout:30.0 Daemon.proc_list (port, position, nodes))
+        && Result.is_ok (call d ~timeout:30.0 Daemon.proc_start (job, port)));
+    free = (fun d a -> ignore (call d ~timeout:30.0 Daemon.proc_free a.Addr.port));
+  }
 
 (* Spawn every thunk (pacing after each), then block until all have
    returned or, checked after each one, [until ()] holds. *)

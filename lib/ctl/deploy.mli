@@ -3,8 +3,9 @@
     Fig. 12), keep the first [nb_splayd] acks, FREE the stragglers, refill
     shortfalls (two more rounds at [superset + 0.25]), then LIST+START
     each member with its position and bootstrap list. The simulated
-    [Controller] supplies an RPC {!transport}, the live [Ctl] a framed-TCP
-    one; blocking functions run in a process of the transport's engine. *)
+    [Controller] and the live [Ctl] both run it over {!val-transport}, the
+    daemons' RPC procedures; blocking functions run in a process of the
+    transport's engine. *)
 
 (** {1 Selection} *)
 
@@ -44,6 +45,18 @@ type 'd transport = {
   start : 'd -> Addr.t -> position:int -> nodes:Addr.t list -> bool;  (** LIST then START *)
   free : 'd -> Addr.t -> unit;
 }
+
+val transport :
+  ?register_timeout:float ->
+  ?pace:(unit -> unit) ->
+  Env.t ->
+  addr:('d -> Addr.t) ->
+  job:int ->
+  'd transport
+(** The daemons' {!Daemon} procedures, called from [env] at each daemon's
+    control address [addr d] and run in processes of [env]: REGISTER
+    ([register_timeout], default 10 s), LIST then START and FREE (30 s
+    each). [pace] (default none) runs after each fanned-out command. *)
 
 val fan_out :
   spawn:((unit -> unit) -> unit) -> ?pace:(unit -> unit) -> (unit -> unit) list -> unit

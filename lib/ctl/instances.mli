@@ -1,8 +1,8 @@
 (** The daemon core: one splayd's instance table and the REGISTER / LIST
-    / START / FREE lifecycle, written once for every daemon — the
-    simulated {!Daemon} (RPC), the live [Splayd] (framed TCP) and the
-    contract's simulated twin. A caller supplies its transport and how a
-    fresh port's sandboxed env is built; the semantics live here. *)
+    / START / FREE lifecycle, written once for every daemon: {!Daemon},
+    simulated or live, and the contract's simulated twin. A caller
+    supplies its transport and how a fresh port's sandboxed env is built;
+    the semantics live here. *)
 
 type inst = {
   job : int;

@@ -5,11 +5,11 @@
    plane. The frame layer is the live control plane's
    transport: a versioned, length-prefixed binary framing over
    [Splay_runtime.Codec] payloads, plus the typed message set exchanged
-   between the live controller and real [splayd] processes — the
-   REGISTER / START / FREE verbs of the deploy conversation, each
-   carrying a request id its Ack echoes, daemon heartbeats with sandbox
-   resource reports, streamed log / trace records, and tunnelled
-   application traffic.
+   between the live controller and real [splayd] processes: the
+   bootstrap handshake, streamed log / trace records, the shutdown
+   handshake, and tunnelled RPC traffic, which carries the whole deploy
+   conversation and the heartbeats as the simulator's typed [splayd.*]
+   and [ctl.heartbeat] procedures.
 
    Framing format (version 1):
 
@@ -131,52 +131,12 @@ let next_value d =
 
 type msg =
   | Hello of { host : int; pid : int; data_port : int }
-  | Peers of { epoch : float; peers : (int * int) list }
-  | Register of {
-      rid : int;
-      job : int;
-      app : string;
-      name : string;
-      limits : Sandbox.limits;
-      log_level : Log.level;
-      params : (string * string) list;
-    }
-  | Start of { rid : int; job : int; port : int; position : int; nodes : Addr.t list }
-  | Free of { rid : int; port : int }
+  | Peers of { epoch : float; ctl : int; peers : (int * int) list }
   | Shutdown
-  | Ack of { rid : int; ok : bool; detail : string }
-  | Heartbeat of {
-      host : int;
-      rss : int;
-      mem : int;
-      sockets : int;
-      fs : int;
-      fibers : int;
-      inflight : int;
-    }
   | Logline of { time : float; node : string; level : Log.level; text : string }
   | Chunk of { host : int; kind : string; data : string; final : bool }
   | Bye of { host : int }
   | App of { src : Addr.t; dst : Addr.t; size : int; payload : Codec.value }
-
-let limits_to_value (l : Sandbox.limits) =
-  Codec.Assoc
-    [
-      ("mem", Codec.Int l.Sandbox.max_memory);
-      ("sockets", Codec.Int l.Sandbox.max_sockets);
-      ("fs", Codec.Int l.Sandbox.max_fs_bytes);
-      ("files", Codec.Int l.Sandbox.max_open_files);
-      ("send", Codec.Int l.Sandbox.max_send_bytes);
-    ]
-
-let limits_of_value v =
-  {
-    Sandbox.max_memory = Codec.to_int (Codec.member "mem" v);
-    max_sockets = Codec.to_int (Codec.member "sockets" v);
-    max_fs_bytes = Codec.to_int (Codec.member "fs" v);
-    max_open_files = Codec.to_int (Codec.member "files" v);
-    max_send_bytes = Codec.to_int (Codec.member "send" v);
-  }
 
 let level_of_value v =
   match Log.level_of_string (Codec.to_string v) with
@@ -189,49 +149,15 @@ let msg_to_value = function
   | Hello { host; pid; data_port } ->
       tagged "hello"
         [ ("host", Codec.Int host); ("pid", Codec.Int pid); ("data_port", Codec.Int data_port) ]
-  | Peers { epoch; peers } ->
+  | Peers { epoch; ctl; peers } ->
       tagged "peers"
         [
           ("epoch", Codec.Float epoch);
+          ("ctl", Codec.Int ctl);
           ( "peers",
             Codec.List (List.map (fun (h, p) -> Codec.List [ Codec.Int h; Codec.Int p ]) peers) );
         ]
-  | Register { rid; job; app; name; limits; log_level; params } ->
-      tagged "register"
-        [
-          ("rid", Codec.Int rid);
-          ("job", Codec.Int job);
-          ("app", Codec.String app);
-          ("name", Codec.String name);
-          ("limits", limits_to_value limits);
-          ("log_level", Codec.String (Log.level_to_string log_level));
-          ("params", Codec.Assoc (List.map (fun (k, v) -> (k, Codec.String v)) params));
-        ]
-  | Start { rid; job; port; position; nodes } ->
-      tagged "start"
-        [
-          ("rid", Codec.Int rid);
-          ("job", Codec.Int job);
-          ("port", Codec.Int port);
-          ("position", Codec.Int position);
-          ("nodes", addrs.to_value nodes);
-        ]
-  | Free { rid; port } -> tagged "free" [ ("rid", Codec.Int rid); ("port", Codec.Int port) ]
   | Shutdown -> tagged "shutdown" []
-  | Ack { rid; ok; detail } ->
-      tagged "ack"
-        [ ("rid", Codec.Int rid); ("ok", Codec.Bool ok); ("detail", Codec.String detail) ]
-  | Heartbeat { host; rss; mem; sockets; fs; fibers; inflight } ->
-      tagged "hb"
-        [
-          ("host", Codec.Int host);
-          ("rss", Codec.Int rss);
-          ("mem", Codec.Int mem);
-          ("sockets", Codec.Int sockets);
-          ("fs", Codec.Int fs);
-          ("fibers", Codec.Int fibers);
-          ("inflight", Codec.Int inflight);
-        ]
   | Logline { time; node; level; text } ->
       tagged "log"
         [
@@ -267,6 +193,7 @@ let msg_of_value v =
       Peers
         {
           epoch = Codec.to_float (Codec.member "epoch" v);
+          ctl = int "ctl";
           peers =
             List.map
               (fun p ->
@@ -275,43 +202,7 @@ let msg_of_value v =
                 | _ -> raise (Codec.Parse_error "bad peer entry"))
               (Codec.to_list (Codec.member "peers" v));
         }
-  | "register" ->
-      Register
-        {
-          rid = int "rid";
-          job = int "job";
-          app = str "app";
-          name = str "name";
-          limits = limits_of_value (Codec.member "limits" v);
-          log_level = level_of_value (Codec.member "log_level" v);
-          params =
-            (match Codec.member "params" v with
-            | Codec.Assoc kvs -> List.map (fun (k, pv) -> (k, Codec.to_string pv)) kvs
-            | _ -> raise (Codec.Parse_error "bad params"));
-        }
-  | "start" ->
-      Start
-        {
-          rid = int "rid";
-          job = int "job";
-          port = int "port";
-          position = int "position";
-          nodes = addrs.of_value (Codec.member "nodes" v);
-        }
-  | "free" -> Free { rid = int "rid"; port = int "port" }
   | "shutdown" -> Shutdown
-  | "ack" -> Ack { rid = int "rid"; ok = Codec.to_bool (Codec.member "ok" v); detail = str "detail" }
-  | "hb" ->
-      Heartbeat
-        {
-          host = int "host";
-          rss = int "rss";
-          mem = int "mem";
-          sockets = int "sockets";
-          fs = int "fs";
-          fibers = int "fibers";
-          inflight = int "inflight";
-        }
   | "log" ->
       Logline
         {

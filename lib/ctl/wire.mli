@@ -4,9 +4,10 @@
     carried in the RPC arguments of the simulated control plane. The frame layer is the
     {e live} control plane's transport: a versioned, length-prefixed binary
     framing over {!Splay_runtime.Codec} payloads, and the typed message set
-    the live controller and real [splayd] processes exchange — the deploy
-    conversation's verbs, heartbeats with sandbox resource reports,
-    streamed log / trace records, and tunnelled application traffic.
+    the live controller and real [splayd] processes exchange: the
+    bootstrap and shutdown handshakes, streamed log / trace records, and
+    tunnelled RPC traffic, which carries the deploy conversation and the
+    heartbeats.
 
     Frame format (version 1): 3-byte magic ["SPW"], 1 version byte, 4-byte
     big-endian payload length, then [Codec.encode] of the payload value.
@@ -33,48 +34,25 @@ val feed : decoder -> Bytes.t -> int -> int -> unit
 (** {1 Typed control messages}
 
     The live control protocol. [Hello] / [Peers] is the bootstrap
-    handshake (the daemon announces its data port; the controller answers
-    with the shared wall-clock epoch and the peer table). [Register] /
-    [Start] / [Free] are the {!Deploy} conversation's verbs; each carries
-    a request id [rid] that its [Ack] echoes. [Register] creates an
-    instance on a port the daemon picks (the ack's [detail]); [Start]
-    carries the LIST step (position, bootstrap nodes) and launches it;
-    [Free] discards it. [Shutdown] ends the daemon. [Heartbeat] carries the daemon's sandbox resource report;
-    [Logline] streams application log records; [Chunk] streams the
-    daemon's trace / metrics JSONL dump at shutdown; [App] tunnels one
-    application message between daemons over the data connections. *)
+    handshake: the daemon announces its data port; the controller answers
+    with the shared wall-clock epoch, its own host id and the peer
+    table. Everything else the two say to each other is RPC: [App]
+    tunnels one RPC request or reply ({!Splay_runtime.Rpc.payload_to_value})
+    between the controller and a daemon over the control connection, and
+    between daemons over their data connections. The deploy conversation
+    and the heartbeats are the simulator's own typed procedures
+    ({!Daemon}). [Logline] streams application log records; [Shutdown]
+    ends the daemon, which streams its trace / metrics JSONL dump as
+    [Chunk]s and says [Bye]. *)
 
 type msg =
   | Hello of { host : int; pid : int; data_port : int }
-  | Peers of { epoch : float; peers : (int * int) list }
-  | Register of {
-      rid : int;
-      job : int;
-      app : string;  (** registry name of the application to run *)
-      name : string;
-      limits : Sandbox.limits;
-      log_level : Log.level;
-      params : (string * string) list;  (** application parameters *)
+  | Peers of {
+      epoch : float;
+      ctl : int;  (** the controller's host id, which no daemon has *)
+      peers : (int * int) list;  (** daemon host id, data port *)
     }
-  | Start of {
-      rid : int;
-      job : int;
-      port : int;
-      position : int;
-      nodes : Addr.t list;  (** bootstrap membership handed to the instance *)
-    }
-  | Free of { rid : int; port : int }
   | Shutdown
-  | Ack of { rid : int; ok : bool; detail : string }
-  | Heartbeat of {
-      host : int;
-      rss : int;  (** process resident set, bytes (self-polled) *)
-      mem : int;  (** sandbox-accounted application state, bytes *)
-      sockets : int;
-      fs : int;
-      fibers : int;
-      inflight : int;
-    }
   | Logline of { time : float; node : string; level : Log.level; text : string }
   | Chunk of { host : int; kind : string; data : string; final : bool }
   | Bye of { host : int }

@@ -111,3 +111,11 @@ let flush_blocking ?(timeout = 5.0) t =
     | _ -> ()
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
   done
+
+(* An [App] frame's RPC message re-enters the loop's net, as a message
+   from another partition does; one whose payload does not parse is
+   dropped, like a corrupt packet. *)
+let deliver loop ~src ~dst ~size payload =
+  match Rpc.payload_of_value payload with
+  | p -> Net.deliver_remote (Loop.net loop) ~size ~src ~dst ~up_wait:0.0 ~ctx:Splay_obs.Obs.null_ctx p
+  | exception Codec.Parse_error _ -> ()

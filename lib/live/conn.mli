@@ -32,3 +32,9 @@ val closed : t -> bool
 val flush_blocking : ?timeout:float -> t -> unit
 (** Synchronously drain the out queue (shutdown path: final trace chunks
     and [Bye] must reach the controller before [exit]). *)
+
+val deliver :
+  Loop.t -> src:Addr.t -> dst:Addr.t -> size:int -> Splay_runtime.Codec.value -> unit
+(** Hand a tunnelled RPC message (an [App] frame's payload) to the loop's
+    net, which delivers it to [dst] as if it had arrived over the
+    modelled network. A malformed payload is dropped. *)

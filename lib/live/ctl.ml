@@ -1,18 +1,19 @@
 module Wire = Splay_ctl.Wire
 module Descriptor = Splay_ctl.Descriptor
 module Deploy = Splay_ctl.Deploy
+module Daemon = Splay_ctl.Daemon
 module Engine = Splay_sim.Engine
-module Ivar = Splay_sim.Ivar
 module Rng = Splay_sim.Rng
 
 (* The live controller (the paper's splayctl): forks real splayd
    processes, runs the Hello/Peers bootstrap, then runs the simulated
    controller's deploy conversation ([Deploy]: superset REGISTER, first
    acks win, stragglers FREEd, refill rounds, LIST+START) in a process on
-   its loop's engine, over Register/Start/Free frames whose request ids
-   the daemons' Acks echo. It then collects heartbeats, streamed log
-   records and shutdown-time trace/metrics chunks until the run
-   completes.
+   its loop's engine, over the same RPC transport: the daemons serve the
+   simulated daemon's procedures, and the calls and replies travel as
+   App frames on the control connections. It serves the daemons'
+   heartbeats and collects streamed log records and shutdown-time
+   trace/metrics chunks until the run completes.
 
    Hygiene: children are reaped on every exit path — SIGINT/SIGTERM
    handlers and an [at_exit] hook SIGKILL any daemon still alive, and the
@@ -55,6 +56,8 @@ type daemon = {
   d_log : string;
   mutable d_conn : Conn.t option;
   mutable d_data_port : int;
+  mutable d_heartbeats : int;
+  mutable d_last_seen : float;  (* loop time of the last heartbeat *)
   mutable d_bye : bool;
   mutable d_status : Unix.process_status option;
 }
@@ -64,7 +67,8 @@ type outcome = {
   r_failures : string list;
   r_reports : (string * string) list;  (* (node, REPORT line), arrival order *)
   r_select : Deploy.selection_report;
-  r_sent : (string * int) list;  (* deploy frames sent, per verb *)
+  r_calls : (string * int) list;  (* RPCs sent to the daemons, per procedure *)
+  r_heartbeats : (int * int) list;  (* heartbeats served, per daemon host *)
   r_log_records : int;
   r_trace_file : string option;
   r_metrics_file : string option;
@@ -154,6 +158,8 @@ let spawn_daemon cfg ~cport ~host =
     d_log = log;
     d_conn = None;
     d_data_port = 0;
+    d_heartbeats = 0;
+    d_last_seen = 0.0;
     d_bye = false;
     d_status = None;
   }
@@ -180,22 +186,46 @@ let run cfg =
   let old_int = Sys.signal Sys.sigint (Sys.Signal_handle (fatal_signal 130)) in
   let old_term = Sys.signal Sys.sigterm (Sys.Signal_handle (fatal_signal 143)) in
   at_exit (fun () -> reap daemons ~grace:0.0);
-  let loop = Loop.create ~hosts:1 () in
+  (* The controller's endpoint has a host id no daemon has: the one after
+     theirs, for which every loop's testbed has a slot. *)
+  let ctl_host = cfg.c_daemons in
+  let loop = Loop.create ~hosts:(ctl_host + 1) () in
   let eng = Loop.engine loop in
+  let env = Env.create (Loop.net loop) ~me:(Addr.make ctl_host 1) in
   let failures = ref [] in
   let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
   let reports = ref [] in
   let logs = Deploy.logs ~cap:100_000 in
   let done_seen = ref false in
-  let pending : (int, (bool * string) Ivar.t) Hashtbl.t = Hashtbl.create 16 in
   let chunks : (int * string, Buffer.t) Hashtbl.t = Hashtbl.create 8 in
+  let calls = Hashtbl.create 8 in
   let find_daemon h = List.find_opt (fun d -> d.d_host = h) daemons in
+  (* A call to a daemon leaves as an App frame on its control connection,
+     counted by procedure. *)
+  Net.set_remote (Loop.net loop)
+    ~local:(fun h -> h = ctl_host)
+    ~route:(fun ~src ~dst ~size ~arrival:_ ~up_wait:_ ~ctx:_ payload ->
+      match (find_daemon dst.Addr.host, Rpc.payload_to_value payload) with
+      | Some { d_conn = Some c; _ }, Some pv ->
+          (match pv with
+          | Codec.Assoc kvs -> (
+              match List.assoc_opt "proc" kvs with
+              | Some (Codec.String p) ->
+                  Hashtbl.replace calls p (1 + Option.value ~default:0 (Hashtbl.find_opt calls p))
+              | _ -> ())
+          | _ -> ());
+          Conn.send c (Wire.App { src; dst; size; payload = pv })
+      | _ -> ());
+  Rpc.handle env Daemon.proc_heartbeat (fun h ->
+      Option.iter
+        (fun d ->
+          d.d_heartbeats <- d.d_heartbeats + 1;
+          d.d_last_seen <- Engine.now eng)
+        (find_daemon h));
   let on_msg _conn msg =
     match msg with
-    | Wire.Ack { rid; ok; detail } -> (
-        match Hashtbl.find_opt pending rid with
-        | Some iv -> ignore (Ivar.try_fill iv (ok, detail))
-        | None -> () (* answer to a request that already timed out *))
+    | Wire.App { src; dst; size; payload } when dst.Addr.host = ctl_host ->
+        Conn.deliver loop ~src ~dst ~size payload
     | Wire.Logline { time; node; level; text } ->
         Deploy.log_add logs ~time ~level ~node text;
         if Contract.is_report text then begin
@@ -261,52 +291,25 @@ let run cfg =
     phase "daemon bootstrap" ~timeout:30.0 (fun () -> List.for_all connected daemons)
   in
   let alive = List.filter connected daemons in
-  (* One request of the conversation: send the frame, then block this
-     process until the Ack echoing its rid arrives — [Some detail] if the
-     daemon agreed — or [timeout]. *)
-  let next_rid = ref 0 and sent = Hashtbl.create 4 and refusals = ref [] in
-  let request d verb ~timeout frame =
-    match d.d_conn with
-    | None -> None
-    | Some c -> (
-        incr next_rid;
-        let rid = !next_rid and iv = Ivar.create () in
-        Hashtbl.replace pending rid iv;
-        Hashtbl.replace sent verb (1 + Option.value ~default:0 (Hashtbl.find_opt sent verb));
-        Conn.send c (frame rid);
-        let r = Ivar.read_timeout iv timeout in
-        Hashtbl.remove pending rid;
-        match r with
-        | Some (true, detail) -> Some detail
-        | Some (false, why) ->
-            refusals := Printf.sprintf "%s on daemon %d: %s" verb d.d_host why :: !refusals;
-            None
-        | None -> None)
-  in
   let job = 1 in
-  let register_frame rid =
-    Wire.Register
-      { rid; job; app = cfg.c_app; name = cfg.c_app; limits = cfg.c_desc.Descriptor.limits;
-        log_level = cfg.c_log_level; params = cfg.c_params }
-  in
+  let addr d = Addr.make d.d_host 1 in
+  let tr = Deploy.transport env ~addr ~job in
   let tr =
     {
-      Deploy.spawn = (fun f -> ignore (Engine.spawn eng f));
-      pace = ignore;
-      register =
-        (fun d ->
-          Option.bind (request d "register" ~timeout:10.0 register_frame) (fun port ->
-              Option.map (Addr.make d.d_host) (int_of_string_opt port)));
-      start =
+      tr with
+      Deploy.start =
         (fun d a ~position ~nodes ->
-          let frame rid = Wire.Start { rid; job; port = a.Addr.port; position; nodes } in
-          let ok = request d "start" ~timeout:30.0 frame <> None in
+          let ok = tr.Deploy.start d a ~position ~nodes in
           if not ok then fail "start of %s failed" (Addr.to_string a);
           ok);
-      free =
-        (fun d a ->
-          let frame rid = Wire.Free { rid; port = a.Addr.port } in
-          ignore (request d "free" ~timeout:30.0 frame));
+    }
+  in
+  let desc =
+    {
+      Daemon.jd_app = cfg.c_app;
+      jd_params = cfg.c_params;
+      jd_limits = cfg.c_desc.Descriptor.limits;
+      jd_log_level = cfg.c_log_level;
     }
   in
   (* Live daemons carry no testbed host records, so no criteria apply. *)
@@ -325,31 +328,41 @@ let run cfg =
     List.iter
       (fun d ->
         match d.d_conn with
-        | Some c -> Conn.send c (Wire.Peers { epoch; peers })
+        | Some c -> Conn.send c (Wire.Peers { epoch; ctl = ctl_host; peers })
         | None -> ())
       alive;
+    (* Each daemon learns the job before its first REGISTER; a daemon
+       that refuses it names the reason. *)
     ignore
-      (Engine.spawn ~name:"deploy" eng (fun () ->
-           result :=
-             Some (Deploy.deploy tr rng ~select ~job ~name:cfg.c_app cfg.c_desc)));
+      (Env.thread env ~name:"deploy" (fun () ->
+           Deploy.fan_out ~spawn:tr.Deploy.spawn
+             (List.map
+                (fun d () ->
+                  match Rpc.invoke env (addr d) ~timeout:10.0 Daemon.proc_job (job, desc) with
+                  | Ok () -> ()
+                  | Error e -> fail "job on daemon %d: %s" d.d_host (Rpc.error_to_string e))
+                alive);
+           result := Some (Deploy.deploy tr rng ~select ~job ~name:cfg.c_app cfg.c_desc)));
     ignore
       (phase "deploy" ~timeout:60.0 (fun () -> !result <> None || Engine.crashed eng <> []))
   end;
   let deployed =
     match !result with
     | Some (members, _) when List.length members < need ->
-        fail "deploy: %d of %d instances registered (%d daemons alive; refused: %s)"
-          (List.length members) need (List.length alive)
-          (String.concat "; " (List.rev !refusals));
+        fail "deploy: %d of %d instances registered (%d daemons alive)" (List.length members)
+          need (List.length alive);
         false
     | Some _ -> !failures = []
     | None -> false
   in
   if deployed then begin
     (* Main phase: wait for the app's done report, or run the requested
-       duration. Losing a daemon mid-run is a failure. *)
+       duration. Losing a daemon mid-run is a failure: its connection
+       closed, or its heartbeats stopped for [unseen] seconds. *)
     let started = Unix.gettimeofday () in
-    let lost () = List.exists (fun d -> d.d_conn = None) alive in
+    let unseen = 30.0 in
+    let silent d = Engine.now eng -. d.d_last_seen > unseen in
+    let lost () = List.exists (fun d -> d.d_conn = None || silent d) alive in
     let cond =
       if cfg.c_duration > 0.0 then fun () ->
         Unix.gettimeofday () -. started >= cfg.c_duration || lost ()
@@ -357,10 +370,14 @@ let run cfg =
     in
     let window = Float.max 1.0 (hard -. Unix.gettimeofday ()) in
     ignore (phase "run" ~timeout:window cond);
-    if lost () then fail "daemon connection lost mid-run";
+    List.iter
+      (fun d ->
+        if d.d_conn = None then fail "daemon %d: connection lost mid-run" d.d_host
+        else if silent d then fail "daemon %d: no heartbeat for %.0f s" d.d_host unseen)
+      alive;
     if cfg.c_duration <= 0.0 && not !done_seen then fail "application never reported done"
   end;
-  (* Graceful teardown: Shutdown verb, wait for Byes, then reap. *)
+  (* Graceful teardown: Shutdown, wait for Byes, then reap. *)
   List.iter
     (fun d -> match d.d_conn with Some c -> Conn.send c Wire.Shutdown | None -> ())
     daemons;
@@ -413,7 +430,8 @@ let run cfg =
     r_failures = List.rev !failures;
     r_reports = List.rev !reports;
     r_select = (match !result with Some (_, report) -> report | None -> snd (select 0));
-    r_sent = List.sort compare (List.of_seq (Hashtbl.to_seq sent));
+    r_calls = List.sort compare (List.of_seq (Hashtbl.to_seq calls));
+    r_heartbeats = List.map (fun d -> (d.d_host, d.d_heartbeats)) daemons;
     r_log_records = Deploy.log_lines logs;
     r_trace_file = trace_file;
     r_metrics_file = metrics_file;

@@ -2,12 +2,18 @@
 
     {!run} forks real [splayd] daemons, bootstraps them (Hello/Peers with
     a shared wall-clock epoch), then deploys with the simulated
-    controller's own conversation ({!Splay_ctl.Deploy}: a superset of
-    Register requests, the first [nb_splayd] acks win and the rest are
-    freed, shortfalls refill, then Start with each member's position and
-    bootstrap list), so instance placement follows ack order. It collects
-    heartbeats, streamed log records and shutdown-time trace/metrics
-    chunks, then shuts the deployment down and reaps every child.
+    controller's own conversation and transport
+    ({!Splay_ctl.Deploy.transport}: a superset of REGISTER calls, the
+    first [nb_splayd] answers win and the rest are freed, shortfalls
+    refill, then LIST and START with each member's position and bootstrap
+    list), so instance placement follows answer order. The calls and
+    their replies are the {!Splay_ctl.Daemon} procedures, tunnelled as
+    [App] frames on the control connections; before the first REGISTER
+    each daemon learns the job through [splayd.job]. The controller
+    serves the daemons' [ctl.heartbeat], collects streamed log records
+    and shutdown-time trace/metrics chunks, then shuts the deployment
+    down and reaps every child. A daemon whose connection closes or whose
+    heartbeats stop for 30 s mid-run fails the run.
     SIGINT/SIGTERM handlers and an [at_exit] hook kill surviving daemons
     on abnormal exits; the daemons' own orphan watch covers SIGKILL. *)
 
@@ -37,7 +43,9 @@ type outcome = {
       (** [(node, text)] contract REPORT lines, arrival order — feed to
           {!Contract.summary_of_reports} *)
   r_select : Splay_ctl.Deploy.selection_report;  (** the deploy's last selection round *)
-  r_sent : (string * int) list;  (** deploy frames sent per verb, e.g. [("free", 1)] *)
+  r_calls : (string * int) list;
+      (** RPCs sent to the daemons per procedure, e.g. [("splayd.free", 1)] *)
+  r_heartbeats : (int * int) list;  (** [ctl.heartbeat] calls served, per daemon host *)
   r_log_records : int;
   r_trace_file : string option;  (** merged live trace, [splay trace]-ready *)
   r_metrics_file : string option;  (** merged metrics dump, [splay top]-ready *)

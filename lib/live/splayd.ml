@@ -1,22 +1,23 @@
 module Engine = Splay_sim.Engine
 module Obs = Splay_obs.Obs
 module Wire = Splay_ctl.Wire
-module Instances = Splay_ctl.Instances
+module Daemon = Splay_ctl.Daemon
 
 (* The real splayd: one OS process hosting application instances over the
    live loop. It connects to the controller, announces itself (Hello),
-   learns the shared epoch and the peer table (Peers), then serves the
-   Register / Start / Free verbs of the deploy conversation over the
-   daemon core ([Instances], shared with the simulated daemon). Application
-   instances run on the unmodified runtime ([Env] / [Rpc] /
-   [Sb_socket]); only the cross-host leg of a send
-   changes — [Net.set_remote] tunnels it through a framed TCP connection
-   to the destination daemon, where it re-enters via
-   [Net.deliver_remote].
+   learns the shared epoch, the controller's host id and the peer table
+   (Peers), then runs the simulated daemon ([Daemon]) on the loop's net:
+   the same splayd.* procedures and the same ctl.heartbeat, plus
+   splayd.job, through which the controller names each job's
+   application. Application instances run on the unmodified runtime
+   ([Env] / [Rpc] / [Sb_socket]); only the cross-host leg of a send
+   changes — [Net.set_remote] tunnels it as an App frame, over the
+   control connection to the controller or over a data connection to
+   the destination daemon, where it re-enters via [Net.deliver_remote].
 
    Hygiene: the daemon knows the controller's PID and self-terminates
    when orphaned (getppid poll), when the control connection drops, or on
-   a Shutdown verb — flushing its trace/metrics dump to the controller as
+   a Shutdown — flushing its trace/metrics dump to the controller as
    Chunk frames first in the graceful case. *)
 
 type config = {
@@ -28,17 +29,18 @@ type config = {
   metrics : bool;
 }
 
-(* Per-daemon span/trace id namespace: host * stride. Keeps ids of the
+(* Per-daemon span/trace id namespace: host * ids_per_host. Keeps ids of the
    merged live trace collision-free across processes. *)
-let ids_stride = 10_000_000
+let ids_per_host = 10_000_000
 
 type t = {
   cfg : config;
   loop : Loop.t;
+  ctl_host : int;
   mutable ctl : Conn.t option;
   peers : (int, int) Hashtbl.t;  (* host -> data port *)
   peer_conns : (int, Conn.t) Hashtbl.t;
-  insts : Instances.t;
+  jobs : (int, Daemon.job_spec) Hashtbl.t;
   mutable shutting_down : bool;
 }
 
@@ -77,10 +79,8 @@ let hard_exit code =
 
 let handle_data_msg t _conn msg =
   match msg with
-  | Wire.App { src; dst; size; payload } when dst.Addr.host = t.cfg.host -> (
-      match Rpc.payload_of_value payload with
-      | p -> Net.deliver_remote (Loop.net t.loop) ~size ~src ~dst ~up_wait:0.0 ~ctx:Obs.null_ctx p
-      | exception Codec.Parse_error _ -> ())
+  | Wire.App { src; dst; size; payload } when dst.Addr.host = t.cfg.host ->
+      Conn.deliver t.loop ~src ~dst ~size payload
   | _ -> () (* misrouted or non-data message: drop *)
 
 let peer_conn t dsthost =
@@ -100,87 +100,59 @@ let peer_conn t dsthost =
               Hashtbl.replace t.peer_conns dsthost c;
               Some c))
 
+(* The controller's RPCs travel on the control connection, the peers'
+   on the data connections. *)
 let route t ~src ~dst ~size ~arrival:_ ~up_wait:_ ~ctx:_ payload =
   match Rpc.payload_to_value payload with
   | None -> () (* payload kind with no wire form *)
   | Some pv -> (
-      match peer_conn t dst.Addr.host with
+      let conn = if dst.Addr.host = t.ctl_host then t.ctl else peer_conn t dst.Addr.host in
+      match conn with
       | None -> ()
       | Some c -> Conn.send c (Wire.App { src; dst; size; payload = pv }))
 
-(* {1 Control verbs} *)
+(* {1 The daemon}
 
-let ack conn rid ok detail = Conn.send conn (Wire.Ack { rid; ok; detail })
+   The simulated daemon's handlers with the host's own limits: the
+   administrator caps nothing here, since the RSS check reads the whole
+   process and the simulated 16 MB cap would kill every instance. The
+   heartbeat runs at the live loop's pace. *)
+let daemon_config =
+  { Daemon.splay_config with admin_limits = Sandbox.unlimited; heartbeat_interval = 0.5 }
 
-(* The env of a freshly registered instance. *)
-let make_env t ~limits ~log_level port =
-  let env = Env.create (Loop.net t.loop) ~me:(Addr.make t.cfg.host port) ~limits ~log_level in
-  (* Stream every log record to the controller; the sandbox's own kill
-     message travels the same way, so a resource death is visible in the
-     collected logs exactly as in simulation. *)
-  Log.set_sink (Env.log env)
-    (Log.Forward
-       (fun ~time ~level ~node text ->
-         match t.ctl with
-         | Some c -> Conn.send c (Wire.Logline { time; node; level; text })
-         | None -> ()));
-  (* Real-resource leg of the sandbox: poll the process RSS and enforce
-     the memory cap with the same fatal path as simulated accounting. The
-     Violation raise is swallowed — on_kill has already stopped the
-     instance, which kills this monitor too. *)
-  if limits.Sandbox.max_memory < max_int then
-    ignore
-      (Env.periodic env 0.25 (fun () ->
-           try Sandbox.check_rss env.Env.sandbox (Rss.sample ()) with Sandbox.Violation _ -> ()));
-  env
-
-let handle_ctl_msg t conn msg =
-  match msg with
-  | Wire.Register { rid; job; app; name; limits; log_level; params } -> (
-      match Registry.find app with
-      | None -> ack conn rid false (Printf.sprintf "unknown application %S" app)
-      | Some main ->
-          let port =
-            Instances.register t.insts ~job ~name ~main:(main ~params)
-              (make_env t ~limits ~log_level)
-          in
-          ack conn rid true (string_of_int port))
-  | Wire.Start { rid; job; port; position; nodes } -> (
-      match
-        Result.bind (Instances.list t.insts ~port ~position ~nodes) (fun () ->
-            Instances.start t.insts ~job ~port)
-      with
-      | Ok () -> ack conn rid true ""
-      | Error why -> ack conn rid false why)
-  | Wire.Free { rid; port } ->
-      ignore (Instances.free t.insts ~port);
-      ack conn rid true ""
-  | Wire.Shutdown ->
-      if not t.shutting_down then begin
-        t.shutting_down <- true;
-        Instances.shutdown t.insts
-      end
-  | Wire.App _ -> handle_data_msg t conn msg
-  | _ -> ()
+(* A job's spec from its description: the registered application's main
+   under a real-resource leg of the sandbox, which polls the process RSS
+   and enforces the memory cap with the same fatal path as simulated
+   accounting (the Violation raise is swallowed: on_kill has already
+   stopped the instance, which kills this monitor too), and a log sink
+   that streams every record to the controller, the sandbox's own kill
+   message included. *)
+let job_spec t (job, d) =
+  match Registry.find d.Daemon.jd_app with
+  | None -> failwith (Printf.sprintf "unknown application %S" d.jd_app)
+  | Some main ->
+      let main env =
+        if d.jd_limits.Sandbox.max_memory < max_int then
+          ignore
+            (Env.periodic env 0.25 (fun () ->
+                 try Sandbox.check_rss env.Env.sandbox (Rss.sample ())
+                 with Sandbox.Violation _ -> ()));
+        main ~params:d.jd_params env
+      in
+      let forward ~time ~level ~node text =
+        Option.iter (fun c -> Conn.send c (Wire.Logline { time; node; level; text })) t.ctl
+      in
+      Hashtbl.replace t.jobs job
+        {
+          Daemon.js_name = d.jd_app;
+          js_main = main;
+          js_limits = d.jd_limits;
+          js_log_sink = Log.Forward forward;
+          js_log_level = d.jd_log_level;
+          js_loss = 0.0;
+        }
 
 (* {1 Telemetry} *)
-
-let heartbeat t =
-  match t.ctl with
-  | None -> ()
-  | Some c ->
-      let u = Instances.usage t.insts in
-      Conn.send c
-        (Wire.Heartbeat
-           {
-             host = t.cfg.host;
-             rss = Rss.sample ();
-             mem = u.mem;
-             sockets = u.sockets;
-             fs = u.fs;
-             fibers = u.fibers;
-             inflight = u.inflight;
-           })
 
 let send_chunks t ~kind data =
   match t.ctl with
@@ -207,7 +179,7 @@ let run cfg =
   if cfg.trace || cfg.metrics then begin
     Obs.enabled := cfg.trace;
     Obs.metrics_enabled := cfg.metrics;
-    ignore (Obs.state_install (Obs.state_create ~ids_base:(cfg.host * ids_stride) ()))
+    ignore (Obs.state_install (Obs.state_create ~ids_base:(cfg.host * ids_per_host) ()))
   end;
   (* Data listener: where peer daemons connect to deliver app traffic. *)
   let lfd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
@@ -226,7 +198,7 @@ let run cfg =
   let buf = Bytes.create 4096 in
   let rec wait_peers () =
     match Wire.next_msg dec with
-    | Some (Wire.Peers { epoch; peers }) -> (epoch, peers)
+    | Some (Wire.Peers { epoch; ctl; peers }) -> (epoch, ctl, peers)
     | Some _ -> wait_peers ()
     | None -> (
         match Unix.read cfd buf 0 (Bytes.length buf) with
@@ -235,24 +207,39 @@ let run cfg =
             Wire.feed dec buf 0 n;
             wait_peers ())
   in
-  let epoch, peers = wait_peers () in
-  let hosts = 1 + List.fold_left (fun m (h, _) -> max m h) cfg.host peers in
+  let epoch, ctl_host, peers = wait_peers () in
+  let hosts = 1 + List.fold_left (fun m (h, _) -> max m h) (max cfg.host ctl_host) peers in
   let loop = Loop.create ~seed:(cfg.seed + cfg.host) ~hosts ~epoch () in
   let t =
     {
       cfg;
       loop;
+      ctl_host;
       ctl = None;
       peers = Hashtbl.create 32;
       peer_conns = Hashtbl.create 32;
-      insts = Instances.create ~host:cfg.host;
+      jobs = Hashtbl.create 4;
       shutting_down = false;
     }
   in
   List.iter (fun (h, p) -> if h <> cfg.host then Hashtbl.replace t.peers h p) peers;
+  let controller = Addr.make ctl_host 1 in
+  let d =
+    Daemon.start (Loop.net loop) ~host:cfg.host ~controller ~config:daemon_config
+      ~lookup_job:(Hashtbl.find_opt t.jobs) ()
+  in
+  Rpc.handle (Daemon.env d) Daemon.proc_job (job_spec t);
   Net.set_remote (Loop.net loop) ~local:(fun h -> h = cfg.host) ~route:(route t);
+  let on_msg conn = function
+    | Wire.Shutdown ->
+        if not t.shutting_down then begin
+          t.shutting_down <- true;
+          Daemon.shutdown d
+        end
+    | msg -> handle_data_msg t conn msg
+  in
   let ctl =
-    Conn.attach ~dec loop cfd ~on_msg:(handle_ctl_msg t) ~on_close:(fun _ _ ->
+    Conn.attach ~dec loop cfd ~on_msg ~on_close:(fun _ _ ->
         (* Controller gone: nothing left to report to. *)
         if not t.shutting_down then hard_exit 1)
   in
@@ -267,12 +254,11 @@ let run cfg =
          | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ())
        ~on_write:ignore);
   let eng = Loop.engine loop in
+  (* Open the session at once: the first periodic heartbeat is half a
+     second away, longer than a short run lasts. *)
   ignore
-    (Engine.spawn ~name:"heartbeat" eng (fun () ->
-         while not t.shutting_down do
-           Engine.sleep 0.5;
-           heartbeat t
-         done));
+    (Env.thread (Daemon.env d) (fun () ->
+         ignore (Rpc.invoke (Daemon.env d) controller ~timeout:30.0 Daemon.proc_heartbeat cfg.host)));
   if cfg.parent > 0 then
     ignore
       (Engine.spawn ~name:"orphan-watch" eng (fun () ->
@@ -282,7 +268,7 @@ let run cfg =
            done));
   (match Loop.run loop ~until:(fun () -> t.shutting_down) with
   | `Done | `Deadline -> ());
-  (* Let the Env.stop kill events scheduled by the shutdown verb fire. *)
+  (* Let the Env.stop kill events scheduled by the shutdown fire. *)
   ignore (Engine.run ~until:(Loop.elapsed loop +. 0.001) eng);
   (* Graceful exit: stream the observability dump, say goodbye, drain. *)
   if cfg.trace then send_chunks t ~kind:"trace" (Obs.trace_jsonl ());

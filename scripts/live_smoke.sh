@@ -2,8 +2,9 @@
 # Smoke test for the live execution backend: 10 real splayd daemons over
 # loopback TCP run the warm-started Chord ring, every lookup must
 # resolve, the structural invariants must match the simulated twin
-# (zero contract violations), and every forked process must be gone when
-# the controller returns. A second phase checks orphan hygiene: SIGKILL
+# (zero contract violations), every daemon's heartbeat (the typed
+# ctl.heartbeat procedure) must reach the controller, and every forked
+# process must be gone when the controller returns. A second phase checks orphan hygiene: SIGKILL
 # the controller mid-run and assert no splayd outlives it.
 #
 # On failure the per-daemon logs and controller output are collected
@@ -63,6 +64,8 @@ grep -q "contract: OK" "$OUT/deploy.out" \
   || fail "sim-vs-live contract violations (see above)"
 grep -q "10 daemons alive, 0 dead" "$OUT/deploy.out" \
   || fail "not all daemons completed the bootstrap"
+grep -q "heartbeats: 10 of 10 daemons" "$OUT/deploy.out" \
+  || fail "a daemon's heartbeat never reached the controller"
 
 # The controller reaps its children before returning; nothing may survive.
 [ "$(running_splayds)" -eq 0 ] || fail "splayd processes survived the deployment"

@@ -8,6 +8,27 @@ let contains haystack needle =
   let rec go i = i + nn <= nh && (String.sub haystack i nn = needle || go (i + 1)) in
   nn = 0 || go 0
 
+(* Every message of [net] takes the routed path, as between partitions;
+   with [wire] it also leaves through [Rpc.payload_to_value], crosses as
+   JSON text and comes back through [Rpc.payload_of_value], as between
+   two splayd processes. [on_wire] sees each crossing value with the size
+   the message was charged. *)
+let route_messages ?(on_wire = fun _ _ -> ()) ~wire eng net =
+  let open Splay_runtime in
+  Splay_net.Net.set_remote net
+    ~local:(fun _ -> false)
+    ~route:(fun ~src ~dst ~size ~arrival ~up_wait ~ctx payload ->
+      let back =
+        match Rpc.payload_to_value payload with
+        | Some v when wire ->
+            on_wire v size;
+            Rpc.payload_of_value (Codec.decode (Codec.encode v))
+        | _ -> payload
+      in
+      ignore
+        (Engine.schedule eng ~delay:(arrival -. Engine.now eng) (fun () ->
+             Splay_net.Net.deliver_remote net ~size ~src ~dst ~up_wait ~ctx back)))
+
 (* Tracing on around [f], and the global switch off again after it, so
    the rest of the suite runs uninstrumented. *)
 let with_obs f =

@@ -323,6 +323,69 @@ let test_core_fake_transport () =
         (report
         = { Deploy.sel_alive = 6; sel_dead = 1; sel_matched = 5; sel_rejected = [ ("custom", 1) ] })
 
+(* {2 The daemon on a synthetic testbed}
+
+   The live loop's testbed keeps no host records. REGISTER / LIST /
+   START / FREE through [Daemon] there, once in process and once with
+   every message crossing as its JSON text, as between the live
+   controller and a splayd: both runs end with the same members, the
+   same instances and the same bootstrap lists handed to them. *)
+let deploy_on_synthetic ~routed =
+  let eng = Engine.create ~seed:9 () in
+  let net = Net.create eng (Testbed.synthetic ~hosts:5 (Engine.rng eng)) in
+  if routed then Support.route_messages ~wire:true eng net;
+  let ctl = Env.create net ~me:(Addr.make 4 1) in
+  Rpc.handle ctl Daemon.proc_heartbeat ignore;
+  let ran = ref [] in
+  let spec =
+    {
+      Daemon.js_name = "app";
+      js_main =
+        (fun env ->
+          ran :=
+            Printf.sprintf "%s@%d<-%s" (Addr.to_string env.Env.me) env.Env.position
+              (String.concat "," (List.map Addr.to_string env.Env.nodes))
+            :: !ran);
+      js_limits = Sandbox.unlimited;
+      js_log_sink = Log.Discard;
+      js_log_level = Log.Info;
+      js_loss = 0.0;
+    }
+  in
+  let daemons =
+    List.init 4 (fun host ->
+        Daemon.start net ~host ~controller:ctl.Env.me ~lookup_job:(fun _ -> Some spec) ())
+  in
+  let members = ref [] in
+  ignore
+    (Env.thread ctl (fun () ->
+         let rng = Rng.create 1 in
+         let select n =
+           Deploy.select rng ~alive:(fun _ -> true) ~host:(fun _ -> assert false) daemons n
+         in
+         let ms, _ =
+           Deploy.deploy (Deploy.transport ctl ~addr:Daemon.addr ~job:0) rng ~select ~job:0
+             ~name:"app" (Descriptor.make ~bootstrap:Descriptor.All 4)
+         in
+         members := List.map (fun (_, a, pos) -> Printf.sprintf "%s@%d" (Addr.to_string a) pos) ms));
+  ignore (Engine.run ~until:200.0 eng);
+  let instances =
+    List.concat_map
+      (fun d -> List.map (fun i -> Addr.to_string i.Instances.env.Env.me) (Daemon.instances d))
+      daemons
+  in
+  (!members, List.sort compare instances, List.sort compare !ran)
+
+let test_daemon_on_synthetic_testbed () =
+  let members, instances, ran = deploy_on_synthetic ~routed:false in
+  Alcotest.(check int) "4 members" 4 (List.length members);
+  Alcotest.(check int) "the straggler is freed" 4 (List.length instances);
+  Alcotest.(check int) "every member ran" 4 (List.length ran);
+  let members', instances', ran' = deploy_on_synthetic ~routed:true in
+  Alcotest.(check (list string)) "same members over the wire" members members';
+  Alcotest.(check (list string)) "same instances over the wire" instances instances';
+  Alcotest.(check (list string)) "same starts over the wire" ran ran'
+
 let test_sessions_mark_dead_daemons () =
   (* short unseen timeout so the test does not simulate an hour *)
   let p = Platform.create ~seed:3 ~unseen_timeout:200.0 (Platform.Cluster 4) in
@@ -552,6 +615,7 @@ let () =
           Alcotest.test_case "sandbox restrictions" `Quick test_sandbox_restrictions_applied;
           Alcotest.test_case "undeploy" `Quick test_undeploy;
           Alcotest.test_case "core over a fake transport" `Quick test_core_fake_transport;
+          Alcotest.test_case "daemon on a synthetic testbed" `Quick test_daemon_on_synthetic_testbed;
         ] );
       ( "daemon core",
         [ Alcotest.test_case "instance lifecycle" `Quick test_instances_lifecycle ] );

@@ -14,25 +14,8 @@ module Live = Splay_live
 let sample_msgs =
   [
     Wire.Hello { host = 3; pid = 1234; data_port = 45678 };
-    Wire.Peers { epoch = 1723111.25; peers = [ (0, 1111); (1, 2222); (2, 3333) ] };
-    Wire.Register
-      {
-        rid = 1;
-        job = 1;
-        app = "chord";
-        name = "chord";
-        limits = { Sandbox.unlimited with Sandbox.max_memory = 1 lsl 20 };
-        log_level = Log.Info;
-        params = [ ("m", "16"); ("lookups", "5") ];
-      };
-    Wire.Start
-      { rid = 2; job = 1; port = 2000; position = 1; nodes = [ Addr.make 0 2000; Addr.make 1 2001 ] };
-    Wire.Free { rid = 3; port = 2001 };
+    Wire.Peers { epoch = 1723111.25; ctl = 3; peers = [ (0, 1111); (1, 2222); (2, 3333) ] };
     Wire.Shutdown;
-    Wire.Ack { rid = 1; ok = true; detail = "2000" };
-    Wire.Ack { rid = 3; ok = false; detail = "no such instance" };
-    Wire.Heartbeat
-      { host = 2; rss = 4096 * 1000; mem = 100; sockets = 3; fs = 0; fibers = 7; inflight = 1 };
     Wire.Logline
       { time = 12.5; node = "app.1"; level = Log.Warn; text = "REPORT done lookups=5 ok=5" };
     Wire.Chunk { host = 0; kind = "trace"; data = "{\"ev\":\"S\"}\n"; final = true };
@@ -80,7 +63,7 @@ let test_wire_truncated () =
   (* A frame torn at every possible byte boundary is incomplete — never
      an error, never a desync: completing it always yields the
      message. *)
-  let m = List.nth sample_msgs 2 (* Register: the largest *) in
+  let m = List.nth sample_msgs 1 (* Peers: the largest *) in
   let s = Wire.frame_msg m in
   for cut = 0 to String.length s - 1 do
     let d = Wire.decoder () in
@@ -212,21 +195,9 @@ let typed_overlays ~wire =
         | exception Codec.Parse_error _ ->
             32 + String.length (Codec.to_string (Codec.member "err" v)))
   in
-  (* every message takes the routed path; only [wire] turns it into text *)
-  Net.set_remote net
-    ~local:(fun _ -> false)
-    ~route:(fun ~src ~dst ~size ~arrival ~up_wait ~ctx payload ->
-      let back =
-        match Rpc.payload_to_value payload with
-        | Some v when wire ->
-            incr crossed;
-            if request_bytes v <> size then mis_sized := Codec.encode v :: !mis_sized;
-            Rpc.payload_of_value (Codec.decode (Codec.encode v))
-        | _ -> payload
-      in
-      ignore
-        (Engine.schedule eng ~delay:(arrival -. Engine.now eng) (fun () ->
-             Net.deliver_remote net ~size ~src ~dst ~up_wait ~ctx back)));
+  Support.route_messages ~wire eng net ~on_wire:(fun v size ->
+      incr crossed;
+      if request_bytes v <> size then mis_sized := Codec.encode v :: !mis_sized);
   let env host ~position ~nodes = Env.create net ~me:(Addr.make host 2000) ~position ~nodes in
   (* joined rings, one per overlay, six hosts each *)
   let ring first app =
@@ -290,6 +261,51 @@ let test_typed_rpc_wire () =
   Alcotest.(check bool) "messages crossed the wire" true (crossed > 1000);
   Alcotest.(check (list string)) "every message charged its encoding's bytes" [] mis_sized;
   Alcotest.(check string) "same run as with values in process" local wired
+
+(* Every procedure of the control plane, called across a net whose
+   messages all cross as JSON text, as between the live controller and a
+   splayd: each handler receives exactly the argument its caller sent,
+   and each caller exactly the result the handler returned. *)
+let test_control_procs_wire () =
+  let eng = Engine.create ~seed:3 () in
+  let net = Net.create eng (Testbed.synthetic ~hosts:2 (Engine.rng eng)) in
+  let crossed = ref 0 in
+  Support.route_messages ~wire:true eng net ~on_wire:(fun _ _ -> incr crossed);
+  let server = Env.create net ~me:(Addr.make 1 1) and client = Env.create net ~me:(Addr.make 0 1) in
+  Rpc.client client;
+  let bad = ref [] and served = ref 0 in
+  let roundtrip name proc arg reply =
+    let got = ref None in
+    Rpc.handle server proc (fun a ->
+        got := Some a;
+        reply);
+    match Rpc.invoke client server.Env.me ~timeout:5.0 proc arg with
+    | Ok r when r = reply && !got = Some arg -> incr served
+    | _ -> bad := name :: !bad
+  in
+  let job =
+    {
+      Daemon.jd_app = "chord";
+      jd_params = [ ("m", "16"); ("lookups", "5") ];
+      jd_limits = { Sandbox.unlimited with Sandbox.max_memory = 1 lsl 20 };
+      jd_log_level = Log.Warn;
+    }
+  in
+  ignore
+    (Env.thread client (fun () ->
+         roundtrip "splayd.probe" Daemon.proc_probe (String.make 100 'x') ();
+         roundtrip "splayd.register" Daemon.proc_register 7 2001;
+         roundtrip "splayd.list" Daemon.proc_list (2001, 3, [ Addr.make 0 2000; Addr.make 1 2001 ]) ();
+         roundtrip "splayd.start" Daemon.proc_start (7, 2001) ();
+         roundtrip "splayd.free" Daemon.proc_free 2001 ();
+         roundtrip "splayd.stop" Daemon.proc_stop 2001 ();
+         roundtrip "splayd.blacklist" Daemon.proc_blacklist 4 ();
+         roundtrip "ctl.heartbeat" Daemon.proc_heartbeat 1 ();
+         roundtrip "splayd.job" Daemon.proc_job (7, job) ()));
+  ignore (Engine.run ~until:60.0 eng);
+  Alcotest.(check (list string)) "every procedure round-trips" [] !bad;
+  Alcotest.(check int) "all nine served" 9 !served;
+  Alcotest.(check int) "each request and reply crossed as text" 18 !crossed
 
 (* {2 Real-resource sandbox enforcement} *)
 
@@ -378,55 +394,81 @@ let test_contract_sim_deterministic () =
 
 (* {2 End to end: a real deployment over loopback TCP} *)
 
-let test_live_e2e () =
-  Live.Live_apps.init ();
+let e2e_params = [ ("m", "16"); ("lookups", "5"); ("seed", "7") ]
+
+let e2e_cfg ~out_dir =
   let splayd = "../bin/splayd.exe" in
   if not (Sys.file_exists splayd) then Alcotest.fail ("missing " ^ splayd);
-  let params = [ ("m", "16"); ("lookups", "5"); ("seed", "7") ] in
-  let cfg =
-    {
-      Live.Ctl.default_cfg with
-      Live.Ctl.c_app = "chord";
-      c_params = params;
-      c_daemons = 3;
-      c_desc =
-        { Descriptor.default with Descriptor.bootstrap = Descriptor.All; nb_splayd = 3 };
-      c_out_dir = "_live_e2e";
-      c_splayd = splayd;
-      c_trace = true;
-      c_deadline = 60.0;
-      c_seed = 7;
-    }
-  in
-  let o = Live.Ctl.run cfg in
-  List.iter (fun f -> Printf.printf "live failure: %s\n" f) o.Live.Ctl.r_failures;
-  Alcotest.(check bool) "live run ok" true o.Live.Ctl.r_ok;
-  (* the shared deploy conversation: a x1.25 superset of 4 REGISTERs over
-     3 daemons, the first 3 acks START, the straggler is FREEd *)
-  Alcotest.(check bool) "r_select is the shared report" true
-    (o.Live.Ctl.r_select
-    = { Deploy.sel_alive = 3; sel_dead = 0; sel_matched = 3; sel_rejected = [] });
-  Alcotest.(check (list (pair string int)))
-    "4 registers, 3 starts, 1 free"
-    [ ("free", 1); ("register", 4); ("start", 3) ]
-    o.Live.Ctl.r_sent;
-  Alcotest.(check bool) "trace collected" true (o.Live.Ctl.r_trace_file <> None);
-  (* the contract: live invariants match the simulated twin's *)
-  let live = Live.Contract.summary_of_reports o.Live.Ctl.r_reports in
-  let sim =
-    match Live.Contract.run_sim ~seed:7 ~n:3 ~app:"chord" ~params () with
-    | Ok r -> Live.Contract.summary_of_reports r
-    | Error e -> Alcotest.fail ("sim twin failed: " ^ e)
-  in
-  Alcotest.(check (list string)) "zero contract violations" []
-    (Live.Contract.diff ~sim ~live ());
-  (* every forked daemon is gone *)
-  let (_, ctl_alive), daemons = Live.Ctl.status "_live_e2e" in
+  {
+    Live.Ctl.default_cfg with
+    Live.Ctl.c_app = "chord";
+    c_params = e2e_params;
+    c_daemons = 3;
+    c_desc = { Descriptor.default with Descriptor.bootstrap = Descriptor.All; nb_splayd = 3 };
+    c_out_dir = out_dir;
+    c_splayd = splayd;
+    c_trace = true;
+    c_deadline = 60.0;
+    c_seed = 7;
+  }
+
+(* Every forked daemon is gone. *)
+let check_reaped out_dir =
+  let (_, ctl_alive), daemons = Live.Ctl.status out_dir in
   Alcotest.(check bool) "controller record is this process" true ctl_alive;
   List.iter
     (fun (host, _, alive, _) ->
       Alcotest.(check bool) (Printf.sprintf "daemon %d reaped" host) false alive)
     daemons
+
+let test_live_e2e () =
+  Live.Live_apps.init ();
+  let o = Live.Ctl.run (e2e_cfg ~out_dir:"_live_e2e") in
+  List.iter (fun f -> Printf.printf "live failure: %s\n" f) o.Live.Ctl.r_failures;
+  Alcotest.(check bool) "live run ok" true o.Live.Ctl.r_ok;
+  (* the shared deploy conversation: the job to each daemon, then a x1.25
+     superset of 4 REGISTERs over 3 daemons, the first 3 answers LIST and
+     START, the straggler is FREEd *)
+  Alcotest.(check bool) "r_select is the shared report" true
+    (o.Live.Ctl.r_select
+    = { Deploy.sel_alive = 3; sel_dead = 0; sel_matched = 3; sel_rejected = [] });
+  Alcotest.(check (list (pair string int)))
+    "3 jobs, 4 registers, 3 lists, 3 starts, 1 free"
+    [
+      ("splayd.free", 1); ("splayd.job", 3); ("splayd.list", 3); ("splayd.register", 4);
+      ("splayd.start", 3);
+    ]
+    o.Live.Ctl.r_calls;
+  Alcotest.(check (list int)) "a heartbeat record per daemon" [ 0; 1; 2 ]
+    (List.map fst o.Live.Ctl.r_heartbeats);
+  List.iter
+    (fun (host, n) ->
+      Alcotest.(check bool) (Printf.sprintf "daemon %d heartbeat served" host) true (n >= 1))
+    o.Live.Ctl.r_heartbeats;
+  Alcotest.(check bool) "trace collected" true (o.Live.Ctl.r_trace_file <> None);
+  (* the contract: live invariants match the simulated twin's *)
+  let live = Live.Contract.summary_of_reports o.Live.Ctl.r_reports in
+  let sim =
+    match Live.Contract.run_sim ~seed:7 ~n:3 ~app:"chord" ~params:e2e_params () with
+    | Ok r -> Live.Contract.summary_of_reports r
+    | Error e -> Alcotest.fail ("sim twin failed: " ^ e)
+  in
+  Alcotest.(check (list string)) "zero contract violations" []
+    (Live.Contract.diff ~sim ~live ());
+  check_reaped "_live_e2e"
+
+(* A job the daemons cannot run: each refuses [splayd.job] with an error
+   naming the application, no instance registers, and the run fails
+   with every daemon reaped. *)
+let test_live_unknown_app () =
+  Live.Live_apps.init ();
+  let o =
+    Live.Ctl.run { (e2e_cfg ~out_dir:"_live_e2e_unknown") with Live.Ctl.c_app = "no-such-app" }
+  in
+  Alcotest.(check bool) "run failed" false o.Live.Ctl.r_ok;
+  Alcotest.(check bool) "a failure names the application" true
+    (List.exists (fun f -> Support.contains f "no-such-app") o.Live.Ctl.r_failures);
+  check_reaped "_live_e2e_unknown"
 
 let () =
   Alcotest.run "live"
@@ -443,6 +485,7 @@ let () =
         [
           Alcotest.test_case "rpc payload wire form" `Quick test_rpc_payload_roundtrip;
           Alcotest.test_case "typed rpc over the wire" `Quick test_typed_rpc_wire;
+          Alcotest.test_case "control procedures over the wire" `Quick test_control_procs_wire;
           Alcotest.test_case "sandbox rss" `Quick test_sandbox_rss;
           Alcotest.test_case "rss sample" `Quick test_rss_sample;
         ] );
@@ -452,5 +495,9 @@ let () =
           Alcotest.test_case "diff" `Quick test_contract_diff;
           Alcotest.test_case "sim twin deterministic" `Quick test_contract_sim_deterministic;
         ] );
-      ("e2e", [ Alcotest.test_case "three daemons over loopback" `Quick test_live_e2e ]);
+      ( "e2e",
+        [
+          Alcotest.test_case "three daemons over loopback" `Quick test_live_e2e;
+          Alcotest.test_case "unknown application" `Quick test_live_unknown_app;
+        ] );
     ]
