@@ -66,9 +66,8 @@ let proc_blacklist = Rpc.proc "splayd.blacklist" (Rpc.arg Codec.int) Codec.unit
    daemon that sends it, because the controller is built on this module. *)
 let proc_heartbeat = Rpc.proc "ctl.heartbeat" (Rpc.arg Codec.int) Codec.unit
 
-(* What a live daemon needs to build a job's spec before its first
-   REGISTER: the simulated controller hands the daemon the spec itself
-   ([lookup_job]), a live one can only name the application. *)
+(* A live controller cannot hand a daemon the job's closure: it names
+   the application, which the daemon looks up. *)
 type job_desc = {
   jd_app : string;
   jd_params : (string * string) list;
@@ -76,44 +75,37 @@ type job_desc = {
   jd_log_level : Log.level;
 }
 
-let job_desc_to_value d =
-  let l = d.jd_limits in
-  Codec.Assoc
-    [
-      ("app", Codec.String d.jd_app);
-      ("params", Codec.Assoc (List.map (fun (k, v) -> (k, Codec.String v)) d.jd_params));
-      ( "limits",
+(* On the wire: [[app, {params}, [limits], level]]. *)
+let job_desc =
+  let to_value d =
+    let l = d.jd_limits in
+    Codec.List
+      [
+        Codec.String d.jd_app;
+        Codec.Assoc (List.map (fun (k, v) -> (k, Codec.String v)) d.jd_params);
         Codec.List
           (List.map
              (fun n -> Codec.Int n)
-             [ l.max_memory; l.max_sockets; l.max_fs_bytes; l.max_open_files; l.max_send_bytes ])
-      );
-      ("log_level", Codec.String (Log.level_to_string d.jd_log_level));
-    ]
-
-let job_desc_of_value v =
-  let field k = Codec.member k v in
-  match
-    ( List.map Codec.to_int (Codec.to_list (field "limits")),
-      Log.level_of_string (Codec.to_string (field "log_level")),
-      field "params" )
-  with
-  | [ max_memory; max_sockets; max_fs_bytes; max_open_files; max_send_bytes ], Some level, Codec.Assoc kvs
-    ->
-      {
-        jd_app = Codec.to_string (field "app");
-        jd_params = List.map (fun (k, pv) -> (k, Codec.to_string pv)) kvs;
-        jd_limits = { Sandbox.max_memory; max_sockets; max_fs_bytes; max_open_files; max_send_bytes };
-        jd_log_level = level;
-      }
-  | _ -> raise (Codec.Parse_error "bad job description")
-
-let job_desc =
-  {
-    Codec.size = (fun d -> Codec.encoded_size (job_desc_to_value d));
-    to_value = job_desc_to_value;
-    of_value = job_desc_of_value;
-  }
+             [ l.max_memory; l.max_sockets; l.max_fs_bytes; l.max_open_files; l.max_send_bytes ]);
+        Codec.String (Log.level_to_string d.jd_log_level);
+      ]
+  in
+  let of_value v =
+    let level s = Log.level_of_string (Codec.to_string s) in
+    match Codec.to_list v with
+    | [ app; Codec.Assoc kvs; limits; lv ] -> (
+        match (List.map Codec.to_int (Codec.to_list limits), level lv) with
+        | [ max_memory; max_sockets; max_fs_bytes; max_open_files; max_send_bytes ], Some jd_log_level
+          ->
+            let jd_limits =
+              { Sandbox.max_memory; max_sockets; max_fs_bytes; max_open_files; max_send_bytes }
+            in
+            let jd_params = List.map (fun (k, pv) -> (k, Codec.to_string pv)) kvs in
+            { jd_app = Codec.to_string app; jd_params; jd_limits; jd_log_level }
+        | _ -> raise (Codec.Parse_error "bad job description"))
+    | _ -> raise (Codec.Parse_error "bad job description")
+  in
+  { Codec.size = (fun d -> Codec.encoded_size (to_value d)); to_value; of_value }
 
 let proc_job = Rpc.proc "splayd.job" (Rpc.args2 Codec.int job_desc) Codec.unit
 

@@ -118,7 +118,5 @@ type job_desc = {
     {!job_spec} from its own application registry. *)
 
 val proc_job : (int * job_desc, unit) Splay_runtime.Rpc.proc
-(** Job id and description, sent before the job's first REGISTER. Only a
-    live daemon serves it (the simulated controller's [lookup_job]
-    already holds the spec); it answers an error naming an application
-    it does not know. *)
+(** Job id and description, sent before the job's first REGISTER; only a
+    live daemon serves it. An unknown application is an error naming it. *)

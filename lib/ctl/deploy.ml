@@ -94,10 +94,8 @@ type 'd transport = {
   free : 'd -> Addr.t -> unit;
 }
 
-(* The one backend: the daemons' RPC procedures, called from [env] at
-   each daemon's control address and run in processes of [env]. The
-   simulated controller calls them over the modelled network, the live
-   one through its tunnel to real daemons. *)
+(* The daemons' procedures, called from [env] over the modelled network
+   or, live, through the tunnel to real daemons. *)
 let transport ?(register_timeout = 10.0) ?(pace = ignore) env ~addr ~job =
   let call d ~timeout p arg = Rpc.invoke env (addr d) ~timeout p arg in
   {

@@ -117,5 +117,6 @@ let flush_blocking ?(timeout = 5.0) t =
    dropped, like a corrupt packet. *)
 let deliver loop ~src ~dst ~size payload =
   match Rpc.payload_of_value payload with
-  | p -> Net.deliver_remote (Loop.net loop) ~size ~src ~dst ~up_wait:0.0 ~ctx:Splay_obs.Obs.null_ctx p
+  | p ->
+      Net.deliver_remote (Loop.net loop) ~size ~src ~dst ~up_wait:0.0 ~ctx:Splay_obs.Obs.null_ctx p
   | exception Codec.Parse_error _ -> ()

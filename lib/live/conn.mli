@@ -36,5 +36,4 @@ val flush_blocking : ?timeout:float -> t -> unit
 val deliver :
   Loop.t -> src:Addr.t -> dst:Addr.t -> size:int -> Splay_runtime.Codec.value -> unit
 (** Hand a tunnelled RPC message (an [App] frame's payload) to the loop's
-    net, which delivers it to [dst] as if it had arrived over the
-    modelled network. A malformed payload is dropped. *)
+    net for delivery to [dst]; a malformed payload is dropped. *)

@@ -207,13 +207,11 @@ let run cfg =
     ~route:(fun ~src ~dst ~size ~arrival:_ ~up_wait:_ ~ctx:_ payload ->
       match (find_daemon dst.Addr.host, Rpc.payload_to_value payload) with
       | Some { d_conn = Some c; _ }, Some pv ->
-          (match pv with
-          | Codec.Assoc kvs -> (
-              match List.assoc_opt "proc" kvs with
-              | Some (Codec.String p) ->
-                  Hashtbl.replace calls p (1 + Option.value ~default:0 (Hashtbl.find_opt calls p))
-              | _ -> ())
-          | _ -> ());
+          (match Codec.member "proc" pv with
+          | Codec.String p ->
+              Hashtbl.replace calls p (1 + Option.value ~default:0 (Hashtbl.find_opt calls p))
+          | _ -> ()
+          | exception Codec.Parse_error _ -> () (* a reply *));
           Conn.send c (Wire.App { src; dst; size; payload = pv })
       | _ -> ());
   Rpc.handle env Daemon.proc_heartbeat (fun h ->
@@ -312,10 +310,13 @@ let run cfg =
       jd_log_level = cfg.c_log_level;
     }
   in
-  (* Live daemons carry no testbed host records, so no criteria apply. *)
+  (* Live daemons carry no testbed host records, so no criteria apply; a
+     daemon that refused the job is no candidate. *)
   let rng = Rng.create cfg.c_seed in
+  let refused = ref [] in
   let select n =
-    Deploy.select rng ~alive:connected
+    Deploy.select rng
+      ~alive:(fun d -> connected d && not (List.memq d !refused))
       ~host:(fun _ -> invalid_arg "live daemons have no testbed host")
       daemons n
   in
@@ -340,7 +341,9 @@ let run cfg =
                 (fun d () ->
                   match Rpc.invoke env (addr d) ~timeout:10.0 Daemon.proc_job (job, desc) with
                   | Ok () -> ()
-                  | Error e -> fail "job on daemon %d: %s" d.d_host (Rpc.error_to_string e))
+                  | Error e ->
+                      refused := d :: !refused;
+                      fail "job on daemon %d: %s" d.d_host (Rpc.error_to_string e))
                 alive);
            result := Some (Deploy.deploy tr rng ~select ~job ~name:cfg.c_app cfg.c_desc)));
     ignore

@@ -1,19 +1,14 @@
 (** The live controller — the paper's [splayctl] over real processes.
 
     {!run} forks real [splayd] daemons, bootstraps them (Hello/Peers with
-    a shared wall-clock epoch), then deploys with the simulated
-    controller's own conversation and transport
-    ({!Splay_ctl.Deploy.transport}: a superset of REGISTER calls, the
-    first [nb_splayd] answers win and the rest are freed, shortfalls
-    refill, then LIST and START with each member's position and bootstrap
-    list), so instance placement follows answer order. The calls and
-    their replies are the {!Splay_ctl.Daemon} procedures, tunnelled as
-    [App] frames on the control connections; before the first REGISTER
-    each daemon learns the job through [splayd.job]. The controller
-    serves the daemons' [ctl.heartbeat], collects streamed log records
-    and shutdown-time trace/metrics chunks, then shuts the deployment
-    down and reaps every child. A daemon whose connection closes or whose
-    heartbeats stop for 30 s mid-run fails the run.
+    a shared wall-clock epoch), names the job's application to each
+    ([splayd.job]), then deploys with the simulated controller's own
+    conversation and transport ({!Splay_ctl.Deploy}), its
+    {!Splay_ctl.Daemon} calls tunnelled as [App] frames, so instance
+    placement follows answer order. It serves the daemons'
+    [ctl.heartbeat] (a daemon silent for 30 s mid-run fails the run),
+    collects streamed log records and shutdown-time trace/metrics chunks,
+    then shuts the deployment down and reaps every child.
     SIGINT/SIGTERM handlers and an [at_exit] hook kill surviving daemons
     on abnormal exits; the daemons' own orphan watch covers SIGKILL. *)
 

@@ -256,9 +256,10 @@ let run cfg =
   let eng = Loop.engine loop in
   (* Open the session at once: the first periodic heartbeat is half a
      second away, longer than a short run lasts. *)
+  let denv = Daemon.env d in
   ignore
-    (Env.thread (Daemon.env d) (fun () ->
-         ignore (Rpc.invoke (Daemon.env d) controller ~timeout:30.0 Daemon.proc_heartbeat cfg.host)));
+    (Env.thread denv (fun () ->
+         ignore (Rpc.invoke denv controller ~timeout:30.0 Daemon.proc_heartbeat cfg.host)));
   if cfg.parent > 0 then
     ignore
       (Engine.spawn ~name:"orphan-watch" eng (fun () ->

@@ -3,18 +3,13 @@
 
     Bootstrap: connect to the controller, send [Hello] (announcing the
     data port peers dial), receive [Peers] (the shared wall-clock epoch,
-    the controller's host id and the peer table). Then the daemon is the
-    simulated one, {!Splay_ctl.Daemon}, on the live loop's net: it serves
-    the [splayd.*] procedures (instance ports are the daemon's to pick)
-    and sends [ctl.heartbeat] to the controller, every call and reply
-    tunnelled as an [App] frame on the control connection. Before a
-    job's first REGISTER the controller names its application through
-    [splayd.job]; the daemon builds the job's spec from its
-    {!Registry}, with a log sink that streams records to the controller
-    and an RSS poll that enforces the memory cap. Cross-daemon
-    application traffic leaves through [Net.set_remote] routes onto
-    framed TCP data connections and re-enters the destination daemon via
-    [Net.deliver_remote].
+    the controller's host id and the peer table). Then run
+    {!Splay_ctl.Daemon} on the live loop's net: its [splayd.*] procedures
+    and [ctl.heartbeat] travel as [App] frames on the control connection,
+    and [splayd.job] names each job's application in the {!Registry}.
+    Cross-daemon application traffic leaves through [Net.set_remote]
+    routes onto framed TCP data connections and re-enters the destination
+    daemon via [Net.deliver_remote].
 
     Hygiene: the daemon self-terminates when orphaned (parent-PID poll)
     or when the control connection drops; a graceful [Shutdown] flushes

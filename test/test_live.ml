@@ -63,7 +63,7 @@ let test_wire_truncated () =
   (* A frame torn at every possible byte boundary is incomplete — never
      an error, never a desync: completing it always yields the
      message. *)
-  let m = List.nth sample_msgs 1 (* Peers: the largest *) in
+  let m = List.nth sample_msgs 3 (* Logline: the largest *) in
   let s = Wire.frame_msg m in
   for cut = 0 to String.length s - 1 do
     let d = Wire.decoder () in
@@ -458,8 +458,8 @@ let test_live_e2e () =
   check_reaped "_live_e2e"
 
 (* A job the daemons cannot run: each refuses [splayd.job] with an error
-   naming the application, no instance registers, and the run fails
-   with every daemon reaped. *)
+   naming the application, so none is a candidate and no REGISTER is
+   sent, and the run fails with every daemon reaped. *)
 let test_live_unknown_app () =
   Live.Live_apps.init ();
   let o =
@@ -468,6 +468,8 @@ let test_live_unknown_app () =
   Alcotest.(check bool) "run failed" false o.Live.Ctl.r_ok;
   Alcotest.(check bool) "a failure names the application" true
     (List.exists (fun f -> Support.contains f "no-such-app") o.Live.Ctl.r_failures);
+  Alcotest.(check (list (pair string int))) "only the job was sent" [ ("splayd.job", 3) ]
+    o.Live.Ctl.r_calls;
   check_reaped "_live_e2e_unknown"
 
 let () =
