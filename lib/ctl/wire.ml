@@ -1,9 +1,8 @@
 (* Control-plane wire protocol.
 
    Two layers live here. The value layer is the message type of an
-   address list, carried inside RPC arguments of the *simulated* control
-   plane. The frame layer is the live control plane's
-   transport: a versioned, length-prefixed binary framing over
+   address list, carried inside the control procedures' RPC arguments.
+   The frame layer is the live control plane's transport: a versioned, length-prefixed binary framing over
    [Splay_runtime.Codec] payloads, plus the typed message set exchanged
    between the live controller and real [splayd] processes: the
    bootstrap handshake, streamed log / trace records, the shutdown

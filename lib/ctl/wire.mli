@@ -1,8 +1,8 @@
 (** Control-plane wire protocol.
 
     The value layer ({!addrs}) is the message type of an address list,
-    carried in the RPC arguments of the simulated control plane. The frame layer is the
-    {e live} control plane's transport: a versioned, length-prefixed binary
+    carried in the control procedures' RPC arguments. The frame layer is
+    the {e live} control plane's transport: a versioned, length-prefixed binary
     framing over {!Splay_runtime.Codec} payloads, and the typed message set
     the live controller and real [splayd] processes exchange: the
     bootstrap and shutdown handshakes, streamed log / trace records, and
