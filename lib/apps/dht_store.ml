@@ -345,17 +345,12 @@ let fetch_from_r t ~key owner =
         `Miss
   end
 
-(* Replica [i]'s owner: [(owner, true)] from the memo, else routed. *)
-let resolve t ~key i =
-  match memoized t ~key i with
-  | Some o -> Some (o, true)
-  | None -> Option.map (fun o -> (o, false)) (route t ~key i)
-
-(* Read replica [i] at its resolved owner. A memoized owner that misses or
-   fails is re-resolved with one route, which replaces its entry; when the
-   route names the same owner again it already answered, so it is not
-   asked twice. A shed leaves the entry: that owner is healthy. *)
-let fetch_replica t ~key i (owner, memo_hit) =
+(* Read replica [i] at its resolved owner ([memo_hit]: the memo named
+   it). A memoized owner that misses or fails is re-resolved with one
+   route, which replaces its entry; when the route names the same owner
+   again it already answered, so it is not asked twice. A shed leaves the
+   entry: that owner is healthy. *)
+let fetch_replica t ~key i owner ~memo_hit =
   match fetch_from_r t ~key owner with
   | `Miss when memo_hit -> (
       match route t ~key i with
@@ -363,49 +358,70 @@ let fetch_replica t ~key i (owner, memo_hit) =
       | _ -> `Miss)
   | r -> r
 
+let est t n = if Node.equal n (Pastry.self_node t.p) then 0.0 else estimate t n.Node.addr
+
+(* The read order of a get, one replica per call, over explicit
+   arguments so that a get parked in its RPC keeps no closure alive:
+   first the pick [p1] at owner [o1] (memo hit [h1]), then the pick [p2]
+   (a pick index of -1 is none; [p2] moves up once [p1] is read), then
+   replicas [i], [i + 1], ... resolved in turn (memo, else a route),
+   skipping [skip1] and [skip2]. [shed]: a read so far was shed, so "no
+   value" because of overload reads differently from a clean miss. *)
+let rec read_next t ~key ~shed ~p1 ~o1 ~h1 ~p2 ~o2 ~h2 ~skip1 ~skip2 i =
+  if p1 >= 0 then
+    match fetch_replica t ~key p1 o1 ~memo_hit:h1 with
+    | `Value _ as v -> v
+    | (`Shed | `Miss) as r ->
+        let shed = match r with `Shed -> true | `Miss -> shed in
+        read_next t ~key ~shed ~p1:p2 ~o1:o2 ~h1:h2 ~p2:(-1) ~o2 ~h2 ~skip1 ~skip2 i
+  else if i >= t.cfg.replicas then if shed then `Shed else `Miss
+  else if i = skip1 || i = skip2 then
+    read_next t ~key ~shed ~p1 ~o1 ~h1 ~p2 ~o2 ~h2 ~skip1 ~skip2 (i + 1)
+  else
+    match memoized t ~key i with
+    | Some o -> read_next t ~key ~shed ~p1:i ~o1:o ~h1:true ~p2 ~o2 ~h2 ~skip1 ~skip2 (i + 1)
+    | None -> (
+        match route t ~key i with
+        | Some o -> read_next t ~key ~shed ~p1:i ~o1:o ~h1:false ~p2 ~o2 ~h2 ~skip1 ~skip2 (i + 1)
+        | None -> read_next t ~key ~shed ~p1 ~o1 ~h1 ~p2 ~o2 ~h2 ~skip1 ~skip2 (i + 1))
+
+(* p2c with replica [i] resolved to [oa]: replica [j] is a candidate only
+   when the memo already names its owner, so a p2c get never routes more
+   than a baseline get. The candidates are read estimated-closer /
+   less-loaded first, then the replicas not yet tried in order. *)
+let read_p2c t ~key ~i ~j oa ~ha =
+  match memoized t ~key j with
+  | Some ob when est t ob < est t oa ->
+      read_next t ~key ~shed:false ~p1:j ~o1:ob ~h1:true ~p2:i ~o2:oa ~h2:ha ~skip1:i ~skip2:j 0
+  | Some ob ->
+      read_next t ~key ~shed:false ~p1:i ~o1:oa ~h1:ha ~p2:j ~o2:ob ~h2:true ~skip1:i ~skip2:j 0
+  | None ->
+      read_next t ~key ~shed:false ~p1:i ~o1:oa ~h1:ha ~p2:(-1) ~o2:oa ~h2:ha ~skip1:i ~skip2:(-1) 0
+
 let get_r t ~key =
   let r = t.cfg.replicas in
-  (* a shed anywhere along the fallback chain marks the final verdict:
-     "no value" because of overload reads differently from a clean miss *)
-  let shed = ref false in
-  let read i c =
-    match fetch_replica t ~key i c with
-    | `Value v -> Some v
-    | `Shed ->
-        shed := true;
-        None
-    | `Miss -> None
-  in
-  (* p2c samples two distinct replicas but routes at most the first: the
-     second is a candidate only when the memo already names its owner, so
-     a p2c get never routes more than a baseline get. Candidates are read
-     estimated-closer / less-loaded first. *)
-  let tried, picks =
-    if t.cfg.p2c && r >= 2 then begin
-      let i = Rng.int t.c_rng r in
-      let j = (i + 1 + Rng.int t.c_rng (r - 1)) mod r in
-      let est (n, _) =
-        if Node.equal n (Pastry.self_node t.p) then 0.0 else estimate t n.Node.addr
-      in
-      let a = Option.map (fun c -> (i, c)) (resolve t ~key i) in
-      let b = Option.map (fun o -> (j, (o, true))) (memoized t ~key j) in
-      let picks =
-        match (a, b) with
-        | Some ((_, ca) as a), Some ((_, cb) as b) when est cb < est ca -> [ b; a ]
-        | a, b -> Option.to_list a @ Option.to_list b
-      in
-      (i :: List.map fst picks, picks)
-    end
-    else ([], [])
-  in
-  (* then a sequential fallback over the replicas not yet tried *)
-  let fallback i = if List.mem i tried then None else Option.bind (resolve t ~key i) (read i) in
-  match List.find_map (fun (i, c) -> read i c) picks with
-  | Some v -> `Value v
-  | None -> (
-      match List.find_map fallback (List.init r Fun.id) with
-      | Some v -> `Value v
-      | None -> if !shed then `Shed else `Miss)
+  let self = Pastry.self_node t.p in
+  if t.cfg.p2c && r >= 2 then begin
+    (* p2c samples two distinct replicas but routes at most the first *)
+    let i = Rng.int t.c_rng r in
+    let j = (i + 1 + Rng.int t.c_rng (r - 1)) mod r in
+    match memoized t ~key i with
+    | Some oa -> read_p2c t ~key ~i ~j oa ~ha:true
+    | None -> (
+        match route t ~key i with
+        | Some oa -> read_p2c t ~key ~i ~j oa ~ha:false
+        | None -> (
+            match memoized t ~key j with
+            | Some ob ->
+                read_next t ~key ~shed:false ~p1:j ~o1:ob ~h1:true ~p2:(-1) ~o2:ob ~h2:true ~skip1:i
+                  ~skip2:j 0
+            | None ->
+                read_next t ~key ~shed:false ~p1:(-1) ~o1:self ~h1:false ~p2:(-1) ~o2:self ~h2:false
+                  ~skip1:i ~skip2:(-1) 0))
+  end
+  else
+    read_next t ~key ~shed:false ~p1:(-1) ~o1:self ~h1:false ~p2:(-1) ~o2:self ~h2:false ~skip1:(-1)
+      ~skip2:(-1) 0
 
 let get t ~key = match get_r t ~key with `Value v -> Some v | `Shed | `Miss -> None
 

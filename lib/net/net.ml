@@ -1,5 +1,6 @@
 module Engine = Splay_sim.Engine
 module Rng = Splay_sim.Rng
+module Pages = Splay_sim.Pages
 module Obs = Splay_obs.Obs
 
 (* Observability sites; [net.link_wait] is the time a message spends
@@ -75,51 +76,70 @@ type t = {
      vacant ids. A traced send also fills [m_ctx] (the trace context the
      delivery runs under) and [m_sched] (the instant it was queued, [nan]
      for a slot queued untraced); both stay empty until the first traced
-     send. *)
-  mutable m_src : Addr.t array;
-  mutable m_dst : Addr.t array;
-  mutable m_pay : payload array;
-  mutable m_ctx : Obs.ctx array;
-  mutable m_sched : float array;
-  mutable m_free : int array;
+     send. The columns are paged ({!Pages}): past one page they grow by
+     a page and never copy a slot. *)
+  m_src : Addr.t Pages.t;
+  m_dst : Addr.t Pages.t;
+  m_pay : payload Pages.t;
+  m_ctx : Obs.ctx Pages.t;
+  m_sched : float Pages.t;
+  m_free : int Pages.t;
   mutable m_nfree : int;
 }
 
 let no_addr = Addr.make (-1) (-1)
 
-(* Double the columns; the new ids go on the free stack lowest on top. *)
+(* Typed column reads: a generic accessor would box [m_sched]'s floats. *)
+let[@inline] get (s : 'a array array) i =
+  Array.unsafe_get (Array.unsafe_get s (i lsr Pages.bits)) (i land Pages.mask)
+
+let[@inline] set (s : 'a array array) i x =
+  Array.unsafe_set (Array.unsafe_get s (i lsr Pages.bits)) (i land Pages.mask) x
+
+let[@inline] fget (s : float array array) i =
+  Array.unsafe_get (Array.unsafe_get s (i lsr Pages.bits)) (i land Pages.mask)
+
+let[@inline] fset (s : float array array) i (x : float) =
+  Array.unsafe_set (Array.unsafe_get s (i lsr Pages.bits)) (i land Pages.mask) x
+
+let[@inline] iget (s : int array array) i =
+  Array.unsafe_get (Array.unsafe_get s (i lsr Pages.bits)) (i land Pages.mask)
+
+let[@inline] iset (s : int array array) i (x : int) =
+  Array.unsafe_set (Array.unsafe_get s (i lsr Pages.bits)) (i land Pages.mask) x
+
+(* The first capacity, kept while nothing is in flight (see [fire]). *)
+let first = 64
+
+let grow_traced t =
+  Pages.grow t.m_ctx ~first;
+  Pages.grow t.m_sched ~first
+
+(* Grow the columns one step; the new ids go on the free stack lowest on
+   top. The stack is empty here, so only its new slots are written. *)
 let grow_slots t =
-  let cap = Array.length t.m_pay in
-  let ncap = if cap = 0 then 64 else 2 * cap in
-  let extend a fill =
-    let na = Array.make ncap fill in
-    Array.blit a 0 na 0 cap;
-    na
-  in
-  t.m_src <- extend t.m_src no_addr;
-  t.m_dst <- extend t.m_dst no_addr;
-  t.m_pay <- extend t.m_pay Vacant;
-  if Array.length t.m_sched > 0 then begin
-    t.m_ctx <- extend t.m_ctx Obs.null_ctx;
-    t.m_sched <- extend t.m_sched nan
-  end;
-  let free = Array.make ncap 0 in
+  let cap = t.m_pay.cap in
+  Pages.grow t.m_src ~first;
+  Pages.grow t.m_dst ~first;
+  Pages.grow t.m_pay ~first;
+  Pages.grow t.m_free ~first;
+  if t.m_sched.cap > 0 then grow_traced t;
+  let ncap = t.m_pay.cap in
+  let free = t.m_free.spine in
   for i = 0 to ncap - cap - 1 do
-    free.(i) <- ncap - 1 - i
+    iset free i (ncap - 1 - i)
   done;
-  t.m_free <- free;
   t.m_nfree <- ncap - cap
 
 (* With nothing in flight, a net holds no column: a burst's high-water
-   mark is not kept for the rest of the run. The first 64 slots stay, so
-   a lone request and its reply do not regrow them every time. *)
+   mark is not kept for the rest of the run. *)
 let vacate t =
-  t.m_src <- [||];
-  t.m_dst <- [||];
-  t.m_pay <- [||];
-  t.m_ctx <- [||];
-  t.m_sched <- [||];
-  t.m_free <- [||];
+  Pages.release t.m_src;
+  Pages.release t.m_dst;
+  Pages.release t.m_pay;
+  Pages.release t.m_ctx;
+  Pages.release t.m_sched;
+  Pages.release t.m_free;
   t.m_nfree <- 0
 
 (* Queue a message due at [t.due.v]. [traced] is [!Obs.enabled] at the
@@ -128,18 +148,16 @@ let enqueue t ~traced ~ctx ~src ~dst payload =
   if t.m_nfree = 0 then grow_slots t;
   let n = t.m_nfree - 1 in
   t.m_nfree <- n;
-  let id = Array.unsafe_get t.m_free n in
-  Array.unsafe_set t.m_src id src;
-  Array.unsafe_set t.m_dst id dst;
-  Array.unsafe_set t.m_pay id payload;
+  let id = iget t.m_free.spine n in
+  set t.m_src.spine id src;
+  set t.m_dst.spine id dst;
+  set t.m_pay.spine id payload;
   if traced then begin
-    let cap = Array.length t.m_pay in
-    if Array.length t.m_sched = 0 then begin
-      t.m_ctx <- Array.make cap Obs.null_ctx;
-      t.m_sched <- Array.make cap nan
-    end;
-    t.m_ctx.(id) <- ctx;
-    t.m_sched.(id) <- (Engine.clock t.eng).v
+    while t.m_sched.cap < t.m_pay.cap do
+      grow_traced t
+    done;
+    set t.m_ctx.spine id ctx;
+    fset t.m_sched.spine id (Engine.clock t.eng).v
   end;
   Engine.post t.eng ~at:t.due id
 
@@ -157,25 +175,27 @@ let count_drop t =
    not just RPC. Liveness is read at delivery, then the bound handler
    runs. *)
 let fire t id =
-  let src = Array.unsafe_get t.m_src id
-  and dst = Array.unsafe_get t.m_dst id
-  and payload = Array.unsafe_get t.m_pay id in
-  Array.unsafe_set t.m_pay id Vacant;
-  if Array.length t.m_sched > 0 then begin
-    let sched = t.m_sched.(id) in
+  let src = get t.m_src.spine id
+  and dst = get t.m_dst.spine id
+  and payload = get t.m_pay.spine id in
+  set t.m_pay.spine id Vacant;
+  if t.m_sched.cap > 0 then begin
+    let sched = fget t.m_sched.spine id in
     if sched = sched (* queued traced *) then begin
-      let ctx = t.m_ctx.(id) in
-      t.m_sched.(id) <- nan;
-      t.m_ctx.(id) <- Obs.null_ctx;
+      let ctx = get t.m_ctx.spine id in
+      fset t.m_sched.spine id nan;
+      set t.m_ctx.spine id Obs.null_ctx;
       if !Obs.enabled then begin
         Obs.observe h_event_wait ((Engine.clock t.eng).v -. sched);
         Obs.set_current ctx
       end
     end
   end;
-  Array.unsafe_set t.m_free t.m_nfree id;
+  iset t.m_free.spine t.m_nfree id;
   t.m_nfree <- t.m_nfree + 1;
-  if t.m_nfree = Array.length t.m_pay && t.m_nfree > 64 then vacate t;
+  (* the first 64 slots stay, so a lone request and its reply do not
+     regrow them every time *)
+  if t.m_nfree = t.m_pay.cap && t.m_nfree > first then vacate t;
   let up =
     match t.cmp with
     | Some c -> Bytes.unsafe_get c.Testbed.Compact.up_bits dst.Addr.host <> '\000'
@@ -205,12 +225,12 @@ let create eng tb =
       due = { v = 0.0 };
       near_a = { v = 0.0 };
       near_b = { v = 0.0 };
-      m_src = [||];
-      m_dst = [||];
-      m_pay = [||];
-      m_ctx = [||];
-      m_sched = [||];
-      m_free = [||];
+      m_src = Pages.create no_addr;
+      m_dst = Pages.create no_addr;
+      m_pay = Pages.create Vacant;
+      m_ctx = Pages.create Obs.null_ctx;
+      m_sched = Pages.create nan;
+      m_free = Pages.create 0;
       m_nfree = 0;
     }
   in

@@ -3,10 +3,15 @@
    The engine's schedule/pop loop is the hottest path of every experiment,
    and the generic closure-comparator heap paid for it twice: an indirect
    call per comparison and a boxed-float load per key. Here the keys live
-   in parallel arrays — [ats] is an unboxed float array, [seqs] an int
-   array — so a comparison is two scalar loads and the sift loops move a
-   hole instead of swapping. 4-ary halves the tree depth, which is where
-   the pops spend their time.
+   in parallel columns — [ats] holds unboxed floats, [seqs] ints — so a
+   comparison is two scalar loads and the sift loops move a hole instead
+   of swapping. 4-ary halves the tree depth, which is where the pops
+   spend their time.
+
+   The columns are paged ({!Pages}): a heap past one page grows by a page
+   and never copies its entries, so a queue at its high-water mark leaves
+   no copied-out arrays in the major heap. Each sift reads the spines
+   once; an entry is [spine.(i lsr bits).(i land mask)].
 
    Order: strictly by [(at, seq)] lexicographically. Callers hand out
    unique [seq] values, so the key order is total and the pop sequence is
@@ -18,57 +23,84 @@
 type fcell = Splay_obs.Obs.clock = { mutable v : float }
 
 type 'a t = {
-  mutable ats : float array;
-  mutable seqs : int array;
-  mutable data : 'a array;
+  ats : float Pages.t;
+  seqs : int Pages.t;
+  data : 'a Pages.t; (* filled with the dummy at every slot at or past [size] *)
   mutable size : int;
   popped_at : fcell;
-  dummy : 'a; (* fills every slot at or past [size] *)
 }
 
-let create ~dummy = { ats = [||]; seqs = [||]; data = [||]; size = 0; popped_at = { v = nan }; dummy }
+(* Typed column reads: a generic accessor would box the float keys. *)
+let[@inline] fget (s : float array array) i =
+  Array.unsafe_get (Array.unsafe_get s (i lsr Pages.bits)) (i land Pages.mask)
+
+let[@inline] fset (s : float array array) i (x : float) =
+  Array.unsafe_set (Array.unsafe_get s (i lsr Pages.bits)) (i land Pages.mask) x
+
+let[@inline] iget (s : int array array) i =
+  Array.unsafe_get (Array.unsafe_get s (i lsr Pages.bits)) (i land Pages.mask)
+
+let[@inline] iset (s : int array array) i (x : int) =
+  Array.unsafe_set (Array.unsafe_get s (i lsr Pages.bits)) (i land Pages.mask) x
+
+let[@inline] get (s : 'a array array) i =
+  Array.unsafe_get (Array.unsafe_get s (i lsr Pages.bits)) (i land Pages.mask)
+
+let[@inline] set (s : 'a array array) i x =
+  Array.unsafe_set (Array.unsafe_get s (i lsr Pages.bits)) (i land Pages.mask) x
+
+(* The first capacity; a heap that empties from past it drops its pages. *)
+let first = 16
+
+let create ~dummy =
+  {
+    ats = Pages.create 0.0;
+    seqs = Pages.create 0;
+    data = Pages.create dummy;
+    size = 0;
+    popped_at = { v = nan };
+  }
 
 let size t = t.size
 
+let release t =
+  Pages.release t.ats;
+  Pages.release t.seqs;
+  Pages.release t.data
+
 let ensure_capacity t =
-  let cap = Array.length t.data in
-  if t.size = cap then begin
-    let ncap = if cap = 0 then 16 else cap * 2 in
-    let nats = Array.make ncap 0.0 in
-    let nseqs = Array.make ncap 0 in
-    let ndata = Array.make ncap t.dummy in
-    Array.blit t.ats 0 nats 0 t.size;
-    Array.blit t.seqs 0 nseqs 0 t.size;
-    Array.blit t.data 0 ndata 0 t.size;
-    t.ats <- nats;
-    t.seqs <- nseqs;
-    t.data <- ndata
+  if t.size = t.data.cap then begin
+    Pages.grow t.ats ~first;
+    Pages.grow t.seqs ~first;
+    Pages.grow t.data ~first
   end
 
 let push t ~at:(c : fcell) ~seq x =
   let at = c.v in
   ensure_capacity t;
+  let ats = t.ats.spine and seqs = t.seqs.spine and data = t.data.spine in
   (* sift the hole up, then drop the new entry in *)
   let i = ref t.size in
   t.size <- t.size + 1;
   let stop = ref false in
   while (not !stop) && !i > 0 do
     let p = (!i - 1) / 4 in
-    let pat = t.ats.(p) in
-    if pat > at || (pat = at && t.seqs.(p) > seq) then begin
-      t.ats.(!i) <- pat;
-      t.seqs.(!i) <- t.seqs.(p);
-      t.data.(!i) <- t.data.(p);
+    let pat = fget ats p in
+    if pat > at || (pat = at && iget seqs p > seq) then begin
+      fset ats !i pat;
+      iset seqs !i (iget seqs p);
+      set data !i (get data p);
       i := p
     end
     else stop := true
   done;
-  t.ats.(!i) <- at;
-  t.seqs.(!i) <- seq;
-  t.data.(!i) <- x
+  fset ats !i at;
+  iset seqs !i seq;
+  set data !i x
 
 (* Sift the entry (at, seq, x) down from the hole at [start]. *)
 let sift_down t start ~at ~seq x =
+  let ats = t.ats.spine and seqs = t.seqs.spine and data = t.data.spine in
   let n = t.size in
   let i = ref start in
   let stop = ref false in
@@ -80,59 +112,66 @@ let sift_down t start ~at ~seq x =
       let m = ref c1 in
       for c = c1 + 1 to last do
         if
-          t.ats.(c) < t.ats.(!m)
-          || (t.ats.(c) = t.ats.(!m) && t.seqs.(c) < t.seqs.(!m))
+          fget ats c < fget ats !m
+          || (fget ats c = fget ats !m && iget seqs c < iget seqs !m)
         then m := c
       done;
       let m = !m in
-      if t.ats.(m) < at || (t.ats.(m) = at && t.seqs.(m) < seq) then begin
-        t.ats.(!i) <- t.ats.(m);
-        t.seqs.(!i) <- t.seqs.(m);
-        t.data.(!i) <- t.data.(m);
+      let mat = fget ats m in
+      if mat < at || (mat = at && iget seqs m < seq) then begin
+        fset ats !i mat;
+        iset seqs !i (iget seqs m);
+        set data !i (get data m);
         i := m
       end
       else stop := true
     end
   done;
-  t.ats.(!i) <- at;
-  t.seqs.(!i) <- seq;
-  t.data.(!i) <- x
+  fset ats !i at;
+  iset seqs !i seq;
+  set data !i x
 
-let min_at t = if t.size = 0 then infinity else t.ats.(0)
-let keys t = t.ats
-let seqs t = t.seqs
+let min_at t = if t.size = 0 then infinity else fget t.ats.spine 0
+
+(* Index 0 lives on page 0 at every capacity. *)
+let keys t = if t.size = 0 then [||] else Array.unsafe_get t.ats.spine 0
+let seqs t = if t.size = 0 then [||] else Array.unsafe_get t.seqs.spine 0
 
 let popped_cell t = t.popped_at
 
 (* precondition: t.size > 0 *)
 let pop_nonempty t =
-  let top = t.data.(0) in
-  t.popped_at.v <- t.ats.(0);
+  let top = get t.data.spine 0 in
+  t.popped_at.v <- fget t.ats.spine 0;
   let n = t.size - 1 in
   t.size <- n;
   if n > 0 then begin
-    let at = t.ats.(n) and seq = t.seqs.(n) and x = t.data.(n) in
-    sift_down t 0 ~at ~seq x
-  end;
-  (* sift_down left live elements in [0, n). The vacated slot gets the
-     dummy, not a live entry: a live entry parked there stays reachable
-     through the slot after it is popped in turn, so a queue that shrank
-     from its high-water mark would keep that many popped payloads. *)
-  t.data.(n) <- t.dummy;
+    let at = fget t.ats.spine n and seq = iget t.seqs.spine n and x = get t.data.spine n in
+    sift_down t 0 ~at ~seq x;
+    (* sift_down left live elements in [0, n). The vacated slot gets the
+       dummy, not a live entry: a live entry parked there stays reachable
+       through the slot after it is popped in turn, so a queue that shrank
+       from its high-water mark would keep that many popped payloads. *)
+    set t.data.spine n t.data.fill
+  end
+  else if t.data.cap > first then release t
+  else set t.data.spine 0 t.data.fill;
   top
 
 let pop t = if t.size = 0 then None else Some (pop_nonempty t)
 let pop_or t dflt = if t.size = 0 then dflt else pop_nonempty t
-let top_or t dflt = if t.size = 0 then dflt else t.data.(0)
+let top_or t dflt = if t.size = 0 then dflt else get t.data.spine 0
 
 let filter_in_place t pred =
+  let ats = t.ats.spine and seqs = t.seqs.spine and data = t.data.spine in
   let j = ref 0 in
   for i = 0 to t.size - 1 do
-    if pred t.data.(i) then begin
+    let x = get data i in
+    if pred x then begin
       if !j <> i then begin
-        t.ats.(!j) <- t.ats.(i);
-        t.seqs.(!j) <- t.seqs.(i);
-        t.data.(!j) <- t.data.(i)
+        fset ats !j (fget ats i);
+        iset seqs !j (iget seqs i);
+        set data !j x
       end;
       incr j
     end
@@ -140,16 +179,12 @@ let filter_in_place t pred =
   let kept = !j in
   (* overwrite dropped slots so they are collectable *)
   for i = kept to t.size - 1 do
-    t.data.(i) <- t.dummy
+    set data i t.data.fill
   done;
   t.size <- kept;
-  if kept = 0 then begin
-    t.ats <- [||];
-    t.seqs <- [||];
-    t.data <- [||]
-  end
+  if kept = 0 then release t
   else
     (* Floyd heapify: restore the heap property bottom-up *)
     for i = (kept - 2) / 4 downto 0 do
-      sift_down t i ~at:t.ats.(i) ~seq:t.seqs.(i) t.data.(i)
+      sift_down t i ~at:(fget ats i) ~seq:(iget seqs i) (get data i)
     done

@@ -3,8 +3,10 @@
     topology model.
 
     Unlike a generic comparator heap, the keys are stored in parallel
-    unboxed arrays and compared with two scalar loads — no closure call,
-    no float boxing. The order is strictly lexicographic on [(at, seq)];
+    unboxed columns and compared with two scalar loads — no closure call,
+    no float boxing. The columns are paged ({!Pages}): past one page the
+    heap grows by a page and never copies an entry, and a heap that
+    empties from past its first 16 slots holds no page. The order is strictly lexicographic on [(at, seq)];
     when callers hand out unique [seq] values the pop sequence is exactly
     sorted order, i.e. FIFO among entries that share [at].
 
@@ -25,8 +27,9 @@ type fcell = Splay_obs.Obs.clock = { mutable v : float }
     result. *)
 
 val create : dummy:'a -> 'a t
-(** An empty heap. [dummy] fills the unused slots of the payload array,
-    so no popped or dropped payload stays reachable through it. *)
+(** An empty heap, holding no page. [dummy] fills the unused slots of
+    the payload column, so no popped or dropped payload stays reachable
+    through it. *)
 
 val size : 'a t -> int
 
@@ -41,10 +44,10 @@ val min_at : 'a t -> float
     (2 words) per call; hot loops read {!keys} instead. *)
 
 val keys : 'a t -> float array
-(** The [at] keys in heap order: when [size t > 0], index 0 is the
-    minimum key. Valid until the next {!push} or {!filter_in_place}
-    (which may replace the array); an unboxed read for the
-    engine's run loops. *)
+(** The first page of the [at] keys in heap order: when [size t > 0],
+    index 0 is the minimum key. Valid until the next {!push}, pop or
+    {!filter_in_place} (which may replace or drop the page); an unboxed
+    read for the engine's run loops. *)
 
 val seqs : 'a t -> int array
 (** The [seq] keys in heap order, valid like {!keys}: index 0 breaks a

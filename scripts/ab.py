@@ -2,6 +2,7 @@
 """Paired A/B comparison of two revisions on one perfbench workload.
 
     scripts/ab.py BASE [HEAD] --workload W [--pairs N] [--seed S] [--null ALPHA]
+                  [--base-env KEY=VALUE]... [--head-env KEY=VALUE]...
 
 BASE and HEAD are git revisions (HEAD defaults to HEAD). Each is
 exported with `git archive` to _build/ab/base and _build/ab/head (kept
@@ -11,6 +12,15 @@ tool then runs N pairs of single-repetition runs (`perfbench/run.py
 --workload W --seed S --seconds 1 --trace 0`), base first in odd pairs
 and head first in even ones, so neither binary always runs on a warm or
 a cold machine.
+
+--base-env and --head-env (repeatable) add KEY=VALUE to the environment
+one side's bench.exe starts from, before the checkout's perfbench/run.py
+adds its own settings (an OCAMLRUNPARAM given here is kept, and run.py
+appends to it). The header shows each side's additions. Passing one
+revision twice with different environments A/B's a runtime setting
+against the same code, for example
+
+    scripts/ab.py HEAD HEAD --workload serve --head-env OCAMLRUNPARAM=s=8M
 
 Per end-to-end metric of BENCHMARK.json it prints the median of the
 per-pair head/base ratios, the pairs head won (by the metric's
@@ -96,12 +106,34 @@ def runner(wt):
     return mod
 
 
-def run(mod, workload, seed, trace=0):
+def side_env(mod, extra):
+    """The checkout's perfbench/run.py environment, built on os.environ plus EXTRA."""
+    saved = dict(os.environ)
+    os.environ.update(extra)
+    try:
+        return mod.env()
+    finally:
+        os.environ.clear()
+        os.environ.update(saved)
+
+
+def parse_env(pairs, flag):
+    """KEY=VALUE strings as a dict; exits on a malformed one."""
+    extra = {}
+    for kv in pairs:
+        key, sep, value = kv.partition("=")
+        if not sep or not key:
+            sys.exit("ab: %s wants KEY=VALUE, got %r" % (flag, kv))
+        extra[key] = value
+    return extra
+
+
+def run(mod, env, workload, seed, trace=0):
     """One repetition, as `perfbench/run.py --seconds 1` runs it once built; its metrics plus max_rss_mb."""
     os.makedirs(mod.OUT, exist_ok=True)
     cmd = [mod.EXE, "--workload", workload, "--seed", str(seed), "--seconds", "1",
            "--trace", str(trace)]
-    p = subprocess.Popen(cmd, cwd=mod.ROOT, env=mod.env(), stdout=subprocess.PIPE,
+    p = subprocess.Popen(cmd, cwd=mod.ROOT, env=env, stdout=subprocess.PIPE,
                          stderr=subprocess.DEVNULL, text=True)
     out = p.stdout.read()
     p.stdout.close()
@@ -137,21 +169,27 @@ def main():
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--null", type=float, default=None, metavar="ALPHA")
+    ap.add_argument("--base-env", action="append", default=[], metavar="KEY=VALUE")
+    ap.add_argument("--head-env", action="append", default=[], metavar="KEY=VALUE")
     a = ap.parse_args()
     if a.pairs < 1:
         sys.exit("ab: --pairs must be at least 1")
+    extras = {"base": parse_env(a.base_env, "--base-env"),
+              "head": parse_env(a.head_env, "--head-env")}
     metrics = json.load(open(os.path.join(ROOT, "BENCHMARK.json")))["end_to_end"]
     sides = {}
     for side, rev in (("base", a.base), ("head", a.head)):
         wt, sha = checkout(side, rev)
         build(wt)
-        sides[side] = runner(wt)
-        print("%s: %s %s" % (side, rev, sha[:12]), flush=True)
+        mod = runner(wt)
+        sides[side] = (mod, side_env(mod, extras[side]))
+        print("%s: %s %s%s" % (side, rev, sha[:12], "".join(
+            " %s=%s" % kv for kv in extras[side].items())), flush=True)
 
     pairs = []
     for i in range(a.pairs):
         order = ["base", "head"] if i % 2 == 0 else ["head", "base"]
-        got = {side: run(sides[side], a.workload, a.seed) for side in order}
+        got = {side: run(*sides[side], a.workload, a.seed) for side in order}
         pairs.append(got)
         print("pair %d/%d (%s first): %s" % (i + 1, a.pairs, order[0], "  ".join(
             "%s %.4g/%.4g" % (name, got["head"].get(name, float("nan")),
@@ -188,7 +226,7 @@ def main():
             name, statistics.median(b for b, _ in rows), statistics.median(h for _, h in rows),
             ratio, wins, len(rows), p, flag))
 
-    traced = {side: run(sides[side], a.workload, a.seed, trace=1) for side in ("base", "head")}
+    traced = {side: run(*sides[side], a.workload, a.seed, trace=1) for side in ("base", "head")}
     print("\ntraced repetition (base, head)")
     for name in COUNTERS:
         b, h = traced["base"].get(name), traced["head"].get(name)

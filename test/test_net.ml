@@ -135,9 +135,10 @@ let test_net_delivery () =
 (* What a compact send allocates: nothing per message. It waits as a slot
    id in the engine's message queue, its fields in the net's columns, and
    the clock, the propagation delay and the due time travel through flat
-   cells, so no float is boxed on the way. The first batch grows the
-   queue; the second is measured, and what it counts is the columns'
-   first few doublings, small enough to be minor-heap blocks. *)
+   cells, so no float is boxed on the way. The first batch is a warm-up;
+   the drained queue and columns hold no page afterwards, so what the
+   measured second batch counts is their first few doublings, small
+   enough to be minor-heap blocks (the pages past them are major). *)
 let test_net_send_minor_words () =
   let eng = Engine.create ~seed:3 () in
   let tb = Testbed.synthetic ~hosts:2 (Engine.rng eng) in
@@ -158,6 +159,32 @@ let test_net_send_minor_words () =
   Alcotest.(check bool)
     (Printf.sprintf "%.2f minor words per compact send (bound 1)" per_send)
     true (per_send <= 1.0)
+
+(* A burst over several pages: the slot columns and the engine's message
+   queue grow by pages, and once everything is delivered the net holds no
+   column and the queue no page, so what the net reaches is back to what
+   it reached before the burst. A second burst grows them again. *)
+let test_net_burst_pages () =
+  let page = 1 lsl Pages.bits in
+  let eng = Engine.create ~seed:3 () in
+  let tb = Testbed.synthetic ~hosts:2 (Engine.rng eng) in
+  let net = Net.create eng tb in
+  let src = Addr.make 0 1 and dst = Addr.make 1 1 in
+  let got = ref 0 in
+  Net.bind net dst (fun ~src:_ -> function Probe k -> got := !got + k | _ -> ());
+  let words () = Obj.reachable_words (Obj.repr net) in
+  let base = words () in
+  let n = (3 * page) + 100 in
+  for round = 1 to 2 do
+    for _ = 1 to n do
+      Net.send net ~src ~dst (Probe 1)
+    done;
+    Alcotest.(check int) "all in flight" n (Engine.pending_events eng);
+    Alcotest.(check bool) "the burst holds pages" true (words () > base + (3 * page));
+    ignore (Engine.run eng);
+    Alcotest.(check int) "all delivered" (round * n) !got;
+    Alcotest.(check int) "no column, no page" base (words ())
+  done
 
 let test_net_unbound_drops () =
   with_net `Cluster (fun eng net ->
@@ -463,6 +490,7 @@ let () =
         [
           Alcotest.test_case "delivery" `Quick test_net_delivery;
           Alcotest.test_case "send minor words" `Quick test_net_send_minor_words;
+          Alcotest.test_case "burst over pages" `Quick test_net_burst_pages;
           Alcotest.test_case "unbound drops" `Quick test_net_unbound_drops;
           Alcotest.test_case "down host" `Quick test_net_down_host;
           Alcotest.test_case "loss" `Quick test_net_loss;

@@ -86,6 +86,54 @@ let prop_eheap_sorted =
       let keyed = List.mapi (fun i at -> (at, i)) ats in
       drain_eheap h = List.map snd (List.sort compare keyed))
 
+(* Past one page a heap grows by pages ({!Pages}). A random run of
+   pushes and interleaved pops takes the heap past four pages, then a
+   filter compacts it across pages (Floyd heapify over every page); every
+   pop must match a sorted model, and the drained heap holds no page. *)
+let page = 1 lsl Pages.bits
+
+module Keys = Set.Make (struct
+  type t = float * int
+
+  let compare = compare
+end)
+
+let prop_eheap_pages =
+  QCheck.Test.make ~name:"paged event heap pops in (at, seq) order" ~count:20 QCheck.int
+    (fun seed ->
+      let rs = Random.State.make [| seed |] in
+      let h = Eheap.create ~dummy:(-1) in
+      let model = ref Keys.empty and next = ref 0 and ok = ref true in
+      let push_n n =
+        for _ = 1 to n do
+          (* few distinct instants: ties break on seq *)
+          let at = Float.of_int (Random.State.int rs 500) in
+          Eheap.push h ~at:{ Eheap.v = at } ~seq:!next !next;
+          model := Keys.add (at, !next) !model;
+          incr next
+        done
+      in
+      let pop_n n =
+        for _ = 1 to n do
+          match (Eheap.pop h, Keys.min_elt_opt !model) with
+          | Some x, Some ((at, seq) as k) ->
+              model := Keys.remove k !model;
+              if x <> seq || (Eheap.popped_cell h).Eheap.v <> at then ok := false
+          | None, None -> ()
+          | _ -> ok := false
+        done
+      in
+      while Eheap.size h <= 4 * page do
+        push_n (Random.State.int rs 3000);
+        pop_n (Random.State.int rs 1000)
+      done;
+      Eheap.filter_in_place h (fun x -> x mod 3 <> 0);
+      model := Keys.filter (fun (_, seq) -> seq mod 3 <> 0) !model;
+      ok := !ok && Eheap.size h = Keys.cardinal !model && Eheap.size h > 2 * page;
+      push_n 500;
+      pop_n (Eheap.size h + 1);
+      !ok && Eheap.size h = 0 && Obj.reachable_words (Obj.repr h) < 64)
+
 (* {2 Rng} *)
 
 let test_rng_deterministic () =
@@ -845,7 +893,9 @@ let prop_schedule_cancel_accounting =
    fire order, clock, [events_fired], [max_queue_depth] (the compaction
    instants included) and [pending_events], with and without schedule
    perturbation. Delay 0 posts a slot due exactly at [now], ordered
-   against the same-instant ring by seq. *)
+   against the same-instant ring by seq. A wave posts more messages than
+   one page holds, so the message queue and its twin's heap grow by
+   pages. *)
 
 type mop =
   | M_ev of int * mop list (* a closure after [delays.(i)] *)
@@ -853,6 +903,7 @@ type mop =
   | M_nap of int * mop list (* a process that sleeps [delays.(i)] first *)
   | M_cancel of int (* cancel an earlier closure, counted back from the newest *)
   | M_burst (* queue 70 far-off closures and cancel them: compaction *)
+  | M_wave of int (* one page plus 8 messages after [delays.(i)] *)
 
 let m_delays = [| 0.0; 0.0; 0.5; 1.0; 1.0; 2.5 |]
 
@@ -862,6 +913,7 @@ let rec mop_to_string = function
   | M_nap (d, l) -> Printf.sprintf "nap%d%s" d (mops_to_string l)
   | M_cancel k -> Printf.sprintf "cancel%d" k
   | M_burst -> "burst"
+  | M_wave d -> Printf.sprintf "wave%d" d
 
 and mops_to_string = function
   | [] -> ""
@@ -876,11 +928,12 @@ let gen_mops =
          list_size (int_range 1 5)
            (frequency
               [
-                (3, map2 (fun d l -> M_ev (d, l)) d kids);
-                (4, map2 (fun d l -> M_msg (d, l)) d kids);
-                (2, map2 (fun d l -> M_nap (d, l)) d kids);
-                (2, map (fun k -> M_cancel k) (int_bound 4));
-                (1, return M_burst);
+                (6, map2 (fun d l -> M_ev (d, l)) d kids);
+                (8, map2 (fun d l -> M_msg (d, l)) d kids);
+                (4, map2 (fun d l -> M_nap (d, l)) d kids);
+                (4, map (fun k -> M_cancel k) (int_bound 4));
+                (2, return M_burst);
+                (1, map (fun d -> M_wave d) d);
               ]))
 
 (* Run [prog] on a fresh engine; [slots] picks real posts over closures.
@@ -889,8 +942,22 @@ let mop_engine ~slots ~perturb prog =
   let e = Engine.create ~seed:5 () in
   if perturb then Engine.set_perturbation ~max_extra_delay:0.25 e;
   let log = ref [] and next_label = ref 0 and handles = ref [] in
-  let actions = ref [||] in
+  let actions = ref [||] and n_actions = ref 0 in
   if slots then Engine.set_consumer e (fun id -> !actions.(id) ());
+  let post at f =
+    if slots then begin
+      let id = !n_actions in
+      if id = Array.length !actions then begin
+        let grown = Array.make (max 16 (2 * id)) ignore in
+        Array.blit !actions 0 grown 0 id;
+        actions := grown
+      end;
+      !actions.(id) <- f;
+      incr n_actions;
+      Engine.post e ~at id
+    end
+    else ignore (Engine.schedule_at e ~at f)
+  in
   let rec exec ops = List.iter run ops
   and fired kids =
     let label = !next_label in
@@ -901,14 +968,7 @@ let mop_engine ~slots ~perturb prog =
   and run = function
     | M_ev (d, kids) -> handles := Engine.schedule e ~delay:m_delays.(d) (fired kids) :: !handles
     | M_msg (d, kids) ->
-        let at = { Engine.v = Engine.now e +. m_delays.(d) } in
-        let f = fired kids in
-        if slots then begin
-          let id = Array.length !actions in
-          actions := Array.append !actions [| f |];
-          Engine.post e ~at id
-        end
-        else ignore (Engine.schedule_at e ~at f)
+        post { Engine.v = Engine.now e +. m_delays.(d) } (fired kids)
     | M_nap (d, kids) ->
         let f = fired kids in
         ignore
@@ -920,6 +980,11 @@ let mop_engine ~slots ~perturb prog =
     | M_burst ->
         let burst = List.init 70 (fun _ -> Engine.schedule e ~delay:40.0 ignore) in
         List.iter (Engine.cancel e) burst
+    | M_wave d ->
+        let at = { Engine.v = Engine.now e +. m_delays.(d) } in
+        for _ = 1 to page + 8 do
+          post at (fired [])
+        done
   in
   exec prog;
   (e, log)
@@ -932,9 +997,15 @@ let prop_slots_merge_like_events =
     (fun (perturb, prog) ->
       let a, la = mop_engine ~slots:true ~perturb prog in
       let b, lb = mop_engine ~slots:false ~perturb prog in
+      (* a step fires one entry, which logs at most once under a label
+         no other entry has: comparing the newest entries after every
+         step, and the whole logs at the end, is the whole-log comparison
+         without its quadratic cost over a wave *)
       let same () =
         let sa = Engine.stats a and sb = Engine.stats b in
-        !la = !lb && sa = sb && Engine.pending_events a = Engine.pending_events b
+        (match (!la, !lb) with x :: _, y :: _ -> x = y | [], [] -> true | _ -> false)
+        && sa = sb
+        && Engine.pending_events a = Engine.pending_events b
       in
       (* alternate plain steps with [next_at], which drains tombstones
          off the global head and must stop at a slot that precedes one *)
@@ -943,7 +1014,7 @@ let prop_slots_merge_like_events =
         else if i mod 3 = 2 && Engine.next_at a <> Engine.next_at b then false
         else
           let ra = Engine.step a and rb = Engine.step b in
-          if ra <> rb then false else if ra then go (i + 1) else same ()
+          if ra <> rb then false else if ra then go (i + 1) else same () && !la = !lb
       in
       go 0)
 
@@ -951,6 +1022,7 @@ let qsuite =
   List.map QCheck_alcotest.to_alcotest
     [
       prop_eheap_sorted;
+      prop_eheap_pages;
       prop_pareto_support;
       prop_schedule_cancel_accounting;
       prop_slots_merge_like_events;
