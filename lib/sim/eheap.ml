@@ -49,7 +49,6 @@ let[@inline] get (s : 'a array array) i =
 let[@inline] set (s : 'a array array) i x =
   Array.unsafe_set (Array.unsafe_get s (i lsr Pages.bits)) (i land Pages.mask) x
 
-(* The first capacity; a heap that empties from past it drops its pages. *)
 let first = 16
 
 let create ~dummy =
@@ -154,7 +153,11 @@ let pop_nonempty t =
        from its high-water mark would keep that many popped payloads. *)
     set t.data.spine n t.data.fill
   end
-  else if t.data.cap > first then release t
+  else if t.data.cap > Pages.size then
+    (* emptied from past one page: drop every page. A smaller heap keeps
+       its one array, so a queue that drains and refills does not
+       reallocate it each time *)
+    release t
   else set t.data.spine 0 t.data.fill;
   top
 

@@ -6,7 +6,7 @@
     unboxed columns and compared with two scalar loads — no closure call,
     no float boxing. The columns are paged ({!Pages}): past one page the
     heap grows by a page and never copies an entry, and a heap that
-    empties from past its first 16 slots holds no page. The order is strictly lexicographic on [(at, seq)];
+    empties from past one page holds no page. The order is strictly lexicographic on [(at, seq)];
     when callers hand out unique [seq] values the pop sequence is exactly
     sorted order, i.e. FIFO among entries that share [at].
 

@@ -2,18 +2,21 @@
     ({!Eheap}) and of the net's message slots.
 
     Below one page the storage is one array that doubles; past one page
-    it grows by appending a page of [1 lsl bits] entries and never copies
-    an element, so a queue at its high-water mark leaves no copied-out
+    it grows by appending a page of {!size} entries and never copies an
+    element, so a queue at its high-water mark leaves no copied-out
     arrays behind in the major heap. Entry [i] lives at
     [spine.(i lsr bits).(i land mask)] at every capacity. Readers index
     the spine in their own code, typed: a read through a function of
     this module would box a float under separate compilation. *)
 
 val bits : int
-(** A page holds [1 lsl bits] entries (4096). *)
+(** [log2 size]. *)
+
+val size : int
+(** Entries per page (4096). *)
 
 val mask : int
-(** [(1 lsl bits) - 1]. *)
+(** [size - 1]. *)
 
 type 'a t = private {
   mutable spine : 'a array array;

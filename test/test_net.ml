@@ -165,7 +165,6 @@ let test_net_send_minor_words () =
    column and the queue no page, so what the net reaches is back to what
    it reached before the burst. A second burst grows them again. *)
 let test_net_burst_pages () =
-  let page = 1 lsl Pages.bits in
   let eng = Engine.create ~seed:3 () in
   let tb = Testbed.synthetic ~hosts:2 (Engine.rng eng) in
   let net = Net.create eng tb in
@@ -174,13 +173,13 @@ let test_net_burst_pages () =
   Net.bind net dst (fun ~src:_ -> function Probe k -> got := !got + k | _ -> ());
   let words () = Obj.reachable_words (Obj.repr net) in
   let base = words () in
-  let n = (3 * page) + 100 in
+  let n = (3 * Pages.size) + 100 in
   for round = 1 to 2 do
     for _ = 1 to n do
       Net.send net ~src ~dst (Probe 1)
     done;
     Alcotest.(check int) "all in flight" n (Engine.pending_events eng);
-    Alcotest.(check bool) "the burst holds pages" true (words () > base + (3 * page));
+    Alcotest.(check bool) "the burst holds pages" true (words () > base + (3 * Pages.size));
     ignore (Engine.run eng);
     Alcotest.(check int) "all delivered" (round * n) !got;
     Alcotest.(check int) "no column, no page" base (words ())

@@ -90,8 +90,6 @@ let prop_eheap_sorted =
    pushes and interleaved pops takes the heap past four pages, then a
    filter compacts it across pages (Floyd heapify over every page); every
    pop must match a sorted model, and the drained heap holds no page. *)
-let page = 1 lsl Pages.bits
-
 module Keys = Set.Make (struct
   type t = float * int
 
@@ -123,13 +121,13 @@ let prop_eheap_pages =
           | _ -> ok := false
         done
       in
-      while Eheap.size h <= 4 * page do
+      while Eheap.size h <= 4 * Pages.size do
         push_n (Random.State.int rs 3000);
         pop_n (Random.State.int rs 1000)
       done;
       Eheap.filter_in_place h (fun x -> x mod 3 <> 0);
       model := Keys.filter (fun (_, seq) -> seq mod 3 <> 0) !model;
-      ok := !ok && Eheap.size h = Keys.cardinal !model && Eheap.size h > 2 * page;
+      ok := !ok && Eheap.size h = Keys.cardinal !model && Eheap.size h > 2 * Pages.size;
       push_n 500;
       pop_n (Eheap.size h + 1);
       !ok && Eheap.size h = 0 && Obj.reachable_words (Obj.repr h) < 64)
@@ -982,7 +980,7 @@ let mop_engine ~slots ~perturb prog =
         List.iter (Engine.cancel e) burst
     | M_wave d ->
         let at = { Engine.v = Engine.now e +. m_delays.(d) } in
-        for _ = 1 to page + 8 do
+        for _ = 1 to Pages.size + 8 do
           post at (fired [])
         done
   in
