@@ -89,7 +89,8 @@ type t = {
 
 let no_addr = Addr.make (-1) (-1)
 
-(* Typed column reads: a generic accessor would box [m_sched]'s floats. *)
+(* Column reads and writes, typed here: a call into {!Pages} would box
+   [m_sched]'s floats and cost a call per slot field. *)
 let[@inline] get (s : 'a array array) i =
   Array.unsafe_get (Array.unsafe_get s (i lsr Pages.bits)) (i land Pages.mask)
 
@@ -108,7 +109,6 @@ let[@inline] iget (s : int array array) i =
 let[@inline] iset (s : int array array) i (x : int) =
   Array.unsafe_set (Array.unsafe_get s (i lsr Pages.bits)) (i land Pages.mask) x
 
-(* The first capacity, kept while nothing is in flight (see [fire]). *)
 let first = 64
 
 let grow_traced t =
@@ -132,7 +132,8 @@ let grow_slots t =
   t.m_nfree <- ncap - cap
 
 (* With nothing in flight, a net holds no column: a burst's high-water
-   mark is not kept for the rest of the run. *)
+   mark is not kept for the rest of the run. The first 64 slots stay, so
+   a lone request and its reply do not regrow them every time. *)
 let vacate t =
   Pages.release t.m_src;
   Pages.release t.m_dst;
@@ -193,8 +194,6 @@ let fire t id =
   end;
   iset t.m_free.spine t.m_nfree id;
   t.m_nfree <- t.m_nfree + 1;
-  (* the first 64 slots stay, so a lone request and its reply do not
-     regrow them every time *)
   if t.m_nfree = t.m_pay.cap && t.m_nfree > first then vacate t;
   let up =
     match t.cmp with

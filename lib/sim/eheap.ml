@@ -30,24 +30,33 @@ type 'a t = {
   popped_at : fcell;
 }
 
-(* Typed column reads: a generic accessor would box the float keys. *)
+(* The page geometry as constants. Under separate compilation (dune's
+   dev profile compiles with [-opaque]) [Pages.bits] is a load from
+   memory at every index, which showed in the sift loops; the two must
+   agree, which module initialisation checks. *)
+let bits = 12
+let mask = (1 lsl bits) - 1
+let () = assert (bits = Pages.bits)
+
+(* Column reads and writes, typed here: a call into {!Pages} would box
+   the float keys and cost a call per comparison. *)
 let[@inline] fget (s : float array array) i =
-  Array.unsafe_get (Array.unsafe_get s (i lsr Pages.bits)) (i land Pages.mask)
+  Array.unsafe_get (Array.unsafe_get s (i lsr bits)) (i land mask)
 
 let[@inline] fset (s : float array array) i (x : float) =
-  Array.unsafe_set (Array.unsafe_get s (i lsr Pages.bits)) (i land Pages.mask) x
+  Array.unsafe_set (Array.unsafe_get s (i lsr bits)) (i land mask) x
 
 let[@inline] iget (s : int array array) i =
-  Array.unsafe_get (Array.unsafe_get s (i lsr Pages.bits)) (i land Pages.mask)
+  Array.unsafe_get (Array.unsafe_get s (i lsr bits)) (i land mask)
 
 let[@inline] iset (s : int array array) i (x : int) =
-  Array.unsafe_set (Array.unsafe_get s (i lsr Pages.bits)) (i land Pages.mask) x
+  Array.unsafe_set (Array.unsafe_get s (i lsr bits)) (i land mask) x
 
 let[@inline] get (s : 'a array array) i =
-  Array.unsafe_get (Array.unsafe_get s (i lsr Pages.bits)) (i land Pages.mask)
+  Array.unsafe_get (Array.unsafe_get s (i lsr bits)) (i land mask)
 
 let[@inline] set (s : 'a array array) i x =
-  Array.unsafe_set (Array.unsafe_get s (i lsr Pages.bits)) (i land Pages.mask) x
+  Array.unsafe_set (Array.unsafe_get s (i lsr bits)) (i land mask) x
 
 let first = 16
 
@@ -108,15 +117,15 @@ let sift_down t start ~at ~seq x =
     if c1 >= n then stop := true
     else begin
       let last = if c1 + 3 < n - 1 then c1 + 3 else n - 1 in
-      let m = ref c1 in
+      let m = ref c1 and mat = ref (fget ats c1) in
       for c = c1 + 1 to last do
-        if
-          fget ats c < fget ats !m
-          || (fget ats c = fget ats !m && iget seqs c < iget seqs !m)
-        then m := c
+        let cat = fget ats c in
+        if cat < !mat || (cat = !mat && iget seqs c < iget seqs !m) then begin
+          m := c;
+          mat := cat
+        end
       done;
-      let m = !m in
-      let mat = fget ats m in
+      let m = !m and mat = !mat in
       if mat < at || (mat = at && iget seqs m < seq) then begin
         fset ats !i mat;
         iset seqs !i (iget seqs m);
