@@ -2,8 +2,8 @@
    net's message slots.
 
    A doubling array copies every element into a new array each time it
-   grows, and the old array stays in the major heap until the next sweep:
-   a queue at its high-water mark costs up to twice its capacity again in
+   grows, and the old arrays stay in the major heap until the next sweep:
+   a queue at its high-water mark leaves up to its capacity again in
    garbage. Below one page the storage is still one array that doubles
    (cheap at that size, and a small queue keeps one compact block); past
    one page it grows by appending a fixed-size page to the spine, and no
