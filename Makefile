@@ -85,6 +85,15 @@ bench-scale-smoke:
 	dune exec bench/main.exe -- scale --domains 4 --out-dir _build/bench-smoke
 	@echo "bench-scale-smoke: OK"
 
+# The same experiment at full size: the 1M-node epidemic flood and the
+# 100k-node Chord ring with their metrics twins. The floors' exact bound
+# then holds every row the committed BENCH_scale.json has, the full ones
+# included, to that file's non-timing fields. Kept out of `check` and CI:
+# it needs ~3 GB of RSS and 1-2.5 min on a 2-core VM.
+bench-scale-full:
+	dune exec bench/main.exe -- scale --full --domains 4 --out-dir _build/bench-full
+	@echo "bench-scale-full: OK"
+
 # Refresh the committed BENCH_engine.json and BENCH_macro.json baselines
 # (explicit, never part of check); macro records jobs=1 and its _j2
 # fan-out rows either way, and --jobs 2 fans out fig experiments' trials.
@@ -154,4 +163,4 @@ trace-demo:
 	  | tee /dev/stderr | grep -q "rpc\."
 	@echo "trace-demo: OK (critical path extracted)"
 
-.PHONY: all check test unused-exports no-forced-gc bench bench-smoke examples-smoke figures-smoke bench-scale-smoke bench-obs-smoke bench-serve-smoke bench-baseline trace-demo check-smoke check-fuzz live-smoke perfbench-smoke ab-selftest
+.PHONY: all check test unused-exports no-forced-gc bench bench-smoke examples-smoke figures-smoke bench-scale-smoke bench-scale-full bench-obs-smoke bench-serve-smoke bench-baseline trace-demo check-smoke check-fuzz live-smoke perfbench-smoke ab-selftest

@@ -14,8 +14,8 @@
      Sink.sketch (the metrics plane's log-bucket table), as a
      million-sample exact collector would defeat the point.
 
-   Every run uses the compact testbed (Testbed.synthetic): hash-seeded
-   O(1) latency, struct-of-arrays per-host state, no host records. The
+   Every run uses a synthetic testbed (Testbed.synthetic): hash-seeded
+   O(1) latency, per-host state in columns, no host records. The
    rows land in BENCH_scale.json; the 10k rows carry CI floors
    (ops/sec) and ceilings (resident words per node) from
    BENCH_scale.floors.json, so a memory regression that would push the

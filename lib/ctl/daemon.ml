@@ -127,16 +127,15 @@ let memory_used t =
    [Testbed.service_mult] answers. *)
 let refresh_host_model t =
   let tb = Net.testbed t.net in
-  if Option.is_none (Testbed.compact tb) then begin
-    let h = Testbed.host tb t.d_host in
+  if Testbed.has_records tb then begin
     let mem = Float.of_int (memory_used t) in
-    let cap = h.Testbed.mem_mb *. 1024.0 *. 1024.0 in
+    let cap = (Testbed.host tb t.d_host).Testbed.mem_mb *. 1024.0 *. 1024.0 in
     let swap_mult = if mem > cap then 1.0 +. (60.0 *. ((mem /. cap) -. 1.0)) else 1.0 in
     let n = instance_count t in
     let cpu_mult =
       1.0 +. (t.cfg.cpu_per_instance *. Float.of_int n) +. t.cfg.contention_extra n
     in
-    h.Testbed.service_mult <- swap_mult *. cpu_mult
+    Testbed.set_service_mult tb t.d_host (swap_mult *. cpu_mult)
   end
 
 let load t =

@@ -15,7 +15,10 @@ module Engine = Splay_sim.Engine
    zero-latency testbed delivers local traffic, and any send whose
    destination host is not this process is routed out through a real TCP
    connection (see [Splayd]); inbound frames re-enter via
-   [Net.deliver_remote]. *)
+   [Net.deliver_remote], the receiver half a local send runs too. The
+   testbed is synthetic for its zero-latency model and because a live
+   host has no simulated host model, not for the hook, which works on
+   any testbed. *)
 
 type watch = {
   w_fd : Unix.file_descr;

@@ -13,7 +13,8 @@ module Daemon = Splay_ctl.Daemon
    ([Env] / [Rpc] / [Sb_socket]); only the cross-host leg of a send
    changes — [Net.set_remote] tunnels it as an App frame, over the
    control connection to the controller or over a data connection to
-   the destination daemon, where it re-enters via [Net.deliver_remote].
+   the destination daemon, where it re-enters via [Net.deliver_remote]
+   and lands as a local send would.
 
    Hygiene: the daemon knows the controller's PID and self-terminates
    when orphaned (getppid poll), when the control connection drops, or on

@@ -21,13 +21,12 @@ val create :
   ?latency:Latency.t ->
   ?bw:float ->
   ?proc_cost:float ->
-  ?mem_mb:float ->
   hosts:int ->
   parts:int ->
   unit ->
   t
 (** Build [parts] partitions over [hosts] hosts. [latency] defaults to
-    [Latency.synthetic] seeded from [seed]; [bw]/[proc_cost]/[mem_mb]
+    [Latency.synthetic] seeded from [seed]; [bw]/[proc_cost]
     are passed to each {!Testbed.synthetic}. @raise Invalid_argument if
     the latency model answers [min_rtt = None] or zero (Lognormal
     distributions, or {!Latency.of_fn} without its [~min_rtt] argument,

@@ -154,12 +154,11 @@ let of_fn ~name ?(seed = 0) ?min_rtt f =
   { name; seed; impl = Fn { fn = f; fn_min_rtt = min_rtt } }
 
 let delay_to t (cell : Splay_sim.Eheap.fcell) a b =
-  cell.v <-
-    (match t.impl with
-    | Synthetic { seed64; dist; intra_host } ->
-        if a = b then intra_host else 0.5 *. rtt_of_u dist (pair_u seed64 a b)
-    | Matrix { topo; stub_of } -> Topology.delay topo (stub_of a) (stub_of b)
-    | Fn { fn; _ } -> fn a b)
+  match t.impl with
+  | Synthetic { seed64; dist; intra_host } ->
+      cell.v <- (if a = b then intra_host else 0.5 *. rtt_of_u dist (pair_u seed64 a b))
+  | Matrix { topo; stub_of } -> Topology.delay_to topo cell (stub_of a) (stub_of b)
+  | Fn { fn; _ } -> cell.v <- fn a b
 
 (* {2 Lookahead} *)
 
@@ -188,13 +187,13 @@ let min_rtt t =
          hop is always reachable; the scan catches topologies where some
          router pair is even cheaper. Router counts are small (hundreds),
          and this runs once at partitioning time, not on the hot path. *)
-      let d = Topology.delay topo in
+      let cell = { Splay_sim.Eheap.v = 0.0 } in
       let n = Topology.router_count topo in
       let m = ref (Topology.intra_stub_delay topo) in
       for a = 0 to n - 1 do
         for b = a + 1 to n - 1 do
-          let one_way = d a b in
-          if one_way < !m then m := one_way
+          Topology.delay_to topo cell a b;
+          if cell.v < !m then m := cell.v
         done
       done;
       if !m <= 0.0 then None else Some (2.0 *. !m)

@@ -9,7 +9,7 @@
     two interchangeable implementations:
 
     - {!matrix}: the existing precomputed-matrix topology, byte-identical
-      to calling [Topology.delay] directly — fixed-seed golden traces do
+      to calling [Topology.delay_to] directly — fixed-seed golden traces do
       not move when a testbed routes through it;
     - {!synthetic}: an O(1), zero-storage model that derives each pair's
       delay from a splitmix64 hash of [(seed, min a b, max a b)] pushed
@@ -66,7 +66,7 @@ val synthetic : ?dist:rtt_dist -> ?intra_host:float -> seed:int -> unit -> t
 val matrix : Topology.t -> stub_of:(Addr.host_id -> Topology.router) -> t
 (** The precomputed transit-stub matrix as a [Latency.t]: [delay] is
     [Topology] shortest-path delay between the hosts' attachment routers.
-    [Topology.delay] is its router-level primitive. *)
+    [Topology.delay_to] is its router-level primitive. *)
 
 (** {1 Escape hatch} *)
 

@@ -53,9 +53,7 @@ type remote = {
 type t = {
   eng : Engine.t;
   tb : Testbed.t;
-  cmp : Testbed.Compact.t option;
-      (* struct-of-arrays state when [tb] is a synthetic testbed; checked
-         once at creation so the send path dispatches on a field load *)
+  links : Testbed.links; (* [tb]'s per-host columns, which the send path reads and writes *)
   handlers : handler AddrTbl.t;
   net_rng : Rng.t;
   mutable loss : float;
@@ -195,12 +193,7 @@ let fire t id =
   iset t.m_free.spine t.m_nfree id;
   t.m_nfree <- t.m_nfree + 1;
   if t.m_nfree = t.m_pay.cap && t.m_nfree > first then vacate t;
-  let up =
-    match t.cmp with
-    | Some c -> Bytes.unsafe_get c.Testbed.Compact.up_bits dst.Addr.host <> '\000'
-    | None -> (Testbed.host t.tb dst.Addr.host).Testbed.up
-  in
-  if not up then count_drop t
+  if Bytes.unsafe_get t.links.Testbed.up dst.Addr.host = '\000' then count_drop t
   else
     match AddrTbl.find_opt t.handlers dst with
     | None -> count_drop t
@@ -211,7 +204,7 @@ let create eng tb =
     {
       eng;
       tb;
-      cmp = Testbed.compact tb;
+      links = Testbed.links tb;
       handlers = AddrTbl.create 1024;
       net_rng = Rng.split (Testbed.rng tb);
       loss = 0.0;
@@ -269,128 +262,70 @@ let closer t ~from a b =
   Testbed.base_delay_to t.tb t.near_b from b;
   t.near_a.v < t.near_b.v
 
-(* The compact (struct-of-arrays) variant of the send path below: same
-   store-and-forward model, same counter/observability behavior, but every
-   per-host load is an unboxed array index instead of a record field, and
-   propagation comes from the testbed's latency model — O(1) and stateless,
-   which is what keeps million-host sends cheap. *)
-let send_compact t c ?(size = 256) ?loss ~src ~dst payload =
-  t.n_sent <- t.n_sent + 1;
-  t.n_bytes <- t.n_bytes + size;
-  Obs.incr c_msgs;
-  Obs.add c_obs_bytes size;
-  let sh = src.Addr.host and dh = dst.Addr.host in
-  if
-    Bytes.unsafe_get c.Testbed.Compact.up_bits sh = '\000'
-    || partitioned t sh dh
-  then count_drop t
-  else begin
-    let p = match loss with Some p -> p | None -> t.loss in
-    if p > 0.0 && Rng.chance t.net_rng p then count_drop t
-    else begin
-      let traced = !Obs.enabled in
-      let now = (Engine.clock t.eng).v in
-      let sz = Float.of_int size in
-      let tx_up = sz /. c.Testbed.Compact.bw_up in
-      let up_busy = c.Testbed.Compact.up_busy in
-      let start_up = Float.max now (Array.unsafe_get up_busy sh) in
-      Array.unsafe_set up_busy sh (start_up +. tx_up);
-      Latency.delay_to c.Testbed.Compact.lat t.due sh dh;
-      let arrival = start_up +. tx_up +. t.due.v in
-      match t.remote with
-      | Some r when not (r.r_local dh) ->
-          (* sender-side half done; the destination partition applies its
-             own downlink/processing model when the mailbox drains *)
-          let mctx = if traced then Obs.current () else Obs.null_ctx in
-          r.r_route ~src ~dst ~size ~arrival ~up_wait:(start_up -. now) ~ctx:mctx payload
-      | _ ->
-          let tx_down = sz /. c.Testbed.Compact.bw_down in
-          let down_busy = c.Testbed.Compact.down_busy in
-          let start_down = Float.max arrival (Array.unsafe_get down_busy dh) in
-          Array.unsafe_set down_busy dh (start_down +. tx_down);
-          let deliver_at = start_down +. tx_down +. c.Testbed.Compact.proc_cost in
-          let deliver_at =
-            if t.extra_delay > 0.0 then deliver_at +. t.extra_delay else deliver_at
-          in
-          if traced || !Obs.metrics_enabled then
-            Obs.observe h_link_wait ((start_up -. now) +. (start_down -. arrival));
-          t.due.v <- deliver_at;
-          enqueue t ~traced ~ctx:(if traced then Obs.current () else Obs.null_ctx) ~src ~dst payload
-    end
-  end
+(* The receiver's half of a transfer, from the instant [arrival] its last
+   byte reaches the destination's downlink: downlink queueing, processing
+   cost, then the slot. A local send ends here, and so does a routed one
+   on the destination's net ([deliver_remote]). Inlined, so its float
+   arguments are not boxed. *)
+let[@inline] receive t ~size ~src ~dst ~arrival ~up_wait ~ctx payload =
+  let lk = t.links in
+  let dh = dst.Addr.host in
+  let busy = lk.Testbed.down_busy.(dh) in
+  let i = dh land lk.Testbed.per_host in
+  let tx_down = Float.of_int size /. Array.unsafe_get lk.Testbed.bw_down i in
+  let start_down = Float.max arrival busy in
+  Array.unsafe_set lk.Testbed.down_busy dh (start_down +. tx_down);
+  let deliver_at = start_down +. tx_down +. Array.unsafe_get lk.Testbed.proc_cost i in
+  (* delay-burst nemesis: a flat add-on past the bandwidth queues, so
+     it slows delivery without occupying the links *)
+  let deliver_at = if t.extra_delay > 0.0 then deliver_at +. t.extra_delay else deliver_at in
+  let traced = !Obs.enabled in
+  if traced || !Obs.metrics_enabled then
+    Obs.observe h_link_wait (up_wait +. (start_down -. arrival));
+  t.due.v <- deliver_at;
+  enqueue t ~traced ~ctx ~src ~dst payload
 
 (* Store-and-forward through sender uplink and receiver downlink queues:
    a transfer occupies the uplink for size/bw_up starting when the uplink
    frees, propagates, then occupies the downlink. This is what makes links
-   saturate under bulk transfers (Fig. 13). *)
-let send_classic t ?(size = 256) ?loss ~src ~dst payload =
+   saturate under bulk transfers (Fig. 13). Every per-host load is a
+   column index and the propagation delay comes through a cell, so a
+   send boxes no float on any testbed. *)
+let send t ?(size = 256) ?loss ~src ~dst payload =
   t.n_sent <- t.n_sent + 1;
   t.n_bytes <- t.n_bytes + size;
   Obs.incr c_msgs;
   Obs.add c_obs_bytes size;
-  let hs = Testbed.host t.tb src.Addr.host in
-  if (not hs.Testbed.up) || partitioned t src.Addr.host dst.Addr.host then count_drop t
+  let lk = t.links in
+  let sh = src.Addr.host and dh = dst.Addr.host in
+  if Bytes.get lk.Testbed.up sh = '\000' || partitioned t sh dh then count_drop t
   else begin
     let p = match loss with Some p -> p | None -> t.loss in
     if p > 0.0 && Rng.chance t.net_rng p then count_drop t
     else begin
-      let traced = !Obs.enabled in
       let now = (Engine.clock t.eng).v in
-      let sz = Float.of_int size in
-      let tx_up = sz /. hs.Testbed.bw_up in
-      let start_up = Float.max now hs.Testbed.up_busy in
-      hs.Testbed.up_busy <- start_up +. tx_up;
-      let hd = Testbed.host t.tb dst.Addr.host in
-      let propagation = Testbed.delay_h t.tb hs hd in
-      let arrival = start_up +. tx_up +. propagation in
-      let tx_down = sz /. hd.Testbed.bw_down in
-      let start_down = Float.max arrival hd.Testbed.down_busy in
-      hd.Testbed.down_busy <- start_down +. tx_down;
-      let processing = Testbed.proc_cost_h hd in
-      let deliver_at = start_down +. tx_down +. processing in
-      (* delay-burst nemesis: a flat add-on past the bandwidth queues, so
-         it slows delivery without occupying the links *)
-      let deliver_at = if t.extra_delay > 0.0 then deliver_at +. t.extra_delay else deliver_at in
-      if traced || !Obs.metrics_enabled then
-        Obs.observe h_link_wait ((start_up -. now) +. (start_down -. arrival));
-      t.due.v <- deliver_at;
-      enqueue t ~traced ~ctx:(if traced then Obs.current () else Obs.null_ctx) ~src ~dst payload
+      let i = sh land lk.Testbed.per_host in
+      let tx_up = Float.of_int size /. Array.unsafe_get lk.Testbed.bw_up i in
+      let start_up = Float.max now (Array.unsafe_get lk.Testbed.up_busy sh) in
+      Array.unsafe_set lk.Testbed.up_busy sh (start_up +. tx_up);
+      Testbed.delay_to t.tb t.due sh dh;
+      let arrival = start_up +. tx_up +. t.due.v in
+      let ctx = if !Obs.enabled then Obs.current () else Obs.null_ctx in
+      match t.remote with
+      | Some r when not (r.r_local dh) ->
+          (* sender-side half done; the destination's net applies its own
+             downlink/processing model when the message reaches it *)
+          r.r_route ~src ~dst ~size ~arrival ~up_wait:(start_up -. now) ~ctx payload
+      | _ -> receive t ~size ~src ~dst ~arrival ~up_wait:(start_up -. now) ~ctx payload
     end
   end
 
-let send t ?size ?loss ~src ~dst payload =
-  match t.cmp with
-  | Some c -> send_compact t c ?size ?loss ~src ~dst payload
-  | None -> send_classic t ?size ?loss ~src ~dst payload
+let set_remote t ~local ~route = t.remote <- Some { r_local = local; r_route = route }
 
-let set_remote t ~local ~route =
-  if t.cmp = None then invalid_arg "Net.set_remote: synthetic (compact) testbed required";
-  t.remote <- Some { r_local = local; r_route = route }
-
-(* Receiver-side half of a routed send: runs on the destination
-   partition's engine at the message's arrival time. Mirrors the tail of
-   [send_compact] — downlink queueing against THIS net's busy array,
-   processing cost, then liveness/handler checks at delivery. The
-   message's context is the sender's, not the one current here when the
-   mailbox drains, so the traced delivery restores it itself. *)
+(* A routed message arrives now; its context is the sender's, not the one
+   current here when the mailbox drains, so its delivery restores it. *)
 let deliver_remote t ?(size = 256) ~src ~dst ~up_wait ~ctx payload =
-  match t.cmp with
-  | None -> invalid_arg "Net.deliver_remote: synthetic (compact) testbed required"
-  | Some c ->
-      let dh = dst.Addr.host in
-      let arrival = (Engine.clock t.eng).v in
-      let sz = Float.of_int size in
-      let tx_down = sz /. c.Testbed.Compact.bw_down in
-      let down_busy = c.Testbed.Compact.down_busy in
-      let start_down = Float.max arrival (Array.unsafe_get down_busy dh) in
-      Array.unsafe_set down_busy dh (start_down +. tx_down);
-      let deliver_at = start_down +. tx_down +. c.Testbed.Compact.proc_cost in
-      let deliver_at = if t.extra_delay > 0.0 then deliver_at +. t.extra_delay else deliver_at in
-      let traced = !Obs.enabled in
-      if traced || !Obs.metrics_enabled then
-        Obs.observe h_link_wait (up_wait +. (start_down -. arrival));
-      t.due.v <- deliver_at;
-      enqueue t ~traced ~ctx ~src ~dst payload
+  receive t ~size ~src ~dst ~arrival:(Engine.clock t.eng).v ~up_wait ~ctx payload
 
 let messages_sent t = t.n_sent
 let bytes_sent t = t.n_bytes

@@ -79,15 +79,17 @@ val bytes_sent : t -> int
 val messages_dropped : t -> int
 (** Counters over the lifetime of the network (monitoring). *)
 
-(** {1 Cross-partition routing — the parallel engine's hook}
+(** {1 Cross-net routing — the parallel engine's and live loop's hook}
 
     Under {!Fabric}, each partition owns a [Net.t] over its own copy of
-    the (synthetic) testbed state. A send whose destination host lives
-    on another partition runs only the sender-side half of the
-    store-and-forward model here — uplink queueing and propagation — and
-    is handed to [route]; the destination partition completes it with
-    {!deliver_remote} against its own downlink/liveness state. Plain
-    single-engine nets never touch any of this. *)
+    the testbed state; a live daemon's net serves its one host. A send
+    whose destination host is served by another net runs only the
+    sender-side half of the store-and-forward model here — uplink
+    queueing and propagation — and is handed to [route]; the
+    destination's net completes it with {!deliver_remote}, the same
+    receiver half a local send runs, against its own downlink/liveness
+    state. Works on any testbed. Plain single-engine nets never touch
+    any of this. *)
 
 val set_remote :
   t ->
@@ -108,8 +110,7 @@ val set_remote :
     reaches the destination's downlink (uplink wait + transmission +
     propagation — at least the latency model's lookahead in the future),
     [up_wait] the uplink queueing already incurred (for the link-wait
-    histogram), [ctx] the sender's trace context. Requires a synthetic
-    (compact) testbed. *)
+    histogram), [ctx] the sender's trace context. *)
 
 val deliver_remote :
   t ->
@@ -121,7 +122,8 @@ val deliver_remote :
   payload ->
   unit
 (** Receiver-side completion of a routed message; call it on the
-    destination partition's net at the message's [arrival] time (Fabric
-    does this from a {!Splay_sim.Par} mailbox). Applies downlink
-    queueing, processing cost, then the usual liveness/handler checks at
-    delivery. *)
+    destination's net at the message's [arrival] time (Fabric does this
+    from a {!Splay_sim.Par} mailbox). Applies downlink queueing,
+    processing cost, then the usual liveness/handler checks at delivery:
+    a message delivered this way lands at the instant the same send
+    delivered locally would. *)

@@ -14,19 +14,16 @@ type kind = Planetlab | Modelnet | Cluster
 type host = {
   id : Addr.host_id;
   kind : kind;
-  mutable up : bool;
   coord : float * float; (* virtual coordinates, seconds of one-way delay *)
-  load_factor : float; (* >= 1, multiplies per-message processing cost *)
-  slowness : float; (* mean of the heavy-tailed service time (seconds) *)
   bw_up : float; (* bytes/second *)
   bw_down : float;
   stub : Topology.router; (* attachment for Modelnet/Cluster hosts *)
   mem_mb : float;
-  mutable up_busy : float; (* uplink busy-until (absolute seconds) *)
-  mutable down_busy : float;
-  mutable service_mult : float; (* contention multiplier, raised by the daemon model *)
-  host_rng : Splay_sim.Rng.t;
 }
+(** A host's immutable description, what deployment selection and the
+    daemon's host model read. Its mutable state (up bit, link clocks,
+    contention multiplier) and its service model (load factor, mean
+    service time, service-time stream) live in the testbed's columns. *)
 
 type t
 
@@ -47,7 +44,6 @@ val synthetic :
   ?latency:Latency.t ->
   ?bw:float ->
   ?proc_cost:float ->
-  ?mem_mb:float ->
   hosts:int ->
   Splay_sim.Rng.t ->
   t
@@ -56,42 +52,43 @@ val synthetic :
     [Latency.synthetic ~seed:(a draw from the rng)]), every host shares
     the same [bw] (default 10 Mbps, in bytes/second) and [proc_cost]
     (default 0.1 ms), and the only per-host state is the pair of
-    link-busy clocks (two unboxed floats) plus one up/down bit — a few
+    link-busy clocks (two unboxed floats) plus one up/down byte — a few
     words per host instead of a few hundred, which is what lets a single
     simulated deployment reach 10^6 hosts. Hosts never jitter (delays are
-    the model's stable answers), and {!host} / {!hosts} raise
-    [Invalid_argument]: there are no records to hand out. *)
+    the model's stable answers), and {!host} raises [Invalid_argument]:
+    there are no records to hand out. *)
 
-(** Struct-of-arrays storage behind {!synthetic} testbeds. The network
-    send path indexes these arrays directly by host id — the compact
-    counterpart of the [host]-record fast path. *)
-module Compact : sig
-  type t = {
-    n : int;
-    lat : Latency.t;
-    up_bits : Bytes.t;  (** 1 byte per host; 0 = down *)
-    bw_up : float;  (** shared uplink bandwidth, bytes/second *)
-    bw_down : float;
-    up_busy : float array;  (** per-host uplink busy-until, unboxed *)
-    down_busy : float array;
-    proc_cost : float;  (** shared per-message processing cost, seconds *)
-    mem_mb : float;
-    c_rng : Splay_sim.Rng.t;  (** control-plane service-time stream *)
-  }
-end
+val has_records : t -> bool
+(** [false] exactly on a {!synthetic} testbed. *)
 
-val compact : t -> Compact.t option
-(** The struct-of-arrays state when this is a {!synthetic} testbed. *)
+(** Per-host link state as columns indexed by host id, the same on every
+    testbed: the network send path reads and writes them directly. The
+    up bits and busy clocks hold one entry per host. The link parameters
+    hold one entry per host on a record testbed and one shared entry on a
+    {!synthetic} one: host [h]'s is at index [h land per_host]. *)
+type links = private {
+  up : Bytes.t;  (** 1 byte per host; 0 = down *)
+  up_busy : float array;  (** uplink busy-until (absolute seconds), unboxed *)
+  down_busy : float array;
+  per_host : int;  (** [-1] on a record testbed, [0] on a synthetic one *)
+  bw_up : float array;  (** bytes/second *)
+  bw_down : float array;
+  proc_cost : float array;
+      (** per-message processing cost (seconds) for data-plane traffic:
+          [0.000_1 *. load_factor *. service_mult] on a record testbed *)
+}
+
+val links : t -> links
 
 val host_up : t -> Addr.host_id -> bool
 
 val set_host_up : t -> Addr.host_id -> bool -> unit
-(** Up/down flag, uniform over record-backed and compact testbeds. *)
 
 val with_extra_host : t -> t * Addr.host_id
-(** Append one well-provisioned LAN-class host — where the trusted
-    controller processes run. Returns the extended testbed and the new
-    host's id (always the last index). *)
+(** A copy with one well-provisioned LAN-class host appended — where the
+    trusted controller processes run. Returns the extended testbed and
+    the new host's id (always the last index). The copy's hosts start up
+    and idle, with multiplier 1. *)
 
 val size : t -> int
 
@@ -107,23 +104,22 @@ val base_delay_to : t -> Splay_sim.Eheap.fcell -> Addr.host_id -> Addr.host_id -
 (** [base_delay_to t cell a b] stores [base_delay t a b] in [cell], unboxed
     (the form of {!Latency.delay_to}). *)
 
-val delay_h : t -> host -> host -> float
-(** One-way propagation delay for one message: {!base_delay} plus jitter
-    (PlanetLab hosts only; emulated and LAN links are stable). Keyed by
-    host records: the send path already holds both endpoints for the
-    link queues. *)
+val delay_to : t -> Splay_sim.Eheap.fcell -> Addr.host_id -> Addr.host_id -> unit
+(** One-way propagation delay for one message, stored in the cell:
+    {!base_delay} plus jitter drawn from the testbed's stream when either
+    end is a PlanetLab host (emulated and LAN links are stable). *)
 
 val service_delay : t -> Addr.host_id -> float
 (** Draw a host service time for a control-plane request (process fork,
-    probe answer): exponential with the host's [slowness] mean, scaled by
-    its contention multiplier. *)
+    probe answer): exponential with the host's mean service time, scaled
+    by its contention multiplier. *)
 
 val service_mult : t -> Addr.host_id -> float
-(** Contention multiplier for application service time, uniform over
-    representations: per-host record where one exists, 1.0 on
-    {!synthetic} testbeds (which model contention in the network layer
-    only). *)
+(** Contention multiplier for application service time: 1.0 unless the
+    daemon's host model raised it; always 1.0 on a {!synthetic} testbed,
+    which models contention in the network layer only. *)
 
-val proc_cost_h : host -> float
-(** Per-message processing cost on this host for data-plane traffic:
-    sub-millisecond, scaled by [load_factor] and [service_mult]. *)
+val set_service_mult : t -> Addr.host_id -> float -> unit
+(** Set a host's contention multiplier (the daemon's host model does);
+    its processing cost follows. Raises [Invalid_argument] on a
+    {!synthetic} testbed. *)

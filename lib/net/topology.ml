@@ -93,8 +93,9 @@ let stub_routers t = Array.copy t.stubs
 
 let random_stub t rng = t.stubs.(Splay_sim.Rng.int rng (Array.length t.stubs))
 
-let delay t a b =
-  if a = b then t.intra_stub
-  else t.upweight.(a) +. t.tt_dist.(t.uplink.(a)).(t.uplink.(b)) +. t.upweight.(b)
+let delay_to t (cell : Splay_sim.Eheap.fcell) a b =
+  cell.v <-
+    (if a = b then t.intra_stub
+     else t.upweight.(a) +. t.tt_dist.(t.uplink.(a)).(t.uplink.(b)) +. t.upweight.(b))
 
 let intra_stub_delay t = t.intra_stub

@@ -30,8 +30,9 @@ val stub_routers : t -> router array
 
 val random_stub : t -> Splay_sim.Rng.t -> router
 
-val delay : t -> router -> router -> float
-(** One-way latency in seconds along the shortest path. Stub routers are
+val delay_to : t -> Splay_sim.Eheap.fcell -> router -> router -> unit
+(** [delay_to t cell a b] stores in [cell], unboxed, the one-way latency
+    in seconds along the shortest path. Stub routers are
     leaves, so delays reduce to the two uplink weights plus a precomputed
     transit-to-transit distance matrix — O(1) per query, no Dijkstra
     re-runs. Within the same stub router, the intra-stub delay applies.

@@ -42,7 +42,7 @@ type stats = {
   mutable failed : int;
   lat : Sink.t;
   first_client : int;
-  client_requests : int array;
+  local_clients : int;
   mutable setup_words : int;
 }
 
@@ -74,11 +74,10 @@ let run config ~seed ~part ~parts ~gateways ~issue =
       shed = 0;
       failed = 0;
       lat = Sink.sketch ();
-      (* the WHOLE per-client state: one word of request count per virtual
-         client. No fiber, no buffer, no timer per idle client — a million
-         clients is a million-word array. *)
+      (* no per-client state at all: no fiber, no buffer, no timer per
+         idle client — a client is an index into [lo, lo + local_clients) *)
       first_client = lo;
-      client_requests = Array.make local_clients 0;
+      local_clients;
       setup_words = 0;
     }
   in
@@ -144,8 +143,8 @@ let run config ~seed ~part ~parts ~gateways ~issue =
                       ~period:config.diurnal_period t
                in
                if Rng.chance arr_rng (lambda /. peak) then begin
+                 (* the client issuing the request picks its gateway *)
                  let c = Rng.int arr_rng (max 1 local_clients) in
-                 stats.client_requests.(c) <- stats.client_requests.(c) + 1;
                  stats.offered <- stats.offered + 1;
                  let key = "k" ^ Int.to_string (Rng.Zipf.draw zipf arr_rng) in
                  let op =

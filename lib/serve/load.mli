@@ -47,17 +47,17 @@ type stats = {
       (** id of this partition's first client: partitions own
           contiguous slices of [0, clients), a pure function of
           [(clients, parts)], so domains runs split identically *)
-  client_requests : int array;
-      (** requests issued per local virtual client — [client_requests.(i)]
-          counts client [first_client + i] — also the whole per-client
-          state; empty when the partition owns no client *)
+  local_clients : int;
+      (** how many clients this partition owns: clients [first_client]
+          to [first_client + local_clients - 1]; 0 when it owns none *)
   mutable setup_words : int;
-      (** heap words the generator's state reaches (this record with its
-          client ledger, the Zipf table, the arrival RNG and the value
-          string; the sketch's table is allocated at the first sample),
-          counted by [Obj.reachable_words] — no collection is forced;
-          divide by clients for the words-per-idle-client figure the
-          bench records *)
+      (** heap words the generator's state reaches (this record, the
+          Zipf table, the arrival RNG and the value string; the
+          sketch's table is allocated at the first sample), counted by
+          [Obj.reachable_words] — no collection is forced; divide by
+          clients for the words-per-idle-client figure the bench
+          records (0.002 at a million clients: a constant, no word per
+          client) *)
 }
 
 val run :

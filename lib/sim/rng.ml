@@ -35,12 +35,12 @@ let int t n =
      entropy against small ranges. *)
   Int64.to_int (Int64.rem (Int64.shift_right_logical (bits64 t) 1) (Int64.of_int n))
 
-let float t x =
+let[@inline] float t x =
   (* 53 uniform mantissa bits. *)
   let u = Int64.shift_right_logical (bits64 t) 11 in
   Int64.to_float u /. 9007199254740992.0 *. x
 
-let unit_open t =
+let[@inline] unit_open t =
   (* uniform in (0,1), avoiding 0 for log-based transforms *)
   let u = float t 1.0 in
   if u <= 0.0 then 1e-18 else u
@@ -51,11 +51,14 @@ let chance t p = if p <= 0.0 then false else if p >= 1.0 then true else float t 
 
 let exponential t ~mean = -.mean *. log (unit_open t)
 
-let normal t ~mu ~sigma =
+let[@inline] normal t ~mu ~sigma =
   let u1 = unit_open t and u2 = unit_open t in
   mu +. (sigma *. sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2))
 
-let lognormal t ~mu ~sigma = exp (normal t ~mu ~sigma)
+(* The draw is inlined down to [bits64], so it scales the cell without
+   boxing a float: a float returned across a call would be boxed. *)
+let scale_lognormal t (cell : Eheap.fcell) ~mu ~sigma =
+  cell.v <- cell.v *. exp (normal t ~mu ~sigma)
 
 let pareto t ~scale ~shape = scale /. (unit_open t ** (1.0 /. shape))
 

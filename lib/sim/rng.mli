@@ -33,9 +33,10 @@ val chance : t -> float -> bool
 val exponential : t -> mean:float -> float
 (** Exponentially distributed with the given mean. *)
 
-val lognormal : t -> mu:float -> sigma:float -> float
-(** [exp] of a Gaussian with parameters [mu], [sigma] (of the underlying
-    normal, i.e. the standard parameterization). *)
+val scale_lognormal : t -> Eheap.fcell -> mu:float -> sigma:float -> unit
+(** Multiply the cell's value by a lognormal draw: [exp] of a Gaussian
+    with parameters [mu], [sigma] (of the underlying normal, i.e. the
+    standard parameterization). Allocates nothing. *)
 
 val pareto : t -> scale:float -> shape:float -> float
 (** Pareto distributed, support [\[scale, inf)]. Heavy tail for small

@@ -11,6 +11,11 @@ let latency_delay l a b =
   Latency.delay_to l cell a b;
   cell.Eheap.v
 
+let topology_delay topo a b =
+  let cell = { Eheap.v = 0.0 } in
+  Topology.delay_to topo cell a b;
+  cell.Eheap.v
+
 (* {2 Topology} *)
 
 let test_topology_shape () =
@@ -86,7 +91,18 @@ let test_testbed_latency_ordering () =
   (* base delay is stable, the jittered delay varies around it *)
   Alcotest.(check (float 1e-12)) "base stable" (Testbed.base_delay pl 0 1)
     (Testbed.base_delay pl 0 1);
-  let jittered = List.init 20 (fun _ -> Testbed.delay_h pl (Testbed.host pl 0) (Testbed.host pl 1)) in
+  (* each send crosses idle links, so its delay varies only by jitter *)
+  let eng = Engine.create ~seed:5 () in
+  let net = Net.create eng (Testbed.planetlab ~n:2 (Engine.rng eng)) in
+  let got = ref 0.0 in
+  Net.bind net (Addr.make 1 9) (fun ~src:_ _ -> got := Engine.now eng);
+  let delay () =
+    let t0 = Engine.now eng in
+    Net.send net ~src:(Addr.make 0 1) ~dst:(Addr.make 1 9) (Probe 1);
+    ignore (Engine.run eng);
+    !got -. t0
+  in
+  let jittered = List.init 20 (fun _ -> delay ()) in
   Alcotest.(check bool) "jitter varies" true
     (List.exists (fun d -> not (Float.equal d (List.hd jittered))) jittered)
 
@@ -132,17 +148,26 @@ let test_net_delivery () =
       | [ (0, 7, t) ] -> Alcotest.(check bool) "delivered after positive delay" true (t > 0.0)
       | _ -> Alcotest.fail "expected exactly one delivery")
 
-(* What a compact send allocates: nothing per message. It waits as a slot
-   id in the engine's message queue, its fields in the net's columns, and
-   the clock, the propagation delay and the due time travel through flat
-   cells, so no float is boxed on the way. The first batch is a warm-up;
-   the drained queue and columns hold no page afterwards, so what the
-   measured second batch counts is their first few doublings, small
-   enough to be minor-heap blocks (the pages past them are major). *)
-let test_net_send_minor_words () =
+(* Testbeds of every kind, of [n] hosts. *)
+let testbeds =
+  [
+    ("synthetic", fun n rng -> Testbed.synthetic ~hosts:n rng);
+    ("planetlab", fun n rng -> Testbed.planetlab ~n rng);
+    ("modelnet", fun hosts rng -> Testbed.modelnet ~hosts rng);
+    ("cluster", fun n rng -> Testbed.cluster ~n rng);
+  ]
+
+(* What a send allocates: nothing per message, on every testbed. It waits
+   as a slot id in the engine's message queue, its fields in the net's
+   columns; the clock, the propagation delay (jitter included) and the
+   due time travel through flat cells and the link state is unboxed
+   columns, so no float is boxed on the way. The first batch is a
+   warm-up; the drained queue and columns hold no page afterwards, so
+   what the measured second batch counts is their first few doublings,
+   small enough to be minor-heap blocks (the pages past them are major). *)
+let test_net_send_minor_words (kind, make) () =
   let eng = Engine.create ~seed:3 () in
-  let tb = Testbed.synthetic ~hosts:2 (Engine.rng eng) in
-  let net = Net.create eng tb in
+  let net = Net.create eng (make 2 (Engine.rng eng)) in
   let src = Addr.make 0 1 and dst = Addr.make 1 1 and msg = Probe 1 in
   let n = 10_000 in
   let batch () =
@@ -157,7 +182,7 @@ let test_net_send_minor_words () =
   let per_send = (Gc.minor_words () -. w0) /. Float.of_int n in
   Alcotest.(check int) "all queued" n (Engine.pending_events eng);
   Alcotest.(check bool)
-    (Printf.sprintf "%.2f minor words per compact send (bound 1)" per_send)
+    (Printf.sprintf "%.2f minor words per %s send (bound 1)" per_send kind)
     true (per_send <= 1.0)
 
 (* A burst over several pages: the slot columns and the engine's message
@@ -184,6 +209,44 @@ let test_net_burst_pages () =
     Alcotest.(check int) "all delivered" (round * n) !got;
     Alcotest.(check int) "no column, no page" base (words ())
   done
+
+(* A send routed through [set_remote] and completed by [deliver_remote]
+   is delivered at the instant a local send is: two same-seed nets, one
+   routing every message to host 1 out and back in through an event at
+   its arrival time. Each round sends from host 0 to hosts 1 and 2 at
+   once, so the second message waits in the shared uplink, and runs to
+   completion before the next. *)
+let test_net_remote_same_instant (_, make) () =
+  let deliveries ~routed =
+    let eng = Engine.create ~seed:9 () in
+    let net = Net.create eng (make 3 (Engine.rng eng)) in
+    if routed then
+      Net.set_remote net
+        ~local:(fun h -> h <> 1)
+        ~route:(fun ~src ~dst ~size ~arrival ~up_wait ~ctx payload ->
+          ignore
+            (Engine.schedule_at eng ~at:{ Engine.v = arrival } (fun () ->
+                 Net.deliver_remote net ~size ~src ~dst ~up_wait ~ctx payload)));
+    let got = ref [] in
+    List.iter
+      (fun h ->
+        Net.bind net (Addr.make h 9) (fun ~src:_ payload ->
+            match payload with Probe k -> got := (h, k, Engine.now eng) :: !got | _ -> ()))
+      [ 1; 2 ];
+    for k = 1 to 8 do
+      Net.send net ~size:(k * 4_000) ~src:(Addr.make 0 1) ~dst:(Addr.make 2 9) (Probe k);
+      Net.send net ~size:(k * 1_000) ~src:(Addr.make 0 1) ~dst:(Addr.make 1 9) (Probe k);
+      ignore (Engine.run eng)
+    done;
+    List.rev !got
+  in
+  let local = deliveries ~routed:false and routed = deliveries ~routed:true in
+  Alcotest.(check int) "all delivered" 16 (List.length local);
+  List.iter2
+    (fun (h, k, t) (h', k', t') ->
+      Alcotest.(check (pair int int)) "same message" (h, k) (h', k');
+      Alcotest.(check (float 0.0)) "same instant" t t')
+    local routed
 
 let test_net_unbound_drops () =
   with_net `Cluster (fun eng net ->
@@ -358,7 +421,7 @@ let test_latency_matrix_equals_topology () =
         (fun s2 ->
           Alcotest.(check (float 0.0))
             "matrix backend byte-identical to direct access"
-            (Topology.delay topo s1 s2) (latency_delay lat s1 s2))
+            (topology_delay topo s1 s2) (latency_delay lat s1 s2))
         stubs)
     stubs
 
@@ -488,7 +551,19 @@ let () =
       ( "net",
         [
           Alcotest.test_case "delivery" `Quick test_net_delivery;
-          Alcotest.test_case "send minor words" `Quick test_net_send_minor_words;
+        ]
+        @ List.concat_map
+            (fun ((kind, _) as tb) ->
+              [
+                (* the synthetic case is the original, unsuffixed pin *)
+                Alcotest.test_case
+                  (if kind = "synthetic" then "send minor words" else "send minor words, " ^ kind)
+                  `Quick (test_net_send_minor_words tb);
+                Alcotest.test_case ("routed send lands with a local one, " ^ kind) `Quick
+                  (test_net_remote_same_instant tb);
+              ])
+            testbeds
+        @ [
           Alcotest.test_case "burst over pages" `Quick test_net_burst_pages;
           Alcotest.test_case "unbound drops" `Quick test_net_unbound_drops;
           Alcotest.test_case "down host" `Quick test_net_down_host;

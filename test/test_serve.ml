@@ -27,7 +27,7 @@ let test_client_span () =
           Load.run { Load.default with Load.clients; duration = 0.0 } ~seed:1 ~part ~parts
             ~gateways ~issue:(fun _ _ -> `Ok)
         in
-        let len = Array.length st.Load.client_requests in
+        let len = st.Load.local_clients in
         Alcotest.(check int) "contiguous" !cursor st.Load.first_client;
         cursor := !cursor + len;
         lens := len :: !lens
